@@ -7,13 +7,14 @@ typical set. For each, the scaled CGF of log-guesswork
     Lambda(alpha) = lim (1/k) log E exp(alpha log G)
 
 is piecewise explicit: constant at the modal decay rate for alpha <= -1 and,
-for alpha > -1, equal to alpha h(l) - D(l || p) at the optimising type l,
-which is the tilted type clamped into the typicality window (the window is
-vacuous for the unconditioned source and everything collapses to the Renyi
-form; for the uniform source the optimiser is pinned at the high-entropy
-boundary). The Legendre-Fenchel transform Lambda* is computed by bisection
-on the monotone slope, with a flat plateau of width `plateau_width` at the
-left end of its domain and a finite endpoint value at the maximal slope.
+for alpha > -1, equal to alpha h(l) - D(l || p) at the optimising type l: the
+tilted type l_beta, beta = 1/(1+alpha), clamped into a per-source window of
+beta ((0, inf) unconditioned, the boundary tilts conditioned, pinned at the
+high-entropy boundary uniform), all on the float-only TiltedFamily. The
+slope Lambda' = h(l) is exact, so Lambda'(0) = h(p) (h(l-) uniform). The
+Legendre-Fenchel transform Lambda* solves h(l_beta) = x by safeguarded Newton
+on beta, with a flat plateau of width `plateau_width` at the left end of its
+domain and a finite endpoint value at the maximal slope.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ from .tilting import (
     BoundaryTypes,
     ClampedOptimum,
     Regime,
+    TiltedFamily,
     boundary_types,
-    clamped_optimum,
     cross_entropy_range,
     regime_breakpoints,
     tilted_cross_entropy,
-    tilted_type,
+    tilted_type_beta,
 )
-
-#: step for the central-difference derivative at alpha = 0
-DERIVATIVE_STEP = 1e-6
 
 _SLOPE_EDGE_TOL = 1e-12
 
@@ -104,6 +102,10 @@ def _as_distribution(p: FreqsLike) -> LetterDistribution:
 class ScgfModel:
     """Evaluated structure of one source's scaled CGF.
 
+    For alpha > -1 the optimiser is l_beta, beta = 1/(1+alpha) clamped into
+    `window`, and Lambda(alpha) = alpha h(l) - D(l), with D(l) = D(l || p)
+    for the unconditioned and conditioned sources and 0 for the uniform one.
+
     Attributes
     ----------
     source : Source
@@ -114,26 +116,62 @@ class ScgfModel:
     modal_decay : float
         Value of Lambda on alpha <= -1: the decay exponent of the most
         likely word's probability. Always <= 0.
+    family : TiltedFamily
+        The letter law's tilted family, evaluated on floats.
+    window : (float, float)
+        Clamp window (beta_lo, beta_hi): (0, inf) unconditioned; the tilts of
+        l_minus and l_plus conditioned (0 or inf for a limit of the family);
+        the tilt of l_minus at both ends for the uniform source.
+    edge_lines : ((float, float), (float, float))
+        (h(l), -D(l)): Lambda's slope and intercept on beta_lo and beta_hi.
     plateau_width : float
-        Right derivative of Lambda at alpha = -1: the growth order of the
-        set of near-maximum-probability words, and the width of the flat
-        piece of the rate function. Always >= 0.
+        Right derivative of Lambda at alpha = -1 (the beta_hi slope): the
+        growth order of the set of near-maximum-probability words, and the
+        width of the flat piece of the rate function. Always >= 0.
     max_slope : float
-        Limiting slope of Lambda as alpha -> inf; the rate function is
-        finite exactly on [0, max_slope].
+        Limiting slope of Lambda as alpha -> inf (the beta_lo slope); the
+        rate function is finite exactly on [0, max_slope].
     tail_intercept : float
         Intercept of the asymptote Lambda(alpha) ~ max_slope * alpha +
-        tail_intercept; the rate function's value at max_slope is
-        -tail_intercept.
+        tail_intercept (the beta_lo intercept); the rate function's value at
+        max_slope is -tail_intercept.
     """
 
     source: Source
     entropy_p: float
     boundary: BoundaryTypes | None
     modal_decay: float
-    plateau_width: float
-    max_slope: float
-    tail_intercept: float
+    family: TiltedFamily
+    window: tuple[float, float]
+    edge_lines: tuple[tuple[float, float], tuple[float, float]]
+
+    @property
+    def plateau_width(self) -> float:
+        return self.edge_lines[1][0]
+
+    @property
+    def max_slope(self) -> float:
+        return self.edge_lines[0][0]
+
+    @property
+    def tail_intercept(self) -> float:
+        return self.edge_lines[0][1]
+
+    def _tilt(self, alpha: float) -> float:
+        if not -1.0 < alpha < math.inf:
+            raise DistributionError(f"the tilted optimiser needs finite alpha > -1, got {alpha}")
+        lo, hi = self.window
+        return min(max(1.0 / (1.0 + alpha), lo), hi)
+
+    def _line(self, alpha: float) -> tuple[float, float]:
+        # (slope, intercept) of Lambda's tangent line at alpha > -1
+        beta = self._tilt(alpha)
+        if beta == self.window[0]:
+            return self.edge_lines[0]
+        if beta == self.window[1]:
+            return self.edge_lines[1]
+        h, eta, _ = self.family.at(beta)
+        return h, h - eta
 
     def __call__(self, alpha: float) -> float:
         """Lambda(alpha), defined for every real alpha."""
@@ -142,87 +180,47 @@ class ScgfModel:
             raise DistributionError(f"alpha must be finite, got {alpha}")
         if alpha <= -1.0:
             return self.modal_decay
-        p = self.source.p
-        kind = self.source.kind
-        if kind is SourceKind.UNIFORM_TYPICAL:
-            return alpha * shannon_entropy(self.boundary.l_minus)
-        if kind is SourceKind.UNCONDITIONED:
-            beta = 1.0 / (1.0 + alpha)
-            return (1.0 + alpha) * _log_tilt_normaliser(p, beta)
-        opt = clamped_optimum(p, self.source.epsilon, alpha, self.boundary)
-        l = opt.type_vector
-        return alpha * shannon_entropy(l) - kl_divergence(l, p)
+        slope, intercept = self._line(alpha)
+        return slope * alpha + intercept
 
     def slope(self, alpha: float) -> float:
         """dLambda/dalpha for alpha > -1: the entropy of the optimising type."""
-        if not alpha > -1.0:
-            raise DistributionError(f"slope needs alpha > -1, got {alpha}")
-        kind = self.source.kind
-        if kind is SourceKind.UNIFORM_TYPICAL:
-            return shannon_entropy(self.boundary.l_minus)
-        if kind is SourceKind.UNCONDITIONED:
-            return shannon_entropy(tilted_type(self.source.p, alpha))
-        opt = clamped_optimum(self.source.p, self.source.epsilon, alpha, self.boundary)
-        return shannon_entropy(opt.type_vector)
+        return self._line(alpha)[0]
 
     def optimum(self, alpha: float) -> ClampedOptimum:
         """The optimising type and active regime at alpha > -1."""
-        kind = self.source.kind
-        if kind is SourceKind.UNIFORM_TYPICAL:
+        beta = self._tilt(alpha)
+        if beta == self.window[0]:
             return ClampedOptimum(self.boundary.l_minus, Regime.UPPER_CLAMP)
-        if kind is SourceKind.UNCONDITIONED:
-            return ClampedOptimum(tilted_type(self.source.p, alpha), Regime.INTERIOR)
-        return clamped_optimum(self.source.p, self.source.epsilon, alpha, self.boundary)
-
-
-def _log_tilt_normaliser(p: FreqsLike, beta: float) -> float:
-    """log sum_a p_a^beta over the support, evaluated stably for any beta >= 0."""
-    logs = [beta * math.log(q) for q in as_freqs(p) if q > 0.0]
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+        if beta == self.window[1]:
+            return ClampedOptimum(self.boundary.l_plus, Regime.LOWER_CLAMP)
+        return ClampedOptimum(tilted_type_beta(self.source.p, beta), Regime.INTERIOR)
 
 
 def scgf_model(source: Source) -> ScgfModel:
     """Assemble the piecewise description of `source`'s scaled CGF."""
     p = source.p
     h = shannon_entropy(p)
-    c_min, c_max = cross_entropy_range(p)
-    support = p.support
-    log_m_support = math.log(len(support))
-
     if source.kind is SourceKind.UNCONDITIONED:
-        return ScgfModel(
-            source=source,
-            entropy_p=h,
-            boundary=None,
-            modal_decay=math.log(p.max_prob),
-            plateau_width=math.log(len(p.argmax_set())),
-            max_slope=log_m_support,
-            tail_intercept=log_m_support - c_max,
-        )
-
-    bnd = boundary_types(p, source.epsilon)
-    h_minus = shannon_entropy(bnd.l_minus)
-    if source.kind is SourceKind.UNIFORM_TYPICAL:
-        return ScgfModel(
-            source=source,
-            entropy_p=h,
-            boundary=bnd,
-            modal_decay=-h_minus,
-            plateau_width=h_minus,
-            max_slope=h_minus,
-            tail_intercept=0.0,
-        )
-
-    return ScgfModel(
-        source=source,
-        entropy_p=h,
-        boundary=bnd,
-        modal_decay=min(-h + source.epsilon, math.log(p.max_prob)),
-        plateau_width=shannon_entropy(bnd.l_plus),
-        max_slope=h_minus,
-        tail_intercept=-kl_divergence(bnd.l_minus, p),
-    )
+        # the window edges are limits of the family, reached only as alpha -> inf, -1
+        c_min, c_max = cross_entropy_range(p)
+        log_m_support = math.log(len(p.support))
+        log_modal = math.log(len(p.argmax_set()))
+        bnd, modal_decay, window = None, math.log(p.max_prob), (0.0, math.inf)
+        lines = ((log_m_support, log_m_support - c_max), (log_modal, log_modal - c_min))
+    else:
+        bnd = boundary_types(p, source.epsilon)
+        beta_minus = 0.0 if bnd.beta_minus is None else bnd.beta_minus
+        line_minus = (shannon_entropy(bnd.l_minus), -kl_divergence(bnd.l_minus, p))
+        if source.kind is SourceKind.UNIFORM_TYPICAL:
+            # every typical word is equally likely: D = 0 at the pinned l_minus
+            modal_decay, window = -line_minus[0], (beta_minus, beta_minus)
+            lines = ((line_minus[0], 0.0),) * 2
+        else:
+            modal_decay = min(-h + source.epsilon, math.log(p.max_prob))
+            window = (beta_minus, math.inf if bnd.beta_plus is None else bnd.beta_plus)
+            lines = (line_minus, (shannon_entropy(bnd.l_plus), -kl_divergence(bnd.l_plus, p)))
+    return ScgfModel(source, h, bnd, modal_decay, TiltedFamily(p), window, lines)
 
 
 def scgf(source: Source, alpha: float) -> float:
@@ -234,12 +232,13 @@ def scgf(source: Source, alpha: float) -> float:
 class GrowthExponents:
     """Headline growth exponents of one source's guesswork.
 
-    mean_log_rate is the growth rate of E log G (the derivative of the
-    scaled CGF at 0, computed by central difference); moment_rate is the
-    growth rate of log E G (the scaled CGF at 1). Jensen forces
-    moment_rate >= mean_log_rate. window_excess is the conditioned source's
-    regime indicator at alpha = 1 (positive exactly when the first moment
-    is governed by the high-entropy window edge); None for other kinds.
+    mean_log_rate is the growth rate of E log G: the slope of the scaled
+    CGF at 0, h(p) (h(l-) for the uniform source), with no finite-difference
+    error; moment_rate is the growth rate of log E G (the scaled CGF at 1).
+    Jensen forces moment_rate >= mean_log_rate. window_excess is the
+    conditioned source's regime indicator at alpha = 1 (positive exactly
+    when the first moment is governed by the high-entropy window edge);
+    None for other kinds.
     """
 
     mean_log_rate: float
@@ -250,15 +249,13 @@ class GrowthExponents:
 
 
 def growth_exponents(source: Source) -> GrowthExponents:
-    """Compute the exponent table of `source` from its scaled CGF."""
+    """Exponent table of `source`; mean_log_rate is the exact slope Lambda'(0)."""
     model = scgf_model(source)
-    step = DERIVATIVE_STEP
-    mean_log = (model(step) - model(-step)) / (2.0 * step)
     excess = None
     if source.kind is SourceKind.CONDITIONED:
         excess = tilted_cross_entropy(source.p, 1.0) - (model.entropy_p + source.epsilon)
     return GrowthExponents(
-        mean_log_rate=mean_log,
+        mean_log_rate=model.slope(0.0),
         moment_rate=model(1.0),
         modal_decay=model.modal_decay,
         plateau_width=model.plateau_width,
@@ -272,8 +269,10 @@ def legendre_transform(model: ScgfModel, x: float) -> float:
     Piecewise evaluation: +inf outside [0, log m]; the exact plateau value
     -x - modal_decay on [0, plateau_width]; the endpoint value
     -tail_intercept at x = max_slope; +inf beyond max_slope; otherwise the
-    supremum is located by bisection on the monotone slope and evaluated at
-    the stationary point (second-order accurate in the bisection error).
+    tilt beta with h(l_beta) = x is found inside the model's clamp window by
+    safeguarded Newton (TiltedFamily.solve), and the supremum is evaluated in
+    its stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, which
+    is second-order accurate in the solver error.
     """
     log_m = math.log(model.source.p.m)
     if x < -_SLOPE_EDGE_TOL or x > log_m + _SLOPE_EDGE_TOL:
@@ -286,23 +285,8 @@ def legendre_transform(model: ScgfModel, x: float) -> float:
         if x <= s + _SLOPE_EDGE_TOL:
             return -model.tail_intercept
         return math.inf
-
-    lo = -1.0 + 1e-12
-    hi = 1.0
-    while model.slope(hi) < x:
-        hi *= 2.0
-        if hi > 1e9:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12 * max(1.0, abs(mid)):
-            break
-        if model.slope(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return x * mid - model(mid)
+    alpha = 1.0 / model.family.solve(x, *model.window, entropy=True) - 1.0
+    return x * alpha - model(alpha)
 
 
 def rate_function(source: Source, x: float) -> float:
@@ -334,7 +318,7 @@ def guesswork_pmf_approx(source: Source, k: int, n: int) -> float:
 class BinaryReport:
     """Closed-form quantities for a binary source p = (p0, 1 - p0), p0 > 1/2.
 
-    Mirrors the package's general machinery with no bisection anywhere, so
+    Mirrors the package's general machinery with no iterative solver, so
     the two routes can be cross-checked: boundary types are linear in
     epsilon, the first-moment rate of the unconditioned source is
     2 log(sqrt(p0) + sqrt(1 - p0)), and the conditioned first-moment rate

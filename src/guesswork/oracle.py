@@ -25,7 +25,6 @@ from .asymptotics import (
     Source,
     SourceKind,
     alphas_or_default,
-    growth_exponents,
     scgf_model,
 )
 from .entropy import (
@@ -61,6 +60,10 @@ _MP_DPS = 40
 
 _LOG2 = math.log(2.0)
 
+# Two ints this many bits apart have a quotient outside the normal float
+# range (or close enough to its bottom to lose precision as a subnormal).
+_RATIO_BITS = 1000
+
 
 def _lse(terms: list[float]) -> float:
     terms = [t for t in terms if t != -math.inf]
@@ -77,6 +80,13 @@ def _log_expm1(u: float) -> float:
     if u < 1e-8:
         return math.log(u) + math.log1p(u * (0.5 + u / 6.0))
     return math.log(math.expm1(u))
+
+
+def _log_far_ratio(num: int, den: int) -> float | None:
+    """log(num/den) for positive ints whose quotient leaves float range, else None."""
+    if abs(num.bit_length() - den.bit_length()) < _RATIO_BITS:
+        return None
+    return math.log(num) - math.log(den)
 
 
 def _square_pyramid(n: int) -> int:
@@ -97,7 +107,14 @@ def _em_log_power_sum(a: int, b: int, alpha: float) -> float:
     n = b - a + 1
     log_y = math.log(2 * a - 1) - _LOG2
     log_x = math.log(2 * b + 1) - _LOG2
-    t = math.log1p((2 * n) / (2 * a - 1))
+    log_r = _log_far_ratio(2 * n, 2 * a - 1)
+    if log_r is None:
+        t = math.log1p((2 * n) / (2 * a - 1))
+    elif log_r < 0.0:
+        # a range negligible beside its start: the sum is n Y^alpha to float precision
+        return s * log_y + log_r
+    else:
+        t = log_r  # log1p(r) = log(r) to float precision
     if s == 0.0:
         log_i = math.log(t)
     elif s > 0.0:
@@ -158,8 +175,13 @@ def _log_sum_of_logs(a: int, b: int) -> float:
         # integral_{a-1/2}^{b+1/2} log x dx = n log Y + Y phi(n/Y), Y = a-1/2,
         # phi(r) = (1+r)log1p(r) - r; both pieces assembled in the log domain
         log_y = math.log(2 * a - 1) - _LOG2
-        r = (2 * n) / (2 * a - 1)
         term1 = math.log(n) + math.log(log_y)
+        log_r = _log_far_ratio(2 * n, 2 * a - 1)
+        if log_r is not None:
+            # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
+            tail = 2.0 * log_r - _LOG2 if log_r < 0.0 else log_r + math.log(log_r - 1.0)
+            return _lse([term1, log_y + tail])
+        r = (2 * n) / (2 * a - 1)
         if r < 1e-6:
             log_term2 = log_y + 2.0 * math.log(r) - _LOG2 + math.log1p(r * (r / 6.0 - 1.0 / 3.0))
         else:
@@ -337,9 +359,9 @@ def typical_set_census(
 ) -> CensusResult:
     """List the typical k-types with exact cardinality and probability mass.
 
-    An empty census is a valid result, not an error. In debug builds every
-    call re-verifies the union-bound sandwich
-    max_l N_k(l) <= |T| <= (k+1)^m * max_l N_k(l).
+    An empty census is a valid result, not an error. Every call re-verifies
+    the union-bound sandwich max_l N_k(l) <= |T| <= (k+1)^m * max_l N_k(l)
+    and raises ArithmeticError if it fails.
     """
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
@@ -352,7 +374,11 @@ def typical_set_census(
         _lse([math.log(n) - k * cross_entropy(l, p) for l, n in zip(types, counts)])
     )
     max_count = max(counts)
-    assert max_count <= cardinality <= (k + 1) ** p.m * max_count
+    if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
+        raise ArithmeticError(
+            f"census sandwich violated at k={k}: max type count {max_count}, "
+            f"cardinality {cardinality}"
+        )
     return CensusResult(k, tuple(types), cardinality, mass, max_count)
 
 
@@ -513,7 +539,7 @@ def convergence_series(
     if quantity == "scgf":
         target = model(alpha)
     elif quantity == "mean_log":
-        target = growth_exponents(source).mean_log_rate
+        target = model.slope(0.0)
     elif quantity == "top_prob":
         target = model.modal_decay
     elif quantity == "modal_count":

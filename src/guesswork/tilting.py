@@ -3,11 +3,12 @@
 The family l_a(beta) proportional to p_a^beta (beta = 1/(1+alpha)) sweeps
 from the uniform distribution on the support (beta -> 0) through p itself
 (beta = 1) to the uniform distribution on the most likely letters
-(beta -> inf). Its cross entropy against p is strictly decreasing in beta,
-so the two boundary types of a typicality window can be found by monotone
-bisection, and the constrained maximiser behind the conditioned source's
-scaled cumulant generating function is the tilted type clamped to those
-boundaries.
+(beta -> inf). Along it both the entropy h(l_beta) and the cross entropy
+eta(beta) against p strictly decrease, so one safeguarded Newton solver in
+beta (`TiltedFamily.solve`) finds the two boundary types of a typicality
+window and the tilt behind every interior rate-function value. The
+constrained maximiser behind the conditioned source's scaled cumulant
+generating function is the tilted type clamped to those boundaries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from enum import Enum
 
 from .entropy import (
     FreqsLike,
-    LetterDistribution,
     TypeVector,
     as_freqs,
     cross_entropy,
@@ -27,9 +27,8 @@ from .entropy import (
 )
 from .errors import AlphaDomainError, DistributionError, EpsilonInadmissibleError
 
-BISECT_RESIDUAL_TOL = 1e-12
-BISECT_WIDTH_TOL = 1e-15
-BISECT_MAX_ITER = 200
+NEWTON_STEP_TOL = 1e-13  # relative step in beta below which the solver stops
+NEWTON_MAX_ITER = 100
 
 # C-scale margin inside which a boundary target is treated as sitting on a
 # limit of the tilted family rather than solvable at finite beta.
@@ -92,7 +91,8 @@ def cross_entropy_range(p: FreqsLike) -> tuple[float, float]:
     return c_min, c_max
 
 
-def _uniform_on_support(p: FreqsLike) -> TypeVector:
+def uniform_on_support(p: FreqsLike) -> TypeVector:
+    """Uniform type on the support of p (the beta -> 0 limit of the family)."""
     pf = as_freqs(p)
     items = _support_items(pf)
     freqs = [0.0] * len(pf)
@@ -101,7 +101,8 @@ def _uniform_on_support(p: FreqsLike) -> TypeVector:
     return TypeVector(tuple(freqs))
 
 
-def _uniform_on_argmax(p: FreqsLike) -> TypeVector:
+def uniform_on_argmax(p: FreqsLike) -> TypeVector:
+    """Uniform type on argmax p (the beta -> inf limit of the family)."""
     pf = as_freqs(p)
     top = max(pf)
     arg = [a for a, q in enumerate(pf) if q >= top - 1e-12]
@@ -111,13 +112,72 @@ def _uniform_on_argmax(p: FreqsLike) -> TypeVector:
     return TypeVector(tuple(freqs))
 
 
+class TiltedFamily:
+    """The tilted family of p on plain floats: no TypeVector, no overflow.
+
+    Keeps the gaps top - log p_a >= 0 below the largest support
+    log-probability `top`, so every weight exp(-beta * gap) lies in (0, 1].
+    """
+
+    __slots__ = ("top", "gaps")
+
+    def __init__(self, p: FreqsLike):
+        logs = [math.log(q) for _, q in _support_items(p)]
+        self.top = max(logs)
+        self.gaps = tuple(self.top - lg for lg in logs)
+
+    def _moments(self, beta: float) -> tuple[float, float, float]:
+        # log of the gap-centred normaliser, and mean and variance of the gap
+        ws = [math.exp(-beta * g) for g in self.gaps]
+        z = math.fsum(ws)
+        mean = math.fsum(w * g for w, g in zip(ws, self.gaps)) / z
+        var = math.fsum(w * (g - mean) ** 2 for w, g in zip(ws, self.gaps)) / z
+        return math.log(z), mean, var
+
+    def at(self, beta: float) -> tuple[float, float, float]:
+        """(h(l_beta), eta(beta), log Z(beta)) at finite beta >= 0.
+
+        eta is the cross entropy of l_beta against p, Z = sum_a p_a^beta.
+        """
+        log_z, mean, _ = self._moments(beta)
+        return log_z + beta * mean, mean - self.top, log_z + beta * self.top
+
+    def solve(
+        self, target: float, lo: float = 0.0, hi: float = math.inf, *, entropy: bool
+    ) -> float:
+        """Tilt beta in (lo, hi) where h(l_beta) (entropy=True) or eta(beta) = target.
+
+        Newton on both decreasing functions, dh/dbeta = -beta Var and
+        deta/dbeta = -Var (Var of log p under l_beta), kept in the shrinking
+        bracket by bisection (doubling while it is unbounded above). Stops
+        once a step moves beta by under NEWTON_STEP_TOL relative.
+        """
+        beta = min(max(1.0, lo), hi)
+        for _ in range(NEWTON_MAX_ITER):
+            log_z, mean, var = self._moments(beta)
+            if entropy:
+                resid, slope = log_z + beta * mean - target, -beta * var
+            else:
+                resid, slope = mean - self.top - target, -var
+            if resid > 0.0:
+                lo = beta
+            elif resid < 0.0:
+                hi = beta
+            else:
+                return beta
+            step = beta - resid / slope if slope < 0.0 else math.nan
+            if not lo < step < hi:
+                step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            if abs(step - beta) <= NEWTON_STEP_TOL * beta:
+                return step
+            beta = step
+        return beta
+
+
 def solve_cross_entropy(p: FreqsLike, target: float) -> float:
     """Find beta with cross_entropy(tilted_type_beta(p, beta), p) = target.
 
-    Monotone bisection on beta; the cross entropy is strictly decreasing, so
-    a bracket is grown by doubling or halving from beta = 1 and then halved.
-    Convergence is declared on constraint residual below 1e-12 or bracket
-    width below 1e-15, with an iteration cap of 200.
+    Safeguarded Newton in beta on the float-only family (TiltedFamily.solve).
 
     Raises
     ------
@@ -131,43 +191,7 @@ def solve_cross_entropy(p: FreqsLike, target: float) -> float:
             f"cross-entropy target {target!r} outside the attainable open range "
             f"({c_min!r}, {c_max!r})"
         )
-
-    # hot path: evaluate the constraint on precomputed support log-probs,
-    # skipping TypeVector construction inside the bisection loop
-    logs = [math.log(q) for _, q in _support_items(pf)]
-    top_log = max(logs)
-
-    def value(beta: float) -> float:
-        ws = [math.exp(beta * (lg - top_log)) for lg in logs]
-        total = math.fsum(ws)
-        return -math.fsum(w * lg for w, lg in zip(ws, logs)) / total
-
-    lo = hi = 1.0
-    v = value(1.0)
-    if v > target:
-        # need larger beta (cross entropy decreases in beta)
-        while value(hi) > target:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-    elif v < target:
-        while value(lo) < target:
-            lo *= 0.5
-            if lo < 1e-12:
-                break
-    else:
-        return 1.0
-
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        v = value(mid)
-        if abs(v - target) < BISECT_RESIDUAL_TOL or (hi - lo) < BISECT_WIDTH_TOL:
-            return mid
-        if v > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return TiltedFamily(pf).solve(target, entropy=False)
 
 
 @dataclass(frozen=True)
@@ -188,7 +212,7 @@ class BoundaryTypes:
     exists_minus: bool
     exists_plus: bool
     clamped_to_log_m: bool  # set when l_minus was replaced by its limit
-    beta_minus: float | None  # tilt exponents of bisected solutions
+    beta_minus: float | None  # tilt exponents of solved edges
     beta_plus: float | None
 
     @property
@@ -218,14 +242,14 @@ def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
     clamped = hi >= c_max - _EDGE_TOL
     exists_minus = hi <= c_max + _EDGE_TOL
     if clamped:
-        l_minus, beta_minus = _uniform_on_support(pf), None
+        l_minus, beta_minus = uniform_on_support(pf), None
     else:
         beta_minus = solve_cross_entropy(pf, hi)
         l_minus = tilted_type_beta(pf, beta_minus)
 
     exists_plus = lo >= c_min - _EDGE_TOL
     if lo <= c_min + _EDGE_TOL:
-        l_plus, beta_plus = _uniform_on_argmax(pf), None
+        l_plus, beta_plus = uniform_on_argmax(pf), None
     else:
         beta_plus = solve_cross_entropy(pf, lo)
         l_plus = tilted_type_beta(pf, beta_plus)
@@ -329,22 +353,10 @@ def regime_breakpoints(
     Returns (alpha_low, alpha_high): the lower-clamp boundary alpha_low < 0
     (None when the l_plus edge never binds) and the upper-clamp boundary
     alpha_high > 0 (None when the l_minus edge never binds). Recovered from
-    the bisected tilt exponents via alpha = 1/beta - 1.
+    the solved tilt exponents via alpha = 1/beta - 1.
     """
     if boundaries is None:
         boundaries = boundary_types(p, epsilon)
-    alpha_low = None if boundaries.beta_plus is None else 1.0 / boundaries.beta_plus - 1.0
-    alpha_high = (
-        None if boundaries.beta_minus is None else 1.0 / boundaries.beta_minus - 1.0
-    )
-    return alpha_low, alpha_high
+    betas = (boundaries.beta_plus, boundaries.beta_minus)
+    return tuple(None if beta is None else 1.0 / beta - 1.0 for beta in betas)
 
-
-def uniform_on_support(p: FreqsLike) -> TypeVector:
-    """Uniform type on the support of p (the beta -> 0 limit of the family)."""
-    return _uniform_on_support(p)
-
-
-def uniform_on_argmax(p: FreqsLike) -> TypeVector:
-    """Uniform type on argmax p (the beta -> inf limit of the family)."""
-    return _uniform_on_argmax(p)

@@ -12,6 +12,7 @@ from guesswork import (
     SourceKind,
     admissible_epsilon_binary,
     binary_closed_forms,
+    boundary_types,
     conditioned,
     growth_exponents,
     guesswork_pmf_approx,
@@ -19,6 +20,7 @@ from guesswork import (
     rate_function,
     scgf,
     scgf_model,
+    shannon_entropy,
     source_breakpoints,
     unconditioned,
     uniform_typical,
@@ -249,3 +251,42 @@ def test_uniform_p_all_sources_coincide():
         model = scgf_model(source)
         assert model.modal_decay == pytest.approx(-math.log(2.0), abs=1e-12)
         assert model.plateau_width == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("probs, eps", [
+    ((0.8, 0.2), 0.1),
+    ((0.5, 0.3, 0.2), 0.07),
+    ((0.35, 0.25, 0.2, 0.12, 0.08), 0.15),
+    ((0.6, 0.0, 0.4), 0.05),
+])
+def test_mean_log_rate_is_exact_slope_at_zero(probs, eps):
+    # Lambda'(0) is the entropy of the optimiser at alpha = 0: p itself, or
+    # l- for the uniform source, with no finite-difference error
+    p = LetterDistribution(probs)
+    h = shannon_entropy(p)
+    for source in (unconditioned(p), conditioned(p, eps)):
+        assert abs(growth_exponents(source).mean_log_rate - h) <= 1e-15
+    h_minus = shannon_entropy(boundary_types(p, eps).l_minus)
+    assert abs(growth_exponents(uniform_typical(p, eps)).mean_log_rate - h_minus) <= 1e-15
+
+
+def test_optimum_regimes_follow_the_clamp_window():
+    lo, hi = source_breakpoints(C)
+    mc = scgf_model(C)
+    assert mc.optimum(0.0).regime is Regime.INTERIOR
+    assert mc.optimum(0.0).type_vector.freqs == pytest.approx(P.probs, abs=1e-14)
+    assert mc.optimum(hi + 1e-6).regime is Regime.UPPER_CLAMP
+    assert mc.optimum(lo - 1e-6).regime is Regime.LOWER_CLAMP
+    assert mc.slope(hi + 1.0) == mc.max_slope
+    assert mc.slope(lo - 1e-3) == mc.plateau_width
+    # the uniform source is pinned at l- for every alpha
+    mu = scgf_model(U)
+    for alpha in (-0.9, 0.0, 5.0):
+        opt = mu.optimum(alpha)
+        assert opt.regime is Regime.UPPER_CLAMP
+        assert opt.type_vector == mu.boundary.l_minus
+    # the unconditioned optimiser is never clamped
+    mw = scgf_model(W)
+    assert all(mw.optimum(a).regime is Regime.INTERIOR for a in (-0.99, 0.0, 1e6))
+    with pytest.raises(DistributionError):
+        mw.slope(-1.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +221,33 @@ def test_resource_guard_exit_code(capsys):
     ])
     assert code == 2
     assert "resource guard" in err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, p, epsilon", [
+    ("fig2_m2.csv", "0.8,0.2", "0.1"),
+    ("fig2_m3.csv", "0.5,0.3,0.2", "0.07"),
+    ("fig2_m5.csv", "0.35,0.25,0.2,0.12,0.08", "0.15"),
+])
+def test_fig2_matches_golden_csv(capsys, name, p, epsilon):
+    # the golden files come from the bisection-on-alpha implementation of Lambda*
+    code, out, _ = run(capsys, ["fig2", "--p", p, "--epsilon", epsilon, "--x-points", "400"])
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    # typical-set kind near p = 1/2: a rank range ratio above float range
+    ["--p", "0.445907572125094,0.554092427874906", "--kind", "uniform",
+     "--k", "58,485,1080", "--epsilon", "0.009284704429555325"],
+    # unconditioned at k >= 1095: a rank range ratio below float range
+    ["--p", "0.7682602488176941,0.23173975118230594", "--kind", "unconditioned",
+     "--k", "60,716,1144"],
+])
+def test_exact_compare_far_rank_ranges(capsys, argv):
+    code, out, err = run(capsys, ["exact-compare", *argv, "--max-words", "65536"])
+    assert code in (0, 3) and err == ""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "series"))]
+    assert rows and all(math.isfinite(float(row[3])) for row in rows)

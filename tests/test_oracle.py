@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from guesswork import oracle
 from guesswork import (
     ConvergencePoint,
     DistributionError,
@@ -32,6 +33,7 @@ from guesswork import (
     unconditioned,
     uniform_typical,
 )
+from guesswork.oracle import _log_sum_of_logs
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -215,6 +217,46 @@ def test_log_rank_power_sum_long_ranges():
     got = log_rank_power_sum(1, 10**30, -0.5)
     assert got == pytest.approx(math.log(2.0) + 15.0 * math.log(10.0), abs=1e-9)
 
+
+
+def test_log_rank_power_sum_single_huge_rank():
+    a = 2**1100
+    for alpha in (-1.5, -0.5, 0.5, 3.0):
+        assert log_rank_power_sum(a, a, alpha) == alpha * math.log(a)
+
+
+def test_log_sum_of_logs_single_huge_rank():
+    a = 2**1100
+    assert _log_sum_of_logs(a, a) == math.log(math.log(a))
+
+
+def test_rank_sums_whose_range_ratio_leaves_float_range():
+    # 2n/(2a-1) below the float range: a short range far out sums to n a^alpha
+    a, n = 2**1100, 10**6
+    for alpha in (-1.5, -0.5, 0.5, 1.7):
+        want = math.log(n) + alpha * math.log(a)
+        assert log_rank_power_sum(a, a + n - 1, alpha) == pytest.approx(want, rel=1e-14)
+    assert _log_sum_of_logs(a, a + n - 1) == pytest.approx(
+        math.log(n * math.log(a)), rel=1e-14
+    )
+    # and above it: sum_{i<=B} i^alpha ~ B^(alpha+1)/(alpha+1), sum log i ~ B (log B - 1)
+    log_b = math.log(2**1100)
+    for alpha in (-0.5, 0.5, 1.7):
+        want = (alpha + 1.0) * log_b - math.log(alpha + 1.0)
+        assert log_rank_power_sum(30000, 2**1100, alpha) == pytest.approx(want, rel=1e-14)
+        assert log_rank_power_sum(1, 2**1100, alpha) == pytest.approx(want, rel=1e-14)
+    assert _log_sum_of_logs(30000, 2**1100) == pytest.approx(
+        log_b + math.log(log_b - 1.0), rel=1e-14
+    )
+
+
+def test_census_sandwich_check_raises(monkeypatch):
+    # more types than the (k+1)^m lattice holds breaks the upper union bound;
+    # the check is an explicit raise, so it also runs under python -O
+    heavy = TypeVector.from_counts((1, 0))
+    monkeypatch.setattr(oracle, "enumerate_types", lambda k, m, cap: iter([heavy] * 5))
+    with pytest.raises(ArithmeticError, match="sandwich"):
+        typical_set_census(LetterDistribution((0.5, 0.5)), 0.1, 1)
 
 def test_naive_crosscheck_agrees():
     assert naive_enumeration_crosscheck(W, 8)

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import guesswork as gw
 from guesswork.tilting import tilted_type_beta
@@ -108,3 +108,55 @@ def test_guess_table_normalized(p0, k, frac):
         # ranks tile 1..total with no gaps
         assert table.blocks[0].start == 1
         assert table.blocks[-1].end == table.total_words
+
+
+def _golden_section_max(f, lo, hi, iters=160):
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv * (hi - lo)
+            fd = f(d)
+    return max(fc, fd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    simplexes(2, 5),
+    st.floats(0.05, 0.95),
+    st.floats(0.02, 0.98),
+    st.sampled_from(("unconditioned", "conditioned")),
+)
+def test_legendre_transform_interior(p, frac, u, kind):
+    eps = frac * gw.admissible_epsilon_interval(p)[1]
+    assume(eps > 1e-6)
+    source = gw.unconditioned(p) if kind == "unconditioned" else gw.conditioned(p, eps)
+    model = gw.scgf_model(source)
+    assume(model.max_slope - model.plateau_width > 1e-6)
+    x = model.plateau_width + u * (model.max_slope - model.plateau_width)
+    rate = gw.legendre_transform(model, x)
+
+    # Lambda*(x) = D(l_beta || p) at h(l_beta) = x: bisection on log beta over
+    # validated tilted types, independent of the float-only family
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gw.shannon_entropy(tilted_type_beta(p, math.exp(mid))) > x:
+            lo = mid
+        else:
+            hi = mid
+    l = tilted_type_beta(p, math.exp(0.5 * (lo + hi)))
+    assert abs(rate - gw.kl_divergence(l, p)) < 1e-10
+
+    # and it is the supremum of x alpha - Lambda(alpha), alpha = 1/beta - 1
+    def dual(log_beta):
+        alpha = math.exp(-log_beta) - 1.0
+        return x * alpha - model(alpha)
+
+    assert abs(rate - _golden_section_max(dual, -30.0, 30.0)) < 1e-10
