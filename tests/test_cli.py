@@ -251,3 +251,15 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
     assert code in (0, 3) and err == ""
     rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "series"))]
     assert rows and all(math.isfinite(float(row[3])) for row in rows)
+
+
+# argv, exit code, stderr and stdout file of each golden run, all written by
+# the implementation that predates the one-table-per-k exact-compare path
+GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDENS, ids=[c["stdout"] for c in GOLDENS])
+def test_cli_matches_golden_output(capsys, case):
+    code, out, err = run(capsys, case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert out == (DATA / case["stdout"]).read_text()
