@@ -36,13 +36,16 @@ from .asymptotics import (
 from .entropy import LetterDistribution, shannon_entropy
 from .errors import (
     DistributionError,
+    EmptyTypicalSetError,
     EpsilonInadmissibleError,
     GuessworkError,
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,
 )
 from .oracle import (
-    convergence_series,
+    SERIES_QUANTITIES,
+    convergence_points,
+    finite_k_exponents,
     naive_enumeration_crosscheck,
     smallest_nonempty_k,
     trend_holds,
@@ -65,8 +68,10 @@ def _fmt(x: float) -> str:
     return np.format_float_positional(x, precision=9, unique=False, fractional=False)
 
 
-def _jnum(x: float):
+def _jnum(x: float | None):
     # JSON has no inf literal; fall back to the same string sentinel
+    if x is None:
+        return None
     x = float(x)
     if math.isinf(x) or math.isnan(x):
         return _fmt(x)
@@ -106,8 +111,32 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise DistributionError(f"could not parse integers from {text!r}")
 
 
-def _csv_row(fields) -> str:
-    return ",".join("" if f is None else str(f) for f in fields)
+def _cell(x) -> str:
+    """CSV cell: a float in the CLI number format, None empty, anything else as str."""
+    if x is None:
+        return ""
+    return _fmt(x) if isinstance(x, float) else str(x)
+
+
+def _jcell(x):
+    """JSON cell: a float as _jnum renders it, anything else unchanged."""
+    return _jnum(x) if isinstance(x, float) else x
+
+
+def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
+    """Render rows in the requested format.
+
+    CSV is the '#' meta lines, the header, one line per row and the footer
+    lines. JSON is `payload` (default {"rows": None}) with "rows" set to one
+    object per row keyed by the header's names, in payload's key order.
+    """
+    if args.format == "json":
+        names = header.split(",")
+        payload = dict(payload or {"rows": None})
+        payload["rows"] = [{n: _jcell(v) for n, v in zip(names, row)} for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [*meta, header, *(",".join(map(_cell, row)) for row in rows), *footer]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, text: str) -> None:
@@ -142,8 +171,8 @@ def _kind_report(source: Source, model: ScgfModel) -> dict:
         report["window_excess"] = _jnum(exps.window_excess)
         lo, hi = source_breakpoints(source)
         report["breakpoints"] = {
-            "alpha_low": None if lo is None else _jnum(lo),
-            "alpha_high": None if hi is None else _jnum(hi),
+            "alpha_low": _jnum(lo),
+            "alpha_high": _jnum(hi),
         }
     return report
 
@@ -177,7 +206,7 @@ def cmd_analyze(args) -> tuple[str, int]:
     if args.format == "csv":
         lines = ["# analyze report", "key,value"]
         for key, value in _flatten(report):
-            lines.append(_csv_row((key, value)))
+            lines.append(f"{key},{'' if value is None else value}")
         return "\n".join(lines) + "\n", 0
     return json.dumps(report, indent=2) + "\n", 0
 
@@ -205,27 +234,17 @@ def cmd_fig1(args) -> tuple[str, int]:
         try:
             rep = binary_closed_forms(p0, epsilon)
         except (EpsilonInadmissibleError, DistributionError):
-            rows.append({"p0": _jnum(p0), "top": None, "middle": None, "bottom": None,
-                         "flag": "epsilon_inadmissible"})
+            rows.append((_jnum(p0), None, None, None, "epsilon_inadmissible"))
             continue
-        rows.append({"p0": _jnum(p0), "top": _jnum(rep.top), "middle": _jnum(rep.middle),
-                     "bottom": _jnum(rep.bottom), "flag": ""})
-    if args.format == "json":
-        return json.dumps({"epsilon": _jnum(epsilon), "rows": rows}, indent=2) + "\n", 0
-    lines = [
+        # cells hold the 9-digit JSON values: the CSV has always shown _fmt of
+        # those, which can keep a trailing zero that _fmt of the raw value drops
+        rows.append((_jnum(p0), _jnum(rep.top), _jnum(rep.middle), _jnum(rep.bottom), ""))
+    meta = [
         f"# fig1: growth-rate gaps (uniform-vs-mean-log, uniform-vs-conditioned-moment,"
         f" uniform-vs-unconditioned-moment) at epsilon={_fmt(epsilon)}",
-        "p0,top,middle,bottom,flag",
     ]
-    for r in rows:
-        lines.append(_csv_row((
-            _fmt(r["p0"]),
-            None if r["top"] is None else _fmt(r["top"]),
-            None if r["middle"] is None else _fmt(r["middle"]),
-            None if r["bottom"] is None else _fmt(r["bottom"]),
-            r["flag"],
-        )))
-    return "\n".join(lines) + "\n", 0
+    payload = {"epsilon": _jnum(epsilon), "rows": None}
+    return _table(args, meta, "p0,top,middle,bottom,flag", rows, payload=payload), 0
 
 
 def cmd_fig2(args) -> tuple[str, int]:
@@ -241,11 +260,12 @@ def cmd_fig2(args) -> tuple[str, int]:
     xs = np.linspace(0.0, log_m, args.x_points)
     rows = []
     for x in xs:
-        vals = []
+        row = [float(x)]
         for model in models:
             rate = legendre_transform(model, float(x))
-            vals.append(None if math.isinf(rate) else -float(x) - rate)
-        rows.append((float(x), vals))
+            # outside a source's domain the curve is reported as "inf"
+            row.append(math.inf if math.isinf(rate) else -float(x) - rate)
+        rows.append(row)
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(epsilon)}",
         "# modal_decay: " + " ".join(
@@ -255,24 +275,12 @@ def cmd_fig2(args) -> tuple[str, int]:
             f"{n}={_fmt(m.plateau_width)}" for n, m in zip(_KIND_NAMES, models)
         ),
     ]
-    if args.format == "json":
-        jrows = [
-            {"x": _jnum(x), **{n: ("inf" if v is None else _jnum(v))
-                               for n, v in zip(_KIND_NAMES, vals)}}
-            for x, vals in rows
-        ]
-        payload = {
-            "modal_decay": {n: _jnum(m.modal_decay) for n, m in zip(_KIND_NAMES, models)},
-            "plateau_width": {n: _jnum(m.plateau_width) for n, m in zip(_KIND_NAMES, models)},
-            "rows": jrows,
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = meta + ["x," + ",".join(_KIND_NAMES)]
-    for x, vals in rows:
-        lines.append(_csv_row(
-            (_fmt(x),) + tuple("inf" if v is None else _fmt(v) for v in vals)
-        ))
-    return "\n".join(lines) + "\n", 0
+    payload = {
+        "modal_decay": {n: _jnum(m.modal_decay) for n, m in zip(_KIND_NAMES, models)},
+        "plateau_width": {n: _jnum(m.plateau_width) for n, m in zip(_KIND_NAMES, models)},
+        "rows": None,
+    }
+    return _table(args, meta, "x," + ",".join(_KIND_NAMES), rows, payload=payload), 0
 
 
 def cmd_exact_compare(args) -> tuple[str, int]:
@@ -284,30 +292,27 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     alphas = _parse_floats(args.alpha) if args.alpha else (-0.5, 0.5, 1.0, 2.0)
     typical = source.kind is not SourceKind.UNCONDITIONED
 
-    valid_ks = []
-    empty_ks = []
-    for k in ks:
-        if typical and typical_set_census(
-            p, source.epsilon, k, max_types=args.max_types
-        ).is_empty:
-            empty_ks.append(k)
-        else:
-            valid_ks.append(k)
+    # one exact table per distinct k serves every series; None marks an empty typical set
+    exps = {}
+    for k in dict.fromkeys(ks):
+        try:
+            exps[k] = finite_k_exponents(source, k, alphas=alphas, max_types=args.max_types)
+        except EmptyTypicalSetError:
+            exps[k] = None
+    valid_ks = [k for k in ks if exps[k] is not None]
+    model = scgf_model(source)
 
     series = [("scgf", a) for a in alphas]
-    series += [("mean_log", None), ("top_prob", None), ("modal_count", None)]
-    if typical:
-        series.append(("typical_size", None))
+    series += [(q, None) for q in SERIES_QUANTITIES[1:] if typical or q != "typical_size"]
 
-    lines_meta = [f"# exact-compare kind={args.kind} p={args.p}"
-                  + (f" epsilon={_fmt(source.epsilon)}" if typical else "")]
+    meta = [f"# exact-compare kind={args.kind} p={args.p}"
+            + (f" epsilon={_fmt(source.epsilon)}" if typical else "")]
     rows = []
     trends: dict[str, bool] = {}
     for qty, a in series:
         label = f"scgf[alpha={_fmt(a)}]" if qty == "scgf" else qty
-        points = convergence_series(
-            source, qty, tuple(valid_ks),
-            alpha=1.0 if a is None else a, max_types=args.max_types,
+        points = convergence_points(
+            [exps[k] for k in valid_ks], model, qty, 1.0 if a is None else a
         )
         by_k = {pt.k: pt for pt in points}
         for k in ks:
@@ -328,35 +333,16 @@ def cmd_exact_compare(args) -> tuple[str, int]:
                 )
                 checks.append((k, ok))
 
-    code = 0 if all(trends.values()) else 3
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"series": s, "k": k, "alpha": None if a is None else _jnum(a),
-                 "exact": None if v is None else _jnum(v),
-                 "target": None if t is None else _jnum(t),
-                 "gap": None if g is None else _jnum(g), "flag": flag}
-                for s, k, a, v, t, g, flag in rows
-            ],
-            "trends": trends,
-            "crosschecks": [{"k": k, "ok": ok} for k, ok in checks],
-        }
-        return json.dumps(payload, indent=2) + "\n", code
-    lines = lines_meta + ["series,k,alpha,exact,target,gap,flag"]
-    for s, k, a, v, t, g, flag in rows:
-        lines.append(_csv_row((
-            s, k,
-            None if a is None else _fmt(a),
-            None if v is None else _fmt(v),
-            None if t is None else _fmt(t),
-            None if g is None else _fmt(g),
-            flag,
-        )))
-    for k, ok in checks:
-        lines.append(f"# crosscheck:k={k}:{'ok' if ok else 'MISMATCH'}")
-    for label, ok in trends.items():
-        lines.append(f"# trend:{label}:{'pass' if ok else 'FAIL'}")
-    return "\n".join(lines) + "\n", code
+    payload = {
+        "rows": None,
+        "trends": trends,
+        "crosschecks": [{"k": k, "ok": ok} for k, ok in checks],
+    }
+    footer = [f"# crosscheck:k={k}:{'ok' if ok else 'MISMATCH'}" for k, ok in checks]
+    footer += [f"# trend:{label}:{'pass' if ok else 'FAIL'}" for label, ok in trends.items()]
+    text = _table(args, meta, "series,k,alpha,exact,target,gap,flag", rows,
+                  payload=payload, footer=footer)
+    return text, 0 if all(trends.values()) else 3
 
 
 def cmd_census(args) -> tuple[str, int]:
@@ -378,34 +364,15 @@ def cmd_census(args) -> tuple[str, int]:
                 census.log_cardinality / k, census.prob_mass, "",
             ))
     meta = [f"# census p={args.p} epsilon={_fmt(epsilon)}"]
+    payload = None
     if any_empty:
         first = smallest_nonempty_k(p, epsilon, max_types=args.max_types)
         meta.append(
             "# smallest nonempty k: " + ("none <= 1000" if first is None else str(first))
         )
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"k": k, "num_types": nt, "cardinality": card,
-                 "size_rate": None if rate is None else _jnum(rate),
-                 "prob_mass": None if mass is None else _jnum(mass), "flag": flag}
-                for k, nt, card, rate, mass, flag in rows
-            ],
-        }
-        if any_empty:
-            payload["smallest_nonempty_k"] = smallest_nonempty_k(
-                p, epsilon, max_types=args.max_types
-            )
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = meta + ["k,num_types,cardinality,size_rate,prob_mass,flag"]
-    for k, nt, card, rate, mass, flag in rows:
-        lines.append(_csv_row((
-            k, nt, card,
-            None if rate is None else _fmt(rate),
-            None if mass is None else _fmt(mass),
-            flag,
-        )))
-    return "\n".join(lines) + "\n", 0
+        payload = {"rows": None, "smallest_nonempty_k": first}
+    header = "k,num_types,cardinality,size_rate,prob_mass,flag"
+    return _table(args, meta, header, rows, payload=payload), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,6 +437,7 @@ def main(argv=None) -> int:
         args.format = args.default_format
     try:
         text, code = args.func(args)
+        _emit(args, text)
     except (TypeSpaceTooLargeError, WordSpaceTooLargeError) as exc:
         print(f"guessctl: resource guard: {exc}", file=sys.stderr)
         return 2
@@ -481,10 +449,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (GuessworkError, ValueError) as exc:
+    except (GuessworkError, ValueError, OSError) as exc:
         print(f"guessctl: error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, text)
     return code
 
 

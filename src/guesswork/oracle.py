@@ -16,12 +16,14 @@ to m^k <= 2^22) so the two routes can be cross-checked against each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
 
 from .asymptotics import (
+    ScgfModel,
     Source,
     SourceKind,
     alphas_or_default,
@@ -80,6 +82,13 @@ def _log_expm1(u: float) -> float:
     if u < 1e-8:
         return math.log(u) + math.log1p(u * (0.5 + u / 6.0))
     return math.log(math.expm1(u))
+
+
+def _exp_or_inf(lv: float) -> float:
+    try:
+        return math.exp(lv)
+    except OverflowError:
+        return math.inf
 
 
 def _log_far_ratio(num: int, den: int) -> float | None:
@@ -228,6 +237,19 @@ class ExactGuessTable:
     log_typical_mass: float
 
 
+def _window_entries(
+    p: LetterDistribution, epsilon: float | None, k: int, max_types: int
+) -> list[tuple[TypeVector, int, float]]:
+    """(type, class size, log-probability of one word) for each k-type, in
+    enumeration order; with epsilon set, only the types in the typical window."""
+    entries = []
+    for l in enumerate_types(k, p.m, max_types):
+        if epsilon is not None and not is_typical_type(p, epsilon, l):
+            continue
+        entries.append((l, type_count(l), -k * cross_entropy(l, p)))
+    return entries
+
+
 def build_guess_table(
     source: Source, k: int, *, max_types: int = MAX_TYPES_DEFAULT
 ) -> ExactGuessTable:
@@ -246,12 +268,7 @@ def build_guess_table(
     """
     p = source.p
     typical_kind = source.kind is not SourceKind.UNCONDITIONED
-    entries: list[tuple[TypeVector, int, float]] = []
-    for l in enumerate_types(k, p.m, max_types):
-        if typical_kind and not is_typical_type(p, source.epsilon, l):
-            continue
-        raw = -k * cross_entropy(l, p)
-        entries.append((l, type_count(l), raw))
+    entries = _window_entries(p, source.epsilon, k, max_types)
     if typical_kind and not entries:
         raise EmptyTypicalSetError(
             f"empty typical set: no {k}-type has per-letter log-probability in "
@@ -264,10 +281,7 @@ def build_guess_table(
         log_mass = _lse([math.log(n) + raw for _, n, raw in entries])
     else:
         log_mass = 0.0
-        if __debug__:
-            drift = _lse([math.log(n) + raw for _, n, raw in entries])
-            assert abs(drift) < 1e-9, f"unconditioned table mass off by {drift}"
-            assert total == p.m**k
+        assert total == p.m**k
 
     blocks: list[GuessBlock] = []
     start = 1
@@ -300,11 +314,7 @@ def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
 
 def exact_moment(table: ExactGuessTable, alpha: float) -> float:
     """E[G^alpha]; inf when the value exceeds float range (use the log form)."""
-    lv = exact_moment_log(table, alpha)
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(exact_moment_log(table, alpha))
 
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
@@ -365,21 +375,19 @@ def typical_set_census(
     """
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
-    types = [l for l in enumerate_types(k, p.m, max_types) if is_typical_type(p, epsilon, l)]
-    counts = [type_count(l) for l in types]
-    cardinality = sum(counts)
-    if cardinality == 0:
+    entries = _window_entries(p, epsilon, k, max_types)
+    if not entries:
         return CensusResult(k, (), 0, 0.0, 0)
-    mass = math.exp(
-        _lse([math.log(n) - k * cross_entropy(l, p) for l, n in zip(types, counts)])
-    )
+    counts = [n for _, n, _ in entries]
+    cardinality = sum(counts)
+    mass = math.exp(_lse([math.log(n) + raw for _, n, raw in entries]))
     max_count = max(counts)
     if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
         raise ArithmeticError(
             f"census sandwich violated at k={k}: max type count {max_count}, "
             f"cardinality {cardinality}"
         )
-    return CensusResult(k, tuple(types), cardinality, mass, max_count)
+    return CensusResult(k, tuple(l for l, _, _ in entries), cardinality, mass, max_count)
 
 
 def smallest_nonempty_k(
@@ -393,7 +401,7 @@ def smallest_nonempty_k(
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
     for k in range(1, k_max + 1):
-        if any(is_typical_type(p, epsilon, l) for l in enumerate_types(k, p.m, max_types)):
+        if _window_entries(p, epsilon, k, max_types):
             return k
     return None
 
@@ -446,17 +454,33 @@ def finite_k_exponents(
 
 @dataclass(frozen=True)
 class SandwichBounds:
-    """Method-of-types bracket around a conditioned guesswork moment."""
+    """Method-of-types bracket around a conditioned guesswork moment.
+
+    The bracket is held in the log domain, where `holds` compares it;
+    lower/value/upper read it back as floats, inf past float range.
+    """
 
     k: int
     alpha: float
-    lower: float
-    value: float
-    upper: float
+    log_lower: float
+    log_value: float
+    log_upper: float
+
+    @property
+    def lower(self) -> float:
+        return _exp_or_inf(self.log_lower)
+
+    @property
+    def value(self) -> float:
+        return _exp_or_inf(self.log_value)
+
+    @property
+    def upper(self) -> float:
+        return _exp_or_inf(self.log_upper)
 
     @property
     def holds(self) -> bool:
-        return self.lower <= self.value <= self.upper
+        return self.log_lower <= self.log_value <= self.log_upper
 
 
 def moment_sandwich(
@@ -473,7 +497,8 @@ def moment_sandwich(
     the alpha >= 0 form is M/(1+alpha) <= E <= (k+1)^(m(1+alpha)) * M, and
     the -1 < alpha <= 0 form is M <= E <= (k+1)^m/(1+alpha) * M. `form`
     picks "upper"/"lower" explicitly or "auto" by the sign of alpha (the
-    two are both valid at alpha = 0).
+    two are both valid at alpha = 0). These are Arikan's guessing
+    inequalities (IEEE Trans. Inf. Theory 42(1), 1996) applied type by type.
     """
     if source.kind is not SourceKind.CONDITIONED:
         raise DistributionError("moment sandwiches apply to the conditioned source")
@@ -486,19 +511,18 @@ def moment_sandwich(
     if form == "lower" and not (-1.0 < alpha <= 0.0):
         raise DistributionError("the lower-form sandwich needs -1 < alpha <= 0")
     table = build_guess_table(source, k, max_types=max_types)
-    log_m_best = max(
+    log_best = max(
         (1.0 + alpha) * math.log(blk.count) + blk.log_word_prob for blk in table.blocks
     )
-    best = math.exp(log_m_best)
-    value = exact_moment(table, alpha)
+    log_k1 = math.log(k + 1)
     m = source.p.m
     if form == "upper":
-        lower = best / (1.0 + alpha)
-        upper = (k + 1) ** (m * (1.0 + alpha)) * best
+        log_lower = log_best - math.log1p(alpha)
+        log_upper = m * (1.0 + alpha) * log_k1 + log_best
     else:
-        lower = best
-        upper = (k + 1) ** m / (1.0 + alpha) * best
-    return SandwichBounds(k=k, alpha=alpha, lower=lower, value=value, upper=upper)
+        log_lower = log_best
+        log_upper = m * log_k1 - math.log1p(alpha) + log_best
+    return SandwichBounds(k, alpha, log_lower, exact_moment_log(table, alpha), log_upper)
 
 
 SERIES_QUANTITIES = ("scgf", "mean_log", "top_prob", "modal_count", "typical_size")
@@ -515,6 +539,44 @@ class ConvergencePoint:
         return abs(self.value - self.target)
 
 
+def convergence_points(
+    exponents: Iterable[FiniteKExponents],
+    model: ScgfModel,
+    quantity: str,
+    alpha: float = 1.0,
+) -> tuple[ConvergencePoint, ...]:
+    """One quantity of each FiniteKExponents against its asymptotic target.
+
+    quantity is one of SERIES_QUANTITIES: "scgf" is (1/k) log E[G^alpha]
+    (target Lambda(alpha)), "mean_log" is (1/k) E log G (target Lambda'(0)),
+    "top_prob" is (1/k) log P(G=1) (target the modal decay), "modal_count"
+    is (1/k) log #modal words (target the plateau width), "typical_size" is
+    (1/k) log |T| (target the maximal slope; typical-set kinds only). The
+    target is taken before `exponents` is iterated, so an invalid alpha is
+    reported before a lazily built table.
+    """
+    if quantity == "scgf":
+        target, field = model(alpha), None
+    elif quantity == "mean_log":
+        target, field = model.slope(0.0), "mean_log_exponent"
+    elif quantity == "top_prob":
+        target, field = model.modal_decay, "top_prob_exponent"
+    elif quantity == "modal_count":
+        target, field = model.plateau_width, "modal_count_exponent"
+    elif quantity == "typical_size":
+        target, field = model.max_slope, "typical_size_exponent"
+    else:
+        raise DistributionError(
+            f"unknown quantity {quantity!r}; expected one of {SERIES_QUANTITIES}"
+        )
+    return tuple(
+        ConvergencePoint(
+            e.k, e.moment_exponent(alpha) if field is None else getattr(e, field), target
+        )
+        for e in exponents
+    )
+
+
 def convergence_series(
     source: Source,
     quantity: str,
@@ -525,49 +587,16 @@ def convergence_series(
 ) -> tuple[ConvergencePoint, ...]:
     """Finite-k values of one quantity against its asymptotic target.
 
-    quantity is one of SERIES_QUANTITIES: "scgf" is (1/k) log E[G^alpha]
-    (target Lambda(alpha)), "mean_log" is (1/k) E log G (target Lambda'(0)),
-    "top_prob" is (1/k) log P(G=1) (target the modal decay), "modal_count"
-    is (1/k) log #modal words (target the plateau width), "typical_size" is
-    (1/k) log |T| (target the maximal slope; typical-set kinds only).
+    A view over finite_k_exponents at each k; see convergence_points for
+    the quantities and their targets.
     """
-    if quantity not in SERIES_QUANTITIES:
-        raise DistributionError(
-            f"unknown quantity {quantity!r}; expected one of {SERIES_QUANTITIES}"
-        )
-    model = scgf_model(source)
-    if quantity == "scgf":
-        target = model(alpha)
-    elif quantity == "mean_log":
-        target = model.slope(0.0)
-    elif quantity == "top_prob":
-        target = model.modal_decay
-    elif quantity == "modal_count":
-        target = model.plateau_width
-    else:
-        if source.kind is SourceKind.UNCONDITIONED:
-            raise DistributionError("typical_size needs a typical-set source kind")
-        target = model.max_slope
-
-    points = []
-    for k in ks:
-        if quantity == "typical_size":
-            census = typical_set_census(source.p, source.epsilon, k, max_types=max_types)
-            if census.is_empty:
-                raise EmptyTypicalSetError(f"empty typical set at k={k}")
-            value = census.log_cardinality / k
-        else:
-            table = build_guess_table(source, k, max_types=max_types)
-            if quantity == "scgf":
-                value = exact_moment_log(table, alpha) / k
-            elif quantity == "mean_log":
-                value = exact_mean_log_guesswork(table) / k
-            elif quantity == "top_prob":
-                value = table.blocks[0].log_word_prob / k
-            else:
-                value = math.log(modal_word_count(table)) / k
-        points.append(ConvergencePoint(k=k, value=value, target=target))
-    return tuple(points)
+    if quantity == "typical_size" and source.kind is SourceKind.UNCONDITIONED:
+        raise DistributionError("typical_size needs a typical-set source kind")
+    alphas = (alpha,) if quantity == "scgf" else ()
+    exponents = (
+        finite_k_exponents(source, k, alphas=alphas, max_types=max_types) for k in ks
+    )
+    return convergence_points(exponents, scgf_model(source), quantity, alpha)
 
 
 def trend_holds(points: tuple[ConvergencePoint, ...], *, zero_tol: float = 1e-12) -> bool:

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guesswork.cli import main
 
@@ -263,3 +264,72 @@ def test_cli_matches_golden_output(capsys, case):
     code, out, err = run(capsys, case["argv"])
     assert (code, err) == (case["exit"], case["stderr"])
     assert out == (DATA / case["stdout"]).read_text()
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_out_unwritable_is_an_error(tmp_path, capsys, target):
+    code, out, err = run(capsys, [
+        "analyze", "--p", "0.8,0.2", "--epsilon", "0.1", "--out", str(tmp_path / target),
+    ])
+    assert code == 1 and out == ""
+    assert err.startswith("guessctl: error: ") and err.count("\n") == 1
+
+
+# Each fuzzed argv draws every flag of its subcommand from the valid pool, then
+# may swap one flag for a bad value (None drops it): nan, inf, negative, zero,
+# empty or garbage. k <= 30, --x-points <= 50 and --max-types <= 500 keep runs cheap.
+FUZZ_VALID = {
+    "--p": ["0.8,0.2", "0.5,0.3,0.2", "0.5,0.5", "1,0"],
+    "--epsilon": ["0.1", "0.05", "0.2"],
+    "--kind": ["conditioned", "uniform", "unconditioned"],
+    "--k": ["6,10", "14,6,6", "2", "30", "4,8,12"],
+    "--alpha": [None, "-0.5,1", "2", "0,-2"],
+    "--x-points": ["5", "50"],
+    "--p0-grid": [None, "0.7,0.8"],
+    "--max-words": [None, "64", "4096"],
+    "--format": [None, "csv", "json"],
+    "--max-types": ["500", "40"],
+    "--out": [None, "out.txt"],
+}
+FUZZ_BAD = {
+    "--p": ["nan,0.5", "inf,-inf", "-0.2,1.2", "0.8", "0.8,0.1", "", "x"],
+    "--epsilon": ["1e-300", "nan", "inf", "-0.1", "0", "", "x"],
+    "--kind": ["x"],
+    "--k": ["0", "-3", "", "nan", "x"],
+    "--alpha": ["nan", "inf", "-inf", ",", "", "x"],
+    "--x-points": ["0", "-1", "nan", "x"],
+    "--p0-grid": ["nan,inf,-1,0,1,2", ",", "", "x"],
+    "--max-words": ["0", "-1", "x"],
+    "--format": ["x"],
+    "--max-types": ["5", "0", "-1", "x"],
+    "--out": [".", "missing/out.txt"],
+}
+FUZZ_COMMANDS = {
+    "analyze": ("--p", "--epsilon"),
+    "fig1": ("--epsilon", "--p0-grid"),
+    "fig2": ("--p", "--epsilon", "--x-points"),
+    "exact-compare": ("--p", "--epsilon", "--kind", "--k", "--alpha", "--max-words"),
+    "census": ("--p", "--epsilon", "--k"),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_main_fuzz_exits_cleanly(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)), label="command")
+    flags = (*FUZZ_COMMANDS[command], "--format", "--max-types", "--out")
+    values = {flag: data.draw(st.sampled_from(FUZZ_VALID[flag]), label=flag) for flag in flags}
+    bad = data.draw(st.sampled_from([None, *flags]), label="bad flag")
+    if bad is not None:
+        values[bad] = data.draw(st.sampled_from([None, *FUZZ_BAD[bad]]), label="bad value")
+    argv = [command]
+    for flag, value in values.items():
+        if value is not None:
+            argv.append(f"{flag}={tmp_path / value if flag == '--out' else value}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejecting the argv
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3)

@@ -167,6 +167,17 @@ def test_moment_sandwich_validation():
         moment_sandwich(C, 6, 1.0, form="lower")
 
 
+@pytest.mark.parametrize("k", [1300, 2000])
+def test_moment_sandwich_past_float_range(k):
+    # E[G] leaves float range near k = 1250 (the upper bound is 3.7e256 at
+    # k = 1000); the bracket is compared in the log domain
+    b = moment_sandwich(C, k, 1.0)
+    assert b.holds
+    assert b.value == math.inf and b.upper == math.inf
+    assert b.log_lower <= b.log_value <= b.log_upper < math.inf
+    assert moment_sandwich(C, k, -0.5).holds
+
+
 def test_convergence_series_targets():
     pts = convergence_series(C, "scgf", (6, 10), alpha=1.0)
     model = scgf_model(C)
