@@ -41,6 +41,7 @@ from .entropy import (
     renyi_rate,
     shannon_entropy,
     type_count,
+    type_count_matrix,
     typical_window,
     word_log_prob,
     word_type,

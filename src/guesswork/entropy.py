@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     AbsoluteContinuityError,
     DistributionError,
@@ -257,15 +259,19 @@ def word_type(word: WordLike, m: int) -> TypeVector:
     return TypeVector.from_counts(counts)
 
 
-def type_count(l: TypeVector) -> int:
-    """Exact number of length-k words of type l: the multinomial k!/prod(k l_a)!."""
-    counts = l.counts
+def multinomial(counts: Sequence[int]) -> int:
+    """Exact number of words with these letter counts: (sum c)!/prod(c_a!)."""
     result = 1
     remaining = sum(counts)
     for c in counts:
         result *= math.comb(remaining, c)
         remaining -= c
     return result
+
+
+def type_count(l: TypeVector) -> int:
+    """Exact number of length-k words of type l: the multinomial k!/prod(k l_a)!."""
+    return multinomial(l.counts)
 
 
 def log_type_count(l: TypeVector) -> float:
@@ -280,18 +286,17 @@ def num_types(k: int, m: int) -> int:
     return math.comb(k + m - 1, m - 1)
 
 
-def enumerate_types(
-    k: int, m: int, max_types: int = MAX_TYPES_DEFAULT
-) -> Iterator[TypeVector]:
-    """Yield every k-type on m letters in lexicographic count order.
+def type_count_matrix(k: int, m: int, max_types: int = MAX_TYPES_DEFAULT) -> np.ndarray:
+    """Every k-type on m letters as one row of letter counts, in lexicographic order.
 
-    Counts are generated with the first letter's count ascending, then
-    recursively the rest, so for k=2, m=2 the order is (0,2), (1,1), (2,0).
+    The first letter's count ascends, then recursively the rest, so for
+    k=2, m=2 the rows are (0,2), (1,1), (2,0). The dtype is the smallest
+    unsigned integer that holds k.
 
     Raises
     ------
     TypeSpaceTooLargeError
-        If C(k + m - 1, m - 1) exceeds max_types; nothing is yielded.
+        If C(k + m - 1, m - 1) exceeds max_types; nothing is allocated.
     """
     if k < 1 or m < 2:
         raise DistributionError(f"need k >= 1 and m >= 2, got k={k}, m={m}")
@@ -301,16 +306,33 @@ def enumerate_types(
             f"type-space too large: {total} k-types on m={m} letters at k={k} "
             f"exceeds the cap {max_types}"
         )
-    return (TypeVector.from_counts(c) for c in _compositions(k, m))
+    # place the letters one at a time: a row with r counts left to place
+    # becomes r + 1 rows, one per count 0..r of the next letter, in place
+    rest = np.array([k], dtype=np.int64)
+    cols: list[np.ndarray] = []
+    for _ in range(m - 1):
+        fan = rest + 1
+        parent = np.repeat(np.arange(rest.size), fan)
+        first_child = np.cumsum(fan) - fan
+        c = np.arange(parent.size) - first_child[parent]
+        cols = [col[parent] for col in cols] + [c]
+        rest = rest[parent] - c
+    cols.append(rest)
+    return np.column_stack(cols).astype(np.min_scalar_type(k))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def enumerate_types(
+    k: int, m: int, max_types: int = MAX_TYPES_DEFAULT
+) -> Iterator[TypeVector]:
+    """Yield every k-type on m letters, in the row order of type_count_matrix.
+
+    Raises
+    ------
+    TypeSpaceTooLargeError
+        If C(k + m - 1, m - 1) exceeds max_types; nothing is yielded.
+    """
+    rows = type_count_matrix(k, m, max_types).tolist()
+    return (TypeVector.from_counts(c) for c in rows)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ probability, so the optimal (probability-descending) guessing order is a
 sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. Rank sums
-are exact integers for alpha in {1, 2}, direct compensated sums for short
+are exact integers for alpha in {1, 2}, direct numpy sums for short
 ranges, and high-precision tail formulas (Hurwitz zeta / Euler-Maclaurin)
 for astronomically long ones, which keeps k ~ 10^3 affordable for m = 2.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp
@@ -34,11 +35,10 @@ from .entropy import (
     WINDOW_SLACK,
     LetterDistribution,
     TypeVector,
-    cross_entropy,
-    enumerate_types,
-    is_typical_type,
+    multinomial,
     shannon_entropy,
-    type_count,
+    type_count_matrix,
+    typical_window,
 )
 from .errors import (
     DistributionError,
@@ -72,6 +72,8 @@ def _lse(terms: list[float]) -> float:
     if not terms:
         return -math.inf
     top = max(terms)
+    if top == math.inf:
+        return math.inf
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
@@ -102,10 +104,20 @@ def _square_pyramid(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 6
 
 
+def _log_ranks(a: int, b: int) -> np.ndarray:
+    """log i for i = a..b as log a + log1p(j / a), j = i - a; a may exceed float range."""
+    j = np.arange(b - a + 1, dtype=np.float64)
+    return math.log(a) + np.log1p(j * (1 / a))
+
+
 def _direct_log_power_sum(a: int, b: int, alpha: float) -> float:
-    terms = [alpha * math.log(i) for i in range(a, b + 1)]
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = alpha * _log_ranks(a, b)
+    top = float(terms.max())
+    if math.isinf(top):
+        # alpha log i left float range: the sum's log is past it too
+        return top
+    return top + math.log(float(np.exp(terms - top).sum()))
 
 
 def _em_log_power_sum(a: int, b: int, alpha: float) -> float:
@@ -130,6 +142,8 @@ def _em_log_power_sum(a: int, b: int, alpha: float) -> float:
         log_i = s * log_y + _log_expm1(s * t) - math.log(s)
     else:
         log_i = s * log_y + math.log(-math.expm1(s * t)) - math.log(-s)
+    if math.isinf(log_i):
+        return log_i
     # first midpoint correction: (alpha/24) * (X^(alpha-1) - Y^(alpha-1));
     # as a ratio to the integral it is O(alpha^2/a^2), exp-safe by construction
     r = (alpha / 24.0) * (
@@ -142,9 +156,10 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
     alpha in {0, 1, 2} is evaluated in exact integer arithmetic; short
-    ranges by compensated summation in the log domain; the rest by a direct
+    ranges by one numpy sum in the log domain; the rest by a direct
     head below _EM_MIN plus a corrected midpoint Euler-Maclaurin tail.
-    Accurate to ~1e-10 relative or better throughout.
+    Accurate to ~1e-10 relative or better throughout. When alpha log i
+    leaves float range the result is its limit, +inf or -inf.
     """
     a = int(a)
     b = int(b)
@@ -178,8 +193,7 @@ def _log_sum_of_logs(a: int, b: int) -> float:
         return -math.inf
     n = b - a + 1
     if n <= _DIRECT_MAX:
-        total = math.fsum(math.log(i) for i in range(a, b + 1))
-        return math.log(total) if total > 0.0 else -math.inf
+        return math.log(float(_log_ranks(a, b).sum()))
     if a >= _EM_MIN:
         # integral_{a-1/2}^{b+1/2} log x dx = n log Y + Y phi(n/Y), Y = a-1/2,
         # phi(r) = (1+r)log1p(r) - r; both pieces assembled in the log domain
@@ -207,14 +221,19 @@ def _log_sum_of_logs(a: int, b: int) -> float:
 class GuessBlock:
     """One type class's slot in the guessing order.
 
-    log_word_prob is per word under the source's own (already normalized)
-    law; ranks start .. end = start + count - 1 are occupied, 1-based.
+    counts are the type's letter counts; log_word_prob is per word under
+    the source's own (already normalized) law; ranks start .. end =
+    start + count - 1 are occupied, 1-based.
     """
 
-    type_vector: TypeVector
+    counts: tuple[int, ...]
     count: int
     start: int
     log_word_prob: float
+
+    @property
+    def type_vector(self) -> TypeVector:
+        return TypeVector.from_counts(self.counts)
 
     @property
     def end(self) -> int:
@@ -237,17 +256,36 @@ class ExactGuessTable:
     log_typical_mass: float
 
 
+def _cross_entropies(counts: np.ndarray, k: int, p: LetterDistribution) -> np.ndarray:
+    """cross_entropy(l, p) of each row's type l, bit for bit: the same
+    products of frequency and -log p_a, added letter by letter."""
+    cost = np.zeros(len(counts))
+    for a, q in enumerate(p.probs):
+        if q > 0.0:
+            cost += (counts[:, a] / k) * -math.log(q)
+        else:
+            cost[counts[:, a] > 0] = math.inf
+    return cost
+
+
+def _in_window(cost: np.ndarray, p: LetterDistribution, epsilon: float) -> np.ndarray:
+    """Row mask of the costs in the closed typical window, as is_typical_type."""
+    lo, hi = typical_window(p, epsilon)
+    return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)
+
+
 def _window_entries(
     p: LetterDistribution, epsilon: float | None, k: int, max_types: int
-) -> list[tuple[TypeVector, int, float]]:
-    """(type, class size, log-probability of one word) for each k-type, in
-    enumeration order; with epsilon set, only the types in the typical window."""
-    entries = []
-    for l in enumerate_types(k, p.m, max_types):
-        if epsilon is not None and not is_typical_type(p, epsilon, l):
-            continue
-        entries.append((l, type_count(l), -k * cross_entropy(l, p)))
-    return entries
+) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+    """Letter counts, exact class sizes and per-word log-probabilities of the
+    k-types in enumeration order; with epsilon set, only the typical ones."""
+    counts = type_count_matrix(k, p.m, max_types)
+    cost = _cross_entropies(counts, k, p)
+    if epsilon is not None:
+        keep = _in_window(cost, p, epsilon)
+        counts, cost = counts[keep], cost[keep]
+    rows = list(map(tuple, counts.tolist()))
+    return rows, [multinomial(c) for c in rows], -k * cost
 
 
 def build_guess_table(
@@ -268,38 +306,38 @@ def build_guess_table(
     """
     p = source.p
     typical_kind = source.kind is not SourceKind.UNCONDITIONED
-    entries = _window_entries(p, source.epsilon, k, max_types)
-    if typical_kind and not entries:
+    rows, sizes, raw = _window_entries(p, source.epsilon, k, max_types)
+    if typical_kind and not rows:
         raise EmptyTypicalSetError(
             f"empty typical set: no {k}-type has per-letter log-probability in "
             f"the window for epsilon={source.epsilon}"
         )
-    entries.sort(key=lambda e: (-e[2], e[0].counts))
+    # stable, so equal probabilities keep the lexicographic enumeration order
+    order = np.argsort(-raw, kind="stable").tolist()
+    raw = raw[order].tolist()
+    rows = [rows[i] for i in order]
+    sizes = [sizes[i] for i in order]
+    log_sizes = list(map(math.log, sizes))
 
-    total = sum(n for _, n, _ in entries)
+    total = sum(sizes)
     if typical_kind:
-        log_mass = _lse([math.log(n) + raw for _, n, raw in entries])
+        log_mass = _lse([ls + r for ls, r in zip(log_sizes, raw)])
     else:
         log_mass = 0.0
         assert total == p.m**k
 
-    blocks: list[GuessBlock] = []
-    start = 1
-    log_total = math.log(total)
-    for l, n, raw in entries:
-        if source.kind is SourceKind.UNIFORM_TYPICAL:
-            lw = -log_total
-        elif source.kind is SourceKind.CONDITIONED:
-            lw = raw - log_mass
-        else:
-            lw = raw
-        blocks.append(GuessBlock(l, n, start, lw))
-        start += n
+    if source.kind is SourceKind.UNIFORM_TYPICAL:
+        lws = [-math.log(total)] * len(sizes)
+    elif source.kind is SourceKind.CONDITIONED:
+        lws = [r - log_mass for r in raw]
+    else:
+        lws = raw
+    blocks = tuple(map(GuessBlock, rows, sizes, accumulate(sizes[:-1], initial=1), lws))
 
     if __debug__:
-        norm = _lse([math.log(blk.count) + blk.log_word_prob for blk in blocks])
+        norm = _lse([ls + lw for ls, lw in zip(log_sizes, lws)])
         assert abs(norm) < 1e-9, f"table probabilities sum to exp({norm})"
-    return ExactGuessTable(source, k, tuple(blocks), total, log_mass)
+    return ExactGuessTable(source, k, blocks, total, log_mass)
 
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
@@ -343,13 +381,21 @@ def modal_word_count(table: ExactGuessTable, tol: float = RANK_TIE_TOL) -> int:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Exact inventory of the typical set at one word length."""
+    """Exact inventory of the typical set at one word length.
+
+    type_counts holds the letter counts of each typical type, in
+    enumeration order; `types` builds their TypeVectors on request.
+    """
 
     k: int
-    types: tuple[TypeVector, ...]
+    type_counts: tuple[tuple[int, ...], ...]
     cardinality: int
     prob_mass: float
     max_type_count: int
+
+    @property
+    def types(self) -> tuple[TypeVector, ...]:
+        return tuple(TypeVector.from_counts(c) for c in self.type_counts)
 
     @property
     def is_empty(self) -> bool:
@@ -375,19 +421,18 @@ def typical_set_census(
     """
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
-    entries = _window_entries(p, epsilon, k, max_types)
-    if not entries:
+    rows, sizes, raw = _window_entries(p, epsilon, k, max_types)
+    if not rows:
         return CensusResult(k, (), 0, 0.0, 0)
-    counts = [n for _, n, _ in entries]
-    cardinality = sum(counts)
-    mass = math.exp(_lse([math.log(n) + raw for _, n, raw in entries]))
-    max_count = max(counts)
+    cardinality = sum(sizes)
+    mass = math.exp(_lse([math.log(n) + r for n, r in zip(sizes, raw.tolist())]))
+    max_count = max(sizes)
     if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
         raise ArithmeticError(
             f"census sandwich violated at k={k}: max type count {max_count}, "
             f"cardinality {cardinality}"
         )
-    return CensusResult(k, tuple(l for l, _, _ in entries), cardinality, mass, max_count)
+    return CensusResult(k, tuple(rows), cardinality, mass, max_count)
 
 
 def smallest_nonempty_k(
@@ -397,11 +442,16 @@ def smallest_nonempty_k(
     k_max: int = 1000,
     max_types: int = MAX_TYPES_DEFAULT,
 ) -> int | None:
-    """Smallest word length whose typical set is nonempty; None past k_max."""
+    """Smallest word length whose typical set is nonempty; None past k_max.
+
+    Each k costs one window mask over its count matrix, and the scan stops
+    at the first k with a typical row.
+    """
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
     for k in range(1, k_max + 1):
-        if _window_entries(p, epsilon, k, max_types):
+        cost = _cross_entropies(type_count_matrix(k, p.m, max_types), k, p)
+        if _in_window(cost, p, epsilon).any():
             return k
     return None
 

@@ -205,6 +205,19 @@ def test_census_report(capsys):
     assert rows["10"][2] == "45"
 
 
+def test_exact_compare_huge_alpha_has_no_nan(capsys):
+    # alpha log i leaves float range at k = 10: the exact value is +inf
+    code, out, err = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "6,10",
+        "--alpha", "1e308",
+    ])
+    assert code in (0, 3) and err == ""
+    assert "nan" not in out
+    rows = [l.split(",") for l in out.splitlines() if l.startswith("scgf")]
+    assert [r[1] for r in rows] == ["6", "10"]
+    assert rows[1][3] == "inf"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "fig1.csv"
     code, out, _ = run(capsys, [

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from guesswork import oracle
@@ -15,6 +16,7 @@ from guesswork import (
     build_guess_table,
     conditioned,
     convergence_series,
+    enumerate_types,
     exact_mean_log_guesswork,
     exact_moment,
     exact_moment_log,
@@ -261,11 +263,37 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
     )
 
 
+def test_rank_sums_past_float_range_return_their_limit():
+    # alpha log i overflows: the log of the sum is +inf or -inf, never nan,
+    # on the direct, Euler-Maclaurin and split routes
+    for a, b in ((2, 100), (10**6, 10**9), (1, 10**6)):
+        assert log_rank_power_sum(a, b, 1e308) == math.inf
+    for a, b in ((7, 100), (10**6, 10**9)):
+        assert log_rank_power_sum(a, b, -1e308) == -math.inf
+    # the first rank contributes 1^alpha = 1 whatever alpha is
+    assert log_rank_power_sum(1, 100, -1e308) == 0.0
+    assert oracle._lse([0.0, math.inf, -math.inf]) == math.inf
+
+
+def test_smallest_nonempty_k_past_one_hundred():
+    # a law near (sqrt 2 - 1, 2 - sqrt 2) with a narrow window: no k-type
+    # is typical before k = 169; checked against the per-type definition
+    p = LetterDistribution((0.41421356, 0.58578644))
+    eps = 1e-5
+    assert smallest_nonempty_k(p, eps) == 169
+    typical = [
+        k for k in range(1, 170)
+        if any(is_typical_type(p, eps, l) for l in enumerate_types(k, 2))
+    ]
+    assert typical == [169]
+    assert smallest_nonempty_k(p, eps, k_max=168) is None
+
+
 def test_census_sandwich_check_raises(monkeypatch):
     # more types than the (k+1)^m lattice holds breaks the upper union bound;
     # the check is an explicit raise, so it also runs under python -O
-    heavy = TypeVector.from_counts((1, 0))
-    monkeypatch.setattr(oracle, "enumerate_types", lambda k, m, cap: iter([heavy] * 5))
+    heavy = np.array([[1, 0]] * 5)
+    monkeypatch.setattr(oracle, "type_count_matrix", lambda k, m, cap: heavy)
     with pytest.raises(ArithmeticError, match="sandwich"):
         typical_set_census(LetterDistribution((0.5, 0.5)), 0.1, 1)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import guesswork as gw
@@ -160,3 +161,87 @@ def test_legendre_transform_interior(p, frac, u, kind):
         return x * alpha - model(alpha)
 
     assert abs(rate - _golden_section_max(dual, -30.0, 30.0)) < 1e-10
+
+
+def laws_with_a_zero(m_min=2, m_max=5):
+    """Letter laws on m letters; about half of them give one letter probability 0."""
+    return (
+        st.integers(m_min, m_max)
+        .flatmap(lambda m: st.tuples(
+            st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m),
+            st.one_of(st.none(), st.integers(0, m - 1)),
+        ))
+        .map(lambda drawn: [0.0 if a == drawn[1] else v for a, v in enumerate(drawn[0])])
+        .map(lambda raw: gw.LetterDistribution(tuple(v / math.fsum(raw) for v in raw)))
+    )
+
+
+def _close(x, y, rel):
+    return x == y or abs(x - y) <= rel * max(abs(x), abs(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    laws_with_a_zero(),
+    st.floats(0.005, 0.6),
+    st.integers(1, 30),
+    st.sampled_from(("unconditioned", "conditioned", "uniform")),
+)
+def test_array_pass_matches_per_type_definition(p, eps, k, kind):
+    from guesswork import oracle
+
+    k = min(k, 20) if p.m == 5 else k
+    source = {
+        "unconditioned": lambda: gw.unconditioned(p),
+        "conditioned": lambda: gw.conditioned(p, eps),
+        "uniform": lambda: gw.uniform_typical(p, eps),
+    }[kind]()
+    window = None if kind == "unconditioned" else eps
+    # the per-type definition, one validated TypeVector at a time
+    want = [
+        (l.counts, gw.type_count(l), -k * gw.cross_entropy(l, p))
+        for l in gw.enumerate_types(k, p.m)
+        if window is None or gw.is_typical_type(p, eps, l)
+    ]
+    rows, sizes, raw = oracle._window_entries(p, window, k, gw.entropy.MAX_TYPES_DEFAULT)
+    assert rows == [c for c, _, _ in want]
+    assert sizes == [n for _, n, _ in want]
+    assert all(_close(r, w, 1e-12) for r, (_, _, w) in zip(raw.tolist(), want))
+
+    if window is not None:
+        census = gw.typical_set_census(p, eps, k)
+        assert list(census.type_counts) == rows
+        assert census.cardinality == sum(sizes)
+    if not want:
+        with pytest.raises(gw.EmptyTypicalSetError):
+            gw.build_guess_table(source, k)
+        return
+    table = gw.build_guess_table(source, k)
+    ordered = sorted(want, key=lambda e: (-e[2], e[0]))
+    assert [b.counts for b in table.blocks] == [c for c, _, _ in ordered]
+    assert [b.count for b in table.blocks] == [n for _, n, _ in ordered]
+    assert [b.type_vector.counts for b in table.blocks[:3]] == [c for c, _, _ in ordered[:3]]
+    total = sum(sizes)
+    for b, (_, _, w) in zip(table.blocks, ordered):
+        if kind == "uniform":
+            assert b.log_word_prob == -math.log(total)
+        else:
+            assert _close(b.log_word_prob + table.log_typical_mass, w, 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((1, 2**53 - 40000, 2**53, 2**1100)),
+    st.integers(0, 2**16 - 1),
+    st.floats(-3.0, 3.0).filter(lambda a: a not in (0.0, 1.0, 2.0)),
+)
+def test_direct_rank_sums_match_fsum(a, span, alpha):
+    from guesswork.oracle import _log_sum_of_logs
+
+    b = a + span
+    logs = [math.log(i) for i in range(a, b + 1)]
+    top = max(alpha * x for x in logs)
+    want = top + math.log(math.fsum(math.exp(alpha * x - top) for x in logs))
+    assert _close(gw.log_rank_power_sum(a, b, alpha), want, 1e-13)
+    want_logs = math.log(math.fsum(logs)) if b > 1 else -math.inf
+    assert _close(_log_sum_of_logs(a, b), want_logs, 1e-13)
