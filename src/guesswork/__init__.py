@@ -30,21 +30,16 @@ from .asymptotics import (
 from .entropy import (
     LetterDistribution,
     TypeVector,
-    TypicalSetSpec,
-    Word,
     cross_entropy,
     enumerate_types,
     is_typical_type,
     kl_divergence,
-    log_type_count,
     num_types,
     renyi_rate,
     shannon_entropy,
     type_count,
     type_count_matrix,
     typical_window,
-    word_log_prob,
-    word_type,
 )
 from .errors import (
     AbsoluteContinuityError,

@@ -34,14 +34,11 @@ from .entropy import (
 from .errors import DistributionError, EpsilonInadmissibleError
 from .tilting import (
     BoundaryTypes,
-    ClampedOptimum,
-    Regime,
     TiltedFamily,
     boundary_types,
     cross_entropy_range,
     regime_breakpoints,
     tilted_cross_entropy,
-    tilted_type_beta,
 )
 
 _SLOPE_EDGE_TOL = 1e-12
@@ -186,15 +183,6 @@ class ScgfModel:
     def slope(self, alpha: float) -> float:
         """dLambda/dalpha for alpha > -1: the entropy of the optimising type."""
         return self._line(alpha)[0]
-
-    def optimum(self, alpha: float) -> ClampedOptimum:
-        """The optimising type and active regime at alpha > -1."""
-        beta = self._tilt(alpha)
-        if beta == self.window[0]:
-            return ClampedOptimum(self.boundary.l_minus, Regime.UPPER_CLAMP)
-        if beta == self.window[1]:
-            return ClampedOptimum(self.boundary.l_plus, Regime.LOWER_CLAMP)
-        return ClampedOptimum(tilted_type_beta(self.source.p, beta), Regime.INTERIOR)
 
 
 def scgf_model(source: Source) -> ScgfModel:

@@ -24,6 +24,7 @@ from .asymptotics import (
     ScgfModel,
     Source,
     SourceKind,
+    alphas_or_default,
     binary_closed_forms,
     conditioned,
     growth_exponents,
@@ -33,7 +34,7 @@ from .asymptotics import (
     unconditioned,
     uniform_typical,
 )
-from .entropy import LetterDistribution, shannon_entropy
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy
 from .errors import (
     DistributionError,
     EmptyTypicalSetError,
@@ -289,7 +290,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     ks = _parse_ints(args.k)
     if not ks:
         raise DistributionError("--k must list at least one word length")
-    alphas = _parse_floats(args.alpha) if args.alpha else (-0.5, 0.5, 1.0, 2.0)
+    alphas = _parse_floats(args.alpha) if args.alpha else alphas_or_default(None)
     typical = source.kind is not SourceKind.UNCONDITIONED
 
     # one exact table per distinct k serves every series; None marks an empty typical set
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="typical-set half width (nats)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--max-types", type=int, default=10**7, dest="max_types")
+        sp.add_argument("--max-types", type=int, default=MAX_TYPES_DEFAULT, dest="max_types")
 
     sp = sub.add_parser("analyze", help="exponent report for all three sources")
     common(sp)

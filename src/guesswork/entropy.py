@@ -132,34 +132,6 @@ def as_freqs(l: FreqsLike) -> tuple[float, ...]:
     return _validated_simplex(l, "frequency vector")
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word of length k >= 1 over {0, ..., m-1}, letters as integer indices."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        letters = tuple(int(a) for a in self.letters)
-        if len(letters) < 1:
-            raise DistributionError("a word needs at least one letter")
-        if any(a < 0 for a in letters):
-            raise DistributionError("letter indices must be nonnegative")
-        object.__setattr__(self, "letters", letters)
-
-    @property
-    def k(self) -> int:
-        return len(self.letters)
-
-
-WordLike = Union[Word, Sequence[int]]
-
-
-def _letters(word: WordLike) -> tuple[int, ...]:
-    if isinstance(word, Word):
-        return word.letters
-    return Word(tuple(word)).letters
-
-
 def shannon_entropy(l: FreqsLike) -> float:
     """Shannon entropy -sum_a l_a log l_a in nats, with 0 log 0 = 0.
 
@@ -230,33 +202,11 @@ def renyi_rate(p: FreqsLike, beta: float) -> float:
     pf = as_freqs(p)
     if abs(beta - 1.0) < 1e-14:
         return shannon_entropy(pf)
-    s = math.fsum(q**beta for q in pf if q > 0.0)
-    return math.log(s) / (1.0 - beta)
-
-
-def word_log_prob(p: FreqsLike, word: WordLike) -> float:
-    """log P(word) under i.i.d. draws from p; -inf for an impossible word."""
-    pf = as_freqs(p)
-    total = 0.0
-    for a in _letters(word):
-        if a >= len(pf):
-            raise DistributionError(f"letter index {a} outside alphabet of size {len(pf)}")
-        q = pf[a]
-        if q <= 0.0:
-            return -math.inf
-        total += math.log(q)
-    return total
-
-
-def word_type(word: WordLike, m: int) -> TypeVector:
-    """Empirical type of a word over an alphabet of size m (a k-grained type)."""
-    letters = _letters(word)
-    if any(a >= m for a in letters):
-        raise DistributionError(f"letter index outside alphabet of size {m}")
-    counts = [0] * m
-    for a in letters:
-        counts[a] += 1
-    return TypeVector.from_counts(counts)
+    # log sum_a p_a^beta in the log domain, so a large order cannot underflow it
+    logs = [math.log(q) for q in pf if q > 0.0]
+    top = max(logs)
+    log_s = beta * top + math.log(math.fsum(math.exp(beta * (lq - top)) for lq in logs))
+    return log_s / (1.0 - beta)
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -272,13 +222,6 @@ def multinomial(counts: Sequence[int]) -> int:
 def type_count(l: TypeVector) -> int:
     """Exact number of length-k words of type l: the multinomial k!/prod(k l_a)!."""
     return multinomial(l.counts)
-
-
-def log_type_count(l: TypeVector) -> float:
-    """log of the type-class size via log-gamma; approximate but size-unbounded."""
-    counts = l.counts
-    k = sum(counts)
-    return math.lgamma(k + 1) - math.fsum(math.lgamma(c + 1) for c in counts)
 
 
 def num_types(k: int, m: int) -> int:
@@ -333,31 +276,6 @@ def enumerate_types(
     """
     rows = type_count_matrix(k, m, max_types).tolist()
     return (TypeVector.from_counts(c) for c in rows)
-
-
-@dataclass(frozen=True)
-class TypicalSetSpec:
-    """Parameters of a typical set: source letter law p, half-width epsilon, length k.
-
-    The window is recomputed from (p, epsilon) on demand, never stored.
-    """
-
-    p: LetterDistribution
-    epsilon: float
-    k: int
-
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise DistributionError(f"epsilon must be positive, got {self.epsilon}")
-        if self.k < 1:
-            raise DistributionError(f"word length must be >= 1, got {self.k}")
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return typical_window(self.p, self.epsilon)
-
-    def contains(self, l: FreqsLike) -> bool:
-        return is_typical_type(self.p, self.epsilon, l)
 
 
 def typical_window(p: FreqsLike, epsilon: float) -> tuple[float, float]:

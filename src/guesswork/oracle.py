@@ -6,8 +6,8 @@ sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. Rank sums
 are exact integers for alpha in {1, 2}, direct numpy sums for short
-ranges, and high-precision tail formulas (Hurwitz zeta / Euler-Maclaurin)
-for astronomically long ones, which keeps k ~ 10^3 affordable for m = 2.
+ranges, and a corrected Euler-Maclaurin closed form for astronomically
+long ones, which keeps k ~ 10^3 affordable for m = 2.
 
 A separate naive oracle enumerates every word individually (numpy, guarded
 to m^k <= 2^22) so the two routes can be cross-checked against each other.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from mpmath import mp
 
 from .asymptotics import (
     ScgfModel,
@@ -58,7 +57,6 @@ RANK_TIE_TOL = 1e-10
 # Euler-Maclaurin tail.
 _DIRECT_MAX = 65536
 _EM_MIN = 30000
-_MP_DPS = 40
 
 _LOG2 = math.log(2.0)
 
@@ -152,6 +150,26 @@ def _em_log_power_sum(a: int, b: int, alpha: float) -> float:
     return log_i + math.log1p(r)
 
 
+def _em_log_sum_of_logs(a: int, b: int) -> float:
+    # integral_{a-1/2}^{b+1/2} log x dx = n log Y + Y phi(n/Y), Y = a-1/2,
+    # phi(r) = (1+r)log1p(r) - r; both pieces assembled in the log domain;
+    # needs a >= _EM_MIN for accuracy
+    n = b - a + 1
+    log_y = math.log(2 * a - 1) - _LOG2
+    term1 = math.log(n) + math.log(log_y)
+    log_r = _log_far_ratio(2 * n, 2 * a - 1)
+    if log_r is not None:
+        # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
+        tail = 2.0 * log_r - _LOG2 if log_r < 0.0 else log_r + math.log(log_r - 1.0)
+        return _lse([term1, log_y + tail])
+    r = (2 * n) / (2 * a - 1)
+    if r < 1e-6:
+        log_term2 = log_y + 2.0 * math.log(r) - _LOG2 + math.log1p(r * (r / 6.0 - 1.0 / 3.0))
+    else:
+        log_term2 = log_y + math.log((1.0 + r) * math.log1p(r) - r)
+    return _lse([term1, log_term2])
+
+
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
@@ -184,37 +202,26 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
 
 
 def _log_sum_of_logs(a: int, b: int) -> float:
-    """log of sum_{i=a}^{b} log i (= log(lgamma(b+1) - lgamma(a))), bigint-safe."""
+    """log of sum_{i=a}^{b} log i, bigint-safe, on log_rank_power_sum's routes.
+
+    Short ranges by one numpy sum; a start at _EM_MIN or beyond by the
+    Euler-Maclaurin closed form; a long range starting below _EM_MIN by
+    the exact head lgamma(_EM_MIN) - lgamma(a) plus an Euler-Maclaurin tail.
+    """
     a = int(a)
     b = int(b)
     if a < 1 or b < a:
         raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
     if b == 1:
         return -math.inf
-    n = b - a + 1
-    if n <= _DIRECT_MAX:
+    if b - a + 1 <= _DIRECT_MAX:
         return math.log(float(_log_ranks(a, b).sum()))
     if a >= _EM_MIN:
-        # integral_{a-1/2}^{b+1/2} log x dx = n log Y + Y phi(n/Y), Y = a-1/2,
-        # phi(r) = (1+r)log1p(r) - r; both pieces assembled in the log domain
-        log_y = math.log(2 * a - 1) - _LOG2
-        term1 = math.log(n) + math.log(log_y)
-        log_r = _log_far_ratio(2 * n, 2 * a - 1)
-        if log_r is not None:
-            # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
-            tail = 2.0 * log_r - _LOG2 if log_r < 0.0 else log_r + math.log(log_r - 1.0)
-            return _lse([term1, log_y + tail])
-        r = (2 * n) / (2 * a - 1)
-        if r < 1e-6:
-            log_term2 = log_y + 2.0 * math.log(r) - _LOG2 + math.log1p(r * (r / 6.0 - 1.0 / 3.0))
-        else:
-            log_term2 = log_y + math.log((1.0 + r) * math.log1p(r) - r)
-        return _lse([term1, log_term2])
-    if b <= 10**15:
-        return math.log(math.lgamma(b + 1) - math.lgamma(a))
-    with mp.workdps(_MP_DPS):
-        val = mp.loggamma(b + 1) - mp.loggamma(a)
-        return float(mp.log(val))
+        return _em_log_sum_of_logs(a, b)
+    return _lse([
+        math.log(math.lgamma(_EM_MIN) - math.lgamma(a)),
+        _em_log_sum_of_logs(_EM_MIN, b),
+    ])
 
 
 @dataclass(frozen=True)

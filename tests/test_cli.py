@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,6 +280,25 @@ def test_cli_matches_golden_output(capsys, case):
     code, out, err = run(capsys, case["argv"])
     assert (code, err) == (case["exit"], case["stderr"])
     assert out == (DATA / case["stdout"]).read_text()
+
+
+def test_exact_compare_runs_on_numpy_alone():
+    # the oracle's rank sums need nothing beyond numpy: a fresh interpreter
+    # runs the golden k = 50, 200, 1000 argv without importing mpmath
+    script = (
+        "import sys\n"
+        "import guesswork\n"
+        "from guesswork import cli\n"
+        "code = cli.main(['exact-compare', '--p', '0.8,0.2', '--epsilon', '0.1',\n"
+        "                 '--k', '50,200,1000', '--format', 'json'])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "exact_conditioned_k1000.json").read_text()
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."])

@@ -11,20 +11,15 @@ from guesswork import (
     LetterDistribution,
     TypeSpaceTooLargeError,
     TypeVector,
-    TypicalSetSpec,
-    Word,
     cross_entropy,
     enumerate_types,
     is_typical_type,
     kl_divergence,
-    log_type_count,
     num_types,
     renyi_rate,
     shannon_entropy,
     type_count,
     typical_window,
-    word_log_prob,
-    word_type,
 )
 
 P = (0.8, 0.2)
@@ -91,18 +86,6 @@ def test_type_vector_grain():
         TypeVector((0.5, 0.5)).counts
 
 
-def test_word_log_prob_and_type():
-    w = Word((0, 0, 1, 0))
-    assert w.k == 4
-    assert word_log_prob(P, w) == pytest.approx(
-        3 * math.log(0.8) + math.log(0.2), abs=1e-15
-    )
-    assert word_type(w, 2).counts == (3, 1)
-    assert word_log_prob((1.0, 0.0), (0, 1)) == -math.inf
-    with pytest.raises(DistributionError):
-        word_log_prob(P, (0, 2))
-
-
 def test_type_count_exact():
     assert type_count(TypeVector.from_counts((2, 2))) == 6
     assert type_count(TypeVector.from_counts((3, 1))) == 4
@@ -110,9 +93,6 @@ def test_type_count_exact():
     # huge class sizes stay exact integers
     big = TypeVector.from_counts((600, 400))
     assert type_count(big) == math.comb(1000, 400)
-    assert log_type_count(big) == pytest.approx(
-        math.log(math.comb(1000, 400)), rel=1e-12
-    )
 
 
 def test_enumerate_types():
@@ -129,8 +109,6 @@ def test_typical_window():
     lo, hi = typical_window(P, 0.1)
     assert lo == pytest.approx(H - 0.1, abs=1e-15)
     assert hi == pytest.approx(H + 0.1, abs=1e-15)
-    spec = TypicalSetSpec(LetterDistribution(P), 0.1, 10)
-    assert spec.window == (lo, hi)
     with pytest.raises(DistributionError):
         typical_window(P, 0.0)
 

@@ -263,6 +263,18 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
     )
 
 
+@pytest.mark.parametrize("a", [1, 2, 29999, 30000, 10**6])
+def test_log_sum_of_logs_matches_loggamma_on_every_route(a):
+    # sum_{i=a}^{b} log i = lgamma(b+1) - lgamma(a), at 50 digits; the b values
+    # cover the direct (<= 2^16 terms), split (a < 30000) and Euler-Maclaurin routes
+    from mpmath import mp
+
+    for b in (a + 65535, a + 65536, 10**15 - 1, 10**15 + 1, 10**40, 2**1100):
+        with mp.workdps(50):
+            want = float(mp.log(mp.loggamma(b + 1) - mp.loggamma(a)))
+        assert abs(_log_sum_of_logs(a, b) - want) <= 1e-12 * abs(want), b
+
+
 def test_rank_sums_past_float_range_return_their_limit():
     # alpha log i overflows: the log of the sum is +inf or -inf, never nan,
     # on the direct, Euler-Maclaurin and split routes

@@ -72,15 +72,6 @@ def test_scgf_midpoint_convex(p0, frac, a, width):
     assert model(0.5 * (a + b)) <= 0.5 * (model(a) + model(b)) + 1e-10
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 30), min_size=2, max_size=4).filter(lambda c: sum(c) >= 1))
-def test_type_count_log_consistency(counts):
-    t = gw.TypeVector.from_counts(counts)
-    n = gw.type_count(t)
-    assert n >= 1
-    assert abs(gw.log_type_count(t) - math.log(n)) < 1e-8
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(1, 2000),
@@ -245,3 +236,14 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
     assert _close(gw.log_rank_power_sum(a, b, alpha), want, 1e-13)
     want_logs = math.log(math.fsum(logs)) if b > 1 else -math.inf
     assert _close(_log_sum_of_logs(a, b), want_logs, 1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    laws_with_a_zero(),
+    st.floats(-1.0, 5.0, exclude_min=True).filter(lambda a: a != 0.0),
+)
+def test_unconditioned_scgf_is_scaled_renyi_rate(p, alpha):
+    # Arikan's identity: Lambda(alpha) = alpha H_{1/(1+alpha)}(p) for i.i.d. letters
+    want = alpha * gw.renyi_rate(p, 1.0 / (1.0 + alpha))
+    assert abs(gw.scgf(gw.unconditioned(p), alpha) - want) <= 1e-12
