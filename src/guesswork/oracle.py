@@ -4,10 +4,11 @@ For an i.i.d. letter law every word of the same type has the same
 probability, so the optimal (probability-descending) guessing order is a
 sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
-its per-word probability times a rank-power sum over its range. Rank sums
-are exact integers for alpha in {1, 2}, direct numpy sums for short
-ranges, and a corrected Euler-Maclaurin closed form for astronomically
-long ones, which keeps k ~ 10^3 affordable for m = 2.
+its per-word probability times a rank-power sum over its range. A table is
+held as columns, and one kernel (ranksums._log_sums) takes every block's
+rank sums in one pass over them: exact integers for alpha in {0, 1, 2},
+direct numpy sums for short ranges, and a corrected Euler-Maclaurin closed
+form for astronomically long ones, which keeps k ~ 10^3 affordable for m = 2.
 
 A separate naive oracle enumerates every word individually (numpy, guarded
 to m^k <= 2^22) so the two routes can be cross-checked against each other.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -44,44 +46,13 @@ from .errors import (
     EmptyTypicalSetError,
     WordSpaceTooLargeError,
 )
+from .ranksums import _log_ints, _log_sums, _lse
+from .ranksums import log_rank_power_sum  # re-exported as guesswork.oracle.log_rank_power_sum
 
 MAX_WORDS_DEFAULT = 2**22
 
 #: two probabilities within this of each other count as tied for modal-set purposes
 RANK_TIE_TOL = 1e-10
-
-# Inner-sum routing thresholds: ranges up to _DIRECT_MAX terms are summed
-# directly; the part of a range at _EM_MIN or beyond uses the corrected
-# midpoint Euler-Maclaurin closed form (relative error ~ alpha^4/a^4 there);
-# a long range starting below _EM_MIN is split into a direct head plus an
-# Euler-Maclaurin tail.
-_DIRECT_MAX = 65536
-_EM_MIN = 30000
-
-_LOG2 = math.log(2.0)
-
-# Two ints this many bits apart have a quotient outside the normal float
-# range (or close enough to its bottom to lose precision as a subnormal).
-_RATIO_BITS = 1000
-
-
-def _lse(terms: list[float]) -> float:
-    terms = [t for t in terms if t != -math.inf]
-    if not terms:
-        return -math.inf
-    top = max(terms)
-    if top == math.inf:
-        return math.inf
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-
-def _log_expm1(u: float) -> float:
-    # log(exp(u) - 1) for u > 0 without overflow at either end
-    if u > 36.8:
-        return u
-    if u < 1e-8:
-        return math.log(u) + math.log1p(u * (0.5 + u / 6.0))
-    return math.log(math.expm1(u))
 
 
 def _exp_or_inf(lv: float) -> float:
@@ -89,139 +60,6 @@ def _exp_or_inf(lv: float) -> float:
         return math.exp(lv)
     except OverflowError:
         return math.inf
-
-
-def _log_far_ratio(num: int, den: int) -> float | None:
-    """log(num/den) for positive ints whose quotient leaves float range, else None."""
-    if abs(num.bit_length() - den.bit_length()) < _RATIO_BITS:
-        return None
-    return math.log(num) - math.log(den)
-
-
-def _square_pyramid(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
-def _log_ranks(a: int, b: int) -> np.ndarray:
-    """log i for i = a..b as log a + log1p(j / a), j = i - a; a may exceed float range."""
-    j = np.arange(b - a + 1, dtype=np.float64)
-    return math.log(a) + np.log1p(j * (1 / a))
-
-
-def _direct_log_power_sum(a: int, b: int, alpha: float) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = alpha * _log_ranks(a, b)
-    top = float(terms.max())
-    if math.isinf(top):
-        # alpha log i left float range: the sum's log is past it too
-        return top
-    return top + math.log(float(np.exp(terms - top).sum()))
-
-
-def _em_log_power_sum(a: int, b: int, alpha: float) -> float:
-    # corrected midpoint Euler-Maclaurin for log sum_{i=a}^{b} i^alpha:
-    # integral_{a-1/2}^{b+1/2} x^alpha dx times (1 + correction ratio),
-    # assembled in the log domain; needs a >= _EM_MIN for accuracy
-    s = alpha + 1.0
-    n = b - a + 1
-    log_y = math.log(2 * a - 1) - _LOG2
-    log_x = math.log(2 * b + 1) - _LOG2
-    log_r = _log_far_ratio(2 * n, 2 * a - 1)
-    if log_r is None:
-        t = math.log1p((2 * n) / (2 * a - 1))
-    elif log_r < 0.0:
-        # a range negligible beside its start: the sum is n Y^alpha to float precision
-        return s * log_y + log_r
-    else:
-        t = log_r  # log1p(r) = log(r) to float precision
-    if s == 0.0:
-        log_i = math.log(t)
-    elif s > 0.0:
-        log_i = s * log_y + _log_expm1(s * t) - math.log(s)
-    else:
-        log_i = s * log_y + math.log(-math.expm1(s * t)) - math.log(-s)
-    if math.isinf(log_i):
-        return log_i
-    # first midpoint correction: (alpha/24) * (X^(alpha-1) - Y^(alpha-1));
-    # as a ratio to the integral it is O(alpha^2/a^2), exp-safe by construction
-    r = (alpha / 24.0) * (
-        math.exp((alpha - 1.0) * log_x - log_i) - math.exp((alpha - 1.0) * log_y - log_i)
-    )
-    return log_i + math.log1p(r)
-
-
-def _em_log_sum_of_logs(a: int, b: int) -> float:
-    # integral_{a-1/2}^{b+1/2} log x dx = n log Y + Y phi(n/Y), Y = a-1/2,
-    # phi(r) = (1+r)log1p(r) - r; both pieces assembled in the log domain;
-    # needs a >= _EM_MIN for accuracy
-    n = b - a + 1
-    log_y = math.log(2 * a - 1) - _LOG2
-    term1 = math.log(n) + math.log(log_y)
-    log_r = _log_far_ratio(2 * n, 2 * a - 1)
-    if log_r is not None:
-        # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
-        tail = 2.0 * log_r - _LOG2 if log_r < 0.0 else log_r + math.log(log_r - 1.0)
-        return _lse([term1, log_y + tail])
-    r = (2 * n) / (2 * a - 1)
-    if r < 1e-6:
-        log_term2 = log_y + 2.0 * math.log(r) - _LOG2 + math.log1p(r * (r / 6.0 - 1.0 / 3.0))
-    else:
-        log_term2 = log_y + math.log((1.0 + r) * math.log1p(r) - r)
-    return _lse([term1, log_term2])
-
-
-def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
-    """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
-
-    alpha in {0, 1, 2} is evaluated in exact integer arithmetic; short
-    ranges by one numpy sum in the log domain; the rest by a direct
-    head below _EM_MIN plus a corrected midpoint Euler-Maclaurin tail.
-    Accurate to ~1e-10 relative or better throughout. When alpha log i
-    leaves float range the result is its limit, +inf or -inf.
-    """
-    a = int(a)
-    b = int(b)
-    if a < 1 or b < a:
-        raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
-    alpha = float(alpha)
-    n = b - a + 1
-    if alpha == 0.0:
-        return math.log(n)
-    if alpha == 1.0:
-        return math.log((a + b) * n // 2)
-    if alpha == 2.0:
-        return math.log(_square_pyramid(b) - _square_pyramid(a - 1))
-    if n <= _DIRECT_MAX:
-        return _direct_log_power_sum(a, b, alpha)
-    if a >= _EM_MIN:
-        return _em_log_power_sum(a, b, alpha)
-    return _lse([
-        _direct_log_power_sum(a, _EM_MIN - 1, alpha),
-        _em_log_power_sum(_EM_MIN, b, alpha),
-    ])
-
-
-def _log_sum_of_logs(a: int, b: int) -> float:
-    """log of sum_{i=a}^{b} log i, bigint-safe, on log_rank_power_sum's routes.
-
-    Short ranges by one numpy sum; a start at _EM_MIN or beyond by the
-    Euler-Maclaurin closed form; a long range starting below _EM_MIN by
-    the exact head lgamma(_EM_MIN) - lgamma(a) plus an Euler-Maclaurin tail.
-    """
-    a = int(a)
-    b = int(b)
-    if a < 1 or b < a:
-        raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
-    if b == 1:
-        return -math.inf
-    if b - a + 1 <= _DIRECT_MAX:
-        return math.log(float(_log_ranks(a, b).sum()))
-    if a >= _EM_MIN:
-        return _em_log_sum_of_logs(a, b)
-    return _lse([
-        math.log(math.lgamma(_EM_MIN) - math.lgamma(a)),
-        _em_log_sum_of_logs(_EM_MIN, b),
-    ])
 
 
 @dataclass(frozen=True)
@@ -247,20 +85,37 @@ class GuessBlock:
         return self.start + self.count - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactGuessTable:
-    """Probability-descending guess order of one source at word length k.
+    """Probability-descending guess order of one source at word length k, by columns.
 
-    total_words is m^k for the unconditioned source and |T| for the
-    typical-set sources; log_typical_mass is log P(W_k in T) under the
-    unconditioned law (0.0 when there is no conditioning).
+    Row j is the j-th type class in guessing order: counts[j] its letter
+    counts, sizes[j] its exact number of words, starts[j] its first rank
+    (1-based, exact) and log_word_prob[j] the log-probability of each of its
+    words under the source's own law. total_words is m^k for the
+    unconditioned source and |T| for the typical-set sources;
+    log_typical_mass is log P(W_k in T) under the unconditioned law (0.0
+    when there is no conditioning).
     """
 
     source: Source
     k: int
-    blocks: tuple[GuessBlock, ...]
+    counts: np.ndarray
+    sizes: tuple[int, ...]
+    starts: tuple[int, ...]
+    log_word_prob: np.ndarray
     total_words: int
     log_typical_mass: float
+
+    @cached_property
+    def blocks(self) -> tuple[GuessBlock, ...]:
+        """The rows as GuessBlocks, built on first use."""
+        return tuple(map(GuessBlock, map(tuple, self.counts.tolist()), self.sizes,
+                         self.starts, self.log_word_prob.tolist()))
+
+    def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
+        return _log_sums(self.starts, self.sizes, self.log_word_prob, alphas,
+                         scale=scale, logs=logs)
 
 
 def _cross_entropies(counts: np.ndarray, k: int, p: LetterDistribution) -> np.ndarray:
@@ -281,9 +136,38 @@ def _in_window(cost: np.ndarray, p: LetterDistribution, epsilon: float) -> np.nd
     return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)
 
 
+def _class_sizes(counts: np.ndarray) -> list[int]:
+    """Exact multinomial of each row of a count matrix in enumeration order.
+
+    A row that has the counts of the row before it but one more of the
+    next-to-last letter and one fewer of the last continues a run: its size
+    is the previous row's size times that row's last count over its own
+    next-to-last count, exactly. Each run of rows is seeded by one
+    multinomial, so a typical window, which keeps an interval of each run,
+    costs one multinomial per run it meets.
+    """
+    if not len(counts):
+        return []
+    pair = counts[:, -2:].astype(np.int64)
+    steps = np.zeros(len(counts), dtype=bool)
+    steps[1:] = (pair[1:, 0] == pair[:-1, 0] + 1) & (pair[1:, 1] == pair[:-1, 1] - 1)
+    if counts.shape[1] > 2:
+        steps[1:] &= (counts[1:, :-2] == counts[:-1, :-2]).all(axis=1)
+    seeds = np.flatnonzero(~steps).tolist()
+    nxt, last = pair[:, 0].tolist(), pair[:, 1].tolist()
+    sizes = []
+    for i, j in zip(seeds, seeds[1:] + [len(counts)]):
+        size = multinomial(counts[i].tolist())
+        sizes.append(size)
+        for c, d in zip(nxt[i + 1 : j], last[i : j - 1]):
+            size = size * d // c
+            sizes.append(size)
+    return sizes
+
+
 def _window_entries(
     p: LetterDistribution, epsilon: float | None, k: int, max_types: int
-) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Letter counts, exact class sizes and per-word log-probabilities of the
     k-types in enumeration order; with epsilon set, only the typical ones."""
     counts = type_count_matrix(k, p.m, max_types)
@@ -291,8 +175,7 @@ def _window_entries(
     if epsilon is not None:
         keep = _in_window(cost, p, epsilon)
         counts, cost = counts[keep], cost[keep]
-    rows = list(map(tuple, counts.tolist()))
-    return rows, [multinomial(c) for c in rows], -k * cost
+    return counts, _class_sizes(counts), -k * cost
 
 
 def build_guess_table(
@@ -300,8 +183,8 @@ def build_guess_table(
 ) -> ExactGuessTable:
     """Assemble the exact guess table of `source` at word length k.
 
-    Blocks are type classes sorted by per-word probability descending,
-    equal-probability blocks adjacently in lexicographic count order
+    Rows are type classes sorted by per-word probability descending,
+    equal-probability classes adjacently in lexicographic count order
     (moments are tie-invariant; the layout is just reproducible).
 
     Raises
@@ -313,48 +196,43 @@ def build_guess_table(
     """
     p = source.p
     typical_kind = source.kind is not SourceKind.UNCONDITIONED
-    rows, sizes, raw = _window_entries(p, source.epsilon, k, max_types)
-    if typical_kind and not rows:
+    counts, sizes, raw = _window_entries(p, source.epsilon, k, max_types)
+    if typical_kind and not sizes:
         raise EmptyTypicalSetError(
             f"empty typical set: no {k}-type has per-letter log-probability in "
             f"the window for epsilon={source.epsilon}"
         )
     # stable, so equal probabilities keep the lexicographic enumeration order
-    order = np.argsort(-raw, kind="stable").tolist()
-    raw = raw[order].tolist()
-    rows = [rows[i] for i in order]
-    sizes = [sizes[i] for i in order]
-    log_sizes = list(map(math.log, sizes))
-
+    order = np.argsort(-raw, kind="stable")
+    raw = raw[order]
+    counts = counts[order]
+    sizes = tuple(map(sizes.__getitem__, order.tolist()))
     total = sum(sizes)
+    log_sizes = _log_ints(sizes, total.bit_length())
+
     if typical_kind:
-        log_mass = _lse([ls + r for ls, r in zip(log_sizes, raw)])
+        log_mass = _lse(log_sizes + raw)
     else:
         log_mass = 0.0
         assert total == p.m**k
 
     if source.kind is SourceKind.UNIFORM_TYPICAL:
-        lws = [-math.log(total)] * len(sizes)
+        lws = np.full(len(sizes), -math.log(total))
     elif source.kind is SourceKind.CONDITIONED:
-        lws = [r - log_mass for r in raw]
+        lws = raw - log_mass
     else:
         lws = raw
-    blocks = tuple(map(GuessBlock, rows, sizes, accumulate(sizes[:-1], initial=1), lws))
-
     if __debug__:
-        norm = _lse([ls + lw for ls, lw in zip(log_sizes, lws)])
+        norm = _lse(log_sizes + lws)
         assert abs(norm) < 1e-9, f"table probabilities sum to exp({norm})"
-    return ExactGuessTable(source, k, blocks, total, log_mass)
+    counts.flags.writeable = lws.flags.writeable = False
+    starts = tuple(accumulate(sizes[:-1], initial=1))
+    return ExactGuessTable(source, k, counts, sizes, starts, lws, total, log_mass)
 
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
     """log E[G^alpha] computed exactly from the block structure."""
-    terms = []
-    for blk in table.blocks:
-        if blk.log_word_prob == -math.inf:
-            continue
-        terms.append(blk.log_word_prob + log_rank_power_sum(blk.start, blk.end, alpha))
-    return _lse(terms)
+    return table._log_sums((float(alpha),))[0][0]
 
 
 def exact_moment(table: ExactGuessTable, alpha: float) -> float:
@@ -364,26 +242,18 @@ def exact_moment(table: ExactGuessTable, alpha: float) -> float:
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
     """E[log G], exactly, via per-block log-factorial range sums."""
-    terms = []
-    for blk in table.blocks:
-        if blk.log_word_prob == -math.inf:
-            continue
-        inner = _log_sum_of_logs(blk.start, blk.end)
-        if inner != -math.inf:
-            terms.append(blk.log_word_prob + inner)
-    lv = _lse(terms)
-    return 0.0 if lv == -math.inf else math.exp(lv)
+    return math.exp(table._log_sums((), logs=True)[1])
 
 
 def top_guess_prob(table: ExactGuessTable) -> float:
     """P(G = 1): the modal word's probability under the table's law."""
-    return math.exp(table.blocks[0].log_word_prob)
+    return math.exp(table.log_word_prob[0])
 
 
 def modal_word_count(table: ExactGuessTable, tol: float = RANK_TIE_TOL) -> int:
     """Number of words tied (within tol in log-probability) for most likely."""
-    top = table.blocks[0].log_word_prob
-    return sum(blk.count for blk in table.blocks if blk.log_word_prob >= top - tol)
+    lw = table.log_word_prob
+    return sum(table.sizes[: int(np.count_nonzero(lw >= lw[0] - tol))])
 
 
 @dataclass(frozen=True)
@@ -428,18 +298,18 @@ def typical_set_census(
     """
     if not isinstance(p, LetterDistribution):
         p = LetterDistribution(tuple(float(q) for q in p))
-    rows, sizes, raw = _window_entries(p, epsilon, k, max_types)
-    if not rows:
+    counts, sizes, raw = _window_entries(p, epsilon, k, max_types)
+    if not sizes:
         return CensusResult(k, (), 0, 0.0, 0)
     cardinality = sum(sizes)
-    mass = math.exp(_lse([math.log(n) + r for n, r in zip(sizes, raw.tolist())]))
+    mass = math.exp(_lse(_log_ints(sizes, cardinality.bit_length()) + raw))
     max_count = max(sizes)
     if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
         raise ArithmeticError(
             f"census sandwich violated at k={k}: max type count {max_count}, "
             f"cardinality {cardinality}"
         )
-    return CensusResult(k, tuple(rows), cardinality, mass, max_count)
+    return CensusResult(k, tuple(map(tuple, counts.tolist())), cardinality, mass, max_count)
 
 
 def smallest_nonempty_k(
@@ -495,15 +365,17 @@ def finite_k_exponents(
     """Compute every scaled exponent of `source` at word length k exactly."""
     table = build_guess_table(source, k, max_types=max_types)
     alphas = alphas_or_default(alphas)
-    moments = tuple((a, exact_moment_log(table, a) / k) for a in alphas)
+    # one kernel pass; its terms scaled by 1/k, so a huge alpha stays finite
+    # wherever (1/k) log E[G^alpha] does
+    logs, log_mean_log = table._log_sums(alphas, scale=1.0 / k, logs=True)
     size_exp = None
     if source.kind is not SourceKind.UNCONDITIONED:
         size_exp = math.log(table.total_words) / k
     return FiniteKExponents(
         k=k,
-        moment_exponents=moments,
-        mean_log_exponent=exact_mean_log_guesswork(table) / k,
-        top_prob_exponent=table.blocks[0].log_word_prob / k,
+        moment_exponents=tuple(zip(alphas, logs)),
+        mean_log_exponent=math.exp(log_mean_log) / k,
+        top_prob_exponent=float(table.log_word_prob[0]) / k,
         modal_count_exponent=math.log(modal_word_count(table)) / k,
         typical_size_exponent=size_exp,
     )
@@ -568,9 +440,8 @@ def moment_sandwich(
     if form == "lower" and not (-1.0 < alpha <= 0.0):
         raise DistributionError("the lower-form sandwich needs -1 < alpha <= 0")
     table = build_guess_table(source, k, max_types=max_types)
-    log_best = max(
-        (1.0 + alpha) * math.log(blk.count) + blk.log_word_prob for blk in table.blocks
-    )
+    log_sizes = _log_ints(table.sizes, table.total_words.bit_length())
+    log_best = float(np.max((1.0 + alpha) * log_sizes + table.log_word_prob))
     log_k1 = math.log(k + 1)
     m = source.p.m
     if form == "upper":
@@ -708,6 +579,7 @@ def naive_enumeration_crosscheck(
     )
     with np.errstate(invalid="ignore"):
         logw = np.where(counts > 0, counts * logp, 0.0).sum(axis=1)
+    del codes, counts, rows, rem  # free the enumeration before the table is built
 
     if source.kind is not SourceKind.UNCONDITIONED:
         h = shannon_entropy(p)
@@ -739,11 +611,12 @@ def naive_enumeration_crosscheck(
     def close(x: float, y: float) -> bool:
         return abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y))
 
-    for a in alphas_or_default(alphas):
-        naive = float(probs @ ranks**a)
-        if not close(naive, exact_moment(table, a)):
+    alphas = alphas_or_default(alphas)
+    logs, log_mean_log = table._log_sums(alphas, logs=True)
+    for a, lv in zip(alphas, logs):
+        if not close(float(probs @ ranks**a), _exp_or_inf(lv)):
             return False
-    if not close(float(probs @ np.log(ranks)), exact_mean_log_guesswork(table)):
+    if not close(float(probs @ np.log(ranks)), math.exp(log_mean_log)):
         return False
     if not close(float(top_prob), top_guess_prob(table)):
         return False

@@ -209,16 +209,27 @@ def test_census_report(capsys):
 
 
 def test_exact_compare_huge_alpha_has_no_nan(capsys):
-    # alpha log i leaves float range at k = 10: the exact value is +inf
+    # alpha log i leaves float range at k = 10, but (1/k) log E[G^alpha] does not:
+    # the last rank N dominates, so the value is (alpha log N + log P(G = N)) / k
+    alpha, k = 1e308, 10
     code, out, err = run(capsys, [
-        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "6,10",
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", f"6,{k}",
         "--alpha", "1e308",
     ])
     assert code in (0, 3) and err == ""
     assert "nan" not in out
     rows = [l.split(",") for l in out.splitlines() if l.startswith("scgf")]
     assert [r[1] for r in rows] == ["6", "10"]
-    assert rows[1][3] == "inf"
+    # the typical 10-types of (0.8, 0.2) at epsilon 0.1, by letter-1 count j
+    h = -(0.8 * math.log(0.8) + 0.2 * math.log(0.2))
+    log_w = {j: (k - j) * math.log(0.8) + j * math.log(0.2) for j in range(k + 1)}
+    typical = [j for j in log_w if abs(-log_w[j] / k - h) <= 0.1 + 1e-12]
+    n = sum(math.comb(k, j) for j in typical)
+    log_mass = math.log(math.fsum(math.comb(k, j) * math.exp(log_w[j]) for j in typical))
+    log_last = min(log_w[j] for j in typical) - log_mass
+    want = alpha / k * math.log(n) + log_last / k
+    assert math.isfinite(want)
+    assert float(rows[1][3]) == pytest.approx(want, rel=1e-8)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -270,8 +281,9 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
     assert rows and all(math.isfinite(float(row[3])) for row in rows)
 
 
-# argv, exit code, stderr and stdout file of each golden run, all written by
-# the implementation that predates the one-table-per-k exact-compare path
+# argv, exit code, stderr and stdout file of each golden run, written by the
+# implementation before the one-table-per-k exact-compare path, and the m = 4
+# unconditioned one by the per-block rank sums before the table kernel
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

@@ -35,7 +35,7 @@ from guesswork import (
     unconditioned,
     uniform_typical,
 )
-from guesswork.oracle import _log_sum_of_logs
+from guesswork.ranksums import _log_sum_of_logs
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -372,3 +372,52 @@ def test_lattice_projection_surplus_direction_matters():
     bad = _lattice_projection(P, bnd.l_plus.freqs, 10, onto_argmax=True)
     assert is_typical_type(P, EPS, good)
     assert not is_typical_type(P, EPS, bad)
+
+
+def _hurwitz_zeta(s, a):
+    """zeta(s, a) = sum_{i>=0} (i + a)^-s at mpmath's working precision.
+
+    mpmath's own zeta below a = 1000; above it the Euler-Maclaurin
+    asymptotic series of zeta(s, a), whose 15th term is below 1e-100
+    relative there (mpmath's zeta takes seconds per call at large a for s < 0).
+    """
+    from mpmath import bernoulli, factorial, mp, mpf, rf
+
+    if a < 1000:
+        return mp.zeta(s, a)
+    a = mpf(a)
+    total = a ** (1 - s) / (s - 1) + a ** (-s) / 2
+    for j in range(1, 16):
+        total += bernoulli(2 * j) / factorial(2 * j) * rf(s, 2 * j - 1) * a ** (-s - 2 * j + 1)
+    return total
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+def test_rank_power_sums_match_hurwitz_zeta(alpha):
+    # sum_{i=a}^{b} i^alpha = zeta(-alpha, a) - zeta(-alpha, b + 1), at 60 digits; the
+    # ranges cover the direct (<= 2^16 terms), split (a < 30000) and Euler-Maclaurin
+    # routes, and b = 2^1100 their bigint path
+    from mpmath import mp
+
+    for a in (1, 29999, 30000, 10**6):
+        for b in (a + 65535, a + 65536, 10**15, 2**200, 2**1100):
+            with mp.workdps(60):
+                want = float(mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1)))
+            assert abs(log_rank_power_sum(a, b, alpha) - want) <= 1e-12 * abs(want), (a, b)
+
+
+def test_hurwitz_reference_agrees_with_mpmath_zeta():
+    # the asymptotic branch of the reference against mpmath's own zeta where that is fast
+    from mpmath import mp
+
+    with mp.workdps(60):
+        for s, a in ((0.5, 1500), (0.5, 10**6), (-0.5, 1500)):
+            assert abs(_hurwitz_zeta(s, a) / mp.zeta(s, a) - 1) < mp.mpf(10) ** -55
+
+
+def test_euler_maclaurin_route_stays_finite_for_huge_alpha():
+    # alpha beyond the closed form's reach: no nan, the right sign of growth
+    for alpha in (1e5, 1e9, -1e5, -1e9):
+        for a, b in ((30000, 95536), (10**6, 10**9), (1, 10**6)):
+            got = log_rank_power_sum(a, b, alpha)
+            assert math.isfinite(got) and (got > 0.0) == (alpha > 0.0)

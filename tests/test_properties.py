@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -194,7 +195,8 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
         for l in gw.enumerate_types(k, p.m)
         if window is None or gw.is_typical_type(p, eps, l)
     ]
-    rows, sizes, raw = oracle._window_entries(p, window, k, gw.entropy.MAX_TYPES_DEFAULT)
+    counts, sizes, raw = oracle._window_entries(p, window, k, gw.entropy.MAX_TYPES_DEFAULT)
+    rows = list(map(tuple, counts.tolist()))
     assert rows == [c for c, _, _ in want]
     assert sizes == [n for _, n, _ in want]
     assert all(_close(r, w, 1e-12) for r, (_, _, w) in zip(raw.tolist(), want))
@@ -227,7 +229,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
     st.floats(-3.0, 3.0).filter(lambda a: a not in (0.0, 1.0, 2.0)),
 )
 def test_direct_rank_sums_match_fsum(a, span, alpha):
-    from guesswork.oracle import _log_sum_of_logs
+    from guesswork.ranksums import _log_sum_of_logs
 
     b = a + span
     logs = [math.log(i) for i in range(a, b + 1)]
@@ -247,3 +249,94 @@ def test_unconditioned_scgf_is_scaled_renyi_rate(p, alpha):
     # Arikan's identity: Lambda(alpha) = alpha H_{1/(1+alpha)}(p) for i.i.d. letters
     want = alpha * gw.renyi_rate(p, 1.0 / (1.0 + alpha))
     assert abs(gw.scgf(gw.unconditioned(p), alpha) - want) <= 1e-12
+
+
+def _per_block_log_sums(table, alpha):
+    """log E[G^alpha] (log E[log G] for alpha None) by one per-range call per block."""
+    from guesswork.oracle import _lse
+    from guesswork.ranksums import _log_sum_of_logs
+
+    terms = [
+        b.log_word_prob
+        + (_log_sum_of_logs(b.start, b.end) if alpha is None
+           else gw.log_rank_power_sum(b.start, b.end, alpha))
+        for b in table.blocks if b.log_word_prob > -math.inf
+    ]
+    return _lse(terms)
+
+
+def _near(x, y, rel):
+    # relative, with an absolute floor of rel for logs near 0 (E[G^0] = 1)
+    return x == y or abs(x - y) <= rel * max(1.0, abs(x), abs(y))
+
+
+def _check_kernel_against_blocks(table, alphas):
+    cols = zip(table.counts.tolist(), table.sizes, table.starts, table.log_word_prob.tolist())
+    assert [(b.counts, b.count, b.start, b.log_word_prob) for b in table.blocks] == [
+        (tuple(c), n, a, w) for c, n, a, w in cols
+    ]
+    k = table.k
+    exps = gw.finite_k_exponents(table.source, k, alphas=alphas)
+    for alpha, scaled in exps.moment_exponents:
+        want = _per_block_log_sums(table, alpha)
+        assert _near(gw.exact_moment_log(table, alpha), want, 1e-12), alpha
+        assert _near(k * scaled, want, 1e-12), alpha
+    want = _per_block_log_sums(table, None)
+    mean_log = gw.exact_mean_log_guesswork(table)
+    assert _near(math.log(mean_log) if mean_log else -math.inf, want, 1e-12)
+    assert _near(k * exps.mean_log_exponent, mean_log, 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    laws_with_a_zero(2, 4),
+    st.floats(0.02, 0.6),
+    st.integers(1, 120),
+    st.sampled_from(("unconditioned", "conditioned", "uniform")),
+    st.lists(st.sampled_from((-0.7, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.7)), min_size=1,
+             max_size=3),
+)
+def test_table_kernel_matches_per_range_sums(p, eps, k, kind, alphas):
+    # one kernel pass per table against one log_rank_power_sum / _log_sum_of_logs
+    # call per block: routes, chunking and the 1/k scaling must not move the sum
+    k = min(k, {2: 120, 3: 16, 4: 8}[p.m])
+    source = {
+        "unconditioned": lambda: gw.unconditioned(p),
+        "conditioned": lambda: gw.conditioned(p, eps),
+        "uniform": lambda: gw.uniform_typical(p, eps),
+    }[kind]()
+    try:
+        table = gw.build_guess_table(source, k)
+    except gw.EmptyTypicalSetError:
+        return
+    _check_kernel_against_blocks(table, tuple(alphas))
+
+
+@pytest.mark.parametrize("k", [1100, 1200])
+@pytest.mark.parametrize("kind", ["unconditioned", "conditioned", "uniform"])
+def test_table_kernel_on_ranks_past_float_range(kind, k):
+    # binary tables whose ranks pass 2^1000: the bigint log path of the kernel
+    p = gw.LetterDistribution((0.7, 0.3))
+    source = {
+        "unconditioned": lambda: gw.unconditioned(p),
+        "conditioned": lambda: gw.conditioned(p, 0.1),
+        "uniform": lambda: gw.uniform_typical(p, 0.1),
+    }[kind]()
+    table = gw.build_guess_table(source, k)
+    assert table.total_words.bit_length() > 1000
+    _check_kernel_against_blocks(table, (-0.5, 1.5, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 40), st.data())
+def test_class_sizes_are_multinomials(m, k, data):
+    # the run recurrence against the multinomial, row by row, on every row and
+    # on a random subset of rows (a typical window keeps intervals of runs)
+    from guesswork import entropy, oracle
+
+    k = min(k, {2: 40, 3: 40, 4: 20, 5: 12}[m])
+    counts = entropy.type_count_matrix(k, m)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(counts),
+                                       max_size=len(counts))), dtype=bool)
+    for rows in (counts, counts[keep]):
+        assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
