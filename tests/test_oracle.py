@@ -378,8 +378,9 @@ def _hurwitz_zeta(s, a):
     """zeta(s, a) = sum_{i>=0} (i + a)^-s at mpmath's working precision.
 
     mpmath's own zeta below a = 1000; above it the Euler-Maclaurin
-    asymptotic series of zeta(s, a), whose 15th term is below 1e-100
-    relative there (mpmath's zeta takes seconds per call at large a for s < 0).
+    asymptotic series of zeta(s, a), whose 15th term is below 1e-80 of the
+    leading one there for these s (mpmath's zeta takes seconds or more per
+    call at large a for s < 0).
     """
     from mpmath import bernoulli, factorial, mp, mpf, rf
 
