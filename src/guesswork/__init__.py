@@ -86,7 +86,6 @@ from .tilting import (
     solve_cross_entropy,
     tilted_cross_entropy,
     tilted_type,
-    uniform_on_argmax,
     uniform_on_support,
 )
 

@@ -28,18 +28,11 @@ from .entropy import (
     FreqsLike,
     LetterDistribution,
     as_freqs,
-    kl_divergence,
     shannon_entropy,
+    typical_window,
 )
 from .errors import DistributionError, EpsilonInadmissibleError
-from .tilting import (
-    BoundaryTypes,
-    TiltedFamily,
-    boundary_types,
-    cross_entropy_range,
-    regime_breakpoints,
-    tilted_cross_entropy,
-)
+from .tilting import TiltedFamily, regime_breakpoints
 
 _SLOPE_EDGE_TOL = 1e-12
 
@@ -108,8 +101,6 @@ class ScgfModel:
     source : Source
     entropy_p : float
         Shannon entropy h(p) of the letter law.
-    boundary : BoundaryTypes or None
-        Window boundary types; None for the unconditioned source.
     modal_decay : float
         Value of Lambda on alpha <= -1: the decay exponent of the most
         likely word's probability. Always <= 0.
@@ -120,7 +111,8 @@ class ScgfModel:
         l_minus and l_plus conditioned (0 or inf for a limit of the family);
         the tilt of l_minus at both ends for the uniform source.
     edge_lines : ((float, float), (float, float))
-        (h(l), -D(l)): Lambda's slope and intercept on beta_lo and beta_hi.
+        (h(l), -D(l)): Lambda's slope and intercept on beta_lo and beta_hi
+        (TiltedFamily.line, limits of the family included).
     plateau_width : float
         Right derivative of Lambda at alpha = -1 (the beta_hi slope): the
         growth order of the set of near-maximum-probability words, and the
@@ -136,7 +128,6 @@ class ScgfModel:
 
     source: Source
     entropy_p: float
-    boundary: BoundaryTypes | None
     modal_decay: float
     family: TiltedFamily
     window: tuple[float, float]
@@ -184,31 +175,39 @@ class ScgfModel:
         """dLambda/dalpha for alpha > -1: the entropy of the optimising type."""
         return self._line(alpha)[0]
 
+    def exponents(self) -> GrowthExponents:
+        """Headline growth exponents; mean_log_rate is the exact slope Lambda'(0)."""
+        excess = None
+        if self.source.kind is SourceKind.CONDITIONED:
+            # eta at alpha = 1 (beta = 1/2) against the high-entropy window edge
+            excess = self.family.at(0.5)[1] - (self.entropy_p + self.source.epsilon)
+        return GrowthExponents(
+            mean_log_rate=self.slope(0.0),
+            moment_rate=self(1.0),
+            modal_decay=self.modal_decay,
+            plateau_width=self.plateau_width,
+            window_excess=excess,
+        )
+
 
 def scgf_model(source: Source) -> ScgfModel:
     """Assemble the piecewise description of `source`'s scaled CGF."""
     p = source.p
     h = shannon_entropy(p)
+    family = TiltedFamily(p)
     if source.kind is SourceKind.UNCONDITIONED:
         # the window edges are limits of the family, reached only as alpha -> inf, -1
-        c_min, c_max = cross_entropy_range(p)
-        log_m_support = math.log(len(p.support))
-        log_modal = math.log(len(p.argmax_set()))
-        bnd, modal_decay, window = None, math.log(p.max_prob), (0.0, math.inf)
-        lines = ((log_m_support, log_m_support - c_max), (log_modal, log_modal - c_min))
+        window = (0.0, math.inf)
     else:
-        bnd = boundary_types(p, source.epsilon)
-        beta_minus = 0.0 if bnd.beta_minus is None else bnd.beta_minus
-        line_minus = (shannon_entropy(bnd.l_minus), -kl_divergence(bnd.l_minus, p))
-        if source.kind is SourceKind.UNIFORM_TYPICAL:
-            # every typical word is equally likely: D = 0 at the pinned l_minus
-            modal_decay, window = -line_minus[0], (beta_minus, beta_minus)
-            lines = ((line_minus[0], 0.0),) * 2
-        else:
-            modal_decay = min(-h + source.epsilon, math.log(p.max_prob))
-            window = (beta_minus, math.inf if bnd.beta_plus is None else bnd.beta_plus)
-            lines = (line_minus, (shannon_entropy(bnd.l_plus), -kl_divergence(bnd.l_plus, p)))
-    return ScgfModel(source, h, bnd, modal_decay, TiltedFamily(p), window, lines)
+        window = family.window(*typical_window(p, source.epsilon))
+    if source.kind is SourceKind.UNIFORM_TYPICAL:
+        # every typical word is equally likely: pinned at l_minus, where D = 0
+        h_minus = family.line(window[0])[0]
+        return ScgfModel(source, h, -h_minus, family, (window[0],) * 2, ((h_minus, 0.0),) * 2)
+    modal_decay = -family.c_min  # log max_a p_a
+    if source.kind is SourceKind.CONDITIONED:
+        modal_decay = min(-h + source.epsilon, modal_decay)
+    return ScgfModel(source, h, modal_decay, family, window, tuple(map(family.line, window)))
 
 
 def scgf(source: Source, alpha: float) -> float:
@@ -237,18 +236,8 @@ class GrowthExponents:
 
 
 def growth_exponents(source: Source) -> GrowthExponents:
-    """Exponent table of `source`; mean_log_rate is the exact slope Lambda'(0)."""
-    model = scgf_model(source)
-    excess = None
-    if source.kind is SourceKind.CONDITIONED:
-        excess = tilted_cross_entropy(source.p, 1.0) - (model.entropy_p + source.epsilon)
-    return GrowthExponents(
-        mean_log_rate=model.slope(0.0),
-        moment_rate=model(1.0),
-        modal_decay=model.modal_decay,
-        plateau_width=model.plateau_width,
-        window_excess=excess,
-    )
+    """Exponent table of `source`; see ScgfModel.exponents."""
+    return scgf_model(source).exponents()
 
 
 def legendre_transform(model: ScgfModel, x: float) -> float:

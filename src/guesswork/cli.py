@@ -6,9 +6,11 @@ Subcommands: analyze (exponent report for all three sources), fig1
 with a shrinking-gap verdict), census (typical-set inventories).
 
 Output is deterministic: CSV with '#' metadata comments for curves and
-tables, JSON for reports, 9 significant digits everywhere, "inf" as the
-out-of-domain sentinel. Exit codes: 0 success, 1 validation failure,
-2 resource-guard refusal, 3 exact-compare trend failure.
+tables, JSON for reports, every number in the one positional format of
+`_fmt` (9 significant digits, or 8 when rounding carries; never an
+exponent), "inf" as the out-of-domain sentinel. Exit codes: 0 success,
+1 validation failure, 2 resource-guard refusal, 3 exact-compare trend
+failure.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from .asymptotics import (
     alphas_or_default,
     binary_closed_forms,
     conditioned,
-    growth_exponents,
     legendre_transform,
     scgf_model,
-    source_breakpoints,
     unconditioned,
     uniform_typical,
 )
-from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy, typical_window
 from .errors import (
     DistributionError,
     EmptyTypicalSetError,
@@ -52,13 +52,21 @@ from .oracle import (
     trend_holds,
     typical_set_census,
 )
-from .tilting import boundary_types, require_admissible_epsilon
+from .tilting import BoundaryTypes, regime_breakpoints, require_admissible_epsilon
 
 _KIND_NAMES = ("unconditioned", "conditioned", "uniform")
 
 
 def _fmt(x: float) -> str:
-    """Fixed 9-significant-digit rendering; the CLI's one number format."""
+    """The CLI's one number format: np.format_float_positional, precision=9, unique=False.
+
+    Digits come from the exact binary value rounded to 9 significant
+    digits; when that rounding carries, one digit fewer is printed (0.825,
+    stored just below it, prints as 0.82500000). There is never an exponent:
+    2.2e-16 prints as 0.000000000000000222044605 and 1e20 as
+    100000000000000000000. (with its point). Rendering a printed value
+    again need not give the same string.
+    """
     x = float(x)
     if math.isnan(x):
         return "nan"
@@ -158,8 +166,8 @@ def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Sou
     return uniform_typical(p, epsilon)
 
 
-def _kind_report(source: Source, model: ScgfModel) -> dict:
-    exps = growth_exponents(source)
+def _kind_report(model: ScgfModel, bnd: BoundaryTypes) -> dict:
+    exps = model.exponents()
     report = {
         "moment_rate": _jnum(exps.moment_rate),
         "mean_log_rate": _jnum(exps.mean_log_rate),
@@ -168,9 +176,9 @@ def _kind_report(source: Source, model: ScgfModel) -> dict:
         "max_slope": _jnum(model.max_slope),
         "tail_intercept": _jnum(model.tail_intercept),
     }
-    if source.kind is SourceKind.CONDITIONED:
+    if model.source.kind is SourceKind.CONDITIONED:
         report["window_excess"] = _jnum(exps.window_excess)
-        lo, hi = source_breakpoints(source)
+        lo, hi = regime_breakpoints(model.source.p, model.source.epsilon, bnd)
         report["breakpoints"] = {
             "alpha_low": _jnum(lo),
             "alpha_high": _jnum(hi),
@@ -182,12 +190,10 @@ def cmd_analyze(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
     epsilon = args.epsilon
     require_admissible_epsilon(p, epsilon)
-    bnd = boundary_types(p, epsilon)
-    sources = {
-        "unconditioned": unconditioned(p),
-        "conditioned": conditioned(p, epsilon),
-        "uniform": uniform_typical(p, epsilon),
-    }
+    models = {name: scgf_model(_make_source(name, p, epsilon)) for name in _KIND_NAMES}
+    # the boundary types are the conditioned model's clamp window, read as types
+    cond = models["conditioned"]
+    bnd = BoundaryTypes.of(cond.family, *typical_window(p, epsilon), cond.window)
     report = {
         "p": _jvec(p.probs),
         "epsilon": _jnum(epsilon),
@@ -198,12 +204,12 @@ def cmd_analyze(args) -> tuple[str, int]:
             "exists_minus": bnd.exists_minus,
             "exists_plus": bnd.exists_plus,
             "clamped_to_log_m": bnd.clamped_to_log_m,
-            "entropy_minus": _jnum(shannon_entropy(bnd.l_minus)),
-            "entropy_plus": _jnum(shannon_entropy(bnd.l_plus)),
+            "entropy_minus": _jnum(bnd.entropy_minus),
+            "entropy_plus": _jnum(bnd.entropy_plus),
         },
     }
-    for name, source in sources.items():
-        report[name] = _kind_report(source, scgf_model(source))
+    for name, model in models.items():
+        report[name] = _kind_report(model, bnd)
     if args.format == "csv":
         lines = ["# analyze report", "key,value"]
         for key, value in _flatten(report):
@@ -252,11 +258,7 @@ def cmd_fig2(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
     epsilon = args.epsilon
     require_admissible_epsilon(p, epsilon)
-    models = [
-        scgf_model(unconditioned(p)),
-        scgf_model(conditioned(p, epsilon)),
-        scgf_model(uniform_typical(p, epsilon)),
-    ]
+    models = [scgf_model(_make_source(name, p, epsilon)) for name in _KIND_NAMES]
     log_m = math.log(p.m)
     xs = np.linspace(0.0, log_m, args.x_points)
     rows = []
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p=True, eps_required=True):
+    def common(sp, p=True, eps_required=True, max_types=False):
         if p:
             sp.add_argument("--p", required=True,
                             help="comma-separated letter probabilities, e.g. 0.8,0.2")
@@ -392,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="typical-set half width (nats)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--max-types", type=int, default=MAX_TYPES_DEFAULT, dest="max_types")
+        if max_types:
+            sp.add_argument("--max-types", type=int, default=MAX_TYPES_DEFAULT, dest="max_types",
+                            help="cap on the k-types enumerated per word length")
 
     sp = sub.add_parser("analyze", help="exponent report for all three sources")
     common(sp)
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact-compare",
                         help="finite-k oracle values vs asymptotic targets")
-    common(sp, eps_required=False)
+    common(sp, eps_required=False, max_types=True)
     sp.add_argument("--kind", choices=_KIND_NAMES, default="conditioned")
     sp.add_argument("--k", required=True, help="comma-separated word lengths")
     sp.add_argument("--alpha", default=None,
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_exact_compare, default_format="csv")
 
     sp = sub.add_parser("census", help="typical-set inventory at given lengths")
-    common(sp)
+    common(sp, max_types=True)
     sp.add_argument("--k", required=True, help="comma-separated word lengths")
     sp.set_defaults(func=cmd_census, default_format="csv")
 

@@ -56,19 +56,6 @@ class LetterDistribution:
     def m(self) -> int:
         return len(self.probs)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(a for a, v in enumerate(self.probs) if v > 0.0)
-
-    @property
-    def max_prob(self) -> float:
-        return max(self.probs)
-
-    def argmax_set(self, tol: float = 1e-12) -> tuple[int, ...]:
-        """Letters whose probability ties the maximum within tol."""
-        top = self.max_prob
-        return tuple(a for a, v in enumerate(self.probs) if v >= top - tol)
-
 
 @dataclass(frozen=True)
 class TypeVector:

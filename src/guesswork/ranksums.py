@@ -30,6 +30,7 @@ _EM_MIN = 30000
 _DIRECT_CHUNK = 16384
 
 _LOG2 = math.log(2.0)
+_LOG24 = math.log(24.0)
 
 # Ints longer than this many bits are past float range, or near enough to
 # its top that a - 1/2 or a ratio would not stay finite: their logs are
@@ -153,7 +154,7 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
     integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral,
-    and sum log i is integral_Y^X log x dx, all in the log domain. Returns
+    and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
     per alpha (lam, rho) with log sum = alpha lam + rho, and with logs the
     log sum of logs per block.
     """
@@ -198,7 +199,9 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
     )
     far = np.where(tiny, 2.0 * log_ratio - _LOG2, log_ratio + np.log(log_ratio - 1.0))
     phi = np.where(tiny | (ratio >= _FAR_RATIO), far, near)
-    return sums, np.logaddexp(log_n + np.log(log_y), log_y + phi)
+    # plus the first midpoint correction (1/24)(1/Y - 1/X) = n / (24 X Y)
+    integral = np.logaddexp(log_n + np.log(log_y), log_y + phi)
+    return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
 
 
 def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: bool = False):

@@ -9,6 +9,8 @@ beta (`TiltedFamily.solve`) finds the two boundary types of a typicality
 window and the tilt behind every interior rate-function value. The
 constrained maximiser behind the conditioned source's scaled cumulant
 generating function is the tilted type clamped to those boundaries.
+`TiltedFamily` is the one implementation of the family; the functions
+below that return TypeVectors are views over it.
 """
 
 from __future__ import annotations
@@ -35,96 +37,65 @@ NEWTON_MAX_ITER = 100
 _EDGE_TOL = 1e-12
 
 
-def _support_items(p: FreqsLike) -> list[tuple[int, float]]:
-    pf = as_freqs(p)
-    items = [(a, q) for a, q in enumerate(pf) if q > 0.0]
-    if not items:
-        raise DistributionError("distribution has empty support")
-    return items
-
-
-def tilted_type_beta(p: FreqsLike, beta: float) -> TypeVector:
-    """Tilted type with exponent beta: l_a = p_a^beta / sum_b p_b^beta.
-
-    Computed in the log domain so arbitrarily large beta is safe; letters
-    outside the support of p keep frequency 0 exactly.
-    """
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise DistributionError(f"tilt exponent must be finite and >= 0, got {beta}")
-    pf = as_freqs(p)
-    items = _support_items(pf)
-    logw = {a: beta * math.log(q) for a, q in items}
-    top = max(logw.values())
-    weights = {a: math.exp(v - top) for a, v in logw.items()}
-    total = math.fsum(weights.values())
-    freqs = [0.0] * len(pf)
-    for a, w in weights.items():
-        freqs[a] = w / total
-    return TypeVector(tuple(freqs))
-
-
-def tilted_type(p: FreqsLike, alpha: float) -> TypeVector:
-    """Tilted type at moment order alpha > -1 (beta = 1/(1+alpha))."""
-    if not alpha > -1.0:
-        raise AlphaDomainError(f"alpha out of domain: need alpha > -1, got {alpha}")
-    return tilted_type_beta(p, 1.0 / (1.0 + alpha))
-
-
-def tilted_cross_entropy(p: FreqsLike, alpha: float) -> float:
-    """Cross entropy of the tilted type against p, increasing in alpha.
-
-    Equals h(p) at alpha = 0; tends to -log max_a p_a as alpha -> -1 and to
-    the uniform-on-support cross entropy as alpha -> inf.
-    """
-    return cross_entropy(tilted_type(p, alpha), p)
-
-
-def cross_entropy_range(p: FreqsLike) -> tuple[float, float]:
-    """Attainable cross-entropy limits of the tilted family, (c_min, c_max).
-
-    c_min = -log max_a p_a (beta -> inf); c_max = -(1/m') sum log p_a over
-    the support of size m' (beta -> 0). Equal iff p is uniform on its support.
-    """
-    items = _support_items(p)
-    c_min = -math.log(max(q for _, q in items))
-    c_max = -math.fsum(math.log(q) for _, q in items) / len(items)
-    return c_min, c_max
-
-
-def uniform_on_support(p: FreqsLike) -> TypeVector:
-    """Uniform type on the support of p (the beta -> 0 limit of the family)."""
-    pf = as_freqs(p)
-    items = _support_items(pf)
-    freqs = [0.0] * len(pf)
-    for a, _ in items:
-        freqs[a] = 1.0 / len(items)
-    return TypeVector(tuple(freqs))
-
-
-def uniform_on_argmax(p: FreqsLike) -> TypeVector:
-    """Uniform type on argmax p (the beta -> inf limit of the family)."""
-    pf = as_freqs(p)
-    top = max(pf)
-    arg = [a for a, q in enumerate(pf) if q >= top - 1e-12]
-    freqs = [0.0] * len(pf)
-    for a in arg:
-        freqs[a] = 1.0 / len(arg)
-    return TypeVector(tuple(freqs))
-
-
 class TiltedFamily:
     """The tilted family of p on plain floats: no TypeVector, no overflow.
 
-    Keeps the gaps top - log p_a >= 0 below the largest support
-    log-probability `top`, so every weight exp(-beta * gap) lies in (0, 1].
+    Holds the support of p and its log-probabilities `logs`, the gaps
+    top - log p_a >= 0 below the largest one, so every weight
+    exp(-beta * gap) lies in (0, 1], the letters `argmax` of the beta -> inf
+    limit (p's maximum, ties within 1e-12), and the family's attainable
+    cross entropies c_min = -log max_a p_a (beta -> inf) and
+    c_max = -(1/m') sum log p_a over the support of size m' (beta -> 0).
     """
 
-    __slots__ = ("top", "gaps")
+    __slots__ = ("m", "support", "logs", "top", "gaps", "argmax", "c_min", "c_max")
 
     def __init__(self, p: FreqsLike):
-        logs = [math.log(q) for _, q in _support_items(p)]
-        self.top = max(logs)
-        self.gaps = tuple(self.top - lg for lg in logs)
+        pf = as_freqs(p)
+        self.m = len(pf)
+        self.support = tuple(a for a, q in enumerate(pf) if q > 0.0)
+        self.logs = tuple(math.log(pf[a]) for a in self.support)
+        self.top = max(self.logs)
+        self.gaps = tuple(self.top - lg for lg in self.logs)
+        q_top = max(pf)
+        self.argmax = tuple(a for a, q in enumerate(pf) if q >= q_top - 1e-12)
+        self.c_min = -math.log(q_top)
+        self.c_max = -math.fsum(self.logs) / len(self.logs)
+
+    def _freqs(self, beta: float) -> list[float]:
+        # l_beta on the support, in the log domain so any finite beta >= 0 is safe
+        logw = [beta * lg for lg in self.logs]
+        top = max(logw)
+        ws = [math.exp(v - top) for v in logw]
+        total = math.fsum(ws)
+        return [w / total for w in ws]
+
+    def law(self, beta: float) -> list[float]:
+        """l_beta on the whole alphabet, beta in [0, inf]; letters outside the support get 0."""
+        freqs = [0.0] * self.m
+        if beta == math.inf:
+            for a in self.argmax:
+                freqs[a] = 1.0 / len(self.argmax)
+        else:
+            for a, f in zip(self.support, self._freqs(beta)):
+                freqs[a] = f
+        return freqs
+
+    def line(self, beta: float) -> tuple[float, float]:
+        """(h(l_beta), -D(l_beta || p)) for beta in [0, inf]: Lambda's slope and intercept.
+
+        At finite beta > 0 both are summed as shannon_entropy and
+        kl_divergence sum them. At a limit l_beta is uniform on n letters
+        (the support at beta = 0, argmax p at beta = inf) with cross entropy
+        c (c_max, c_min), so the line is (log n, log n - c).
+        """
+        if beta == 0.0 or beta == math.inf:
+            n, c = (self.support, self.c_max) if beta == 0.0 else (self.argmax, self.c_min)
+            return math.log(len(n)), math.log(len(n)) - c
+        fs = self._freqs(beta)
+        h = -math.fsum(f * math.log(f) for f in fs if f > 0.0)
+        d = math.fsum(f * (math.log(f) - lg) for f, lg in zip(fs, self.logs) if f > 0.0)
+        return h, -max(d, 0.0)
 
     def _moments(self, beta: float) -> tuple[float, float, float]:
         # log of the gap-centred normaliser, and mean and variance of the gap
@@ -173,25 +144,79 @@ class TiltedFamily:
             beta = step
         return beta
 
+    def tilt(self, eta: float) -> float:
+        """Finite beta > 0 with eta(beta) = eta.
+
+        DistributionError unless c_min + _EDGE_TOL < eta < c_max - _EDGE_TOL.
+        """
+        if not (self.c_min + _EDGE_TOL < eta < self.c_max - _EDGE_TOL):
+            raise DistributionError(
+                f"cross-entropy target {eta!r} outside the attainable open range "
+                f"({self.c_min!r}, {self.c_max!r})"
+            )
+        return self.solve(eta, entropy=False)
+
+    def window(self, lo: float, hi: float) -> tuple[float, float]:
+        """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].
+
+        beta- solves eta = hi, or is 0 (the uniform law on the support) once
+        hi is within _EDGE_TOL of c_max or beyond; beta+ solves eta = lo, or
+        is inf (the uniform law on argmax p) once lo is within _EDGE_TOL of
+        c_min or below.
+        """
+        beta_minus = 0.0 if hi >= self.c_max - _EDGE_TOL else self.tilt(hi)
+        beta_plus = math.inf if lo <= self.c_min + _EDGE_TOL else self.tilt(lo)
+        return beta_minus, beta_plus
+
+
+def _beta(alpha: float) -> float:
+    if not alpha > -1.0:
+        raise AlphaDomainError(f"alpha out of domain: need alpha > -1, got {alpha}")
+    return 1.0 / (1.0 + alpha)
+
+
+def tilted_type_beta(p: FreqsLike, beta: float) -> TypeVector:
+    """Tilted type with exponent beta: l_a = p_a^beta / sum_b p_b^beta.
+
+    Computed in the log domain so arbitrarily large beta is safe; letters
+    outside the support of p keep frequency 0 exactly.
+    """
+    if not (beta >= 0.0 and math.isfinite(beta)):
+        raise DistributionError(f"tilt exponent must be finite and >= 0, got {beta}")
+    return TypeVector(tuple(TiltedFamily(p).law(beta)))
+
+
+def tilted_type(p: FreqsLike, alpha: float) -> TypeVector:
+    """Tilted type at moment order alpha > -1 (beta = 1/(1+alpha))."""
+    return tilted_type_beta(p, _beta(alpha))
+
+
+def tilted_cross_entropy(p: FreqsLike, alpha: float) -> float:
+    """Cross entropy of the tilted type against p, increasing in alpha.
+
+    Equals h(p) at alpha = 0; tends to -log max_a p_a as alpha -> -1 and to
+    the uniform-on-support cross entropy as alpha -> inf.
+    """
+    return cross_entropy(tilted_type(p, alpha), p)
+
+
+def cross_entropy_range(p: FreqsLike) -> tuple[float, float]:
+    """Attainable cross-entropy limits (c_min, c_max) of the tilted family; see TiltedFamily."""
+    family = TiltedFamily(p)
+    return family.c_min, family.c_max
+
+
+def uniform_on_support(p: FreqsLike) -> TypeVector:
+    """Uniform type on the support of p (the beta -> 0 limit of the family)."""
+    return TypeVector(tuple(TiltedFamily(p).law(0.0)))
+
 
 def solve_cross_entropy(p: FreqsLike, target: float) -> float:
-    """Find beta with cross_entropy(tilted_type_beta(p, beta), p) = target.
+    """Find beta with cross_entropy(tilted_type_beta(p, beta), p) = target (TiltedFamily.tilt).
 
-    Safeguarded Newton in beta on the float-only family (TiltedFamily.solve).
-
-    Raises
-    ------
-    DistributionError
-        If target lies outside the open attainable range of the family.
+    Raises DistributionError if target lies outside the open attainable range.
     """
-    pf = as_freqs(p)
-    c_min, c_max = cross_entropy_range(pf)
-    if not (c_min + _EDGE_TOL < target < c_max - _EDGE_TOL):
-        raise DistributionError(
-            f"cross-entropy target {target!r} outside the attainable open range "
-            f"({c_min!r}, {c_max!r})"
-        )
-    return TiltedFamily(pf).solve(target, entropy=False)
+    return TiltedFamily(p).tilt(target)
 
 
 @dataclass(frozen=True)
@@ -215,6 +240,22 @@ class BoundaryTypes:
     beta_minus: float | None  # tilt exponents of solved edges
     beta_plus: float | None
 
+    @classmethod
+    def of(
+        cls, family: TiltedFamily, lo: float, hi: float, window: tuple[float, float]
+    ) -> BoundaryTypes:
+        """Boundary types of the cross-entropy window [lo, hi] whose clamp window is `window`."""
+        beta_minus, beta_plus = window
+        return cls(
+            l_minus=TypeVector(tuple(family.law(beta_minus))),
+            l_plus=TypeVector(tuple(family.law(beta_plus))),
+            exists_minus=hi <= family.c_max + _EDGE_TOL,
+            exists_plus=lo >= family.c_min - _EDGE_TOL,
+            clamped_to_log_m=beta_minus == 0.0,
+            beta_minus=beta_minus if beta_minus > 0.0 else None,
+            beta_plus=beta_plus if beta_plus < math.inf else None,
+        )
+
     @property
     def entropy_minus(self) -> float:
         return shannon_entropy(self.l_minus)
@@ -235,34 +276,9 @@ def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
     otherwise); its substitute is the uniform law on the most likely
     letters, the correct degenerate plateau.
     """
-    pf = as_freqs(p)
-    lo, hi = typical_window(pf, epsilon)
-    c_min, c_max = cross_entropy_range(pf)
-
-    clamped = hi >= c_max - _EDGE_TOL
-    exists_minus = hi <= c_max + _EDGE_TOL
-    if clamped:
-        l_minus, beta_minus = uniform_on_support(pf), None
-    else:
-        beta_minus = solve_cross_entropy(pf, hi)
-        l_minus = tilted_type_beta(pf, beta_minus)
-
-    exists_plus = lo >= c_min - _EDGE_TOL
-    if lo <= c_min + _EDGE_TOL:
-        l_plus, beta_plus = uniform_on_argmax(pf), None
-    else:
-        beta_plus = solve_cross_entropy(pf, lo)
-        l_plus = tilted_type_beta(pf, beta_plus)
-
-    return BoundaryTypes(
-        l_minus=l_minus,
-        l_plus=l_plus,
-        exists_minus=exists_minus,
-        exists_plus=exists_plus,
-        clamped_to_log_m=clamped,
-        beta_minus=beta_minus,
-        beta_plus=beta_plus,
-    )
+    family = TiltedFamily(p)
+    lo, hi = typical_window(p, epsilon)
+    return BoundaryTypes.of(family, lo, hi, family.window(lo, hi))
 
 
 def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
@@ -272,10 +288,12 @@ def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
     its support, where every word is typical for any eps and conditioning
     is vacuous.
     """
-    pf = as_freqs(p)
-    h = shannon_entropy(pf)
-    c_min, c_max = cross_entropy_range(pf)
-    return (0.0, min(c_max - h, h - c_min))
+    return _admissible_interval(p, TiltedFamily(p))
+
+
+def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, float]:
+    h = shannon_entropy(p)
+    return (0.0, min(family.c_max - h, h - family.c_min))
 
 
 def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
@@ -284,10 +302,10 @@ def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
     Degenerate sources (p uniform on its support) are exempt: their interval
     is empty but conditioning changes nothing, so every eps is workable.
     """
-    c_min, c_max = cross_entropy_range(p)
-    if c_max - c_min <= _EDGE_TOL:
+    family = TiltedFamily(p)
+    if family.c_max - family.c_min <= _EDGE_TOL:
         return
-    lo, hi = admissible_epsilon_interval(p)
+    lo, hi = _admissible_interval(p, family)
     if not (lo < epsilon < hi):
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "
@@ -321,26 +339,25 @@ def clamped_optimum(
 ) -> ClampedOptimum:
     """Tilted type clamped into the typicality window, for alpha > -1.
 
-    The unconstrained tilted type is kept while its cross entropy against p
-    lies strictly inside (h(p) - eps, h(p) + eps); at or beyond an edge the
-    matching boundary type takes over:
+    The unconstrained tilted type l_beta, beta = 1/(1+alpha), is kept while
+    beta lies strictly inside the clamp window (beta-, beta+), i.e. while
+    its cross entropy against p lies strictly inside (h(p) - eps, h(p) + eps);
+    at or beyond an edge the matching boundary type takes over:
 
-        cross entropy >= h(p) + eps  ->  l_minus (upper clamp),
-        cross entropy <= h(p) - eps  ->  l_plus  (lower clamp).
+        beta <= beta-  ->  l_minus (upper clamp),
+        beta >= beta+  ->  l_plus  (lower clamp).
 
     Both branches agree at a breakpoint, so the scaled CGF built from this
     optimiser is continuous (and C^1) in alpha.
     """
-    pf = as_freqs(p)
+    beta = _beta(alpha)
     if boundaries is None:
-        boundaries = boundary_types(pf, epsilon)
-    lo, hi = typical_window(pf, epsilon)
-    eta = tilted_cross_entropy(pf, alpha)
-    if eta >= hi:
+        boundaries = boundary_types(p, epsilon)
+    if boundaries.beta_minus is not None and beta <= boundaries.beta_minus:
         return ClampedOptimum(boundaries.l_minus, Regime.UPPER_CLAMP)
-    if eta <= lo:
+    if boundaries.beta_plus is not None and beta >= boundaries.beta_plus:
         return ClampedOptimum(boundaries.l_plus, Regime.LOWER_CLAMP)
-    return ClampedOptimum(tilted_type(pf, alpha), Regime.INTERIOR)
+    return ClampedOptimum(tilted_type_beta(p, beta), Regime.INTERIOR)
 
 
 def regime_breakpoints(
@@ -359,4 +376,3 @@ def regime_breakpoints(
         boundaries = boundary_types(p, epsilon)
     betas = (boundaries.beta_plus, boundaries.beta_minus)
     return tuple(None if beta is None else 1.0 / beta - 1.0 for beta in betas)
-

@@ -277,3 +277,52 @@ def test_optimum_regimes_follow_the_clamp_window():
     mw = scgf_model(W)
     with pytest.raises(DistributionError):
         mw.slope(-1.0)
+
+
+
+def _count_tilting_work(monkeypatch):
+    # counts TiltedFamily constructions, edge solves (the family's
+    # cross-entropy solves) and TypeVector constructions
+    from guesswork import entropy, tilting
+
+    counts = {"families": 0, "edge_solves": 0, "type_vectors": 0}
+    family_init, solve = tilting.TiltedFamily.__init__, tilting.TiltedFamily.solve
+    post_init = entropy.TypeVector.__post_init__
+
+    def counted_init(self, p):
+        counts["families"] += 1
+        family_init(self, p)
+
+    def counted_solve(self, target, lo=0.0, hi=math.inf, *, entropy):
+        counts["edge_solves"] += not entropy
+        return solve(self, target, lo, hi, entropy=entropy)
+
+    def counted_post_init(self):
+        counts["type_vectors"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(tilting.TiltedFamily, "__init__", counted_init)
+    monkeypatch.setattr(tilting.TiltedFamily, "solve", counted_solve)
+    monkeypatch.setattr(entropy.TypeVector, "__post_init__", counted_post_init)
+    return counts
+
+
+@pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])
+def test_scgf_model_is_one_family_and_no_type_vector(monkeypatch, source):
+    counts = _count_tilting_work(monkeypatch)
+    scgf_model(source)
+    edges = 0 if source.kind is SourceKind.UNCONDITIONED else 2
+    assert counts == {"families": 1, "edge_solves": edges, "type_vectors": 0}
+
+
+@pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
+def test_analyze_builds_one_family_per_model(capsys, monkeypatch, p, epsilon):
+    # guessctl analyze: one family per source model plus one for the
+    # admissibility check; the boundary types are read from the conditioned
+    # model's window, so no edge is solved outside a model
+    from guesswork.cli import main
+
+    counts = _count_tilting_work(monkeypatch)
+    assert main(["analyze", "--p", p, "--epsilon", epsilon]) == 0
+    capsys.readouterr()
+    assert counts["families"] <= 4 and counts["edge_solves"] <= 6, counts

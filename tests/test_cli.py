@@ -355,8 +355,8 @@ FUZZ_COMMANDS = {
     "analyze": ("--p", "--epsilon"),
     "fig1": ("--epsilon", "--p0-grid"),
     "fig2": ("--p", "--epsilon", "--x-points"),
-    "exact-compare": ("--p", "--epsilon", "--kind", "--k", "--alpha", "--max-words"),
-    "census": ("--p", "--epsilon", "--k"),
+    "exact-compare": ("--p", "--epsilon", "--kind", "--k", "--alpha", "--max-words", "--max-types"),
+    "census": ("--p", "--epsilon", "--k", "--max-types"),
 }
 
 
@@ -365,7 +365,7 @@ FUZZ_COMMANDS = {
 @given(st.data())
 def test_main_fuzz_exits_cleanly(tmp_path, capsys, data):
     command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)), label="command")
-    flags = (*FUZZ_COMMANDS[command], "--format", "--max-types", "--out")
+    flags = (*FUZZ_COMMANDS[command], "--format", "--out")
     values = {flag: data.draw(st.sampled_from(FUZZ_VALID[flag]), label=flag) for flag in flags}
     bad = data.draw(st.sampled_from([None, *flags]), label="bad flag")
     if bad is not None:

@@ -61,10 +61,6 @@ def test_renyi_rate():
 def test_letter_distribution_validation():
     d = LetterDistribution((0.8, 0.2))
     assert d.m == 2
-    assert d.support == (0, 1)
-    assert d.max_prob == 0.8
-    assert d.argmax_set() == (0,)
-    assert LetterDistribution((0.5, 0.5)).argmax_set() == (0, 1)
     with pytest.raises(DistributionError):
         LetterDistribution((0.8, 0.3))
     with pytest.raises(DistributionError):

@@ -340,3 +340,32 @@ def test_class_sizes_are_multinomials(m, k, data):
                                        max_size=len(counts))), dtype=bool)
     for rows in (counts, counts[keep]):
         assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(laws_with_a_zero(), st.floats(0.02, 0.98), st.booleans())
+def test_scgf_model_edges_match_boundary_types(p, frac, clamped):
+    # the model's clamp window and edge lines against the validated TypeVector
+    # functionals of boundary_types' l- and l+: bit for bit at a solved edge;
+    # at a limit of the family (eps past the admissible interval) the line is
+    # (log n, log n - c), within one ulp of log n and of c
+    top = gw.admissible_epsilon_interval(p)[1]
+    assume(top > 1e-9)
+    eps = top * (1.0 + 4.0 * frac) if clamped else top * frac
+    model = gw.scgf_model(gw.conditioned(p, eps))
+    bnd = gw.boundary_types(p, eps)
+    betas = (bnd.beta_minus, bnd.beta_plus)
+    limits = (0.0, math.inf)
+    assert model.window == tuple(lim if b is None else b for b, lim in zip(betas, limits))
+    for (h, icpt), l, beta in zip(model.edge_lines, (bnd.l_minus, bnd.l_plus), betas):
+        want = (gw.shannon_entropy(l), -gw.kl_divergence(l, p))
+        if beta is not None:
+            assert (h, icpt) == want
+        else:
+            assert abs(h - want[0]) <= math.ulp(h)
+            assert abs(icpt - want[1]) <= math.ulp(h) + math.ulp(h - icpt)
+    uniform = gw.scgf_model(gw.uniform_typical(p, eps))
+    assert uniform.window == (model.window[0],) * 2
+    assert uniform.edge_lines == ((model.max_slope, 0.0),) * 2
+    if not clamped:
+        assert None not in betas

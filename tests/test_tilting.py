@@ -17,10 +17,9 @@ from guesswork import (
     solve_cross_entropy,
     tilted_cross_entropy,
     tilted_type,
-    uniform_on_argmax,
     uniform_on_support,
 )
-from guesswork.tilting import cross_entropy_range, tilted_type_beta
+from guesswork.tilting import TiltedFamily, cross_entropy_range, tilted_type_beta
 
 P = (0.8, 0.2)
 EPS = 0.1
@@ -146,9 +145,20 @@ def test_regime_breakpoints():
     assert clamped_optimum(P, EPS, alpha_high - 1e-6).regime is Regime.INTERIOR
 
 
+def test_family_support_and_argmax():
+    # the support, and the letters of the beta -> inf limit (ties within 1e-12)
+    family = TiltedFamily((0.8, 0.2))
+    assert family.support == (0, 1) and family.argmax == (0,)
+    assert family.c_min == -math.log(0.8)
+    assert TiltedFamily((0.5, 0.5)).argmax == (0, 1)
+    family = TiltedFamily((0.4, 0.0, 0.4 + 1e-13, 0.2 - 1e-13))
+    assert family.support == (0, 2, 3) and family.argmax == (0, 2)
+
+
 def test_uniform_helpers():
     assert uniform_on_support((0.5, 0.0, 0.5)).freqs == (0.5, 0.0, 0.5)
-    assert uniform_on_argmax((0.4, 0.4, 0.2)).freqs == (0.5, 0.5, 0.0)
+    # the beta -> inf limit: uniform on argmax p
+    assert TiltedFamily((0.4, 0.4, 0.2)).law(math.inf) == [0.5, 0.5, 0.0]
 
 
 def test_entropy_of_boundary_types_brackets_h():
