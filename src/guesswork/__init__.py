@@ -48,6 +48,7 @@ from .errors import (
     EmptyTypicalSetError,
     EpsilonInadmissibleError,
     GrainError,
+    GridTooLargeError,
     GuessworkError,
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,

@@ -12,8 +12,9 @@ tilted type l_beta, beta = 1/(1+alpha), clamped into a per-source window of
 beta ((0, inf) unconditioned, the boundary tilts conditioned, pinned at the
 high-entropy boundary uniform), all on the float-only TiltedFamily. The
 slope Lambda' = h(l) is exact, so Lambda'(0) = h(p) (h(l-) uniform). The
-Legendre-Fenchel transform Lambda* solves h(l_beta) = x by safeguarded Newton
-on beta, with a flat plateau of width `plateau_width` at the left end of its
+Legendre-Fenchel transform Lambda* takes a float or a numpy array of x and
+solves h(l_beta) = x by safeguarded Newton on beta for every interior x at
+once, with a flat plateau of width `plateau_width` at the left end of its
 domain and a finite endpoint value at the maximal slope.
 """
 
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .entropy import (
     FreqsLike,
@@ -190,15 +193,22 @@ class ScgfModel:
         )
 
 
-def scgf_model(source: Source) -> ScgfModel:
-    """Assemble the piecewise description of `source`'s scaled CGF."""
+def scgf_model(source: Source, window: tuple[float, float] | None = None) -> ScgfModel:
+    """Assemble the piecewise description of `source`'s scaled CGF.
+
+    A typical-set source clamps to the tilts (beta-, beta+) of its
+    typicality window's edges (TiltedFamily.window). The conditioned and
+    uniform sources of one (p, epsilon) share them: a caller that holds the
+    conditioned model may pass its `window` and skip the two edge solves.
+    The unconditioned source ignores `window`.
+    """
     p = source.p
     h = shannon_entropy(p)
     family = TiltedFamily(p)
     if source.kind is SourceKind.UNCONDITIONED:
         # the window edges are limits of the family, reached only as alpha -> inf, -1
         window = (0.0, math.inf)
-    else:
+    elif window is None:
         window = family.window(*typical_window(p, source.epsilon))
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         # every typical word is equally likely: pinned at l_minus, where D = 0
@@ -240,30 +250,39 @@ def growth_exponents(source: Source) -> GrowthExponents:
     return scgf_model(source).exponents()
 
 
-def legendre_transform(model: ScgfModel, x: float) -> float:
+def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.ndarray:
     """Lambda*(x) = sup_alpha (x alpha - Lambda(alpha)) for one source.
 
-    Piecewise evaluation: +inf outside [0, log m]; the exact plateau value
-    -x - modal_decay on [0, plateau_width]; the endpoint value
-    -tail_intercept at x = max_slope; +inf beyond max_slope; otherwise the
-    tilt beta with h(l_beta) = x is found inside the model's clamp window by
-    safeguarded Newton (TiltedFamily.solve), and the supremum is evaluated in
-    its stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, which
-    is second-order accurate in the solver error.
+    x is a float (the result is a float) or a numpy array (the result is an
+    array of its shape); a float runs as a one-point array, so both take
+    the same piecewise evaluation: +inf outside [0, log m] (nan for a nan
+    x); the exact plateau value -x - modal_decay on [0, plateau_width]; the
+    endpoint value -tail_intercept at x = max_slope; +inf beyond max_slope;
+    otherwise the tilts beta with h(l_beta) = x are found inside the
+    model's clamp window by one array Newton solve over every interior x
+    (TiltedFamily.solve_entropy), and each supremum is evaluated in its
+    stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is
+    second-order accurate in the solver error.
     """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
     log_m = math.log(model.source.p.m)
-    if x < -_SLOPE_EDGE_TOL or x > log_m + _SLOPE_EDGE_TOL:
-        return math.inf
-    x = min(max(x, 0.0), log_m)
-    if x <= model.plateau_width:
-        return -x - model.modal_decay
+    out = np.where(np.isnan(flat), math.nan, math.inf)
+    inside = (flat >= -_SLOPE_EDGE_TOL) & (flat <= log_m + _SLOPE_EDGE_TOL)
+    xc = np.clip(flat, 0.0, log_m)
+    plateau = inside & (xc <= model.plateau_width)
+    out[plateau] = -xc[plateau] - model.modal_decay
     s = model.max_slope
-    if x >= s - _SLOPE_EDGE_TOL:
-        if x <= s + _SLOPE_EDGE_TOL:
-            return -model.tail_intercept
-        return math.inf
-    alpha = 1.0 / model.family.solve(x, *model.window, entropy=True) - 1.0
-    return x * alpha - model(alpha)
+    rest = inside & ~plateau
+    out[rest & (xc >= s - _SLOPE_EDGE_TOL) & (xc <= s + _SLOPE_EDGE_TOL)] = -model.tail_intercept
+    interior = rest & (xc < s - _SLOPE_EDGE_TOL)
+    if interior.any():
+        xi = xc[interior]
+        beta, h, eta = model.family.solve_entropy(xi, *model.window)
+        alpha = 1.0 / beta - 1.0
+        # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
+        out[interior] = xi * alpha - (h * alpha + (h - eta))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def rate_function(source: Source, x: float) -> float:

@@ -39,6 +39,7 @@ from .errors import (
     DistributionError,
     EmptyTypicalSetError,
     EpsilonInadmissibleError,
+    GridTooLargeError,
     GuessworkError,
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,
@@ -55,6 +56,10 @@ from .oracle import (
 from .tilting import BoundaryTypes, regime_breakpoints, require_admissible_epsilon
 
 _KIND_NAMES = ("unconditioned", "conditioned", "uniform")
+
+# Most grid points one fig2 request may ask for: a larger --x-points is a
+# resource-guard refusal (exit 2), made before the grid is allocated.
+MAX_X_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -186,11 +191,21 @@ def _kind_report(model: ScgfModel, bnd: BoundaryTypes) -> dict:
     return report
 
 
+def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
+    """The three sources' SCGF models, keyed by _KIND_NAMES; one edge solve per window edge."""
+    cond = scgf_model(conditioned(p, epsilon))
+    return {
+        "unconditioned": scgf_model(unconditioned(p)),
+        "conditioned": cond,
+        "uniform": scgf_model(uniform_typical(p, epsilon), cond.window),
+    }
+
+
 def cmd_analyze(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
     epsilon = args.epsilon
     require_admissible_epsilon(p, epsilon)
-    models = {name: scgf_model(_make_source(name, p, epsilon)) for name in _KIND_NAMES}
+    models = _models(p, epsilon)
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
     bnd = BoundaryTypes.of(cond.family, *typical_window(p, epsilon), cond.window)
@@ -255,20 +270,21 @@ def cmd_fig1(args) -> tuple[str, int]:
 
 
 def cmd_fig2(args) -> tuple[str, int]:
+    if args.x_points > MAX_X_POINTS:
+        raise GridTooLargeError(
+            f"fig2 grid too large: {args.x_points} x-points exceeds the cap {MAX_X_POINTS}"
+        )
     p = _parse_probs(args.p)
     epsilon = args.epsilon
     require_admissible_epsilon(p, epsilon)
-    models = [scgf_model(_make_source(name, p, epsilon)) for name in _KIND_NAMES]
-    log_m = math.log(p.m)
-    xs = np.linspace(0.0, log_m, args.x_points)
-    rows = []
-    for x in xs:
-        row = [float(x)]
-        for model in models:
-            rate = legendre_transform(model, float(x))
-            # outside a source's domain the curve is reported as "inf"
-            row.append(math.inf if math.isinf(rate) else -float(x) - rate)
-        rows.append(row)
+    models = list(_models(p, epsilon).values())
+    xs = np.linspace(0.0, math.log(p.m), args.x_points)
+    curves = []
+    for model in models:
+        rate = legendre_transform(model, xs)
+        # outside a source's domain the curve is reported as "inf"
+        curves.append(np.where(np.isinf(rate), math.inf, -xs - rate).tolist())
+    rows = zip(xs.tolist(), *curves)
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(epsilon)}",
         "# modal_decay: " + " ".join(
@@ -443,7 +459,7 @@ def main(argv=None) -> int:
     try:
         text, code = args.func(args)
         _emit(args, text)
-    except (TypeSpaceTooLargeError, WordSpaceTooLargeError) as exc:
+    except (TypeSpaceTooLargeError, WordSpaceTooLargeError, GridTooLargeError) as exc:
         print(f"guessctl: resource guard: {exc}", file=sys.stderr)
         return 2
     except EpsilonInadmissibleError as exc:

@@ -44,3 +44,7 @@ class TypeSpaceTooLargeError(GuessworkError):
 
 class WordSpaceTooLargeError(GuessworkError):
     """A naive word enumeration would exceed the configured cap."""
+
+
+class GridTooLargeError(GuessworkError):
+    """A figure grid would exceed its fixed point cap."""

@@ -4,11 +4,13 @@ The family l_a(beta) proportional to p_a^beta (beta = 1/(1+alpha)) sweeps
 from the uniform distribution on the support (beta -> 0) through p itself
 (beta = 1) to the uniform distribution on the most likely letters
 (beta -> inf). Along it both the entropy h(l_beta) and the cross entropy
-eta(beta) against p strictly decrease, so one safeguarded Newton solver in
-beta (`TiltedFamily.solve`) finds the two boundary types of a typicality
-window and the tilt behind every interior rate-function value. The
-constrained maximiser behind the conditioned source's scaled cumulant
-generating function is the tilted type clamped to those boundaries.
+eta(beta) against p strictly decrease, so safeguarded Newton in beta
+inverts either: `TiltedFamily.solve`, on floats, finds the two boundary
+types of a typicality window, and `TiltedFamily.solve_entropy`, on numpy
+arrays, the tilts behind a whole array of interior rate-function values
+at once. The constrained maximiser behind the conditioned source's scaled
+cumulant generating function is the tilted type clamped to those
+boundaries.
 `TiltedFamily` is the one implementation of the family; the functions
 below that return TypeVectors are views over it.
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .entropy import (
     FreqsLike,
@@ -36,9 +40,12 @@ NEWTON_MAX_ITER = 100
 # limit of the tilted family rather than solvable at finite beta.
 _EDGE_TOL = 1e-12
 
+# Weights per block of TiltedFamily.solve_entropy: targets times support size.
+_BLOCK_CELLS = 1 << 15
+
 
 class TiltedFamily:
-    """The tilted family of p on plain floats: no TypeVector, no overflow.
+    """The tilted family of p on plain floats and numpy arrays: no TypeVector, no overflow.
 
     Holds the support of p and its log-probabilities `logs`, the gaps
     top - log p_a >= 0 below the largest one, so every weight
@@ -113,23 +120,19 @@ class TiltedFamily:
         log_z, mean, _ = self._moments(beta)
         return log_z + beta * mean, mean - self.top, log_z + beta * self.top
 
-    def solve(
-        self, target: float, lo: float = 0.0, hi: float = math.inf, *, entropy: bool
-    ) -> float:
-        """Tilt beta in (lo, hi) where h(l_beta) (entropy=True) or eta(beta) = target.
+    def solve(self, eta: float) -> float:
+        """Finite tilt beta > 0 with eta(beta) = eta, on floats.
 
-        Newton on both decreasing functions, dh/dbeta = -beta Var and
-        deta/dbeta = -Var (Var of log p under l_beta), kept in the shrinking
-        bracket by bisection (doubling while it is unbounded above). Stops
-        once a step moves beta by under NEWTON_STEP_TOL relative.
+        Newton on the decreasing cross entropy, deta/dbeta = -Var (Var of
+        log p under l_beta), kept in the shrinking bracket by bisection
+        (doubling while it is unbounded above). Stops once a step moves beta
+        by under NEWTON_STEP_TOL relative. The caller keeps eta inside
+        (c_min, c_max); see tilt.
         """
-        beta = min(max(1.0, lo), hi)
+        lo, hi, beta = 0.0, math.inf, 1.0
         for _ in range(NEWTON_MAX_ITER):
-            log_z, mean, var = self._moments(beta)
-            if entropy:
-                resid, slope = log_z + beta * mean - target, -beta * var
-            else:
-                resid, slope = mean - self.top - target, -var
+            _, mean, var = self._moments(beta)
+            resid, slope = mean - self.top - eta, -var
             if resid > 0.0:
                 lo = beta
             elif resid < 0.0:
@@ -144,6 +147,60 @@ class TiltedFamily:
             beta = step
         return beta
 
+    def solve_entropy(
+        self, x: np.ndarray, lo: float, hi: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tilts beta in (lo, hi) with h(l_beta) = x, for a whole array of targets.
+
+        Returns (beta, h(l_beta), eta(beta)) at each target's final beta.
+        Every target runs the rules of `solve` on its own: Newton on the
+        decreasing entropy, dh/dbeta = -beta Var, from beta = 1 clamped into
+        [lo, hi], kept inside its own shrinking bracket by bisection
+        (doubling while it is unbounded above), stopping once its step moves
+        beta by under NEWTON_STEP_TOL relative or after NEWTON_MAX_ITER
+        steps. Targets are solved in blocks of _BLOCK_CELLS weights, so the
+        temporaries stay bounded whatever len(x) is.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = max(1, _BLOCK_CELLS // len(self.gaps))
+        blocks = [
+            self._solve_entropy_block(x[i:i + rows], lo, hi)
+            for i in range(0, max(len(x), 1), rows)
+        ]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+    def _solve_entropy_block(self, x: np.ndarray, lo: float, hi: float):
+        beta = np.full(len(x), min(max(1.0, lo), hi))
+        lower, upper = np.full(len(x), lo), np.full(len(x), hi)
+        todo = np.arange(len(x))  # targets still iterating
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives nan
+            for _ in range(NEWTON_MAX_ITER):
+                if not len(todo):
+                    break
+                b = beta[todo]
+                log_z, mean, var = self._moments_array(b)
+                resid, slope = log_z + b * mean - x[todo], -b * var
+                lo_t = lower[todo] = np.where(resid > 0.0, b, lower[todo])
+                hi_t = upper[todo] = np.where(resid < 0.0, b, upper[todo])
+                step = np.where(slope < 0.0, b - resid / slope, np.nan)
+                fallback = np.where(hi_t == math.inf, 2.0 * lo_t, 0.5 * (lo_t + hi_t))
+                step = np.where((lo_t < step) & (step < hi_t), step, fallback)
+                root = resid == 0.0
+                beta[todo] = np.where(root, b, step)
+                todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
+        log_z, mean, _ = self._moments_array(beta)
+        return beta, log_z + beta * mean, mean - self.top
+
+    def _moments_array(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _moments for an array of beta: one row of weights per beta
+        gaps = np.asarray(self.gaps)
+        ws = np.exp(-np.multiply.outer(beta, gaps))
+        z = ws.sum(axis=1)
+        mean = (ws * gaps).sum(axis=1) / z
+        dev = gaps - mean[:, None]
+        var = (ws * dev * dev).sum(axis=1) / z
+        return np.log(z), mean, var
+
     def tilt(self, eta: float) -> float:
         """Finite beta > 0 with eta(beta) = eta.
 
@@ -154,7 +211,7 @@ class TiltedFamily:
                 f"cross-entropy target {eta!r} outside the attainable open range "
                 f"({self.c_min!r}, {self.c_max!r})"
             )
-        return self.solve(eta, entropy=False)
+        return self.solve(eta)
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from guesswork import (
@@ -281,28 +282,34 @@ def test_optimum_regimes_follow_the_clamp_window():
 
 
 def _count_tilting_work(monkeypatch):
-    # counts TiltedFamily constructions, edge solves (the family's
-    # cross-entropy solves) and TypeVector constructions
+    # counts TiltedFamily constructions, edge solves (the family's scalar
+    # cross-entropy solves), array entropy solves and TypeVector constructions
     from guesswork import entropy, tilting
 
-    counts = {"families": 0, "edge_solves": 0, "type_vectors": 0}
-    family_init, solve = tilting.TiltedFamily.__init__, tilting.TiltedFamily.solve
+    counts = {"families": 0, "edge_solves": 0, "entropy_solves": 0, "type_vectors": 0}
+    family = tilting.TiltedFamily
+    family_init, solve, solve_entropy = family.__init__, family.solve, family.solve_entropy
     post_init = entropy.TypeVector.__post_init__
 
     def counted_init(self, p):
         counts["families"] += 1
         family_init(self, p)
 
-    def counted_solve(self, target, lo=0.0, hi=math.inf, *, entropy):
-        counts["edge_solves"] += not entropy
-        return solve(self, target, lo, hi, entropy=entropy)
+    def counted_solve(self, eta):
+        counts["edge_solves"] += 1
+        return solve(self, eta)
+
+    def counted_solve_entropy(self, x, lo, hi):
+        counts["entropy_solves"] += 1
+        return solve_entropy(self, x, lo, hi)
 
     def counted_post_init(self):
         counts["type_vectors"] += 1
         post_init(self)
 
-    monkeypatch.setattr(tilting.TiltedFamily, "__init__", counted_init)
-    monkeypatch.setattr(tilting.TiltedFamily, "solve", counted_solve)
+    monkeypatch.setattr(family, "__init__", counted_init)
+    monkeypatch.setattr(family, "solve", counted_solve)
+    monkeypatch.setattr(family, "solve_entropy", counted_solve_entropy)
     monkeypatch.setattr(entropy.TypeVector, "__post_init__", counted_post_init)
     return counts
 
@@ -312,17 +319,57 @@ def test_scgf_model_is_one_family_and_no_type_vector(monkeypatch, source):
     counts = _count_tilting_work(monkeypatch)
     scgf_model(source)
     edges = 0 if source.kind is SourceKind.UNCONDITIONED else 2
-    assert counts == {"families": 1, "edge_solves": edges, "type_vectors": 0}
+    assert counts == {"families": 1, "edge_solves": edges, "entropy_solves": 0, "type_vectors": 0}
 
 
 @pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
 def test_analyze_builds_one_family_per_model(capsys, monkeypatch, p, epsilon):
     # guessctl analyze: one family per source model plus one for the
-    # admissibility check; the boundary types are read from the conditioned
-    # model's window, so no edge is solved outside a model
+    # admissibility check; the uniform model and the boundary types read the
+    # conditioned model's window, so only its two edges are solved
     from guesswork.cli import main
 
     counts = _count_tilting_work(monkeypatch)
     assert main(["analyze", "--p", p, "--epsilon", epsilon]) == 0
     capsys.readouterr()
-    assert counts["families"] <= 4 and counts["edge_solves"] <= 6, counts
+    assert counts["families"] <= 4 and counts["edge_solves"] <= 2, counts
+
+
+def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
+    # guessctl fig2: one legendre_transform call per source on the whole grid,
+    # at most one array entropy solve per source and no scalar solve per
+    # grid point, only the conditioned window's two edges
+    from guesswork import cli
+
+    counts = _count_tilting_work(monkeypatch)
+    points = []
+    legendre = cli.legendre_transform
+
+    def counted_legendre(model, x):
+        points.append(np.size(x))
+        return legendre(model, x)
+
+    monkeypatch.setattr(cli, "legendre_transform", counted_legendre)
+    argv = ["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--x-points", "400"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert points == [400, 400, 400]
+    assert counts["edge_solves"] <= 2 and counts["entropy_solves"] <= 3, counts
+
+
+@pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])
+def test_legendre_transform_array_matches_point_calls(source):
+    # one array across every piece of the domain gives, bit for bit, the
+    # values of the one-point calls; a float in gives a float out
+    model = scgf_model(source)
+    w, s, log_m = model.plateau_width, model.max_slope, math.log(2.0)
+    xs = np.array([
+        -0.1, -1e-13, 0.0, 0.5 * w, w, w + 1e-9, 0.5 * (w + s), s - 1e-6,
+        s, s + 1e-13, 0.5 * (s + log_m), log_m, log_m + 1e-13, log_m + 0.1,
+    ])
+    rates = legendre_transform(model, xs)
+    points = [legendre_transform(model, float(x)) for x in xs]
+    assert all(type(r) is float for r in points)
+    assert rates.shape == xs.shape and rates.tolist() == points
+    assert rates[0] == rates[-1] == math.inf
+    assert legendre_transform(model, np.array([])).shape == (0,)

@@ -242,6 +242,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == stdout_version
 
 
+def test_fig2_grid_cap_is_a_resource_guard(capsys):
+    # refused before the grid is allocated: a trillion points would not fit in memory
+    code, out, err = run(capsys, [
+        "fig2", "--p", "0.8,0.2", "--epsilon", "0.1", "--x-points", "1000000000000",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("guessctl: resource guard: ") and err.count("\n") == 1
+
+
 def test_resource_guard_exit_code(capsys):
     code, _, err = run(capsys, [
         "census", "--p", "0.8,0.2", "--epsilon", "0.1",
@@ -344,7 +353,7 @@ FUZZ_BAD = {
     "--kind": ["x"],
     "--k": ["0", "-3", "", "nan", "x"],
     "--alpha": ["nan", "inf", "-inf", ",", "", "x"],
-    "--x-points": ["0", "-1", "nan", "x"],
+    "--x-points": ["0", "-1", "nan", "x", "1000000000000"],
     "--p0-grid": ["nan,inf,-1,0,1,2", ",", "", "x"],
     "--max-words": ["0", "-1", "x"],
     "--format": ["x"],

@@ -123,36 +123,37 @@ def _golden_section_max(f, lo, hi, iters=160):
 @given(
     simplexes(2, 5),
     st.floats(0.05, 0.95),
-    st.floats(0.02, 0.98),
+    st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4),
     st.sampled_from(("unconditioned", "conditioned")),
 )
-def test_legendre_transform_interior(p, frac, u, kind):
+def test_legendre_transform_interior(p, frac, us, kind):
     eps = frac * gw.admissible_epsilon_interval(p)[1]
     assume(eps > 1e-6)
     source = gw.unconditioned(p) if kind == "unconditioned" else gw.conditioned(p, eps)
     model = gw.scgf_model(source)
     assume(model.max_slope - model.plateau_width > 1e-6)
-    x = model.plateau_width + u * (model.max_slope - model.plateau_width)
-    rate = gw.legendre_transform(model, x)
+    xs = [model.plateau_width + u * (model.max_slope - model.plateau_width) for u in us]
+    rates = gw.legendre_transform(model, np.array(xs))  # one array call for every x
 
-    # Lambda*(x) = D(l_beta || p) at h(l_beta) = x: bisection on log beta over
-    # validated tilted types, independent of the float-only family
-    lo, hi = -30.0, 30.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gw.shannon_entropy(tilted_type_beta(p, math.exp(mid))) > x:
-            lo = mid
-        else:
-            hi = mid
-    l = tilted_type_beta(p, math.exp(0.5 * (lo + hi)))
-    assert abs(rate - gw.kl_divergence(l, p)) < 1e-10
+    for x, rate in zip(xs, rates):
+        # Lambda*(x) = D(l_beta || p) at h(l_beta) = x: bisection on log beta over
+        # validated tilted types, independent of the float-only family
+        lo, hi = -30.0, 30.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if gw.shannon_entropy(tilted_type_beta(p, math.exp(mid))) > x:
+                lo = mid
+            else:
+                hi = mid
+        l = tilted_type_beta(p, math.exp(0.5 * (lo + hi)))
+        assert abs(rate - gw.kl_divergence(l, p)) < 1e-10
 
-    # and it is the supremum of x alpha - Lambda(alpha), alpha = 1/beta - 1
-    def dual(log_beta):
-        alpha = math.exp(-log_beta) - 1.0
-        return x * alpha - model(alpha)
+        # and it is the supremum of x alpha - Lambda(alpha), alpha = 1/beta - 1
+        def dual(log_beta):
+            alpha = math.exp(-log_beta) - 1.0
+            return x * alpha - model(alpha)
 
-    assert abs(rate - _golden_section_max(dual, -30.0, 30.0)) < 1e-10
+        assert abs(rate - _golden_section_max(dual, -30.0, 30.0)) < 1e-10
 
 
 def laws_with_a_zero(m_min=2, m_max=5):
