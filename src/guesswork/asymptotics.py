@@ -259,10 +259,11 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
     x); the exact plateau value -x - modal_decay on [0, plateau_width]; the
     endpoint value -tail_intercept at x = max_slope; +inf beyond max_slope;
     otherwise the tilts beta with h(l_beta) = x are found inside the
-    model's clamp window by one array Newton solve over every interior x
-    (TiltedFamily.solve_entropy), and each supremum is evaluated in its
-    stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is
-    second-order accurate in the solver error.
+    model's clamp window by one call of the family's Newton loop over every
+    interior x (TiltedFamily.solve_entropy, the loop that also solves the
+    window edges), and each supremum is evaluated in its stationary form
+    x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is second-order
+    accurate in the solver error.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()

@@ -34,7 +34,7 @@ from .asymptotics import (
     unconditioned,
     uniform_typical,
 )
-from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy, typical_window
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy
 from .errors import (
     DistributionError,
     EmptyTypicalSetError,
@@ -192,7 +192,11 @@ def _kind_report(model: ScgfModel, bnd: BoundaryTypes) -> dict:
 
 
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
-    """The three sources' SCGF models, keyed by _KIND_NAMES; one edge solve per window edge."""
+    """The three sources' SCGF models, keyed by _KIND_NAMES.
+
+    One Newton loop call solves both window edges: the uniform model reuses
+    the conditioned model's window.
+    """
     cond = scgf_model(conditioned(p, epsilon))
     return {
         "unconditioned": scgf_model(unconditioned(p)),
@@ -208,7 +212,7 @@ def cmd_analyze(args) -> tuple[str, int]:
     models = _models(p, epsilon)
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
-    bnd = BoundaryTypes.of(cond.family, *typical_window(p, epsilon), cond.window)
+    bnd = BoundaryTypes.of(cond.family, cond.window)
     report = {
         "p": _jvec(p.probs),
         "epsilon": _jnum(epsilon),

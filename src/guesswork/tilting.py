@@ -4,13 +4,13 @@ The family l_a(beta) proportional to p_a^beta (beta = 1/(1+alpha)) sweeps
 from the uniform distribution on the support (beta -> 0) through p itself
 (beta = 1) to the uniform distribution on the most likely letters
 (beta -> inf). Along it both the entropy h(l_beta) and the cross entropy
-eta(beta) against p strictly decrease, so safeguarded Newton in beta
-inverts either: `TiltedFamily.solve`, on floats, finds the two boundary
-types of a typicality window, and `TiltedFamily.solve_entropy`, on numpy
-arrays, the tilts behind a whole array of interior rate-function values
-at once. The constrained maximiser behind the conditioned source's scaled
-cumulant generating function is the tilted type clamped to those
-boundaries.
+eta(beta) against p strictly decrease, so one safeguarded Newton loop in
+beta, on numpy arrays of targets, inverts either: `TiltedFamily.window`
+finds the tilts of a typicality window's two edges (the boundary types) in
+one call, and `TiltedFamily.solve_entropy` the tilts behind a whole array
+of interior rate-function values at once. The constrained maximiser
+behind the conditioned source's scaled cumulant generating function is the
+tilted type clamped to those boundaries.
 `TiltedFamily` is the one implementation of the family; the functions
 below that return TypeVectors are views over it.
 """
@@ -40,7 +40,8 @@ NEWTON_MAX_ITER = 100
 # limit of the tilted family rather than solvable at finite beta.
 _EDGE_TOL = 1e-12
 
-# Weights per block of TiltedFamily.solve_entropy: targets times support size.
+# Weights per block of the Newton loop, targets times support size, so its
+# temporaries stay bounded whatever the number of targets.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -63,7 +64,7 @@ class TiltedFamily:
         self.support = tuple(a for a, q in enumerate(pf) if q > 0.0)
         self.logs = tuple(math.log(pf[a]) for a in self.support)
         self.top = max(self.logs)
-        self.gaps = tuple(self.top - lg for lg in self.logs)
+        self.gaps = self.top - np.array(self.logs)
         q_top = max(pf)
         self.argmax = tuple(a for a, q in enumerate(pf) if q >= q_top - 1e-12)
         self.c_min = -math.log(q_top)
@@ -104,114 +105,99 @@ class TiltedFamily:
         d = math.fsum(f * (math.log(f) - lg) for f, lg in zip(fs, self.logs) if f > 0.0)
         return h, -max(d, 0.0)
 
-    def _moments(self, beta: float) -> tuple[float, float, float]:
-        # log of the gap-centred normaliser, and mean and variance of the gap
-        ws = [math.exp(-beta * g) for g in self.gaps]
-        z = math.fsum(ws)
-        mean = math.fsum(w * g for w, g in zip(ws, self.gaps)) / z
-        var = math.fsum(w * (g - mean) ** 2 for w, g in zip(ws, self.gaps)) / z
-        return math.log(z), mean, var
+    def _moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # log of the gap-centred normaliser, and mean and variance of the gap:
+        # one row of weights exp(-beta * gap) in (0, 1] per beta
+        ws = np.exp(-np.multiply.outer(beta, self.gaps))
+        z = ws.sum(axis=1)
+        mean = (ws * self.gaps).sum(axis=1) / z
+        dev = self.gaps - mean[:, None]
+        var = (ws * dev * dev).sum(axis=1) / z
+        return np.log(z), mean, var
 
     def at(self, beta: float) -> tuple[float, float, float]:
         """(h(l_beta), eta(beta), log Z(beta)) at finite beta >= 0.
 
         eta is the cross entropy of l_beta against p, Z = sum_a p_a^beta.
         """
-        log_z, mean, _ = self._moments(beta)
+        log_z, mean, _ = self._moments(np.array([beta]))
+        log_z, mean = float(log_z[0]), float(mean[0])
         return log_z + beta * mean, mean - self.top, log_z + beta * self.top
 
-    def solve(self, eta: float) -> float:
-        """Finite tilt beta > 0 with eta(beta) = eta, on floats.
+    def _eta(self, beta, log_z, mean, var):
+        # eta(beta) and its slope -Var (Var of log p under l_beta)
+        return mean - self.top, -var
 
-        Newton on the decreasing cross entropy, deta/dbeta = -Var (Var of
-        log p under l_beta), kept in the shrinking bracket by bisection
-        (doubling while it is unbounded above). Stops once a step moves beta
-        by under NEWTON_STEP_TOL relative. The caller keeps eta inside
-        (c_min, c_max); see tilt.
+    def _entropy(self, beta, log_z, mean, var):
+        # h(l_beta) and its slope -beta Var
+        return log_z + beta * mean, -beta * var
+
+    def _newton(self, residual, x, lo: float, hi: float):
+        """Tilts beta in [lo, hi] with residual(beta) = x, one per target.
+
+        `residual` (_eta or _entropy) maps beta and the moments of the gap
+        there to a value decreasing in beta and its slope. Every target runs
+        safeguarded Newton on its own: from beta = 1 clamped into [lo, hi],
+        kept inside its own shrinking bracket by bisection (doubling while
+        it is unbounded above) whenever a step leaves it, stopping once a
+        step moves beta by under NEWTON_STEP_TOL relative or after
+        NEWTON_MAX_ITER steps. Targets are walked in blocks of _BLOCK_CELLS
+        weights. Returns beta, log Z and the mean gap at each final beta.
         """
-        lo, hi, beta = 0.0, math.inf, 1.0
-        for _ in range(NEWTON_MAX_ITER):
-            _, mean, var = self._moments(beta)
-            resid, slope = mean - self.top - eta, -var
-            if resid > 0.0:
-                lo = beta
-            elif resid < 0.0:
-                hi = beta
-            else:
-                return beta
-            step = beta - resid / slope if slope < 0.0 else math.nan
-            if not lo < step < hi:
-                step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-            if abs(step - beta) <= NEWTON_STEP_TOL * beta:
-                return step
-            beta = step
-        return beta
+        x = np.asarray(x, dtype=float)
+        n = len(x)
+        beta = np.full(n, min(max(1.0, lo), hi))
+        lower, upper = np.full(n, lo), np.full(n, hi)
+        log_z, mean = np.empty(n), np.empty(n)
+        rows = max(1, _BLOCK_CELLS // len(self.gaps))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives nan
+            for start in range(0, n, rows):
+                todo = np.arange(start, min(start + rows, n))  # targets still iterating
+                for _ in range(NEWTON_MAX_ITER):
+                    if not len(todo):
+                        break
+                    b = beta[todo]
+                    value, slope = residual(self, b, *self._moments(b))
+                    resid = value - x[todo]
+                    lo_t = lower[todo] = np.where(resid > 0.0, b, lower[todo])
+                    hi_t = upper[todo] = np.where(resid < 0.0, b, upper[todo])
+                    step = np.where(slope < 0.0, b - resid / slope, np.nan)
+                    fallback = np.where(hi_t == math.inf, 2.0 * lo_t, 0.5 * (lo_t + hi_t))
+                    step = np.where((lo_t < step) & (step < hi_t), step, fallback)
+                    root = resid == 0.0
+                    beta[todo] = np.where(root, b, step)
+                    todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
+                block = slice(start, start + rows)
+                log_z[block], mean[block], _ = self._moments(beta[block])
+        return beta, log_z, mean
 
     def solve_entropy(
         self, x: np.ndarray, lo: float, hi: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tilts beta in (lo, hi) with h(l_beta) = x, for a whole array of targets.
+        """Tilts beta in [lo, hi] with h(l_beta) = x, for a whole array of targets.
 
-        Returns (beta, h(l_beta), eta(beta)) at each target's final beta.
-        Every target runs the rules of `solve` on its own: Newton on the
-        decreasing entropy, dh/dbeta = -beta Var, from beta = 1 clamped into
-        [lo, hi], kept inside its own shrinking bracket by bisection
-        (doubling while it is unbounded above), stopping once its step moves
-        beta by under NEWTON_STEP_TOL relative or after NEWTON_MAX_ITER
-        steps. Targets are solved in blocks of _BLOCK_CELLS weights, so the
-        temporaries stay bounded whatever len(x) is.
+        Returns (beta, h(l_beta), eta(beta)) at each target's final beta,
+        from one call of the Newton loop on dh/dbeta = -beta Var.
         """
-        x = np.asarray(x, dtype=float)
-        rows = max(1, _BLOCK_CELLS // len(self.gaps))
-        blocks = [
-            self._solve_entropy_block(x[i:i + rows], lo, hi)
-            for i in range(0, max(len(x), 1), rows)
-        ]
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-    def _solve_entropy_block(self, x: np.ndarray, lo: float, hi: float):
-        beta = np.full(len(x), min(max(1.0, lo), hi))
-        lower, upper = np.full(len(x), lo), np.full(len(x), hi)
-        todo = np.arange(len(x))  # targets still iterating
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives nan
-            for _ in range(NEWTON_MAX_ITER):
-                if not len(todo):
-                    break
-                b = beta[todo]
-                log_z, mean, var = self._moments_array(b)
-                resid, slope = log_z + b * mean - x[todo], -b * var
-                lo_t = lower[todo] = np.where(resid > 0.0, b, lower[todo])
-                hi_t = upper[todo] = np.where(resid < 0.0, b, upper[todo])
-                step = np.where(slope < 0.0, b - resid / slope, np.nan)
-                fallback = np.where(hi_t == math.inf, 2.0 * lo_t, 0.5 * (lo_t + hi_t))
-                step = np.where((lo_t < step) & (step < hi_t), step, fallback)
-                root = resid == 0.0
-                beta[todo] = np.where(root, b, step)
-                todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
-        log_z, mean, _ = self._moments_array(beta)
+        beta, log_z, mean = self._newton(TiltedFamily._entropy, x, lo, hi)
         return beta, log_z + beta * mean, mean - self.top
 
-    def _moments_array(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _moments for an array of beta: one row of weights per beta
-        gaps = np.asarray(self.gaps)
-        ws = np.exp(-np.multiply.outer(beta, gaps))
-        z = ws.sum(axis=1)
-        mean = (ws * gaps).sum(axis=1) / z
-        dev = gaps - mean[:, None]
-        var = (ws * dev * dev).sum(axis=1) / z
-        return np.log(z), mean, var
+    def _tilts(self, etas: list[float]) -> list[float]:
+        # finite tilts with eta(beta) = eta, every target in one Newton loop call
+        for eta in etas:
+            if not (self.c_min + _EDGE_TOL < eta < self.c_max - _EDGE_TOL):
+                raise DistributionError(
+                    f"cross-entropy target {eta!r} outside the attainable open range "
+                    f"({self.c_min!r}, {self.c_max!r})"
+                )
+        return self._newton(TiltedFamily._eta, etas, 0.0, math.inf)[0].tolist()
 
     def tilt(self, eta: float) -> float:
         """Finite beta > 0 with eta(beta) = eta.
 
         DistributionError unless c_min + _EDGE_TOL < eta < c_max - _EDGE_TOL.
         """
-        if not (self.c_min + _EDGE_TOL < eta < self.c_max - _EDGE_TOL):
-            raise DistributionError(
-                f"cross-entropy target {eta!r} outside the attainable open range "
-                f"({self.c_min!r}, {self.c_max!r})"
-            )
-        return self.solve(eta)
+        return self._tilts([eta])[0]
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].
@@ -219,11 +205,11 @@ class TiltedFamily:
         beta- solves eta = hi, or is 0 (the uniform law on the support) once
         hi is within _EDGE_TOL of c_max or beyond; beta+ solves eta = lo, or
         is inf (the uniform law on argmax p) once lo is within _EDGE_TOL of
-        c_min or below.
+        c_min or below. The finite edges are solved in one Newton loop call.
         """
-        beta_minus = 0.0 if hi >= self.c_max - _EDGE_TOL else self.tilt(hi)
-        beta_plus = math.inf if lo <= self.c_min + _EDGE_TOL else self.tilt(lo)
-        return beta_minus, beta_plus
+        at_limit = (hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
+        solved = iter(self._tilts([eta for eta, lim in zip((hi, lo), at_limit) if not lim]))
+        return tuple(beta if lim else next(solved) for beta, lim in zip((0.0, math.inf), at_limit))
 
 
 def _beta(alpha: float) -> float:
@@ -298,16 +284,14 @@ class BoundaryTypes:
     beta_plus: float | None
 
     @classmethod
-    def of(
-        cls, family: TiltedFamily, lo: float, hi: float, window: tuple[float, float]
-    ) -> BoundaryTypes:
-        """Boundary types of the cross-entropy window [lo, hi] whose clamp window is `window`."""
+    def of(cls, family: TiltedFamily, window: tuple[float, float]) -> BoundaryTypes:
+        """Boundary types of the clamp window (beta-, beta+); an edge exists at a finite tilt."""
         beta_minus, beta_plus = window
         return cls(
             l_minus=TypeVector(tuple(family.law(beta_minus))),
             l_plus=TypeVector(tuple(family.law(beta_plus))),
-            exists_minus=hi <= family.c_max + _EDGE_TOL,
-            exists_plus=lo >= family.c_min - _EDGE_TOL,
+            exists_minus=beta_minus > 0.0,
+            exists_plus=beta_plus < math.inf,
             clamped_to_log_m=beta_minus == 0.0,
             beta_minus=beta_minus if beta_minus > 0.0 else None,
             beta_plus=beta_plus if beta_plus < math.inf else None,
@@ -325,17 +309,17 @@ class BoundaryTypes:
 def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
     """Solve for both window-boundary types of the (p, epsilon) typical set.
 
-    Existence: the l_minus solution exists iff h(p) + eps stays below the
-    family's beta -> 0 cross-entropy limit; otherwise the uniform law on
+    Existence is read off the clamp window (TiltedFamily.window): the
+    l_minus solution exists iff h(p) + eps stays more than _EDGE_TOL below
+    the family's beta -> 0 cross-entropy limit; otherwise the uniform law on
     the support is substituted and clamped_to_log_m is set (the typical set
     then grows at the full rate log m'). The l_plus solution exists iff
-    h(p) - eps stays above -log max_a p_a ("epsilon too large for l_plus"
-    otherwise); its substitute is the uniform law on the most likely
-    letters, the correct degenerate plateau.
+    h(p) - eps stays more than _EDGE_TOL above -log max_a p_a ("epsilon too
+    large for l_plus" otherwise); its substitute is the uniform law on the
+    most likely letters, the correct degenerate plateau.
     """
     family = TiltedFamily(p)
-    lo, hi = typical_window(p, epsilon)
-    return BoundaryTypes.of(family, lo, hi, family.window(lo, hi))
+    return BoundaryTypes.of(family, family.window(*typical_window(p, epsilon)))
 
 
 def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:

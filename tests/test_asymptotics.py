@@ -22,6 +22,7 @@ from guesswork import (
     scgf_model,
     shannon_entropy,
     source_breakpoints,
+    typical_window,
     unconditioned,
     uniform_typical,
 )
@@ -282,34 +283,35 @@ def test_optimum_regimes_follow_the_clamp_window():
 
 
 def _count_tilting_work(monkeypatch):
-    # counts TiltedFamily constructions, edge solves (the family's scalar
-    # cross-entropy solves), array entropy solves and TypeVector constructions
+    # counts TiltedFamily constructions, calls of its one Newton loop, the
+    # cross-entropy targets it solves (edge solves), its entropy solves and
+    # TypeVector constructions
     from guesswork import entropy, tilting
 
-    counts = {"families": 0, "edge_solves": 0, "entropy_solves": 0, "type_vectors": 0}
+    counts = {"families": 0, "loop_calls": 0, "edge_solves": 0, "entropy_solves": 0,
+              "type_vectors": 0}
     family = tilting.TiltedFamily
-    family_init, solve, solve_entropy = family.__init__, family.solve, family.solve_entropy
+    family_init, newton = family.__init__, family._newton
     post_init = entropy.TypeVector.__post_init__
 
     def counted_init(self, p):
         counts["families"] += 1
         family_init(self, p)
 
-    def counted_solve(self, eta):
-        counts["edge_solves"] += 1
-        return solve(self, eta)
-
-    def counted_solve_entropy(self, x, lo, hi):
-        counts["entropy_solves"] += 1
-        return solve_entropy(self, x, lo, hi)
+    def counted_newton(self, residual, x, lo, hi):
+        counts["loop_calls"] += 1
+        if residual is family._eta:
+            counts["edge_solves"] += len(x)
+        else:
+            counts["entropy_solves"] += 1
+        return newton(self, residual, x, lo, hi)
 
     def counted_post_init(self):
         counts["type_vectors"] += 1
         post_init(self)
 
     monkeypatch.setattr(family, "__init__", counted_init)
-    monkeypatch.setattr(family, "solve", counted_solve)
-    monkeypatch.setattr(family, "solve_entropy", counted_solve_entropy)
+    monkeypatch.setattr(family, "_newton", counted_newton)
     monkeypatch.setattr(entropy.TypeVector, "__post_init__", counted_post_init)
     return counts
 
@@ -318,8 +320,24 @@ def _count_tilting_work(monkeypatch):
 def test_scgf_model_is_one_family_and_no_type_vector(monkeypatch, source):
     counts = _count_tilting_work(monkeypatch)
     scgf_model(source)
-    edges = 0 if source.kind is SourceKind.UNCONDITIONED else 2
-    assert counts == {"families": 1, "edge_solves": edges, "entropy_solves": 0, "type_vectors": 0}
+    windows = 0 if source.kind is SourceKind.UNCONDITIONED else 1
+    assert counts == {"families": 1, "loop_calls": windows, "edge_solves": 2 * windows,
+                      "entropy_solves": 0, "type_vectors": 0}
+
+
+@pytest.mark.parametrize("probs, eps", [
+    ((0.8, 0.2), 0.1),  # both edges finite
+    ((0.8, 0.2), 0.5),  # both edges at a limit of the family
+    ((0.6, 0.0, 0.4), 0.15),  # the h(p) + eps edge at its limit
+])
+def test_window_is_at_most_one_loop_call(monkeypatch, probs, eps):
+    from guesswork.tilting import TiltedFamily
+
+    family = TiltedFamily(probs)
+    counts = _count_tilting_work(monkeypatch)
+    beta_minus, beta_plus = family.window(*typical_window(probs, eps))
+    solved = (beta_minus > 0.0) + (beta_plus < math.inf)
+    assert counts["loop_calls"] <= 1 and counts["edge_solves"] == solved, counts
 
 
 @pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
@@ -333,6 +351,7 @@ def test_analyze_builds_one_family_per_model(capsys, monkeypatch, p, epsilon):
     assert main(["analyze", "--p", p, "--epsilon", epsilon]) == 0
     capsys.readouterr()
     assert counts["families"] <= 4 and counts["edge_solves"] <= 2, counts
+    assert counts["loop_calls"] <= 1, counts
 
 
 def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):

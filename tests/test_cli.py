@@ -67,6 +67,19 @@ def test_analyze_uniform_source_degenerate(capsys):
         assert rep[kind]["mean_log_rate"] == pytest.approx(log2, abs=1e-6)
 
 
+def test_analyze_existence_flags_follow_the_clamp_window(capsys):
+    # an admissible eps within _EDGE_TOL of the interval's end: lo = h - eps
+    # is treated as the beta -> inf limit, so l_plus is the uniform law on
+    # argmax p, its flag is cleared and the lower clamp never binds
+    code, out, _ = run(capsys, ["analyze", "--p", "0.8,0.2", "--epsilon", "0.2772588722239504"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["boundary"]["l_plus"] == [1.0, 0.0]
+    assert not rep["boundary"]["exists_plus"]
+    assert rep["conditioned"]["breakpoints"]["alpha_low"] is None
+    assert rep["boundary"]["exists_minus"] and not rep["boundary"]["clamped_to_log_m"]
+
+
 def test_analyze_inadmissible_epsilon(capsys):
     code, out, err = run(capsys, ["analyze", "--p", "0.8,0.2", "--epsilon", "0.5"])
     assert code == 1 and out == ""

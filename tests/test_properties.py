@@ -370,3 +370,28 @@ def test_scgf_model_edges_match_boundary_types(p, frac, clamped):
     assert uniform.edge_lines == ((model.max_slope, 0.0),) * 2
     if not clamped:
         assert None not in betas
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws_with_a_zero(), st.floats(0.02, 0.98),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
+    # window's one loop call gives the one-edge tilts bit for bit, every solved
+    # edge sits on its cross-entropy target, and every interior entropy
+    # target passed to solve_entropy is met
+    from guesswork.tilting import TiltedFamily
+
+    top = gw.admissible_epsilon_interval(p)[1]
+    assume(top > 1e-9)
+    family = TiltedFamily(p)
+    lo, hi = gw.typical_window(p, frac * top)
+    window = family.window(lo, hi)
+    assert 0.0 < window[0] and window[1] < math.inf  # eps admissible: both edges solved
+    assert window == (family.tilt(hi), family.tilt(lo))
+    for beta, eta in zip(window, (hi, lo)):
+        assert abs(family.at(beta)[1] - eta) <= 1e-12
+    h_minus, h_plus = (family.at(beta)[0] for beta in window)
+    xs = np.array([h_plus + u * (h_minus - h_plus) for u in us])
+    beta, h, _ = family.solve_entropy(xs, *window)
+    assert np.all(np.abs(h - xs) <= 1e-12)
+    assert np.all((window[0] <= beta) & (beta <= window[1]))
