@@ -82,12 +82,9 @@ from .tilting import (
     admissible_epsilon_interval,
     boundary_types,
     clamped_optimum,
-    regime_breakpoints,
     require_admissible_epsilon,
     solve_cross_entropy,
-    tilted_cross_entropy,
     tilted_type,
-    uniform_on_support,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .entropy import (
     typical_window,
 )
 from .errors import DistributionError, EpsilonInadmissibleError
-from .tilting import TiltedFamily, regime_breakpoints
+from .tilting import TiltedFamily, clamp_tilt
 
 _SLOPE_EDGE_TOL = 1e-12
 
@@ -148,15 +148,25 @@ class ScgfModel:
     def tail_intercept(self) -> float:
         return self.edge_lines[0][1]
 
-    def _tilt(self, alpha: float) -> float:
-        if not -1.0 < alpha < math.inf:
-            raise DistributionError(f"the tilted optimiser needs finite alpha > -1, got {alpha}")
-        lo, hi = self.window
-        return min(max(1.0 / (1.0 + alpha), lo), hi)
+    @property
+    def breakpoints(self) -> tuple[float | None, float | None]:
+        """(alpha_low, alpha_high): the moment orders where the optimiser switches branch.
+
+        Read off the clamp window by alpha = 1/beta - 1: alpha_low < 0 at
+        beta_hi (the lower clamp onto l_plus), alpha_high > 0 at beta_lo (the
+        upper clamp onto l_minus), None at an end that is a limit of the
+        family. (None, None) for the unconditioned and uniform sources,
+        whose optimiser never switches branch.
+        """
+        if self.source.kind is not SourceKind.CONDITIONED:
+            return (None, None)
+        beta_lo, beta_hi = self.window
+        return (None if beta_hi == math.inf else 1.0 / beta_hi - 1.0,
+                None if beta_lo == 0.0 else 1.0 / beta_lo - 1.0)
 
     def _line(self, alpha: float) -> tuple[float, float]:
         # (slope, intercept) of Lambda's tangent line at alpha > -1
-        beta = self._tilt(alpha)
+        beta = clamp_tilt(alpha, self.window)
         if beta == self.window[0]:
             return self.edge_lines[0]
         if beta == self.window[1]:
@@ -409,13 +419,8 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
 
 
 def source_breakpoints(source: Source) -> tuple[float | None, float | None]:
-    """Regime breakpoints (alpha_low, alpha_high) of the conditioned optimiser.
-
-    (None, None) for kinds whose optimiser never switches branch.
-    """
-    if source.kind is not SourceKind.CONDITIONED:
-        return (None, None)
-    return regime_breakpoints(source.p, source.epsilon)
+    """Regime breakpoints (alpha_low, alpha_high) of `source`; see ScgfModel.breakpoints."""
+    return scgf_model(source).breakpoints
 
 
 def alphas_or_default(alphas: Sequence[float] | None) -> tuple[float, ...]:

@@ -53,7 +53,7 @@ from .oracle import (
     trend_holds,
     typical_set_census,
 )
-from .tilting import BoundaryTypes, regime_breakpoints, require_admissible_epsilon
+from .tilting import BoundaryTypes, require_admissible_epsilon
 
 _KIND_NAMES = ("unconditioned", "conditioned", "uniform")
 
@@ -171,7 +171,7 @@ def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Sou
     return uniform_typical(p, epsilon)
 
 
-def _kind_report(model: ScgfModel, bnd: BoundaryTypes) -> dict:
+def _kind_report(model: ScgfModel) -> dict:
     exps = model.exponents()
     report = {
         "moment_rate": _jnum(exps.moment_rate),
@@ -183,7 +183,7 @@ def _kind_report(model: ScgfModel, bnd: BoundaryTypes) -> dict:
     }
     if model.source.kind is SourceKind.CONDITIONED:
         report["window_excess"] = _jnum(exps.window_excess)
-        lo, hi = regime_breakpoints(model.source.p, model.source.epsilon, bnd)
+        lo, hi = model.breakpoints
         report["breakpoints"] = {
             "alpha_low": _jnum(lo),
             "alpha_high": _jnum(hi),
@@ -228,7 +228,7 @@ def cmd_analyze(args) -> tuple[str, int]:
         },
     }
     for name, model in models.items():
-        report[name] = _kind_report(model, bnd)
+        report[name] = _kind_report(model)
     if args.format == "csv":
         lines = ["# analyze report", "key,value"]
         for key, value in _flatten(report):
@@ -322,7 +322,8 @@ def cmd_exact_compare(args) -> tuple[str, int]:
             exps[k] = finite_k_exponents(source, k, alphas=alphas, max_types=args.max_types)
         except EmptyTypicalSetError:
             exps[k] = None
-    valid_ks = [k for k in ks if exps[k] is not None]
+    # trends are judged over the distinct ks in first-seen order; rows list every k
+    valid_ks = [k for k in exps if exps[k] is not None]
     model = scgf_model(source)
 
     series = [("scgf", a) for a in alphas]

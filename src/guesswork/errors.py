@@ -19,8 +19,8 @@ class AbsoluteContinuityError(GuessworkError, ValueError):
     """A divergence was requested for mass outside the reference support."""
 
 
-class AlphaDomainError(GuessworkError, ValueError):
-    """Moment order outside the tilted family's domain (requires alpha > -1)."""
+class AlphaDomainError(DistributionError):
+    """Moment order outside the tilted optimiser's domain (requires finite alpha > -1)."""
 
 
 class EpsilonInadmissibleError(GuessworkError, ValueError):

@@ -10,7 +10,8 @@ finds the tilts of a typicality window's two edges (the boundary types) in
 one call, and `TiltedFamily.solve_entropy` the tilts behind a whole array
 of interior rate-function values at once. The constrained maximiser
 behind the conditioned source's scaled cumulant generating function is the
-tilted type clamped to those boundaries.
+tilted type clamped to those boundaries; `clamp_tilt` is the one alpha -> beta
+rule, shared by ScgfModel, `clamped_optimum` and `tilted_type`.
 `TiltedFamily` is the one implementation of the family; the functions
 below that return TypeVectors are views over it.
 """
@@ -27,7 +28,6 @@ from .entropy import (
     FreqsLike,
     TypeVector,
     as_freqs,
-    cross_entropy,
     shannon_entropy,
     typical_window,
 )
@@ -192,13 +192,6 @@ class TiltedFamily:
                 )
         return self._newton(TiltedFamily._eta, etas, 0.0, math.inf)[0].tolist()
 
-    def tilt(self, eta: float) -> float:
-        """Finite beta > 0 with eta(beta) = eta.
-
-        DistributionError unless c_min + _EDGE_TOL < eta < c_max - _EDGE_TOL.
-        """
-        return self._tilts([eta])[0]
-
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].
 
@@ -212,10 +205,17 @@ class TiltedFamily:
         return tuple(beta if lim else next(solved) for beta, lim in zip((0.0, math.inf), at_limit))
 
 
-def _beta(alpha: float) -> float:
-    if not alpha > -1.0:
-        raise AlphaDomainError(f"alpha out of domain: need alpha > -1, got {alpha}")
-    return 1.0 / (1.0 + alpha)
+def clamp_tilt(alpha: float, window: tuple[float, float]) -> float:
+    """The tilt beta = 1/(1+alpha) clamped into the window (beta_lo, beta_hi).
+
+    The one alpha -> beta rule of the tilted optimiser: AlphaDomainError
+    unless alpha is finite and > -1. beta lands on an end of the window
+    exactly when that end binds, so callers read the regime off it.
+    """
+    if not -1.0 < alpha < math.inf:
+        raise AlphaDomainError(f"the tilted optimiser needs finite alpha > -1, got {alpha}")
+    lo, hi = window
+    return min(max(1.0 / (1.0 + alpha), lo), hi)
 
 
 def tilted_type_beta(p: FreqsLike, beta: float) -> TypeVector:
@@ -230,36 +230,17 @@ def tilted_type_beta(p: FreqsLike, beta: float) -> TypeVector:
 
 
 def tilted_type(p: FreqsLike, alpha: float) -> TypeVector:
-    """Tilted type at moment order alpha > -1 (beta = 1/(1+alpha))."""
-    return tilted_type_beta(p, _beta(alpha))
-
-
-def tilted_cross_entropy(p: FreqsLike, alpha: float) -> float:
-    """Cross entropy of the tilted type against p, increasing in alpha.
-
-    Equals h(p) at alpha = 0; tends to -log max_a p_a as alpha -> -1 and to
-    the uniform-on-support cross entropy as alpha -> inf.
-    """
-    return cross_entropy(tilted_type(p, alpha), p)
-
-
-def cross_entropy_range(p: FreqsLike) -> tuple[float, float]:
-    """Attainable cross-entropy limits (c_min, c_max) of the tilted family; see TiltedFamily."""
-    family = TiltedFamily(p)
-    return family.c_min, family.c_max
-
-
-def uniform_on_support(p: FreqsLike) -> TypeVector:
-    """Uniform type on the support of p (the beta -> 0 limit of the family)."""
-    return TypeVector(tuple(TiltedFamily(p).law(0.0)))
+    """Tilted type at finite moment order alpha > -1 (beta = 1/(1+alpha), unclamped)."""
+    return tilted_type_beta(p, clamp_tilt(alpha, (0.0, math.inf)))
 
 
 def solve_cross_entropy(p: FreqsLike, target: float) -> float:
-    """Find beta with cross_entropy(tilted_type_beta(p, beta), p) = target (TiltedFamily.tilt).
+    """Finite beta > 0 with cross_entropy(tilted_type_beta(p, beta), p) = target.
 
-    Raises DistributionError if target lies outside the open attainable range.
+    Raises DistributionError unless c_min + _EDGE_TOL < target <
+    c_max - _EDGE_TOL (the family's open attainable range, see TiltedFamily).
     """
-    return TiltedFamily(p).tilt(target)
+    return TiltedFamily(p)._tilts([target])[0]
 
 
 @dataclass(frozen=True)
@@ -372,48 +353,23 @@ class ClampedOptimum:
     regime: Regime
 
 
-def clamped_optimum(
-    p: FreqsLike,
-    epsilon: float,
-    alpha: float,
-    boundaries: BoundaryTypes | None = None,
-) -> ClampedOptimum:
-    """Tilted type clamped into the typicality window, for alpha > -1.
+def clamped_optimum(p: FreqsLike, epsilon: float, alpha: float) -> ClampedOptimum:
+    """Tilted type clamped into the typicality window, for finite alpha > -1.
 
-    The unconstrained tilted type l_beta, beta = 1/(1+alpha), is kept while
-    beta lies strictly inside the clamp window (beta-, beta+), i.e. while
-    its cross entropy against p lies strictly inside (h(p) - eps, h(p) + eps);
-    at or beyond an edge the matching boundary type takes over:
+    beta = 1/(1+alpha) is clamped (clamp_tilt) into the clamp window
+    (beta-, beta+) of (h(p) - eps, h(p) + eps), solved by
+    TiltedFamily.window, and the regime is read off where it lands:
 
-        beta <= beta-  ->  l_minus (upper clamp),
-        beta >= beta+  ->  l_plus  (lower clamp).
+        beta at beta-  ->  l_minus (upper clamp),
+        beta at beta+  ->  l_plus  (lower clamp),
 
-    Both branches agree at a breakpoint, so the scaled CGF built from this
-    optimiser is continuous (and C^1) in alpha.
+    otherwise the unconstrained tilted type l_beta (interior); an end at a
+    limit of the family (0 or inf) is never reached. ScgfModel runs the same
+    rule, and both branches agree at a breakpoint, so the scaled CGF built
+    from this optimiser is continuous (and C^1) in alpha.
     """
-    beta = _beta(alpha)
-    if boundaries is None:
-        boundaries = boundary_types(p, epsilon)
-    if boundaries.beta_minus is not None and beta <= boundaries.beta_minus:
-        return ClampedOptimum(boundaries.l_minus, Regime.UPPER_CLAMP)
-    if boundaries.beta_plus is not None and beta >= boundaries.beta_plus:
-        return ClampedOptimum(boundaries.l_plus, Regime.LOWER_CLAMP)
-    return ClampedOptimum(tilted_type_beta(p, beta), Regime.INTERIOR)
-
-
-def regime_breakpoints(
-    p: FreqsLike,
-    epsilon: float,
-    boundaries: BoundaryTypes | None = None,
-) -> tuple[float | None, float | None]:
-    """Moment orders where the clamped optimiser switches branch.
-
-    Returns (alpha_low, alpha_high): the lower-clamp boundary alpha_low < 0
-    (None when the l_plus edge never binds) and the upper-clamp boundary
-    alpha_high > 0 (None when the l_minus edge never binds). Recovered from
-    the solved tilt exponents via alpha = 1/beta - 1.
-    """
-    if boundaries is None:
-        boundaries = boundary_types(p, epsilon)
-    betas = (boundaries.beta_plus, boundaries.beta_minus)
-    return tuple(None if beta is None else 1.0 / beta - 1.0 for beta in betas)
+    family = TiltedFamily(p)
+    window = family.window(*typical_window(p, epsilon))
+    beta = clamp_tilt(alpha, window)
+    ends = {window[0]: Regime.UPPER_CLAMP, window[1]: Regime.LOWER_CLAMP}
+    return ClampedOptimum(TypeVector(tuple(family.law(beta))), ends.get(beta, Regime.INTERIOR))

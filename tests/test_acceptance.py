@@ -216,7 +216,7 @@ def test_criterion_8_regime_threshold_sign_correction():
     bnd = gw.boundary_types(P, EPS)
 
     def literal_scgf(alpha):
-        eta = gw.tilted_cross_entropy(P, alpha)
+        eta = gw.cross_entropy(gw.tilted_type(P, alpha), P)
         if eta >= -h + EPS:
             l = bnd.l_minus
         elif eta <= -h - EPS:

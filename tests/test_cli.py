@@ -183,6 +183,24 @@ def test_exact_compare_trend_failure_exit_code(capsys):
     assert any(l.endswith(":FAIL") for l in out.splitlines())
 
 
+def test_exact_compare_repeated_k_is_judged_once(capsys):
+    # a repeated k adds rows but no second point to its trend: the verdicts
+    # and exit code are those of the distinct chain
+    code, out, _ = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10,10",
+    ])
+    once = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10",
+    ])[1]
+    assert code == 0
+    lines = out.splitlines()
+    trends = [l for l in lines if l.startswith("# trend:")]
+    assert trends == [l for l in once.splitlines() if l.startswith("# trend:")]
+    assert all(l.endswith(":pass") for l in trends)
+    rows = [l for l in lines if l.startswith("scgf[alpha=1.00000000],")]
+    assert len(rows) == 2 and rows[0] == rows[1]
+
+
 def test_exact_compare_unconditioned_kind(capsys):
     code, out, _ = run(capsys, [
         "exact-compare", "--p", "0.8,0.2", "--kind", "unconditioned",

@@ -30,7 +30,8 @@ def test_tilted_type_stays_on_simplex(p, beta):
 @settings(max_examples=60, deadline=None)
 @given(simplexes(), st.floats(-0.9, 8.0), st.floats(0.01, 2.0))
 def test_tilted_cross_entropy_monotone(p, alpha, step):
-    assert gw.tilted_cross_entropy(p, alpha) <= gw.tilted_cross_entropy(p, alpha + step) + 1e-10
+    lo = gw.cross_entropy(gw.tilted_type(p, alpha), p)
+    assert lo <= gw.cross_entropy(gw.tilted_type(p, alpha + step), p) + 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,6 +373,32 @@ def test_scgf_model_edges_match_boundary_types(p, frac, clamped):
         assert None not in betas
 
 
+@settings(max_examples=150, deadline=None)
+@given(laws_with_a_zero(), st.floats(0.02, 0.98), st.booleans(),
+       st.floats(-1.0, 50.0, exclude_min=True))
+def test_clamped_optimum_matches_the_scgf_model(p, frac, clamped, alpha):
+    # clamped_optimum and the conditioned model share one clamp rule: the
+    # optimiser clamps exactly when the model's tangent line at alpha is the
+    # edge line of a solved window end, its type's entropy is the model's
+    # slope, and the breakpoints are 1/beta - 1 at the solved ends
+    top = gw.admissible_epsilon_interval(p)[1]
+    assume(top > 1e-9)
+    eps = top * (1.0 + 4.0 * frac) if clamped else top * frac
+    model = gw.scgf_model(gw.conditioned(p, eps))
+    opt = gw.clamped_optimum(p, eps, alpha)
+    slope = model.slope(alpha)
+    beta_lo, beta_hi = model.window
+    solved = (beta_lo > 0.0, beta_hi < math.inf)
+    clamps = (gw.Regime.UPPER_CLAMP, gw.Regime.LOWER_CLAMP)
+    for end, (h, icpt) in enumerate(model.edge_lines):
+        on_edge = (slope, model(alpha)) == (h, h * alpha + icpt)
+        assert (opt.regime is clamps[end]) == (solved[end] and on_edge)
+    assert abs(gw.shannon_entropy(opt.type_vector) - slope) <= 1e-12
+    want = tuple(1.0 / beta - 1.0 if ok else None
+                 for beta, ok in ((beta_hi, solved[1]), (beta_lo, solved[0])))
+    assert gw.source_breakpoints(gw.conditioned(p, eps)) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(laws_with_a_zero(), st.floats(0.02, 0.98),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
@@ -387,7 +414,7 @@ def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
     lo, hi = gw.typical_window(p, frac * top)
     window = family.window(lo, hi)
     assert 0.0 < window[0] and window[1] < math.inf  # eps admissible: both edges solved
-    assert window == (family.tilt(hi), family.tilt(lo))
+    assert window == (gw.solve_cross_entropy(p, hi), gw.solve_cross_entropy(p, lo))
     for beta, eta in zip(window, (hi, lo)):
         assert abs(family.at(beta)[1] - eta) <= 1e-12
     h_minus, h_plus = (family.at(beta)[0] for beta in window)

@@ -11,15 +11,18 @@ from guesswork import (
     admissible_epsilon_interval,
     boundary_types,
     clamped_optimum,
-    regime_breakpoints,
+    conditioned,
+    cross_entropy,
     require_admissible_epsilon,
+    scgf_model,
     shannon_entropy,
     solve_cross_entropy,
-    tilted_cross_entropy,
+    source_breakpoints,
     tilted_type,
-    uniform_on_support,
+    unconditioned,
+    uniform_typical,
 )
-from guesswork.tilting import TiltedFamily, cross_entropy_range, tilted_type_beta
+from guesswork.tilting import TiltedFamily, tilted_type_beta
 
 P = (0.8, 0.2)
 EPS = 0.1
@@ -48,14 +51,15 @@ def test_tilted_type_zero_mass_letters_stay_zero():
 
 
 def test_tilted_cross_entropy_monotone():
-    assert tilted_cross_entropy(P, 0.0) == pytest.approx(H, abs=1e-14)
-    assert tilted_cross_entropy(P, 1.0) == pytest.approx(ETA1, abs=1e-12)
-    values = [tilted_cross_entropy(P, a) for a in (-0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0)]
+    assert cross_entropy(tilted_type(P, 0.0), P) == pytest.approx(H, abs=1e-14)
+    assert cross_entropy(tilted_type(P, 1.0), P) == pytest.approx(ETA1, abs=1e-12)
+    values = [cross_entropy(tilted_type(P, a), P) for a in (-0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0)]
     assert values == sorted(values)
 
 
 def test_cross_entropy_range():
-    c_min, c_max = cross_entropy_range(P)
+    family = TiltedFamily(P)
+    c_min, c_max = family.c_min, family.c_max
     assert c_min == pytest.approx(-math.log(0.8), abs=1e-15)
     assert c_max == pytest.approx(0.9162907318741551, abs=1e-12)
     # c_max is the cost of the uniform type on the support
@@ -65,7 +69,7 @@ def test_cross_entropy_range():
 def test_solve_cross_entropy_residual():
     for target in (0.3, 0.45, H, 0.6, 0.85):
         beta = solve_cross_entropy(P, target)
-        got = tilted_cross_entropy(P, 1.0 / beta - 1.0)
+        got = cross_entropy(tilted_type(P, 1.0 / beta - 1.0), P)
         assert got == pytest.approx(target, abs=1e-10)
 
 
@@ -78,8 +82,6 @@ def test_boundary_types_frozen():
     assert bnd.entropy_minus == pytest.approx(H_MINUS, abs=1e-12)
     assert bnd.entropy_plus == pytest.approx(H_PLUS, abs=1e-12)
     # the boundary types sit exactly on the window edges
-    from guesswork import cross_entropy
-
     assert cross_entropy(bnd.l_minus, P) == pytest.approx(H + EPS, abs=1e-10)
     assert cross_entropy(bnd.l_plus, P) == pytest.approx(H - EPS, abs=1e-10)
 
@@ -135,11 +137,11 @@ def test_clamped_optimum_regimes():
 
 
 def test_regime_breakpoints():
-    alpha_low, alpha_high = regime_breakpoints(P, EPS)
+    alpha_low, alpha_high = source_breakpoints(conditioned(P, EPS))
     assert alpha_low is not None and alpha_high is not None
     assert -1.0 < alpha_low < 0.0 < alpha_high
-    assert tilted_cross_entropy(P, alpha_low) == pytest.approx(H - EPS, abs=1e-9)
-    assert tilted_cross_entropy(P, alpha_high) == pytest.approx(H + EPS, abs=1e-9)
+    assert cross_entropy(tilted_type(P, alpha_low), P) == pytest.approx(H - EPS, abs=1e-9)
+    assert cross_entropy(tilted_type(P, alpha_high), P) == pytest.approx(H + EPS, abs=1e-9)
     # optimiser switches branch exactly there
     assert clamped_optimum(P, EPS, alpha_high + 1e-6).regime is Regime.UPPER_CLAMP
     assert clamped_optimum(P, EPS, alpha_high - 1e-6).regime is Regime.INTERIOR
@@ -156,7 +158,7 @@ def test_family_support_and_argmax():
 
 
 def test_uniform_helpers():
-    assert uniform_on_support((0.5, 0.0, 0.5)).freqs == (0.5, 0.0, 0.5)
+    assert tilted_type_beta((0.5, 0.0, 0.5), 0.0).freqs == (0.5, 0.0, 0.5)
     # the beta -> inf limit: uniform on argmax p
     assert TiltedFamily((0.4, 0.4, 0.2)).law(math.inf) == [0.5, 0.5, 0.0]
 
@@ -165,3 +167,15 @@ def test_entropy_of_boundary_types_brackets_h():
     # h(l-) > h(p) > h(l+) whenever both edges genuinely bind
     bnd = boundary_types(P, EPS)
     assert shannon_entropy(bnd.l_minus) > H > shannon_entropy(bnd.l_plus)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, math.inf, math.nan])
+def test_one_alpha_domain(alpha):
+    # every route into the tilted optimiser takes finite alpha > -1 only
+    with pytest.raises(DistributionError):
+        tilted_type(P, alpha)
+    with pytest.raises(DistributionError):
+        clamped_optimum(P, EPS, alpha)
+    for source in (unconditioned(P), conditioned(P, EPS), uniform_typical(P, EPS)):
+        with pytest.raises(DistributionError):
+            scgf_model(source).slope(alpha)
