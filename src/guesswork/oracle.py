@@ -6,7 +6,7 @@ sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
 held as columns, and one kernel (ranksums._log_sums) takes every block's
-rank sums in one pass over them: exact integers for alpha in {0, 1, 2},
+rank sums in one pass over them, on the same routes for every alpha:
 direct numpy sums for short ranges, and a corrected Euler-Maclaurin closed
 form for astronomically long ones, which keeps k ~ 10^3 affordable for m = 2.
 
@@ -567,19 +567,18 @@ def naive_enumeration_crosscheck(
             f"word-space too large: {m}^{k} = {total} exceeds the cap {max_words}"
         )
 
-    codes = np.arange(total, dtype=np.int64)
-    counts = np.zeros((total, m), dtype=np.int32)
-    rows = np.arange(total)
-    rem = codes
+    # letter counts of word code c = sum_j d_j m^j, built one digit at a
+    # time from the top: the words of j + 1 digits are d * m^j + (a word of j)
+    letters = np.eye(m, dtype=np.int32)
+    counts = np.zeros((1, m), dtype=np.int32)
     for _ in range(k):
-        counts[rows, rem % m] += 1
-        rem = rem // m
+        counts = (letters[:, None, :] + counts[None, :, :]).reshape(-1, m)
     logp = np.array(
         [math.log(q) if q > 0.0 else -math.inf for q in p.probs], dtype=np.float64
     )
     with np.errstate(invalid="ignore"):
         logw = np.where(counts > 0, counts * logp, 0.0).sum(axis=1)
-    del codes, counts, rows, rem  # free the enumeration before the table is built
+    del counts  # free the enumeration before the table is built
 
     if source.kind is not SourceKind.UNCONDITIONED:
         h = shannon_entropy(p)

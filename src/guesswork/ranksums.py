@@ -5,7 +5,8 @@ every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
 (or sum log i for E[log G]), with a and b exact integers that pass float
 range for binary words at k ~ 10^3. `_log_sums` takes these sums for a whole
 table in one pass over per-block arrays; `log_rank_power_sum` and
-`_log_sum_of_logs` run it on one range.
+`_log_sum_of_logs` run it on one range. Every alpha takes the same routes
+(direct, Euler-Maclaurin, split); alpha = 0, the block size, is log n.
 """
 
 from __future__ import annotations
@@ -85,17 +86,6 @@ def _log_parts(mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
 def _log_ints(values, bits: int) -> np.ndarray:
     """log v of each positive int v, bigint-safe (see _int_parts)."""
     return _log_parts(*_int_parts(values, bits))
-
-
-def _exact_log_sums(starts, sizes, alpha: float, bits: int) -> np.ndarray:
-    """log sum_{i=a}^{a+n-1} i^alpha per block, in exact integers, for alpha in {0, 1, 2}."""
-    if alpha == 0.0:
-        return _log_ints(sizes, bits)
-    if alpha == 1.0:
-        sums = ((2 * a + n - 1) * n >> 1 for a, n in zip(starts, sizes))
-        return _log_ints(sums, 2 * bits + 1)
-    sums = (n * a * (a + n - 1) + n * (n - 1) * (2 * n - 1) // 6 for a, n in zip(starts, sizes))
-    return _log_ints(sums, 3 * bits + 2)
 
 
 def _direct_chunks(cnt: np.ndarray):
@@ -213,13 +203,17 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
     logs, log sum_j w_j sum_{i in j} log i (else None). Blocks of weight 0
     are skipped.
 
-    Each block takes the route log_rank_power_sum documents: exact integers
-    for alpha in {0, 1, 2}; numpy sums, in chunks of at most _DIRECT_CHUNK
-    terms or one block, for up to _DIRECT_MAX ranks; the Euler-Maclaurin
-    closed form from _EM_MIN on; a direct head plus an Euler-Maclaurin tail
-    for the one long block that may start below _EM_MIN. The terms stay
-    scaled, so a huge alpha overflows only where scale * log of the sum would.
+    Every alpha but 0 takes the routes of log_rank_power_sum: numpy sums, in
+    chunks of at most _DIRECT_CHUNK terms or one block, for up to _DIRECT_MAX
+    ranks; Euler-Maclaurin from _EM_MIN on; a direct head plus an
+    Euler-Maclaurin tail for the one long block that may start below _EM_MIN.
+    alpha = 0 is log n per block. The terms stay scaled, so a huge alpha
+    overflows only where scale * log of the sum would. A non-finite alpha
+    raises DistributionError.
     """
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise DistributionError(f"alpha must be finite, got {alpha}")
     log_w = np.asarray(log_weights, dtype=np.float64)
     if log_w.size and not log_w[-1] > -math.inf:
         live = np.flatnonzero(log_w > -math.inf).tolist()
@@ -227,7 +221,7 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
     if not log_w.size:
         return [-math.inf for _ in alphas], (-math.inf if logs else None)
     bits = (starts[-1] + sizes[-1]).bit_length()
-    powers = list(dict.fromkeys(a for a in alphas if a not in (0.0, 1.0, 2.0)))
+    powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
     terms: dict[float, list[np.ndarray]] = {a: [] for a in powers}
     log_terms = []
 
@@ -260,8 +254,8 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
                     log_terms.append(w + rho_logs)
         out = []
         for alpha in alphas:
-            if alpha in (0.0, 1.0, 2.0):
-                out.append(_lse(scale * (log_w + _exact_log_sums(starts, sizes, alpha, bits)), scale))
+            if alpha == 0.0:  # sum_i i^0 is the block size n
+                out.append(_lse(scale * (log_w + _log_ints(sizes, bits)), scale))
             else:
                 out.append(_lse(np.concatenate(terms[alpha]), scale))
         return out, (_lse(np.concatenate(log_terms)) if logs else None)
@@ -270,12 +264,14 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
-    alpha in {0, 1, 2} is evaluated in exact integer arithmetic; up to
-    _DIRECT_MAX ranks by one numpy sum in the log domain; the rest by a
-    direct head below _EM_MIN plus a corrected midpoint Euler-Maclaurin
-    tail. Accurate to ~1e-12 relative or better for moderate alpha. When
-    alpha log i leaves float range the result is its limit, +inf or -inf.
-    The table kernel (_log_sums) run on one block.
+    Every alpha takes the same routes: up to _DIRECT_MAX ranks by one numpy
+    sum in the log domain; the rest by the corrected midpoint Euler-Maclaurin
+    closed form from _EM_MIN on, after a direct head below it; alpha = 0 is
+    log n. Accurate to ~1e-12 relative or better for moderate alpha, and to
+    1e-15 for alpha = 1, 2, where the corrected midpoint rule is exact. When
+    alpha log i leaves float range the result is its limit, +inf or -inf; a
+    non-finite alpha raises DistributionError. The table kernel (_log_sums)
+    run on one block.
     """
     a = int(a)
     b = int(b)

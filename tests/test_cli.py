@@ -239,6 +239,15 @@ def test_census_report(capsys):
     assert rows["10"][2] == "45"
 
 
+@pytest.mark.parametrize("extra", [["--k", "10,0"], ["--k", "6,40", "--max-types", "20"]])
+def test_exact_compare_non_finite_alpha_is_reported_first(capsys, extra):
+    # the first k's moments refuse the alpha before a later k is built
+    code, out, err = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", *extra, "--alpha=nan",
+    ])
+    assert (code, out, err) == (1, "", "guessctl: error: alpha must be finite, got nan\n")
+
+
 def test_exact_compare_huge_alpha_has_no_nan(capsys):
     # alpha log i leaves float range at k = 10, but (1/k) log E[G^alpha] does not:
     # the last rank N dominates, so the value is (alpha log N + log P(G = N)) / k

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork import oracle
 from guesswork import (
@@ -414,6 +415,73 @@ def test_hurwitz_reference_agrees_with_mpmath_zeta():
     with mp.workdps(60):
         for s, a in ((0.5, 1500), (0.5, 10**6), (-0.5, 1500)):
             assert abs(_hurwitz_zeta(s, a) / mp.zeta(s, a) - 1) < mp.mpf(10) ** -55
+
+
+def _exact_log_rank_sum(a, n, alpha):
+    """log sum_{i=a}^{a+n-1} i^alpha for alpha in {0, 1, 2}, from the exact Python-int sum.
+
+    An int past float range takes its log from its top 1000 bits, by bit
+    length and shift.
+    """
+    total = {
+        0: lambda: n,
+        1: lambda: (2 * a + n - 1) * n // 2,
+        2: lambda: n * a * (a + n - 1) + n * (n - 1) * (2 * n - 1) // 6,
+    }[alpha]()
+    shift = max(total.bit_length() - 1000, 0)
+    return math.log(total >> shift) + shift * math.log(2.0)
+
+
+def _within_1e15(got, want):
+    # relative on the log, absolute where |log| < 1
+    return abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 29999, 30000, 2**53, 2**1100)),
+    st.one_of(st.integers(1, 65536), st.sampled_from((65537, 10**6, 2**200))),
+    st.sampled_from((0, 1, 2)),
+)
+def test_integer_orders_match_exact_integer_sums(a, n, alpha):
+    # alpha = 1 and 2 take the direct, split and Euler-Maclaurin routes of every
+    # other order; the midpoint rule with its first correction is exact for them
+    got = log_rank_power_sum(a, a + n - 1, float(alpha))
+    assert _within_1e15(got, _exact_log_rank_sum(a, n, alpha)), (got, a, n, alpha)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1100), (3, 60), (4, 30)])
+@pytest.mark.parametrize("make", [
+    unconditioned, lambda p: conditioned(p, 0.1), lambda p: uniform_typical(p, 0.1),
+], ids=["unconditioned", "conditioned", "uniform"])
+def test_table_moments_of_integer_orders_match_exact_integer_sums(make, m, k):
+    p = LetterDistribution({2: (0.7, 0.3), 3: (0.5, 0.3, 0.2), 4: (0.4, 0.3, 0.2, 0.1)}[m])
+    source = make(p)
+    table = build_guess_table(source, k)
+    live = table.log_word_prob > -math.inf
+    for alpha, scaled in finite_k_exponents(source, k, alphas=(1.0, 2.0)).moment_exponents:
+        terms = [
+            w + _exact_log_rank_sum(a, n, int(alpha))
+            for a, n, w in zip(table.starts, table.sizes, table.log_word_prob.tolist())
+        ]
+        want = oracle._lse(np.array(terms)[live])
+        assert _within_1e15(k * scaled, want), (alpha, k * scaled, want)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_an_error(alpha):
+    # the oracle refuses a non-finite order with the model's message, never nan
+    match = f"^alpha must be finite, got {alpha}$"
+    table = build_guess_table(C, 10)
+    with pytest.raises(DistributionError, match=match):
+        log_rank_power_sum(1, 10, alpha)
+    with pytest.raises(DistributionError, match=match):
+        exact_moment_log(table, alpha)
+    with pytest.raises(DistributionError, match=match):
+        finite_k_exponents(C, 20, alphas=(1.0, alpha, math.nan))
+    # nan and -inf fail the lower form's range check before the kernel sees them
+    with pytest.raises(DistributionError, match=match if alpha == math.inf else None):
+        moment_sandwich(C, 10, alpha)
 
 
 def test_euler_maclaurin_route_stays_finite_for_huge_alpha():

@@ -228,7 +228,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 @given(
     st.sampled_from((1, 2**53 - 40000, 2**53, 2**1100)),
     st.integers(0, 2**16 - 1),
-    st.floats(-3.0, 3.0).filter(lambda a: a not in (0.0, 1.0, 2.0)),
+    st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
 )
 def test_direct_rank_sums_match_fsum(a, span, alpha):
     from guesswork.ranksums import _log_sum_of_logs
