@@ -20,10 +20,7 @@ from .asymptotics import (
     growth_exponents,
     guesswork_pmf_approx,
     legendre_transform,
-    rate_function,
-    scgf,
     scgf_model,
-    source_breakpoints,
     unconditioned,
     uniform_typical,
 )

@@ -93,11 +93,20 @@ def _as_distribution(p: FreqsLike) -> LetterDistribution:
 
 @dataclass(frozen=True)
 class ScgfModel:
-    """Evaluated structure of one source's scaled CGF.
+    """Evaluated structure of one source's scaled CGF: the one way to read its laws.
+
+    Built once by scgf_model (window solve included); every law of the
+    source is read off it: Lambda(alpha) by calling it, Lambda'(alpha) by
+    `slope`, the exponent table by `exponents`, the regime switches by
+    `breakpoints`, Lambda*(x) by legendre_transform(model, x) and the pmf
+    approximation by guesswork_pmf_approx(model, k, n).
 
     For alpha > -1 the optimiser is l_beta, beta = 1/(1+alpha) clamped into
     `window`, and Lambda(alpha) = alpha h(l) - D(l), with D(l) = D(l || p)
     for the unconditioned and conditioned sources and 0 for the uniform one.
+    The tangent line (h(l), -D(l)) is `edge_lines` at a window end and
+    TiltedFamily.line at an interior tilt, so a point evaluation solves
+    nothing.
 
     Attributes
     ----------
@@ -171,8 +180,7 @@ class ScgfModel:
             return self.edge_lines[0]
         if beta == self.window[1]:
             return self.edge_lines[1]
-        h, eta, _ = self.family.at(beta)
-        return h, h - eta
+        return self.family.line(beta)
 
     def __call__(self, alpha: float) -> float:
         """Lambda(alpha), defined for every real alpha."""
@@ -192,8 +200,9 @@ class ScgfModel:
         """Headline growth exponents; mean_log_rate is the exact slope Lambda'(0)."""
         excess = None
         if self.source.kind is SourceKind.CONDITIONED:
-            # eta at alpha = 1 (beta = 1/2) against the high-entropy window edge
-            excess = self.family.at(0.5)[1] - (self.entropy_p + self.source.epsilon)
+            # eta = h - intercept at alpha = 1 (beta = 1/2) against the high-entropy window edge
+            h, intercept = self.family.line(0.5)
+            excess = h - intercept - (self.entropy_p + self.source.epsilon)
         return GrowthExponents(
             mean_log_rate=self.slope(0.0),
             moment_rate=self(1.0),
@@ -228,11 +237,6 @@ def scgf_model(source: Source, window: tuple[float, float] | None = None) -> Scg
     if source.kind is SourceKind.CONDITIONED:
         modal_decay = min(-h + source.epsilon, modal_decay)
     return ScgfModel(source, h, modal_decay, family, window, tuple(map(family.line, window)))
-
-
-def scgf(source: Source, alpha: float) -> float:
-    """Lambda(alpha) for `source`; see ScgfModel for the piecewise structure."""
-    return scgf_model(source)(alpha)
 
 
 @dataclass(frozen=True)
@@ -296,22 +300,17 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def rate_function(source: Source, x: float) -> float:
-    """Large-deviation rate of (1/k) log G at x; +inf outside the domain."""
-    return legendre_transform(scgf_model(source), x)
+def guesswork_pmf_approx(model: ScgfModel, k: int, n: int) -> float:
+    """Large-deviation approximation of P(G = n) at word length k, read off `model`.
 
-
-def guesswork_pmf_approx(source: Source, k: int, n: int) -> float:
-    """Large-deviation approximation of P(G = n) for words of length k.
-
-    (1/n) exp(-k Lambda*(log(n)/k)); on the plateau this collapses
-    algebraically to exp(k * modal_decay), the modal word probability, and
-    that collapsed form is returned exactly (so the uniform-on-typical-set
-    approximation is constant across its plateau to full precision).
+    (1/n) exp(-k Lambda*(log(n)/k)), Lambda* by legendre_transform; on the
+    plateau this collapses algebraically to exp(k * modal_decay), the modal
+    word probability, and that collapsed form is returned exactly (so the
+    uniform-on-typical-set approximation is constant across its plateau to
+    full precision). 0.0 past max_slope, where Lambda* is +inf.
     """
     if k < 1 or n < 1:
         raise DistributionError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    model = scgf_model(source)
     x = math.log(n) / k
     if x <= model.plateau_width:
         return math.exp(k * model.modal_decay)
@@ -416,11 +415,6 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
         middle=(h_minus - moment_uncond) if excess <= 0.0 else div_minus,
         bottom=h_minus - moment_uncond,
     )
-
-
-def source_breakpoints(source: Source) -> tuple[float | None, float | None]:
-    """Regime breakpoints (alpha_low, alpha_high) of `source`; see ScgfModel.breakpoints."""
-    return scgf_model(source).breakpoints
 
 
 def alphas_or_default(alphas: Sequence[float] | None) -> tuple[float, ...]:

@@ -431,6 +431,8 @@ def moment_sandwich(
     """
     if source.kind is not SourceKind.CONDITIONED:
         raise DistributionError("moment sandwiches apply to the conditioned source")
+    if not math.isfinite(alpha):
+        raise DistributionError(f"alpha must be finite, got {alpha}")
     if form == "auto":
         form = "upper" if alpha >= 0.0 else "lower"
     if form not in ("upper", "lower"):

@@ -115,15 +115,6 @@ class TiltedFamily:
         var = (ws * dev * dev).sum(axis=1) / z
         return np.log(z), mean, var
 
-    def at(self, beta: float) -> tuple[float, float, float]:
-        """(h(l_beta), eta(beta), log Z(beta)) at finite beta >= 0.
-
-        eta is the cross entropy of l_beta against p, Z = sum_a p_a^beta.
-        """
-        log_z, mean, _ = self._moments(np.array([beta]))
-        log_z, mean = float(log_z[0]), float(mean[0])
-        return log_z + beta * mean, mean - self.top, log_z + beta * self.top
-
     def _eta(self, beta, log_z, mean, var):
         # eta(beta) and its slope -Var (Var of log p under l_beta)
         return mean - self.top, -var

@@ -187,14 +187,14 @@ def test_criterion_6_naive_vs_type_based_oracles():
 
 
 def test_criterion_7_uniform_plateau_identity():
-    U = gw.uniform_typical(P, EPS)
+    mu = gw.scgf_model(gw.uniform_typical(P, EPS))
     h_min = gw.shannon_entropy(gw.boundary_types(P, EPS).l_minus)
     exact = True
     for k in (10, 100):
         want = math.exp(-k * h_min)
         n_edge = int(math.exp(k * h_min))
         for n in (1, 2, max(2, n_edge // 3), n_edge):
-            if gw.guesswork_pmf_approx(U, k, n) != want:
+            if gw.guesswork_pmf_approx(mu, k, n) != want:
                 exact = False
     emit(7, exact,
          "P(G=n) == exp(-k h(l-)) bitwise across the plateau at k in {10, 100}")
@@ -205,7 +205,7 @@ def test_criterion_8_regime_threshold_sign_correction():
     model = gw.scgf_model(C)
     h = gw.shannon_entropy(P)
     jumps = [abs(model(bp + 1e-8) - model(bp - 1e-8))
-             for bp in gw.source_breakpoints(C)]
+             for bp in model.breakpoints]
     deriv = gw.growth_exponents(C).mean_log_rate
     implemented_ok = max(jumps) < 1e-7 and abs(deriv - h) < 1e-5
 

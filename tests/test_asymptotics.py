@@ -17,11 +17,8 @@ from guesswork import (
     growth_exponents,
     guesswork_pmf_approx,
     legendre_transform,
-    rate_function,
-    scgf,
     scgf_model,
     shannon_entropy,
-    source_breakpoints,
     typical_window,
     unconditioned,
     uniform_typical,
@@ -42,6 +39,7 @@ C_MAX = 0.9162907318741551
 W = unconditioned(P)
 C = conditioned(P, EPS)
 U = uniform_typical(P, EPS)
+MW, MC, MU = scgf_model(W), scgf_model(C), scgf_model(U)
 
 
 def test_source_constructors():
@@ -74,17 +72,17 @@ def test_scgf_model_parameters():
 
 
 def test_scgf_frozen_values():
-    assert scgf(W, 1.0) == pytest.approx(LAMBDA_W_1, abs=1e-12)
-    assert scgf(C, 1.0) == pytest.approx(LAMBDA_C_1, abs=1e-10)
-    assert scgf(U, 1.0) == pytest.approx(H_MINUS, abs=1e-10)
-    assert scgf(W, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert scgf(C, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert MW(1.0) == pytest.approx(LAMBDA_W_1, abs=1e-12)
+    assert MC(1.0) == pytest.approx(LAMBDA_C_1, abs=1e-10)
+    assert MU(1.0) == pytest.approx(H_MINUS, abs=1e-10)
+    assert MW(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert MC(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scgf_constant_below_minus_one():
-    for source, g in ((W, G_W), (C, G_C), (U, -H_MINUS)):
-        assert scgf(source, -1.0) == pytest.approx(g, abs=1e-10)
-        assert scgf(source, -3.7) == pytest.approx(g, abs=1e-10)
+    for model, g in ((MW, G_W), (MC, G_C), (MU, -H_MINUS)):
+        assert model(-1.0) == pytest.approx(g, abs=1e-10)
+        assert model(-3.7) == pytest.approx(g, abs=1e-10)
 
 
 def test_scgf_convex():
@@ -118,27 +116,25 @@ def test_jensen_ordering():
 
 def test_rate_function_plateau_and_edges():
     # plateau: rate(x) = -x - g on [0, plateau_width]
-    assert rate_function(W, 0.0) == pytest.approx(-G_W, abs=1e-12)
-    assert rate_function(C, 0.0) == pytest.approx(-G_C, abs=1e-12)
-    mc = scgf_model(C)
-    x = 0.5 * mc.plateau_width
-    assert legendre_transform(mc, x) == pytest.approx(-x - G_C, abs=1e-12)
+    assert legendre_transform(MW, 0.0) == pytest.approx(-G_W, abs=1e-12)
+    assert legendre_transform(MC, 0.0) == pytest.approx(-G_C, abs=1e-12)
+    x = 0.5 * MC.plateau_width
+    assert legendre_transform(MC, x) == pytest.approx(-x - G_C, abs=1e-12)
     # zero of the rate sits at the typical growth rate
-    assert rate_function(W, H) == pytest.approx(0.0, abs=1e-9)
-    assert rate_function(C, H) == pytest.approx(0.0, abs=1e-9)
-    mu = scgf_model(U)
-    assert legendre_transform(mu, H_MINUS) == pytest.approx(0.0, abs=1e-10)
+    assert legendre_transform(MW, H) == pytest.approx(0.0, abs=1e-9)
+    assert legendre_transform(MC, H) == pytest.approx(0.0, abs=1e-9)
+    assert legendre_transform(MU, H_MINUS) == pytest.approx(0.0, abs=1e-10)
     # right endpoint equals -tail_intercept
-    assert rate_function(W, math.log(2.0)) == pytest.approx(C_MAX - math.log(2.0), abs=1e-10)
-    assert legendre_transform(mc, mc.max_slope) == pytest.approx(D_MINUS, abs=1e-10)
+    assert legendre_transform(MW, math.log(2.0)) == pytest.approx(C_MAX - math.log(2.0), abs=1e-10)
+    assert legendre_transform(MC, MC.max_slope) == pytest.approx(D_MINUS, abs=1e-10)
 
 
 def test_rate_function_outside_domain_is_infinite():
-    assert rate_function(W, -0.05) == math.inf
-    assert rate_function(W, math.log(2.0) + 0.05) == math.inf
+    assert legendre_transform(MW, -0.05) == math.inf
+    assert legendre_transform(MW, math.log(2.0) + 0.05) == math.inf
     # conditioned rate blows up past its maximal slope even inside [0, log m]
-    assert rate_function(C, 0.65) == math.inf
-    assert rate_function(U, 0.60) == math.inf
+    assert legendre_transform(MC, 0.65) == math.inf
+    assert legendre_transform(MU, 0.60) == math.inf
 
 
 def test_rate_function_recovers_scgf():
@@ -160,25 +156,30 @@ def test_rate_function_recovers_scgf():
 
 def test_pmf_approx_plateau_identity():
     # uniform source: every n on the plateau returns the same float
-    mu = scgf_model(U)
     for k in (10, 100):
-        base = guesswork_pmf_approx(U, k, 1)
-        assert base == math.exp(k * mu.modal_decay)
-        n_max = int(math.exp(k * mu.plateau_width))
+        base = guesswork_pmf_approx(MU, k, 1)
+        assert base == math.exp(k * MU.modal_decay)
+        n_max = int(math.exp(k * MU.plateau_width))
         for n in (2, max(2, n_max // 2), n_max):
-            assert guesswork_pmf_approx(U, k, n) == base
+            assert guesswork_pmf_approx(MU, k, n) == base
 
 
 def test_pmf_approx_unconditioned_top():
-    assert guesswork_pmf_approx(W, 20, 1) == pytest.approx(0.8**20, rel=1e-12)
+    assert guesswork_pmf_approx(MW, 20, 1) == pytest.approx(0.8**20, rel=1e-12)
 
 
 def test_pmf_approx_decays_beyond_plateau():
-    vals = [guesswork_pmf_approx(W, 30, n) for n in (1, 10**3, 10**6, 10**8)]
+    vals = [guesswork_pmf_approx(MW, 30, n) for n in (1, 10**3, 10**6, 10**8)]
     assert all(v > 0.0 for v in vals)
     assert vals == sorted(vals, reverse=True)
     with pytest.raises(DistributionError):
-        guesswork_pmf_approx(W, 0, 1)
+        guesswork_pmf_approx(MW, 0, 1)
+
+
+def test_pmf_approx_is_zero_past_max_slope():
+    # log(2^10)/10 = log 2 > h(l-): no typical word has so late a rank
+    assert math.log(2**10) / 10 > MC.max_slope
+    assert guesswork_pmf_approx(MC, 10, 2**10) == 0.0
 
 
 def test_binary_closed_forms_frozen():
@@ -199,9 +200,9 @@ def test_binary_closed_forms_frozen():
 
 def test_binary_closed_forms_matches_general_route():
     rep = binary_closed_forms(0.8, 0.1)
-    assert rep.moment_rate_uncond == pytest.approx(scgf(W, 1.0), abs=1e-12)
-    assert rep.moment_rate_cond == pytest.approx(scgf(C, 1.0), abs=1e-10)
-    assert rep.middle == pytest.approx(scgf(U, 1.0) - scgf(C, 1.0), abs=1e-10)
+    assert rep.moment_rate_uncond == pytest.approx(MW(1.0), abs=1e-12)
+    assert rep.moment_rate_cond == pytest.approx(MC(1.0), abs=1e-10)
+    assert rep.middle == pytest.approx(MU(1.0) - MC(1.0), abs=1e-10)
 
 
 def test_binary_closed_forms_low_excess_regime():
@@ -228,17 +229,16 @@ def test_binary_closed_forms_validation():
 
 
 def test_source_breakpoints():
-    lo, hi = source_breakpoints(C)
+    lo, hi = MC.breakpoints
     assert -1.0 < lo < 0.0 < hi < 1.0
-    assert source_breakpoints(W) == (None, None)
-    assert source_breakpoints(U) == (None, None)
+    assert MW.breakpoints == (None, None)
+    assert MU.breakpoints == (None, None)
 
 
 def test_scgf_continuous_at_breakpoints():
-    model = scgf_model(C)
-    for bp in source_breakpoints(C):
+    for bp in MC.breakpoints:
         delta = 1e-8
-        jump = abs(model(bp + delta) - model(bp - delta))
+        jump = abs(MC(bp + delta) - MC(bp - delta))
         assert jump < 1e-7
 
 
@@ -272,10 +272,9 @@ def test_mean_log_rate_is_exact_slope_at_zero(probs, eps):
 
 
 def test_optimum_regimes_follow_the_clamp_window():
-    lo, hi = source_breakpoints(C)
-    mc = scgf_model(C)
-    assert mc.slope(hi + 1.0) == mc.max_slope
-    assert mc.slope(lo - 1e-3) == mc.plateau_width
+    lo, hi = MC.breakpoints
+    assert MC.slope(hi + 1.0) == MC.max_slope
+    assert MC.slope(lo - 1e-3) == MC.plateau_width
     mw = scgf_model(W)
     with pytest.raises(DistributionError):
         mw.slope(-1.0)
@@ -284,14 +283,14 @@ def test_optimum_regimes_follow_the_clamp_window():
 
 def _count_tilting_work(monkeypatch):
     # counts TiltedFamily constructions, calls of its one Newton loop, the
-    # cross-entropy targets it solves (edge solves), its entropy solves and
-    # TypeVector constructions
+    # cross-entropy targets it solves (edge solves), its entropy solves, its
+    # array moment evaluations and TypeVector constructions
     from guesswork import entropy, tilting
 
     counts = {"families": 0, "loop_calls": 0, "edge_solves": 0, "entropy_solves": 0,
-              "type_vectors": 0}
+              "moments": 0, "type_vectors": 0}
     family = tilting.TiltedFamily
-    family_init, newton = family.__init__, family._newton
+    family_init, newton, moments = family.__init__, family._newton, family._moments
     post_init = entropy.TypeVector.__post_init__
 
     def counted_init(self, p):
@@ -306,12 +305,17 @@ def _count_tilting_work(monkeypatch):
             counts["entropy_solves"] += 1
         return newton(self, residual, x, lo, hi)
 
+    def counted_moments(self, beta):
+        counts["moments"] += 1
+        return moments(self, beta)
+
     def counted_post_init(self):
         counts["type_vectors"] += 1
         post_init(self)
 
     monkeypatch.setattr(family, "__init__", counted_init)
     monkeypatch.setattr(family, "_newton", counted_newton)
+    monkeypatch.setattr(family, "_moments", counted_moments)
     monkeypatch.setattr(entropy.TypeVector, "__post_init__", counted_post_init)
     return counts
 
@@ -321,8 +325,24 @@ def test_scgf_model_is_one_family_and_no_type_vector(monkeypatch, source):
     counts = _count_tilting_work(monkeypatch)
     scgf_model(source)
     windows = 0 if source.kind is SourceKind.UNCONDITIONED else 1
+    # the window solve's Newton steps evaluate moment rows; the limits of the family do not
+    assert (counts.pop("moments") > 0) == bool(windows)
     assert counts == {"families": 1, "loop_calls": windows, "edge_solves": 2 * windows,
                       "entropy_solves": 0, "type_vectors": 0}
+
+
+@pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])
+def test_model_point_evaluations_solve_nothing(monkeypatch, source):
+    # Lambda, its slope, the exponent table and the plateau pmf read the edge
+    # lines or TiltedFamily.line: no Newton loop and no numpy moment row
+    model = scgf_model(source)
+    counts = _count_tilting_work(monkeypatch)
+    model(0.3)
+    model.slope(0.0)
+    model.exponents()
+    guesswork_pmf_approx(model, 20, 1)
+    assert counts == {"families": 0, "loop_calls": 0, "edge_solves": 0, "entropy_solves": 0,
+                      "moments": 0, "type_vectors": 0}
 
 
 @pytest.mark.parametrize("probs, eps", [

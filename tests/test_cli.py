@@ -93,6 +93,22 @@ def test_bad_probabilities(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--p", "0.8,x", "--epsilon", "0.1"],
+     "could not parse probabilities from '0.8,x'"),
+    (["exact-compare", "--p", "0.8,0.2", "--kind", "conditioned", "--k", "10"],
+     "--epsilon is required for kind=conditioned"),
+    (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", ","],
+     "--k must list at least one word length"),
+    (["census", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", ","],
+     "--k must list at least one word length"),
+])
+def test_validation_errors_are_one_stderr_line(capsys, argv, message):
+    # exit 1 with the one error line on stderr: no traceback, nothing on stdout
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"guessctl: error: {message}\n")
+
+
 def test_fig1_default_grid(capsys):
     code, out, _ = run(capsys, ["fig1", "--epsilon", "0.1"])
     assert code == 0

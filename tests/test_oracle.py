@@ -479,9 +479,14 @@ def test_non_finite_alpha_is_an_error(alpha):
         exact_moment_log(table, alpha)
     with pytest.raises(DistributionError, match=match):
         finite_k_exponents(C, 20, alphas=(1.0, alpha, math.nan))
-    # nan and -inf fail the lower form's range check before the kernel sees them
-    with pytest.raises(DistributionError, match=match if alpha == math.inf else None):
-        moment_sandwich(C, 10, alpha)
+
+
+@pytest.mark.parametrize("form", ["auto", "upper", "lower"])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_moment_sandwich_non_finite_alpha_is_an_error(alpha, form):
+    # finiteness is checked before the form's alpha range, with the kernel's message
+    with pytest.raises(DistributionError, match=f"^alpha must be finite, got {alpha}$"):
+        moment_sandwich(C, 10, alpha, form=form)
 
 
 def test_euler_maclaurin_route_stays_finite_for_huge_alpha():

@@ -250,7 +250,19 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
 def test_unconditioned_scgf_is_scaled_renyi_rate(p, alpha):
     # Arikan's identity: Lambda(alpha) = alpha H_{1/(1+alpha)}(p) for i.i.d. letters
     want = alpha * gw.renyi_rate(p, 1.0 / (1.0 + alpha))
-    assert abs(gw.scgf(gw.unconditioned(p), alpha) - want) <= 1e-12
+    assert abs(gw.scgf_model(gw.unconditioned(p))(alpha) - want) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(laws_with_a_zero(), st.floats(0.02, 0.98),
+       st.sampled_from((gw.unconditioned, gw.conditioned, gw.uniform_typical)))
+def test_scgf_vanishes_at_zero(p, frac, kind):
+    # Lambda(0) = lim (1/k) log E[G^0] = 0: the model's tangent line at alpha = 0
+    # leaves only rounding of its intercept, for every kind
+    eps = frac * gw.admissible_epsilon_interval(p)[1]
+    assume(eps > 1e-9)
+    source = kind(p) if kind is gw.unconditioned else kind(p, eps)
+    assert abs(gw.scgf_model(source)(0.0)) <= 1e-15
 
 
 def _per_block_log_sums(table, alpha):
@@ -396,7 +408,7 @@ def test_clamped_optimum_matches_the_scgf_model(p, frac, clamped, alpha):
     assert abs(gw.shannon_entropy(opt.type_vector) - slope) <= 1e-12
     want = tuple(1.0 / beta - 1.0 if ok else None
                  for beta, ok in ((beta_hi, solved[1]), (beta_lo, solved[0])))
-    assert gw.source_breakpoints(gw.conditioned(p, eps)) == want
+    assert model.breakpoints == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,9 +427,10 @@ def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
     window = family.window(lo, hi)
     assert 0.0 < window[0] and window[1] < math.inf  # eps admissible: both edges solved
     assert window == (gw.solve_cross_entropy(p, hi), gw.solve_cross_entropy(p, lo))
-    for beta, eta in zip(window, (hi, lo)):
-        assert abs(family.at(beta)[1] - eta) <= 1e-12
-    h_minus, h_plus = (family.at(beta)[0] for beta in window)
+    lines = [family.line(beta) for beta in window]
+    for (h, intercept), eta in zip(lines, (hi, lo)):
+        assert abs(h - intercept - eta) <= 1e-12  # eta = h + D
+    (h_minus, _), (h_plus, _) = lines
     xs = np.array([h_plus + u * (h_minus - h_plus) for u in us])
     beta, h, _ = family.solve_entropy(xs, *window)
     assert np.all(np.abs(h - xs) <= 1e-12)

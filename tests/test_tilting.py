@@ -17,7 +17,6 @@ from guesswork import (
     scgf_model,
     shannon_entropy,
     solve_cross_entropy,
-    source_breakpoints,
     tilted_type,
     unconditioned,
     uniform_typical,
@@ -71,6 +70,13 @@ def test_solve_cross_entropy_residual():
         beta = solve_cross_entropy(P, target)
         got = cross_entropy(tilted_type(P, 1.0 / beta - 1.0), P)
         assert got == pytest.approx(target, abs=1e-10)
+
+
+def test_solve_cross_entropy_outside_the_attainable_range():
+    family = TiltedFamily(P)
+    for target in (family.c_min, 0.1, family.c_max, 1.5):
+        with pytest.raises(DistributionError, match="outside the attainable open range"):
+            solve_cross_entropy(P, target)
 
 
 def test_boundary_types_frozen():
@@ -137,7 +143,7 @@ def test_clamped_optimum_regimes():
 
 
 def test_regime_breakpoints():
-    alpha_low, alpha_high = source_breakpoints(conditioned(P, EPS))
+    alpha_low, alpha_high = scgf_model(conditioned(P, EPS)).breakpoints
     assert alpha_low is not None and alpha_high is not None
     assert -1.0 < alpha_low < 0.0 < alpha_high
     assert cross_entropy(tilted_type(P, alpha_low), P) == pytest.approx(H - EPS, abs=1e-9)
