@@ -161,6 +161,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _positive_epsilon(epsilon: float) -> float:
+    """--epsilon for fig1 and census, which build no Source to check it: in (0, inf)."""
+    if not 0.0 < epsilon < math.inf:
+        raise DistributionError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
+
+
 def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Source:
     if kind == "unconditioned":
         return unconditioned(p)
@@ -253,7 +260,7 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 
 
 def cmd_fig1(args) -> tuple[str, int]:
-    epsilon = args.epsilon
+    epsilon = _positive_epsilon(args.epsilon)
     grid = _parse_floats(args.p0_grid) if args.p0_grid else _FIG1_DEFAULT_GRID
     rows = []
     for p0 in grid:
@@ -371,7 +378,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
 
 def cmd_census(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
-    epsilon = args.epsilon
+    epsilon = _positive_epsilon(args.epsilon)
     ks = _parse_ints(args.k)
     if not ks:
         raise DistributionError("--k must list at least one word length")

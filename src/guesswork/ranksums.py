@@ -5,30 +5,26 @@ every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
 (or sum log i for E[log G]), with a and b exact integers that pass float
 range for binary words at k ~ 10^3. `_log_sums` takes these sums for a whole
 table in one pass over per-block arrays; `log_rank_power_sum` and
-`_log_sum_of_logs` run it on one range. Every alpha takes the same routes
-(direct, Euler-Maclaurin, split); alpha = 0, the block size, is log n.
+`_log_sum_of_logs` run it on one range. One threshold, _EM_MIN, routes
+every rank and every alpha: ranks below it are summed directly, ranks from
+it on by an Euler-Maclaurin closed form, and the one range that straddles it
+is split there. alpha = 0, the block size, is log n.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
 from .errors import DistributionError
 
-# Inner-sum routing thresholds: ranges up to _DIRECT_MAX terms are summed
-# directly; the part of a range at _EM_MIN or beyond uses the corrected
-# midpoint Euler-Maclaurin closed form (relative error ~ alpha^4/a^4 there);
-# a long range starting below _EM_MIN is split into a direct head plus an
-# Euler-Maclaurin tail. Blocks of one table hold disjoint ranks, so at most
-# one of them is split.
-_DIRECT_MAX = 65536
+# The one route threshold: ranks below _EM_MIN are summed directly, ranks
+# from _EM_MIN on by the corrected midpoint Euler-Maclaurin closed form
+# (relative error ~ alpha^4/a^4 there). A range that straddles _EM_MIN is
+# split there; blocks of one table hold disjoint ranks, so at most one is.
 _EM_MIN = 30000
-# Consecutive direct blocks are summed together this many terms at a time
-# (a longer block is a chunk alone); a few arrays of a chunk's length are
-# alive at once, so this keeps them well inside one direct range's memory
-_DIRECT_CHUNK = 16384
 
 _LOG2 = math.log(2.0)
 _LOG24 = math.log(24.0)
@@ -88,55 +84,25 @@ def _log_ints(values, bits: int) -> np.ndarray:
     return _log_parts(*_int_parts(values, bits))
 
 
-def _direct_chunks(cnt: np.ndarray):
-    """Runs of consecutive blocks of at most _DIRECT_CHUNK terms in all, or one block.
+def _direct_route(a, cnt, powers, logs: bool):
+    """Direct sums over blocks of cnt[j] ranks from a[j], all ranks below _EM_MIN.
 
-    No block is cut, so a chunk holds at most _DIRECT_MAX terms, the bound
-    of one direct range.
+    The ranks are exact floats, summed in one pass over their logs. Returns,
+    per alpha, (lam, rho) with log sum_i i^alpha = alpha lam + rho, lam the
+    log of the block's largest term's rank; and with logs, log sum_i log i
+    per block.
     """
-    ends = np.cumsum(cnt)
-    lo = 0
-    while lo < cnt.size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _DIRECT_CHUNK, side="right")), lo + 1)
-        yield slice(lo, hi)
-        lo = hi
-
-
-def _direct_route(log_a, inv_a, cnt, powers, logs: bool):
-    """Direct sums over blocks of cnt[j] ranks from a_j, given log a_j and 1/a_j.
-
-    Ranks are a (1 + r/a), r = 0..cnt-1, so log i = log a + g with
-    g = log1p(r/a), whatever the size of a. Each chunk of blocks is one set
-    of arrays. Returns, per alpha, (lam, rho) with log sum_i i^alpha =
-    alpha lam + rho, lam the log of the block's largest term's rank; and
-    with logs, log sum_i log i per block.
-    """
-    lams = [[] for _ in powers]
-    rhos = [[] for _ in powers]
-    rho_logs = []
-    for sl in _direct_chunks(cnt):
-        c = cnt[sl]
-        off = np.cumsum(c) - c
-        g = np.arange(int(off[-1] + c[-1]), dtype=np.float64)
-        g -= np.repeat(off, c)
-        g *= np.repeat(inv_a[sl], c)
-        np.log1p(g, out=g)
-        g_last = g[off + c - 1]
-        for j, alpha in enumerate(powers):
-            if alpha > 0.0:
-                d = g - np.repeat(g_last, c)
-                d *= alpha
-                lams[j].append(log_a[sl] + g_last)
-            else:
-                d = alpha * g
-                lams[j].append(log_a[sl])
-            rhos[j].append(np.log(np.add.reduceat(np.exp(d, out=d), off)))
-        if logs:
-            g += np.repeat(log_a[sl], c)
-            rho_logs.append(np.log(np.add.reduceat(g, off)))
-    sums = [(np.concatenate(lam), np.concatenate(rho)) for lam, rho in zip(lams, rhos)]
-    return sums, np.concatenate(rho_logs) if logs else None
+    off = np.cumsum(cnt) - cnt
+    log_i = np.arange(int(off[-1] + cnt[-1]), dtype=np.float64)
+    log_i += np.repeat(a - off, cnt)
+    np.log(log_i, out=log_i)
+    sums = []
+    for alpha in powers:
+        lam = log_i[off + cnt - 1] if alpha > 0.0 else log_i[off]
+        d = log_i - np.repeat(lam, cnt)
+        d *= alpha
+        sums.append((lam, np.log(np.add.reduceat(np.exp(d, out=d), off))))
+    return sums, np.log(np.add.reduceat(log_i, off)) if logs else None
 
 
 def _em_route(a_parts, n_parts, powers, logs: bool):
@@ -203,13 +169,13 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
     logs, log sum_j w_j sum_{i in j} log i (else None). Blocks of weight 0
     are skipped.
 
-    Every alpha but 0 takes the routes of log_rank_power_sum: numpy sums, in
-    chunks of at most _DIRECT_CHUNK terms or one block, for up to _DIRECT_MAX
-    ranks; Euler-Maclaurin from _EM_MIN on; a direct head plus an
-    Euler-Maclaurin tail for the one long block that may start below _EM_MIN.
-    alpha = 0 is log n per block. The terms stay scaled, so a huge alpha
-    overflows only where scale * log of the sum would. A non-finite alpha
-    raises DistributionError.
+    Every alpha but 0 takes the routes of log_rank_power_sum: one numpy pass
+    over the blocks below _EM_MIN, so under _EM_MIN terms per table;
+    Euler-Maclaurin for the blocks from _EM_MIN on; and the one block that
+    straddles _EM_MIN is split there into a direct head and an
+    Euler-Maclaurin tail. alpha = 0 is log n per block. The terms stay
+    scaled, so a huge alpha overflows only where scale * log of the sum
+    would. A non-finite alpha raises DistributionError.
     """
     for alpha in alphas:
         if not math.isfinite(alpha):
@@ -230,23 +196,24 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
             a_m, a_e = _int_parts(starts, bits)
             n_m, n_e = _int_parts(sizes, bits)
             w = log_w
-            long_low = ((n_e > 0) | (n_m > _DIRECT_MAX)) & (a_e == 0) & (a_m < _EM_MIN)
-            for j in np.flatnonzero(long_low).tolist():  # at most one: ranks are disjoint
-                # a direct head a .. _EM_MIN - 1, and a tail from _EM_MIN as one more block
+            # blocks ascend, so the direct ones, starting below _EM_MIN, are the first d
+            d = bisect_left(starts, _EM_MIN)
+            if d and starts[d - 1] + sizes[d - 1] > _EM_MIN:
+                # the one block that straddles _EM_MIN: a direct head a .. _EM_MIN - 1,
+                # and a tail from _EM_MIN as one more block
+                j = d - 1
                 tail_m, tail_e = _int_parts([starts[j] + sizes[j] - _EM_MIN], bits)
-                a_m, a_e = np.insert(a_m, j + 1, _EM_MIN), np.insert(a_e, j + 1, 0)
-                n_m, n_e = np.insert(n_m, j + 1, tail_m), np.insert(n_e, j + 1, tail_e)
+                a_m, a_e = np.insert(a_m, d, _EM_MIN), np.insert(a_e, d, 0)
+                n_m, n_e = np.insert(n_m, d, tail_m), np.insert(n_e, d, tail_e)
                 n_m[j], n_e[j] = _EM_MIN - starts[j], 0
-                w = np.insert(w, j + 1, w[j])
-            direct = (n_e == 0) & (n_m <= _DIRECT_MAX)
-            d, e = np.flatnonzero(direct), np.flatnonzero(~direct)
+                w = np.insert(w, d, w[j])
             groups = []
-            if d.size:
-                log_a, inv_a = _log_parts(a_m[d], a_e[d]), np.ldexp(1.0 / a_m[d], -a_e[d])
-                sums = _direct_route(log_a, inv_a, n_m[d].astype(np.int64), powers, logs)
-                groups.append((sums, w[d]))
-            if e.size:
-                groups.append((_em_route((a_m[e], a_e[e]), (n_m[e], n_e[e]), powers, logs), w[e]))
+            if d:
+                sums = _direct_route(a_m[:d], n_m[:d].astype(np.int64), powers, logs)
+                groups.append((sums, w[:d]))
+            if d < w.size:
+                sums = _em_route((a_m[d:], a_e[d:]), (n_m[d:], n_e[d:]), powers, logs)
+                groups.append((sums, w[d:]))
             for (sums, rho_logs), w in groups:
                 for alpha, (lam, rho) in zip(powers, sums):
                     terms[alpha].append((alpha * scale) * lam + scale * (w + rho))
@@ -264,11 +231,11 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
-    Every alpha takes the same routes: up to _DIRECT_MAX ranks by one numpy
-    sum in the log domain; the rest by the corrected midpoint Euler-Maclaurin
-    closed form from _EM_MIN on, after a direct head below it; alpha = 0 is
-    log n. Accurate to ~1e-12 relative or better for moderate alpha, and to
-    1e-15 for alpha = 1, 2, where the corrected midpoint rule is exact. When
+    Every alpha takes the same routes: the ranks below _EM_MIN by one numpy
+    sum in the log domain, the ranks from _EM_MIN on by the corrected
+    midpoint Euler-Maclaurin closed form; alpha = 0 is log n. Accurate to
+    ~1e-12 relative or better for moderate alpha, and to 1e-15 for
+    alpha = 1, 2, where the corrected midpoint rule is exact. When
     alpha log i leaves float range the result is its limit, +inf or -inf; a
     non-finite alpha raises DistributionError. The table kernel (_log_sums)
     run on one block.
@@ -283,9 +250,8 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
 def _log_sum_of_logs(a: int, b: int) -> float:
     """log of sum_{i=a}^{b} log i, bigint-safe, on log_rank_power_sum's routes.
 
-    Up to _DIRECT_MAX ranks by one numpy sum; a start at _EM_MIN or beyond
-    by the Euler-Maclaurin closed form; a long range starting below _EM_MIN
-    by a direct head plus an Euler-Maclaurin tail.
+    The ranks below _EM_MIN by one numpy sum, the ranks from _EM_MIN on by
+    the Euler-Maclaurin closed form.
     """
     a = int(a)
     b = int(b)

@@ -109,6 +109,15 @@ def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     assert (code, out, err) == (1, "", f"guessctl: error: {message}\n")
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1", "0"])
+@pytest.mark.parametrize("command", [["fig1"], ["census", "--p", "0.8,0.2", "--k", "10"]])
+def test_fig1_and_census_reject_epsilon_outside_zero_inf(capsys, command, epsilon):
+    # as exact-compare and analyze do: exit 1, one stderr line, nothing on stdout
+    code, out, err = run(capsys, [*command, f"--epsilon={epsilon}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("guessctl: error: epsilon must be positive") and err.count("\n") == 1
+
+
 def test_fig1_default_grid(capsys):
     code, out, _ = run(capsys, ["fig1", "--epsilon", "0.1"])
     assert code == 0

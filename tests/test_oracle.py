@@ -267,10 +267,12 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
 @pytest.mark.parametrize("a", [1, 2, 29999, 30000, 10**6])
 def test_log_sum_of_logs_matches_loggamma_on_every_route(a):
     # sum_{i=a}^{b} log i = lgamma(b+1) - lgamma(a), at 50 digits; the b values
-    # cover the direct (<= 2^16 terms), split (a < 30000) and Euler-Maclaurin routes
+    # cover the direct (ranks below 30000), split (a < 30000 <= b) and
+    # Euler-Maclaurin (a >= 30000) routes, and the ends either side of 30000
     from mpmath import mp
 
-    for b in (a + 65535, a + 65536, 10**15 - 1, 10**15 + 1, 10**40, 2**1100):
+    ends = (29999, 30000, 30001, a + 65535, a + 65536, 10**15 - 1, 10**15 + 1, 10**40, 2**1100)
+    for b in (b for b in ends if b >= a):
         with mp.workdps(50):
             want = float(mp.log(mp.loggamma(b + 1) - mp.loggamma(a)))
         assert abs(_log_sum_of_logs(a, b) - want) <= 1e-14 * abs(want), b
@@ -397,15 +399,36 @@ def _hurwitz_zeta(s, a):
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
 def test_rank_power_sums_match_hurwitz_zeta(alpha):
     # sum_{i=a}^{b} i^alpha = zeta(-alpha, a) - zeta(-alpha, b + 1), at 60 digits; the
-    # ranges cover the direct (<= 2^16 terms), split (a < 30000) and Euler-Maclaurin
-    # routes, and b = 2^1100 their bigint path
+    # ranges cover the direct (ranks below 30000), split (a < 30000 <= b) and
+    # Euler-Maclaurin (a >= 30000) routes, the ends either side of 30000, and
+    # b = 2^1100 their bigint path
     from mpmath import mp
 
     for a in (1, 29999, 30000, 10**6):
-        for b in (a + 65535, a + 65536, 10**15, 2**200, 2**1100):
+        ends = (29999, 30000, 30001, a + 65535, a + 65536, 10**15, 2**200, 2**1100)
+        for b in (b for b in ends if b >= a):
             with mp.workdps(60):
                 want = float(mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1)))
             assert abs(log_rank_power_sum(a, b, alpha) - want) <= 1e-12 * abs(want), (a, b)
+
+
+def test_direct_route_sums_only_ranks_below_the_threshold(monkeypatch):
+    # ranks from 30000 on take the Euler-Maclaurin form however short their
+    # block, so one table pass sums fewer than 30000 terms one by one
+    import inspect
+
+    from guesswork import ranksums
+
+    direct, terms = ranksums._direct_route, []
+
+    def counting(*args, **kwargs):
+        cnt = inspect.signature(direct).bind(*args, **kwargs).arguments["cnt"]
+        terms.append(int(np.sum(cnt)))
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(ranksums, "_direct_route", counting)
+    finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
+    assert terms and sum(terms) < 30000, terms
 
 
 def test_hurwitz_reference_agrees_with_mpmath_zeta():

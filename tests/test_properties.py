@@ -226,7 +226,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from((1, 2**53 - 40000, 2**53, 2**1100)),
+    st.sampled_from((1, 30000, 10**6, 2**53 - 40000, 2**53, 2**1100)),
     st.integers(0, 2**16 - 1),
     st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
 )
