@@ -7,15 +7,23 @@ with a shrinking-gap verdict), census (typical-set inventories).
 
 Output is deterministic: CSV with '#' metadata comments for curves and
 tables, JSON for reports, every number in the one positional format of
-`_fmt` (9 significant digits, or 8 when rounding carries; never an
+`_fmt` (9 significant digits, or fewer when rounding carries; never an
 exponent), "inf" as the out-of-domain sentinel. Exit codes: 0 success,
 1 validation failure, 2 resource-guard refusal, 3 exact-compare trend
 failure.
+
+Per-request overhead: the argparse tree is built once per process, by the
+first `main()` call, and reused; `build_parser()` still builds a new one on
+each call. Tables are rendered a column at a time (`_fmt_column`), CSV and
+JSON alike: a float whose digits a vectorised guard proves equal to `_fmt`
+is printed with '%.*f', every other float with `_fmt` itself, which stays
+the one definition of the format.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -101,6 +109,8 @@ def _parse_probs(text: str) -> LetterDistribution:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise DistributionError(f"could not parse probabilities from {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise DistributionError(f"probabilities must be finite, got {text!r}")
     if len(values) < 2:
         raise DistributionError("need at least two comma-separated probabilities")
     total = math.fsum(values)
@@ -125,16 +135,60 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise DistributionError(f"could not parse integers from {text!r}")
 
 
-def _cell(x) -> str:
-    """CSV cell: a float in the CLI number format, None empty, anything else as str."""
-    if x is None:
-        return ""
-    return _fmt(x) if isinstance(x, float) else str(x)
+# 10**k for k = 0 .. 209, each correctly rounded: the scale that brings any
+# |x| in [1e-200, 1e8) to a mantissa in [1e8, 1e9). k = 209 is reached only
+# where log10 rounds |x| near 1e-200 below -200, a value that falls back.
+_POW10 = np.array([float(f"1e{k}") for k in range(210)])
 
 
-def _jcell(x):
-    """JSON cell: a float as _jnum renders it, anything else unchanged."""
-    return _jnum(x) if isinstance(x, float) else x
+def _fast_decimals(x: np.ndarray) -> np.ndarray:
+    """Per float, the '%.*f' precision that prints it as `_fmt` does, or -1.
+
+    The precision is 8 - E with E = floor(log10|x|): 9 significant digits.
+    The scaled mantissa |x| * 10**(8 - E) is within about 2.2e-7 of its
+    exact value and '%f' rounds correctly, so '%.*f' and `_fmt` agree
+    unless the value is one of these, which get -1: zero or non-finite;
+    |x| >= 1e8 (`_fmt` keeps a trailing point there) or below 1e-200;
+    log10|x| within 1e-9 of an integer (E uncertain); a mantissa within
+    1e-6 of an integer or of a .5 tie; a possible carry (last kept digit 9,
+    fraction above .5), where `_fmt` prints fewer digits.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-200) & (a < 1e8)  # false for zero, inf and nan
+    a = np.where(ok, a, 1.0)
+    lg = np.log10(a)
+    ok &= np.abs(lg - np.rint(lg)) > 1e-9
+    decimals = 8 - np.floor(lg).astype(np.int64)
+    m = a * _POW10[decimals]
+    head = np.floor(m)
+    frac = m - head
+    ok &= (frac > 1e-6) & (frac < 1.0 - 1e-6) & (np.abs(frac - 0.5) > 1e-6)
+    ok &= ~((head % 10 == 9) & (frac > 0.5))
+    return np.where(ok, decimals, -1)
+
+
+def _fmt_column(values) -> list[str]:
+    """CSV cells of one column: a float as `_fmt` prints it, None empty, anything else as str.
+
+    The floats are rendered together: each takes '%.*f' at the precision
+    `_fast_decimals` proves equal to `_fmt`, and the rest take `_fmt` itself.
+    """
+    cells = [None if isinstance(v, float) else "" if v is None else str(v) for v in values]
+    at = [i for i, c in enumerate(cells) if c is None]
+    if at:
+        xs = [values[i] for i in at]
+        for i, x, d in zip(at, xs, _fast_decimals(np.array(xs)).tolist()):
+            cells[i] = "%.*f" % (d, x) if d >= 0 else _fmt(x)
+    return cells
+
+
+def _json_column(values, cells) -> list:
+    """JSON values of one column: a finite float as the number its cell shows,
+    inf and nan as the cell's string sentinel, anything else unchanged."""
+    return [
+        (float(c) if math.isfinite(v) else c) if isinstance(v, float) else v
+        for v, c in zip(values, cells)
+    ]
 
 
 def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
@@ -144,12 +198,15 @@ def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
     lines. JSON is `payload` (default {"rows": None}) with "rows" set to one
     object per row keyed by the header's names, in payload's key order.
     """
+    columns = list(zip(*rows))
+    cells = [_fmt_column(col) for col in columns]
     if args.format == "json":
         names = header.split(",")
+        values = [_json_column(col, text) for col, text in zip(columns, cells)]
         payload = dict(payload or {"rows": None})
-        payload["rows"] = [{n: _jcell(v) for n, v in zip(names, row)} for row in rows]
+        payload["rows"] = [dict(zip(names, row)) for row in zip(*values)]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [*meta, header, *(",".join(map(_cell, row)) for row in rows), *footer]
+    lines = [*meta, header, *map(",".join, zip(*cells)), *footer]
     return "\n".join(lines) + "\n"
 
 
@@ -281,6 +338,8 @@ def cmd_fig1(args) -> tuple[str, int]:
 
 
 def cmd_fig2(args) -> tuple[str, int]:
+    if args.x_points < 0:
+        raise DistributionError(f"--x-points must be non-negative, got {args.x_points}")
     if args.x_points > MAX_X_POINTS:
         raise GridTooLargeError(
             f"fig2 grid too large: {args.x_points} x-points exceeds the cap {MAX_X_POINTS}"
@@ -463,9 +522,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built by the first call, reused for the life of the process.
+
+    parse_args leaves a parser as it found it (each call fills a new
+    namespace), so one tree serves every request alike.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.format is None:
         args.format = args.default_format
     try:

@@ -7,10 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from guesswork.cli import main
+from guesswork.cli import (
+    _fast_decimals,
+    _fmt,
+    _fmt_column,
+    _jnum,
+    _json_column,
+    build_parser,
+    main,
+)
 
 H = 0.5004024235381879
 H_MINUS = 0.5853705712676309
@@ -102,6 +111,14 @@ def test_bad_probabilities(capsys):
      "--k must list at least one word length"),
     (["census", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", ","],
      "--k must list at least one word length"),
+    # numpy's linspace would refuse it in its own words
+    (["fig2", "--p", "0.8,0.2", "--epsilon", "0.1", "--x-points", "-3"],
+     "--x-points must be non-negative, got -3"),
+    # fsum would raise "-inf + inf in fsum"
+    (["analyze", "--p", "inf,-inf", "--epsilon", "0.1"],
+     "probabilities must be finite, got 'inf,-inf'"),
+    (["analyze", "--p", "nan,0.5", "--epsilon", "0.1"],
+     "probabilities must be finite, got 'nan,0.5'"),
 ])
 def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     # exit 1 with the one error line on stderr: no traceback, nothing on stdout
@@ -454,3 +471,97 @@ def test_main_fuzz_exits_cleanly(tmp_path, capsys, data):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2, 3)
+
+
+# The column renderer must print every float exactly as _fmt does. The hard
+# cases: rounding carries (_fmt prints fewer digits), powers of ten and their
+# neighbours (the exponent estimate), exact .5 ties at the ninth digit, the
+# 1e8 switch to a trailing point, the float range's ends and subnormals.
+CARRIES = [0.825, 0.4878567, 0.12345678951, 0.99999999996, 9.9999999996]
+HARD_FLOATS = [
+    *CARRIES,
+    *(y for k in range(-20, 11) for x in [float(f"1e{k}")]
+      for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))),
+    123456789.5, 1234567885.0, 12345678.25, 12345678.75,
+    99999999.99999999, 1e8, 123456789.25, 1e308, 5e-324,
+]
+
+
+def test_fmt_column_matches_fmt_on_hard_cases():
+    xs = [*HARD_FLOATS, *(-x for x in HARD_FLOATS), 0.0, -0.0, math.inf, -math.inf, math.nan]
+    assert _fmt_column(xs) == [_fmt(x) for x in xs]
+    assert _json_column(xs, _fmt_column(xs)) == [_jnum(x) for x in xs]
+    # every carry falls back to _fmt; ordinary values take '%.*f'
+    assert _fast_decimals(np.array(CARRIES)).tolist() == [-1] * len(CARRIES)
+    assert _fast_decimals(np.array([math.pi, -math.e * 1e-5])).tolist() == [8, 13]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+def test_fmt_column_matches_fmt(xs):
+    cells = _fmt_column(xs)
+    assert cells == [_fmt(x) for x in xs]
+    assert _json_column(xs, cells) == [_jnum(x) for x in xs]
+
+
+def test_fmt_column_renders_mixed_columns_cell_by_cell():
+    # exact-compare rows mix labels, ints, floats and None; fig1 and census
+    # rows add flags and huge exact counts
+    column = ["scgf[alpha=0.5]", 6, 0.5, None, 0.0123456789, "", "empty_typical_set",
+              2**200, True, math.inf, np.float64(0.825)]
+    cells = _fmt_column(column)
+    assert cells == [
+        "" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in column
+    ]
+    assert _json_column(column, cells) == [
+        _jnum(v) if isinstance(v, float) else v for v in column
+    ]
+    assert _fmt_column([]) == [] and _fmt_column([None, "x"]) == ["", "x"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig2_zero_points_is_an_empty_table(capsys, fmt):
+    code, out, err = run(capsys, ["fig2", "--p", "0.8,0.2", "--epsilon", "0.1",
+                                  "--x-points", "0", "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["rows"] == []
+    else:
+        assert out.splitlines()[-1] == "x,unconditioned,conditioned,uniform"
+
+
+def test_shared_parser_serves_each_argv_as_a_fresh_process_does(tmp_path, capsys):
+    # one process runs the sequence through main(); each argv alone in a new
+    # interpreter must give the same exit code, stdout and --out file
+    target = tmp_path / "fig1.csv"
+    argvs = [
+        ["fig2", "--p", "0.8,0.2", "--epsilon", "0.1", "--x-points", "30", "--format", "json"],
+        ["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07"],
+        ["analyze", "--p", "0.8,0.2", "--epsilon", "0.1"],
+        ["analyze", "--epsilon", "0.1"],  # argparse refusal: --p is required
+        ["fig1", "--epsilon", "0.05", "--out", str(target)],
+        ["fig1", "--epsilon", "0.05"],
+    ]
+    in_process = []
+    for argv in argvs:
+        target.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, _ = capsys.readouterr()
+        in_process.append((code, out, target.read_text() if target.exists() else None))
+
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv, want in zip(argvs, in_process):
+        target.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "guesswork.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        got = (proc.returncode, proc.stdout, target.read_text() if target.exists() else None)
+        assert got == want, argv
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 0]
+    assert in_process[4][2] == in_process[5][1] != ""
+    # the shared tree is main's alone: build_parser() still builds a new one
+    assert build_parser() is not build_parser()
