@@ -74,8 +74,9 @@ def _fmt(x: float) -> str:
     """The CLI's one number format: np.format_float_positional, precision=9, unique=False.
 
     Digits come from the exact binary value rounded to 9 significant
-    digits; when that rounding carries, one digit fewer is printed (0.825,
-    stored just below it, prints as 0.82500000). There is never an exponent:
+    digits; when that rounding carries, one or more digits fewer are
+    printed (0.825, stored just below it, prints as 0.82500000, and 2.5e-7
+    as 0.00000025). There is never an exponent:
     2.2e-16 prints as 0.000000000000000222044605 and 1e20 as
     100000000000000000000. (with its point). Rendering a printed value
     again need not give the same string.

@@ -132,8 +132,15 @@ class TiltedFamily:
         kept inside its own shrinking bracket by bisection (doubling while
         it is unbounded above) whenever a step leaves it, stopping once a
         step moves beta by under NEWTON_STEP_TOL relative or after
-        NEWTON_MAX_ITER steps. Targets are walked in blocks of _BLOCK_CELLS
-        weights. Returns beta, log Z and the mean gap at each final beta.
+        NEWTON_MAX_ITER steps. Each pass makes beta an end of the bracket,
+        so a converged step that rounds back onto beta exactly ends the
+        target; only a step that moves must land strictly inside. Without
+        that exception a converged target bisects away from its root and
+        spends some 40 passes coming back; with the bracket test merely
+        made inclusive, a target can bounce between the two ends at a
+        residual of one ulp until NEWTON_MAX_ITER. Targets are walked in
+        blocks of _BLOCK_CELLS weights. Returns beta, log Z and the mean gap
+        at each final beta.
         """
         x = np.asarray(x, dtype=float)
         n = len(x)
@@ -141,7 +148,8 @@ class TiltedFamily:
         lower, upper = np.full(n, lo), np.full(n, hi)
         log_z, mean = np.empty(n), np.empty(n)
         rows = max(1, _BLOCK_CELLS // len(self.gaps))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives nan
+        # a zero slope gives nan and a subnormal one an infinite step: both fall back
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for start in range(0, n, rows):
                 todo = np.arange(start, min(start + rows, n))  # targets still iterating
                 for _ in range(NEWTON_MAX_ITER):
@@ -154,7 +162,9 @@ class TiltedFamily:
                     hi_t = upper[todo] = np.where(resid < 0.0, b, upper[todo])
                     step = np.where(slope < 0.0, b - resid / slope, np.nan)
                     fallback = np.where(hi_t == math.inf, 2.0 * lo_t, 0.5 * (lo_t + hi_t))
-                    step = np.where((lo_t < step) & (step < hi_t), step, fallback)
+                    # b is now a bracket end, so a step that rounds back onto
+                    # it fails the strict test yet has converged: keep it
+                    step = np.where((lo_t < step) & (step < hi_t) | (step == b), step, fallback)
                     root = resid == 0.0
                     beta[todo] = np.where(root, b, step)
                     todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]

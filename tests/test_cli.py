@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -565,3 +566,14 @@ def test_shared_parser_serves_each_argv_as_a_fresh_process_does(tmp_path, capsys
     assert in_process[4][2] == in_process[5][1] != ""
     # the shared tree is main's alone: build_parser() still builds a new one
     assert build_parser() is not build_parser()
+
+
+def test_fig2_near_tied_top_letters_warn_nothing(capsys):
+    # two top letters 4e-6 apart: at large beta the Newton slope -beta Var is
+    # subnormal and resid / slope overflows; numpy must not warn about it
+    argv = ["fig2", "--p", "0.40000160000640006,0.20000080000320003,0.39999759999039997",
+            "--epsilon", "0.05", "--x-points", "400"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")

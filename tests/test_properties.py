@@ -1,13 +1,15 @@
-"""Randomized invariants: simplex closure, monotonicity, duality, exactness."""
+"""Randomized invariants: simplex closure, monotonicity, duality, exactness, Newton pass counts."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import guesswork as gw
-from guesswork.tilting import tilted_type_beta
+from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily, tilted_type_beta
 
 
 def simplexes(m_min=2, m_max=4):
@@ -435,3 +437,78 @@ def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
     beta, h, _ = family.solve_entropy(xs, *window)
     assert np.all(np.abs(h - xs) <= 1e-12)
     assert np.all((window[0] <= beta) & (beta <= window[1]))
+
+
+@contextlib.contextmanager
+def entropy_solves():
+    # each TiltedFamily.solve_entropy call made inside the block, as (targets,
+    # h(l_beta) reached, moment passes including the final one): the passes
+    # are counted by wrapping _moments, as _count_tilting_work does
+    solves, passes = [], [0]
+    solve, moments = TiltedFamily.solve_entropy, TiltedFamily._moments
+
+    def counted_solve(self, x, lo, hi):
+        passes[0] = 0
+        beta, h, eta = solve(self, x, lo, hi)
+        solves.append((np.asarray(x), h, passes[0]))
+        return beta, h, eta
+
+    def counted_moments(self, beta):
+        passes[0] += 1
+        return moments(self, beta)
+
+    with mock.patch.object(TiltedFamily, "solve_entropy", counted_solve), \
+            mock.patch.object(TiltedFamily, "_moments", counted_moments):
+        yield solves
+
+
+# laws on which a converged Newton step rounded back onto its beta, a bracket
+# end, and was sent to bisection: the loop then spent about 40 passes on it
+TAIL_M5 = (0.1163543058712265, 0.1159804679254267, 0.5587950022721473,
+           0.18478347444153373, 0.02408674948966588)
+TAIL_M4 = (0.0, 0.2278546170506192, 0.041050483805394195, 0.7310948991439865)
+
+
+@pytest.mark.parametrize("p", [TAIL_M5, TAIL_M4], ids=["m5", "m4_zero_letter"])
+def test_fig2_interior_ends_each_target_on_its_converged_step(p):
+    # the 400-point fig2 interior of the unconditioned law: 42 (m = 5) and
+    # 53 (m = 4) passes while converged targets were bisected away
+    model = gw.scgf_model(gw.unconditioned(p))
+    with entropy_solves() as solves:
+        gw.legendre_transform(model, np.linspace(0.0, math.log(len(p)), 400))
+    [(x, h, passes)] = solves
+    assert passes <= 16
+    assert np.all(np.abs(h - x) <= 1e-12)
+
+
+def test_newton_target_between_ulp_residuals_ends():
+    # here the residual is +-2.2e-16 at neighbouring tilts: a bracket test
+    # that merely admits its ends bounces the target between them until
+    # NEWTON_MAX_ITER
+    model = gw.scgf_model(gw.unconditioned(TAIL_M4))
+    x = np.array([1.0979173386312917])
+    with entropy_solves() as solves:
+        model.family.solve_entropy(x, *model.window)
+    [(_, h, passes)] = solves
+    assert passes <= 20
+    assert abs(h[0] - x[0]) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(laws_with_a_zero(2, 6), st.floats(0.02, 0.98))
+def test_fig2_entropy_solves_stay_short(p, frac):
+    # every source's 400-point fig2 interior is one block of the Newton loop,
+    # so a target stopped by NEWTON_MAX_ITER would show as NEWTON_MAX_ITER + 1
+    # passes; every call stays far below that, and every target is met
+    top = gw.admissible_epsilon_interval(p)[1]
+    assume(top > 1e-9)
+    xs = np.linspace(0.0, math.log(p.m), 400)
+    assert len(xs) * p.m <= _BLOCK_CELLS
+    for source in (gw.unconditioned(p), gw.conditioned(p, frac * top),
+                   gw.uniform_typical(p, frac * top)):
+        model = gw.scgf_model(source)
+        with entropy_solves() as solves:
+            gw.legendre_transform(model, xs)
+        for x, h, passes in solves:
+            assert passes <= 25 < NEWTON_MAX_ITER
+            assert np.all(np.abs(h - x) <= 1e-12)
