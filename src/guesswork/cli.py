@@ -6,18 +6,16 @@ Subcommands: analyze (exponent report for all three sources), fig1
 with a shrinking-gap verdict), census (typical-set inventories).
 
 Output is deterministic: CSV with '#' metadata comments for curves and
-tables, JSON for reports, every number in the one positional format of
-`_fmt` (9 significant digits, or fewer when rounding carries; never an
-exponent), "inf" as the out-of-domain sentinel. Exit codes: 0 success,
-1 validation failure, 2 resource-guard refusal, 3 exact-compare trend
-failure.
+tables, JSON for reports. Every float guessctl prints, in a CSV cell, a '#'
+line, a series label or a stderr message, is `_fmt(x)`: '%#.9g', always
+9 significant digits with trailing zeros kept, positional when the rounded
+value lies in [1e-4, 1e9) and with an exponent outside it; "inf", "-inf"
+and "nan" are the out-of-domain sentinels. A JSON number is the float its
+cell shows. Exit codes: 0 success, 1 validation failure, 2 resource-guard
+refusal, 3 exact-compare trend failure.
 
-Per-request overhead: the argparse tree is built once per process, by the
-first `main()` call, and reused; `build_parser()` still builds a new one on
-each call. Tables are rendered a column at a time (`_fmt_column`), CSV and
-JSON alike: a float whose digits a vectorised guard proves equal to `_fmt`
-is printed with '%.*f', every other float with `_fmt` itself, which stays
-the one definition of the format.
+The argparse tree is built once per process, by the first `main()` call,
+and reused; `build_parser()` still builds a new one on each call.
 """
 
 from __future__ import annotations
@@ -71,34 +69,27 @@ MAX_X_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
-    """The CLI's one number format: np.format_float_positional, precision=9, unique=False.
+    """The CLI's one number format: '%#.9g'.
 
-    Digits come from the exact binary value rounded to 9 significant
-    digits; when that rounding carries, one or more digits fewer are
-    printed (0.825, stored just below it, prints as 0.82500000, and 2.5e-7
-    as 0.00000025). There is never an exponent:
-    2.2e-16 prints as 0.000000000000000222044605 and 1e20 as
-    100000000000000000000. (with its point). Rendering a printed value
-    again need not give the same string.
+    Always 9 significant digits, trailing zeros kept (0.825 prints as
+    0.825000000). Positional when the value rounded to 9 digits lies in
+    [1e-4, 1e9), a trailing point kept from 1e8 up (123456789.); an
+    exponent outside that range (2.5e-7 prints as 2.50000000e-07, 1e308 as
+    1.00000000e+308). -0.0 prints as 0.00000000. The format is idempotent:
+    _fmt(float(_fmt(x))) == _fmt(x).
     """
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0
-    return np.format_float_positional(x, precision=9, unique=False, fractional=False)
+    return "%#.9g" % (float(x) + 0.0)
+
+
+def _json_value(cell: str):
+    """A printed float as JSON: the number the cell shows; JSON has no inf
+    or nan literal, so those stay the cell's string."""
+    x = float(cell)
+    return x if math.isfinite(x) else cell
 
 
 def _jnum(x: float | None):
-    # JSON has no inf literal; fall back to the same string sentinel
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x) or math.isnan(x):
-        return _fmt(x)
-    return float(_fmt(x))
+    return None if x is None else _json_value(_fmt(x))
 
 
 def _jvec(values) -> list:
@@ -136,60 +127,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise DistributionError(f"could not parse integers from {text!r}")
 
 
-# 10**k for k = 0 .. 209, each correctly rounded: the scale that brings any
-# |x| in [1e-200, 1e8) to a mantissa in [1e8, 1e9). k = 209 is reached only
-# where log10 rounds |x| near 1e-200 below -200, a value that falls back.
-_POW10 = np.array([float(f"1e{k}") for k in range(210)])
-
-
-def _fast_decimals(x: np.ndarray) -> np.ndarray:
-    """Per float, the '%.*f' precision that prints it as `_fmt` does, or -1.
-
-    The precision is 8 - E with E = floor(log10|x|): 9 significant digits.
-    The scaled mantissa |x| * 10**(8 - E) is within about 2.2e-7 of its
-    exact value and '%f' rounds correctly, so '%.*f' and `_fmt` agree
-    unless the value is one of these, which get -1: zero or non-finite;
-    |x| >= 1e8 (`_fmt` keeps a trailing point there) or below 1e-200;
-    log10|x| within 1e-9 of an integer (E uncertain); a mantissa within
-    1e-6 of an integer or of a .5 tie; a possible carry (last kept digit 9,
-    fraction above .5), where `_fmt` prints fewer digits.
-    """
-    a = np.abs(x)
-    ok = (a >= 1e-200) & (a < 1e8)  # false for zero, inf and nan
-    a = np.where(ok, a, 1.0)
-    lg = np.log10(a)
-    ok &= np.abs(lg - np.rint(lg)) > 1e-9
-    decimals = 8 - np.floor(lg).astype(np.int64)
-    m = a * _POW10[decimals]
-    head = np.floor(m)
-    frac = m - head
-    ok &= (frac > 1e-6) & (frac < 1.0 - 1e-6) & (np.abs(frac - 0.5) > 1e-6)
-    ok &= ~((head % 10 == 9) & (frac > 0.5))
-    return np.where(ok, decimals, -1)
-
-
 def _fmt_column(values) -> list[str]:
-    """CSV cells of one column: a float as `_fmt` prints it, None empty, anything else as str.
-
-    The floats are rendered together: each takes '%.*f' at the precision
-    `_fast_decimals` proves equal to `_fmt`, and the rest take `_fmt` itself.
-    """
-    cells = [None if isinstance(v, float) else "" if v is None else str(v) for v in values]
-    at = [i for i, c in enumerate(cells) if c is None]
-    if at:
-        xs = [values[i] for i in at]
-        for i, x, d in zip(at, xs, _fast_decimals(np.array(xs)).tolist()):
-            cells[i] = "%.*f" % (d, x) if d >= 0 else _fmt(x)
-    return cells
-
-
-def _json_column(values, cells) -> list:
-    """JSON values of one column: a finite float as the number its cell shows,
-    inf and nan as the cell's string sentinel, anything else unchanged."""
-    return [
-        (float(c) if math.isfinite(v) else c) if isinstance(v, float) else v
-        for v, c in zip(values, cells)
-    ]
+    """CSV cells of one column: a float as `_fmt` prints it, None empty, anything else as str."""
+    return ["" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in values]
 
 
 def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
@@ -203,7 +143,10 @@ def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
     cells = [_fmt_column(col) for col in columns]
     if args.format == "json":
         names = header.split(",")
-        values = [_json_column(col, text) for col, text in zip(columns, cells)]
+        values = [
+            [_json_value(c) if isinstance(v, float) else v for v, c in zip(col, text)]
+            for col, text in zip(columns, cells)
+        ]
         payload = dict(payload or {"rows": None})
         payload["rows"] = [dict(zip(names, row)) for row in zip(*values)]
         return json.dumps(payload, indent=2) + "\n"
@@ -295,10 +238,7 @@ def cmd_analyze(args) -> tuple[str, int]:
     for name, model in models.items():
         report[name] = _kind_report(model)
     if args.format == "csv":
-        lines = ["# analyze report", "key,value"]
-        for key, value in _flatten(report):
-            lines.append(f"{key},{'' if value is None else value}")
-        return "\n".join(lines) + "\n", 0
+        return _table(args, ["# analyze report"], "key,value", list(_flatten(report))), 0
     return json.dumps(report, indent=2) + "\n", 0
 
 
@@ -325,11 +265,9 @@ def cmd_fig1(args) -> tuple[str, int]:
         try:
             rep = binary_closed_forms(p0, epsilon)
         except (EpsilonInadmissibleError, DistributionError):
-            rows.append((_jnum(p0), None, None, None, "epsilon_inadmissible"))
+            rows.append((p0, None, None, None, "epsilon_inadmissible"))
             continue
-        # cells hold the 9-digit JSON values: the CSV has always shown _fmt of
-        # those, which can keep a trailing zero that _fmt of the raw value drops
-        rows.append((_jnum(p0), _jnum(rep.top), _jnum(rep.middle), _jnum(rep.bottom), ""))
+        rows.append((p0, rep.top, rep.middle, rep.bottom, ""))
     meta = [
         f"# fig1: growth-rate gaps (uniform-vs-mean-log, uniform-vs-conditioned-moment,"
         f" uniform-vs-unconditioned-moment) at epsilon={_fmt(epsilon)}",

@@ -1,5 +1,6 @@
 """guessctl subcommands: formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -12,15 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from guesswork.cli import (
-    _fast_decimals,
-    _fmt,
-    _fmt_column,
-    _jnum,
-    _json_column,
-    build_parser,
-    main,
-)
+from guesswork.cli import _fmt, _fmt_column, _jnum, _table, build_parser, main
 
 H = 0.5004024235381879
 H_MINUS = 0.5853705712676309
@@ -474,49 +467,101 @@ def test_main_fuzz_exits_cleanly(tmp_path, capsys, data):
     assert code in (0, 1, 2, 3)
 
 
-# The column renderer must print every float exactly as _fmt does. The hard
-# cases: rounding carries (_fmt prints fewer digits), powers of ten and their
-# neighbours (the exponent estimate), exact .5 ties at the ninth digit, the
-# 1e8 switch to a trailing point, the float range's ends and subnormals.
-CARRIES = [0.825, 0.4878567, 0.12345678951, 0.99999999996, 9.9999999996]
+# The format's contract, checked on hard cases and on every float: values
+# that round up across a digit (0.825 is stored just below it), powers of
+# ten and their neighbours, ties at the ninth digit, both edges of the
+# positional range, the float range's ends and subnormals.
 HARD_FLOATS = [
-    *CARRIES,
+    0.825, 0.4878567, 0.12345678951, 0.99999999996, 9.9999999996, 2.5e-7, 1.5e-10,
     *(y for k in range(-20, 11) for x in [float(f"1e{k}")]
       for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))),
-    123456789.5, 1234567885.0, 12345678.25, 12345678.75,
-    99999999.99999999, 1e8, 123456789.25, 1e308, 5e-324,
+    123456789.5, 1234567885.0, 12345678.25, 999999999.7, 9.99999999999e-05,
+    1e308, 1.7976931348623157e308, 2.2250738585072014e-308, 5e-324,
 ]
 
 
-def test_fmt_column_matches_fmt_on_hard_cases():
-    xs = [*HARD_FLOATS, *(-x for x in HARD_FLOATS), 0.0, -0.0, math.inf, -math.inf, math.nan]
-    assert _fmt_column(xs) == [_fmt(x) for x in xs]
-    assert _json_column(xs, _fmt_column(xs)) == [_jnum(x) for x in xs]
-    # every carry falls back to _fmt; ordinary values take '%.*f'
-    assert _fast_decimals(np.array(CARRIES)).tolist() == [-1] * len(CARRIES)
-    assert _fast_decimals(np.array([math.pi, -math.e * 1e-5])).tolist() == [8, 13]
+def _significant_digits(cell: str) -> int:
+    return len(cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
 
 
-@settings(max_examples=300, deadline=None)
+def _json_cells(values) -> list:
+    """The JSON values `_table` prints for one column of floats."""
+    args = argparse.Namespace(format="json")
+    return [row["x"] for row in json.loads(_table(args, [], "x", [(v,) for v in values]))["rows"]]
+
+
+def check_format(x: float) -> None:
+    cell = _fmt(x)
+    assert _fmt(float(cell)) == cell  # idempotent
+    if math.isnan(x):
+        assert cell == "nan" and _jnum(x) == "nan"
+        return
+    if math.isinf(x):
+        assert cell == ("inf" if x > 0 else "-inf") and _jnum(x) == cell
+        return
+    y = float(cell)
+    assert y == float("%.8e" % x)  # the correctly rounded 9 digits
+    assert _jnum(x) == y
+    if x == 0.0:
+        assert cell == "0.00000000"
+        return
+    assert _significant_digits(cell) == 9
+    # positional exactly when the rounded value lies in [1e-4, 1e9)
+    assert ("e" not in cell) == (1e-4 <= abs(y) < 1e9)
+
+
+def test_fmt_contract_on_hard_cases():
+    for x in [*HARD_FLOATS, *(-x for x in HARD_FLOATS), 0.0, -0.0, math.inf, -math.inf, math.nan]:
+        check_format(x)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_fmt_contract(x):
+    check_format(x)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 max_size=40))
-def test_fmt_column_matches_fmt(xs):
+def test_json_number_is_the_float_its_cell_shows(xs):
     cells = _fmt_column(xs)
     assert cells == [_fmt(x) for x in xs]
-    assert _json_column(xs, cells) == [_jnum(x) for x in xs]
+    assert _json_cells(xs) == [float(c) if math.isfinite(float(c)) else c for c in cells]
+
+
+def test_fmt_pins():
+    assert _fmt(2.5e-7) == "2.50000000e-07"
+    assert _fmt(0.825) == "0.825000000"
+    assert _fmt(1e308) == "1.00000000e+308"
+    assert _fmt(123456789.0) == "123456789."
+    assert _fmt(-0.0) == "0.00000000"
+
+
+def test_fig1_keeps_nine_digits_where_rounding_carries(capsys):
+    code, out, _ = run(capsys, ["fig1", "--epsilon", "0.05", "--p0-grid", "0.825,0.8"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert rows[0][0] == "0.825000000" and rows[1][1] == "0.0461018950"
+
+
+def test_exact_compare_huge_alpha_prints_short_cells(capsys):
+    # one exponent in place of about 310 positional digits
+    _, out, _ = run(capsys, ["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1",
+                             "--k", "6,10", "--alpha", "1e308"])
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "series"))]
+    long_cells = {cell for row in rows for cell in row if len(cell) > 16}
+    assert long_cells == {"scgf[alpha=1.00000000e+308]"}
 
 
 def test_fmt_column_renders_mixed_columns_cell_by_cell():
     # exact-compare rows mix labels, ints, floats and None; fig1 and census
     # rows add flags and huge exact counts
-    column = ["scgf[alpha=0.5]", 6, 0.5, None, 0.0123456789, "", "empty_typical_set",
+    column = ["scgf[alpha=0.500000000]", 6, 0.5, None, 0.0123456789, "", "empty_typical_set",
               2**200, True, math.inf, np.float64(0.825)]
     cells = _fmt_column(column)
     assert cells == [
         "" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in column
-    ]
-    assert _json_column(column, cells) == [
-        _jnum(v) if isinstance(v, float) else v for v in column
     ]
     assert _fmt_column([]) == [] and _fmt_column([None, "x"]) == ["", "x"]
 
