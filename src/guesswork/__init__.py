@@ -30,16 +30,13 @@ from .entropy import (
     cross_entropy,
     enumerate_types,
     is_typical_type,
-    kl_divergence,
     num_types,
-    renyi_rate,
     shannon_entropy,
     type_count,
     type_count_matrix,
     typical_window,
 )
 from .errors import (
-    AbsoluteContinuityError,
     AlphaDomainError,
     DistributionError,
     EmptyTypicalSetError,
@@ -60,7 +57,6 @@ from .oracle import (
     build_guess_table,
     convergence_series,
     exact_mean_log_guesswork,
-    exact_moment,
     exact_moment_log,
     finite_k_exponents,
     log_rank_power_sum,
@@ -68,7 +64,6 @@ from .oracle import (
     moment_sandwich,
     naive_enumeration_crosscheck,
     smallest_nonempty_k,
-    top_guess_prob,
     trend_holds,
     typical_set_census,
 )

@@ -357,6 +357,22 @@ def admissible_epsilon_binary(p0: float) -> tuple[float, float]:
     return (0.0, spread * min(p0 - 0.5, 1.0 - p0))
 
 
+def _binary_divergence(p0: float, p1: float, delta: float) -> float:
+    """D(l || p) for p = (p0, p1) and l = (p0 - delta, p1 + delta), to full relative precision.
+
+    With l_a = p_a (1 + x_a), x = (-delta/p0, delta/p1): D = sum_a l_a (log1p(x_a) - x_a)
+    + delta^2 (1/p0 + 1/p1), log1p(x) - x summed as -sum_{j>=2} (-x)^j / j where |x| <= 0.1.
+    No difference of O(1) entropies, which loses D's digits at small delta.
+    """
+    def log1p_minus(x: float) -> float:
+        if abs(x) > 0.1:
+            return math.log1p(x) - x
+        return -math.fsum((-x) ** j / j for j in range(19, 1, -1))
+
+    return ((p0 - delta) * log1p_minus(-delta / p0) + (p1 + delta) * log1p_minus(delta / p1)
+            + delta * delta * (1.0 / p0 + 1.0 / p1))
+
+
 def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     """Closed-form report for a binary source; requires admissible epsilon.
 
@@ -389,8 +405,9 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     h = h2(p0)
     h_minus = h2(lm0)
     h_plus = h2(lp0)
-    div_minus = (h + epsilon) - h_minus
-    div_plus = (h - epsilon) - h_plus
+    # D(l-||p) = (h + eps) - h(l-) and D(l+||p) = (h - eps) - h(l+), summed with no cancellation
+    div_minus = _binary_divergence(p0, p1, epsilon / spread)
+    div_plus = _binary_divergence(p0, p1, -epsilon / spread)
 
     root_sum = math.sqrt(p0) + math.sqrt(p1)
     moment_uncond = 2.0 * math.log(root_sum)
@@ -411,7 +428,7 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
         moment_rate_uncond=moment_uncond,
         window_excess=excess,
         moment_rate_cond=moment_cond,
-        top=h_minus - h,
+        top=epsilon - div_minus,
         middle=(h_minus - moment_uncond) if excess <= 0.0 else div_minus,
         bottom=h_minus - moment_uncond,
     )

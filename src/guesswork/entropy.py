@@ -1,8 +1,8 @@
 """Distributions on finite alphabets, empirical types, and entropy functionals.
 
 Shared vocabulary for the rest of the package: probability vectors on
-{0, ..., m-1}, k-types (empirical letter frequencies), Shannon and Renyi
-functionals, exact counting of type classes, and typical-set membership.
+{0, ..., m-1}, k-types (empirical letter frequencies), Shannon entropy and
+cross entropy, exact counting of type classes, and typical-set membership.
 All logarithms are natural; every rate in the package is in nats.
 """
 
@@ -14,12 +14,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityError,
-    DistributionError,
-    GrainError,
-    TypeSpaceTooLargeError,
-)
+from .errors import DistributionError, GrainError, TypeSpaceTooLargeError
 
 SIMPLEX_TOL = 1e-12
 GRAIN_TOL = 1e-9
@@ -130,9 +125,9 @@ def shannon_entropy(l: FreqsLike) -> float:
 def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
     """Cross entropy -sum_a l_a log p_a in nats; +inf if l escapes p's support.
 
-    Satisfies the decomposition cross_entropy(l, p) =
-    shannon_entropy(l) + kl_divergence(l, p), which the package leans on:
-    a word of type l has per-letter log-probability -cross_entropy(l, p).
+    Satisfies the decomposition cross_entropy(l, p) = shannon_entropy(l) +
+    D(l || p), which the package leans on: a word of type l has per-letter
+    log-probability -cross_entropy(l, p).
     """
     lf, pf = as_freqs(l), as_freqs(p)
     if len(lf) != len(pf):
@@ -144,56 +139,6 @@ def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
                 return math.inf
             total += f * -math.log(q)
     return total
-
-
-def kl_divergence(l: FreqsLike, p: FreqsLike) -> float:
-    """Relative entropy D(l || p) = sum_a l_a log(l_a / p_a), in nats.
-
-    Raises
-    ------
-    AbsoluteContinuityError
-        If l puts mass on a letter outside the support of p.
-    """
-    lf, pf = as_freqs(l), as_freqs(p)
-    if len(lf) != len(pf):
-        raise DistributionError(f"alphabet mismatch: {len(lf)} vs {len(pf)} letters")
-    terms = []
-    for a, (f, q) in enumerate(zip(lf, pf)):
-        if f > 0.0:
-            if q <= 0.0:
-                raise AbsoluteContinuityError(
-                    f"absolute-continuity violation: mass {f!r} on letter {a} "
-                    "outside the reference support"
-                )
-            terms.append(f * (math.log(f) - math.log(q)))
-    return max(math.fsum(terms), 0.0)
-
-
-def renyi_rate(p: FreqsLike, beta: float) -> float:
-    """Specific Renyi entropy of order beta for an i.i.d. letter source.
-
-    Parameters
-    ----------
-    p : distribution on the alphabet
-    beta : float
-        Order, beta > 0. The beta = 1 case is the Shannon limit and is
-        returned as `shannon_entropy(p)` exactly.
-
-    Returns
-    -------
-    float
-        (1 / (1 - beta)) log sum_a p_a^beta, in nats. Nonincreasing in beta.
-    """
-    if not beta > 0.0:
-        raise DistributionError(f"Renyi order must be positive, got {beta}")
-    pf = as_freqs(p)
-    if abs(beta - 1.0) < 1e-14:
-        return shannon_entropy(pf)
-    # log sum_a p_a^beta in the log domain, so a large order cannot underflow it
-    logs = [math.log(q) for q in pf if q > 0.0]
-    top = max(logs)
-    log_s = beta * top + math.log(math.fsum(math.exp(beta * (lq - top)) for lq in logs))
-    return log_s / (1.0 - beta)
 
 
 def multinomial(counts: Sequence[int]) -> int:

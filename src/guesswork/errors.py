@@ -15,10 +15,6 @@ class GrainError(GuessworkError, ValueError):
     """Frequencies are not integer multiples of 1/k for the claimed k."""
 
 
-class AbsoluteContinuityError(GuessworkError, ValueError):
-    """A divergence was requested for mass outside the reference support."""
-
-
 class AlphaDomainError(DistributionError):
     """Moment order outside the tilted optimiser's domain (requires finite alpha > -1)."""
 

@@ -55,6 +55,9 @@ MAX_WORDS_DEFAULT = 2**22
 #: two probabilities within this of each other count as tied for modal-set purposes
 RANK_TIE_TOL = 1e-10
 
+#: relative agreement (absolute near zero) the naive cross-check asks of the table
+CROSSCHECK_REL_TOL = 1e-9
+
 
 def _exp_or_inf(lv: float) -> float:
     try:
@@ -76,10 +79,6 @@ class GuessBlock:
     count: int
     start: int
     log_word_prob: float
-
-    @property
-    def type_vector(self) -> TypeVector:
-        return TypeVector.from_counts(self.counts)
 
     @property
     def end(self) -> int:
@@ -115,8 +114,11 @@ class ExactGuessTable:
                          self.starts, self.log_word_prob.tolist()))
 
     def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
-        return _log_sums(self.starts, self.sizes, self.log_word_prob, alphas,
-                         scale=scale, logs=logs)
+        # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
+        out, log_logs = _log_sums(self.starts, self.sizes, self.log_word_prob,
+                                  [a for a in alphas if a != 0.0], scale=scale, logs=logs)
+        out = iter(out)
+        return [0.0 if a == 0.0 else next(out) for a in alphas], log_logs
 
 
 def _cross_entropies(counts: np.ndarray, k: int, p: LetterDistribution) -> np.ndarray:
@@ -232,13 +234,8 @@ def build_guess_table(
 
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
-    """log E[G^alpha] computed exactly from the block structure."""
+    """log E[G^alpha] computed exactly from the block structure; 0.0 at alpha = 0."""
     return table._log_sums((float(alpha),))[0][0]
-
-
-def exact_moment(table: ExactGuessTable, alpha: float) -> float:
-    """E[G^alpha]; inf when the value exceeds float range (use the log form)."""
-    return _exp_or_inf(exact_moment_log(table, alpha))
 
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
@@ -246,15 +243,10 @@ def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
     return math.exp(table._log_sums((), logs=True)[1])
 
 
-def top_guess_prob(table: ExactGuessTable) -> float:
-    """P(G = 1): the modal word's probability under the table's law."""
-    return math.exp(table.log_word_prob[0])
-
-
-def modal_word_count(table: ExactGuessTable, tol: float = RANK_TIE_TOL) -> int:
-    """Number of words tied (within tol in log-probability) for most likely."""
+def modal_word_count(table: ExactGuessTable) -> int:
+    """Number of words tied (within RANK_TIE_TOL in log-probability) for most likely."""
     lw = table.log_word_prob
-    return sum(table.sizes[: int(np.count_nonzero(lw >= lw[0] - tol))])
+    return sum(table.sizes[: int(np.count_nonzero(lw >= lw[0] - RANK_TIE_TOL))])
 
 
 @dataclass(frozen=True)
@@ -386,8 +378,8 @@ def finite_k_exponents(
 class SandwichBounds:
     """Method-of-types bracket around a conditioned guesswork moment.
 
-    The bracket is held in the log domain, where `holds` compares it;
-    lower/value/upper read it back as floats, inf past float range.
+    The bracket is held in the log domain, where `holds` compares it, so it
+    stays finite past float range.
     """
 
     k: int
@@ -395,18 +387,6 @@ class SandwichBounds:
     log_lower: float
     log_value: float
     log_upper: float
-
-    @property
-    def lower(self) -> float:
-        return _exp_or_inf(self.log_lower)
-
-    @property
-    def value(self) -> float:
-        return _exp_or_inf(self.log_value)
-
-    @property
-    def upper(self) -> float:
-        return _exp_or_inf(self.log_upper)
 
     @property
     def holds(self) -> bool:
@@ -551,7 +531,6 @@ def naive_enumeration_crosscheck(
     k: int,
     *,
     alphas: tuple[float, ...] | None = None,
-    rel_tol: float = 1e-9,
     max_words: int = MAX_WORDS_DEFAULT,
     max_types: int = MAX_TYPES_DEFAULT,
 ) -> bool:
@@ -560,7 +539,7 @@ def naive_enumeration_crosscheck(
     Enumerates all m^k words individually (numpy), sorts by probability,
     and recomputes every moment, E log G, P(G=1), and the modal count, then
     compares against the block route. True iff everything agrees within
-    rel_tol (relative, with an absolute floor of rel_tol near zero).
+    CROSSCHECK_REL_TOL (relative, with an absolute floor of it near zero).
     """
     p = source.p
     m = p.m
@@ -611,7 +590,7 @@ def naive_enumeration_crosscheck(
     table = build_guess_table(source, k, max_types=max_types)
 
     def close(x: float, y: float) -> bool:
-        return abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y))
+        return abs(x - y) <= CROSSCHECK_REL_TOL * max(1.0, abs(x), abs(y))
 
     alphas = alphas_or_default(alphas)
     logs, log_mean_log = table._log_sums(alphas, logs=True)
@@ -620,6 +599,6 @@ def naive_enumeration_crosscheck(
             return False
     if not close(float(probs @ np.log(ranks)), math.exp(log_mean_log)):
         return False
-    if not close(float(top_prob), top_guess_prob(table)):
+    if not close(float(top_prob), math.exp(table.log_word_prob[0])):
         return False
     return modal == modal_word_count(table) and n == table.total_words

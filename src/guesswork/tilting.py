@@ -92,16 +92,19 @@ class TiltedFamily:
     def line(self, beta: float) -> tuple[float, float]:
         """(h(l_beta), -D(l_beta || p)) for beta in [0, inf]: Lambda's slope and intercept.
 
-        At finite beta > 0 both are summed as shannon_entropy and
-        kl_divergence sum them. At a limit l_beta is uniform on n letters
-        (the support at beta = 0, argmax p at beta = inf) with cross entropy
-        c (c_max, c_min), so the line is (log n, log n - c).
+        At finite beta > 0 both are math.fsum sums over the letters, D clipped
+        at 0; at beta = 1, l_beta is p and D is 0, so Lambda(0) = 0 exactly. At a
+        limit l_beta is uniform on n letters (the support at beta = 0,
+        argmax p at beta = inf) with cross entropy c (c_max, c_min), so the
+        line is (log n, log n - c).
         """
         if beta == 0.0 or beta == math.inf:
             n, c = (self.support, self.c_max) if beta == 0.0 else (self.argmax, self.c_min)
             return math.log(len(n)), math.log(len(n)) - c
         fs = self._freqs(beta)
         h = -math.fsum(f * math.log(f) for f in fs if f > 0.0)
+        if beta == 1.0:
+            return h, 0.0
         d = math.fsum(f * (math.log(f) - lg) for f, lg in zip(fs, self.logs) if f > 0.0)
         return h, -max(d, 0.0)
 
@@ -219,24 +222,13 @@ def clamp_tilt(alpha: float, window: tuple[float, float]) -> float:
     return min(max(1.0 / (1.0 + alpha), lo), hi)
 
 
-def tilted_type_beta(p: FreqsLike, beta: float) -> TypeVector:
-    """Tilted type with exponent beta: l_a = p_a^beta / sum_b p_b^beta.
-
-    Computed in the log domain so arbitrarily large beta is safe; letters
-    outside the support of p keep frequency 0 exactly.
-    """
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise DistributionError(f"tilt exponent must be finite and >= 0, got {beta}")
-    return TypeVector(tuple(TiltedFamily(p).law(beta)))
-
-
 def tilted_type(p: FreqsLike, alpha: float) -> TypeVector:
-    """Tilted type at finite moment order alpha > -1 (beta = 1/(1+alpha), unclamped)."""
-    return tilted_type_beta(p, clamp_tilt(alpha, (0.0, math.inf)))
+    """The tilted type p^beta / sum p^beta, beta = 1/(1+alpha) unclamped, for finite alpha > -1."""
+    return TypeVector(tuple(TiltedFamily(p).law(clamp_tilt(alpha, (0.0, math.inf)))))
 
 
 def solve_cross_entropy(p: FreqsLike, target: float) -> float:
-    """Finite beta > 0 with cross_entropy(tilted_type_beta(p, beta), p) = target.
+    """Finite beta > 0 with cross_entropy(l_beta, p) = target, l_beta = TiltedFamily(p).law(beta).
 
     Raises DistributionError unless c_min + _EDGE_TOL < target <
     c_max - _EDGE_TOL (the family's open attainable range, see TiltedFamily).

@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guesswork.cli import _fmt, _fmt_column, _jnum, _table, build_parser, main
 
+from laws import binary_gaps
+
 H = 0.5004024235381879
 H_MINUS = 0.5853705712676309
 
@@ -147,6 +149,17 @@ def test_fig1_default_grid(capsys):
     assert float(by_p0[0.8][1]) == pytest.approx(0.0849681477, abs=1e-8)
     assert float(by_p0[0.8][2]) == pytest.approx(0.0150318523, abs=1e-8)
     assert float(by_p0[0.8][3]) == pytest.approx(-0.0024160936, abs=1e-8)
+
+
+def test_fig1_small_epsilon_golden_matches_mpmath():
+    # every gap cell of the fig1 --epsilon 1e-6 golden is the 60-digit value
+    # printed by _fmt; the differences of O(1) entropies that wrote middle
+    # before had 3-4 wrong digits there
+    lines = (DATA / "fig1_eps1e-6.csv").read_text().splitlines()
+    assert lines[1] == "p0,top,middle,bottom,flag"
+    for row in (line.split(",") for line in lines[2:]):
+        want = binary_gaps(float(row[0]), 1e-6)
+        assert row[1:] == [_fmt(want["top"]), _fmt(want["middle"]), _fmt(want["bottom"]), ""]
 
 
 def test_fig1_custom_grid(capsys):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from guesswork import (
-    AbsoluteContinuityError,
     DistributionError,
     GrainError,
     LetterDistribution,
@@ -14,13 +13,13 @@ from guesswork import (
     cross_entropy,
     enumerate_types,
     is_typical_type,
-    kl_divergence,
     num_types,
-    renyi_rate,
     shannon_entropy,
     type_count,
     typical_window,
 )
+
+from laws import kl_divergence, renyi_rate
 
 P = (0.8, 0.2)
 H = 0.5004024235381879  # -(0.8 log 0.8 + 0.2 log 0.2)
@@ -44,8 +43,7 @@ def test_cross_entropy_decomposition():
 
 def test_support_escape():
     assert math.isinf(cross_entropy((0.5, 0.5), (1.0, 0.0)))
-    with pytest.raises(AbsoluteContinuityError):
-        kl_divergence((0.5, 0.5), (1.0, 0.0))
+    assert math.isinf(kl_divergence((0.5, 0.5), (1.0, 0.0)))
 
 
 def test_renyi_rate():
@@ -54,7 +52,7 @@ def test_renyi_rate():
     assert renyi_rate(P, 0.5) == pytest.approx(expected, abs=1e-14)
     # nonincreasing in the order
     assert renyi_rate(P, 0.5) >= renyi_rate(P, 1.0) >= renyi_rate(P, 2.0)
-    with pytest.raises(DistributionError):
+    with pytest.raises(ValueError):
         renyi_rate(P, 0.0)
 
 

@@ -1,6 +1,7 @@
 """Exact finite-k oracles: guess tables, censuses, sandwiches, crosschecks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from guesswork import (
     convergence_series,
     enumerate_types,
     exact_mean_log_guesswork,
-    exact_moment,
     exact_moment_log,
     finite_k_exponents,
     is_typical_type,
@@ -30,7 +30,6 @@ from guesswork import (
     scgf_model,
     shannon_entropy,
     smallest_nonempty_k,
-    top_guess_prob,
     trend_holds,
     typical_set_census,
     unconditioned,
@@ -49,7 +48,7 @@ def test_guess_table_unconditioned_k2():
     table = build_guess_table(W, 2)
     assert table.total_words == 4
     assert table.log_typical_mass == 0.0
-    got = [(b.type_vector.counts, b.count, b.start, math.exp(b.log_word_prob))
+    got = [(b.counts, b.count, b.start, math.exp(b.log_word_prob))
            for b in table.blocks]
     assert got[0] == ((2, 0), 1, 1, pytest.approx(0.64, rel=1e-12))
     assert got[1] == ((1, 1), 2, 2, pytest.approx(0.16, rel=1e-12))
@@ -65,8 +64,10 @@ def test_guess_table_probability_descending():
 
 
 def test_exact_first_moments():
-    assert exact_moment(build_guess_table(W, 1), 1.0) == pytest.approx(1.2, rel=1e-14)
-    assert exact_moment(build_guess_table(W, 2), 1.0) == pytest.approx(1.6, rel=1e-14)
+    for k, mean in ((1, 1.2), (2, 1.6)):
+        assert math.exp(exact_moment_log(build_guess_table(W, k), 1.0)) == pytest.approx(
+            mean, rel=1e-14
+        )
 
 
 def test_uniform_table_k5():
@@ -75,12 +76,12 @@ def test_uniform_table_k5():
     blk = table.blocks[0]
     assert blk.count == 5 and blk.start == 1
     assert math.exp(blk.log_word_prob) == pytest.approx(0.2, rel=1e-12)
-    assert exact_moment(table, 1.0) == pytest.approx(3.0, rel=1e-12)
-    assert exact_moment(table, 2.0) == pytest.approx(11.0, rel=1e-12)
+    assert math.exp(exact_moment_log(table, 1.0)) == pytest.approx(3.0, rel=1e-12)
+    assert math.exp(exact_moment_log(table, 2.0)) == pytest.approx(11.0, rel=1e-12)
     assert exact_mean_log_guesswork(table) == pytest.approx(
         math.log(120.0) / 5.0, rel=1e-12
     )
-    assert top_guess_prob(table) == pytest.approx(0.2, rel=1e-12)
+    assert math.exp(table.log_word_prob[0]) == pytest.approx(0.2, rel=1e-12)
     assert modal_word_count(table) == 5
 
 
@@ -103,11 +104,32 @@ def test_symmetric_source_ties():
     p = LetterDistribution((0.5, 0.5))
     table = build_guess_table(unconditioned(p), 3)
     assert modal_word_count(table) == 8
-    assert top_guess_prob(table) == pytest.approx(0.125, rel=1e-14)
-    assert exact_moment(table, 1.0) == pytest.approx(4.5, rel=1e-14)
+    assert math.exp(table.log_word_prob[0]) == pytest.approx(0.125, rel=1e-14)
+    assert math.exp(exact_moment_log(table, 1.0)) == pytest.approx(4.5, rel=1e-14)
     # moments see through block boundaries: all ranks weighted equally
     direct = math.fsum(i**1.3 for i in range(1, 9)) / 8.0
-    assert exact_moment(table, 1.3) == pytest.approx(direct, rel=1e-12)
+    assert math.exp(exact_moment_log(table, 1.3)) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("source, ks", [
+    (W, (10, 60, 1100)),
+    (C, (10, 60, 1100)),
+    (U, (10, 60, 1100)),
+    (unconditioned((0.5, 0.3, 0.2)), (10, 30, 60)),
+    (conditioned((0.5, 0.3, 0.2), 0.05), (10, 30, 60)),
+    (unconditioned((0.6, 0.0, 0.4)), (10, 30, 60)),
+])
+def test_zeroth_moment_is_exactly_one(source, ks):
+    # E[G^0] = 1 for every normalised table: its log and (1/k) log are 0.0
+    # exactly, not the +-1e-15 of summing the table's probabilities
+    for k in ks:
+        assert exact_moment_log(build_guess_table(source, k), 0.0) == 0.0
+        exps = finite_k_exponents(source, k, alphas=(-0.5, 0.0, 1.0, 0.0))
+        assert exps.moment_exponent(0.0) == 0.0
+        assert exps.moment_exponent(1.0) > 0.0
+    # the bare rank sum of i^0 stays the range's length
+    for a, b in ((1, 1), (7, 29_999), (29_000, 31_000), (10**20, 3 * 10**20)):
+        assert log_rank_power_sum(a, b, 0.0) == math.log(b - a + 1)
 
 
 def test_census_frozen_inventory():
@@ -156,7 +178,7 @@ def test_moment_sandwich_holds():
         for alpha in (0.5, 1.0):
             b = moment_sandwich(C, k, alpha, form="upper")
             assert b.holds
-            assert b.lower <= b.value <= b.upper
+            assert b.log_lower <= b.log_value <= b.log_upper
         for alpha in (-0.5, 0.0):
             assert moment_sandwich(C, k, alpha, form="lower").holds
 
@@ -176,7 +198,7 @@ def test_moment_sandwich_past_float_range(k):
     # k = 1000); the bracket is compared in the log domain
     b = moment_sandwich(C, k, 1.0)
     assert b.holds
-    assert b.value == math.inf and b.upper == math.inf
+    assert b.log_value > math.log(sys.float_info.max)
     assert b.log_lower <= b.log_value <= b.log_upper < math.inf
     assert moment_sandwich(C, k, -0.5).holds
 

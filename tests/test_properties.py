@@ -6,10 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import guesswork as gw
-from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily, tilted_type_beta
+from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily
+
+from laws import kl_divergence, renyi_rate, tilted_law
 
 
 def simplexes(m_min=2, m_max=4):
@@ -23,10 +25,11 @@ def simplexes(m_min=2, m_max=4):
 @settings(max_examples=60, deadline=None)
 @given(simplexes(), st.floats(0.01, 20.0))
 def test_tilted_type_stays_on_simplex(p, beta):
-    t = tilted_type_beta(p, beta)
+    t = gw.tilted_type(p, 1.0 / beta - 1.0)
     assert abs(math.fsum(t.freqs) - 1.0) < 1e-9
     assert all(f >= 0.0 for f in t.freqs)
     assert 0.0 <= gw.shannon_entropy(t) <= math.log(len(p)) + 1e-12
+    assert t.freqs == pytest.approx(tilted_law(p, beta), rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,7 +52,7 @@ def test_kl_nonnegative_and_decomposition(pair):
     raw_l, raw_p = pair
     l = tuple(v / math.fsum(raw_l) for v in raw_l)
     p = tuple(v / math.fsum(raw_p) for v in raw_p)
-    d = gw.kl_divergence(l, p)
+    d = kl_divergence(l, p)
     assert d >= 0.0
     assert abs(gw.cross_entropy(l, p) - gw.shannon_entropy(l) - d) < 1e-10
 
@@ -144,12 +147,12 @@ def test_legendre_transform_interior(p, frac, us, kind):
         lo, hi = -30.0, 30.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if gw.shannon_entropy(tilted_type_beta(p, math.exp(mid))) > x:
+            if gw.shannon_entropy(tilted_law(p, math.exp(mid))) > x:
                 lo = mid
             else:
                 hi = mid
-        l = tilted_type_beta(p, math.exp(0.5 * (lo + hi)))
-        assert abs(rate - gw.kl_divergence(l, p)) < 1e-10
+        l = tilted_law(p, math.exp(0.5 * (lo + hi)))
+        assert abs(rate - kl_divergence(l, p)) < 1e-10
 
         # and it is the supremum of x alpha - Lambda(alpha), alpha = 1/beta - 1
         def dual(log_beta):
@@ -217,7 +220,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
     ordered = sorted(want, key=lambda e: (-e[2], e[0]))
     assert [b.counts for b in table.blocks] == [c for c, _, _ in ordered]
     assert [b.count for b in table.blocks] == [n for _, n, _ in ordered]
-    assert [b.type_vector.counts for b in table.blocks[:3]] == [c for c, _, _ in ordered[:3]]
+    assert [b.counts for b in table.blocks[:3]] == [c for c, _, _ in ordered[:3]]
     total = sum(sizes)
     for b, (_, _, w) in zip(table.blocks, ordered):
         if kind == "uniform":
@@ -244,6 +247,20 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
     assert _close(_log_sum_of_logs(a, b), want_logs, 1e-13)
 
 
+@settings(max_examples=200, deadline=None)
+@given(laws_with_a_zero(), st.floats(0.02, 0.98))
+@example(gw.LetterDistribution((0.495645666183775, 0.36770507669574753, 0.1366492571204775)), 0.5)
+def test_scgf_is_exactly_zero_at_alpha_zero(p, frac):
+    # Lambda(0) = lim (1/k) log E[G^0] = 0 exactly, for every kind, with no
+    # -D(p || p) rounding residual (the pinned law gave -8.5e-17 unconditioned)
+    top = gw.admissible_epsilon_interval(p)[1]
+    kinds = [gw.unconditioned(p)]
+    if top > 1e-9:
+        kinds += [gw.conditioned(p, top * frac), gw.uniform_typical(p, top * frac)]
+    for source in kinds:
+        assert gw.scgf_model(source)(0.0) == 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     laws_with_a_zero(),
@@ -251,7 +268,7 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
 )
 def test_unconditioned_scgf_is_scaled_renyi_rate(p, alpha):
     # Arikan's identity: Lambda(alpha) = alpha H_{1/(1+alpha)}(p) for i.i.d. letters
-    want = alpha * gw.renyi_rate(p, 1.0 / (1.0 + alpha))
+    want = alpha * renyi_rate(p, 1.0 / (1.0 + alpha))
     assert abs(gw.scgf_model(gw.unconditioned(p))(alpha) - want) <= 1e-12
 
 
@@ -374,7 +391,7 @@ def test_scgf_model_edges_match_boundary_types(p, frac, clamped):
     limits = (0.0, math.inf)
     assert model.window == tuple(lim if b is None else b for b, lim in zip(betas, limits))
     for (h, icpt), l, beta in zip(model.edge_lines, (bnd.l_minus, bnd.l_plus), betas):
-        want = (gw.shannon_entropy(l), -gw.kl_divergence(l, p))
+        want = (gw.shannon_entropy(l), -kl_divergence(l, p))
         if beta is not None:
             assert (h, icpt) == want
         else:

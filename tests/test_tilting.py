@@ -21,7 +21,9 @@ from guesswork import (
     unconditioned,
     uniform_typical,
 )
-from guesswork.tilting import TiltedFamily, tilted_type_beta
+from guesswork.tilting import TiltedFamily
+
+from laws import tilted_law
 
 P = (0.8, 0.2)
 EPS = 0.1
@@ -36,17 +38,17 @@ ETA1 = 0.6852416716875065
 
 
 def test_tilted_type_endpoints():
-    assert tilted_type_beta(P, 1.0).freqs == pytest.approx(P, abs=1e-15)
-    assert tilted_type_beta(P, 0.0).freqs == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert TiltedFamily(P).law(1.0) == pytest.approx(P, abs=1e-15)
+    assert TiltedFamily(P).law(0.0) == pytest.approx((0.5, 0.5), abs=1e-15)
     # beta = 1/2 on (0.8, 0.2): ratio sqrt(4) = 2
     assert tilted_type(P, 1.0).freqs == pytest.approx((2 / 3, 1 / 3), abs=1e-14)
     assert tilted_type(P, 0.0).freqs == pytest.approx(P, abs=1e-15)
 
 
 def test_tilted_type_zero_mass_letters_stay_zero():
-    t = tilted_type_beta((0.5, 0.0, 0.5), 0.3)
+    t = tilted_type((0.5, 0.0, 0.5), 1.0 / 0.3 - 1.0)
     assert t.freqs[1] == 0.0
-    assert t.freqs[0] == pytest.approx(0.5, abs=1e-15)
+    assert t.freqs == pytest.approx(tilted_law((0.5, 0.0, 0.5), 0.3), abs=1e-15)
 
 
 def test_tilted_cross_entropy_monotone():
@@ -164,7 +166,7 @@ def test_family_support_and_argmax():
 
 
 def test_uniform_helpers():
-    assert tilted_type_beta((0.5, 0.0, 0.5), 0.0).freqs == (0.5, 0.0, 0.5)
+    assert TiltedFamily((0.5, 0.0, 0.5)).law(0.0) == [0.5, 0.0, 0.5]
     # the beta -> inf limit: uniform on argmax p
     assert TiltedFamily((0.4, 0.4, 0.2)).law(math.inf) == [0.5, 0.5, 0.0]
 
