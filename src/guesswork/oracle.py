@@ -115,10 +115,9 @@ class ExactGuessTable:
 
     def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
         # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
-        out, log_logs = _log_sums(self.starts, self.sizes, self.log_word_prob,
-                                  [a for a in alphas if a != 0.0], scale=scale, logs=logs)
-        out = iter(out)
-        return [0.0 if a == 0.0 else next(out) for a in alphas], log_logs
+        out, log_logs = _log_sums(self.starts, self.sizes, self.log_word_prob, alphas,
+                                  scale=scale, logs=logs)
+        return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
 
 
 def _cross_entropies(counts: np.ndarray, k: int, p: LetterDistribution) -> np.ndarray:

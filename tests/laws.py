@@ -62,8 +62,8 @@ def tilted_law(p, beta: float) -> tuple[float, ...]:
     return tuple(w / total for w in ws)
 
 
-def binary_gaps(p0: float, epsilon: float, dps: int = 60) -> dict[str, float]:
-    """fig1's binary closed forms at dps digits, for p = (p0, 1 - p0) and window half-width epsilon.
+def binary_gaps(p0: float, epsilon: float) -> dict[str, float]:
+    """fig1's binary closed forms at 60 digits, for p = (p0, 1 - p0) and window half-width epsilon.
 
     With spread = log p0 - log p1 and l- = (p0 - epsilon/spread, ...), l+ =
     (p0 + epsilon/spread, ...): D(l-||p), D(l+||p), top = h(l-) - h(p),
@@ -73,7 +73,7 @@ def binary_gaps(p0: float, epsilon: float, dps: int = 60) -> dict[str, float]:
     """
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(60):
         p0, eps = mpf(p0), mpf(epsilon)
         p1 = 1 - p0
         delta = eps / (mp.log(p0) - mp.log(p1))

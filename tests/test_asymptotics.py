@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from guesswork import (
     DistributionError,
@@ -217,21 +217,18 @@ def test_binary_closed_forms_low_excess_regime():
     assert rep.middle > 0.0
 
 
-@pytest.mark.parametrize("exponent", range(-8, -1))
-def test_binary_closed_forms_match_mpmath_at_small_epsilon(exponent):
-    # D(l-||p), D(l+||p), top = eps - D(l-||p) and middle (D(l-||p) where the
-    # window binds) to 1e-12 relative of 60-digit values; as differences of
-    # O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and 1.4 at 1e-8
-    for p0 in [(525 + 25 * i) / 1000 for i in range(19)]:
-        eps = 10.0**exponent
-        if eps < admissible_epsilon_binary(p0)[1]:
-            _assert_binary_matches_mpmath(p0, eps)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0.51, 0.99), st.floats(-8.0, -1e-3))
+@example(0.525, -6.0)
+@example(0.7, -5.0)
+@example(0.8, -7.0)
+@example(0.8, -8.0)
+@example(0.975, -8.0)
 def test_binary_closed_forms_match_mpmath(p0, log_frac):
-    # any admissible epsilon from 1e-8 of the interval's top up to just below it
+    # any admissible epsilon from 1e-8 of the interval's top up to just below
+    # it: D(l-||p), D(l+||p), top = eps - D(l-||p) and middle (D(l-||p) where
+    # the window binds) to 1e-12 relative of 60-digit values; as differences
+    # of O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and 1.4 at 1e-8
     _assert_binary_matches_mpmath(p0, admissible_epsilon_binary(p0)[1] * 10.0**log_frac)
 
 

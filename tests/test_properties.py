@@ -247,20 +247,6 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
     assert _close(_log_sum_of_logs(a, b), want_logs, 1e-13)
 
 
-@settings(max_examples=200, deadline=None)
-@given(laws_with_a_zero(), st.floats(0.02, 0.98))
-@example(gw.LetterDistribution((0.495645666183775, 0.36770507669574753, 0.1366492571204775)), 0.5)
-def test_scgf_is_exactly_zero_at_alpha_zero(p, frac):
-    # Lambda(0) = lim (1/k) log E[G^0] = 0 exactly, for every kind, with no
-    # -D(p || p) rounding residual (the pinned law gave -8.5e-17 unconditioned)
-    top = gw.admissible_epsilon_interval(p)[1]
-    kinds = [gw.unconditioned(p)]
-    if top > 1e-9:
-        kinds += [gw.conditioned(p, top * frac), gw.uniform_typical(p, top * frac)]
-    for source in kinds:
-        assert gw.scgf_model(source)(0.0) == 0.0
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     laws_with_a_zero(),
@@ -275,13 +261,15 @@ def test_unconditioned_scgf_is_scaled_renyi_rate(p, alpha):
 @settings(max_examples=100, deadline=None)
 @given(laws_with_a_zero(), st.floats(0.02, 0.98),
        st.sampled_from((gw.unconditioned, gw.conditioned, gw.uniform_typical)))
+@example(gw.LetterDistribution((0.495645666183775, 0.36770507669574753, 0.1366492571204775)),
+         0.5, gw.unconditioned)
 def test_scgf_vanishes_at_zero(p, frac, kind):
-    # Lambda(0) = lim (1/k) log E[G^0] = 0: the model's tangent line at alpha = 0
-    # leaves only rounding of its intercept, for every kind
+    # Lambda(0) = lim (1/k) log E[G^0] = 0 exactly, for every kind, with no
+    # -D(p || p) rounding residual (the pinned law gave -8.5e-17 unconditioned)
     eps = frac * gw.admissible_epsilon_interval(p)[1]
     assume(eps > 1e-9)
     source = kind(p) if kind is gw.unconditioned else kind(p, eps)
-    assert abs(gw.scgf_model(source)(0.0)) <= 1e-15
+    assert gw.scgf_model(source)(0.0) == 0.0
 
 
 def _per_block_log_sums(table, alpha):
