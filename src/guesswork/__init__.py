@@ -14,7 +14,6 @@ from .asymptotics import (
     ScgfModel,
     Source,
     SourceKind,
-    admissible_epsilon_binary,
     binary_closed_forms,
     conditioned,
     growth_exponents,

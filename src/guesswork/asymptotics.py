@@ -30,12 +30,12 @@ import numpy as np
 from .entropy import (
     FreqsLike,
     LetterDistribution,
-    as_freqs,
+    as_distribution,
     shannon_entropy,
     typical_window,
 )
 from .errors import DistributionError, EpsilonInadmissibleError
-from .tilting import TiltedFamily, clamp_tilt
+from .tilting import TiltedFamily, admissible_epsilon_interval, clamp_tilt
 
 _SLOPE_EDGE_TOL = 1e-12
 
@@ -72,23 +72,17 @@ class Source:
 
 def unconditioned(p: FreqsLike) -> Source:
     """The plain i.i.d. word source with letter law p."""
-    return Source(SourceKind.UNCONDITIONED, _as_distribution(p))
+    return Source(SourceKind.UNCONDITIONED, as_distribution(p))
 
 
 def conditioned(p: FreqsLike, epsilon: float) -> Source:
     """The i.i.d. source conditioned on its (p, epsilon) typical set."""
-    return Source(SourceKind.CONDITIONED, _as_distribution(p), float(epsilon))
+    return Source(SourceKind.CONDITIONED, as_distribution(p), float(epsilon))
 
 
 def uniform_typical(p: FreqsLike, epsilon: float) -> Source:
     """The uniform law on the (p, epsilon) typical set."""
-    return Source(SourceKind.UNIFORM_TYPICAL, _as_distribution(p), float(epsilon))
-
-
-def _as_distribution(p: FreqsLike) -> LetterDistribution:
-    if isinstance(p, LetterDistribution):
-        return p
-    return LetterDistribution(tuple(as_freqs(p)))
+    return Source(SourceKind.UNIFORM_TYPICAL, as_distribution(p), float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -351,12 +345,6 @@ class BinaryReport:
     bottom: float
 
 
-def admissible_epsilon_binary(p0: float) -> tuple[float, float]:
-    """Open admissible epsilon interval for a binary source with p0 > 1/2."""
-    spread = math.log(p0) - math.log1p(-p0)
-    return (0.0, spread * min(p0 - 0.5, 1.0 - p0))
-
-
 def _binary_divergence(p0: float, p1: float, delta: float) -> float:
     """D(l || p) for p = (p0, p1) and l = (p0 - delta, p1 + delta), to full relative precision.
 
@@ -381,13 +369,14 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     DistributionError
         Unless 1/2 < p0 < 1.
     EpsilonInadmissibleError
-        Unless epsilon lies strictly inside the admissible interval, which
-        guarantees both window boundary types exist.
+        Unless epsilon lies strictly inside admissible_epsilon_interval((p0,
+        1 - p0)), which guarantees both window boundary types exist. Near-uniform
+        laws get no exemption here, unlike in require_admissible_epsilon.
     """
     if not (0.5 < p0 < 1.0):
         raise DistributionError(f"binary closed forms need p0 in (1/2, 1), got {p0}")
     p1 = 1.0 - p0
-    interval = admissible_epsilon_binary(p0)
+    interval = admissible_epsilon_interval((p0, p1))
     if not (interval[0] < epsilon < interval[1]):
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "
@@ -404,10 +393,15 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
 
     h = h2(p0)
     h_minus = h2(lm0)
-    h_plus = h2(lp0)
     # D(l-||p) = (h + eps) - h(l-) and D(l+||p) = (h - eps) - h(l+), summed with no cancellation
     div_minus = _binary_divergence(p0, p1, epsilon / spread)
-    div_plus = _binary_divergence(p0, p1, -epsilon / spread)
+    if lp0 < 1.0:
+        h_plus = h2(lp0)
+        div_plus = _binary_divergence(p0, p1, -epsilon / spread)
+    else:
+        # eps within rounding of h + log p0: l+ is the point mass (1, 0), the
+        # family's beta -> inf limit, as the general window solve takes it
+        lp0, h_plus, div_plus = 1.0, 0.0, -math.log(p0)
 
     root_sum = math.sqrt(p0) + math.sqrt(p1)
     moment_uncond = 2.0 * math.log(root_sum)

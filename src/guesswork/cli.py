@@ -12,7 +12,7 @@ line, a series label or a stderr message, is `_fmt(x)`: '%#.9g', always
 value lies in [1e-4, 1e9) and with an exponent outside it; "inf", "-inf"
 and "nan" are the out-of-domain sentinels. A JSON number is the float its
 cell shows. Exit codes: 0 success, 1 validation failure, 2 resource-guard
-refusal, 3 exact-compare trend failure.
+refusal, 3 exact-compare trend failure or naive cross-check mismatch.
 
 The argparse tree is built once per process, by the first `main()` call,
 and reused; `build_parser()` still builds a new one on each call.
@@ -371,7 +371,8 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     footer += [f"# trend:{label}:{'pass' if ok else 'FAIL'}" for label, ok in trends.items()]
     text = _table(args, meta, "series,k,alpha,exact,target,gap,flag", rows,
                   payload=payload, footer=footer)
-    return text, 0 if all(trends.values()) else 3
+    verdicts = [*trends.values(), *(ok for _, ok in checks)]
+    return text, 0 if all(verdicts) else 3
 
 
 def cmd_census(args) -> tuple[str, int]:

@@ -114,6 +114,13 @@ def as_freqs(l: FreqsLike) -> tuple[float, ...]:
     return _validated_simplex(l, "frequency vector")
 
 
+def as_distribution(p: FreqsLike) -> LetterDistribution:
+    """Coerce a letter law to a LetterDistribution, passing one through unchanged."""
+    if isinstance(p, LetterDistribution):
+        return p
+    return LetterDistribution(tuple(as_freqs(p)))
+
+
 def shannon_entropy(l: FreqsLike) -> float:
     """Shannon entropy -sum_a l_a log l_a in nats, with 0 log 0 = 0.
 

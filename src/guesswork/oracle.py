@@ -12,7 +12,8 @@ closed form for the ranks from 30,000 on, however many, which keeps
 k ~ 10^3 affordable for m = 2.
 
 A separate naive oracle enumerates every word individually (numpy, guarded
-to m^k <= 2^22) so the two routes can be cross-checked against each other.
+to m^k <= 2^22) so the two routes can be cross-checked against each other,
+in the log domain the tables hold their values in.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .entropy import (
     WINDOW_SLACK,
     LetterDistribution,
     TypeVector,
+    as_distribution,
     multinomial,
-    shannon_entropy,
     type_count_matrix,
     typical_window,
 )
@@ -55,15 +56,9 @@ MAX_WORDS_DEFAULT = 2**22
 #: two probabilities within this of each other count as tied for modal-set purposes
 RANK_TIE_TOL = 1e-10
 
-#: relative agreement (absolute near zero) the naive cross-check asks of the table
+#: agreement the naive cross-check asks of the table's logs, absolute on each log
+#: (so relative on E[G^alpha], E log G and P(G=1))
 CROSSCHECK_REL_TOL = 1e-9
-
-
-def _exp_or_inf(lv: float) -> float:
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -288,8 +283,7 @@ def typical_set_census(
     the union-bound sandwich max_l N_k(l) <= |T| <= (k+1)^m * max_l N_k(l)
     and raises ArithmeticError if it fails.
     """
-    if not isinstance(p, LetterDistribution):
-        p = LetterDistribution(tuple(float(q) for q in p))
+    p = as_distribution(p)
     counts, sizes, raw = _window_entries(p, epsilon, k, max_types)
     if not sizes:
         return CensusResult(k, (), 0, 0.0, 0)
@@ -316,8 +310,7 @@ def smallest_nonempty_k(
     Each k costs one window mask over its count matrix, and the scan stops
     at the first k with a typical row.
     """
-    if not isinstance(p, LetterDistribution):
-        p = LetterDistribution(tuple(float(q) for q in p))
+    p = as_distribution(p)
     for k in range(1, k_max + 1):
         cost = _cross_entropies(type_count_matrix(k, p.m, max_types), k, p)
         if _in_window(cost, p, epsilon).any():
@@ -397,36 +390,29 @@ def moment_sandwich(
     k: int,
     alpha: float,
     *,
-    form: str = "auto",
     max_types: int = MAX_TYPES_DEFAULT,
 ) -> SandwichBounds:
     """Bracket E[G^alpha] of the conditioned source between its type bounds.
 
-    With M = max over typical k-types of N^(1+alpha) * (word prob)/(set mass):
-    the alpha >= 0 form is M/(1+alpha) <= E <= (k+1)^(m(1+alpha)) * M, and
-    the -1 < alpha <= 0 form is M <= E <= (k+1)^m/(1+alpha) * M. `form`
-    picks "upper"/"lower" explicitly or "auto" by the sign of alpha (the
-    two are both valid at alpha = 0). These are Arikan's guessing
-    inequalities (IEEE Trans. Inf. Theory 42(1), 1996) applied type by type.
+    With M = max over typical k-types of N^(1+alpha) * (word prob)/(set mass),
+    the sign of alpha picks the form: for alpha >= 0,
+    M/(1+alpha) <= E <= (k+1)^(m(1+alpha)) * M, and for -1 < alpha < 0,
+    M <= E <= (k+1)^m/(1+alpha) * M (at alpha = 0 both are
+    M <= E <= (k+1)^m * M). These are Arikan's guessing inequalities (IEEE
+    Trans. Inf. Theory 42(1), 1996) applied type by type.
     """
     if source.kind is not SourceKind.CONDITIONED:
         raise DistributionError("moment sandwiches apply to the conditioned source")
     if not math.isfinite(alpha):
         raise DistributionError(f"alpha must be finite, got {alpha}")
-    if form == "auto":
-        form = "upper" if alpha >= 0.0 else "lower"
-    if form not in ("upper", "lower"):
-        raise DistributionError(f"form must be 'upper', 'lower', or 'auto', got {form!r}")
-    if form == "upper" and alpha < 0.0:
-        raise DistributionError("the upper-form sandwich needs alpha >= 0")
-    if form == "lower" and not (-1.0 < alpha <= 0.0):
-        raise DistributionError("the lower-form sandwich needs -1 < alpha <= 0")
+    if alpha <= -1.0:
+        raise DistributionError(f"the moment sandwich needs alpha > -1, got {alpha}")
     table = build_guess_table(source, k, max_types=max_types)
     log_sizes = _log_ints(table.sizes, table.total_words.bit_length())
     log_best = float(np.max((1.0 + alpha) * log_sizes + table.log_word_prob))
     log_k1 = math.log(k + 1)
     m = source.p.m
-    if form == "upper":
+    if alpha >= 0.0:
         log_lower = log_best - math.log1p(alpha)
         log_upper = m * (1.0 + alpha) * log_k1 + log_best
     else:
@@ -525,6 +511,14 @@ def trend_holds(points: tuple[ConvergencePoint, ...], *, zero_tol: float = 1e-12
     return last < first
 
 
+def _log_sum_exp(v: np.ndarray) -> float:
+    """log sum exp(v), max-shifted, with numpy's pairwise sum; -inf for all -inf."""
+    top = float(v.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(v - top).sum()))
+
+
 def naive_enumeration_crosscheck(
     source: Source,
     k: int,
@@ -535,10 +529,12 @@ def naive_enumeration_crosscheck(
 ) -> bool:
     """Word-by-word enumeration oracle vs the type-based table.
 
-    Enumerates all m^k words individually (numpy), sorts by probability,
-    and recomputes every moment, E log G, P(G=1), and the modal count, then
-    compares against the block route. True iff everything agrees within
-    CROSSCHECK_REL_TOL (relative, with an absolute floor of it near zero).
+    Enumerates all m^k words individually (numpy), keeps the typical ones
+    by the table's own window mask, sorts by probability, and recomputes
+    every log moment, log E log G, log P(G=1) and the modal count in the
+    log domain, as the table holds them, then compares against the block
+    route. True iff every log agrees within CROSSCHECK_REL_TOL and the
+    counts are equal.
     """
     p = source.p
     m = p.m
@@ -562,42 +558,25 @@ def naive_enumeration_crosscheck(
     del counts  # free the enumeration before the table is built
 
     if source.kind is not SourceKind.UNCONDITIONED:
-        h = shannon_entropy(p)
-        cost = -logw / k
-        keep = (cost >= h - source.epsilon - WINDOW_SLACK) & (
-            cost <= h + source.epsilon + WINDOW_SLACK
-        )
-        logw = logw[keep]
+        logw = logw[_in_window(-logw / k, p, source.epsilon)]
         if logw.size == 0:
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
     n = logw.size
-    order = np.argsort(-logw, kind="stable")
-    logw = logw[order]
-
+    logw = -np.sort(-logw)
     if source.kind is SourceKind.UNIFORM_TYPICAL:
-        probs = np.full(n, 1.0 / n)
-        top_prob = 1.0 / n
-        modal = n
-    else:
-        weights = np.exp(logw)
-        mass = weights.sum()
-        probs = weights / mass
-        top_prob = probs[0]
-        modal = int(np.count_nonzero(logw >= logw[0] - RANK_TIE_TOL))
-
-    ranks = np.arange(1, n + 1, dtype=np.float64)
+        logw = np.zeros(n)  # every typical word equally likely
+    log_prob = logw - _log_sum_exp(logw)
+    log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
     table = build_guess_table(source, k, max_types=max_types)
-
-    def close(x: float, y: float) -> bool:
-        return abs(x - y) <= CROSSCHECK_REL_TOL * max(1.0, abs(x), abs(y))
 
     alphas = alphas_or_default(alphas)
     logs, log_mean_log = table._log_sums(alphas, logs=True)
-    for a, lv in zip(alphas, logs):
-        if not close(float(probs @ ranks**a), _exp_or_inf(lv)):
-            return False
-    if not close(float(probs @ np.log(ranks)), math.exp(log_mean_log)):
+    # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
+    with np.errstate(divide="ignore", over="ignore"):
+        pairs = [(_log_sum_exp(log_prob + a * log_ranks), lv) for a, lv in zip(alphas, logs)]
+        pairs.append((_log_sum_exp(log_prob + np.log(log_ranks)), log_mean_log))
+    pairs.append((float(log_prob[0]), float(table.log_word_prob[0])))
+    if not all(x == y or abs(x - y) <= CROSSCHECK_REL_TOL for x, y in pairs):
         return False
-    if not close(float(top_prob), math.exp(table.log_word_prob[0])):
-        return False
+    modal = int(np.count_nonzero(log_prob >= log_prob[0] - RANK_TIE_TOL))
     return modal == modal_word_count(table) and n == table.total_words

@@ -301,14 +301,20 @@ def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
 
     (0, min(c_max - h(p), h(p) + log max_a p_a)); empty when p is uniform on
     its support, where every word is typical for any eps and conditioning
-    is vacuous.
+    is vacuous. The one admissibility rule of the package.
     """
     return _admissible_interval(p, TiltedFamily(p))
 
 
 def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, float]:
-    h = shannon_entropy(p)
-    return (0.0, min(family.c_max - h, h - family.c_min))
+    # with gaps g_a = log max p - log p_a: c_max - h = sum (1/m' - p_a) g_a and
+    # h - c_min = sum p_a g_a, neither a difference of O(1) entropies, so the
+    # interval keeps its digits as p nears uniform
+    pf = as_freqs(p)
+    terms = [(pf[a], g) for a, g in zip(family.support, family.gaps.tolist())]
+    share = 1.0 / len(terms)
+    return (0.0, min(math.fsum((share - q) * g for q, g in terms),
+                     math.fsum(q * g for q, g in terms)))
 
 
 def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:

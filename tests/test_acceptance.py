@@ -83,7 +83,7 @@ def test_criterion_3_ordering_claims_on_grid():
     gap_ok = True
     bottom_at_08 = None
     for p0 in grid:
-        lo, hi = gw.admissible_epsilon_binary(p0)
+        lo, hi = gw.admissible_epsilon_interval((p0, 1.0 - p0))
         if not (lo < EPS < hi):
             continue
         admissible += 1
@@ -147,11 +147,11 @@ def test_criterion_5_method_of_types_sandwiches():
             violations.append(("union", k))
         for alpha in (0.5, 1.0):
             n_checks += 1
-            if not gw.moment_sandwich(C, k, alpha, form="upper").holds:
+            if not gw.moment_sandwich(C, k, alpha).holds:
                 violations.append(("upper", k, alpha))
         for alpha in (-0.5, 0.0):
             n_checks += 1
-            if not gw.moment_sandwich(C, k, alpha, form="lower").holds:
+            if not gw.moment_sandwich(C, k, alpha).holds:
                 violations.append(("lower", k, alpha))
     emit(5, not violations,
          f"{n_checks} exact inequalities over k=4..14, "

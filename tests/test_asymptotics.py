@@ -11,7 +11,7 @@ from guesswork import (
     EpsilonInadmissibleError,
     LetterDistribution,
     SourceKind,
-    admissible_epsilon_binary,
+    admissible_epsilon_interval,
     binary_closed_forms,
     boundary_types,
     conditioned,
@@ -229,7 +229,7 @@ def test_binary_closed_forms_match_mpmath(p0, log_frac):
     # it: D(l-||p), D(l+||p), top = eps - D(l-||p) and middle (D(l-||p) where
     # the window binds) to 1e-12 relative of 60-digit values; as differences
     # of O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and 1.4 at 1e-8
-    _assert_binary_matches_mpmath(p0, admissible_epsilon_binary(p0)[1] * 10.0**log_frac)
+    _assert_binary_matches_mpmath(p0, admissible_epsilon_interval((p0, 1.0 - p0))[1] * 10.0**log_frac)
 
 
 def _assert_binary_matches_mpmath(p0, eps):
@@ -241,8 +241,17 @@ def _assert_binary_matches_mpmath(p0, eps):
         assert abs(got - want[name]) <= 1e-12 * abs(want[name]), (name, p0, eps, got)
 
 
+def test_binary_closed_forms_l_plus_rounding_onto_the_point_mass():
+    # eps one rounding below the top, where h - eps meets -log p0: l+ = p0 +
+    # eps/spread rounds to 1, and is taken as the family's beta -> inf limit
+    # (fig1 --epsilon 0.27465307216702733 --p0-grid 0.75 exited 1 on a math domain error)
+    eps = admissible_epsilon_interval((0.75, 0.25))[1] * (1.0 - 2.0**-52)
+    rep = binary_closed_forms(0.75, eps)
+    assert (rep.l_plus_0, rep.entropy_plus, rep.div_plus) == (1.0, 0.0, -math.log(0.75))
+
+
 def test_binary_closed_forms_validation():
-    lo, hi = admissible_epsilon_binary(0.8)
+    lo, hi = admissible_epsilon_interval((0.8, 0.2))
     assert lo == 0.0
     assert hi == pytest.approx(0.2772588722239781, abs=1e-13)
     with pytest.raises(EpsilonInadmissibleError):

@@ -273,6 +273,36 @@ def test_exact_compare_naive_crosscheck(capsys):
     assert all(l.endswith(":ok") for l in checks)
 
 
+_CROSSCHECK_16_17 = ["exact-compare", "--kind", "unconditioned", "--p", "0.8,0.2",
+                     "--k", "16,17", "--max-words", "200000"]
+
+
+def _crosscheck_lines(capsys, alpha):
+    # a numpy warning would reach stderr; here it fails the call instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, _CROSSCHECK_16_17 + ["--alpha", alpha])
+    return code, [l for l in out.splitlines() if l.startswith("# crosscheck:")], err
+
+
+def test_exact_compare_crosscheck_in_log_domain(capsys):
+    # E[G^1000] is about e^11000 at k = 16: the linear-domain check overflowed
+    # to inf on both sides and printed a false MISMATCH with an overflow warning
+    code, checks, err = _crosscheck_lines(capsys, "1000")
+    assert (code, err) == (0, "")
+    assert checks == ["# crosscheck:k=16:ok", "# crosscheck:k=17:ok"]
+
+
+def test_exact_compare_crosscheck_mismatch_exits_3(capsys):
+    # a true MISMATCH: at alpha = 1e5 the table's Euler-Maclaurin route is off
+    # by 6.85e-3 (k = 16) and 4.2e-4 (k = 17) on log E[G^alpha] against an exact
+    # top-down sum, the log-domain naive value by at most 2.3e-10; ROADMAP
+    # item 2 (alpha-aware rank-sum routes) is what mends the table
+    code, checks, err = _crosscheck_lines(capsys, "100000")
+    assert (code, err) == (3, "")
+    assert checks == ["# crosscheck:k=16:MISMATCH", "# crosscheck:k=17:MISMATCH"]
+
+
 def test_census_report(capsys):
     code, out, _ = run(capsys, [
         "census", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "2,5,10",

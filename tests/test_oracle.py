@@ -176,20 +176,20 @@ def test_finite_k_exponents():
 def test_moment_sandwich_holds():
     for k in (4, 9, 14):
         for alpha in (0.5, 1.0):
-            b = moment_sandwich(C, k, alpha, form="upper")
+            b = moment_sandwich(C, k, alpha)
             assert b.holds
             assert b.log_lower <= b.log_value <= b.log_upper
         for alpha in (-0.5, 0.0):
-            assert moment_sandwich(C, k, alpha, form="lower").holds
+            assert moment_sandwich(C, k, alpha).holds
 
 
 def test_moment_sandwich_validation():
     with pytest.raises(DistributionError):
         moment_sandwich(W, 6, 1.0)
-    with pytest.raises(DistributionError):
-        moment_sandwich(C, 6, -0.5, form="upper")
-    with pytest.raises(DistributionError):
-        moment_sandwich(C, 6, 1.0, form="lower")
+    # no form of the bracket reaches alpha <= -1
+    for alpha in (-1.0, -2.0):
+        with pytest.raises(DistributionError, match="needs alpha > -1"):
+            moment_sandwich(C, 6, alpha)
 
 
 @pytest.mark.parametrize("k", [1300, 2000])
@@ -526,12 +526,11 @@ def test_non_finite_alpha_is_an_error(alpha):
         finite_k_exponents(C, 20, alphas=(1.0, alpha, math.nan))
 
 
-@pytest.mark.parametrize("form", ["auto", "upper", "lower"])
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_moment_sandwich_non_finite_alpha_is_an_error(alpha, form):
-    # finiteness is checked before the form's alpha range, with the kernel's message
+def test_moment_sandwich_non_finite_alpha_is_an_error(alpha):
+    # finiteness is checked before the alpha > -1 range, with the kernel's message
     with pytest.raises(DistributionError, match=f"^alpha must be finite, got {alpha}$"):
-        moment_sandwich(C, 10, alpha, form=form)
+        moment_sandwich(C, 10, alpha)
 
 
 def test_euler_maclaurin_route_stays_finite_for_huge_alpha():

@@ -61,7 +61,7 @@ def test_kl_nonnegative_and_decomposition(pair):
 @given(st.floats(0.55, 0.95), st.floats(0.1, 0.9), st.floats(-0.9, 4.0), st.floats(0.0, 0.69))
 def test_weak_duality(p0, frac, alpha, x):
     # Lambda*(x) >= x alpha - Lambda(alpha) for every pair in range
-    eps = frac * gw.admissible_epsilon_binary(p0)[1]
+    eps = frac * gw.admissible_epsilon_interval((p0, 1.0 - p0))[1]
     source = gw.conditioned(gw.LetterDistribution((p0, 1.0 - p0)), eps)
     model = gw.scgf_model(source)
     rate = gw.legendre_transform(model, x)
@@ -73,7 +73,7 @@ def test_weak_duality(p0, frac, alpha, x):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.55, 0.95), st.floats(0.1, 0.9), st.floats(-0.9, 3.0), st.floats(0.05, 1.5))
 def test_scgf_midpoint_convex(p0, frac, a, width):
-    eps = frac * gw.admissible_epsilon_binary(p0)[1]
+    eps = frac * gw.admissible_epsilon_interval((p0, 1.0 - p0))[1]
     model = gw.scgf_model(gw.conditioned(gw.LetterDistribution((p0, 1.0 - p0)), eps))
     b = a + width
     assert model(0.5 * (a + b)) <= 0.5 * (model(a) + model(b)) + 1e-10
@@ -95,7 +95,7 @@ def test_log_rank_power_sum_matches_direct(a, span, alpha):
 @given(st.floats(0.55, 0.9), st.integers(4, 9), st.floats(0.3, 0.9))
 def test_guess_table_normalized(p0, k, frac):
     p = gw.LetterDistribution((p0, 1.0 - p0))
-    eps = frac * gw.admissible_epsilon_binary(p0)[1]
+    eps = frac * gw.admissible_epsilon_interval((p0, 1.0 - p0))[1]
     if gw.typical_set_census(p, eps, k).is_empty:
         return
     for source in (gw.conditioned(p, eps), gw.uniform_typical(p, eps)):

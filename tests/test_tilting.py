@@ -3,12 +3,14 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from guesswork import (
     DistributionError,
     EpsilonInadmissibleError,
     Regime,
     admissible_epsilon_interval,
+    binary_closed_forms,
     boundary_types,
     clamped_optimum,
     conditioned,
@@ -123,6 +125,63 @@ def test_admissible_epsilon_interval():
     with pytest.raises(EpsilonInadmissibleError) as exc:
         require_admissible_epsilon(P, 0.5)
     assert exc.value.interval[1] == pytest.approx(hi, abs=1e-12)
+
+
+def _binary_interval_top(p0):
+    # min(c_max - h, h - c_min) for (p0, 1 - p0) at 60 digits; 1 - p0 is exact for p0 >= 1/2
+    from mpmath import mp, mpf
+
+    with mp.workdps(60):
+        p0 = mpf(p0)
+        p1 = 1 - p0
+        h = -(p0 * mp.log(p0) + p1 * mp.log(p1))
+        return float(min(-(mp.log(p0) + mp.log(p1)) / 2 - h, h + mp.log(p0)))
+
+
+# p0 at 1/2 + 10^-u, u = 1..12, and anywhere in (1/2, 0.999)
+_BINARY_P0 = st.one_of(
+    st.integers(1, 12).map(lambda u: 0.5 + 10.0**-u),
+    st.floats(0.5, 0.999, exclude_min=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BINARY_P0)
+@example(0.5 + 1e-6)
+def test_admissible_interval_keeps_its_digits_near_uniform(p0):
+    # c_max - h and h - c_min are summed from the gaps, not as differences of
+    # entropies near log 2: as such a difference the top was 5.6e-6 off at
+    # p0 = 1/2 + 1e-6 and 0.0 at 1/2 + 1e-9
+    want = _binary_interval_top(p0)
+    assert abs(admissible_epsilon_interval((p0, 1.0 - p0))[1] - want) <= 1e-8 * want, p0
+
+
+def test_admissible_interval_at_half_plus_1e9():
+    p0 = 0.5 + 1e-9
+    # 4 (p0 - 1/2)^2 to leading order, with p0 - 1/2 = 9.99999972e-10 as a float
+    top = admissible_epsilon_interval((p0, 1.0 - p0))[1]
+    assert round(top, 19) == 4.0e-18
+    assert abs(top - _binary_interval_top(p0)) <= 1e-10 * top
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BINARY_P0, st.floats(-1e-9, 1e-9))
+@example(0.75, -2.220446049250313e-16)  # l+ rounds onto (1, 0): was a math domain error
+def test_binary_closed_forms_admit_what_the_general_rule_admits(p0, rel):
+    # one admissibility rule: the closed forms refuse an epsilon near the
+    # interval's end exactly when require_admissible_epsilon does (p0 kept
+    # outside the near-uniform exemption, c_max - c_min <= 1e-12)
+    assume(p0 - 0.5 > 1e-12)
+    eps = admissible_epsilon_interval((p0, 1.0 - p0))[1] * (1.0 + rel)
+    refused = []
+    for check in (lambda: binary_closed_forms(p0, eps),
+                  lambda: require_admissible_epsilon((p0, 1.0 - p0), eps)):
+        try:
+            check()
+            refused.append(False)
+        except EpsilonInadmissibleError:
+            refused.append(True)
+    assert refused[0] == refused[1], (p0, eps)
 
 
 def test_require_admissible_uniform_p_exempt():
