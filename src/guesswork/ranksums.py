@@ -8,7 +8,9 @@ table in one pass over per-block arrays; `log_rank_power_sum` and
 `_log_sum_of_logs` run it on one range. One threshold, _EM_MIN, routes
 every rank and every alpha: ranks below it are summed directly, ranks from
 it on by an Euler-Maclaurin closed form, and the one range that straddles it
-is split there. alpha = 0, the block size, is log n.
+is split there. alpha = 0, the block size, is log n. Every log-sum-exp
+(`_lse`) takes its sum from `_exact_sum`, which returns math.fsum's
+correctly rounded float, by a guarded numpy cascade on long inputs.
 """
 
 from __future__ import annotations
@@ -39,9 +41,65 @@ _FLOAT_BITS = 1020
 # lose precision as a subnormal).
 _FAR_RATIO = 2.0**1000
 
+# Sums of at least this many terms take _exact_sum's numpy cascade, shorter
+# ones math.fsum, which is the cheaper of the two below about 1,000 terms.
+_CASCADE_MIN = 1000
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum of a float64 array, bit for bit, in numpy time on long arrays.
+
+    A pairwise TwoSum cascade (Ogita, Rump & Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26(6), 2005) turns the n terms into a
+    float hi and n - 1 error terms e with hi + sum(e) the exact sum: each
+    level is error-free. r = fl(hi + fl(sum e)) differs from it by the
+    TwoSum remainder t of that last addition plus the error of fl(sum e),
+    at most gamma_m sum|e| in any order of summation. When |t| plus that
+    bound is strictly inside half the gap from r to either float neighbour,
+    r is the correctly rounded sum, and so math.fsum's result. Otherwise
+    (an exact tie, a non-finite term) and below _CASCADE_MIN terms,
+    math.fsum itself runs.
+    """
+    if x.size < _CASCADE_MIN:
+        return math.fsum(x.tolist())
+    with np.errstate(all="ignore"):
+        n, k = x.size, 0
+        w = x.copy()  # level by level in place: fresh temporaries cost more than the flops
+        e = np.empty(n - 1)  # every level's error terms
+        s_buf, y_buf = np.empty(n // 2), np.empty(n // 2)
+        while n > 1:
+            h = n // 2
+            a, b, s, y, z = w[:h], w[h : 2 * h], s_buf[:h], y_buf[:h], e[k : k + h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=z)
+            np.subtract(s, z, out=y)
+            np.subtract(a, y, out=y)
+            np.subtract(b, z, out=z)
+            np.add(y, z, out=z)  # a + b == s + z exactly
+            w[:h] = s
+            if n % 2:  # the odd term out moves up a level
+                w[h] = w[2 * h]
+            n, k = n - h, k + h
+        hi, lo = float(w[0]), float(e.sum())
+        mag = float(np.abs(e, out=e).sum())
+    r = hi + lo
+    z = r - hi
+    t = (hi - (r - z)) + (lo - z)  # r + t == hi + lo exactly
+    # fl(sum e) is off by at most gamma_m sum|e| (m = e.size, u = 2**-53,
+    # gamma_m = mu / (1 - mu)); gamma_2m on the computed mag also covers the
+    # rounding of mag and of the product, and ulp(0) an underflow of the
+    # product. Rounding is monotone, so a computed bound below the float
+    # half_gap is below it in exact arithmetic too.
+    two_mu = e.size * 2.0**-52
+    bound = abs(t) + (two_mu / (1.0 - two_mu) * mag + math.ulp(0.0))
+    half_gap = 0.5 * min(math.nextafter(r, math.inf) - r, r - math.nextafter(r, -math.inf))
+    if bound < half_gap:  # False when any of them is nan
+        return r
+    return math.fsum(x.tolist())
+
 
 def _lse(terms, scale: float = 1.0) -> float:
-    """scale * log sum_i exp(terms_i / scale), summed by math.fsum.
+    """scale * log sum_i exp(terms_i / scale), the sum correctly rounded (_exact_sum).
 
     The terms come already multiplied by scale, so that a caller after
     (1/k) log of a sum can keep terms finite whose unscaled values would
@@ -54,7 +112,7 @@ def _lse(terms, scale: float = 1.0) -> float:
     top = float(terms.max())
     if top == math.inf:
         return math.inf
-    return top + scale * math.log(math.fsum(np.exp((terms - top) / scale).tolist()))
+    return top + scale * math.log(_exact_sum(np.exp((terms - top) / scale)))
 
 
 def _int_parts(values, bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -299,9 +299,14 @@ def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
 def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
     """Open interval of eps for which both boundary types exist at finite tilt.
 
-    (0, min(c_max - h(p), h(p) + log max_a p_a)); empty when p is uniform on
-    its support, where every word is typical for any eps and conditioning
-    is vacuous. The one admissibility rule of the package.
+    (low, min(c_max - h(p), h(p) + log max_a p_a)), with low = 0 unless the
+    top is below about _EDGE_TOL (binary laws within about 5e-7 of uniform
+    or 1e-14 of a point mass). There low is the least eps, as floats, that
+    keeps each edge h -/+ eps of the window more than _EDGE_TOL inside the
+    far end of (c_min, c_max), where TiltedFamily.window solves it; so
+    every admitted eps has a window. Empty when p is uniform on its
+    support, where every word is typical for any eps and conditioning is
+    vacuous. The one admissibility rule of the package.
     """
     return _admissible_interval(p, TiltedFamily(p))
 
@@ -313,8 +318,16 @@ def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, flo
     pf = as_freqs(p)
     terms = [(pf[a], g) for a, g in zip(family.support, family.gaps.tolist())]
     share = 1.0 / len(terms)
-    return (0.0, min(math.fsum((share - q) * g for q, g in terms),
-                     math.fsum(q * g for q, g in terms)))
+    top = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
+    # window solves h - eps only below c_max - _EDGE_TOL and h + eps only above
+    # c_min + _EDGE_TOL, on the floats it computes: h - eps and h + eps round
+    # off those two bounds once eps passes their distance to h by half an ulp;
+    # two ulps also cover the rounding of that distance and of the sum
+    h = shannon_entropy(p)
+    below_max, above_min = family.c_max - _EDGE_TOL, family.c_min + _EDGE_TOL
+    low = max(0.0, (h - below_max) + 2.0 * math.ulp(below_max),
+              (above_min - h) + 2.0 * math.ulp(above_min))
+    return (low, top)
 
 
 def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:

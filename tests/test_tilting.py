@@ -184,6 +184,30 @@ def test_binary_closed_forms_admit_what_the_general_rule_admits(p0, rel):
     assert refused[0] == refused[1], (p0, eps)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    # p0 - 1/2: 10^-u; where the interval's lower end is positive and below its
+    # top (about 3.5e-7 to 5e-7); or within 1e-12 of a point mass
+    st.one_of(st.integers(1, 15).map(lambda u: 10.0**-u), st.floats(3.5e-7, 5e-7),
+              st.floats(-16.0, -12.0).map(lambda v: 0.5 - 10.0**v)),
+    st.sampled_from((None, 0, 1)),
+    st.floats(-17.0, 0.0),
+    st.floats(-1e-6, 1e-6),
+)
+@example(1e-8, None, -16.0, 0.0)  # h - eps within 1e-12 of c_max: admitted, then the window raised
+@example(4.835411528e-7, 0, 0.0, 1e-15)  # just above a lower end 1e-12 - top, which rounding moves
+def test_every_admitted_epsilon_has_a_window(delta, end, log_eps, rel):
+    # eps log-uniform in [1e-17, 1], or within 1e-6 relative of an end of the interval
+    p = (0.5 + delta, 0.5 - delta)
+    eps = 10.0**log_eps if end is None else admissible_epsilon_interval(p)[end] * (1.0 + rel)
+    assume(eps > 0.0)
+    try:
+        require_admissible_epsilon(p, eps)
+    except EpsilonInadmissibleError:
+        return
+    boundary_types(p, eps)  # both edges through TiltedFamily.window
+
+
 def test_require_admissible_uniform_p_exempt():
     # degenerate uniform source: interval is empty but everything is typical
     require_admissible_epsilon((0.5, 0.5), 0.1)
