@@ -390,7 +390,7 @@ def cmd_census(args) -> tuple[str, int]:
             rows.append((k, 0, 0, None, None, "empty"))
         else:
             rows.append((
-                k, len(census.type_counts), census.cardinality,
+                k, len(census.counts), census.cardinality,
                 census.log_cardinality / k, census.prob_mass, "",
             ))
     meta = [f"# census p={args.p} epsilon={_fmt(epsilon)}"]

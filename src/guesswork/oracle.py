@@ -48,7 +48,7 @@ from .errors import (
     EmptyTypicalSetError,
     WordSpaceTooLargeError,
 )
-from .ranksums import _log_ints, _log_sums, _lse
+from .ranksums import _int_parts, _log_parts, _log_sums, _lse
 from .ranksums import log_rank_power_sum  # re-exported as guesswork.oracle.log_rank_power_sum
 
 MAX_WORDS_DEFAULT = 2**22
@@ -87,8 +87,9 @@ class ExactGuessTable:
     Row j is the j-th type class in guessing order: counts[j] its letter
     counts, sizes[j] its exact number of words, starts[j] its first rank
     (1-based, exact) and log_word_prob[j] the log-probability of each of its
-    words under the source's own law. total_words is m^k for the
-    unconditioned source and |T| for the typical-set sources;
+    words under the source's own law; size_parts holds the sizes as floats,
+    as _int_parts converts them once at build time. total_words is m^k for
+    the unconditioned source and |T| for the typical-set sources;
     log_typical_mass is log P(W_k in T) under the unconditioned law (0.0
     when there is no conditioning).
     """
@@ -97,6 +98,7 @@ class ExactGuessTable:
     k: int
     counts: np.ndarray
     sizes: tuple[int, ...]
+    size_parts: tuple[np.ndarray, np.ndarray]
     starts: tuple[int, ...]
     log_word_prob: np.ndarray
     total_words: int
@@ -110,8 +112,8 @@ class ExactGuessTable:
 
     def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
         # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
-        out, log_logs = _log_sums(self.starts, self.sizes, self.log_word_prob, alphas,
-                                  scale=scale, logs=logs)
+        out, log_logs = _log_sums(self.starts, self.sizes, self.size_parts, self.log_word_prob,
+                                  alphas, scale=scale, logs=logs)
         return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
 
 
@@ -204,8 +206,10 @@ def build_guess_table(
     raw = raw[order]
     counts = counts[order]
     sizes = tuple(map(sizes.__getitem__, order.tolist()))
-    total = sum(sizes)
-    log_sizes = _log_ints(sizes, total.bit_length())
+    parts = _int_parts(sizes, max(sizes).bit_length())
+    log_sizes = _log_parts(*parts)
+    starts = tuple(accumulate(sizes, initial=1))
+    total = starts[-1] - 1  # the starts carry the total
 
     if typical_kind:
         log_mass = _lse(log_sizes + raw)
@@ -222,9 +226,9 @@ def build_guess_table(
     if __debug__:
         norm = _lse(log_sizes + lws)
         assert abs(norm) < 1e-9, f"table probabilities sum to exp({norm})"
-    counts.flags.writeable = lws.flags.writeable = False
-    starts = tuple(accumulate(sizes[:-1], initial=1))
-    return ExactGuessTable(source, k, counts, sizes, starts, lws, total, log_mass)
+    for a in (counts, lws, *parts):
+        a.flags.writeable = False
+    return ExactGuessTable(source, k, counts, sizes, parts, starts[:-1], lws, total, log_mass)
 
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
@@ -243,23 +247,28 @@ def modal_word_count(table: ExactGuessTable) -> int:
     return sum(table.sizes[: int(np.count_nonzero(lw >= lw[0] - RANK_TIE_TOL))])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensusResult:
     """Exact inventory of the typical set at one word length.
 
-    type_counts holds the letter counts of each typical type, in
-    enumeration order; `types` builds their TypeVectors on request.
+    counts is the read-only matrix of the typical types' letter counts, one
+    row per type in enumeration order; type_counts (its rows as tuples) and
+    `types` (their TypeVectors) are built on request.
     """
 
     k: int
-    type_counts: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
     cardinality: int
     prob_mass: float
     max_type_count: int
 
+    @cached_property
+    def type_counts(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.counts.tolist()))
+
     @property
     def types(self) -> tuple[TypeVector, ...]:
-        return tuple(TypeVector.from_counts(c) for c in self.type_counts)
+        return tuple(map(TypeVector.from_counts, self.counts.tolist()))
 
     @property
     def is_empty(self) -> bool:
@@ -285,17 +294,18 @@ def typical_set_census(
     """
     p = as_distribution(p)
     counts, sizes, raw = _window_entries(p, epsilon, k, max_types)
+    counts.flags.writeable = False
     if not sizes:
-        return CensusResult(k, (), 0, 0.0, 0)
+        return CensusResult(k, counts, 0, 0.0, 0)
     cardinality = sum(sizes)
-    mass = math.exp(_lse(_log_ints(sizes, cardinality.bit_length()) + raw))
+    mass = math.exp(_lse(_log_parts(*_int_parts(sizes, cardinality.bit_length())) + raw))
     max_count = max(sizes)
     if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
         raise ArithmeticError(
             f"census sandwich violated at k={k}: max type count {max_count}, "
             f"cardinality {cardinality}"
         )
-    return CensusResult(k, tuple(map(tuple, counts.tolist())), cardinality, mass, max_count)
+    return CensusResult(k, counts, cardinality, mass, max_count)
 
 
 def smallest_nonempty_k(
@@ -408,8 +418,7 @@ def moment_sandwich(
     if alpha <= -1.0:
         raise DistributionError(f"the moment sandwich needs alpha > -1, got {alpha}")
     table = build_guess_table(source, k, max_types=max_types)
-    log_sizes = _log_ints(table.sizes, table.total_words.bit_length())
-    log_best = float(np.max((1.0 + alpha) * log_sizes + table.log_word_prob))
+    log_best = float(np.max((1.0 + alpha) * _log_parts(*table.size_parts) + table.log_word_prob))
     log_k1 = math.log(k + 1)
     m = source.p.m
     if alpha >= 0.0:

@@ -137,11 +137,6 @@ def _log_parts(mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.log(mant) + exp * _LOG2
 
 
-def _log_ints(values, bits: int) -> np.ndarray:
-    """log v of each positive int v, bigint-safe (see _int_parts)."""
-    return _log_parts(*_int_parts(values, bits))
-
-
 def _direct_route(a, cnt, powers, logs: bool):
     """Direct sums over blocks of cnt[j] ranks from a[j], all ranks below _EM_MIN.
 
@@ -218,11 +213,13 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
     return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
 
 
-def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: bool = False):
+def _log_sums(starts, sizes, size_parts, log_weights, alphas, *, scale: float = 1.0,
+              logs: bool = False):
     """The rank-sum kernel: one pass over blocks of consecutive ranks.
 
     Block j holds ranks starts[j] .. starts[j] + sizes[j] - 1 (exact ints,
-    disjoint, in ascending order) at log weight log_weights[j]. Returns
+    disjoint, in ascending order) at log weight log_weights[j]; size_parts
+    are the sizes as _int_parts gives them, taken once by the caller. Returns
     [scale * log sum_j w_j sum_{i in j} i^alpha for each alpha] and, with
     logs, log sum_j w_j sum_{i in j} log i (else None). Blocks of weight 0
     are skipped.
@@ -240,19 +237,20 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
             raise DistributionError(f"alpha must be finite, got {alpha}")
     log_w = np.asarray(log_weights, dtype=np.float64)
     if log_w.size and not log_w[-1] > -math.inf:
-        live = np.flatnonzero(log_w > -math.inf).tolist()
-        starts, sizes, log_w = [starts[j] for j in live], [sizes[j] for j in live], log_w[live]
+        live = np.flatnonzero(log_w > -math.inf)
+        starts, sizes = [starts[j] for j in live.tolist()], [sizes[j] for j in live.tolist()]
+        log_w, size_parts = log_w[live], (size_parts[0][live], size_parts[1][live])
     if not log_w.size:
         return [-math.inf for _ in alphas], (-math.inf if logs else None)
-    bits = (starts[-1] + sizes[-1]).bit_length()
     powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
     terms: dict[float, list[np.ndarray]] = {a: [] for a in powers}
     log_terms = []
 
     with np.errstate(all="ignore"):
         if powers or logs:
+            bits = (starts[-1] + sizes[-1]).bit_length()
             a_m, a_e = _int_parts(starts, bits)
-            n_m, n_e = _int_parts(sizes, bits)
+            n_m, n_e = size_parts
             w = log_w
             # blocks ascend, so the direct ones, starting below _EM_MIN, are the first d
             d = bisect_left(starts, _EM_MIN)
@@ -280,10 +278,19 @@ def _log_sums(starts, sizes, log_weights, alphas, *, scale: float = 1.0, logs: b
         out = []
         for alpha in alphas:
             if alpha == 0.0:  # sum_i i^0 is the block size n
-                out.append(_lse(scale * (log_w + _log_ints(sizes, bits)), scale))
+                out.append(_lse(scale * (log_w + _log_parts(*size_parts)), scale))
             else:
                 out.append(_lse(np.concatenate(terms[alpha]), scale))
         return out, (_lse(np.concatenate(log_terms)) if logs else None)
+
+
+def _one_block(a: int, b: int):
+    """The ranks a .. b, validated, as _log_sums' starts, sizes, size_parts and weights."""
+    a, b = int(a), int(b)
+    if a < 1 or b < a:
+        raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
+    n = b - a + 1
+    return [a], [n], _int_parts([n], n.bit_length()), [0.0]
 
 
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
@@ -298,11 +305,7 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     non-finite alpha raises DistributionError. The table kernel (_log_sums)
     run on one block.
     """
-    a = int(a)
-    b = int(b)
-    if a < 1 or b < a:
-        raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
-    return _log_sums([a], [b - a + 1], [0.0], (float(alpha),))[0][0]
+    return _log_sums(*_one_block(a, b), (float(alpha),))[0][0]
 
 
 def _log_sum_of_logs(a: int, b: int) -> float:
@@ -311,8 +314,4 @@ def _log_sum_of_logs(a: int, b: int) -> float:
     The ranks below _EM_MIN by one numpy sum, the ranks from _EM_MIN on by
     the Euler-Maclaurin closed form.
     """
-    a = int(a)
-    b = int(b)
-    if a < 1 or b < a:
-        raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
-    return _log_sums([a], [b - a + 1], [0.0], (), logs=True)[1]
+    return _log_sums(*_one_block(a, b), (), logs=True)[1]

@@ -401,8 +401,10 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
 # implementation before the one-table-per-k exact-compare path; the m = 4
 # unconditioned one by the per-block rank sums before the table kernel, the
 # fig2 m = 2, 3, 5 ones by the bisection-on-alpha implementation of Lambda*,
-# and the m = 3 unconditioned k = 100..300 one by math.fsum rank sums, before
-# the numpy exact sum whose fast path its 5,151- to 45,451-row tables take
+# the m = 3 unconditioned k = 100..300 one by math.fsum rank sums, before
+# the numpy exact sum whose fast path its 5,151- to 45,451-row tables take,
+# and the m = 3 census at k = 50..150 (187 to 1,642 typical types a row) by the
+# census that held its types as tuples, before it kept its count matrix
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

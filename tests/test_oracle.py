@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from guesswork import oracle
 from guesswork import (
+    CensusResult,
     ConvergencePoint,
     DistributionError,
     EmptyTypicalSetError,
@@ -151,6 +152,24 @@ def test_census_empty_is_valid():
     assert c2.is_empty
     assert c2.cardinality == 0
     assert smallest_nonempty_k(P, EPS) == 4
+
+
+def test_census_keeps_its_read_only_count_matrix():
+    c14 = typical_set_census(P, EPS, 14)
+    # the rows as the census held them before it kept the matrix
+    assert c14.type_counts == tuple(map(tuple, c14.counts.tolist()))
+    assert c14.type_counts == tuple(
+        l.counts for l in enumerate_types(14, 2) if is_typical_type(P, EPS, l)
+    )
+    assert all(type(c) is int for row in c14.type_counts for c in row)
+    assert c14.type_counts is c14.type_counts  # built once
+    assert all(isinstance(t, TypeVector) for t in c14.types)
+    assert [t.counts for t in c14.types] == list(c14.type_counts)
+    assert typical_set_census(P, EPS, 2).type_counts == ()
+    with pytest.raises(ValueError):
+        c14.counts[0, 0] = 0
+    # an ndarray field cannot back a value ==
+    assert not CensusResult.__dataclass_params__.eq
 
 
 def test_census_union_bound():

@@ -308,6 +308,31 @@ def _check_kernel_against_blocks(table, alphas):
     assert _near(k * exps.mean_log_exponent, mean_log, 1e-12)
 
 
+def _check_size_parts(table):
+    """The table's stored size parts against a fresh conversion, and the kernel over them."""
+    from guesswork.ranksums import _int_parts, _log_sum_of_logs, _log_sums
+
+    mant, exp = table.size_parts
+    want_m, want_e = _int_parts(table.sizes, table.total_words.bit_length())
+    assert (mant.tobytes(), exp.tobytes()) == (want_m.tobytes(), want_e.tobytes())
+    assert not any(a.flags.writeable for a in (mant, exp))
+    alphas = (-0.5, 0.0, 1.0, 2.5)
+    # the whole-table pass against the live blocks with their parts taken afresh
+    live = np.flatnonzero(table.log_word_prob > -math.inf).tolist()
+    starts, sizes = [table.starts[j] for j in live], [table.sizes[j] for j in live]
+    fresh = _log_sums(starts, sizes, _int_parts(sizes, table.total_words.bit_length()),
+                      table.log_word_prob[live], alphas, logs=True)
+    assert _log_sums(table.starts, table.sizes, table.size_parts, table.log_word_prob,
+                     alphas, logs=True) == fresh
+    # each block's slice of the parts against the single-range route
+    for j, (a, n) in enumerate(zip(table.starts, table.sizes)):
+        got, got_logs = _log_sums([a], [n], (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas,
+                                  logs=True)
+        b = a + n - 1
+        assert got == [gw.log_rank_power_sum(a, b, alpha) for alpha in alphas], j
+        assert got_logs == _log_sum_of_logs(a, b), j
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     laws_with_a_zero(2, 4),
@@ -331,6 +356,7 @@ def test_table_kernel_matches_per_range_sums(p, eps, k, kind, alphas):
     except gw.EmptyTypicalSetError:
         return
     _check_kernel_against_blocks(table, tuple(alphas))
+    _check_size_parts(table)
 
 
 @pytest.mark.parametrize("k", [1100, 1200])
@@ -346,6 +372,24 @@ def test_table_kernel_on_ranks_past_float_range(kind, k):
     table = gw.build_guess_table(source, k)
     assert table.total_words.bit_length() > 1000
     _check_kernel_against_blocks(table, (-0.5, 1.5, 2.0))
+
+
+@pytest.mark.parametrize("p, k, case", [
+    ((0.7, 0.3), 1100, "past_float_bits"),
+    ((0.7, 0.3), 20, "straddles_em_min"),
+    ((0.5, 0.0, 0.3, 0.2), 8, "zero_letter"),
+])
+def test_table_size_parts_on_each_kernel_path(p, k, case):
+    from guesswork.ranksums import _EM_MIN, _FLOAT_BITS
+
+    table = gw.build_guess_table(gw.unconditioned(gw.LetterDistribution(p)), k)
+    if case == "past_float_bits":
+        assert table.total_words.bit_length() > _FLOAT_BITS
+    elif case == "straddles_em_min":
+        assert any(a < _EM_MIN < a + n for a, n in zip(table.starts, table.sizes))
+    else:  # the live-block filter drops the rows of probability 0
+        assert table.log_word_prob[-1] == -math.inf
+    _check_size_parts(table)
 
 
 @settings(max_examples=60, deadline=None)
