@@ -85,35 +85,38 @@ class ExactGuessTable:
     """Probability-descending guess order of one source at word length k, by columns.
 
     Row j is the j-th type class in guessing order: counts[j] its letter
-    counts, sizes[j] its exact number of words, starts[j] its first rank
-    (1-based, exact) and log_word_prob[j] the log-probability of each of its
-    words under the source's own law; size_parts holds the sizes as floats,
-    as _int_parts converts them once at build time. total_words is m^k for
-    the unconditioned source and |T| for the typical-set sources;
-    log_typical_mass is log P(W_k in T) under the unconditioned law (0.0
-    when there is no conditioning).
+    counts, log_word_prob[j] the log-probability of each of its words under
+    the source's own law, and ranks bounds[j] .. bounds[j + 1] - 1 (exact
+    ints, bounds[0] = 1), so its size is a difference of bounds. total_words,
+    bounds[-1] - 1, is m^k for the unconditioned source and |T| for the
+    typical-set sources. size_parts holds the sizes as floats, as _int_parts
+    converts them once at build time. log_typical_mass is log P(W_k in T)
+    under the unconditioned law (0.0 when there is no conditioning).
     """
 
     source: Source
     k: int
     counts: np.ndarray
-    sizes: tuple[int, ...]
+    bounds: tuple[int, ...]
     size_parts: tuple[np.ndarray, np.ndarray]
-    starts: tuple[int, ...]
     log_word_prob: np.ndarray
-    total_words: int
     log_typical_mass: float
+
+    @property
+    def total_words(self) -> int:
+        return self.bounds[-1] - 1
 
     @cached_property
     def blocks(self) -> tuple[GuessBlock, ...]:
         """The rows as GuessBlocks, built on first use."""
-        return tuple(map(GuessBlock, map(tuple, self.counts.tolist()), self.sizes,
-                         self.starts, self.log_word_prob.tolist()))
+        b = self.bounds
+        return tuple(map(GuessBlock, map(tuple, self.counts.tolist()),
+                         map(int.__sub__, b[1:], b), b, self.log_word_prob.tolist()))
 
     def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
         # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
-        out, log_logs = _log_sums(self.starts, self.sizes, self.size_parts, self.log_word_prob,
-                                  alphas, scale=scale, logs=logs)
+        out, log_logs = _log_sums(self.bounds, self.size_parts, self.log_word_prob, alphas,
+                                  scale=scale, logs=logs)
         return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
 
 
@@ -208,8 +211,8 @@ def build_guess_table(
     sizes = tuple(map(sizes.__getitem__, order.tolist()))
     parts = _int_parts(sizes, max(sizes).bit_length())
     log_sizes = _log_parts(*parts)
-    starts = tuple(accumulate(sizes, initial=1))
-    total = starts[-1] - 1  # the starts carry the total
+    bounds = tuple(accumulate(sizes, initial=1))
+    total = bounds[-1] - 1
 
     if typical_kind:
         log_mass = _lse(log_sizes + raw)
@@ -228,7 +231,7 @@ def build_guess_table(
         assert abs(norm) < 1e-9, f"table probabilities sum to exp({norm})"
     for a in (counts, lws, *parts):
         a.flags.writeable = False
-    return ExactGuessTable(source, k, counts, sizes, parts, starts[:-1], lws, total, log_mass)
+    return ExactGuessTable(source, k, counts, bounds, parts, lws, log_mass)
 
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
@@ -244,7 +247,7 @@ def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
 def modal_word_count(table: ExactGuessTable) -> int:
     """Number of words tied (within RANK_TIE_TOL in log-probability) for most likely."""
     lw = table.log_word_prob
-    return sum(table.sizes[: int(np.count_nonzero(lw >= lw[0] - RANK_TIE_TOL))])
+    return table.bounds[int(np.count_nonzero(lw >= lw[0] - RANK_TIE_TOL))] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +255,8 @@ class CensusResult:
     """Exact inventory of the typical set at one word length.
 
     counts is the read-only matrix of the typical types' letter counts, one
-    row per type in enumeration order; type_counts (its rows as tuples) and
-    `types` (their TypeVectors) are built on request.
+    row per type in enumeration order; `types` (their TypeVectors) are built
+    on request.
     """
 
     k: int
@@ -261,10 +264,6 @@ class CensusResult:
     cardinality: int
     prob_mass: float
     max_type_count: int
-
-    @cached_property
-    def type_counts(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.counts.tolist()))
 
     @property
     def types(self) -> tuple[TypeVector, ...]:

@@ -213,16 +213,16 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
     return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
 
 
-def _log_sums(starts, sizes, size_parts, log_weights, alphas, *, scale: float = 1.0,
+def _log_sums(bounds, size_parts, log_weights, alphas, *, scale: float = 1.0,
               logs: bool = False):
     """The rank-sum kernel: one pass over blocks of consecutive ranks.
 
-    Block j holds ranks starts[j] .. starts[j] + sizes[j] - 1 (exact ints,
-    disjoint, in ascending order) at log weight log_weights[j]; size_parts
-    are the sizes as _int_parts gives them, taken once by the caller. Returns
+    Block j holds ranks bounds[j] .. bounds[j + 1] - 1 (exact, strictly
+    ascending ints) at log weight log_weights[j]; size_parts are the sizes
+    as _int_parts gives them, taken once by the caller. The weights descend,
+    so the blocks of weight 0, which are skipped, are the last ones. Returns
     [scale * log sum_j w_j sum_{i in j} i^alpha for each alpha] and, with
-    logs, log sum_j w_j sum_{i in j} log i (else None). Blocks of weight 0
-    are skipped.
+    logs, log sum_j w_j sum_{i in j} log i (else None).
 
     Every alpha but 0 takes the routes of log_rank_power_sum: one numpy pass
     over the blocks below _EM_MIN, so under _EM_MIN terms per table;
@@ -237,9 +237,9 @@ def _log_sums(starts, sizes, size_parts, log_weights, alphas, *, scale: float = 
             raise DistributionError(f"alpha must be finite, got {alpha}")
     log_w = np.asarray(log_weights, dtype=np.float64)
     if log_w.size and not log_w[-1] > -math.inf:
-        live = np.flatnonzero(log_w > -math.inf)
-        starts, sizes = [starts[j] for j in live.tolist()], [sizes[j] for j in live.tolist()]
-        log_w, size_parts = log_w[live], (size_parts[0][live], size_parts[1][live])
+        n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
+        bounds, log_w = bounds[: n + 1], log_w[:n]
+        size_parts = (size_parts[0][:n], size_parts[1][:n])
     if not log_w.size:
         return [-math.inf for _ in alphas], (-math.inf if logs else None)
     powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
@@ -248,20 +248,20 @@ def _log_sums(starts, sizes, size_parts, log_weights, alphas, *, scale: float = 
 
     with np.errstate(all="ignore"):
         if powers or logs:
-            bits = (starts[-1] + sizes[-1]).bit_length()
-            a_m, a_e = _int_parts(starts, bits)
+            bits = bounds[-1].bit_length()
+            a_m, a_e = _int_parts(bounds[:-1], bits)
             n_m, n_e = size_parts
             w = log_w
             # blocks ascend, so the direct ones, starting below _EM_MIN, are the first d
-            d = bisect_left(starts, _EM_MIN)
-            if d and starts[d - 1] + sizes[d - 1] > _EM_MIN:
+            d = bisect_left(bounds, _EM_MIN, hi=w.size)
+            if d and bounds[d] > _EM_MIN:
                 # the one block that straddles _EM_MIN: a direct head a .. _EM_MIN - 1,
                 # and a tail from _EM_MIN as one more block
                 j = d - 1
-                tail_m, tail_e = _int_parts([starts[j] + sizes[j] - _EM_MIN], bits)
+                tail_m, tail_e = _int_parts([bounds[d] - _EM_MIN], bits)
                 a_m, a_e = np.insert(a_m, d, _EM_MIN), np.insert(a_e, d, 0)
                 n_m, n_e = np.insert(n_m, d, tail_m), np.insert(n_e, d, tail_e)
-                n_m[j], n_e[j] = _EM_MIN - starts[j], 0
+                n_m[j], n_e[j] = _EM_MIN - bounds[j], 0
                 w = np.insert(w, d, w[j])
             groups = []
             if d:
@@ -285,12 +285,12 @@ def _log_sums(starts, sizes, size_parts, log_weights, alphas, *, scale: float = 
 
 
 def _one_block(a: int, b: int):
-    """The ranks a .. b, validated, as _log_sums' starts, sizes, size_parts and weights."""
+    """The ranks a .. b, validated, as _log_sums' bounds, size_parts and weights."""
     a, b = int(a), int(b)
     if a < 1 or b < a:
         raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
     n = b - a + 1
-    return [a], [n], _int_parts([n], n.bit_length()), [0.0]
+    return (a, b + 1), _int_parts([n], n.bit_length()), [0.0]
 
 
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:

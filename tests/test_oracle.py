@@ -156,16 +156,12 @@ def test_census_empty_is_valid():
 
 def test_census_keeps_its_read_only_count_matrix():
     c14 = typical_set_census(P, EPS, 14)
-    # the rows as the census held them before it kept the matrix
-    assert c14.type_counts == tuple(map(tuple, c14.counts.tolist()))
-    assert c14.type_counts == tuple(
-        l.counts for l in enumerate_types(14, 2) if is_typical_type(P, EPS, l)
-    )
-    assert all(type(c) is int for row in c14.type_counts for c in row)
-    assert c14.type_counts is c14.type_counts  # built once
+    rows = c14.counts.tolist()
+    assert rows == [list(l.counts) for l in enumerate_types(14, 2) if is_typical_type(P, EPS, l)]
+    assert all(type(c) is int for row in rows for c in row)
     assert all(isinstance(t, TypeVector) for t in c14.types)
-    assert [t.counts for t in c14.types] == list(c14.type_counts)
-    assert typical_set_census(P, EPS, 2).type_counts == ()
+    assert [list(t.counts) for t in c14.types] == rows
+    assert typical_set_census(P, EPS, 2).counts.tolist() == []
     with pytest.raises(ValueError):
         c14.counts[0, 0] = 0
     # an ndarray field cannot back a value ==
@@ -525,8 +521,8 @@ def test_table_moments_of_integer_orders_match_exact_integer_sums(make, m, k):
     live = table.log_word_prob > -math.inf
     for alpha, scaled in finite_k_exponents(source, k, alphas=(1.0, 2.0)).moment_exponents:
         terms = [
-            w + _exact_log_rank_sum(a, n, int(alpha))
-            for a, n, w in zip(table.starts, table.sizes, table.log_word_prob.tolist())
+            b.log_word_prob + _exact_log_rank_sum(b.start, b.count, int(alpha))
+            for b in table.blocks
         ]
         want = oracle._lse(np.array(terms)[live])
         assert _within_1e15(k * scaled, want), (alpha, k * scaled, want)

@@ -210,7 +210,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 
     if window is not None:
         census = gw.typical_set_census(p, eps, k)
-        assert list(census.type_counts) == rows
+        assert census.counts.tolist() == counts.tolist()
         assert census.cardinality == sum(sizes)
     if not want:
         with pytest.raises(gw.EmptyTypicalSetError):
@@ -234,6 +234,11 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
     st.sampled_from((1, 30000, 10**6, 2**53 - 40000, 2**53, 2**1100)),
     st.integers(0, 2**16 - 1),
     st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
+)
+@example(30000, 0, 4.301924693685763e-71).xfail(
+    raises=AssertionError,
+    reason="known defect: near alpha = 0 the Euler-Maclaurin route is 1.6e-6 relative off "
+           "alpha log a on this one-term range; remove the mark once that route is mended",
 )
 def test_direct_rank_sums_match_fsum(a, span, alpha):
     from guesswork.ranksums import _log_sum_of_logs
@@ -292,10 +297,19 @@ def _near(x, y, rel):
 
 
 def _check_kernel_against_blocks(table, alphas):
-    cols = zip(table.counts.tolist(), table.sizes, table.starts, table.log_word_prob.tolist())
-    assert [(b.counts, b.count, b.start, b.log_word_prob) for b in table.blocks] == [
-        (tuple(c), n, a, w) for c, n, a, w in cols
+    # the one exact column: bounds from rank 1, strictly rising, one past the last rank
+    bounds = table.bounds
+    assert len(bounds) == len(table.counts) + 1
+    assert bounds[0] == 1 and bounds[-1] == table.total_words + 1
+    assert all(x < y for x, y in zip(bounds, bounds[1:]))
+    cols = zip(table.counts.tolist(), bounds, bounds[1:], table.log_word_prob.tolist())
+    assert [(b.counts, b.count, b.start, b.end, b.log_word_prob) for b in table.blocks] == [
+        (tuple(c), y - x, x, y - 1, w) for c, x, y, w in cols
     ]
+    top = table.blocks[0].log_word_prob
+    assert gw.modal_word_count(table) == sum(
+        b.count for b in table.blocks if b.log_word_prob >= top - gw.oracle.RANK_TIE_TOL
+    )
     k = table.k
     exps = gw.finite_k_exponents(table.source, k, alphas=alphas)
     for alpha, scaled in exps.moment_exponents:
@@ -312,25 +326,27 @@ def _check_size_parts(table):
     """The table's stored size parts against a fresh conversion, and the kernel over them."""
     from guesswork.ranksums import _int_parts, _log_sum_of_logs, _log_sums
 
+    bounds, bits = table.bounds, table.total_words.bit_length()
+    sizes = [y - x for x, y in zip(bounds, bounds[1:])]
     mant, exp = table.size_parts
-    want_m, want_e = _int_parts(table.sizes, table.total_words.bit_length())
+    want_m, want_e = _int_parts(sizes, bits)
     assert (mant.tobytes(), exp.tobytes()) == (want_m.tobytes(), want_e.tobytes())
     assert not any(a.flags.writeable for a in (mant, exp))
     alphas = (-0.5, 0.0, 1.0, 2.5)
-    # the whole-table pass against the live blocks with their parts taken afresh
+    # the live blocks are a prefix; the whole-table pass against that prefix
+    # with its parts taken afresh
     live = np.flatnonzero(table.log_word_prob > -math.inf).tolist()
-    starts, sizes = [table.starts[j] for j in live], [table.sizes[j] for j in live]
-    fresh = _log_sums(starts, sizes, _int_parts(sizes, table.total_words.bit_length()),
-                      table.log_word_prob[live], alphas, logs=True)
-    assert _log_sums(table.starts, table.sizes, table.size_parts, table.log_word_prob,
-                     alphas, logs=True) == fresh
+    n = len(live)
+    assert live == list(range(n))
+    fresh = _log_sums(bounds[: n + 1], _int_parts(sizes[:n], bits), table.log_word_prob[:n],
+                      alphas, logs=True)
+    assert _log_sums(bounds, table.size_parts, table.log_word_prob, alphas, logs=True) == fresh
     # each block's slice of the parts against the single-range route
-    for j, (a, n) in enumerate(zip(table.starts, table.sizes)):
-        got, got_logs = _log_sums([a], [n], (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas,
+    for j, (a, c) in enumerate(zip(bounds, bounds[1:])):
+        got, got_logs = _log_sums((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas,
                                   logs=True)
-        b = a + n - 1
-        assert got == [gw.log_rank_power_sum(a, b, alpha) for alpha in alphas], j
-        assert got_logs == _log_sum_of_logs(a, b), j
+        assert got == [gw.log_rank_power_sum(a, c - 1, alpha) for alpha in alphas], j
+        assert got_logs == _log_sum_of_logs(a, c - 1), j
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,7 +393,7 @@ def test_table_kernel_on_ranks_past_float_range(kind, k):
 @pytest.mark.parametrize("p, k, case", [
     ((0.7, 0.3), 1100, "past_float_bits"),
     ((0.7, 0.3), 20, "straddles_em_min"),
-    ((0.5, 0.0, 0.3, 0.2), 8, "zero_letter"),
+    ((0.4, 0.0, 0.3, 0.2, 0.1), 8, "zero_letter"),
 ])
 def test_table_size_parts_on_each_kernel_path(p, k, case):
     from guesswork.ranksums import _EM_MIN, _FLOAT_BITS
@@ -386,9 +402,10 @@ def test_table_size_parts_on_each_kernel_path(p, k, case):
     if case == "past_float_bits":
         assert table.total_words.bit_length() > _FLOAT_BITS
     elif case == "straddles_em_min":
-        assert any(a < _EM_MIN < a + n for a, n in zip(table.starts, table.sizes))
-    else:  # the live-block filter drops the rows of probability 0
-        assert table.log_word_prob[-1] == -math.inf
+        assert any(a < _EM_MIN < c for a, c in zip(table.bounds, table.bounds[1:]))
+    else:  # the live-block filter drops the rows of probability 0, after live ranks past _EM_MIN
+        live = int(np.count_nonzero(table.log_word_prob > -math.inf))
+        assert live < len(table.counts) and table.bounds[live] > _EM_MIN
     _check_size_parts(table)
 
 
