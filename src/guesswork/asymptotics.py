@@ -405,6 +405,10 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
 
     root_sum = math.sqrt(p0) + math.sqrt(p1)
     moment_uncond = 2.0 * math.log(root_sum)
+    # h(l-) - moment_uncond with no cancellation near log 2: h(l-) = log 2 - D(l-||u),
+    # u uniform, and moment_uncond = log 2 + log1p(-s^2/2), s = sqrt p0 - sqrt p1
+    s = (p0 - p1) / root_sum
+    bottom = -_binary_divergence(0.5, 0.5, (0.5 - p0) + epsilon / spread) - math.log1p(-0.5 * s * s)
     eta_1 = -(math.sqrt(p0) * math.log(p0) + math.sqrt(p1) * math.log(p1)) / root_sum
     excess = eta_1 - (h + epsilon)
     moment_cond = moment_uncond if excess <= 0.0 else h_minus - div_minus
@@ -423,8 +427,8 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
         window_excess=excess,
         moment_rate_cond=moment_cond,
         top=epsilon - div_minus,
-        middle=(h_minus - moment_uncond) if excess <= 0.0 else div_minus,
-        bottom=h_minus - moment_uncond,
+        middle=bottom if excess <= 0.0 else div_minus,
+        bottom=bottom,
     )
 
 

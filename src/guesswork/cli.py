@@ -55,13 +55,14 @@ from .oracle import (
     convergence_points,
     finite_k_exponents,
     naive_enumeration_crosscheck,
+    nonempty_scan_limit,
     smallest_nonempty_k,
     trend_holds,
     typical_set_census,
 )
 from .tilting import BoundaryTypes, require_admissible_epsilon
 
-_KIND_NAMES = ("unconditioned", "conditioned", "uniform")
+_KIND_NAMES = tuple(kind.value for kind in SourceKind)
 
 # Most grid points one fig2 request may ask for: a larger --x-points is a
 # resource-guard refusal (exit 2), made before the grid is allocated.
@@ -170,13 +171,11 @@ def _positive_epsilon(epsilon: float) -> float:
 
 
 def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Source:
-    if kind == "unconditioned":
+    if kind == SourceKind.UNCONDITIONED.value:
         return unconditioned(p)
     if epsilon is None:
         raise DistributionError(f"--epsilon is required for kind={kind}")
-    if kind == "conditioned":
-        return conditioned(p, epsilon)
-    return uniform_typical(p, epsilon)
+    return Source(SourceKind(kind), p, epsilon)
 
 
 def _kind_report(model: ScgfModel) -> dict:
@@ -397,9 +396,11 @@ def cmd_census(args) -> tuple[str, int]:
     payload = None
     if any_empty:
         first = smallest_nonempty_k(p, epsilon, max_types=args.max_types)
-        meta.append(
-            "# smallest nonempty k: " + ("none <= 1000" if first is None else str(first))
-        )
+        if first is None:
+            first_text = f"none <= {nonempty_scan_limit(p.m, args.max_types)}"
+        else:
+            first_text = str(first)
+        meta.append(f"# smallest nonempty k: {first_text}")
         payload = {"rows": None, "smallest_nonempty_k": first}
     header = "k,num_types,cardinality,size_rate,prob_mass,flag"
     return _table(args, meta, header, rows, payload=payload), 0

@@ -40,6 +40,7 @@ from .entropy import (
     TypeVector,
     as_distribution,
     multinomial,
+    num_types,
     type_count_matrix,
     typical_window,
 )
@@ -113,10 +114,10 @@ class ExactGuessTable:
         return tuple(map(GuessBlock, map(tuple, self.counts.tolist()),
                          map(int.__sub__, b[1:], b), b, self.log_word_prob.tolist()))
 
-    def _log_sums(self, alphas, *, scale: float = 1.0, logs: bool = False):
+    def _log_sums(self, alphas, *, scale: float = 1.0):
         # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
         out, log_logs = _log_sums(self.bounds, self.size_parts, self.log_word_prob, alphas,
-                                  scale=scale, logs=logs)
+                                  scale=scale)
         return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
 
 
@@ -209,7 +210,7 @@ def build_guess_table(
     raw = raw[order]
     counts = counts[order]
     sizes = tuple(map(sizes.__getitem__, order.tolist()))
-    parts = _int_parts(sizes, max(sizes).bit_length())
+    parts = _int_parts(sizes)
     log_sizes = _log_parts(*parts)
     bounds = tuple(accumulate(sizes, initial=1))
     total = bounds[-1] - 1
@@ -241,7 +242,7 @@ def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
     """E[log G], exactly, via per-block log-factorial range sums."""
-    return math.exp(table._log_sums((), logs=True)[1])
+    return math.exp(table._log_sums(())[1])
 
 
 def modal_word_count(table: ExactGuessTable) -> int:
@@ -297,7 +298,7 @@ def typical_set_census(
     if not sizes:
         return CensusResult(k, counts, 0, 0.0, 0)
     cardinality = sum(sizes)
-    mass = math.exp(_lse(_log_parts(*_int_parts(sizes, cardinality.bit_length())) + raw))
+    mass = math.exp(_lse(_log_parts(*_int_parts(sizes)) + raw))
     max_count = max(sizes)
     if not max_count <= cardinality <= (k + 1) ** p.m * max_count:
         raise ArithmeticError(
@@ -307,20 +308,25 @@ def typical_set_census(
     return CensusResult(k, counts, cardinality, mass, max_count)
 
 
+def nonempty_scan_limit(m: int, max_types: int = MAX_TYPES_DEFAULT) -> int:
+    """The last word length smallest_nonempty_k scans on m letters: 1000, or
+    the last k whose C(k + m - 1, m - 1) types fit max_types if that is less."""
+    return next((k - 1 for k in range(1, 1001) if num_types(k, m) > max_types), 1000)
+
+
 def smallest_nonempty_k(
     p: LetterDistribution,
     epsilon: float,
     *,
-    k_max: int = 1000,
     max_types: int = MAX_TYPES_DEFAULT,
 ) -> int | None:
-    """Smallest word length whose typical set is nonempty; None past k_max.
+    """Smallest word length whose typical set is nonempty; None up to nonempty_scan_limit.
 
     Each k costs one window mask over its count matrix, and the scan stops
     at the first k with a typical row.
     """
     p = as_distribution(p)
-    for k in range(1, k_max + 1):
+    for k in range(1, nonempty_scan_limit(p.m, max_types) + 1):
         cost = _cross_entropies(type_count_matrix(k, p.m, max_types), k, p)
         if _in_window(cost, p, epsilon).any():
             return k
@@ -361,7 +367,7 @@ def finite_k_exponents(
     alphas = alphas_or_default(alphas)
     # one kernel pass; its terms scaled by 1/k, so a huge alpha stays finite
     # wherever (1/k) log E[G^alpha] does
-    logs, log_mean_log = table._log_sums(alphas, scale=1.0 / k, logs=True)
+    logs, log_mean_log = table._log_sums(alphas, scale=1.0 / k)
     size_exp = None
     if source.kind is not SourceKind.UNCONDITIONED:
         size_exp = math.log(table.total_words) / k
@@ -578,7 +584,7 @@ def naive_enumeration_crosscheck(
     table = build_guess_table(source, k, max_types=max_types)
 
     alphas = alphas_or_default(alphas)
-    logs, log_mean_log = table._log_sums(alphas, logs=True)
+    logs, log_mean_log = table._log_sums(alphas)
     # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
     with np.errstate(divide="ignore", over="ignore"):
         pairs = [(_log_sum_exp(log_prob + a * log_ranks), lv) for a, lv in zip(alphas, logs)]

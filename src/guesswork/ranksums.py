@@ -115,19 +115,22 @@ def _lse(terms, scale: float = 1.0) -> float:
     return top + scale * math.log(_exact_sum(np.exp((terms - top) / scale)))
 
 
-def _int_parts(values, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive ints as mant * 2**exp: float64 mantissas and int64 exponents.
+def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of positive ints as mant * 2**exp: float64 mantissas and int64 exponents.
 
-    bits bounds the bit lengths of the values. An int of at most _FLOAT_BITS
-    bits converts to a correctly rounded float, with exponent 0. A longer one
-    takes a mantissa in [0.5, 1] from its top 64 bits, by bit_length and
-    shift, and its bit length as exponent, so that log(mant) + exp log 2 is
-    its log as math.log takes it.
+    An int of at most _FLOAT_BITS bits converts to a correctly rounded float,
+    with exponent 0. A longer one takes a mantissa in [0.5, 1] from its top
+    64 bits, by bit_length and shift, and its bit length as exponent, so that
+    log(mant) + exp log 2 is its log as math.log takes it. All values convert
+    in one numpy pass unless one of them overflows or rounds to 2**_FLOAT_BITS
+    or more; then each takes its own rule.
     """
-    if bits <= _FLOAT_BITS:
+    try:
         mant = np.fromiter(values, dtype=np.float64)
-        return mant, np.zeros(mant.size, dtype=np.int64)
-    values = list(values)
+        if not (mant >= 2.0**_FLOAT_BITS).any():
+            return mant, np.zeros(mant.size, dtype=np.int64)
+    except OverflowError:
+        pass
     exps = [n if n > _FLOAT_BITS else 0 for n in (v.bit_length() for v in values)]
     mants = [float(v >> (e - 64)) / 2.0**64 if e else float(v) for v, e in zip(values, exps)]
     return np.array(mants, dtype=np.float64), np.array(exps, dtype=np.int64)
@@ -137,13 +140,12 @@ def _log_parts(mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.log(mant) + exp * _LOG2
 
 
-def _direct_route(a, cnt, powers, logs: bool):
-    """Direct sums over blocks of cnt[j] ranks from a[j], all ranks below _EM_MIN.
+def _direct_route(a, cnt, powers):
+    """Direct sums over blocks of cnt[j] ranks from a[j] (int64), all ranks below _EM_MIN.
 
     The ranks are exact floats, summed in one pass over their logs. Returns,
     per alpha, (lam, rho) with log sum_i i^alpha = alpha lam + rho, lam the
-    log of the block's largest term's rank; and with logs, log sum_i log i
-    per block.
+    log of the block's largest term's rank; and log sum_i log i per block.
     """
     off = np.cumsum(cnt) - cnt
     log_i = np.arange(int(off[-1] + cnt[-1]), dtype=np.float64)
@@ -155,17 +157,17 @@ def _direct_route(a, cnt, powers, logs: bool):
         d = log_i - np.repeat(lam, cnt)
         d *= alpha
         sums.append((lam, np.log(np.add.reduceat(np.exp(d, out=d), off))))
-    return sums, np.log(np.add.reduceat(log_i, off)) if logs else None
+    return sums, np.log(np.add.reduceat(log_i, off))
 
 
-def _em_route(a_parts, n_parts, powers, logs: bool):
+def _em_route(a_parts, n_parts, powers):
     """Corrected midpoint Euler-Maclaurin sums over blocks of n ranks from a >= _EM_MIN.
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
     integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral,
     and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
-    per alpha (lam, rho) with log sum = alpha lam + rho, and with logs the
-    log sum of logs per block.
+    per alpha (lam, rho) with log sum = alpha lam + rho, and the log sum of
+    logs per block.
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
     y_m = a_m - np.ldexp(0.5, -a_e)
@@ -197,8 +199,6 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
         corr = (alpha / 24.0) * (np.exp(e_y) - np.exp(e_x))
         rho = lam + rest + np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
         sums.append((np.where(tiny, log_y, lam), np.where(tiny, log_y + log_ratio, rho)))
-    if not logs:
-        return sums, None
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
     # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
     near = np.where(
@@ -213,75 +213,64 @@ def _em_route(a_parts, n_parts, powers, logs: bool):
     return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
 
 
-def _log_sums(bounds, size_parts, log_weights, alphas, *, scale: float = 1.0,
-              logs: bool = False):
+def _log_sums(bounds, size_parts, log_weights, alphas, *, scale: float = 1.0):
     """The rank-sum kernel: one pass over blocks of consecutive ranks.
 
     Block j holds ranks bounds[j] .. bounds[j + 1] - 1 (exact, strictly
     ascending ints) at log weight log_weights[j]; size_parts are the sizes
     as _int_parts gives them, taken once by the caller. The weights descend,
     so the blocks of weight 0, which are skipped, are the last ones. Returns
-    [scale * log sum_j w_j sum_{i in j} i^alpha for each alpha] and, with
-    logs, log sum_j w_j sum_{i in j} log i (else None).
+    [scale * log sum_j w_j sum_{i in j} i^alpha for each alpha] and
+    log sum_j w_j sum_{i in j} log i.
 
-    Every alpha but 0 takes the routes of log_rank_power_sum: one numpy pass
-    over the blocks below _EM_MIN, so under _EM_MIN terms per table;
-    Euler-Maclaurin for the blocks from _EM_MIN on; and the one block that
-    straddles _EM_MIN is split there into a direct head and an
-    Euler-Maclaurin tail. alpha = 0 is log n per block. The terms stay
-    scaled, so a huge alpha overflows only where scale * log of the sum
-    would. A non-finite alpha raises DistributionError.
+    Every alpha but 0, and the sum of logs, take the routes of
+    log_rank_power_sum: one numpy pass over the ranks below _EM_MIN, from
+    exact int64 bounds, so under _EM_MIN terms per table; Euler-Maclaurin
+    for the blocks from _EM_MIN on, whose starts alone are converted; and
+    the one block that straddles _EM_MIN ends its direct head there, its
+    tail from _EM_MIN on summed as one more Euler-Maclaurin block.
+    alpha = 0 is log n per block. The terms stay scaled, so a huge alpha
+    overflows only where scale * log of the sum would. A non-finite alpha
+    raises DistributionError.
     """
     for alpha in alphas:
         if not math.isfinite(alpha):
             raise DistributionError(f"alpha must be finite, got {alpha}")
     log_w = np.asarray(log_weights, dtype=np.float64)
-    if log_w.size and not log_w[-1] > -math.inf:
-        n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
-        bounds, log_w = bounds[: n + 1], log_w[:n]
-        size_parts = (size_parts[0][:n], size_parts[1][:n])
-    if not log_w.size:
-        return [-math.inf for _ in alphas], (-math.inf if logs else None)
+    n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
+    if not n:
+        return [-math.inf for _ in alphas], -math.inf
+    log_w, n_m, n_e = log_w[:n], size_parts[0][:n], size_parts[1][:n]
     powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
-    terms: dict[float, list[np.ndarray]] = {a: [] for a in powers}
-    log_terms = []
 
     with np.errstate(all="ignore"):
-        if powers or logs:
-            bits = bounds[-1].bit_length()
-            a_m, a_e = _int_parts(bounds[:-1], bits)
-            n_m, n_e = size_parts
-            w = log_w
-            # blocks ascend, so the direct ones, starting below _EM_MIN, are the first d
-            d = bisect_left(bounds, _EM_MIN, hi=w.size)
-            if d and bounds[d] > _EM_MIN:
-                # the one block that straddles _EM_MIN: a direct head a .. _EM_MIN - 1,
-                # and a tail from _EM_MIN as one more block
-                j = d - 1
-                tail_m, tail_e = _int_parts([bounds[d] - _EM_MIN], bits)
-                a_m, a_e = np.insert(a_m, d, _EM_MIN), np.insert(a_e, d, 0)
-                n_m, n_e = np.insert(n_m, d, tail_m), np.insert(n_e, d, tail_e)
-                n_m[j], n_e[j] = _EM_MIN - bounds[j], 0
-                w = np.insert(w, d, w[j])
-            groups = []
-            if d:
-                sums = _direct_route(a_m[:d], n_m[:d].astype(np.int64), powers, logs)
-                groups.append((sums, w[:d]))
-            if d < w.size:
-                sums = _em_route((a_m[d:], a_e[d:]), (n_m[d:], n_e[d:]), powers, logs)
-                groups.append((sums, w[d:]))
-            for (sums, rho_logs), w in groups:
-                for alpha, (lam, rho) in zip(powers, sums):
-                    terms[alpha].append((alpha * scale) * lam + scale * (w + rho))
-                if logs:
-                    log_terms.append(w + rho_logs)
+        groups = []
+        # blocks ascend, so the direct ones, starting below _EM_MIN, are the first d
+        d = bisect_left(bounds, _EM_MIN, hi=n)
+        if d:
+            edges = np.array((*bounds[:d], min(bounds[d], _EM_MIN)), dtype=np.int64)
+            groups.append((_direct_route(edges[:-1], np.diff(edges), powers), log_w[:d]))
+        if d and bounds[d] > _EM_MIN:  # the straddling block's tail, at that block's weight
+            t_m, t_e = _int_parts((bounds[d] - _EM_MIN,))
+            j, starts = d - 1, (_EM_MIN, *bounds[d:n])
+            sizes = (np.concatenate((t_m, n_m[d:])), np.concatenate((t_e, n_e[d:])))
+        else:
+            j, starts, sizes = d, bounds[d:n], (n_m[d:], n_e[d:])
+        if j < n:
+            groups.append((_em_route(_int_parts(starts), sizes, powers), log_w[j:]))
+        terms: dict[float, list[np.ndarray]] = {a: [] for a in powers}
+        log_terms = []
+        for (sums, rho_logs), w in groups:
+            for alpha, (lam, rho) in zip(powers, sums):
+                terms[alpha].append((alpha * scale) * lam + scale * (w + rho))
+            log_terms.append(w + rho_logs)
         out = []
         for alpha in alphas:
             if alpha == 0.0:  # sum_i i^0 is the block size n
-                out.append(_lse(scale * (log_w + _log_parts(*size_parts)), scale))
+                out.append(_lse(scale * (log_w + _log_parts(n_m, n_e)), scale))
             else:
                 out.append(_lse(np.concatenate(terms[alpha]), scale))
-        return out, (_lse(np.concatenate(log_terms)) if logs else None)
+        return out, _lse(np.concatenate(log_terms))
 
 
 def _one_block(a: int, b: int):
@@ -290,7 +279,7 @@ def _one_block(a: int, b: int):
     if a < 1 or b < a:
         raise DistributionError(f"need 1 <= a <= b, got a={a}, b={b}")
     n = b - a + 1
-    return (a, b + 1), _int_parts([n], n.bit_length()), [0.0]
+    return (a, b + 1), _int_parts((n,)), [0.0]
 
 
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
@@ -314,4 +303,4 @@ def _log_sum_of_logs(a: int, b: int) -> float:
     The ranks below _EM_MIN by one numpy sum, the ranks from _EM_MIN on by
     the Euler-Maclaurin closed form.
     """
-    return _log_sums(*_one_block(a, b), (), logs=True)[1]
+    return _log_sums(*_one_block(a, b), ())[1]

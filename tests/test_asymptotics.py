@@ -226,17 +226,23 @@ def test_binary_closed_forms_low_excess_regime():
 @example(0.975, -8.0)
 def test_binary_closed_forms_match_mpmath(p0, log_frac):
     # any admissible epsilon from 1e-8 of the interval's top up to just below
-    # it: D(l-||p), D(l+||p), top = eps - D(l-||p) and middle (D(l-||p) where
-    # the window binds) to 1e-12 relative of 60-digit values; as differences
-    # of O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and 1.4 at 1e-8
+    # it: D(l-||p), D(l+||p), top = eps - D(l-||p), bottom and middle (D(l-||p)
+    # where the window binds, else bottom) to 1e-12 relative of 60-digit values;
+    # as differences of O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and
+    # 1.4 at 1e-8
     _assert_binary_matches_mpmath(p0, admissible_epsilon_interval((p0, 1.0 - p0))[1] * 10.0**log_frac)
+
+
+def test_binary_bottom_near_uniform_matches_mpmath():
+    # bottom as h(l-) - 2 log(sqrt p0 + sqrt p1), two numbers near log 2, was
+    # 1.4e-11 relative off here
+    _assert_binary_matches_mpmath(0.5186846321474264, 4.2379e-4)
 
 
 def _assert_binary_matches_mpmath(p0, eps):
     rep = binary_closed_forms(p0, eps)
     want = binary_gaps(p0, eps)
-    fields = ["div_minus", "div_plus", "top"] + (["middle"] if rep.window_excess > 0.0 else [])
-    for name in fields:
+    for name in ("div_minus", "div_plus", "top", "middle", "bottom"):
         got = getattr(rep, name)
         assert abs(got - want[name]) <= 1e-12 * abs(want[name]), (name, p0, eps, got)
 

@@ -404,7 +404,8 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
 # the m = 3 unconditioned k = 100..300 one by math.fsum rank sums, before
 # the numpy exact sum whose fast path its 5,151- to 45,451-row tables take,
 # and the m = 3 census at k = 50..150 (187 to 1,642 typical types a row) by the
-# census that held its types as tuples, before it kept its count matrix
+# census that held its types as tuples, before it kept its count matrix; the
+# census_scan_limit one by the scan that stops where --max-types is outgrown
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

@@ -338,7 +338,7 @@ def test_smallest_nonempty_k_past_one_hundred():
         if any(is_typical_type(p, eps, l) for l in enumerate_types(k, 2))
     ]
     assert typical == [169]
-    assert smallest_nonempty_k(p, eps, k_max=168) is None
+    assert smallest_nonempty_k(p, eps, max_types=169) is None
 
 
 def test_census_sandwich_check_raises(monkeypatch):

@@ -326,10 +326,10 @@ def _check_size_parts(table):
     """The table's stored size parts against a fresh conversion, and the kernel over them."""
     from guesswork.ranksums import _int_parts, _log_sum_of_logs, _log_sums
 
-    bounds, bits = table.bounds, table.total_words.bit_length()
+    bounds = table.bounds
     sizes = [y - x for x, y in zip(bounds, bounds[1:])]
     mant, exp = table.size_parts
-    want_m, want_e = _int_parts(sizes, bits)
+    want_m, want_e = _int_parts(sizes)
     assert (mant.tobytes(), exp.tobytes()) == (want_m.tobytes(), want_e.tobytes())
     assert not any(a.flags.writeable for a in (mant, exp))
     alphas = (-0.5, 0.0, 1.0, 2.5)
@@ -338,13 +338,11 @@ def _check_size_parts(table):
     live = np.flatnonzero(table.log_word_prob > -math.inf).tolist()
     n = len(live)
     assert live == list(range(n))
-    fresh = _log_sums(bounds[: n + 1], _int_parts(sizes[:n], bits), table.log_word_prob[:n],
-                      alphas, logs=True)
-    assert _log_sums(bounds, table.size_parts, table.log_word_prob, alphas, logs=True) == fresh
+    fresh = _log_sums(bounds[: n + 1], _int_parts(sizes[:n]), table.log_word_prob[:n], alphas)
+    assert _log_sums(bounds, table.size_parts, table.log_word_prob, alphas) == fresh
     # each block's slice of the parts against the single-range route
     for j, (a, c) in enumerate(zip(bounds, bounds[1:])):
-        got, got_logs = _log_sums((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas,
-                                  logs=True)
+        got, got_logs = _log_sums((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas)
         assert got == [gw.log_rank_power_sum(a, c - 1, alpha) for alpha in alphas], j
         assert got_logs == _log_sum_of_logs(a, c - 1), j
 
@@ -407,6 +405,35 @@ def test_table_size_parts_on_each_kernel_path(p, k, case):
         live = int(np.count_nonzero(table.log_word_prob > -math.inf))
         assert live < len(table.counts) and table.bounds[live] > _EM_MIN
     _check_size_parts(table)
+
+
+def _near_bits(c):
+    # ints within 2^970 of 2^c: either side of the float path's edge
+    return st.integers(2**c - 2**970, 2**c + 2**970)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 2**64), _near_bits(1020), _near_bits(1024),
+                          st.sampled_from((2**1020 - 1, 2**1020, 2**1024 - 1, 2**1024))),
+                max_size=8))
+@example([2**1020 - 1])  # 1020 bits, so the float path, though it rounds up to 2^1020
+@example([3, 2**1020 - 1, 2**1020])
+@example([2**1024 - 1, 5])
+@example([])
+def test_int_parts_match_the_per_int_rule(values):
+    # one numpy pass or one rule per int, every value gets the per-int parts:
+    # float(v) up to _FLOAT_BITS bits, else its top 64 bits over 2^64 and its bit length
+    from guesswork.ranksums import _FLOAT_BITS, _int_parts
+
+    def one(v):
+        n = v.bit_length()
+        return (float(v), 0) if n <= _FLOAT_BITS else (float(v >> (n - 64)) / 2.0**64, n)
+
+    mant, exp = _int_parts(values)
+    assert (mant.dtype, exp.dtype) == (np.float64, np.int64)
+    assert list(zip(mant.tolist(), exp.tolist())) == [one(v) for v in values]
+    logs = np.log(mant) + exp * math.log(2.0)
+    assert all(abs(x - math.log(v)) <= 4e-16 * math.log(v) for x, v in zip(logs.tolist(), values))
 
 
 @settings(max_examples=60, deadline=None)
