@@ -6,10 +6,10 @@ sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
 held as columns, and one kernel (ranksums._log_sums) takes every block's
-rank sums in one pass over them, on the same routes for every alpha:
-direct numpy sums for the ranks below 30,000, and a corrected Euler-Maclaurin
-closed form for the ranks from 30,000 on, however many, which keeps
-k ~ 10^3 affordable for m = 2.
+rank sums in one pass over them per route threshold, which is a function
+of alpha (4,096 or 30,000, ranksums._em_min): direct numpy sums for the
+ranks below it, and a corrected Euler-Maclaurin closed form for the ranks
+from it on, however many, which keeps k ~ 10^3 affordable for m = 2.
 
 A separate naive oracle enumerates every word individually (numpy, guarded
 to m^k <= 2^22) so the two routes can be cross-checked against each other,

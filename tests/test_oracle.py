@@ -1,7 +1,9 @@
 """Exact finite-k oracles: guess tables, censuses, sandwiches, crosschecks."""
 
+import contextlib
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,8 @@ from guesswork import (
     unconditioned,
     uniform_typical,
 )
-from guesswork.ranksums import _log_sum_of_logs
+from guesswork import ranksums
+from guesswork.ranksums import _EM_LOW, _EM_MIN, _em_min, _log_sum_of_logs
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -301,14 +304,16 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
     )
 
 
-@pytest.mark.parametrize("a", [1, 2, 29999, 30000, 10**6])
+@pytest.mark.parametrize("a", [1, 2, 4095, 4096, 29999, 30000, 10**6])
 def test_log_sum_of_logs_matches_loggamma_on_every_route(a):
     # sum_{i=a}^{b} log i = lgamma(b+1) - lgamma(a), at 50 digits; the b values
-    # cover the direct (ranks below 30000), split (a < 30000 <= b) and
-    # Euler-Maclaurin (a >= 30000) routes, and the ends either side of 30000
+    # cover the direct (ranks below 4096), split (a < 4096 <= b) and
+    # Euler-Maclaurin (a >= 4096) routes, the ends either side of 4096, and
+    # those either side of 30000, where the sum of logs no longer splits
     from mpmath import mp
 
-    ends = (29999, 30000, 30001, a + 65535, a + 65536, 10**15 - 1, 10**15 + 1, 10**40, 2**1100)
+    ends = (4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15 - 1, 10**15 + 1,
+            10**40, 2**1100)
     for b in (b for b in ends if b >= a):
         with mp.workdps(50):
             want = float(mp.log(mp.loggamma(b + 1) - mp.loggamma(a)))
@@ -435,37 +440,93 @@ def _hurwitz_zeta(s, a):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
 def test_rank_power_sums_match_hurwitz_zeta(alpha):
-    # sum_{i=a}^{b} i^alpha = zeta(-alpha, a) - zeta(-alpha, b + 1), at 60 digits; the
-    # ranges cover the direct (ranks below 30000), split (a < 30000 <= b) and
-    # Euler-Maclaurin (a >= 30000) routes, the ends either side of 30000, and
-    # b = 2^1100 their bigint path
+    # sum_{i=a}^{b} i^alpha = zeta(-alpha, a) - zeta(-alpha, b + 1), at 60 digits; these
+    # alphas take the low threshold, so the ranges cover the direct (ranks below 4096),
+    # split (a < 4096 <= b) and Euler-Maclaurin (a >= 4096) routes, the ends either side
+    # of 4096 and of 30000, and b = 2^1100 their bigint path
     from mpmath import mp
 
-    for a in (1, 29999, 30000, 10**6):
-        ends = (29999, 30000, 30001, a + 65535, a + 65536, 10**15, 2**200, 2**1100)
+    assert _em_min(alpha) == _EM_LOW
+    for a in (1, 4095, 4096, 29999, 30000, 10**6):
+        ends = (4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15, 2**200,
+                2**1100)
         for b in (b for b in ends if b >= a):
             with mp.workdps(60):
                 want = float(mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1)))
             assert abs(log_rank_power_sum(a, b, alpha) - want) <= 1e-12 * abs(want), (a, b)
 
 
-def test_direct_route_sums_only_ranks_below_the_threshold(monkeypatch):
-    # ranks from 30000 on take the Euler-Maclaurin form however short their
-    # block, so one table pass sums fewer than 30000 terms one by one
-    import inspect
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(_EM_LOW, _EM_MIN - 1),
+    st.one_of(st.integers(0, 2**16), st.sampled_from((10**6, 10**15, 2**200, 2**1100))),
+    st.floats(-1.0, 4.0).filter(lambda alpha: _em_min(alpha) == _EM_LOW),
+)
+def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
+    # ranges from the low threshold on, in the ranks that the one-threshold kernel
+    # summed directly, take the Euler-Maclaurin form at every alpha it admits:
+    # within 1e-14 of the sum (of its log, where that passes 1)
+    from mpmath import mp
 
-    from guesswork import ranksums
+    b = a + span
+    with mp.workdps(60):
+        want = float(mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1)))
+    assert abs(log_rank_power_sum(a, b, alpha) - want) <= 1e-14 * max(1.0, abs(want))
 
-    direct, terms = ranksums._direct_route, []
 
-    def counting(*args, **kwargs):
-        cnt = inspect.signature(direct).bind(*args, **kwargs).arguments["cnt"]
-        terms.append(int(np.sum(cnt)))
-        return direct(*args, **kwargs)
+@contextlib.contextmanager
+def direct_route_calls():
+    # each ranksums._direct_route call made inside the block, as (alphas, ranks
+    # summed one by one)
+    calls, direct = [], ranksums._direct_route
 
-    monkeypatch.setattr(ranksums, "_direct_route", counting)
-    finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
-    assert terms and sum(terms) < 30000, terms
+    def counted(a, cnt, powers):
+        calls.append((tuple(powers), int(np.sum(cnt))))
+        return direct(a, cnt, powers)
+
+    with mock.patch.object(ranksums, "_direct_route", counted):
+        yield calls
+
+
+def test_direct_route_sums_only_ranks_below_the_threshold():
+    # ranks from the threshold on take the Euler-Maclaurin form however short
+    # their block, so at the default alphas one table pass sums fewer than
+    # _EM_LOW terms one by one
+    with direct_route_calls() as calls:
+        finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
+    assert calls and sum(n for _, n in calls) < _EM_LOW, calls
+
+
+def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
+    # one direct pass over ranks 1 .. 4095 serves every default alpha and the sum
+    # of logs of a table whose ranks run far past 30000
+    with direct_route_calls() as calls:
+        finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
+    assert calls == [((-0.5, 0.5, 1.0, 2.0), _EM_LOW - 1)]
+
+
+# log_rank_power_sum over these ranges, as the kernel with the one threshold
+# 30000 for every alpha returned it (e878a40)
+HIGH_THRESHOLD_SUMS = {
+    1e5: ("0x1.514b1686fc15cp+20", "0x1.9fe0ea36687eap+19", "0x1.02b4f815ea700p+20",
+          "0x1.f8f7c3e4ad01ap+19"),
+    1e-8: ("0x1.ba18a9ddcd7dcp+3", "0x1.6dcf878d4bf7ep-24", "0x1.4ed1fa38d0b97p+3",
+           "0x1.e67d60a66222cp+2"),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(HIGH_THRESHOLD_SUMS))
+def test_alphas_off_the_low_threshold_keep_the_high_one(alpha):
+    # a huge alpha and one near 0 are not admitted at 4096: they sum ranks
+    # 1 .. 29999 directly, as before, and return the same floats bit for bit;
+    # only the sum of logs takes the low threshold
+    assert _em_min(alpha) == _EM_MIN
+    with direct_route_calls() as calls:
+        log_rank_power_sum(1, 10**6, alpha)
+    assert calls == [((), _EM_LOW - 1), ((alpha,), _EM_MIN - 1)]
+    ranges = ((1, 10**6), (5000, 5000), (5000, 40000), (29000, 31000))
+    for (a, b), want in zip(ranges, HIGH_THRESHOLD_SUMS[alpha], strict=True):
+        assert log_rank_power_sum(a, b, alpha) == float.fromhex(want), (a, b)
 
 
 def test_hurwitz_reference_agrees_with_mpmath_zeta():

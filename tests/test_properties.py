@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import guesswork as gw
+from guesswork.ranksums import _EM_LOW
 from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily
 
 from laws import kl_divergence, renyi_rate, tilted_law
@@ -231,7 +232,8 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from((1, 30000, 10**6, 2**53 - 40000, 2**53, 2**1100)),
+    st.sampled_from((1, _EM_LOW - 1, _EM_LOW, 29999, 30000, 10**6, 2**53 - 40000, 2**53,
+                     2**1100)),
     st.integers(0, 2**16 - 1),
     st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
 )
@@ -391,6 +393,7 @@ def test_table_kernel_on_ranks_past_float_range(kind, k):
 @pytest.mark.parametrize("p, k, case", [
     ((0.7, 0.3), 1100, "past_float_bits"),
     ((0.7, 0.3), 20, "straddles_em_min"),
+    ((0.7, 0.3), 13, "straddles_em_low"),
     ((0.4, 0.0, 0.3, 0.2, 0.1), 8, "zero_letter"),
 ])
 def test_table_size_parts_on_each_kernel_path(p, k, case):
@@ -399,8 +402,9 @@ def test_table_size_parts_on_each_kernel_path(p, k, case):
     table = gw.build_guess_table(gw.unconditioned(gw.LetterDistribution(p)), k)
     if case == "past_float_bits":
         assert table.total_words.bit_length() > _FLOAT_BITS
-    elif case == "straddles_em_min":
-        assert any(a < _EM_MIN < c for a, c in zip(table.bounds, table.bounds[1:]))
+    elif case.startswith("straddles"):
+        edge = _EM_MIN if case == "straddles_em_min" else _EM_LOW
+        assert any(a < edge < c for a, c in zip(table.bounds, table.bounds[1:]))
     else:  # the live-block filter drops the rows of probability 0, after live ranks past _EM_MIN
         live = int(np.count_nonzero(table.log_word_prob > -math.inf))
         assert live < len(table.counts) and table.bounds[live] > _EM_MIN
