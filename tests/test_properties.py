@@ -393,8 +393,8 @@ def test_table_kernel_on_ranks_past_float_range(kind, k):
 @pytest.mark.parametrize("p, k, case", [
     ((0.7, 0.3), 1100, "past_float_bits"),
     ((0.7, 0.3), 20, "straddles_em_min"),
-    ((0.7, 0.3), 13, "straddles_em_low"),
     ((0.4, 0.0, 0.3, 0.2, 0.1), 8, "zero_letter"),
+    ((0.7, 0.3), 13, "straddles_em_low"),
 ])
 def test_table_size_parts_on_each_kernel_path(p, k, case):
     from guesswork.ranksums import _EM_MIN, _FLOAT_BITS
