@@ -15,7 +15,10 @@ slope Lambda' = h(l) is exact, so Lambda'(0) = h(p) (h(l-) uniform). The
 Legendre-Fenchel transform Lambda* takes a float or a numpy array of x and
 solves h(l_beta) = x by safeguarded Newton on beta for every interior x at
 once, with a flat plateau of width `plateau_width` at the left end of its
-domain and a finite endpoint value at the maximal slope.
+domain and a finite endpoint value at the maximal slope. The sources of one
+law share its tilted family, so `legendre_transforms` evaluates Lambda* for
+several of them (fig2's three curves) from one such solve over the union of
+their interiors.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -271,27 +275,60 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
     interior x (TiltedFamily.solve_entropy, the loop that also solves the
     window edges), and each supremum is evaluated in its stationary form
     x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is second-order
-    accurate in the solver error.
+    accurate in the solver error. This is legendre_transforms on one model,
+    whose bracket is then the model's own window.
     """
+    [rate] = legendre_transforms([model], x)
+    return rate
+
+
+def legendre_transforms(models: Sequence[ScgfModel], x: float | np.ndarray) -> list:
+    """Lambda*(x) of several sources of one letter law, from one entropy solve.
+
+    Each model's values are legendre_transform's piecewise evaluation, one
+    result per model. The models share the law's tilted family and h(l_beta)
+    is strictly decreasing in beta, so an interior x has the same root beta
+    for every model whose interior holds it: one solve_entropy call covers
+    the union of the interiors, bracketed by the hull of the models' clamp
+    windows ((0, inf) once the unconditioned source is among them). A
+    model's interior values can then differ from its own
+    legendre_transform in the last bits, where the wider bracket sends the
+    Newton loop along another path to the same root.
+    """
+    p = models[0].source.p
+    if any(model.source.p != p for model in models):
+        raise DistributionError("legendre_transforms needs models of one letter law")
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    log_m = math.log(model.source.p.m)
-    out = np.where(np.isnan(flat), math.nan, math.inf)
+    log_m = math.log(p.m)
+    outside = np.where(np.isnan(flat), math.nan, math.inf)
     inside = (flat >= -_SLOPE_EDGE_TOL) & (flat <= log_m + _SLOPE_EDGE_TOL)
     xc = np.clip(flat, 0.0, log_m)
-    plateau = inside & (xc <= model.plateau_width)
-    out[plateau] = -xc[plateau] - model.modal_decay
-    s = model.max_slope
-    rest = inside & ~plateau
-    out[rest & (xc >= s - _SLOPE_EDGE_TOL) & (xc <= s + _SLOPE_EDGE_TOL)] = -model.tail_intercept
-    interior = rest & (xc < s - _SLOPE_EDGE_TOL)
-    if interior.any():
-        xi = xc[interior]
-        beta, h, eta = model.family.solve_entropy(xi, *model.window)
+    outs, interiors = [], []
+    for model in models:
+        out = outside.copy()
+        plateau = inside & (xc <= model.plateau_width)
+        out[plateau] = -xc[plateau] - model.modal_decay
+        s = model.max_slope
+        rest = inside & ~plateau
+        endpoint = rest & (xc >= s - _SLOPE_EDGE_TOL) & (xc <= s + _SLOPE_EDGE_TOL)
+        out[endpoint] = -model.tail_intercept
+        outs.append(out)
+        interiors.append(rest & (xc < s - _SLOPE_EDGE_TOL))
+    union = reduce(np.logical_or, interiors)
+    if union.any():
+        xi = xc[union]
+        lo = min(model.window[0] for model in models)
+        hi = max(model.window[1] for model in models)
+        beta, h, eta = models[0].family.solve_entropy(xi, lo, hi)
         alpha = 1.0 / beta - 1.0
         # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
-        out[interior] = xi * alpha - (h * alpha + (h - eta))
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        rate = xi * alpha - (h * alpha + (h - eta))
+        for out, interior in zip(outs, interiors):
+            out[interior] = rate[interior[union]]
+    if xs.ndim == 0:
+        return [float(out[0]) for out in outs]
+    return [out.reshape(xs.shape) for out in outs]
 
 
 def guesswork_pmf_approx(model: ScgfModel, k: int, n: int) -> float:

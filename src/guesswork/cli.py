@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .asymptotics import (
     alphas_or_default,
     binary_closed_forms,
     conditioned,
-    legendre_transform,
+    legendre_transforms,
     scgf_model,
     unconditioned,
     uniform_typical,
@@ -137,22 +138,36 @@ def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
     """Render rows in the requested format.
 
     CSV is the '#' meta lines, the header, one line per row and the footer
-    lines. JSON is `payload` (default {"rows": None}) with "rows" set to one
-    object per row keyed by the header's names, in payload's key order.
+    lines, every cell as `_fmt_column` prints it. The body is one '%' over
+    a row template repeated once per row: a column of floats only is a
+    '%#.9g' slot fed v + 0.0 (which prints -0.0 as 0, as `_fmt` does), any
+    other column a '%s' slot fed its `_fmt_column` cells. JSON is `payload`
+    (default {"rows": None}) with "rows" set to one object per row keyed by
+    the header's names, in payload's key order.
     """
     columns = list(zip(*rows))
-    cells = [_fmt_column(col) for col in columns]
     if args.format == "json":
         names = header.split(",")
         values = [
-            [_json_value(c) if isinstance(v, float) else v for v, c in zip(col, text)]
-            for col, text in zip(columns, cells)
+            [_json_value(c) if isinstance(v, float) else v for v, c in zip(col, _fmt_column(col))]
+            for col in columns
         ]
         payload = dict(payload or {"rows": None})
         payload["rows"] = [dict(zip(names, row)) for row in zip(*values)]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [*meta, header, *map(",".join, zip(*cells)), *footer]
-    return "\n".join(lines) + "\n"
+    slots, feeds = [], []
+    for col in columns:
+        if all(issubclass(t, float) for t in set(map(type, col))):
+            slots.append("%#.9g")
+            feeds.append([v + 0.0 for v in col])
+        else:
+            slots.append("%s")
+            feeds.append(_fmt_column(col))
+    text = "".join(line + "\n" for line in [*meta, header])
+    if columns:
+        row = ",".join(slots) + "\n"
+        text += row * len(columns[0]) % tuple(chain.from_iterable(zip(*feeds)))
+    return text + "".join(line + "\n" for line in footer)
 
 
 def _emit(args, text: str) -> None:
@@ -287,11 +302,9 @@ def cmd_fig2(args) -> tuple[str, int]:
     require_admissible_epsilon(p, epsilon)
     models = list(_models(p, epsilon).values())
     xs = np.linspace(0.0, math.log(p.m), args.x_points)
-    curves = []
-    for model in models:
-        rate = legendre_transform(model, xs)
-        # outside a source's domain the curve is reported as "inf"
-        curves.append(np.where(np.isinf(rate), math.inf, -xs - rate).tolist())
+    # outside a source's domain the curve is reported as "inf"
+    curves = [np.where(np.isinf(rate), math.inf, -xs - rate).tolist()
+              for rate in legendre_transforms(models, xs)]
     rows = zip(xs.tolist(), *curves)
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(epsilon)}",

@@ -118,6 +118,11 @@ class TiltedFamily:
         var = (ws * dev * dev).sum(axis=1) / z
         return np.log(z), mean, var
 
+    def _blocks(self, n: int) -> list[slice]:
+        # slices of n targets whose weight rows hold at most _BLOCK_CELLS cells each
+        rows = max(1, _BLOCK_CELLS // len(self.gaps))
+        return [slice(start, start + rows) for start in range(0, n, rows)]
+
     def _eta(self, beta, log_z, mean, var):
         # eta(beta) and its slope -Var (Var of log p under l_beta)
         return mean - self.top, -var
@@ -142,19 +147,16 @@ class TiltedFamily:
         spends some 40 passes coming back; with the bracket test merely
         made inclusive, a target can bounce between the two ends at a
         residual of one ulp until NEWTON_MAX_ITER. Targets are walked in
-        blocks of _BLOCK_CELLS weights. Returns beta, log Z and the mean gap
-        at each final beta.
+        `_blocks`. Returns the final beta of each target.
         """
         x = np.asarray(x, dtype=float)
         n = len(x)
         beta = np.full(n, min(max(1.0, lo), hi))
         lower, upper = np.full(n, lo), np.full(n, hi)
-        log_z, mean = np.empty(n), np.empty(n)
-        rows = max(1, _BLOCK_CELLS // len(self.gaps))
         # a zero slope gives nan and a subnormal one an infinite step: both fall back
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for start in range(0, n, rows):
-                todo = np.arange(start, min(start + rows, n))  # targets still iterating
+            for block in self._blocks(n):
+                todo = np.arange(n)[block]  # targets still iterating
                 for _ in range(NEWTON_MAX_ITER):
                     if not len(todo):
                         break
@@ -171,9 +173,7 @@ class TiltedFamily:
                     root = resid == 0.0
                     beta[todo] = np.where(root, b, step)
                     todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
-                block = slice(start, start + rows)
-                log_z[block], mean[block], _ = self._moments(beta[block])
-        return beta, log_z, mean
+        return beta
 
     def solve_entropy(
         self, x: np.ndarray, lo: float, hi: float
@@ -181,10 +181,16 @@ class TiltedFamily:
         """Tilts beta in [lo, hi] with h(l_beta) = x, for a whole array of targets.
 
         Returns (beta, h(l_beta), eta(beta)) at each target's final beta,
-        from one call of the Newton loop on dh/dbeta = -beta Var.
+        from one call of the Newton loop on dh/dbeta = -beta Var and one
+        more moments pass over those tilts.
         """
-        beta, log_z, mean = self._newton(TiltedFamily._entropy, x, lo, hi)
-        return beta, log_z + beta * mean, mean - self.top
+        beta = self._newton(TiltedFamily._entropy, x, lo, hi)
+        h, eta = np.empty(len(beta)), np.empty(len(beta))
+        for block in self._blocks(len(beta)):
+            b = beta[block]
+            log_z, mean, _ = self._moments(b)
+            h[block], eta[block] = log_z + b * mean, mean - self.top
+        return beta, h, eta
 
     def _tilts(self, etas: list[float]) -> list[float]:
         # finite tilts with eta(beta) = eta, every target in one Newton loop call
@@ -194,7 +200,7 @@ class TiltedFamily:
                     f"cross-entropy target {eta!r} outside the attainable open range "
                     f"({self.c_min!r}, {self.c_max!r})"
                 )
-        return self._newton(TiltedFamily._eta, etas, 0.0, math.inf)[0].tolist()
+        return self._newton(TiltedFamily._eta, etas, 0.0, math.inf).tolist()
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].

@@ -417,25 +417,25 @@ def test_analyze_builds_one_family_per_model(capsys, monkeypatch, p, epsilon):
 
 
 def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
-    # guessctl fig2: one legendre_transform call per source on the whole grid,
-    # at most one array entropy solve per source and no scalar solve per
-    # grid point, only the conditioned window's two edges
+    # guessctl fig2: one legendre_transforms call for the three sources on the
+    # whole grid, one array entropy solve in all and no scalar solve per grid
+    # point, only the conditioned window's two edges
     from guesswork import cli
 
     counts = _count_tilting_work(monkeypatch)
-    points = []
-    legendre = cli.legendre_transform
+    calls = []
+    transforms = cli.legendre_transforms
 
-    def counted_legendre(model, x):
-        points.append(np.size(x))
-        return legendre(model, x)
+    def counted_transforms(models, x):
+        calls.append((len(models), np.size(x)))
+        return transforms(models, x)
 
-    monkeypatch.setattr(cli, "legendre_transform", counted_legendre)
+    monkeypatch.setattr(cli, "legendre_transforms", counted_transforms)
     argv = ["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--x-points", "400"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert points == [400, 400, 400]
-    assert counts["edge_solves"] <= 2 and counts["entropy_solves"] <= 3, counts
+    assert calls == [(3, 400)]
+    assert counts["edge_solves"] <= 2 and counts["entropy_solves"] == 1, counts
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])

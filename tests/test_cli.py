@@ -613,6 +613,39 @@ def test_fmt_column_renders_mixed_columns_cell_by_cell():
     assert _fmt_column([]) == [] and _fmt_column([None, "x"]) == ["", "x"]
 
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_FLOAT_CELLS = st.one_of(
+    _ANY_FLOAT, _ANY_FLOAT.map(np.float64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310]),
+)
+_CELLS = st.one_of(
+    _FLOAT_CELLS, st.none(), st.text(max_size=6), st.integers(-10**6, 10**6), st.booleans(),
+    st.integers(2**1000, 2**1100), st.integers(-2**1100, -2**1000),
+)
+
+
+@st.composite
+def _tables(draw):
+    # rows of a table whose columns are floats only or any mix of cells
+    n_rows = draw(st.integers(0, 8))
+    floats_only = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    columns = [draw(st.lists(_FLOAT_CELLS if f else _CELLS, min_size=n_rows, max_size=n_rows))
+               for f in floats_only]
+    return len(columns), list(zip(*columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_csv_table_is_the_per_cell_rendering(table):
+    # the one '%' pass over a row template prints each cell as _fmt_column does
+    width, rows = table
+    args = argparse.Namespace(format="csv")
+    meta, header, footer = ["# meta"], ",".join(f"c{j}" for j in range(width)), ["# end"]
+    body = [",".join(row) for row in zip(*(_fmt_column(col) for col in zip(*rows)))]
+    want = "".join(line + "\n" for line in [*meta, header, *body, *footer])
+    assert _table(args, meta, header, rows, footer=footer) == want
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fig2_zero_points_is_an_empty_table(capsys, fmt):
     code, out, err = run(capsys, ["fig2", "--p", "0.8,0.2", "--epsilon", "0.1",

@@ -609,3 +609,28 @@ def test_fig2_entropy_solves_stay_short(p, frac):
         for x, h, passes in solves:
             assert passes <= 25 < NEWTON_MAX_ITER
             assert np.all(np.abs(h - x) <= 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laws_with_a_zero(2, 6), st.floats(0.02, 0.98), st.sampled_from([0, 1, 2, 400]))
+def test_fig2_shared_solve_matches_each_source(p, frac, n):
+    # fig2's one entropy solve for the three sources against each source's own
+    # legendre_transform: the plateau, endpoint, inf and nan cells and the whole
+    # unconditioned curve bit for bit; the conditioned interior, solved under
+    # the wider bracket (0, inf), to 1e-12
+    from guesswork.asymptotics import _SLOPE_EDGE_TOL, legendre_transforms
+    from guesswork.cli import _models
+
+    low, top = gw.admissible_epsilon_interval(p)
+    assume(top > 1e-9 and low < frac * top)
+    models = list(_models(p, frac * top).values())
+    xs = np.linspace(0.0, math.log(p.m), n)
+    xs = np.append(xs, [math.nan, -0.5, math.log(p.m) + 0.5])  # nan and the two outsides
+    shared = legendre_transforms(models, xs)
+    for model, rates in zip(models, shared):
+        own = gw.legendre_transform(model, xs)
+        interior = (xs > model.plateau_width) & (xs < model.max_slope - _SLOPE_EDGE_TOL)
+        if model.source.kind is gw.SourceKind.UNCONDITIONED:
+            interior[:] = False  # its own window is the hull: the same solve
+        assert rates[~interior].tobytes() == own[~interior].tobytes()
+        assert np.all(np.abs(rates[interior] - own[interior]) <= 1e-12)
