@@ -421,7 +421,7 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
             interval,
         )
 
-    spread = math.log(p0) - math.log(p1)
+    spread = math.log1p((p0 - p1) / p1)  # log p0 - log p1, with no cancellation near 1/2
     lm0 = p0 - epsilon / spread
     lp0 = p0 + epsilon / spread
 

@@ -11,9 +11,9 @@ of alpha (4,096 or 30,000, ranksums._em_min): direct numpy sums for the
 ranks below it, and a corrected Euler-Maclaurin closed form for the ranks
 from it on, however many, which keeps k ~ 10^3 affordable for m = 2.
 
-A separate naive oracle enumerates every word individually (numpy, guarded
-to m^k <= 2^22) so the two routes can be cross-checked against each other,
-in the log domain the tables hold their values in.
+A separate naive oracle holds one float64 log-probability per word (numpy,
+guarded to m^k <= 2^22), so the two routes can be cross-checked against
+each other in the log domain the tables hold their values in.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ RANK_TIE_TOL = 1e-10
 #: agreement the naive cross-check asks of the table's logs, absolute on each log
 #: (so relative on E[G^alpha], E log G and P(G=1))
 CROSSCHECK_REL_TOL = 1e-9
+
+#: a convergence series whose first and last gaps are both within this is exact
+TREND_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -509,18 +512,18 @@ def convergence_series(
     return convergence_points(exponents, scgf_model(source), quantity, alpha)
 
 
-def trend_holds(points: tuple[ConvergencePoint, ...], *, zero_tol: float = 1e-12) -> bool:
+def trend_holds(points: tuple[ConvergencePoint, ...]) -> bool:
     """Finite-k convergence acceptance: the endpoint gap must shrink.
 
     Compares the last gap against the first (finite-k corrections are
     O(log k / k), not monotone term by term through lattice effects); a
-    series whose endpoints are both below zero_tol is exact and passes.
+    series whose endpoints are both within TREND_ZERO_TOL is exact and passes.
     """
     if len(points) < 2:
         return True
     first = points[0].gap
     last = points[-1].gap
-    if first <= zero_tol and last <= zero_tol:
+    if first <= TREND_ZERO_TOL and last <= TREND_ZERO_TOL:
         return True
     return last < first
 
@@ -543,12 +546,12 @@ def naive_enumeration_crosscheck(
 ) -> bool:
     """Word-by-word enumeration oracle vs the type-based table.
 
-    Enumerates all m^k words individually (numpy), keeps the typical ones
-    by the table's own window mask, sorts by probability, and recomputes
-    every log moment, log E log G, log P(G=1) and the modal count in the
-    log domain, as the table holds them, then compares against the block
-    route. True iff every log agrees within CROSSCHECK_REL_TOL and the
-    counts are equal.
+    Enumerates all m^k words individually, one float64 log-probability per
+    word (numpy), keeps the typical ones by the table's own window mask,
+    sorts by probability, and recomputes every log moment, log E log G,
+    log P(G=1) and the modal count in the log domain, as the table holds
+    them, then compares against the block route. True iff every log agrees
+    within CROSSCHECK_REL_TOL and the counts are equal.
     """
     p = source.p
     m = p.m
@@ -558,27 +561,23 @@ def naive_enumeration_crosscheck(
             f"word-space too large: {m}^{k} = {total} exceeds the cap {max_words}"
         )
 
-    # letter counts of word code c = sum_j d_j m^j, built one digit at a
+    # log-probability of word code c = sum_j d_j m^j, built one digit at a
     # time from the top: the words of j + 1 digits are d * m^j + (a word of j)
-    letters = np.eye(m, dtype=np.int32)
-    counts = np.zeros((1, m), dtype=np.int32)
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.asarray(p.probs, dtype=np.float64))  # a zero letter is -inf
+    logw = np.zeros(1)
     for _ in range(k):
-        counts = (letters[:, None, :] + counts[None, :, :]).reshape(-1, m)
-    logp = np.array(
-        [math.log(q) if q > 0.0 else -math.inf for q in p.probs], dtype=np.float64
-    )
-    with np.errstate(invalid="ignore"):
-        logw = np.where(counts > 0, counts * logp, 0.0).sum(axis=1)
-    del counts  # free the enumeration before the table is built
+        logw = (logp[:, None] + logw).ravel()
 
     if source.kind is not SourceKind.UNCONDITIONED:
         logw = logw[_in_window(-logw / k, p, source.epsilon)]
         if logw.size == 0:
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
     n = logw.size
-    logw = -np.sort(-logw)
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         logw = np.zeros(n)  # every typical word equally likely
+    else:
+        logw = -np.sort(-logw)
     log_prob = logw - _log_sum_exp(logw)
     log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
     table = build_guess_table(source, k, max_types=max_types)

@@ -224,12 +224,14 @@ def test_binary_closed_forms_low_excess_regime():
 @example(0.8, -7.0)
 @example(0.8, -8.0)
 @example(0.975, -8.0)
+@example(0.515625, -0.533203125)
 def test_binary_closed_forms_match_mpmath(p0, log_frac):
     # any admissible epsilon from 1e-8 of the interval's top up to just below
     # it: D(l-||p), D(l+||p), top = eps - D(l-||p), bottom and middle (D(l-||p)
     # where the window binds, else bottom) to 1e-12 relative of 60-digit values;
     # as differences of O(1) entropies, middle was 1.4e-4 off at eps = 1e-6 and
-    # 1.4 at 1e-8
+    # 1.4 at 1e-8; with log p0 - log p1 as a difference of logs, bottom was
+    # 1.3e-12 off at p0 = 0.515625, where it is 1.1e-7
     _assert_binary_matches_mpmath(p0, admissible_epsilon_interval((p0, 1.0 - p0))[1] * 10.0**log_frac)
 
 

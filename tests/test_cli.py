@@ -296,8 +296,9 @@ def test_exact_compare_crosscheck_in_log_domain(capsys):
 def test_exact_compare_crosscheck_mismatch_exits_3(capsys):
     # a true MISMATCH: at alpha = 1e5 the table's Euler-Maclaurin route is off
     # by 6.85e-3 (k = 16) and 4.2e-4 (k = 17) on log E[G^alpha] against an exact
-    # top-down sum, the log-domain naive value by at most 2.3e-10; ROADMAP
-    # item 2 (alpha-aware rank-sum routes) is what mends the table
+    # top-down sum, the log-domain naive value by at most 2.3e-10 (one ulp of
+    # the 1.2e6 log at k = 17); ROADMAP item 3 (a top-terms route for large
+    # alpha) is what mends the table
     code, checks, err = _crosscheck_lines(capsys, "100000")
     assert (code, err) == (3, "")
     assert checks == ["# crosscheck:k=16:MISMATCH", "# crosscheck:k=17:MISMATCH"]

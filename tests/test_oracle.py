@@ -3,6 +3,8 @@
 import contextlib
 import math
 import sys
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -360,6 +362,28 @@ def test_naive_crosscheck_agrees():
     assert naive_enumeration_crosscheck(U, 10)
     p3 = LetterDistribution((0.6, 0.3, 0.1))
     assert naive_enumeration_crosscheck(conditioned(p3, 0.2), 8)
+    # a zero letter gives its words log-probability -inf; no numpy warning may escape
+    zero_mid = LetterDistribution((0.6, 0.0, 0.4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert naive_enumeration_crosscheck(conditioned(zero_mid, 0.1), 9)
+        assert naive_enumeration_crosscheck(uniform_typical(zero_mid, 0.1), 9)
+        assert naive_enumeration_crosscheck(unconditioned(LetterDistribution((0.0, 0.7, 0.3))), 8)
+
+
+@pytest.mark.parametrize("probs, eps, k", [((0.7, 0.3), 0.05, 20), ((0.6, 0.3, 0.1), 0.2, 12)])
+def test_naive_crosscheck_holds_one_float_per_word(probs, eps, k):
+    # one float64 per word and the window mask's temporaries peak at 2.25 x 8 m^k
+    # bytes; an m^k x m letter-count matrix and its products read over 5x
+    source = conditioned(LetterDistribution(probs), eps)
+    naive_enumeration_crosscheck(source, k)  # warm the imports and caches first
+    tracemalloc.start()
+    try:
+        assert naive_enumeration_crosscheck(source, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * len(probs) ** k
 
 
 def test_naive_crosscheck_word_space_guard():
