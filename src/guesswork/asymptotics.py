@@ -270,13 +270,13 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
     the same piecewise evaluation: +inf outside [0, log m] (nan for a nan
     x); the exact plateau value -x - modal_decay on [0, plateau_width]; the
     endpoint value -tail_intercept at x = max_slope; +inf beyond max_slope;
-    otherwise the tilts beta with h(l_beta) = x are found inside the
-    model's clamp window by one call of the family's Newton loop over every
-    interior x (TiltedFamily.solve_entropy, the loop that also solves the
-    window edges), and each supremum is evaluated in its stationary form
+    otherwise the tilts beta with h(l_beta) = x are found in [0, inf) by
+    one call of the family's Newton loop over every interior x
+    (TiltedFamily.solve_entropy, the loop that also solves the window
+    edges), and each supremum is evaluated in its stationary form
     x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is second-order
     accurate in the solver error. This is legendre_transforms on one model,
-    whose bracket is then the model's own window.
+    and its floats are this model's in legendre_transforms among any others.
     """
     [rate] = legendre_transforms([model], x)
     return rate
@@ -289,11 +289,9 @@ def legendre_transforms(models: Sequence[ScgfModel], x: float | np.ndarray) -> l
     result per model. The models share the law's tilted family and h(l_beta)
     is strictly decreasing in beta, so an interior x has the same root beta
     for every model whose interior holds it: one solve_entropy call covers
-    the union of the interiors, bracketed by the hull of the models' clamp
-    windows ((0, inf) once the unconditioned source is among them). A
-    model's interior values can then differ from its own
-    legendre_transform in the last bits, where the wider bracket sends the
-    Newton loop along another path to the same root.
+    the union of the interiors. The Newton loop brackets every target by
+    [0, inf) and solves each target on its own, so a model's values equal
+    its own legendre_transform bit for bit.
     """
     p = models[0].source.p
     if any(model.source.p != p for model in models):
@@ -318,9 +316,7 @@ def legendre_transforms(models: Sequence[ScgfModel], x: float | np.ndarray) -> l
     union = reduce(np.logical_or, interiors)
     if union.any():
         xi = xc[union]
-        lo = min(model.window[0] for model in models)
-        hi = max(model.window[1] for model in models)
-        beta, h, eta = models[0].family.solve_entropy(xi, lo, hi)
+        beta, h, eta = models[0].family.solve_entropy(xi)
         alpha = 1.0 / beta - 1.0
         # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
         rate = xi * alpha - (h * alpha + (h - eta))

@@ -134,18 +134,24 @@ def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
 
     Satisfies the decomposition cross_entropy(l, p) = shannon_entropy(l) +
     D(l || p), which the package leans on: a word of type l has per-letter
-    log-probability -cross_entropy(l, p).
+    log-probability -cross_entropy(l, p). The one-row case of _cross_entropies.
     """
     lf, pf = as_freqs(l), as_freqs(p)
     if len(lf) != len(pf):
         raise DistributionError(f"alphabet mismatch: {len(lf)} vs {len(pf)} letters")
-    total = 0.0
-    for f, q in zip(lf, pf):
-        if f > 0.0:
-            if q <= 0.0:
-                return math.inf
-            total += f * -math.log(q)
-    return total
+    return float(_cross_entropies(np.array([lf]), 1, pf)[0])
+
+
+def _cross_entropies(counts: np.ndarray, k: int, p: FreqsLike) -> np.ndarray:
+    """cross_entropy(l, p) of each row's type l = row / k, added letter by
+    letter from 0.0: the package's one type-cost rule."""
+    cost = np.zeros(len(counts))
+    for a, q in enumerate(as_freqs(p)):
+        if q > 0.0:
+            cost += (counts[:, a] / k) * -math.log(q)
+        else:
+            cost[counts[:, a] > 0] = math.inf
+    return cost
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -226,8 +232,8 @@ def typical_window(p: FreqsLike, epsilon: float) -> tuple[float, float]:
 
 
 # Slack on the closed window so types sitting exactly on an edge in exact
-# arithmetic are not lost to float dust. Shared by every membership test in
-# the package so the naive and type-based oracles agree word for word.
+# arithmetic are not lost to float dust. _in_window is the one membership
+# test that adds it, so the naive and type-based oracles agree word for word.
 WINDOW_SLACK = 1e-12
 
 
@@ -237,8 +243,13 @@ def is_typical_type(p: FreqsLike, epsilon: float, l: FreqsLike) -> bool:
     A type l is typical when -sum_a l_a log p_a lands in
     [h(p) - eps, h(p) + eps]; both endpoints count as inside. Types with
     mass outside the support of p have infinite cross entropy and are
-    never typical.
+    never typical. The one-row case of _in_window.
     """
+    return _in_window(cross_entropy(l, p), p, epsilon)
+
+
+def _in_window(cost, p: FreqsLike, epsilon: float):
+    """Mask of the costs (a float or an array) in the closed typical window,
+    widened by WINDOW_SLACK: the package's one membership rule."""
     lo, hi = typical_window(p, epsilon)
-    c = cross_entropy(l, p)
-    return lo - WINDOW_SLACK <= c <= hi + WINDOW_SLACK
+    return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)

@@ -35,14 +35,14 @@ from .asymptotics import (
 )
 from .entropy import (
     MAX_TYPES_DEFAULT,
-    WINDOW_SLACK,
     LetterDistribution,
     TypeVector,
+    _cross_entropies,
+    _in_window,
     as_distribution,
     multinomial,
     num_types,
     type_count_matrix,
-    typical_window,
 )
 from .errors import (
     DistributionError,
@@ -122,24 +122,6 @@ class ExactGuessTable:
         out, log_logs = _log_sums(self.bounds, self.size_parts, self.log_word_prob, alphas,
                                   scale=scale)
         return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
-
-
-def _cross_entropies(counts: np.ndarray, k: int, p: LetterDistribution) -> np.ndarray:
-    """cross_entropy(l, p) of each row's type l, bit for bit: the same
-    products of frequency and -log p_a, added letter by letter."""
-    cost = np.zeros(len(counts))
-    for a, q in enumerate(p.probs):
-        if q > 0.0:
-            cost += (counts[:, a] / k) * -math.log(q)
-        else:
-            cost[counts[:, a] > 0] = math.inf
-    return cost
-
-
-def _in_window(cost: np.ndarray, p: LetterDistribution, epsilon: float) -> np.ndarray:
-    """Row mask of the costs in the closed typical window, as is_typical_type."""
-    lo, hi = typical_window(p, epsilon)
-    return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)
 
 
 def _class_sizes(counts: np.ndarray) -> list[int]:
@@ -529,11 +511,12 @@ def trend_holds(points: tuple[ConvergencePoint, ...]) -> bool:
 
 
 def _log_sum_exp(v: np.ndarray) -> float:
-    """log sum exp(v), max-shifted, with numpy's pairwise sum; -inf for all -inf."""
+    """log sum exp(v), max-shifted in place in v, with numpy's pairwise sum; -inf for all -inf."""
     top = float(v.max())
     if not math.isfinite(top):
         return top
-    return top + math.log(float(np.exp(v - top).sum()))
+    v -= top
+    return top + math.log(float(np.exp(v, out=v).sum()))
 
 
 def naive_enumeration_crosscheck(
@@ -575,19 +558,27 @@ def naive_enumeration_crosscheck(
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
     n = logw.size
     if source.kind is SourceKind.UNIFORM_TYPICAL:
-        logw = np.zeros(n)  # every typical word equally likely
+        logw.fill(0.0)  # every typical word equally likely
     else:
-        logw = -np.sort(-logw)
-    log_prob = logw - _log_sum_exp(logw)
+        np.negative(logw, out=logw)  # descending, sorted in place
+        logw.sort()
+        np.negative(logw, out=logw)
     log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
+    scratch = logw.copy()  # every log-sum-exp below works in place in this one array
+    log_prob = logw  # normalised in place
+    log_prob -= _log_sum_exp(scratch)
     table = build_guess_table(source, k, max_types=max_types)
+
+    def log_mean(terms):  # log E[exp terms] under the word law, terms held in scratch
+        return _log_sum_exp(np.add(log_prob, terms, out=scratch))
 
     alphas = alphas_or_default(alphas)
     logs, log_mean_log = table._log_sums(alphas)
     # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
     with np.errstate(divide="ignore", over="ignore"):
-        pairs = [(_log_sum_exp(log_prob + a * log_ranks), lv) for a, lv in zip(alphas, logs)]
-        pairs.append((_log_sum_exp(log_prob + np.log(log_ranks)), log_mean_log))
+        pairs = [(log_mean(np.multiply(log_ranks, a, out=scratch)), lv)
+                 for a, lv in zip(alphas, logs)]
+        pairs.append((log_mean(np.log(log_ranks, out=scratch)), log_mean_log))
     pairs.append((float(log_prob[0]), float(table.log_word_prob[0])))
     if not all(x == y or abs(x - y) <= CROSSCHECK_REL_TOL for x, y in pairs):
         return False

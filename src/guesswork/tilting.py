@@ -131,12 +131,13 @@ class TiltedFamily:
         # h(l_beta) and its slope -beta Var
         return log_z + beta * mean, -beta * var
 
-    def _newton(self, residual, x, lo: float, hi: float):
-        """Tilts beta in [lo, hi] with residual(beta) = x, one per target.
+    def _newton(self, residual, x):
+        """Tilts beta in [0, inf) with residual(beta) = x, one per target.
 
         `residual` (_eta or _entropy) maps beta and the moments of the gap
         there to a value decreasing in beta and its slope. Every target runs
-        safeguarded Newton on its own: from beta = 1 clamped into [lo, hi],
+        safeguarded Newton on its own: from beta = 1 in the one bracket
+        [0, inf), so a target's tilt is one float whichever caller solves it,
         kept inside its own shrinking bracket by bisection (doubling while
         it is unbounded above) whenever a step leaves it, stopping once a
         step moves beta by under NEWTON_STEP_TOL relative or after
@@ -151,8 +152,8 @@ class TiltedFamily:
         """
         x = np.asarray(x, dtype=float)
         n = len(x)
-        beta = np.full(n, min(max(1.0, lo), hi))
-        lower, upper = np.full(n, lo), np.full(n, hi)
+        beta = np.ones(n)
+        lower, upper = np.zeros(n), np.full(n, math.inf)
         # a zero slope gives nan and a subnormal one an infinite step: both fall back
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for block in self._blocks(n):
@@ -175,16 +176,16 @@ class TiltedFamily:
                     todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
         return beta
 
-    def solve_entropy(
-        self, x: np.ndarray, lo: float, hi: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tilts beta in [lo, hi] with h(l_beta) = x, for a whole array of targets.
+    def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.
 
         Returns (beta, h(l_beta), eta(beta)) at each target's final beta,
         from one call of the Newton loop on dh/dbeta = -beta Var and one
-        more moments pass over those tilts.
+        more moments pass over those tilts. The bracket is the whole family,
+        whatever clamp window the caller reads the tilts against, so equal
+        targets get equal tilts from every caller.
         """
-        beta = self._newton(TiltedFamily._entropy, x, lo, hi)
+        beta = self._newton(TiltedFamily._entropy, x)
         h, eta = np.empty(len(beta)), np.empty(len(beta))
         for block in self._blocks(len(beta)):
             b = beta[block]
@@ -200,7 +201,7 @@ class TiltedFamily:
                     f"cross-entropy target {eta!r} outside the attainable open range "
                     f"({self.c_min!r}, {self.c_max!r})"
                 )
-        return self._newton(TiltedFamily._eta, etas, 0.0, math.inf).tolist()
+        return self._newton(TiltedFamily._eta, etas).tolist()
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].

@@ -341,13 +341,13 @@ def _count_tilting_work(monkeypatch):
         counts["families"] += 1
         family_init(self, p)
 
-    def counted_newton(self, residual, x, lo, hi):
+    def counted_newton(self, residual, x):
         counts["loop_calls"] += 1
         if residual is family._eta:
             counts["edge_solves"] += len(x)
         else:
             counts["entropy_solves"] += 1
-        return newton(self, residual, x, lo, hi)
+        return newton(self, residual, x)
 
     def counted_moments(self, beta):
         counts["moments"] += 1
