@@ -34,6 +34,7 @@ import numpy as np
 from .entropy import (
     FreqsLike,
     LetterDistribution,
+    _checked_epsilon,
     as_distribution,
     shannon_entropy,
     typical_window,
@@ -64,14 +65,10 @@ class Source:
         if self.kind is SourceKind.UNCONDITIONED:
             if self.epsilon is not None:
                 raise DistributionError("unconditioned sources take no epsilon")
+        elif self.epsilon is None:
+            raise DistributionError(f"{self.kind.value} sources need an epsilon")
         else:
-            if self.epsilon is None or not (
-                self.epsilon > 0.0 and math.isfinite(self.epsilon)
-            ):
-                raise DistributionError(
-                    f"{self.kind.value} sources need a positive epsilon, "
-                    f"got {self.epsilon}"
-                )
+            _checked_epsilon(self.epsilon)
 
 
 def unconditioned(p: FreqsLike) -> Source:

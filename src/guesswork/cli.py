@@ -41,7 +41,7 @@ from .asymptotics import (
     unconditioned,
     uniform_typical,
 )
-from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, shannon_entropy
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon, shannon_entropy
 from .errors import (
     DistributionError,
     EmptyTypicalSetError,
@@ -178,13 +178,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _positive_epsilon(epsilon: float) -> float:
-    """--epsilon for fig1 and census, which build no Source to check it: in (0, inf)."""
-    if not 0.0 < epsilon < math.inf:
-        raise DistributionError(f"epsilon must be positive and finite, got {epsilon}")
-    return epsilon
-
-
 def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Source:
     if kind == SourceKind.UNCONDITIONED.value:
         return unconditioned(p)
@@ -272,7 +265,7 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 
 
 def cmd_fig1(args) -> tuple[str, int]:
-    epsilon = _positive_epsilon(args.epsilon)
+    epsilon = _checked_epsilon(args.epsilon)
     grid = _parse_floats(args.p0_grid) if args.p0_grid else _FIG1_DEFAULT_GRID
     rows = []
     for p0 in grid:
@@ -389,7 +382,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
 
 def cmd_census(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
-    epsilon = _positive_epsilon(args.epsilon)
+    epsilon = _checked_epsilon(args.epsilon)
     ks = _parse_ints(args.k)
     if not ks:
         raise DistributionError("--k must list at least one word length")

@@ -223,10 +223,16 @@ def enumerate_types(
     return (TypeVector.from_counts(c) for c in rows)
 
 
+def _checked_epsilon(epsilon: float) -> float:
+    """A typical window's half-width eps, refused unless 0 < eps < inf: the package's one eps rule."""
+    if not 0.0 < epsilon < math.inf:
+        raise DistributionError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
+
+
 def typical_window(p: FreqsLike, epsilon: float) -> tuple[float, float]:
-    """Closed per-letter log-probability window [h(p) - eps, h(p) + eps]."""
-    if not epsilon > 0.0:
-        raise DistributionError(f"epsilon must be positive, got {epsilon}")
+    """Closed per-letter log-probability window [h(p) - eps, h(p) + eps], for 0 < eps < inf."""
+    _checked_epsilon(epsilon)
     h = shannon_entropy(p)
     return (h - epsilon, h + epsilon)
 

@@ -193,26 +193,19 @@ class TiltedFamily:
             h[block], eta[block] = log_z + b * mean, mean - self.top
         return beta, h, eta
 
-    def _tilts(self, etas: list[float]) -> list[float]:
-        # finite tilts with eta(beta) = eta, every target in one Newton loop call
-        for eta in etas:
-            if not (self.c_min + _EDGE_TOL < eta < self.c_max - _EDGE_TOL):
-                raise DistributionError(
-                    f"cross-entropy target {eta!r} outside the attainable open range "
-                    f"({self.c_min!r}, {self.c_max!r})"
-                )
-        return self._newton(TiltedFamily._eta, etas).tolist()
-
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].
 
-        beta- solves eta = hi, or is 0 (the uniform law on the support) once
-        hi is within _EDGE_TOL of c_max or beyond; beta+ solves eta = lo, or
-        is inf (the uniform law on argmax p) once lo is within _EDGE_TOL of
-        c_min or below. The finite edges are solved in one Newton loop call.
+        An edge within _EDGE_TOL of its own end of (c_min, c_max), or beyond
+        it, is that end's limit: beta- = 0 (the uniform law on the support)
+        once hi >= c_max - _EDGE_TOL, beta+ = inf (the uniform law on argmax
+        p) once lo <= c_min + _EDGE_TOL. Every other edge is the finite root
+        of eta(beta) = hi or lo, however near the far end it lies; both are
+        solved in one Newton loop call.
         """
         at_limit = (hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
-        solved = iter(self._tilts([eta for eta, lim in zip((hi, lo), at_limit) if not lim]))
+        targets = [eta for eta, lim in zip((hi, lo), at_limit) if not lim]
+        solved = iter(self._newton(TiltedFamily._eta, targets).tolist())
         return tuple(beta if lim else next(solved) for beta, lim in zip((0.0, math.inf), at_limit))
 
 
@@ -238,9 +231,16 @@ def solve_cross_entropy(p: FreqsLike, target: float) -> float:
     """Finite beta > 0 with cross_entropy(l_beta, p) = target, l_beta = TiltedFamily(p).law(beta).
 
     Raises DistributionError unless c_min + _EDGE_TOL < target <
-    c_max - _EDGE_TOL (the family's open attainable range, see TiltedFamily).
+    c_max - _EDGE_TOL, the family's open attainable range (see TiltedFamily)
+    less the margins where TiltedFamily.window takes a limit instead.
     """
-    return TiltedFamily(p)._tilts([target])[0]
+    family = TiltedFamily(p)
+    if not (family.c_min + _EDGE_TOL < target < family.c_max - _EDGE_TOL):
+        raise DistributionError(
+            f"cross-entropy target {target!r} outside the attainable open range "
+            f"({family.c_min!r}, {family.c_max!r})"
+        )
+    return family._newton(TiltedFamily._eta, [target]).tolist()[0]
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,17 @@ def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
 def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
     """Open interval of eps for which both boundary types exist at finite tilt.
 
-    (low, min(c_max - h(p), h(p) + log max_a p_a)), with low = 0 unless the
-    top is below about _EDGE_TOL (binary laws within about 5e-7 of uniform
-    or 1e-14 of a point mass). There low is the least eps, as floats, that
-    keeps each edge h -/+ eps of the window more than _EDGE_TOL inside the
-    far end of (c_min, c_max), where TiltedFamily.window solves it; so
-    every admitted eps has a window. Empty when p is uniform on its
-    support, where every word is typical for any eps and conditioning is
-    vacuous. The one admissibility rule of the package.
+    (low, min(c_max - h(p), h(p) + log max_a p_a)): past the top an edge
+    of the window reaches its own end of (c_min, c_max), where
+    TiltedFamily.window takes the family's limit. low = max(0, h - (c_max -
+    _EDGE_TOL), (c_min + _EDGE_TOL) - h) keeps each edge h -/+ eps more than
+    _EDGE_TOL inside the far end; it is 0 unless p is within about 1e-12 of
+    uniform or of a point mass (binary laws within about 5e-7 of uniform or
+    1e-14 of a point mass). The window solves those edges too; the lower end
+    is for binary_closed_forms, whose middle curve branches on the sign of
+    eta(1/2) - (h + eps), which is rounding noise near uniform. Empty when p
+    is uniform on its support, where every word is typical for any eps and
+    conditioning is vacuous. The one admissibility rule of the package.
     """
     return _admissible_interval(p, TiltedFamily(p))
 
@@ -326,14 +329,8 @@ def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, flo
     terms = [(pf[a], g) for a, g in zip(family.support, family.gaps.tolist())]
     share = 1.0 / len(terms)
     top = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
-    # window solves h - eps only below c_max - _EDGE_TOL and h + eps only above
-    # c_min + _EDGE_TOL, on the floats it computes: h - eps and h + eps round
-    # off those two bounds once eps passes their distance to h by half an ulp;
-    # two ulps also cover the rounding of that distance and of the sum
     h = shannon_entropy(p)
-    below_max, above_min = family.c_max - _EDGE_TOL, family.c_min + _EDGE_TOL
-    low = max(0.0, (h - below_max) + 2.0 * math.ulp(below_max),
-              (above_min - h) + 2.0 * math.ulp(above_min))
+    low = max(0.0, h - (family.c_max - _EDGE_TOL), (family.c_min + _EDGE_TOL) - h)
     return (low, top)
 
 

@@ -6,7 +6,9 @@ None of these is reached by guessctl or the package's own laws:
   scaled CGF by Arikan's identity Lambda(alpha) = alpha H_{1/(1+alpha)}(p)
   (IEEE Trans. Inf. Theory 42(1), 1996);
 - `tilted_law`, the tilted type p_a^beta / sum_b p_b^beta, written out
-  letter by letter with no use of TiltedFamily.
+  letter by letter with no use of TiltedFamily;
+- `type_cost`, the cross entropy of a k-type by math.fsum, with no use of
+  the package's one array cost rule.
 """
 
 from __future__ import annotations
@@ -60,6 +62,20 @@ def tilted_law(p, beta: float) -> tuple[float, ...]:
     ws = [(q / top) ** beta if q > 0.0 else 0.0 for q in p]
     total = math.fsum(ws)
     return tuple(w / total for w in ws)
+
+
+def type_cost(counts, k: int, p) -> float:
+    """-sum_a (c_a / k) log p_a for letter counts c summing to k, by math.fsum.
+
+    +inf when a count falls on a letter with p_a = 0.
+    """
+    terms = []
+    for c, q in zip(counts, _floats(p), strict=True):
+        if c > 0:
+            if q <= 0.0:
+                return math.inf
+            terms.append(-(c / k) * math.log(q))
+    return math.fsum(terms)
 
 
 def binary_gaps(p0: float, epsilon: float) -> dict[str, float]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from guesswork import DistributionError, typical_set_census
 from guesswork.cli import _fmt, _fmt_column, _jnum, _table, build_parser, main
 
 from laws import binary_gaps
@@ -123,12 +124,24 @@ def test_validation_errors_are_one_stderr_line(capsys, argv, message):
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1", "0"])
-@pytest.mark.parametrize("command", [["fig1"], ["census", "--p", "0.8,0.2", "--k", "10"]])
+@pytest.mark.parametrize("command", [
+    ["fig1"],
+    ["census", "--p", "0.8,0.2", "--k", "10"],
+    ["exact-compare", "--p", "0.8,0.2", "--kind", "conditioned", "--k", "10"],
+    ["exact-compare", "--p", "0.8,0.2", "--kind", "uniform", "--k", "10"],
+    typical_set_census,
+])
 def test_fig1_and_census_reject_epsilon_outside_zero_inf(capsys, command, epsilon):
-    # as exact-compare and analyze do: exit 1, one stderr line, nothing on stdout
+    # one eps rule and one message for every subcommand and the library census;
+    # guessctl exits 1 with one stderr line and nothing on stdout
+    message = f"epsilon must be positive and finite, got {float(epsilon)}"
+    if callable(command):
+        with pytest.raises(DistributionError) as info:
+            command((0.8, 0.2), float(epsilon), 10)
+        assert str(info.value) == message
+        return
     code, out, err = run(capsys, [*command, f"--epsilon={epsilon}"])
-    assert (code, out) == (1, "")
-    assert err.startswith("guessctl: error: epsilon must be positive") and err.count("\n") == 1
+    assert (code, out, err) == (1, "", f"guessctl: error: {message}\n")
 
 
 def test_fig1_default_grid(capsys):
@@ -406,7 +419,9 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
 # the numpy exact sum whose fast path its 5,151- to 45,451-row tables take,
 # and the m = 3 census at k = 50..150 (187 to 1,642 typical types a row) by the
 # census that held its types as tuples, before it kept its count matrix; the
-# census_scan_limit one by the scan that stops where --max-types is outgrown
+# census_scan_limit one by the scan that stops where --max-types is outgrown; the
+# near-uniform conditioned one, whose l+ edge lies within 1e-12 of c_max, has
+# every cell within 1e-8 of bench/reference.py
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 
@@ -417,9 +432,10 @@ def test_cli_matches_golden_output(capsys, case):
     assert out == (DATA / case["stdout"]).read_text()
 
 
-def test_near_uniform_epsilon_the_window_cannot_solve_is_inadmissible(capsys):
-    # c_max - h = 4e-16 < 1e-12: h - eps lies within the edge tolerance of
-    # c_max, so no tilt solves the l+ edge; refused before any model is built
+def test_near_uniform_epsilon_below_the_admissible_lower_end_is_refused(capsys):
+    # c_max - h = 4e-16 < 1e-12, so the interval's lower end is positive and
+    # eps = 1e-16 lies below it; the window would solve the l+ edge (beta+ =
+    # 1.27755575), but fig2 refuses eps before any model is built
     code, out, err = run(capsys, [
         "fig2", "--p", "0.50000001,0.49999999", "--epsilon", "1e-16", "--x-points", "3",
     ])

@@ -12,7 +12,7 @@ import guesswork as gw
 from guesswork.ranksums import _EM_LOW
 from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily
 
-from laws import kl_divergence, renyi_rate, tilted_law
+from laws import kl_divergence, renyi_rate, tilted_law, type_cost
 
 
 def simplexes(m_min=2, m_max=4):
@@ -208,8 +208,17 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
     assert rows == [c for c, _, _ in want]
     assert sizes == [n for _, n, _ in want]
     assert all(_close(r, w, 1e-12) for r, (_, _, w) in zip(raw.tolist(), want))
-
+    # and against an independent fsum cost: the per-type definition above runs
+    # the same cost and window code as the array pass
+    assert all(_close(r, -k * type_cost(c, k, p), 1e-12) for r, c in zip(raw.tolist(), rows))
     if window is not None:
+        h = -math.fsum(q * math.log(q) for q in p.probs if q > 0.0)
+        edges = (h - eps - gw.entropy.WINDOW_SLACK, h + eps + gw.entropy.WINDOW_SLACK)
+        kept = set(rows)
+        for c in map(tuple, gw.type_count_matrix(k, p.m).tolist()):
+            cost = type_cost(c, k, p)
+            if all(abs(cost - e) > 1e-13 for e in edges):
+                assert (c in kept) == (edges[0] <= cost <= edges[1]), (c, cost, edges)
         census = gw.typical_set_census(p, eps, k)
         assert census.counts.tolist() == counts.tolist()
         assert census.cardinality == sum(sizes)

@@ -20,6 +20,7 @@ from guesswork import (
     shannon_entropy,
     solve_cross_entropy,
     tilted_type,
+    typical_window,
     unconditioned,
     uniform_typical,
 )
@@ -184,6 +185,28 @@ def test_binary_closed_forms_admit_what_the_general_rule_admits(p0, rel):
     assert refused[0] == refused[1], (p0, eps)
 
 
+def _eta_mp(p, beta):
+    # eta(beta) = -sum_a l_a log p_a, l_a proportional to p_a^beta, at 50 digits
+    from mpmath import mp, mpf
+
+    with mp.workdps(50):
+        qs = [mpf(q) for q in p if q > 0.0]
+        ws = [q ** mpf(beta) for q in qs]
+        return -mp.fsum(w * mp.log(q) for w, q in zip(ws, qs)) / mp.fsum(ws)
+
+
+def _near_uniform(delta, shape):
+    # (1/2 + delta, 1/2 - delta) for an empty shape; else 1/m + d w_a on m =
+    # len(shape) letters, w the centred shape scaled to max |w_a| = 1, d <= 1/(2m)
+    if not shape:
+        return (0.5 + delta, 0.5 - delta)
+    m = len(shape)
+    w = [v - math.fsum(shape) / m for v in shape]
+    scale = max(abs(v) for v in w) or 1.0
+    raw = [1.0 / m + min(delta, 0.5 / m) * v / scale for v in w]
+    return tuple(q / math.fsum(raw) for q in raw)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     # p0 - 1/2: 10^-u; where the interval's lower end is positive and below its
@@ -193,19 +216,25 @@ def test_binary_closed_forms_admit_what_the_general_rule_admits(p0, rel):
     st.sampled_from((None, 0, 1)),
     st.floats(-17.0, 0.0),
     st.floats(-1e-6, 1e-6),
+    # a binary law, or a law on 3-5 letters within delta of uniform
+    st.one_of(st.just(()), st.integers(3, 5).flatmap(
+        lambda m: st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m).map(tuple))),
 )
-@example(1e-8, None, -16.0, 0.0)  # h - eps within 1e-12 of c_max: admitted, then the window raised
-@example(4.835411528e-7, 0, 0.0, 1e-15)  # just above a lower end 1e-12 - top, which rounding moves
-def test_every_admitted_epsilon_has_a_window(delta, end, log_eps, rel):
-    # eps log-uniform in [1e-17, 1], or within 1e-6 relative of an end of the interval
-    p = (0.5 + delta, 0.5 - delta)
+@example(1e-8, None, -16.0, 0.0, ())  # h - eps within 1e-12 of c_max, the l+ edge's far end
+@example(4.835411528e-7, 0, 0.0, 1e-15, ())  # just above a lower end 1e-12 - top, which rounding moves
+def test_every_positive_epsilon_has_a_window(delta, end, log_eps, rel, shape):
+    # eps log-uniform in [1e-17, 1], or within 1e-6 relative of an end of the
+    # admissible interval, admitted or not: each finite edge of the window
+    # solves its target to 2e-15 at 50 digits, however near the far end of
+    # (c_min, c_max) the target lies
+    p = _near_uniform(delta, shape)
     eps = 10.0**log_eps if end is None else admissible_epsilon_interval(p)[end] * (1.0 + rel)
     assume(eps > 0.0)
-    try:
-        require_admissible_epsilon(p, eps)
-    except EpsilonInadmissibleError:
-        return
-    boundary_types(p, eps)  # both edges through TiltedFamily.window
+    lo, hi = typical_window(p, eps)
+    bnd = boundary_types(p, eps)  # both edges through TiltedFamily.window
+    for beta, target in ((bnd.beta_minus, hi), (bnd.beta_plus, lo)):
+        if beta is not None:
+            assert abs(_eta_mp(p, beta) - target) <= 2e-15, (p, eps, beta, target)
 
 
 def test_require_admissible_uniform_p_exempt():
