@@ -5,12 +5,13 @@ from the uniform distribution on the support (beta -> 0) through p itself
 (beta = 1) to the uniform distribution on the most likely letters
 (beta -> inf). Along it both the entropy h(l_beta) and the cross entropy
 eta(beta) against p strictly decrease, so one safeguarded Newton loop in
-beta, on numpy arrays of targets, inverts either: `TiltedFamily.window`
-finds the tilts of a typicality window's two edges (the boundary types) in
-one call, and `TiltedFamily.solve_entropy` the tilts behind a whole array
-of interior rate-function values at once. The constrained maximiser
-behind the conditioned source's scaled cumulant generating function is the
-tilted type clamped to those boundaries; `clamp_tilt` is the one alpha -> beta
+beta, on numpy arrays of targets bracketed from a fixed grid of tilts,
+inverts either: `TiltedFamily.window` finds the tilts of a typicality
+window's two edges (the boundary types) in one call, and
+`TiltedFamily.solve_entropy` the tilts behind a whole array of interior
+rate-function values at once. The constrained maximiser behind the
+conditioned source's scaled cumulant generating function is the tilted
+type clamped to those boundaries; `clamp_tilt` is the one alpha -> beta
 rule, shared by ScgfModel, `clamped_optimum` and `tilted_type`.
 `TiltedFamily` is the one implementation of the family; the functions
 below that return TypeVectors are views over it.
@@ -43,6 +44,10 @@ _EDGE_TOL = 1e-12
 # Weights per block of the Newton loop, targets times support size, so its
 # temporaries stay bounded whatever the number of targets.
 _BLOCK_CELLS = 1 << 15
+
+# Tilts 2^(j/8), |j| <= 128, at which every Newton call first evaluates its
+# residual to bracket and start each target, between the family's ends 0 and inf
+_GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0), [math.inf]))
 
 
 class TiltedFamily:
@@ -135,45 +140,70 @@ class TiltedFamily:
         """Tilts beta in [0, inf) with residual(beta) = x, one per target.
 
         `residual` (_eta or _entropy) maps beta and the moments of the gap
-        there to a value decreasing in beta and its slope. Every target runs
-        safeguarded Newton on its own: from beta = 1 in the one bracket
-        [0, inf), so a target's tilt is one float whichever caller solves it,
-        kept inside its own shrinking bracket by bisection (doubling while
-        it is unbounded above) whenever a step leaves it, stopping once a
-        step moves beta by under NEWTON_STEP_TOL relative or after
-        NEWTON_MAX_ITER steps. Each pass makes beta an end of the bracket,
-        so a converged step that rounds back onto beta exactly ends the
-        target; only a step that moves must land strictly inside. Without
-        that exception a converged target bisects away from its root and
-        spends some 40 passes coming back; with the bracket test merely
-        made inclusive, a target can bounce between the two ends at a
-        residual of one ulp until NEWTON_MAX_ITER. Targets are walked in
-        `_blocks`. Returns the final beta of each target.
+        there to a value decreasing in beta and its slope. One pass over
+        _GRID brackets each target by the two tilts around its root and
+        starts it at the inverse cubic Hermite interpolant of the residual
+        there (where a step leaving the bracket would go, if outside it),
+        from the family and the target alone: a target's tilt is one float
+        whichever caller or batch solves it. Each target then runs Newton,
+        kept inside its own shrinking bracket by bisection (doubling while it
+        is unbounded above) whenever a step leaves it, until a step moves
+        beta by under NEWTON_STEP_TOL relative or after NEWTON_MAX_ITER
+        steps. A pass makes beta a bracket end, so a step that rounds back
+        onto it has converged; any other step must land strictly inside
+        (sending such steps to bisection cost some 40 passes; admitting
+        every step onto an end lets a target bounce between two ends one ulp
+        of residual apart until NEWTON_MAX_ITER). Grid and targets are
+        walked in `_blocks`, a block's live targets compacted when some end.
+        Returns each target's final beta; `lower` and `upper` end as its bracket.
         """
         x = np.asarray(x, dtype=float)
         n = len(x)
-        beta = np.ones(n)
-        lower, upper = np.zeros(n), np.full(n, math.inf)
-        # a zero slope gives nan and a subnormal one an infinite step: both fall back
+        if not n:
+            return x
+        v, s = np.full(len(_GRID), math.nan), np.full(len(_GRID), math.nan)  # nan at 0 and inf
+        for block in self._blocks(len(_GRID) - 2):
+            g = _GRID[1:-1][block]
+            v[1:-1][block], s[1:-1][block] = residual(self, g, *self._moments(g))
+        # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
+        k = np.searchsorted(-np.minimum.accumulate(v[1:-1]), -x)
+        lower, upper = _GRID[k], _GRID[k + 1]
+        beta = np.empty(n)
+        # a zero, nan or subnormal slope steps to nan or out of (lo, hi): it falls back
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            span = v[k + 1] - v[k]
+            u = (x - v[k]) / span  # in (0, 1]; nan past the grid's ends
+            start = (lower * (1.0 - u) ** 2 * (1.0 + 2.0 * u) + upper * u * u * (3.0 - 2.0 * u)
+                     + span * u * (1.0 - u) * ((1.0 - u) / s[k] - u / s[k + 1]))
+            fallback = np.where(upper == math.inf, 2.0 * lower, 0.5 * (lower + upper))
+            start = np.where((lower <= start) & (start <= upper), start, fallback)
             for block in self._blocks(n):
-                todo = np.arange(n)[block]  # targets still iterating
+                live = np.arange(n)[block]  # targets still iterating, and their state
+                b, t, lo, hi = start[block], x[block], lower[block], upper[block]
                 for _ in range(NEWTON_MAX_ITER):
-                    if not len(todo):
+                    if not len(live):
                         break
-                    b = beta[todo]
                     value, slope = residual(self, b, *self._moments(b))
-                    resid = value - x[todo]
-                    lo_t = lower[todo] = np.where(resid > 0.0, b, lower[todo])
-                    hi_t = upper[todo] = np.where(resid < 0.0, b, upper[todo])
-                    step = np.where(slope < 0.0, b - resid / slope, np.nan)
-                    fallback = np.where(hi_t == math.inf, 2.0 * lo_t, 0.5 * (lo_t + hi_t))
+                    resid = value - t
+                    lo = np.where(resid > 0.0, b, lo)
+                    hi = np.where(resid < 0.0, b, hi)
+                    step = b - resid / slope
                     # b is now a bracket end, so a step that rounds back onto
                     # it fails the strict test yet has converged: keep it
-                    step = np.where((lo_t < step) & (step < hi_t) | (step == b), step, fallback)
+                    inside = (lo < step) & (step < hi) | (step == b)
+                    if not inside.all():
+                        fallback = np.where(hi == math.inf, 2.0 * lo, 0.5 * (lo + hi))
+                        step = np.where(inside, step, fallback)
                     root = resid == 0.0
-                    beta[todo] = np.where(root, b, step)
-                    todo = todo[~(root | (np.abs(step - b) <= NEWTON_STEP_TOL * b))]
+                    done = root | (np.abs(step - b) <= NEWTON_STEP_TOL * b)
+                    if done.any():
+                        ended, go = live[done], ~done
+                        beta[ended] = np.where(root, b, step)[done]
+                        lower[ended], upper[ended] = lo[done], hi[done]
+                        live, b, t, lo, hi = live[go], step[go], t[go], lo[go], hi[go]
+                    else:
+                        b = step
+                beta[live], lower[live], upper[live] = b, lo, hi
         return beta
 
     def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,9 +211,9 @@ class TiltedFamily:
 
         Returns (beta, h(l_beta), eta(beta)) at each target's final beta,
         from one call of the Newton loop on dh/dbeta = -beta Var and one
-        more moments pass over those tilts. The bracket is the whole family,
-        whatever clamp window the caller reads the tilts against, so equal
-        targets get equal tilts from every caller.
+        more moments pass over those tilts. Brackets and starts come from the
+        family alone, whatever clamp window the caller reads the tilts
+        against, so equal targets get equal tilts from every caller.
         """
         beta = self._newton(TiltedFamily._entropy, x)
         h, eta = np.empty(len(beta)), np.empty(len(beta))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from guesswork import (
     DistributionError,
@@ -402,6 +402,34 @@ def test_window_is_at_most_one_loop_call(monkeypatch, probs, eps):
     beta_minus, beta_plus = family.window(*typical_window(probs, eps))
     solved = (beta_minus > 0.0) + (beta_plus < math.inf)
     assert counts["loop_calls"] <= 1 and counts["edge_solves"] == solved, counts
+    assert counts["moments"] <= (6 if solved else 0), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), st.integers(-1, 5),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_window_solve_takes_at_most_six_passes(raw, zero, frac):
+    # the grid pass and at most five Newton passes for the solved edges, for
+    # any admissible eps (an optional zero letter)
+    from unittest import mock
+
+    from guesswork.tilting import TiltedFamily
+
+    if zero < len(raw) - 1:
+        raw[zero] = 0.0
+    p = LetterDistribution(tuple(v / math.fsum(raw) for v in raw))
+    low, top = admissible_epsilon_interval(p)
+    eps = low + frac * (top - low)
+    assume(low < eps < top)
+    family, passes, moments = TiltedFamily(p), [0], TiltedFamily._moments
+
+    def counted_moments(self, beta):
+        passes[0] += 1
+        return moments(self, beta)
+
+    with mock.patch.object(TiltedFamily, "_moments", counted_moments):
+        family.window(*typical_window(p, eps))
+    assert passes[0] <= 6
 
 
 @pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
