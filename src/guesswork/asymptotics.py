@@ -90,9 +90,10 @@ def uniform_typical(p: FreqsLike, epsilon: float) -> Source:
 class ScgfModel:
     """Evaluated structure of one source's scaled CGF: the one way to read its laws.
 
-    Built once by scgf_model (window solve included); every law of the
-    source is read off it: Lambda(alpha) by calling it, Lambda'(alpha) by
-    `slope`, the exponent table by `exponents`, the regime switches by
+    Built once by scgf_model, or by _scgf_models with the law's other
+    sources on one family (window solve included); every law of the source
+    is read off it: Lambda(alpha) by calling it, Lambda'(alpha) by `slope`,
+    the exponent table by `exponents`, the regime switches by
     `breakpoints`, Lambda*(x) by legendre_transform(model, x) and the pmf
     approximation by guesswork_pmf_approx(model, k, n).
 
@@ -207,31 +208,41 @@ class ScgfModel:
         )
 
 
-def scgf_model(source: Source, window: tuple[float, float] | None = None) -> ScgfModel:
-    """Assemble the piecewise description of `source`'s scaled CGF.
+def scgf_model(source: Source) -> ScgfModel:
+    """Assemble the piecewise description of `source`'s scaled CGF: _scgf_models of one source."""
+    return _scgf_models([source])[0]
 
-    A typical-set source clamps to the tilts (beta-, beta+) of its
-    typicality window's edges (TiltedFamily.window). The conditioned and
-    uniform sources of one (p, epsilon) share them: a caller that holds the
-    conditioned model may pass its `window` and skip the two edge solves.
-    The unconditioned source ignores `window`.
+
+def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
+    """The models of several sources of one letter law, all on the law's one TiltedFamily.
+
+    The one window rule: (0, inf) for the unconditioned source (limits of the
+    family, reached only as alpha -> inf, -1), else the tilts (beta-, beta+)
+    of the typicality window's edges, solved once per distinct epsilon
+    (TiltedFamily.window), so a law's conditioned and uniform models share
+    one solve and one grid pass. DistributionError for mixed laws.
     """
-    p = source.p
-    h = shannon_entropy(p)
-    family = TiltedFamily(p)
-    if source.kind is SourceKind.UNCONDITIONED:
-        # the window edges are limits of the family, reached only as alpha -> inf, -1
-        window = (0.0, math.inf)
-    elif window is None:
-        window = family.window(*typical_window(p, source.epsilon))
-    if source.kind is SourceKind.UNIFORM_TYPICAL:
-        # every typical word is equally likely: pinned at l_minus, where D = 0
-        h_minus = family.line(window[0])[0]
-        return ScgfModel(source, h, -h_minus, family, (window[0],) * 2, ((h_minus, 0.0),) * 2)
-    modal_decay = -family.c_min  # log max_a p_a
-    if source.kind is SourceKind.CONDITIONED:
-        modal_decay = min(-h + source.epsilon, modal_decay)
-    return ScgfModel(source, h, modal_decay, family, window, tuple(map(family.line, window)))
+    p = sources[0].p
+    if any(source.p != p for source in sources):
+        raise DistributionError("_scgf_models needs sources of one letter law")
+    h, family = shannon_entropy(p), TiltedFamily(p)
+    windows, models = {None: (0.0, math.inf)}, []
+    for source in sources:
+        eps = source.epsilon
+        if eps not in windows:
+            windows[eps] = family.window(*typical_window(p, eps))
+        window = windows[eps]
+        if source.kind is SourceKind.UNIFORM_TYPICAL:
+            # every typical word is equally likely: pinned at l_minus, where D = 0
+            h_minus = family.line(window[0])[0]
+            model = ScgfModel(source, h, -h_minus, family, (window[0],) * 2, ((h_minus, 0.0),) * 2)
+        else:
+            # log max_a p_a, capped at eps - h (the typical set's likeliest words) conditioned
+            modal_decay = -family.c_min if eps is None else min(-h + eps, -family.c_min)
+            lines = tuple(map(family.line, window))
+            model = ScgfModel(source, h, modal_decay, family, window, lines)
+        models.append(model)
+    return models
 
 
 @dataclass(frozen=True)

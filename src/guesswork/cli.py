@@ -33,6 +33,7 @@ from .asymptotics import (
     ScgfModel,
     Source,
     SourceKind,
+    _scgf_models,
     alphas_or_default,
     binary_closed_forms,
     conditioned,
@@ -207,17 +208,9 @@ def _kind_report(model: ScgfModel) -> dict:
 
 
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
-    """The three sources' SCGF models, keyed by _KIND_NAMES.
-
-    One Newton loop call solves both window edges: the uniform model reuses
-    the conditioned model's window.
-    """
-    cond = scgf_model(conditioned(p, epsilon))
-    return {
-        "unconditioned": scgf_model(unconditioned(p)),
-        "conditioned": cond,
-        "uniform": scgf_model(uniform_typical(p, epsilon), cond.window),
-    }
+    """The three sources' SCGF models on the law's one tilted family, keyed by _KIND_NAMES."""
+    sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
+    return dict(zip(_KIND_NAMES, _scgf_models(sources)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:

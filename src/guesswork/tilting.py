@@ -45,9 +45,11 @@ _EDGE_TOL = 1e-12
 # temporaries stay bounded whatever the number of targets.
 _BLOCK_CELLS = 1 << 15
 
-# Tilts 2^(j/8), |j| <= 128, at which every Newton call first evaluates its
-# residual to bracket and start each target, between the family's ends 0 and inf
-_GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0), [math.inf]))
+# Tilts 2^(j/8), |j| <= 128, then 2^(j/4), 64 < j <= 192, for the roots of
+# near-tied laws: every Newton call first evaluates its residual there to
+# bracket and start each target, between the family's ends 0 and inf
+_GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0),
+                        2.0 ** (np.arange(65, 193) / 4.0), [math.inf]))
 
 
 class TiltedFamily:
@@ -61,7 +63,7 @@ class TiltedFamily:
     c_max = -(1/m') sum log p_a over the support of size m' (beta -> 0).
     """
 
-    __slots__ = ("m", "support", "logs", "top", "gaps", "argmax", "c_min", "c_max")
+    __slots__ = ("m", "support", "logs", "top", "gaps", "argmax", "c_min", "c_max", "_grid")
 
     def __init__(self, p: FreqsLike):
         pf = as_freqs(p)
@@ -74,6 +76,7 @@ class TiltedFamily:
         self.argmax = tuple(a for a, q in enumerate(pf) if q >= q_top - 1e-12)
         self.c_min = -math.log(q_top)
         self.c_max = -math.fsum(self.logs) / len(self.logs)
+        self._grid = None
 
     def _freqs(self, beta: float) -> list[float]:
         # l_beta on the support, in the log domain so any finite beta >= 0 is safe
@@ -140,31 +143,32 @@ class TiltedFamily:
         """Tilts beta in [0, inf) with residual(beta) = x, one per target.
 
         `residual` (_eta or _entropy) maps beta and the moments of the gap
-        there to a value decreasing in beta and its slope. One pass over
-        _GRID brackets each target by the two tilts around its root and
-        starts it at the inverse cubic Hermite interpolant of the residual
-        there (where a step leaving the bracket would go, if outside it),
-        from the family and the target alone: a target's tilt is one float
-        whichever caller or batch solves it. Each target then runs Newton,
-        kept inside its own shrinking bracket by bisection (doubling while it
-        is unbounded above) whenever a step leaves it, until a step moves
-        beta by under NEWTON_STEP_TOL relative or after NEWTON_MAX_ITER
-        steps. A pass makes beta a bracket end, so a step that rounds back
-        onto it has converged; any other step must land strictly inside
-        (sending such steps to bisection cost some 40 passes; admitting
-        every step onto an end lets a target bounce between two ends one ulp
-        of residual apart until NEWTON_MAX_ITER). Grid and targets are
-        walked in `_blocks`, a block's live targets compacted when some end.
-        Returns each target's final beta; `lower` and `upper` end as its bracket.
+        there to a value decreasing in beta and its slope. Its values at
+        _GRID, from moments made once per family on its first call, bracket
+        each target by the two tilts around its root and start it at the
+        inverse cubic Hermite interpolant there (where a step leaving the
+        bracket would go, if outside it), from the family and the target
+        alone: a target's tilt is one float whichever caller or batch solves
+        it. Each target then runs Newton, kept inside its own shrinking
+        bracket by bisection (doubling while unbounded above) whenever a step
+        leaves it, and ends at a beta whose residual is within an ulp of the
+        target (at small beta a step's rounding noise dwarfs NEWTON_STEP_TOL),
+        on a step that moves beta by under NEWTON_STEP_TOL relative, or after
+        NEWTON_MAX_ITER steps. A pass makes beta a bracket end, so a step
+        that rounds back onto it has converged; any other step must land
+        strictly inside, lest a target bounce between two ends. Grid and
+        targets are walked in `_blocks`. Returns each target's final beta;
+        `lower` and `upper` end as its bracket.
         """
         x = np.asarray(x, dtype=float)
         n = len(x)
         if not n:
             return x
+        if self._grid is None:
+            rows = [self._moments(_GRID[1:-1][block]) for block in self._blocks(len(_GRID) - 2)]
+            self._grid = [np.concatenate(moment) for moment in zip(*rows)]
         v, s = np.full(len(_GRID), math.nan), np.full(len(_GRID), math.nan)  # nan at 0 and inf
-        for block in self._blocks(len(_GRID) - 2):
-            g = _GRID[1:-1][block]
-            v[1:-1][block], s[1:-1][block] = residual(self, g, *self._moments(g))
+        v[1:-1], s[1:-1] = residual(self, _GRID[1:-1], *self._grid)
         # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
         k = np.searchsorted(-np.minimum.accumulate(v[1:-1]), -x)
         lower, upper = _GRID[k], _GRID[k + 1]
@@ -194,7 +198,7 @@ class TiltedFamily:
                     if not inside.all():
                         fallback = np.where(hi == math.inf, 2.0 * lo, 0.5 * (lo + hi))
                         step = np.where(inside, step, fallback)
-                    root = resid == 0.0
+                    root = np.abs(resid) <= np.spacing(np.abs(t))
                     done = root | (np.abs(step - b) <= NEWTON_STEP_TOL * b)
                     if done.any():
                         ended, go = live[done], ~done
@@ -230,8 +234,10 @@ class TiltedFamily:
         it, is that end's limit: beta- = 0 (the uniform law on the support)
         once hi >= c_max - _EDGE_TOL, beta+ = inf (the uniform law on argmax
         p) once lo <= c_min + _EDGE_TOL. Every other edge is the finite root
-        of eta(beta) = hi or lo, however near the far end it lies; both are
-        solved in one Newton loop call.
+        of eta(beta) = hi or lo, however near the far end it lies (one that
+        rounding puts an ulp past it ends where eta is within an ulp of it);
+        both are solved in one Newton loop call, whose grid pass the family
+        keeps for its later solves.
         """
         at_limit = (hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
         targets = [eta for eta, lim in zip((hi, lo), at_limit) if not lim]

@@ -600,8 +600,20 @@ def test_newton_target_between_ulp_residuals_ends():
     assert abs(h[0] - x[0]) <= 1e-12
 
 
+# near-tied laws: two top letters 4e-6, 1e-9, 1e-11 and 4e-8 apart put the
+# unconditioned entropy roots past 2^16, where Newton crept up the tail for
+# 12, 22, 28 and 15 passes before the grid reached 2^48
+NEAR_TIES = [gw.LetterDistribution(tuple(v / math.fsum(raw) for v in raw)) for raw in (
+    (1.0, 0.5, 0.99999), (1.0, 0.5, 1.0 - 2.5e-9), (1.0, 0.5, 1.0 - 2.5e-11),
+    (1.0, 0.0, 0.5, 1.0 - 2.5e-7))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(laws_with_a_zero(2, 6), st.floats(0.02, 0.98))
+@example(NEAR_TIES[0], 0.5)
+@example(NEAR_TIES[1], 0.5)
+@example(NEAR_TIES[2], 0.5)
+@example(NEAR_TIES[3], 0.5)
 def test_fig2_entropy_solves_stay_short(p, frac):
     # every source's 400-point fig2 interior is one block of the Newton loop,
     # so a target stopped by NEWTON_MAX_ITER would show as NEWTON_MAX_ITER + 2
@@ -639,6 +651,35 @@ def test_fig2_shared_solve_matches_each_source(p, frac, n):
     shared = legendre_transforms(models, xs)
     for model, rates in zip(models, shared):
         assert rates.tobytes() == gw.legendre_transform(model, xs).tobytes()
+
+
+def _model_bits(model):
+    # every float field of an ScgfModel, as bytes
+    return np.array([model.entropy_p, model.modal_decay, *model.window,
+                     *model.edge_lines[0], *model.edge_lines[1]]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(laws_with_a_zero(2, 6), laws_with_a_zero(2, 6), st.floats(0.02, 0.98))
+def test_one_law_models_share_one_family(p, other, frac):
+    # _scgf_models builds a law's three models on one TiltedFamily, and each
+    # equals, field by field and bit for bit, the model scgf_model builds for
+    # its source alone; sources of two laws are refused
+    from guesswork.asymptotics import _scgf_models
+
+    low, top = gw.admissible_epsilon_interval(p)
+    assume(top > 1e-9 and low < frac * top)
+    sources = [gw.unconditioned(p), gw.conditioned(p, frac * top),
+               gw.uniform_typical(p, frac * top)]
+    models = _scgf_models(sources)
+    assert models[0].family is models[1].family is models[2].family
+    for source, model in zip(sources, models):
+        alone = gw.scgf_model(source)
+        assert model.source == alone.source
+        assert _model_bits(model) == _model_bits(alone)
+    if other != p:
+        with pytest.raises(gw.DistributionError):
+            _scgf_models([sources[1], gw.unconditioned(other)])
 
 
 def tilting_laws():
