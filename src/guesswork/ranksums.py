@@ -36,10 +36,11 @@ _EM_MIN = 30000
 _EM_LOW = 4096
 # The low tier admits alpha where the first term the closed form neglects is
 # at most _EM_TOL of the sum at _EM_LOW, and |alpha| is at least _SMALL_ALPHA:
-# nearer 0 the form cancels on short ranges, with a relative error on the log
-# that grows like 1/alpha (up to 3e-14 at alpha = 1e-2 on ranges from 4,096
-# on, 1.6e-6 at alpha = 4.3e-71 and a = 30,000), and that defect stays where
-# it was, from 30,000 on.
+# nearer 0 the form takes the sum's O(alpha) part as a difference of O(1)
+# logs, so on short ranges its relative error on the log grows like 1/alpha,
+# and that defect stays where it was, from 30,000 on. A one-rank block, whose
+# log is that O(alpha) part alone (1.6e-6 relative off at alpha = 4.3e-71 and
+# a = 30,000, a negative log at a = 10^6), is alpha log a on this route.
 _EM_TOL = 1e-16
 _SMALL_ALPHA = 1e-2
 
@@ -197,12 +198,16 @@ def _em_route(a_parts, n_parts, powers):
     """Corrected midpoint Euler-Maclaurin sums over blocks of n ranks from a >= the threshold.
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
-    integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral,
-    and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
+    integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral
+    (a^alpha itself when n = 1), and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
     per alpha (lam, rho) with log sum = alpha lam + rho, and the log sum of
     logs per block.
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
+    # a one-rank block is a^alpha, taken as alpha log a: the form's O(alpha)
+    # part is a difference of O(1) logs, all lost once alpha + 1 rounds to 1
+    one = (n_m == 1.0) & (n_e == 0)
+    log_a = np.where(one, _log_parts(a_m, a_e), 0.0)
     y_m = a_m - np.ldexp(0.5, -a_e)
     log_y = _log_parts(y_m, a_e)
     log_n = _log_parts(n_m, n_e)
@@ -231,7 +236,8 @@ def _em_route(a_parts, n_parts, powers):
         # closed form's reach and the integral alone stands
         corr = (alpha / 24.0) * (np.exp(e_y) - np.exp(e_x))
         rho = lam + rest + np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
-        sums.append((np.where(tiny, log_y, lam), np.where(tiny, log_y + log_ratio, rho)))
+        lam, rho = np.where(tiny, log_y, lam), np.where(tiny, log_y + log_ratio, rho)
+        sums.append((np.where(one, log_a, lam), np.where(one, 0.0, rho)))
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
     # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
     near = np.where(
@@ -349,9 +355,10 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     against mpmath over 3,000 random ranges from 4,096 on); near alpha = 0
     the closed form cancels on short ranges, so there its relative error on
     the log grows like 1/alpha, and |alpha| < 1e-2 keeps the 30,000
-    threshold. When alpha log i leaves float range the result is its limit,
-    +inf or -inf; a non-finite alpha raises DistributionError. The table
-    kernel (_log_sums) run on one block.
+    threshold; one rank a is alpha log a on every route. When alpha log i
+    leaves float range the result is its limit, +inf or -inf; a non-finite
+    alpha raises DistributionError. The table kernel (_log_sums) run on one
+    block.
     """
     return _log_sums(*_one_block(a, b), (float(alpha),))[0][0]
 

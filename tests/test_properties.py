@@ -246,11 +246,11 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
     st.integers(0, 2**16 - 1),
     st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
 )
-@example(30000, 0, 4.301924693685763e-71).xfail(
-    raises=AssertionError,
-    reason="known defect: near alpha = 0 the Euler-Maclaurin route is 1.6e-6 relative off "
-           "alpha log a on this one-term range; remove the mark once that route is mended",
-)
+# one-rank ranges near alpha = 0, once 1.6e-6 relative off alpha log a and a
+# negative log at 10^6 on the Euler-Maclaurin route
+@example(30000, 0, 4.301924693685763e-71)
+@example(30000, 0, 4.870092411728828e-25)
+@example(10**6, 0, 1e-300)
 def test_direct_rank_sums_match_fsum(a, span, alpha):
     from guesswork.ranksums import _log_sum_of_logs
 
