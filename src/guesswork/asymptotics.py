@@ -56,35 +56,37 @@ class SourceKind(Enum):
 
 @dataclass(frozen=True)
 class Source:
-    """A word source: letter law p plus, for the typical-set kinds, epsilon."""
+    """A word source: letter law p plus, for the typical-set kinds, epsilon. Validated once, here:
+    p is kept as as_distribution(p), epsilon as a float that passes _checked_epsilon."""
 
     kind: SourceKind
     p: LetterDistribution
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", as_distribution(self.p))
         if self.kind is SourceKind.UNCONDITIONED:
             if self.epsilon is not None:
                 raise DistributionError("unconditioned sources take no epsilon")
         elif self.epsilon is None:
             raise DistributionError(f"{self.kind.value} sources need an epsilon")
         else:
-            _checked_epsilon(self.epsilon)
+            object.__setattr__(self, "epsilon", _checked_epsilon(float(self.epsilon)))
 
 
 def unconditioned(p: FreqsLike) -> Source:
     """The plain i.i.d. word source with letter law p."""
-    return Source(SourceKind.UNCONDITIONED, as_distribution(p))
+    return Source(SourceKind.UNCONDITIONED, p)
 
 
 def conditioned(p: FreqsLike, epsilon: float) -> Source:
     """The i.i.d. source conditioned on its (p, epsilon) typical set."""
-    return Source(SourceKind.CONDITIONED, as_distribution(p), float(epsilon))
+    return Source(SourceKind.CONDITIONED, p, epsilon)
 
 
 def uniform_typical(p: FreqsLike, epsilon: float) -> Source:
     """The uniform law on the (p, epsilon) typical set."""
-    return Source(SourceKind.UNIFORM_TYPICAL, as_distribution(p), float(epsilon))
+    return Source(SourceKind.UNIFORM_TYPICAL, p, epsilon)
 
 
 @dataclass(frozen=True)
@@ -437,7 +439,7 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     if not (0.5 < p0 < 1.0):
         raise DistributionError(f"binary closed forms need p0 in (1/2, 1), got {p0}")
     p1 = 1.0 - p0
-    interval = admissible_epsilon_interval((p0, p1))
+    interval = admissible_epsilon_interval(LetterDistribution((p0, p1)))
     if not (interval[0] < epsilon < interval[1]):
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "

@@ -42,7 +42,7 @@ from .asymptotics import (
     unconditioned,
     uniform_typical,
 )
-from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon, shannon_entropy
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
 from .errors import (
     DistributionError,
     EmptyTypicalSetError,
@@ -95,15 +95,16 @@ def _jnum(x: float | None):
     return None if x is None else _json_value(_fmt(x))
 
 
-def _jvec(values) -> list:
-    return [_jnum(v) for v in values]
+def _parse_list(text: str, convert, what: str) -> tuple:
+    """guessctl's one list rule: the nonempty comma-separated items of text, each converted."""
+    try:
+        return tuple(convert(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise DistributionError(f"could not parse {what} from {text!r}")
 
 
 def _parse_probs(text: str) -> LetterDistribution:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise DistributionError(f"could not parse probabilities from {text!r}")
+    values = _parse_list(text, float, "probabilities")
     if not all(map(math.isfinite, values)):
         raise DistributionError(f"probabilities must be finite, got {text!r}")
     if len(values) < 2:
@@ -116,18 +117,11 @@ def _parse_probs(text: str) -> LetterDistribution:
     return LetterDistribution(tuple(v / total for v in values))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise DistributionError(f"could not parse numbers from {text!r}")
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise DistributionError(f"could not parse integers from {text!r}")
+def _parse_ks(text: str) -> tuple[int, ...]:
+    ks = _parse_list(text, int, "integers")
+    if not ks:
+        raise DistributionError("--k must list at least one word length")
+    return ks
 
 
 def _fmt_column(values) -> list[str]:
@@ -171,22 +165,6 @@ def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
     return text + "".join(line + "\n" for line in footer)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _make_source(kind: str, p: LetterDistribution, epsilon: float | None) -> Source:
-    if kind == SourceKind.UNCONDITIONED.value:
-        return unconditioned(p)
-    if epsilon is None:
-        raise DistributionError(f"--epsilon is required for kind={kind}")
-    return Source(SourceKind(kind), p, epsilon)
-
-
 def _kind_report(model: ScgfModel) -> dict:
     exps = model.exponents()
     report = {
@@ -208,26 +186,26 @@ def _kind_report(model: ScgfModel) -> dict:
 
 
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
-    """The three sources' SCGF models on the law's one tilted family, keyed by _KIND_NAMES."""
+    """The three sources' SCGF models on the law's one tilted family, keyed by _KIND_NAMES,
+    after require_admissible_epsilon(p, epsilon), which runs before any source is built."""
+    require_admissible_epsilon(p, epsilon)
     sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
     return dict(zip(_KIND_NAMES, _scgf_models(sources)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
-    epsilon = args.epsilon
-    require_admissible_epsilon(p, epsilon)
-    models = _models(p, epsilon)
+    models = _models(p, args.epsilon)
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
     bnd = BoundaryTypes.of(cond.family, cond.window)
     report = {
-        "p": _jvec(p.probs),
-        "epsilon": _jnum(epsilon),
-        "entropy": _jnum(shannon_entropy(p)),
+        "p": list(map(_jnum, p.probs)),
+        "epsilon": _jnum(args.epsilon),
+        "entropy": _jnum(cond.entropy_p),
         "boundary": {
-            "l_minus": _jvec(bnd.l_minus.freqs),
-            "l_plus": _jvec(bnd.l_plus.freqs),
+            "l_minus": list(map(_jnum, bnd.l_minus.freqs)),
+            "l_plus": list(map(_jnum, bnd.l_plus.freqs)),
             "exists_minus": bnd.exists_minus,
             "exists_plus": bnd.exists_plus,
             "clamped_to_log_m": bnd.clamped_to_log_m,
@@ -259,7 +237,7 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 
 def cmd_fig1(args) -> tuple[str, int]:
     epsilon = _checked_epsilon(args.epsilon)
-    grid = _parse_floats(args.p0_grid) if args.p0_grid else _FIG1_DEFAULT_GRID
+    grid = _parse_list(args.p0_grid, float, "numbers") if args.p0_grid else _FIG1_DEFAULT_GRID
     rows = []
     for p0 in grid:
         try:
@@ -284,16 +262,14 @@ def cmd_fig2(args) -> tuple[str, int]:
             f"fig2 grid too large: {args.x_points} x-points exceeds the cap {MAX_X_POINTS}"
         )
     p = _parse_probs(args.p)
-    epsilon = args.epsilon
-    require_admissible_epsilon(p, epsilon)
-    models = list(_models(p, epsilon).values())
+    models = list(_models(p, args.epsilon).values())
     xs = np.linspace(0.0, math.log(p.m), args.x_points)
     # outside a source's domain the curve is reported as "inf"
     curves = [np.where(np.isinf(rate), math.inf, -xs - rate).tolist()
               for rate in legendre_transforms(models, xs)]
     rows = zip(xs.tolist(), *curves)
     meta = [
-        f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(epsilon)}",
+        f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(args.epsilon)}",
         "# modal_decay: " + " ".join(
             f"{n}={_fmt(m.modal_decay)}" for n, m in zip(_KIND_NAMES, models)
         ),
@@ -311,12 +287,12 @@ def cmd_fig2(args) -> tuple[str, int]:
 
 def cmd_exact_compare(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
-    source = _make_source(args.kind, p, args.epsilon)
-    ks = _parse_ints(args.k)
-    if not ks:
-        raise DistributionError("--k must list at least one word length")
-    alphas = _parse_floats(args.alpha) if args.alpha else alphas_or_default(None)
-    typical = source.kind is not SourceKind.UNCONDITIONED
+    typical = args.kind != SourceKind.UNCONDITIONED.value
+    if typical and args.epsilon is None:
+        raise DistributionError(f"--epsilon is required for kind={args.kind}")
+    source = Source(SourceKind(args.kind), p, args.epsilon if typical else None)
+    ks = _parse_ks(args.k)
+    alphas = _parse_list(args.alpha, float, "numbers") if args.alpha else alphas_or_default(None)
 
     # one exact table per distinct k serves every series; None marks an empty typical set
     exps = {}
@@ -376,9 +352,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
 def cmd_census(args) -> tuple[str, int]:
     p = _parse_probs(args.p)
     epsilon = _checked_epsilon(args.epsilon)
-    ks = _parse_ints(args.k)
-    if not ks:
-        raise DistributionError("--k must list at least one word length")
+    ks = _parse_ks(args.k)
     rows = []
     any_empty = False
     for k in ks:
@@ -419,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated letter probabilities, e.g. 0.8,0.2")
         sp.add_argument("--epsilon", type=float, required=eps_required,
                         help="typical-set half width (nats)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        sp.add_argument("--format", choices=("csv", "json"))
         sp.add_argument("--out", default=None, help="write output to this path")
         if max_types:
             sp.add_argument("--max-types", type=int, default=MAX_TYPES_DEFAULT, dest="max_types",
@@ -427,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="exponent report for all three sources")
     common(sp)
-    sp.set_defaults(func=cmd_analyze, default_format="json")
+    sp.set_defaults(func=cmd_analyze, format="json")
 
     sp = sub.add_parser("fig1", help="growth-rate gap curves over a p0 grid")
     common(sp, p=False)
     sp.add_argument("--p0-grid", default=None, dest="p0_grid",
                     help="comma-separated p0 values (default 0.525..0.975 step 0.025)")
-    sp.set_defaults(func=cmd_fig1, default_format="csv")
+    sp.set_defaults(func=cmd_fig1, format="csv")
 
     sp = sub.add_parser("fig2", help="-x - rate(x) curves for the three sources")
     common(sp)
     sp.add_argument("--x-points", type=int, default=400, dest="x_points",
                     help="number of grid points on [0, log m]")
-    sp.set_defaults(func=cmd_fig2, default_format="csv")
+    sp.set_defaults(func=cmd_fig2, format="csv")
 
     sp = sub.add_parser("exact-compare",
                         help="finite-k oracle values vs asymptotic targets")
@@ -452,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-words", type=int, default=0, dest="max_words",
                     help="if > 0, cross-check ks with m^k <= this against the "
                     "naive word-enumeration oracle")
-    sp.set_defaults(func=cmd_exact_compare, default_format="csv")
+    sp.set_defaults(func=cmd_exact_compare, format="csv")
 
     sp = sub.add_parser("census", help="typical-set inventory at given lengths")
     common(sp, max_types=True)
     sp.add_argument("--k", required=True, help="comma-separated word lengths")
-    sp.set_defaults(func=cmd_census, default_format="csv")
+    sp.set_defaults(func=cmd_census, format="csv")
 
     return parser
 
@@ -474,11 +448,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         text, code = args.func(args)
-        _emit(args, text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (TypeSpaceTooLargeError, WordSpaceTooLargeError, GridTooLargeError) as exc:
         print(f"guessctl: resource guard: {exc}", file=sys.stderr)
         return 2

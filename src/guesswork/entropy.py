@@ -115,10 +115,10 @@ def as_freqs(l: FreqsLike) -> tuple[float, ...]:
 
 
 def as_distribution(p: FreqsLike) -> LetterDistribution:
-    """Coerce a letter law to a LetterDistribution, passing one through unchanged."""
+    """A letter law as a LetterDistribution: one passes through, anything else is validated once."""
     if isinstance(p, LetterDistribution):
         return p
-    return LetterDistribution(tuple(as_freqs(p)))
+    return LetterDistribution(tuple(p.freqs if isinstance(p, TypeVector) else p))
 
 
 def shannon_entropy(l: FreqsLike) -> float:

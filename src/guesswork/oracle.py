@@ -208,10 +208,9 @@ def build_guess_table(
 
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         lws = np.full(len(sizes), -math.log(total))
-    elif source.kind is SourceKind.CONDITIONED:
-        lws = raw - log_mass
     else:
-        lws = raw
+        # log_mass is exactly 0.0 unconditioned, and x - 0.0 is x (-0.0 and -inf too)
+        lws = raw - log_mass
     if __debug__:
         norm = _lse(log_sizes + lws)
         assert abs(norm) < 1e-9, f"table probabilities sum to exp({norm})"

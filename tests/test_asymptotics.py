@@ -55,6 +55,49 @@ def test_source_constructors():
         uniform_typical(P, 0.0)
 
 
+def test_source_validates_its_own_law():
+    # a law enters at Source: a tuple is kept as a LetterDistribution, which
+    # the oracle reads, and one that does not sum to 1 is refused
+    from guesswork import Source, build_guess_table
+
+    with pytest.raises(DistributionError):
+        Source(SourceKind.CONDITIONED, (0.7, 0.2), 0.1)
+    source = Source(SourceKind.CONDITIONED, (0.7, 0.3), 0.1)
+    assert source.p == LetterDistribution((0.7, 0.3))
+    assert build_guess_table(source, 10).total_words == 375
+
+
+def _count_validations(monkeypatch):
+    # the `what` of every _validated_simplex pass, one entry a pass
+    from guesswork import entropy
+
+    passes = []
+    validated = entropy._validated_simplex
+
+    def counted(values, what):
+        passes.append(what)
+        return validated(values, what)
+
+    monkeypatch.setattr(entropy, "_validated_simplex", counted)
+    return passes
+
+
+def test_constructor_validates_a_plain_law_once(monkeypatch):
+    passes = _count_validations(monkeypatch)
+    unconditioned((0.7, 0.3))
+    assert passes == ["letter distribution"]
+
+
+def test_fig1_validates_each_binary_law_once(capsys, monkeypatch):
+    # one (p0, 1 - p0) law per point of the 19-point default grid
+    from guesswork.cli import main
+
+    passes = _count_validations(monkeypatch)
+    assert main(["fig1", "--epsilon", "0.05"]) == 0
+    capsys.readouterr()
+    assert len(passes) == 19
+
+
 def test_scgf_model_parameters():
     mw = scgf_model(W)
     assert mw.modal_decay == pytest.approx(G_W, abs=1e-12)

@@ -116,11 +116,32 @@ def test_bad_probabilities(capsys):
      "probabilities must be finite, got 'inf,-inf'"),
     (["analyze", "--p", "nan,0.5", "--epsilon", "0.1"],
      "probabilities must be finite, got 'nan,0.5'"),
+    # one list rule for every comma list, each naming what it could not parse
+    (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10", "--alpha", "x"],
+     "could not parse numbers from 'x'"),
+    (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10,x"],
+     "could not parse integers from '10,x'"),
+    (["fig1", "--epsilon", "0.1", "--p0-grid", "x"],
+     "could not parse numbers from 'x'"),
 ])
 def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     # exit 1 with the one error line on stderr: no traceback, nothing on stdout
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", f"guessctl: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["analyze", "--p", "0.8,0.2", "--epsilon", "0.1"], "json"),
+    (["fig1", "--epsilon", "0.1"], "csv"),
+    (["fig2", "--p", "0.8,0.2", "--epsilon", "0.1"], "csv"),
+    (["exact-compare", "--p", "0.8,0.2", "--k", "10"], "csv"),
+    (["census", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10"], "csv"),
+])
+def test_format_defaults_come_from_each_subcommand(argv, default):
+    # the parsed namespace carries the subcommand's own default; an explicit --format wins
+    assert build_parser().parse_args(argv).format == default
+    other = {"csv": "json", "json": "csv"}[default]
+    assert build_parser().parse_args([*argv, "--format", other]).format == other
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1", "0"])
