@@ -213,11 +213,11 @@ class ScgfModel:
 
 def scgf_model(source: Source) -> ScgfModel:
     """Assemble the piecewise description of `source`'s scaled CGF: _scgf_models of one source."""
-    return _scgf_models([source])[0]
+    return _scgf_models([source], TiltedFamily(source.p))[0]
 
 
-def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
-    """The models of several sources of one letter law, all on the law's one TiltedFamily.
+def _scgf_models(sources: Sequence[Source], family: TiltedFamily) -> list[ScgfModel]:
+    """The models of several sources of one letter law, all on `family`, the law's TiltedFamily.
 
     The one window rule: (0, inf) for the unconditioned source (limits of the
     family, reached only as alpha -> inf, -1), else the tilts (beta-, beta+)
@@ -228,7 +228,7 @@ def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
     p = sources[0].p
     if any(source.p != p for source in sources):
         raise DistributionError("_scgf_models needs sources of one letter law")
-    h, family = shannon_entropy(p), TiltedFamily(p)
+    h = shannon_entropy(p)
     windows, models = {None: (0.0, math.inf)}, []
     for source in sources:
         eps = source.epsilon

@@ -186,11 +186,11 @@ def _kind_report(model: ScgfModel) -> dict:
 
 
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
-    """The three sources' SCGF models on the law's one tilted family, keyed by _KIND_NAMES,
-    after require_admissible_epsilon(p, epsilon), which runs before any source is built."""
-    require_admissible_epsilon(p, epsilon)
+    """The three sources' SCGF models, keyed by _KIND_NAMES, on the one tilted family that
+    require_admissible_epsilon(p, epsilon) checks and returns before any source is built."""
+    family = require_admissible_epsilon(p, epsilon)
     sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
-    return dict(zip(_KIND_NAMES, _scgf_models(sources)))
+    return dict(zip(_KIND_NAMES, _scgf_models(sources, family)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:
@@ -290,7 +290,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     typical = args.kind != SourceKind.UNCONDITIONED.value
     if typical and args.epsilon is None:
         raise DistributionError(f"--epsilon is required for kind={args.kind}")
-    source = Source(SourceKind(args.kind), p, args.epsilon if typical else None)
+    source = Source(SourceKind(args.kind), p, args.epsilon)
     ks = _parse_ks(args.k)
     alphas = _parse_list(args.alpha, float, "numbers") if args.alpha else alphas_or_default(None)
 

@@ -251,11 +251,11 @@ def is_typical_type(p: FreqsLike, epsilon: float, l: FreqsLike) -> bool:
     mass outside the support of p have infinite cross entropy and are
     never typical. The one-row case of _in_window.
     """
-    return _in_window(cross_entropy(l, p), p, epsilon)
+    return _in_window(cross_entropy(l, p), typical_window(p, epsilon))
 
 
-def _in_window(cost, p: FreqsLike, epsilon: float):
-    """Mask of the costs (a float or an array) in the closed typical window,
-    widened by WINDOW_SLACK: the package's one membership rule."""
-    lo, hi = typical_window(p, epsilon)
+def _in_window(cost, window: tuple[float, float]):
+    """Mask of the costs (a float or an array) in the closed window (lo, hi) of
+    typical_window, widened by WINDOW_SLACK: the package's one membership rule."""
+    lo, hi = window
     return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)

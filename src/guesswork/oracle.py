@@ -43,6 +43,7 @@ from .entropy import (
     multinomial,
     num_types,
     type_count_matrix,
+    typical_window,
 )
 from .errors import (
     DistributionError,
@@ -154,14 +155,15 @@ def _class_sizes(counts: np.ndarray) -> list[int]:
 
 
 def _window_entries(
-    p: LetterDistribution, epsilon: float | None, k: int, max_types: int
+    p: LetterDistribution, window: tuple[float, float] | None, k: int, max_types: int
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Letter counts, exact class sizes and per-word log-probabilities of the
-    k-types in enumeration order; with epsilon set, only the typical ones."""
+    k-types in enumeration order; with a typical_window set, only the typical
+    ones: the package's one pass from the count matrix to the typical rows."""
     counts = type_count_matrix(k, p.m, max_types)
     cost = _cross_entropies(counts, k, p)
-    if epsilon is not None:
-        keep = _in_window(cost, p, epsilon)
+    if window is not None:
+        keep = _in_window(cost, window)
         counts, cost = counts[keep], cost[keep]
     return counts, _class_sizes(counts), -k * cost
 
@@ -184,7 +186,8 @@ def build_guess_table(
     """
     p = source.p
     typical_kind = source.kind is not SourceKind.UNCONDITIONED
-    counts, sizes, raw = _window_entries(p, source.epsilon, k, max_types)
+    window = typical_window(p, source.epsilon) if typical_kind else None
+    counts, sizes, raw = _window_entries(p, window, k, max_types)
     if typical_kind and not sizes:
         raise EmptyTypicalSetError(
             f"empty typical set: no {k}-type has per-letter log-probability in "
@@ -277,7 +280,7 @@ def typical_set_census(
     and raises ArithmeticError if it fails.
     """
     p = as_distribution(p)
-    counts, sizes, raw = _window_entries(p, epsilon, k, max_types)
+    counts, sizes, raw = _window_entries(p, typical_window(p, epsilon), k, max_types)
     counts.flags.writeable = False
     if not sizes:
         return CensusResult(k, counts, 0, 0.0, 0)
@@ -306,13 +309,13 @@ def smallest_nonempty_k(
 ) -> int | None:
     """Smallest word length whose typical set is nonempty; None up to nonempty_scan_limit.
 
-    Each k costs one window mask over its count matrix, and the scan stops
-    at the first k with a typical row.
+    h(p)'s window is derived once; each k costs one _window_entries pass,
+    and the scan stops at the first k with a typical row.
     """
     p = as_distribution(p)
+    window = typical_window(p, epsilon)
     for k in range(1, nonempty_scan_limit(p.m, max_types) + 1):
-        cost = _cross_entropies(type_count_matrix(k, p.m, max_types), k, p)
-        if _in_window(cost, p, epsilon).any():
+        if _window_entries(p, window, k, max_types)[1]:
             return k
     return None
 
@@ -552,7 +555,7 @@ def naive_enumeration_crosscheck(
         logw = (logp[:, None] + logw).ravel()
 
     if source.kind is not SourceKind.UNCONDITIONED:
-        logw = logw[_in_window(-logw / k, p, source.epsilon)]
+        logw = logw[_in_window(-logw / k, typical_window(p, source.epsilon))]
         if logw.size == 0:
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
     n = logw.size

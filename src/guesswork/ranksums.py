@@ -4,8 +4,8 @@ A guess table puts each type class on a range of consecutive ranks, so
 every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
 (or sum log i for E[log G]), with a and b exact integers that pass float
 range for binary words at k ~ 10^3. `_log_sums` takes these sums for a whole
-table in one pass per threshold over per-block arrays; `log_rank_power_sum` and
-`_log_sum_of_logs` run it on one range. Each alpha is routed by its own
+table in one pass per threshold over per-block arrays; `log_rank_power_sum` runs
+it on one range (`_one_block`). Each alpha is routed by its own
 threshold, `_em_min(alpha)`: ranks below it are summed directly, ranks from
 it on by the corrected midpoint Euler-Maclaurin closed form, and the one
 range that straddles it is split there. The threshold is _EM_LOW = 4,096
@@ -361,12 +361,3 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     block.
     """
     return _log_sums(*_one_block(a, b), (float(alpha),))[0][0]
-
-
-def _log_sum_of_logs(a: int, b: int) -> float:
-    """log of sum_{i=a}^{b} log i, bigint-safe, on log_rank_power_sum's routes.
-
-    The ranks below _EM_LOW by one numpy sum, the ranks from _EM_LOW on by
-    the Euler-Maclaurin closed form.
-    """
-    return _log_sums(*_one_block(a, b), ())[1]

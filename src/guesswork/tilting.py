@@ -370,23 +370,24 @@ def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, flo
     return (low, top)
 
 
-def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
-    """Raise EpsilonInadmissibleError unless eps sits strictly inside the interval.
+def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> TiltedFamily:
+    """p's TiltedFamily, once eps is checked to sit strictly inside the interval.
 
-    Degenerate sources (p uniform on its support) are exempt: their interval
-    is empty but conditioning changes nothing, so every eps is workable.
+    Raises EpsilonInadmissibleError otherwise. Degenerate sources (p uniform
+    on its support) are exempt: their interval is empty but conditioning
+    changes nothing, so every eps is workable. Callers build the law's
+    models on the returned family (asymptotics._scgf_models).
     """
     family = TiltedFamily(p)
-    if family.c_max - family.c_min <= _EDGE_TOL:
-        return
     lo, hi = _admissible_interval(p, family)
-    if not (lo < epsilon < hi):
+    if family.c_max - family.c_min > _EDGE_TOL and not lo < epsilon < hi:
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "
             f"({lo!r}, {hi!r}) for this source (epsilon too large for l_plus "
             "or the typical set already grows at full rate)",
             (lo, hi),
         )
+    return family
 
 
 class Regime(Enum):

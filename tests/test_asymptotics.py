@@ -485,15 +485,15 @@ def test_window_solve_takes_at_most_six_passes(raw, zero, frac):
 
 @pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
 def test_analyze_builds_one_family_per_law(capsys, monkeypatch, p, epsilon):
-    # guessctl analyze: one family for the admissibility check and one that
-    # the law's three models share; the uniform model and the boundary types
-    # read the conditioned model's window, so only its two edges are solved
+    # guessctl analyze: one family, built by the admissibility check and
+    # shared by the law's three models; the uniform model and the boundary
+    # types read the conditioned model's window, so only its two edges are solved
     from guesswork.cli import main
 
     counts = _count_tilting_work(monkeypatch)
     assert main(["analyze", "--p", p, "--epsilon", epsilon]) == 0
     capsys.readouterr()
-    assert counts["families"] == 2 and counts["edge_solves"] <= 2, counts
+    assert counts["families"] == 1 and counts["edge_solves"] <= 2, counts
     assert counts["loop_calls"] <= 1 and counts["grid_passes"] <= 1, counts
 
 
@@ -501,7 +501,7 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
     # guessctl fig2: one legendre_transforms call for the three sources on the
     # whole grid, one array entropy solve in all and no scalar solve per grid
     # point, only the conditioned window's two edges, and one grid pass on the
-    # one family the three models share (the other checks admissibility)
+    # one family that the admissibility check builds and the three models share
     from guesswork import cli
 
     counts = _count_tilting_work(monkeypatch)
@@ -518,7 +518,7 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
     capsys.readouterr()
     assert calls == [(3, 400)]
     assert counts["edge_solves"] <= 2 and counts["entropy_solves"] == 1, counts
-    assert counts["families"] == 2 and counts["grid_passes"] == 1, counts
+    assert counts["families"] == 1 and counts["grid_passes"] == 1, counts
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])

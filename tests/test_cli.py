@@ -123,6 +123,10 @@ def test_bad_probabilities(capsys):
      "could not parse integers from '10,x'"),
     (["fig1", "--epsilon", "0.1", "--p0-grid", "x"],
      "could not parse numbers from 'x'"),
+    # the library's own rule: an unconditioned source takes no epsilon
+    (["exact-compare", "--p", "0.8,0.2", "--kind", "unconditioned", "--epsilon", "0.1",
+      "--k", "10,20"],
+     "unconditioned sources take no epsilon"),
 ])
 def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     # exit 1 with the one error line on stderr: no traceback, nothing on stdout
@@ -442,7 +446,9 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
 # census that held its types as tuples, before it kept its count matrix; the
 # census_scan_limit one by the scan that stops where --max-types is outgrown; the
 # near-uniform conditioned one, whose l+ edge lies within 1e-12 of c_max, has
-# every cell within 1e-8 of bench/reference.py
+# every cell within 1e-8 of bench/reference.py; the unconditioned-with-epsilon
+# refusal (empty stdout) by the exact-compare that hands epsilon to Source for
+# every kind, checked by hand
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

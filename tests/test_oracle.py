@@ -42,7 +42,7 @@ from guesswork import (
     uniform_typical,
 )
 from guesswork import ranksums
-from guesswork.ranksums import _EM_LOW, _EM_MIN, _em_min, _log_sum_of_logs
+from guesswork.ranksums import _EM_LOW, _EM_MIN, _em_min, _log_sums, _one_block
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -297,7 +297,7 @@ def test_log_rank_power_sum_single_huge_rank():
 
 def test_log_sum_of_logs_single_huge_rank():
     a = 2**1100
-    assert _log_sum_of_logs(a, a) == math.log(math.log(a))
+    assert _log_sums(*_one_block(a, a), ())[1] == math.log(math.log(a))
 
 
 def test_rank_sums_whose_range_ratio_leaves_float_range():
@@ -306,7 +306,7 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
     for alpha in (-1.5, -0.5, 0.5, 1.7):
         want = math.log(n) + alpha * math.log(a)
         assert log_rank_power_sum(a, a + n - 1, alpha) == pytest.approx(want, rel=1e-14)
-    assert _log_sum_of_logs(a, a + n - 1) == pytest.approx(
+    assert _log_sums(*_one_block(a, a + n - 1), ())[1] == pytest.approx(
         math.log(n * math.log(a)), rel=1e-14
     )
     # and above it: sum_{i<=B} i^alpha ~ B^(alpha+1)/(alpha+1), sum log i ~ B (log B - 1)
@@ -315,7 +315,7 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
         want = (alpha + 1.0) * log_b - math.log(alpha + 1.0)
         assert log_rank_power_sum(30000, 2**1100, alpha) == pytest.approx(want, rel=1e-14)
         assert log_rank_power_sum(1, 2**1100, alpha) == pytest.approx(want, rel=1e-14)
-    assert _log_sum_of_logs(30000, 2**1100) == pytest.approx(
+    assert _log_sums(*_one_block(30000, 2**1100), ())[1] == pytest.approx(
         log_b + math.log(log_b - 1.0), rel=1e-14
     )
 
@@ -333,7 +333,7 @@ def test_log_sum_of_logs_matches_loggamma_on_every_route(a):
     for b in (b for b in ends if b >= a):
         with mp.workdps(50):
             want = float(mp.log(mp.loggamma(b + 1) - mp.loggamma(a)))
-        assert abs(_log_sum_of_logs(a, b) - want) <= 1e-14 * abs(want), b
+        assert abs(_log_sums(*_one_block(a, b), ())[1] - want) <= 1e-14 * abs(want), b
 
 
 def test_rank_sums_past_float_range_return_their_limit():
@@ -360,6 +360,21 @@ def test_smallest_nonempty_k_past_one_hundred():
     ]
     assert typical == [169]
     assert smallest_nonempty_k(p, eps, max_types=169) is None
+
+
+def test_smallest_nonempty_k_derives_the_window_once(monkeypatch):
+    # h(p) is computed once per scan, not once per scanned k
+    from guesswork import entropy
+
+    calls, entropy_of = [0], entropy.shannon_entropy
+
+    def counted(l):
+        calls[0] += 1
+        return entropy_of(l)
+
+    monkeypatch.setattr(entropy, "shannon_entropy", counted)
+    assert smallest_nonempty_k((0.41421356, 0.58578644), 1e-5) == 169
+    assert calls == [1]
 
 
 def test_census_sandwich_check_raises(monkeypatch):

@@ -196,7 +196,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
         "conditioned": lambda: gw.conditioned(p, eps),
         "uniform": lambda: gw.uniform_typical(p, eps),
     }[kind]()
-    window = None if kind == "unconditioned" else eps
+    window = None if kind == "unconditioned" else gw.typical_window(p, eps)
     # the per-type definition, one validated TypeVector at a time
     want = [
         (l.counts, gw.type_count(l), -k * gw.cross_entropy(l, p))
@@ -252,7 +252,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 @example(30000, 0, 4.870092411728828e-25)
 @example(10**6, 0, 1e-300)
 def test_direct_rank_sums_match_fsum(a, span, alpha):
-    from guesswork.ranksums import _log_sum_of_logs
+    from guesswork.ranksums import _log_sums, _one_block
 
     b = a + span
     logs = [math.log(i) for i in range(a, b + 1)]
@@ -260,7 +260,7 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
     want = top + math.log(math.fsum(math.exp(alpha * x - top) for x in logs))
     assert _close(gw.log_rank_power_sum(a, b, alpha), want, 1e-13)
     want_logs = math.log(math.fsum(logs)) if b > 1 else -math.inf
-    assert _close(_log_sum_of_logs(a, b), want_logs, 1e-13)
+    assert _close(_log_sums(*_one_block(a, b), ())[1], want_logs, 1e-13)
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,11 +291,11 @@ def test_scgf_vanishes_at_zero(p, frac, kind):
 def _per_block_log_sums(table, alpha):
     """log E[G^alpha] (log E[log G] for alpha None) by one per-range call per block."""
     from guesswork.oracle import _lse
-    from guesswork.ranksums import _log_sum_of_logs
+    from guesswork.ranksums import _log_sums, _one_block
 
     terms = [
         b.log_word_prob
-        + (_log_sum_of_logs(b.start, b.end) if alpha is None
+        + (_log_sums(*_one_block(b.start, b.end), ())[1] if alpha is None
            else gw.log_rank_power_sum(b.start, b.end, alpha))
         for b in table.blocks if b.log_word_prob > -math.inf
     ]
@@ -335,7 +335,7 @@ def _check_kernel_against_blocks(table, alphas):
 
 def _check_size_parts(table):
     """The table's stored size parts against a fresh conversion, and the kernel over them."""
-    from guesswork.ranksums import _int_parts, _log_sum_of_logs, _log_sums
+    from guesswork.ranksums import _int_parts, _log_sums, _one_block
 
     bounds = table.bounds
     sizes = [y - x for x, y in zip(bounds, bounds[1:])]
@@ -355,7 +355,7 @@ def _check_size_parts(table):
     for j, (a, c) in enumerate(zip(bounds, bounds[1:])):
         got, got_logs = _log_sums((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas)
         assert got == [gw.log_rank_power_sum(a, c - 1, alpha) for alpha in alphas], j
-        assert got_logs == _log_sum_of_logs(a, c - 1), j
+        assert got_logs == _log_sums(*_one_block(a, c - 1), ())[1], j
 
 
 @settings(max_examples=25, deadline=None)
@@ -368,7 +368,7 @@ def _check_size_parts(table):
              max_size=3),
 )
 def test_table_kernel_matches_per_range_sums(p, eps, k, kind, alphas):
-    # one kernel pass per table against one log_rank_power_sum / _log_sum_of_logs
+    # one kernel pass per table against one log_rank_power_sum / one-block _log_sums
     # call per block: routes, chunking and the 1/k scaling must not move the sum
     k = min(k, {2: 120, 3: 16, 4: 8}[p.m])
     source = {
@@ -662,8 +662,8 @@ def _model_bits(model):
 @settings(max_examples=100, deadline=None)
 @given(laws_with_a_zero(2, 6), laws_with_a_zero(2, 6), st.floats(0.02, 0.98))
 def test_one_law_models_share_one_family(p, other, frac):
-    # _scgf_models builds a law's three models on one TiltedFamily, and each
-    # equals, field by field and bit for bit, the model scgf_model builds for
+    # _scgf_models builds a law's three models on the TiltedFamily it is given,
+    # and each equals, field by field and bit for bit, the model scgf_model builds for
     # its source alone; sources of two laws are refused
     from guesswork.asymptotics import _scgf_models
 
@@ -671,15 +671,16 @@ def test_one_law_models_share_one_family(p, other, frac):
     assume(top > 1e-9 and low < frac * top)
     sources = [gw.unconditioned(p), gw.conditioned(p, frac * top),
                gw.uniform_typical(p, frac * top)]
-    models = _scgf_models(sources)
-    assert models[0].family is models[1].family is models[2].family
+    family = TiltedFamily(p)
+    models = _scgf_models(sources, family)
+    assert models[0].family is models[1].family is models[2].family is family
     for source, model in zip(sources, models):
         alone = gw.scgf_model(source)
         assert model.source == alone.source
         assert _model_bits(model) == _model_bits(alone)
     if other != p:
         with pytest.raises(gw.DistributionError):
-            _scgf_models([sources[1], gw.unconditioned(other)])
+            _scgf_models([sources[1], gw.unconditioned(other)], family)
 
 
 def tilting_laws():
