@@ -45,7 +45,6 @@ from .asymptotics import (
 from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
 from .errors import (
     DistributionError,
-    EmptyTypicalSetError,
     EpsilonInadmissibleError,
     GridTooLargeError,
     GuessworkError,
@@ -54,9 +53,8 @@ from .errors import (
 )
 from .oracle import (
     SERIES_QUANTITIES,
+    _finite_k_batch,
     convergence_points,
-    finite_k_exponents,
-    naive_enumeration_crosscheck,
     nonempty_scan_limit,
     smallest_nonempty_k,
     trend_holds,
@@ -294,13 +292,10 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     ks = _parse_ks(args.k)
     alphas = _parse_list(args.alpha, float, "numbers") if args.alpha else alphas_or_default(None)
 
-    # one exact table per distinct k serves every series; None marks an empty typical set
-    exps = {}
-    for k in dict.fromkeys(ks):
-        try:
-            exps[k] = finite_k_exponents(source, k, alphas=alphas, max_types=args.max_types)
-        except EmptyTypicalSetError:
-            exps[k] = None
+    # one exact table per distinct k serves every series and cross-check, all
+    # in one kernel pass; None marks an empty typical set
+    exps, checks = _finite_k_batch(source, ks, alphas, max_types=args.max_types,
+                                   max_words=args.max_words)
     # trends are judged over the distinct ks in first-seen order; rows list every k
     valid_ks = [k for k in exps if exps[k] is not None]
     model = scgf_model(source)
@@ -325,16 +320,6 @@ def cmd_exact_compare(args) -> tuple[str, int]:
             else:
                 rows.append((label, k, a, None, None, None, "empty_typical_set"))
         trends[label] = trend_holds(points)
-
-    checks = []
-    if args.max_words:
-        for k in valid_ks:
-            if p.m**k <= args.max_words:
-                ok = naive_enumeration_crosscheck(
-                    source, k, alphas=tuple(alphas),
-                    max_words=args.max_words, max_types=args.max_types,
-                )
-                checks.append((k, ok))
 
     payload = {
         "rows": None,

@@ -5,11 +5,14 @@ probability, so the optimal (probability-descending) guessing order is a
 sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
-held as columns, and one kernel (ranksums._log_sums) takes every block's
-rank sums in one pass over them per route threshold, which is a function
-of alpha (4,096 or 30,000, ranksums._em_min): direct numpy sums for the
-ranks below it, and a corrected Euler-Maclaurin closed form for the ranks
-from it on, however many, which keeps k ~ 10^3 affordable for m = 2.
+held as columns, and one kernel (ranksums._log_sums) takes the rank sums
+of every table of a request in one kernel pass per request: one pass over
+their blocks per route threshold, which is a function of alpha (4,096 or
+30,000, ranksums._em_min): direct numpy sums for the ranks below it, and a
+corrected Euler-Maclaurin closed form for the ranks from it on, however
+many, which keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare`
+builds each distinct k's table once (_finite_k_batch), and its naive
+cross-check reads that table.
 
 A separate naive oracle holds one float64 log-probability per word (numpy,
 guarded to m^k <= 2^22), so the two routes can be cross-checked against
@@ -50,7 +53,7 @@ from .errors import (
     EmptyTypicalSetError,
     WordSpaceTooLargeError,
 )
-from .ranksums import _int_parts, _log_parts, _log_sums, _lse
+from .ranksums import _check_alphas, _int_parts, _log_parts, _log_sums, _lse
 from .ranksums import log_rank_power_sum  # re-exported as guesswork.oracle.log_rank_power_sum
 
 MAX_WORDS_DEFAULT = 2**22
@@ -119,10 +122,16 @@ class ExactGuessTable:
                          map(int.__sub__, b[1:], b), b, self.log_word_prob.tolist()))
 
     def _log_sums(self, alphas, *, scale: float = 1.0):
-        # the table's law is normalised, so E[G^0] = 1 and its log is 0 exactly
-        out, log_logs = _log_sums(self.bounds, self.size_parts, self.log_word_prob, alphas,
-                                  scale=scale)
-        return [0.0 if a == 0.0 else v for a, v in zip(alphas, out)], log_logs
+        return _tables_log_sums([(self, scale)], alphas)[0]
+
+
+def _tables_log_sums(pairs, alphas):
+    """One kernel pass over (table, scale) pairs: per pair, the scaled log E[G^alpha]
+    per alpha and log E[log G]. Each table's law is normalised, so E[G^0] = 1
+    and its log is 0 exactly."""
+    out = _log_sums([(t.bounds, t.size_parts, t.log_word_prob, s) for t, s in pairs], alphas)
+    return [([0.0 if a == 0.0 else v for a, v in zip(alphas, logs)], log_logs)
+            for logs, log_logs in out]
 
 
 def _class_sizes(counts: np.ndarray) -> list[int]:
@@ -349,14 +358,23 @@ def finite_k_exponents(
     alphas: tuple[float, ...] | None = None,
     max_types: int = MAX_TYPES_DEFAULT,
 ) -> FiniteKExponents:
-    """Compute every scaled exponent of `source` at word length k exactly."""
+    """Compute every scaled exponent of `source` at word length k exactly.
+
+    One table and one kernel pass, its terms scaled by 1/k, so a huge alpha
+    stays finite wherever (1/k) log E[G^alpha] does; `guessctl exact-compare`
+    takes every k of a request in one pass (_finite_k_batch).
+    """
     table = build_guess_table(source, k, max_types=max_types)
     alphas = alphas_or_default(alphas)
-    # one kernel pass; its terms scaled by 1/k, so a huge alpha stays finite
-    # wherever (1/k) log E[G^alpha] does
-    logs, log_mean_log = table._log_sums(alphas, scale=1.0 / k)
+    return _exponents(table, alphas, table._log_sums(alphas, scale=1.0 / k))
+
+
+def _exponents(table: ExactGuessTable, alphas, sums) -> FiniteKExponents:
+    """FiniteKExponents of a table from its kernel results at scale 1/k."""
+    k = table.k
+    logs, log_mean_log = sums
     size_exp = None
-    if source.kind is not SourceKind.UNCONDITIONED:
+    if table.source.kind is not SourceKind.UNCONDITIONED:
         size_exp = math.log(table.total_words) / k
     return FiniteKExponents(
         k=k,
@@ -366,6 +384,42 @@ def finite_k_exponents(
         modal_count_exponent=math.log(modal_word_count(table)) / k,
         typical_size_exponent=size_exp,
     )
+
+
+def _finite_k_batch(
+    source: Source,
+    ks,
+    alphas: tuple[float, ...] | None,
+    *,
+    max_types: int = MAX_TYPES_DEFAULT,
+    max_words: int = 0,
+) -> tuple[dict[int, FiniteKExponents | None], list[tuple[int, bool]]]:
+    """finite_k_exponents at every distinct k of ks, and the naive cross-check
+    at each of them with m^k <= max_words (none when max_words is 0), from one
+    kernel pass.
+
+    The alphas are checked first; then each distinct k's table is built once
+    (None for an empty typical set), and one kernel pass takes every table at
+    scale 1/k and, unscaled, every table the cross-check reads. Returns the
+    exponents by k, in first-seen order, and (k, ok) per cross-checked k.
+    """
+    alphas = alphas_or_default(alphas)
+    _check_alphas(alphas)
+    tables = {}
+    for k in dict.fromkeys(ks):
+        try:
+            tables[k] = build_guess_table(source, k, max_types=max_types)
+        except EmptyTypicalSetError:
+            tables[k] = None
+    built = [t for t in tables.values() if t is not None]
+    checked = [t for t in built if max_words and source.p.m**t.k <= max_words]
+    sums = _tables_log_sums([(t, 1.0 / t.k) for t in built] + [(t, 1.0) for t in checked],
+                            alphas)
+    scaled = dict(zip((t.k for t in built), sums))
+    exps = {k: None if t is None else _exponents(t, alphas, scaled[k]) for k, t in tables.items()}
+    checks = [(t.k, _crosscheck(t, alphas, s, _naive_word_logs(source, t.k, max_words)))
+              for t, s in zip(checked, sums[len(built):])]
+    return exps, checks
 
 
 @dataclass(frozen=True)
@@ -521,22 +575,12 @@ def _log_sum_exp(v: np.ndarray) -> float:
     return top + math.log(float(np.exp(v, out=v).sum()))
 
 
-def naive_enumeration_crosscheck(
-    source: Source,
-    k: int,
-    *,
-    alphas: tuple[float, ...] | None = None,
-    max_words: int = MAX_WORDS_DEFAULT,
-    max_types: int = MAX_TYPES_DEFAULT,
-) -> bool:
-    """Word-by-word enumeration oracle vs the type-based table.
+def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
+    """The normalised log-probability of every word of the source at length k,
+    descending: the naive oracle's side of the cross-check.
 
-    Enumerates all m^k words individually, one float64 log-probability per
-    word (numpy), keeps the typical ones by the table's own window mask,
-    sorts by probability, and recomputes every log moment, log E log G,
-    log P(G=1) and the modal count in the log domain, as the table holds
-    them, then compares against the block route. True iff every log agrees
-    within CROSSCHECK_REL_TOL and the counts are equal.
+    One float64 per word (numpy), built one digit at a time; the typical
+    ones are kept by the table's own window mask.
     """
     p = source.p
     m = p.m
@@ -558,24 +602,28 @@ def naive_enumeration_crosscheck(
         logw = logw[_in_window(-logw / k, typical_window(p, source.epsilon))]
         if logw.size == 0:
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
-    n = logw.size
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         logw.fill(0.0)  # every typical word equally likely
     else:
         np.negative(logw, out=logw)  # descending, sorted in place
         logw.sort()
         np.negative(logw, out=logw)
+    logw -= _log_sum_exp(logw.copy())  # normalised in place
+    return logw
+
+
+def _crosscheck(table: ExactGuessTable, alphas, sums, log_prob: np.ndarray) -> bool:
+    """The naive oracle's word logs (_naive_word_logs) against a table and its
+    unscaled kernel results `sums` at `alphas`: every log within
+    CROSSCHECK_REL_TOL, and the modal and total word counts equal."""
+    n = log_prob.size
     log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
-    scratch = logw.copy()  # every log-sum-exp below works in place in this one array
-    log_prob = logw  # normalised in place
-    log_prob -= _log_sum_exp(scratch)
-    table = build_guess_table(source, k, max_types=max_types)
+    scratch = np.empty(n)  # every log-sum-exp below works in place in this one array
 
     def log_mean(terms):  # log E[exp terms] under the word law, terms held in scratch
         return _log_sum_exp(np.add(log_prob, terms, out=scratch))
 
-    alphas = alphas_or_default(alphas)
-    logs, log_mean_log = table._log_sums(alphas)
+    logs, log_mean_log = sums
     # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
     with np.errstate(divide="ignore", over="ignore"):
         pairs = [(log_mean(np.multiply(log_ranks, a, out=scratch)), lv)
@@ -586,3 +634,26 @@ def naive_enumeration_crosscheck(
         return False
     modal = int(np.count_nonzero(log_prob >= log_prob[0] - RANK_TIE_TOL))
     return modal == modal_word_count(table) and n == table.total_words
+
+
+def naive_enumeration_crosscheck(
+    source: Source,
+    k: int,
+    *,
+    alphas: tuple[float, ...] | None = None,
+    max_words: int = MAX_WORDS_DEFAULT,
+    max_types: int = MAX_TYPES_DEFAULT,
+) -> bool:
+    """Word-by-word enumeration oracle vs the type-based table.
+
+    Enumerates all m^k words individually, one float64 log-probability per
+    word (numpy), keeps the typical ones by the table's own window mask,
+    sorts by probability, and recomputes every log moment, log E log G,
+    log P(G=1) and the modal count in the log domain, as the table holds
+    them, then compares against the block route. True iff every log agrees
+    within CROSSCHECK_REL_TOL and the counts are equal.
+    """
+    log_prob = _naive_word_logs(source, k, max_words)
+    table = build_guess_table(source, k, max_types=max_types)
+    alphas = alphas_or_default(alphas)
+    return _crosscheck(table, alphas, table._log_sums(alphas), log_prob)

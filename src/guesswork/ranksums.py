@@ -1,11 +1,14 @@
-"""Exact rank sums over the blocks of a guess table.
+"""Exact rank sums over the blocks of guess tables.
 
 A guess table puts each type class on a range of consecutive ranks, so
 every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
 (or sum log i for E[log G]), with a and b exact integers that pass float
-range for binary words at k ~ 10^3. `_log_sums` takes these sums for a whole
-table in one pass per threshold over per-block arrays; `log_rank_power_sum` runs
-it on one range (`_one_block`). Each alpha is routed by its own
+range for binary words at k ~ 10^3. `_log_sums` takes these sums for a list
+of tables, every table of a request, in one kernel pass per request: per
+threshold, each route runs once over the blocks of all the tables, the
+alphas as the rows of 2-D arrays, and one 2-D log-sum-exp
+(`_lse_segments`) sums every table; `log_rank_power_sum` runs it on one
+range (`_one_block`). Each alpha is routed by its own
 threshold, `_em_min(alpha)`: ranks below it are summed directly, ranks from
 it on by the corrected midpoint Euler-Maclaurin closed form, and the one
 range that straddles it is split there. The threshold is _EM_LOW = 4,096
@@ -13,15 +16,16 @@ where the first term the closed form neglects is at most 1e-16 of the sum
 there and alpha is not near 0 (about 1e-2 <= |alpha|, -0.98 <= alpha <=
 3.98, the default alphas among them), and _EM_MIN = 30,000 for every other
 alpha; the sum of logs takes _EM_LOW. alpha = 0, the block size, is log n.
-Every log-sum-exp (`_lse`) takes its sum from `_exact_sum`, which returns
-math.fsum's correctly rounded float, by a guarded numpy cascade on long
-inputs.
+Every log-sum-exp returns its sum correctly rounded, as math.fsum does:
+by math.fsum over the terms that can move the rounding (`_pruned_sum`),
+else by `_exact_sum`, a guarded numpy cascade on long inputs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +64,15 @@ _FAR_RATIO = 2.0**1000
 # Sums of at least this many terms take _exact_sum's numpy cascade, shorter
 # ones math.fsum, which is the cheaper of the two below about 1,000 terms.
 _CASCADE_MIN = 1000
+
+# The Euler-Maclaurin route takes its alphas in chunks of rows of at most this
+# many cells (or one row): more rows per numpy call stop paying once the
+# temporaries leave the cache.
+_ROW_CELLS = 1 << 12
+
+# A log-sum-exp row's terms below this (its largest is 1) are summed one by
+# one only when they can move the rounding of the rest (_pruned_sum).
+_PRUNE = 2.0**-80
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -114,21 +127,109 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
+def _pruned_sum(head: list[float], rest: int) -> float | None:
+    """math.fsum of a log-sum-exp row from its terms >= _PRUNE alone, or None.
+
+    The row's largest term is exp(0) = 1, and its other `rest` terms are
+    each below _PRUNE, so they add less than c = rest * _PRUNE, exactly. By
+    monotone rounding, fl(head) == fl(head + c) (both math.fsum) brackets the
+    whole row's correctly rounded sum, which is then that float. Otherwise
+    the tail may decide the rounding (a tie such as 1 + 2^-53), and None
+    sends the row to _exact_sum; a nan stays in the head, so it does too.
+    """
+    s = math.fsum(head)
+    if rest:
+        head.append(rest * _PRUNE)
+        if math.fsum(head) != s:
+            return None
+    return s
+
+
+def _prunes(kept, size):
+    """Whether a row of `size` terms, `kept` of them >= _PRUNE, takes _pruned_sum.
+
+    Its two sums over the kept terms must be cheaper than one over the row:
+    at most half the row is kept, and fewer than _CASCADE_MIN terms.
+    """
+    return (kept < _CASCADE_MIN) & (2 * kept <= size)
+
+
+def _segment_sum(top: float, scale: float, head: list[float] | None, x: np.ndarray) -> float:
+    """top + scale * log of the sum of one segment's exponentials x.
+
+    head holds x's terms >= _PRUNE where _prunes, else it is None. The sum
+    is _pruned_sum's, or _exact_sum's where that cannot decide it or there
+    is no head. A non-finite top (every term -inf, or a +inf or nan among
+    them) is the result.
+    """
+    if not math.isfinite(top):
+        return top
+    s = None if head is None else _pruned_sum(head, x.size - len(head))
+    if s is None:
+        s = _exact_sum(x)
+    return top + scale * math.log(s)
+
+
+def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[float]]:
+    """_lse over column segments of a 2-D array, per row, in one numpy pass.
+
+    The columns of `terms` (already multiplied by their scale) fall into
+    consecutive segments of `sizes` columns, none empty; scales[r][j] is row
+    r's scale on segment j. Returns, per row, one float per segment: what
+    _lse gives for that row's segment, bit for bit. The maxima,
+    exponentials and kept terms of every segment come from one pass; each
+    sum is _segment_sum's.
+    """
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(all="ignore"):
+        tops = np.maximum.reduceat(terms, starts, axis=1)
+        top_cols, scale_cols = tops, np.asarray(scales, dtype=np.float64)
+        if len(starts) > 1:  # else the one segment's top and scale broadcast
+            top_cols = np.repeat(tops, sizes, axis=1)
+            scale_cols = np.repeat(scale_cols, sizes, axis=1)
+        x = terms - top_cols
+        x /= scale_cols
+        np.exp(x, out=x)
+    keep = x < _PRUNE
+    np.logical_not(keep, out=keep)  # a nan is kept
+    kept = np.add.reduceat(keep, starts, axis=1, dtype=np.intp)
+    pruned = _prunes(kept, sizes)
+    heads = []
+    if pruned.any():
+        if not pruned.all():  # only the heads that _pruned_sum takes
+            keep &= np.repeat(pruned, sizes, axis=1)
+        heads = x[keep].tolist()
+    segments = list(zip(starts.tolist(), sizes.tolist()))
+    out, i = [], 0
+    for r, (tops_r, scales_r, kept_r, pruned_r) in enumerate(
+            zip(tops.tolist(), scales, kept.tolist(), pruned.tolist())):
+        row = []
+        for top, scale, n, prune, (a, size) in zip(tops_r, scales_r, kept_r, pruned_r, segments):
+            head = None
+            if prune:
+                head, i = heads[i : i + n], i + n
+            row.append(_segment_sum(top, scale, head, x[r, a : a + size]))
+        out.append(row)
+    return out
+
+
 def _lse(terms, scale: float = 1.0) -> float:
-    """scale * log sum_i exp(terms_i / scale), the sum correctly rounded (_exact_sum).
+    """scale * log sum_i exp(terms_i / scale), the sum correctly rounded (_segment_sum).
 
     The terms come already multiplied by scale, so that a caller after
     (1/k) log of a sum can keep terms finite whose unscaled values would
     overflow. -inf terms drop out; a +inf term makes the result +inf.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    terms = terms[terms != -math.inf]
     if not terms.size:
         return -math.inf
     top = float(terms.max())
-    if top == math.inf:
-        return math.inf
-    return top + scale * math.log(_exact_sum(np.exp((terms - top) / scale)))
+    if not math.isfinite(top):  # every term -inf, or a +inf or nan among them
+        return top
+    x = np.exp((terms - top) / scale)
+    keep = ~(x < _PRUNE)
+    head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
+    return _segment_sum(top, scale, head, x)
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -177,21 +278,21 @@ def _em_min(alpha: float) -> int:
 def _direct_route(a, cnt, powers):
     """Direct sums over blocks of cnt[j] ranks from a[j] (int64), all below their threshold.
 
-    The ranks are exact floats, summed in one pass over their logs. Returns,
-    per alpha, (lam, rho) with log sum_i i^alpha = alpha lam + rho, lam the
-    log of the block's largest term's rank; and log sum_i log i per block.
+    The ranks are exact floats, summed in one pass over their logs, the
+    alphas as rows. Returns (lam, rho), one row per alpha and one column per
+    block, with log sum_i i^alpha = alpha lam + rho, lam the log of the
+    block's largest term's rank; and log sum_i log i per block.
     """
     off = np.cumsum(cnt) - cnt
     log_i = np.arange(int(off[-1] + cnt[-1]), dtype=np.float64)
     log_i += np.repeat(a - off, cnt)
     np.log(log_i, out=log_i)
-    sums = []
-    for alpha in powers:
-        lam = log_i[off + cnt - 1] if alpha > 0.0 else log_i[off]
-        d = log_i - np.repeat(lam, cnt)
-        d *= alpha
-        sums.append((lam, np.log(np.add.reduceat(np.exp(d, out=d), off))))
-    return sums, np.log(np.add.reduceat(log_i, off))
+    alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
+    lam = np.where(alpha > 0.0, log_i[off + cnt - 1], log_i[off])
+    d = log_i - np.repeat(lam, cnt, axis=1)
+    d *= alpha
+    rho = np.log(np.add.reduceat(np.exp(d, out=d), off, axis=1))
+    return (lam, rho), np.log(np.add.reduceat(log_i, off))
 
 
 def _em_route(a_parts, n_parts, powers):
@@ -200,8 +301,9 @@ def _em_route(a_parts, n_parts, powers):
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
     integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral
     (a^alpha itself when n = 1), and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
-    per alpha (lam, rho) with log sum = alpha lam + rho, and the log sum of
-    logs per block.
+    (lam, rho) with log sum = alpha lam + rho, rho one row per alpha and
+    one column per block, lam the same or, when every alpha + 1 has one
+    sign, one row for all of them; and the log sum of logs per block.
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
     # a one-rank block is a^alpha, taken as alpha log a: the form's O(alpha)
@@ -218,26 +320,50 @@ def _em_route(a_parts, n_parts, powers):
     log_ratio = log_n - log_y
     t = np.where(ratio < _FAR_RATIO, np.log1p(ratio), log_ratio)  # log(X/Y)
     log_x = log_y + t
-    sums = []
-    for alpha in powers:
-        s = alpha + 1.0
-        if s > 0.0:
-            lam = log_x
-            rest = np.log(-np.expm1(-s * t)) - math.log(s)
-            e_x = -2.0 * log_x - rest
-            e_y = e_x - (alpha - 1.0) * t
-        else:
-            lam = log_y
-            rest = np.log(t) if s == 0.0 else np.log(-np.expm1(s * t)) - math.log(-s)
-            e_y = -2.0 * log_y - rest
-            e_x = e_y + (alpha - 1.0) * t
-        # the first midpoint correction, -(1/24)(f'(X) - f'(Y)), as a ratio to the
-        # integral: O(alpha^2/a^2); where it is not small, alpha is out of the
-        # closed form's reach and the integral alone stands
-        corr = (alpha / 24.0) * (np.exp(e_y) - np.exp(e_x))
-        rho = lam + rest + np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
-        lam, rho = np.where(tiny, log_y, lam), np.where(tiny, log_y + log_ratio, rho)
-        sums.append((np.where(one, log_a, lam), np.where(one, 0.0, rho)))
+    # with s = alpha + 1, the integral is X^s (1 - (Y/X)^s) / s from the top end X
+    # when s > 0 (up), Y^s (1 - (X/Y)^s) / -s from Y when s < 0: lam + rest with
+    # lam = log X or log Y and rest = log((1 - exp(-|s| t)) / |s|), log |s| by
+    # math.log; at s = 0 it is Y^0 log(X/Y). Whatever alpha, a tiny range's
+    # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
+    alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
+    neg_s = -np.abs(alpha + 1.0)
+    log_s = np.reshape([math.log(abs(a + 1.0)) if a != -1.0 else 0.0 for a in powers], (-1, 1))
+    fixed = tiny | one
+    fixed_rho = np.where(one, 0.0, log_y + log_ratio)
+    lams = {}  # the lam row of each sign of s
+    rho_out = np.empty((len(powers), t.size))
+    # the alphas in runs of one sign of s, each in chunks of rows that keep
+    # every temporary small
+    chunk = max(1, _ROW_CELLS // t.size)
+    i = 0
+    for up, run in groupby(powers, key=lambda a: a + 1.0 > 0.0):
+        run = list(run)
+        end = i + len(run)
+        lam = log_x if up else log_y
+        two_lam = -2.0 * lam
+        lams.setdefault(up, np.where(one, log_a, np.where(tiny, log_y, lam)))
+        for c in range(i, end, chunk):
+            rows = slice(c, min(c + chunk, end))
+            rest = np.log(-np.expm1(neg_s[rows] * t)) - log_s[rows]
+            if -1.0 in powers[rows]:
+                rest[powers[rows].index(-1.0)] = np.log(t)
+            far = two_lam - rest  # log of lam's end to the power alpha - 1, over the integral
+            step = (alpha[rows] - 1.0) * t
+            e_y, e_x = (far - step, far) if up else (far, far + step)
+            # the first midpoint correction, -(1/24)(f'(X) - f'(Y)), as a ratio to the
+            # integral: O(alpha^2/a^2); where it is not small, alpha is out of the
+            # closed form's reach and the integral alone stands
+            corr = (alpha[rows] / 24.0) * (np.exp(e_y) - np.exp(e_x))
+            rho = np.add(lam, rest, out=rho_out[rows])
+            rho += np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
+            np.copyto(rho, fixed_rho, where=fixed)
+        i = end
+    # when s has one sign, lam is one row that broadcasts over the alphas
+    if len(lams) == 2:
+        lam_out = np.where(alpha + 1.0 > 0.0, lams[True], lams[False])
+    else:
+        lam_out = next(iter(lams.values()), log_x)
+    sums = (lam_out, rho_out)
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
     # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
     near = np.where(
@@ -252,42 +378,91 @@ def _em_route(a_parts, n_parts, powers):
     return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
 
 
-def _routes(bounds, n_m, n_e, log_w, em_min, powers):
-    """The routes of one threshold over the live blocks, as [(route sums, log weights)].
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    One numpy pass over the ranks below em_min, from exact int64 bounds;
-    Euler-Maclaurin for the blocks from em_min on, whose starts alone are
-    converted; and the one block that straddles em_min ends its direct head
-    there, its tail from em_min on summed as one more Euler-Maclaurin block
-    at that block's weight.
+
+def _tier(tables, em_min, powers, logs):
+    """One threshold's terms over the live blocks of every table, as one 2-D array.
+
+    Each table's ranks below em_min are summed directly and those from it
+    on by Euler-Maclaurin; the one block that straddles em_min ends its
+    direct head there, its tail from em_min on one more Euler-Maclaurin
+    block at that block's weight. Both routes run once, over the blocks of
+    all the tables, the Euler-Maclaurin starts converted in one _int_parts
+    pass. Returns the terms, one row per power (alpha lam + w + rho, times
+    the table's scale) and, if logs, a last row of w + log sum log i; their
+    columns grouped by table, and each table's number of columns.
     """
-    n = log_w.size
+    direct_a, direct_n, direct_w, heads = [], [], [], []
+    em_starts, em_m, em_e, em_w, tails = [], [], [], [], []
+    for bounds, n_m, n_e, log_w, _ in tables:
+        n = log_w.size
+        # blocks ascend, so the direct ones, starting below em_min, are the first d
+        d = bisect_left(bounds, em_min, hi=n)
+        if d:
+            edges = np.array((*bounds[:d], min(bounds[d], em_min)), dtype=np.int64)
+            direct_a.append(edges[:-1])
+            direct_n.append(edges[1:] - edges[:-1])
+            direct_w.append(log_w[:d])
+        j = d - 1 if d and bounds[d] > em_min else d  # block j straddles em_min
+        if j < d:  # its tail is one more Euler-Maclaurin block
+            t_m, t_e = _int_parts((bounds[d] - em_min,))
+            em_starts.append(em_min)
+            em_m.append(t_m)
+            em_e.append(t_e)
+        em_starts += bounds[d:n]
+        em_m.append(n_m[d:])
+        em_e.append(n_e[d:])
+        em_w.append(log_w[j:])
+        heads.append(d)
+        tails.append(n - j)
+    scales = np.array([s for *_, s in tables])
+    alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     groups = []
-    # blocks ascend, so the direct ones, starting below em_min, are the first d
-    d = bisect_left(bounds, em_min, hi=n)
-    if d:
-        edges = np.array((*bounds[:d], min(bounds[d], em_min)), dtype=np.int64)
-        groups.append((_direct_route(edges[:-1], np.diff(edges), powers), log_w[:d]))
-    if d and bounds[d] > em_min:  # the straddling block's tail
-        t_m, t_e = _int_parts((bounds[d] - em_min,))
-        j, starts = d - 1, (em_min, *bounds[d:n])
-        sizes = (np.concatenate((t_m, n_m[d:])), np.concatenate((t_e, n_e[d:])))
-    else:
-        j, starts, sizes = d, bounds[d:n], (n_m[d:], n_e[d:])
-    if j < n:
-        groups.append((_em_route(_int_parts(starts), sizes, powers), log_w[j:]))
-    return groups
+    if direct_a:
+        groups.append((_direct_route(_join(direct_a), _join(direct_n), powers), _join(direct_w),
+                       heads))
+    if em_starts:
+        sizes = (_join(em_m), _join(em_e))
+        groups.append((_em_route(_int_parts(em_starts), sizes, powers), _join(em_w), tails))
+    cols = np.add(heads, tails)
+    terms = np.empty((len(powers) + logs, int(cols.sum())))
+    c = 0
+    for ((lam, rho), rho_logs), w, per_table in groups:
+        scale = np.repeat(scales, per_table)
+        rows = terms[: len(powers), c : c + w.size]
+        np.add(w, rho, out=rows)
+        rows *= scale
+        rows += (alpha * scale) * lam  # (alpha scale) lam + scale (w + rho)
+        if logs:
+            np.add(w, rho_logs, out=terms[-1, c : c + w.size])
+        c += w.size
+    if len(tables) > 1:  # each table's columns together, in route order
+        owner = np.concatenate([np.repeat(np.arange(len(tables)), n) for *_, n in groups])
+        terms = terms[:, np.argsort(owner, kind="stable")]
+    return terms, cols
 
 
-def _log_sums(bounds, size_parts, log_weights, alphas, *, scale: float = 1.0):
-    """The rank-sum kernel: one pass over blocks of consecutive ranks per threshold.
+def _check_alphas(alphas) -> None:
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise DistributionError(f"alpha must be finite, got {alpha}")
 
-    Block j holds ranks bounds[j] .. bounds[j + 1] - 1 (exact, strictly
-    ascending ints) at log weight log_weights[j]; size_parts are the sizes
-    as _int_parts gives them, taken once by the caller. The weights descend,
-    so the blocks of weight 0, which are skipped, are the last ones. Returns
-    [scale * log sum_j w_j sum_{i in j} i^alpha for each alpha] and
-    log sum_j w_j sum_{i in j} log i.
+
+def _log_sums(*args, scale: float = 1.0):
+    """The rank-sum kernel: one pass per threshold over the blocks of a list of tables.
+
+    _log_sums(tables, alphas) takes each table as (bounds, size_parts,
+    log_weights, scale). Its block j holds ranks bounds[j] .. bounds[j + 1] - 1
+    (exact, strictly ascending ints) at log weight log_weights[j];
+    size_parts are the sizes as _int_parts gives them, taken once by the
+    caller. The weights descend, so the blocks of weight 0, which are
+    skipped, are the last ones. Returns, per table,
+    ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
+    log sum_j w_j sum_{i in j} log i). _log_sums(bounds, size_parts,
+    log_weights, alphas, scale=s) is the pair of the one table
+    (bounds, size_parts, log_weights, s).
 
     Every alpha but 0 is routed at its own threshold, _em_min(alpha): the
     ranks below it summed directly, the ranks from it on by the corrected
@@ -296,39 +471,51 @@ def _log_sums(bounds, size_parts, log_weights, alphas, *, scale: float = 1.0):
     for -14.6 <= alpha <= 17.6 (log_rank_power_sum states the bound). The
     alphas are grouped by threshold, so the ranks are split at most twice:
     at _EM_LOW, where the sum of logs is taken as well, and at _EM_MIN.
+    Each threshold runs each route once over the blocks of all the tables,
+    the alphas as the rows of 2-D arrays, and makes one _lse_segments call,
+    so a table's results are, bit for bit, those it gets alone.
     alpha = 0 is log n per block. The terms stay scaled, so a huge alpha
     overflows only where scale * log of the sum would. A non-finite alpha
     raises DistributionError.
     """
-    for alpha in alphas:
-        if not math.isfinite(alpha):
-            raise DistributionError(f"alpha must be finite, got {alpha}")
-    log_w = np.asarray(log_weights, dtype=np.float64)
-    n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
-    if not n:
-        return [-math.inf for _ in alphas], -math.inf
-    log_w, n_m, n_e = log_w[:n], size_parts[0][:n], size_parts[1][:n]
+    if len(args) == 4:
+        *table, alphas = args
+        return _log_sums([(*table, scale)], alphas)[0]
+    tables, alphas = args
+    _check_alphas(alphas)
+    out = [([-math.inf for _ in alphas], -math.inf) for _ in tables]
+    live, at = [], []
+    for i, (bounds, (n_m, n_e), log_w, s) in enumerate(tables):
+        log_w = np.asarray(log_w, dtype=np.float64)
+        n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
+        if n:
+            live.append((bounds, n_m[:n], n_e[:n], log_w[:n], s))
+            at.append(i)
+    if not live:
+        return out
     powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
     tiers: dict[int, list[float]] = {_EM_LOW: []}  # the sum of logs takes the low tier
     for alpha in powers:
         tiers.setdefault(_em_min(alpha), []).append(alpha)
 
+    scales = [s for *_, s in live]
     with np.errstate(all="ignore"):
-        terms: dict[float, list[np.ndarray]] = {a: [] for a in powers}
-        log_terms = []
+        sums = {}
         for em_min, group in tiers.items():
-            for (sums, rho_logs), w in _routes(bounds, n_m, n_e, log_w, em_min, group):
-                for alpha, (lam, rho) in zip(group, sums):
-                    terms[alpha].append((alpha * scale) * lam + scale * (w + rho))
-                if em_min == _EM_LOW:
-                    log_terms.append(w + rho_logs)
-        out = []
-        for alpha in alphas:
-            if alpha == 0.0:  # sum_i i^0 is the block size n
-                out.append(_lse(scale * (log_w + _log_parts(n_m, n_e)), scale))
-            else:
-                out.append(_lse(np.concatenate(terms[alpha]), scale))
-        return out, _lse(np.concatenate(log_terms))
+            logs = em_min == _EM_LOW
+            terms, cols = _tier(live, em_min, group, logs)
+            row_scales = [scales] * len(group) + ([[1.0] * len(live)] if logs else [])
+            rows = _lse_segments(terms, row_scales, cols)
+            sums.update(zip(group, rows))
+            if logs:
+                log_logs = rows[-1]
+        if 0.0 in alphas:  # sum_i i^0 is the block size n
+            terms = np.concatenate([s * (w + _log_parts(m, e)) for _, m, e, w, s in live])
+            cols = np.array([w.size for *_, w, _ in live])
+            sums[0.0] = _lse_segments(terms.reshape(1, -1), [scales], cols)[0]
+    for j, i in enumerate(at):
+        out[i] = ([sums[a][j] for a in alphas], log_logs[j])
+    return out
 
 
 def _one_block(a: int, b: int):
@@ -360,4 +547,4 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     alpha raises DistributionError. The table kernel (_log_sums) run on one
     block.
     """
-    return _log_sums(*_one_block(a, b), (float(alpha),))[0][0]
+    return _log_sums([(*_one_block(a, b), 1.0)], (float(alpha),))[0][0][0]

@@ -50,6 +50,10 @@ _BLOCK_CELLS = 1 << 15
 # bracket and start each target, between the family's ends 0 and inf
 _GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0),
                         2.0 ** (np.arange(65, 193) / 4.0), [math.inf]))
+# _GRID[1:_HEAD] is the head, up to 2^16; the 128 tilts past it are the tail
+_HEAD = 258
+# exp(-x) rounds to 0 for x >= this (it is below half the least subnormal)
+_UNDERFLOW = 746.0
 
 
 class TiltedFamily:
@@ -165,8 +169,7 @@ class TiltedFamily:
         if not n:
             return x
         if self._grid is None:
-            rows = [self._moments(_GRID[1:-1][block]) for block in self._blocks(len(_GRID) - 2)]
-            self._grid = [np.concatenate(moment) for moment in zip(*rows)]
+            self._grid = self._grid_moments()
         v, s = np.full(len(_GRID), math.nan), np.full(len(_GRID), math.nan)  # nan at 0 and inf
         v[1:-1], s[1:-1] = residual(self, _GRID[1:-1], *self._grid)
         # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
@@ -209,6 +212,23 @@ class TiltedFamily:
                         b = step
                 beta[live], lower[live], upper[live] = b, lo, hi
         return beta
+
+    def _grid_moments(self) -> list[np.ndarray]:
+        """The moments at _GRID's finite tilts, evaluated in _blocks.
+
+        From 2^16 on, a letter whose gap below the top is at least
+        _UNDERFLOW / 2^16 weighs exp(-beta * gap) = 0. When every letter below
+        the top does, each tail row's weights, and so its moments, are the
+        head's last row bit for bit: only the head is evaluated, and its last
+        row is repeated. Only a law with letters within about 1.1% of its
+        likeliest evaluates the tail.
+        """
+        below = self.gaps[self.gaps > 0.0]
+        near = (below < _UNDERFLOW / _GRID[_HEAD - 1]).any()
+        n = len(_GRID) - 2 if near else _HEAD - 1
+        rows = [self._moments(_GRID[1 : n + 1][block]) for block in self._blocks(n)]
+        return [np.concatenate((*moment, np.repeat(moment[-1][-1:], len(_GRID) - 2 - n)))
+                for moment in zip(*rows)]
 
     def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.

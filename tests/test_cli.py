@@ -311,6 +311,36 @@ def test_exact_compare_naive_crosscheck(capsys):
     assert all(l.endswith(":ok") for l in checks)
 
 
+def test_exact_compare_is_one_kernel_pass_and_one_table_per_k(capsys, monkeypatch):
+    # three ks, one empty and one repeated, two of them cross-checked: each
+    # distinct k's table is built once, the cross-check reads the table its
+    # series use, and one kernel pass takes every table, scaled and unscaled
+    from guesswork import oracle
+
+    passes, builds = [], []
+    kernel, build = oracle._log_sums, oracle.build_guess_table
+
+    def counted_kernel(tables, alphas):
+        passes.append([s for *_, s in tables])
+        return kernel(tables, alphas)
+
+    def counted_build(source, k, **kw):
+        builds.append(k)
+        return build(source, k, **kw)
+
+    monkeypatch.setattr(oracle, "_log_sums", counted_kernel)
+    monkeypatch.setattr(oracle, "build_guess_table", counted_build)
+    code, out, _ = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1",
+        "--k", "2,6,10,6", "--max-words", "2000",
+    ])
+    assert code == 0
+    assert builds == [2, 6, 10]  # k = 2 has no typical type
+    assert passes == [[1.0 / 6, 1.0 / 10, 1.0, 1.0]]
+    checks = [l for l in out.splitlines() if l.startswith("# crosscheck:")]
+    assert checks == ["# crosscheck:k=6:ok", "# crosscheck:k=10:ok"]
+
+
 _CROSSCHECK_16_17 = ["exact-compare", "--kind", "unconditioned", "--p", "0.8,0.2",
                      "--k", "16,17", "--max-words", "200000"]
 

@@ -738,3 +738,95 @@ def test_newton_tilt_is_one_float_alone_or_in_any_batch(p, entropy, data):
     for i in {*picked.tolist(), *seams[:4], *rng.choice(n, size=min(n, 3)).tolist()}:
         alone = family._newton(residual, xs[i:i + 1])
         assert batch[i:i + 1].tobytes() == alone.tobytes(), (i, xs[i])
+
+
+# log-gaps just inside and outside 746 / 2^16, where the grid's tail starts
+# to matter: a letter this near the likeliest still weighs > 0 at 2^16
+AT_THE_TAIL_EDGE = [
+    gw.LetterDistribution((1.0 / (1.0 + math.exp(-g)), 1.0 - 1.0 / (1.0 + math.exp(-g))))
+    for g in (0.99 * 746.0 / 2**16, 1.01 * 746.0 / 2**16)
+]
+
+
+@pytest.mark.parametrize("p, rows", [((0.8, 0.2), 257), (NEAR_TIES[0], 385)],
+                         ids=["apart", "near_tie"])
+def test_grid_pass_evaluates_the_tail_only_near_a_tie(p, rows):
+    # the 128 tilts past 2^16 are evaluated for a law with a letter within
+    # about 1.1% of its likeliest; for any other law every weight below the
+    # top is 0 from 2^16 on, and the head's last row stands for the tail
+    from guesswork.tilting import _GRID
+
+    family, sizes, moments = TiltedFamily(p), [], TiltedFamily._moments
+
+    def counted_moments(self, beta):
+        sizes.append(len(beta))
+        return moments(self, beta)
+
+    with mock.patch.object(TiltedFamily, "_moments", counted_moments):
+        family.solve_entropy(np.array([0.3]))
+    assert sizes[0] == rows
+    full = TiltedFamily(p)._moments(_GRID[1:-1])
+    assert [g.tobytes() for g in family._grid] == [f.tobytes() for f in full]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilting_laws())
+@example(AT_THE_TAIL_EDGE[0])
+@example(AT_THE_TAIL_EDGE[1])
+def test_grid_moments_are_the_whole_grids_bit_for_bit(p):
+    # with or without the tail evaluated, the family's grid moments are those
+    # of every _GRID tilt, so every bracket, start and tilt is too
+    from guesswork.tilting import _GRID
+
+    family = TiltedFamily(p)
+    blocks = [family._moments(_GRID[1:-1][b]) for b in family._blocks(len(_GRID) - 2)]
+    full = [np.concatenate(moment) for moment in zip(*blocks)]
+    assert [g.tobytes() for g in family._grid_moments()] == [f.tobytes() for f in full]
+
+
+# alphas of both route thresholds, alpha < -1, alpha = -1 (the log-ratio
+# integral), alpha = 0, |alpha| < 1e-2 and a huge one
+BATCH_ALPHAS = (-0.98, -0.5, 0.5, 1.0, 2.0, 3.7, -3.0, -1.5, -1.0, 0.0, 5e-3, -4e-3, 5.0, 20.0,
+                1e5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(laws_with_a_zero(2, 4), st.floats(0.02, 0.6), st.integers(1, 1200),
+                       st.sampled_from(("unconditioned", "conditioned", "uniform")),
+                       st.sampled_from((1.0, 0.5, 1e-3, None))),
+             min_size=1, max_size=4),
+    st.sampled_from((0.1, 2.0, 7.0)),
+    st.lists(st.sampled_from(BATCH_ALPHAS), max_size=6),
+)
+def test_kernel_batch_matches_each_table_alone(drawn, rescale, alphas):
+    # one kernel pass over a list of tables, each at its own scale (1/k for
+    # None) and the first twice at two scales, gives every table its
+    # one-table results bit for bit
+    from guesswork.ranksums import _log_sums
+
+    entries = []
+    for p, eps, k, kind, scale in drawn:
+        k = min(k, {2: 1200, 3: 40, 4: 12}[p.m])
+        source = {
+            "unconditioned": lambda: gw.unconditioned(p),
+            "conditioned": lambda: gw.conditioned(p, eps),
+            "uniform": lambda: gw.uniform_typical(p, eps),
+        }[kind]()
+        try:
+            table = gw.build_guess_table(source, k)
+        except gw.EmptyTypicalSetError:
+            continue
+        entries.append((table.bounds, table.size_parts, table.log_word_prob,
+                        1.0 / k if scale is None else scale))
+    assume(entries)
+    entries.append((*entries[0][:3], rescale * entries[0][3]))
+
+    def bits(result):
+        logs, log_logs = result
+        return np.array([*logs, log_logs]).tobytes()
+
+    batch = _log_sums(entries, alphas)
+    assert len(batch) == len(entries)
+    for entry, got in zip(entries, batch):
+        assert bits(got) == bits(_log_sums([entry], alphas)[0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from guesswork import ranksums
-from guesswork.ranksums import _CASCADE_MIN, _exact_sum, _lse
+from guesswork.ranksums import _CASCADE_MIN, _PRUNE, _exact_sum, _lse, _pruned_sum
 
 
 def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
@@ -20,6 +20,9 @@ def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
         x = np.full(n, rng.random())
     elif shape == "ties":  # 1 plus a few quarters of its ulp: sums on and beside ties
         x = rng.choice([2.0**-54, 2.0**-53, 3 * 2.0**-54], n) * (rng.random(n) < 4.0 / n)
+    elif shape == "tail_tie":  # 1 + 2^-53, a tie, and terms below 2^-80 that break it
+        x = rng.random(n) * 2.0**-81
+        x[rng.integers(0, n)] = 2.0**-53
     else:  # "wide": from 1 down to subnormals
         x = rng.random(n) * np.ldexp(1.0, -rng.integers(0, 1080, n))
     x[rng.integers(0, n)] = 1.0  # _lse's terms always hold exp(0)
@@ -28,14 +31,22 @@ def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(("exp", "grid", "equal", "ties", "wide")),
+    st.sampled_from(("exp", "grid", "equal", "ties", "wide", "tail_tie")),
     st.integers(1, 3 * _CASCADE_MIN),
     st.integers(0, 2**32 - 1),
     st.floats(1.0, 700.0),
 )
 def test_exact_sum_is_fsum_bit_for_bit(shape, n, seed, scale):
     x = _terms(shape, n, seed, scale)
-    assert _exact_sum(x) == math.fsum(x.tolist())
+    want = math.fsum(x.tolist())
+    assert _exact_sum(x) == want
+    # the sum from the terms >= _PRUNE alone is fsum's, or None where the rest
+    # may decide the rounding: always at a tie the tail breaks
+    head = x[x >= _PRUNE].tolist()
+    got = _pruned_sum(head, x.size - len(head))
+    assert got is None or got == want
+    if shape == "tail_tie" and math.fsum(head) != want:
+        assert got is None
 
 
 def test_exact_sum_takes_the_cascade_on_a_table_like_sum(monkeypatch):
