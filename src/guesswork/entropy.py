@@ -174,12 +174,21 @@ def num_types(k: int, m: int) -> int:
     return math.comb(k + m - 1, m - 1)
 
 
-def type_count_matrix(k: int, m: int, max_types: int = MAX_TYPES_DEFAULT) -> np.ndarray:
+def type_count_matrix(
+    k: int, m: int, max_types: int = MAX_TYPES_DEFAULT, *, last=None
+) -> np.ndarray:
     """Every k-type on m letters as one row of letter counts, in lexicographic order.
 
     The first letter's count ascends, then recursively the rest, so for
     k=2, m=2 the rows are (0,2), (1,1), (2,0). The dtype is the smallest
     unsigned integer that holds k.
+
+    With `last` set, the next-to-last letter's count takes, on each row
+    of the first m - 2 counts, only the counts lo..hi of
+    (lo, hi) = last(cols, rest) instead of 0..r (none where hi < lo):
+    cols are those m - 2 count columns, rest each row's r counts left, and
+    lo >= 0 and hi <= r int64 arrays. The rows made are the full matrix's
+    rows with those counts, in its order.
 
     Raises
     ------
@@ -198,10 +207,13 @@ def type_count_matrix(k: int, m: int, max_types: int = MAX_TYPES_DEFAULT) -> np.
     # becomes r + 1 rows, one per count 0..r of the next letter, in place
     rest = np.array([k], dtype=np.int64)
     cols: list[np.ndarray] = []
-    for _ in range(m - 1):
-        fan = rest + 1
+    for i in range(m - 1):
+        lo, fan = 0, rest + 1
+        if last is not None and i == m - 2:
+            lo, hi = last(cols, rest)
+            fan = np.maximum(hi - lo + 1, 0)
         parent = np.repeat(np.arange(rest.size), fan)
-        first_child = np.cumsum(fan) - fan
+        first_child = np.cumsum(fan) - fan - lo  # each row's first child gets the count lo
         c = np.arange(parent.size) - first_child[parent]
         cols = [col[parent] for col in cols] + [c]
         rest = rest[parent] - c

@@ -12,7 +12,9 @@ their blocks per route threshold, which is a function of alpha (4,096 or
 corrected Euler-Maclaurin closed form for the ranks from it on, however
 many, which keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare`
 builds each distinct k's table once (_finite_k_batch), and its naive
-cross-check reads that table.
+cross-check reads that table. A typical-set table, census or scan
+enumerates only the typical slab: one interval of the next-to-last count
+per row of the other counts (_window_entries).
 
 A separate naive oracle holds one float64 log-probability per word (numpy,
 guarded to m^k <= 2^22), so the two routes can be cross-checked against
@@ -38,6 +40,7 @@ from .asymptotics import (
 )
 from .entropy import (
     MAX_TYPES_DEFAULT,
+    WINDOW_SLACK,
     LetterDistribution,
     TypeVector,
     _cross_entropies,
@@ -163,13 +166,68 @@ def _class_sizes(counts: np.ndarray) -> list[int]:
     return sizes
 
 
+def _slab(p: LetterDistribution, window: tuple[float, float], k: int):
+    """type_count_matrix's last fan for a typical window: on each row of the
+    first m - 2 counts, the candidate interval of the next-to-last count
+    (_window_entries states the bound)."""
+    logs = [-math.log(q) if q > 0.0 else math.inf for q in p.probs]
+    *head, y, z = logs
+    t_lo, t_hi = window[0] - WINDOW_SLACK, window[1] + WINDOW_SLACK  # _in_window's edges
+    pad = p.m * 2.0**-50 * (max(abs(v) for v in logs if v < math.inf) + abs(t_lo) + abs(t_hi))
+    e_lo, e_hi = t_lo - pad, t_hi + pad
+    zero = [a for a, v in enumerate(head) if v == math.inf]
+
+    def last(cols, rest):
+        if y == math.inf or z == math.inf:  # only x = 0, or x = r, can be finite
+            lo = hi = rest if y < math.inf else np.zeros_like(rest)
+        else:
+            cost = rest * (z / k)  # A, each row's cost at next-to-last count 0
+            for c, v in zip(cols, head):
+                if v < math.inf:
+                    cost += c * (v / k)
+            slope = (y - z) / k
+            if slope == 0.0:  # one cost per row: the whole row, or none of it
+                lo, hi = np.zeros_like(rest), np.where((cost < e_lo) | (cost > e_hi), -1, rest)
+            else:
+                x_lo, x_hi = (e_lo - cost) / slope, (e_hi - cost) / slope
+                if slope < 0.0:
+                    x_lo, x_hi = x_hi, x_lo
+                lo = np.minimum(np.maximum(np.floor(x_lo), 0.0), rest + 1).astype(np.int64)
+                hi = np.maximum(np.minimum(np.ceil(x_hi), rest), -1.0).astype(np.int64)
+        for a in zero:  # a zero letter's count must be 0
+            hi = np.where(cols[a] > 0, -1, hi)
+        return lo, hi
+
+    return last
+
+
 def _window_entries(
     p: LetterDistribution, window: tuple[float, float] | None, k: int, max_types: int
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Letter counts, exact class sizes and per-word log-probabilities of the
     k-types in enumeration order; with a typical_window set, only the typical
-    ones: the package's one pass from the count matrix to the typical rows."""
-    counts = type_count_matrix(k, p.m, max_types)
+    ones: the package's one pass from the count matrix to the typical rows.
+
+    A typical window enumerates only its candidate rows (_slab). With the
+    first m - 2 counts fixed and r left, a type's cost is linear in the
+    next-to-last count x: A + D x, D = (L_{m-2} - L_{m-1}) / k with
+    L_a = -log p_a. The float cost of _cross_entropies is within
+    gamma_{m+1} max_a |L_a| of its real value (m products of two roundings
+    each, m - 1 additions), and the float A within as much of its own. The
+    window's edges are widened by m 2^-50 (max_a |L_a| + |lo| + |hi|), which
+    covers both and the rounding of the widened edges; the ends of the
+    interval of x computed there are then off by a few ulps, less than one
+    count, so the counts floor(x_lo) .. ceil(x_hi), clipped to [0, r], hold
+    every row the mask can keep, and the mask keeps the same rows as over
+    the whole matrix, in its order. A zero letter among the first m - 2
+    keeps only the rows without it; a zero next-to-last or last letter pins
+    x to 0 or r; D = 0 (tied last letters) keeps a row whole or drops it by
+    A. The type-space cap still counts the whole C(k + m - 1, m - 1). Two
+    letters keep the whole fan: at word lengths below a few thousand its
+    k + 1 rows cost less than the interval's dozen numpy calls on one row.
+    """
+    last = None if window is None or p.m == 2 else _slab(p, window, k)
+    counts = type_count_matrix(k, p.m, max_types, last=last)
     cost = _cross_entropies(counts, k, p)
     if window is not None:
         keep = _in_window(cost, window)

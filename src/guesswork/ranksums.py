@@ -16,7 +16,9 @@ where the first term the closed form neglects is at most 1e-16 of the sum
 there and alpha is not near 0 (about 1e-2 <= |alpha|, -0.98 <= alpha <=
 3.98, the default alphas among them), and _EM_MIN = 30,000 for every other
 alpha; the sum of logs takes _EM_LOW. alpha = 0, the block size, is log n.
-Every log-sum-exp returns its sum correctly rounded, as math.fsum does:
+Adjacent blocks of one table with exactly the same weight are one rank
+range, so a uniform-on-typical table is one range. Every log-sum-exp
+returns its sum correctly rounded, as math.fsum does:
 by math.fsum over the terms that can move the rounding (`_pruned_sum`),
 else by `_exact_sum`, a guarded numpy cascade on long inputs.
 """
@@ -458,7 +460,8 @@ def _log_sums(*args, scale: float = 1.0):
     (exact, strictly ascending ints) at log weight log_weights[j];
     size_parts are the sizes as _int_parts gives them, taken once by the
     caller. The weights descend, so the blocks of weight 0, which are
-    skipped, are the last ones. Returns, per table,
+    skipped, are the last ones; adjacent blocks of exactly equal weight are
+    summed as one range, a rule on each table alone. Returns, per table,
     ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
     log sum_j w_j sum_{i in j} log i). _log_sums(bounds, size_parts,
     log_weights, alphas, scale=s) is the pair of the one table
@@ -489,6 +492,12 @@ def _log_sums(*args, scale: float = 1.0):
         log_w = np.asarray(log_w, dtype=np.float64)
         n = int(np.count_nonzero(log_w > -math.inf))  # the live blocks are the first n
         if n:
+            same = log_w[1:n] == log_w[: n - 1]
+            if np.count_nonzero(same):  # adjacent blocks of one weight are one rank range
+                firsts = [0, *(np.flatnonzero(~same) + 1).tolist()]
+                bounds = (*map(bounds.__getitem__, firsts), bounds[n])
+                n_m, n_e = _int_parts(list(map(int.__sub__, bounds[1:], bounds)))
+                log_w, n = log_w[firsts], len(firsts)
             live.append((bounds, n_m[:n], n_e[:n], log_w[:n], s))
             at.append(i)
     if not live:

@@ -18,6 +18,7 @@ from guesswork import (
     DistributionError,
     EmptyTypicalSetError,
     LetterDistribution,
+    TypeSpaceTooLargeError,
     TypeVector,
     WordSpaceTooLargeError,
     build_guess_table,
@@ -42,6 +43,7 @@ from guesswork import (
     uniform_typical,
 )
 from guesswork import ranksums
+from guesswork.entropy import num_types
 from guesswork.ranksums import _EM_LOW, _EM_MIN, _em_min, _log_sums, _one_block
 
 P = LetterDistribution((0.8, 0.2))
@@ -381,9 +383,109 @@ def test_census_sandwich_check_raises(monkeypatch):
     # more types than the (k+1)^m lattice holds breaks the upper union bound;
     # the check is an explicit raise, so it also runs under python -O
     heavy = np.array([[1, 0]] * 5)
-    monkeypatch.setattr(oracle, "type_count_matrix", lambda k, m, cap: heavy)
+    monkeypatch.setattr(oracle, "_window_entries",
+                        lambda p, window, k, cap: (heavy, [1] * 5, np.zeros(5)))
     with pytest.raises(ArithmeticError, match="sandwich"):
         typical_set_census(LetterDistribution((0.5, 0.5)), 0.1, 1)
+
+
+FOUND_LAW = (0.31415926, 0.27182818, 0.24142136, 0.1725912)
+
+
+def test_nonempty_scan_enumerates_only_the_typical_slab(monkeypatch):
+    # each k's count matrix holds the candidate rows of the slab, not every k-type:
+    # at most one row per prefix of the first m - 2 counts on average, against
+    # 45,212,894 rows for every k-type of k = 1 .. 179
+    rows, matrix = [], oracle.type_count_matrix
+
+    def counted(*args, **kwargs):
+        out = matrix(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle, "type_count_matrix", counted)
+    assert smallest_nonempty_k(FOUND_LAW, 1e-12, max_types=10**6) is None
+    assert len(rows) == oracle.nonempty_scan_limit(4, 10**6) == 179
+    assert sum(num_types(k, 4) for k in range(1, 180)) == 45_212_894
+    assert sum(rows) <= sum(num_types(k, 3) for k in range(1, 180)) == 988_259
+
+
+@pytest.mark.parametrize("source", [C, U, conditioned(LetterDistribution((0.5, 0.3, 0.2)), 0.05)])
+def test_typical_refusals_come_before_the_slab(source):
+    # k < 1 is refused before any array is made, so no numpy warning escapes, and
+    # the type-space cap counts every k-type, not the slab's candidates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DistributionError, match="k >= 1"):
+            typical_set_census(source.p, source.epsilon, 0)
+        with pytest.raises(DistributionError, match="k >= 1"):
+            build_guess_table(source, 0)
+    cap = num_types(40, source.p.m) - 1
+    for call in (lambda: typical_set_census(source.p, source.epsilon, 40, max_types=cap),
+                 lambda: build_guess_table(source, 40, max_types=cap)):
+        with pytest.raises(TypeSpaceTooLargeError, match=f"{cap + 1} k-types"):
+            call()
+
+
+def _ulps(x, want, scale):
+    # |x - want| in units in the last place of the float scale
+    from mpmath import mpf
+
+    return float(abs(mpf(x) - want) / mpf(math.ulp(float(scale))))
+
+
+@pytest.mark.parametrize("source, k", [
+    (U, 10), (U, 100), (U, 1000),
+    (uniform_typical(LetterDistribution((0.5, 0.3, 0.2)), 0.05), 60),
+    (uniform_typical(LetterDistribution((0.5, 0.3, 0.2)), 0.05), 300),
+    (uniform_typical(LetterDistribution((0.4, 0.3, 0.2, 0.1)), 0.05), 40),
+    (uniform_typical(LetterDistribution((0.4, 0.3, 0.2, 0.1)), 0.05), 120),
+])
+def test_uniform_table_is_one_rank_range(source, k):
+    # every block of a uniform table has weight -log N, so the kernel sums ranks
+    # 1 .. N as one range: log E[G] and log E[G^2] against the big-int closed
+    # forms (N+1)/2 and (N+1)(2N+1)/6 within 4 ulp of the log, and log E log G
+    # against mpmath's loggamma(N+1)/N within 4 ulp of log(N E log G) = log
+    # sum_{i <= N} log i: it is that log less the float weight log N
+    from mpmath import mp, mpf
+
+    table = build_guess_table(source, k)
+    n = table.total_words
+    with direct_route_calls() as calls:
+        (log_mean, log_square), log_mean_log = table._log_sums((1.0, 2.0))
+    assert [cnt for _, cnt in calls] == [min(n, _EM_LOW - 1)]  # one range, not one per type
+    with mp.workdps(50):
+        want_mean = mp.log(mpf(n + 1) / 2)
+        want_square = mp.log(mpf((n + 1) * (2 * n + 1)) / 6)
+        want_log = mp.log(mp.loggamma(n + 1) / n)
+        assert _ulps(log_mean, want_mean, want_mean) <= 4
+        assert _ulps(log_square, want_square, want_square) <= 4
+        assert _ulps(log_mean_log, want_log, want_log + mp.log(n)) <= 4
+
+
+@pytest.mark.parametrize("kind", ["unconditioned", "conditioned", "uniform"])
+@pytest.mark.parametrize("k", [5, 12, 40, 120])
+def test_equal_weight_blocks_sum_as_their_blocks(kind, k):
+    # (0.5, 0.25, 0.25) ties letters 1 and 2 exactly, so runs of blocks share one
+    # float weight; the kernel takes each run as one range, within 4 ulp of the
+    # log of the sum of its blocks one by one (log E log G: of log(N E log G))
+    p = LetterDistribution((0.5, 0.25, 0.25))
+    source = {"unconditioned": unconditioned(p), "conditioned": conditioned(p, 0.3),
+              "uniform": uniform_typical(p, 0.3)}[kind]
+    table = build_guess_table(source, k)
+    b, w = table.bounds, table.log_word_prob
+    assert np.count_nonzero(w[1:] == w[:-1])  # some adjacent blocks tie
+    alphas = (-0.5, 0.5, 1.0, 2.0)
+    logs, log_mean_log = table._log_sums(alphas)
+    # each block alone, as a one-block table, then one log-sum-exp over the blocks
+    alone = _log_sums([((b[j], b[j + 1]), ranksums._int_parts((b[j + 1] - b[j],)),
+                        w[j : j + 1], 1.0) for j in range(w.size)], alphas)
+    for i, got in enumerate(logs):
+        want = oracle._lse([one[0][i] for one in alone])
+        assert _ulps(got, want, want) <= 4, (alphas[i], got, want)
+    want = oracle._lse([one[1] for one in alone])
+    assert _ulps(log_mean_log, want, want + math.log(table.total_words)) <= 4
+
 
 def test_naive_crosscheck_agrees():
     assert naive_enumeration_crosscheck(W, 8)

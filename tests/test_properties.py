@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,66 @@ def test_class_sizes_are_multinomials(m, k, data):
                                        max_size=len(counts))), dtype=bool)
     for rows in (counts, counts[keep]):
         assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
+
+
+@st.composite
+def slab_cases(draw):
+    """(p, epsilon, k): m = 2-5 letters, maybe a zero letter anywhere, the last two
+    letters maybe tied exactly or within a relative 1e-15, 1e-12 or 1e-9, and
+    epsilon either log-uniform from 1e-12 to near the admissible maximum or
+    put so that one drawn type lies within 2 WINDOW_SLACK of a window edge."""
+    from guesswork import entropy
+
+    m = draw(st.integers(2, 5))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    tie = draw(st.sampled_from((None, 0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)))
+    if tie is not None:
+        raw[-1] = raw[-2] * (1.0 + tie)
+    zero = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+    if zero is not None:
+        raw[zero] = 0.0
+    p = gw.LetterDistribution(tuple(v / math.fsum(raw) for v in raw))
+    k = draw(st.integers(1, {2: 1000, 3: 150, 4: 40, 5: 18}[m]))
+    if draw(st.booleans()):
+        top = gw.admissible_epsilon_interval(p)[1]
+        top = top if math.isfinite(top) and top > 1e-11 else 1.0
+        return p, 10.0 ** draw(st.floats(-12.0, math.log10(0.999 * top))), k
+    counts = entropy.type_count_matrix(k, m)
+    cost = entropy._cross_entropies(counts, k, p)
+    cost = cost[np.isfinite(cost)]
+    assume(cost.size)
+    edge = float(cost[draw(st.integers(0, cost.size - 1))])
+    off = draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)))
+    eps = abs(edge - gw.shannon_entropy(p)) + off * entropy.WINDOW_SLACK
+    assume(eps > 0.0)
+    return p, eps, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(slab_cases())
+@example((gw.LetterDistribution((0.31415926, 0.27182818, 0.24142136, 0.1725912)), 1e-12, 389))
+@example((gw.LetterDistribution((0.5, 0.25, 0.25)), 0.3, 40))
+@example((gw.LetterDistribution((0.5, 0.5 - 1e-15, 1e-15)), 0.01, 60))
+@example((gw.LetterDistribution((0.6, 0.0, 0.4)), 0.1, 30))
+@example((gw.LetterDistribution((0.6, 0.4, 0.0)), 0.1, 30))
+def test_slab_rows_are_the_masked_full_enumeration(case):
+    # the typical slab's rows against type_count_matrix + _in_window over the
+    # whole matrix: the same counts in the same order, the same exact sizes
+    # and the same log-probabilities, bit for bit
+    from guesswork import entropy, oracle
+
+    p, eps, k = case
+    window = gw.typical_window(p, eps)
+    full = entropy.type_count_matrix(k, p.m)
+    cost = entropy._cross_entropies(full, k, p)
+    keep = entropy._in_window(cost, window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, sizes, raw = oracle._window_entries(p, window, k, gw.entropy.MAX_TYPES_DEFAULT)
+    assert counts.dtype == full.dtype
+    assert counts.tolist() == full[keep].tolist()
+    assert sizes == [entropy.multinomial(r) for r in full[keep].tolist()]
+    assert raw.tobytes() == (-k * cost[keep]).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
