@@ -445,11 +445,9 @@ def main(argv=None) -> int:
         return 2
     except EpsilonInadmissibleError as exc:
         lo, hi = exc.interval
-        print(
-            f"guessctl: error: epsilon inadmissible; admissible interval "
-            f"({_fmt(lo)}, {_fmt(hi)})",
-            file=sys.stderr,
-        )
+        span = f"({_fmt(lo)}, {_fmt(hi)})" if lo < hi else "is empty"
+        print(f"guessctl: error: epsilon inadmissible; admissible interval {span}",
+              file=sys.stderr)
         return 1
     except (GuessworkError, ValueError, OSError) as exc:
         print(f"guessctl: error: {exc}", file=sys.stderr)

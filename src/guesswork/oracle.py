@@ -124,17 +124,17 @@ class ExactGuessTable:
         return tuple(map(GuessBlock, map(tuple, self.counts.tolist()),
                          map(int.__sub__, b[1:], b), b, self.log_word_prob.tolist()))
 
-    def _log_sums(self, alphas, *, scale: float = 1.0):
-        return _tables_log_sums([(self, scale)], alphas)[0]
-
 
 def _tables_log_sums(pairs, alphas):
     """One kernel pass over (table, scale) pairs: per pair, the scaled log E[G^alpha]
-    per alpha and log E[log G]. Each table's law is normalised, so E[G^0] = 1
-    and its log is 0 exactly."""
-    out = _log_sums([(t.bounds, t.size_parts, t.log_word_prob, s) for t, s in pairs], alphas)
-    return [([0.0 if a == 0.0 else v for a, v in zip(alphas, logs)], log_logs)
-            for logs, log_logs in out]
+    per alpha and log E[log G]. Each table's law is normalised, so E[G^0] = 1:
+    alpha = 0 is not sent to the kernel, and its log is 0.0 exactly."""
+    out = []
+    for logs, log_logs in _log_sums([(t.bounds, t.size_parts, t.log_word_prob, s)
+                                     for t, s in pairs], [a for a in alphas if a != 0.0]):
+        rest = iter(logs)
+        out.append(([0.0 if a == 0.0 else next(rest) for a in alphas], log_logs))
+    return out
 
 
 def _class_sizes(counts: np.ndarray) -> list[int]:
@@ -291,12 +291,13 @@ def build_guess_table(
 
 def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
     """log E[G^alpha] computed exactly from the block structure; 0.0 at alpha = 0."""
-    return table._log_sums((float(alpha),))[0][0]
+    return _tables_log_sums([(table, 1.0)], (float(alpha),))[0][0][0]
 
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
-    """E[log G], exactly, via per-block log-factorial range sums."""
-    return math.exp(table._log_sums(())[1])
+    """E[log G] from per-block sums of log i; on a uniform table of N words its log
+    is off by up to 32 ulp, about 2 ulp of log N (ranksums._log_sums)."""
+    return math.exp(_tables_log_sums([(table, 1.0)], ())[0][1])
 
 
 def modal_word_count(table: ExactGuessTable) -> int:
@@ -424,7 +425,7 @@ def finite_k_exponents(
     """
     table = build_guess_table(source, k, max_types=max_types)
     alphas = alphas_or_default(alphas)
-    return _exponents(table, alphas, table._log_sums(alphas, scale=1.0 / k))
+    return _exponents(table, alphas, _tables_log_sums([(table, 1.0 / k)], alphas)[0])
 
 
 def _exponents(table: ExactGuessTable, alphas, sums) -> FiniteKExponents:
@@ -714,4 +715,4 @@ def naive_enumeration_crosscheck(
     log_prob = _naive_word_logs(source, k, max_words)
     table = build_guess_table(source, k, max_types=max_types)
     alphas = alphas_or_default(alphas)
-    return _crosscheck(table, alphas, table._log_sums(alphas), log_prob)
+    return _crosscheck(table, alphas, _tables_log_sums([(table, 1.0)], alphas)[0], log_prob)

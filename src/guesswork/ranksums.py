@@ -15,12 +15,13 @@ range that straddles it is split there. The threshold is _EM_LOW = 4,096
 where the first term the closed form neglects is at most 1e-16 of the sum
 there and alpha is not near 0 (about 1e-2 <= |alpha|, -0.98 <= alpha <=
 3.98, the default alphas among them), and _EM_MIN = 30,000 for every other
-alpha; the sum of logs takes _EM_LOW. alpha = 0, the block size, is log n.
+alpha; the sum of logs takes _EM_LOW. The kernel takes every alpha alike:
+its callers know E[G^0] = 1, and log_rank_power_sum's alpha = 0 is log n.
 Adjacent blocks of one table with exactly the same weight are one rank
 range, so a uniform-on-typical table is one range. Every log-sum-exp
-returns its sum correctly rounded, as math.fsum does:
-by math.fsum over the terms that can move the rounding (`_pruned_sum`),
-else by `_exact_sum`, a guarded numpy cascade on long inputs.
+returns its sum correctly rounded, as math.fsum does: by math.fsum over
+the terms that can move the rounding (`_pruned_sum`), else by
+`_exact_sum`, a guarded numpy cascade on long inputs.
 """
 
 from __future__ import annotations
@@ -173,14 +174,14 @@ def _segment_sum(top: float, scale: float, head: list[float] | None, x: np.ndarr
 
 
 def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[float]]:
-    """_lse over column segments of a 2-D array, per row, in one numpy pass.
+    """Scaled log-sum-exps over column segments of a 2-D array, per row, in one numpy pass.
 
-    The columns of `terms` (already multiplied by their scale) fall into
-    consecutive segments of `sizes` columns, none empty; scales[r][j] is row
-    r's scale on segment j. Returns, per row, one float per segment: what
-    _lse gives for that row's segment, bit for bit. The maxima,
-    exponentials and kept terms of every segment come from one pass; each
-    sum is _segment_sum's.
+    The columns of `terms` fall into consecutive segments of `sizes`
+    columns, none empty; scales[r][j] is row r's scale s on segment j, by
+    which its terms t come already multiplied, so that (1/k) log of a sum
+    keeps terms finite whose unscaled values would overflow. Returns, per
+    row, one float per segment: s log sum exp(t / s), the sum correctly
+    rounded (_segment_sum), from one pass over every segment.
     """
     starts = np.cumsum(sizes) - sizes
     with np.errstate(all="ignore"):
@@ -215,23 +216,18 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
     return out
 
 
-def _lse(terms, scale: float = 1.0) -> float:
-    """scale * log sum_i exp(terms_i / scale), the sum correctly rounded (_segment_sum).
-
-    The terms come already multiplied by scale, so that a caller after
-    (1/k) log of a sum can keep terms finite whose unscaled values would
-    overflow. -inf terms drop out; a +inf term makes the result +inf.
-    """
+def _lse(terms) -> float:
+    """log sum_i exp(terms_i), correctly rounded (_segment_sum); -inf terms drop out, +inf wins."""
     terms = np.asarray(terms, dtype=np.float64)
     if not terms.size:
         return -math.inf
     top = float(terms.max())
     if not math.isfinite(top):  # every term -inf, or a +inf or nan among them
         return top
-    x = np.exp((terms - top) / scale)
+    x = np.exp(terms - top)
     keep = ~(x < _PRUNE)
     head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
-    return _segment_sum(top, scale, head, x)
+    return _segment_sum(top, 1.0, head, x)
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -452,7 +448,7 @@ def _check_alphas(alphas) -> None:
             raise DistributionError(f"alpha must be finite, got {alpha}")
 
 
-def _log_sums(*args, scale: float = 1.0):
+def _log_sums(tables, alphas):
     """The rank-sum kernel: one pass per threshold over the blocks of a list of tables.
 
     _log_sums(tables, alphas) takes each table as (bounds, size_parts,
@@ -463,11 +459,9 @@ def _log_sums(*args, scale: float = 1.0):
     skipped, are the last ones; adjacent blocks of exactly equal weight are
     summed as one range, a rule on each table alone. Returns, per table,
     ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
-    log sum_j w_j sum_{i in j} log i). _log_sums(bounds, size_parts,
-    log_weights, alphas, scale=s) is the pair of the one table
-    (bounds, size_parts, log_weights, s).
+    log sum_j w_j sum_{i in j} log i).
 
-    Every alpha but 0 is routed at its own threshold, _em_min(alpha): the
+    Every alpha is routed at its own threshold, _em_min(alpha): the
     ranks below it summed directly, the ranks from it on by the corrected
     midpoint Euler-Maclaurin form, whose first neglected term is then at
     most 1e-16 (_EM_TOL) of the sum from _EM_LOW on, and from _EM_MIN on
@@ -476,15 +470,13 @@ def _log_sums(*args, scale: float = 1.0):
     at _EM_LOW, where the sum of logs is taken as well, and at _EM_MIN.
     Each threshold runs each route once over the blocks of all the tables,
     the alphas as the rows of 2-D arrays, and makes one _lse_segments call,
-    so a table's results are, bit for bit, those it gets alone.
-    alpha = 0 is log n per block. The terms stay scaled, so a huge alpha
-    overflows only where scale * log of the sum would. A non-finite alpha
-    raises DistributionError.
+    so a table's results are, bit for bit, those it gets alone. alpha = 0
+    takes no rule of its own: callers know E[G^0]. The terms stay scaled,
+    so a huge alpha overflows only where scale * log of the sum would. A
+    non-finite alpha raises DistributionError. The log of the sum of rounded
+    logs times float weights is off by up to 32 ulp on a uniform table of N
+    words: about 2 ulp of log N.
     """
-    if len(args) == 4:
-        *table, alphas = args
-        return _log_sums([(*table, scale)], alphas)[0]
-    tables, alphas = args
     _check_alphas(alphas)
     out = [([-math.inf for _ in alphas], -math.inf) for _ in tables]
     live, at = [], []
@@ -502,7 +494,7 @@ def _log_sums(*args, scale: float = 1.0):
             at.append(i)
     if not live:
         return out
-    powers = list(dict.fromkeys(a for a in alphas if a != 0.0))
+    powers = list(dict.fromkeys(alphas))
     tiers: dict[int, list[float]] = {_EM_LOW: []}  # the sum of logs takes the low tier
     for alpha in powers:
         tiers.setdefault(_em_min(alpha), []).append(alpha)
@@ -518,10 +510,6 @@ def _log_sums(*args, scale: float = 1.0):
             sums.update(zip(group, rows))
             if logs:
                 log_logs = rows[-1]
-        if 0.0 in alphas:  # sum_i i^0 is the block size n
-            terms = np.concatenate([s * (w + _log_parts(m, e)) for _, m, e, w, s in live])
-            cols = np.array([w.size for *_, w, _ in live])
-            sums[0.0] = _lse_segments(terms.reshape(1, -1), [scales], cols)[0]
     for j, i in enumerate(at):
         out[i] = ([sums[a][j] for a in alphas], log_logs[j])
     return out
@@ -554,6 +542,9 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     threshold; one rank a is alpha log a on every route. When alpha log i
     leaves float range the result is its limit, +inf or -inf; a non-finite
     alpha raises DistributionError. The table kernel (_log_sums) run on one
-    block.
+    block; at alpha = 0, log n from the block's own size parts.
     """
-    return _log_sums([(*_one_block(a, b), 1.0)], (float(alpha),))[0][0][0]
+    (bounds, parts, log_w), alpha = _one_block(a, b), float(alpha)
+    if alpha == 0.0:
+        return float(_log_parts(*parts)[0])
+    return _log_sums([(bounds, parts, log_w, 1.0)], (alpha,))[0][0][0]

@@ -341,6 +341,29 @@ def test_exact_compare_is_one_kernel_pass_and_one_table_per_k(capsys, monkeypatc
     assert checks == ["# crosscheck:k=6:ok", "# crosscheck:k=10:ok"]
 
 
+def test_exact_compare_keeps_alpha_zero_out_of_the_kernel(capsys, monkeypatch):
+    # E[G^0] = 1 for every table: its caller pins log E[G^0] = 0.0 and sends
+    # the kernel only the other alphas
+    from guesswork import oracle
+
+    sent = []
+    kernel = oracle._log_sums
+
+    def counted_kernel(tables, alphas):
+        sent.append(list(alphas))
+        return kernel(tables, alphas)
+
+    monkeypatch.setattr(oracle, "_log_sums", counted_kernel)
+    code, out, _ = run(capsys, [
+        "exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "6,10", "--alpha=0,1",
+    ])
+    assert code == 0
+    assert sent == [[1.0]]
+    rows = [l.split(",") for l in out.splitlines() if l.startswith("scgf[alpha=0.00000000]")]
+    assert [(k, exact) for _, k, _, exact, *_ in rows] == [("6", "0.00000000"),
+                                                           ("10", "0.00000000")]
+
+
 _CROSSCHECK_16_17 = ["exact-compare", "--kind", "unconditioned", "--p", "0.8,0.2",
                      "--k", "16,17", "--max-words", "200000"]
 
@@ -490,14 +513,15 @@ def test_cli_matches_golden_output(capsys, case):
 
 
 def test_near_uniform_epsilon_below_the_admissible_lower_end_is_refused(capsys):
-    # c_max - h = 4e-16 < 1e-12, so the interval's lower end is positive and
-    # eps = 1e-16 lies below it; the window would solve the l+ edge (beta+ =
-    # 1.27755575), but fig2 refuses eps before any model is built
+    # c_max - h = 4e-16 < 1e-12, so the interval's lower end is positive, above
+    # its top 4e-16: the interval is empty and eps = 1e-16 lies below it; the
+    # window would solve the l+ edge (beta+ = 1.27755575), but fig2 refuses eps
+    # before any model is built
     code, out, err = run(capsys, [
         "fig2", "--p", "0.50000001,0.49999999", "--epsilon", "1e-16", "--x-points", "3",
     ])
     assert (code, out) == (1, "")
-    assert err.startswith("guessctl: error: epsilon inadmissible; admissible interval (")
+    assert err == "guessctl: error: epsilon inadmissible; admissible interval is empty\n"
 
 
 def test_exact_compare_runs_on_numpy_alone():

@@ -261,7 +261,7 @@ def test_direct_rank_sums_match_fsum(a, span, alpha):
     want = top + math.log(math.fsum(math.exp(alpha * x - top) for x in logs))
     assert _close(gw.log_rank_power_sum(a, b, alpha), want, 1e-13)
     want_logs = math.log(math.fsum(logs)) if b > 1 else -math.inf
-    assert _close(_log_sums(*_one_block(a, b), ())[1], want_logs, 1e-13)
+    assert _close(_log_sums([(*_one_block(a, b), 1.0)], ())[0][1], want_logs, 1e-13)
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,7 +296,7 @@ def _per_block_log_sums(table, alpha):
 
     terms = [
         b.log_word_prob
-        + (_log_sums(*_one_block(b.start, b.end), ())[1] if alpha is None
+        + (_log_sums([(*_one_block(b.start, b.end), 1.0)], ())[0][1] if alpha is None
            else gw.log_rank_power_sum(b.start, b.end, alpha))
         for b in table.blocks if b.log_word_prob > -math.inf
     ]
@@ -350,13 +350,17 @@ def _check_size_parts(table):
     live = np.flatnonzero(table.log_word_prob > -math.inf).tolist()
     n = len(live)
     assert live == list(range(n))
-    fresh = _log_sums(bounds[: n + 1], _int_parts(sizes[:n]), table.log_word_prob[:n], alphas)
-    assert _log_sums(bounds, table.size_parts, table.log_word_prob, alphas) == fresh
-    # each block's slice of the parts against the single-range route
+    fresh = _log_sums([(bounds[: n + 1], _int_parts(sizes[:n]), table.log_word_prob[:n], 1.0)],
+                      alphas)[0]
+    assert _log_sums([(bounds, table.size_parts, table.log_word_prob, 1.0)], alphas)[0] == fresh
+    # each block's slice of the parts against the single-range route, at the
+    # alphas the kernel is sent: its callers keep alpha = 0 to themselves
+    powers = [alpha for alpha in alphas if alpha != 0.0]
     for j, (a, c) in enumerate(zip(bounds, bounds[1:])):
-        got, got_logs = _log_sums((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], alphas)
-        assert got == [gw.log_rank_power_sum(a, c - 1, alpha) for alpha in alphas], j
-        assert got_logs == _log_sums(*_one_block(a, c - 1), ())[1], j
+        got, got_logs = _log_sums([((a, c), (mant[j : j + 1], exp[j : j + 1]), [0.0], 1.0)],
+                                  powers)[0]
+        assert got == [gw.log_rank_power_sum(a, c - 1, alpha) for alpha in powers], j
+        assert got_logs == _log_sums([(*_one_block(a, c - 1), 1.0)], ())[0][1], j
 
 
 @settings(max_examples=25, deadline=None)

@@ -73,6 +73,14 @@ def test_exact_tie_falls_back_to_fsum(monkeypatch, head, want):
     assert calls == [x.size]
 
 
+def _scaled_lse(terms, scale):
+    # _lse at scale 1; a scaled sum is one segment of _lse_segments
+    if scale == 1.0:
+        return _lse(terms)
+    terms = np.asarray(terms, dtype=np.float64).reshape(1, -1)
+    return ranksums._lse_segments(terms, [[scale]], np.array([terms.shape[1]]))[0][0]
+
+
 @pytest.mark.parametrize("n", [10, 2 * _CASCADE_MIN])
 @pytest.mark.parametrize("scale", [1.0, 0.01])
 def test_lse_non_finite_terms(n, scale):
@@ -81,9 +89,9 @@ def test_lse_non_finite_terms(n, scale):
     terms = scale * np.log(_terms("exp", n, 2, 30.0))
     want = float(terms.max()) + scale * math.log(
         math.fsum(np.exp((terms - terms.max()) / scale).tolist()))
-    assert _lse(terms, scale) == want
-    assert _lse(np.concatenate((terms, [-math.inf] * n)), scale) == want
-    assert _lse(np.append(terms, math.inf), scale) == math.inf
-    assert math.isnan(_lse(np.append(terms, math.nan), scale))
-    assert math.isnan(_lse(np.append(terms, [math.nan, math.inf]), scale))
-    assert _lse(np.full(n, -math.inf), scale) == -math.inf
+    assert _scaled_lse(terms, scale) == want
+    assert _scaled_lse(np.concatenate((terms, [-math.inf] * n)), scale) == want
+    assert _scaled_lse(np.append(terms, math.inf), scale) == math.inf
+    assert math.isnan(_scaled_lse(np.append(terms, math.nan), scale))
+    assert math.isnan(_scaled_lse(np.append(terms, [math.nan, math.inf]), scale))
+    assert _scaled_lse(np.full(n, -math.inf), scale) == -math.inf
