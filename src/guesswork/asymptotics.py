@@ -94,11 +94,12 @@ class ScgfModel:
     """Evaluated structure of one source's scaled CGF: the one way to read its laws.
 
     Built once by scgf_model, or by _scgf_models with the law's other
-    sources on one family (window solve included); every law of the source
-    is read off it: Lambda(alpha) by calling it, Lambda'(alpha) by `slope`,
-    the exponent table by `exponents`, the regime switches by
-    `breakpoints`, Lambda*(x) by legendre_transform(model, x) and the pmf
-    approximation by guesswork_pmf_approx(model, k, n).
+    sources on the one family it builds (window solve included); every law
+    of the source is read off it: Lambda(alpha) by calling it,
+    Lambda'(alpha) by `slope`, the exponent table by `exponents`, the
+    regime switches by `breakpoints`, Lambda*(x) by
+    legendre_transform(model, x) and the pmf approximation by
+    guesswork_pmf_approx(model, k, n).
 
     For alpha > -1 the optimiser is l_beta, beta = 1/(1+alpha) clamped into
     `window`, and Lambda(alpha) = alpha h(l) - D(l), with D(l) = D(l || p)
@@ -213,11 +214,11 @@ class ScgfModel:
 
 def scgf_model(source: Source) -> ScgfModel:
     """Assemble the piecewise description of `source`'s scaled CGF: _scgf_models of one source."""
-    return _scgf_models([source], TiltedFamily(source.p))[0]
+    return _scgf_models([source])[0]
 
 
-def _scgf_models(sources: Sequence[Source], family: TiltedFamily) -> list[ScgfModel]:
-    """The models of several sources of one letter law, all on `family`, the law's TiltedFamily.
+def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
+    """The models of several sources of one letter law, all on the one TiltedFamily built here.
 
     The one window rule: (0, inf) for the unconditioned source (limits of the
     family, reached only as alpha -> inf, -1), else the tilts (beta-, beta+)
@@ -228,6 +229,7 @@ def _scgf_models(sources: Sequence[Source], family: TiltedFamily) -> list[ScgfMo
     p = sources[0].p
     if any(source.p != p for source in sources):
         raise DistributionError("_scgf_models needs sources of one letter law")
+    family = TiltedFamily(p)
     h = shannon_entropy(p)
     windows, models = {None: (0.0, math.inf)}, []
     for source in sources:
@@ -439,7 +441,7 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     if not (0.5 < p0 < 1.0):
         raise DistributionError(f"binary closed forms need p0 in (1/2, 1), got {p0}")
     p1 = 1.0 - p0
-    interval = admissible_epsilon_interval(LetterDistribution((p0, p1)))
+    interval = admissible_epsilon_interval((p0, p1))
     if not (interval[0] < epsilon < interval[1]):
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "

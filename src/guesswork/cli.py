@@ -184,11 +184,11 @@ def _kind_report(model: ScgfModel) -> dict:
 
 
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
-    """The three sources' SCGF models, keyed by _KIND_NAMES, on the one tilted family that
-    require_admissible_epsilon(p, epsilon) checks and returns before any source is built."""
-    family = require_admissible_epsilon(p, epsilon)
+    """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family, once
+    require_admissible_epsilon(p, epsilon) has passed."""
+    require_admissible_epsilon(p, epsilon)
     sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
-    return dict(zip(_KIND_NAMES, _scgf_models(sources, family)))
+    return dict(zip(_KIND_NAMES, _scgf_models(sources)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:

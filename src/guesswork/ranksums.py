@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -148,13 +148,13 @@ def _pruned_sum(head: list[float], rest: int) -> float | None:
     return s
 
 
-def _prunes(kept, size):
+def _prunes(kept: int, size: int) -> bool:
     """Whether a row of `size` terms, `kept` of them >= _PRUNE, takes _pruned_sum.
 
     Its two sums over the kept terms must be cheaper than one over the row:
     at most half the row is kept, and fewer than _CASCADE_MIN terms.
     """
-    return (kept < _CASCADE_MIN) & (2 * kept <= size)
+    return kept < _CASCADE_MIN and 2 * kept <= size
 
 
 def _segment_sum(top: float, scale: float, head: list[float] | None, x: np.ndarray) -> float:
@@ -183,29 +183,25 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
     row, one float per segment: s log sum exp(t / s), the sum correctly
     rounded (_segment_sum), from one pass over every segment.
     """
-    starts = np.cumsum(sizes) - sizes
+    starts = list(accumulate(sizes[:-1].tolist(), initial=0))
+    segments = list(zip(starts, sizes.tolist()))
     with np.errstate(all="ignore"):
         tops = np.maximum.reduceat(terms, starts, axis=1)
-        top_cols, scale_cols = tops, np.asarray(scales, dtype=np.float64)
-        if len(starts) > 1:  # else the one segment's top and scale broadcast
-            top_cols = np.repeat(tops, sizes, axis=1)
-            scale_cols = np.repeat(scale_cols, sizes, axis=1)
-        x = terms - top_cols
-        x /= scale_cols
+        x = terms - np.repeat(tops, sizes, axis=1)
+        x /= np.repeat(np.asarray(scales, dtype=np.float64), sizes, axis=1)
         np.exp(x, out=x)
     keep = x < _PRUNE
     np.logical_not(keep, out=keep)  # a nan is kept
-    kept = np.add.reduceat(keep, starts, axis=1, dtype=np.intp)
-    pruned = _prunes(kept, sizes)
+    kept = np.add.reduceat(keep, starts, axis=1, dtype=np.intp).tolist()
+    pruned = [[_prunes(n, size) for n, (_, size) in zip(row, segments)] for row in kept]
     heads = []
-    if pruned.any():
-        if not pruned.all():  # only the heads that _pruned_sum takes
+    if any(map(any, pruned)):
+        if not all(map(all, pruned)):  # only the heads that _pruned_sum takes
             keep &= np.repeat(pruned, sizes, axis=1)
         heads = x[keep].tolist()
-    segments = list(zip(starts.tolist(), sizes.tolist()))
     out, i = [], 0
     for r, (tops_r, scales_r, kept_r, pruned_r) in enumerate(
-            zip(tops.tolist(), scales, kept.tolist(), pruned.tolist())):
+            zip(tops.tolist(), scales, kept, pruned)):
         row = []
         for top, scale, n, prune, (a, size) in zip(tops_r, scales_r, kept_r, pruned_r, segments):
             head = None
@@ -217,17 +213,12 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
 
 
 def _lse(terms) -> float:
-    """log sum_i exp(terms_i), correctly rounded (_segment_sum); -inf terms drop out, +inf wins."""
-    terms = np.asarray(terms, dtype=np.float64)
+    """log sum_i exp(terms_i), correctly rounded: _lse_segments on one segment at scale 1;
+    -inf terms drop out, +inf wins, and no terms sum to -inf."""
+    terms = np.asarray(terms, dtype=np.float64).reshape(1, -1)
     if not terms.size:
         return -math.inf
-    top = float(terms.max())
-    if not math.isfinite(top):  # every term -inf, or a +inf or nan among them
-        return top
-    x = np.exp(terms - top)
-    keep = ~(x < _PRUNE)
-    head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
-    return _segment_sum(top, 1.0, head, x)
+    return _lse_segments(terms, [[1.0]], np.array([terms.size]))[0][0]
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:

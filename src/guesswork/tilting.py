@@ -50,10 +50,19 @@ _BLOCK_CELLS = 1 << 15
 # bracket and start each target, between the family's ends 0 and inf
 _GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0),
                         2.0 ** (np.arange(65, 193) / 4.0), [math.inf]))
-# _GRID[1:_HEAD] is the head, up to 2^16; the 128 tilts past it are the tail
-_HEAD = 258
-# exp(-x) rounds to 0 for x >= this (it is below half the least subnormal)
-_UNDERFLOW = 746.0
+
+
+def _log_law(pf: tuple[float, ...]) -> tuple:
+    """(support, logs, top, c_min, c_max) of the frequencies pf.
+
+    The support's letters, their log-probabilities, the largest of those,
+    and the tilted family's attainable cross entropies c_min = -log max_a p_a
+    (beta -> inf) and c_max = -(1/m') sum log p_a over the support of size m'
+    (beta -> 0): shared by TiltedFamily and the admissibility rule.
+    """
+    support = tuple(a for a, q in enumerate(pf) if q > 0.0)
+    logs = tuple(math.log(pf[a]) for a in support)
+    return support, logs, max(logs), -math.log(max(pf)), -math.fsum(logs) / len(logs)
 
 
 class TiltedFamily:
@@ -72,14 +81,10 @@ class TiltedFamily:
     def __init__(self, p: FreqsLike):
         pf = as_freqs(p)
         self.m = len(pf)
-        self.support = tuple(a for a, q in enumerate(pf) if q > 0.0)
-        self.logs = tuple(math.log(pf[a]) for a in self.support)
-        self.top = max(self.logs)
+        self.support, self.logs, self.top, self.c_min, self.c_max = _log_law(pf)
         self.gaps = self.top - np.array(self.logs)
         q_top = max(pf)
         self.argmax = tuple(a for a, q in enumerate(pf) if q >= q_top - 1e-12)
-        self.c_min = -math.log(q_top)
-        self.c_max = -math.fsum(self.logs) / len(self.logs)
         self._grid = None
 
     def _freqs(self, beta: float) -> list[float]:
@@ -214,21 +219,10 @@ class TiltedFamily:
         return beta
 
     def _grid_moments(self) -> list[np.ndarray]:
-        """The moments at _GRID's finite tilts, evaluated in _blocks.
-
-        From 2^16 on, a letter whose gap below the top is at least
-        _UNDERFLOW / 2^16 weighs exp(-beta * gap) = 0. When every letter below
-        the top does, each tail row's weights, and so its moments, are the
-        head's last row bit for bit: only the head is evaluated, and its last
-        row is repeated. Only a law with letters within about 1.1% of its
-        likeliest evaluates the tail.
-        """
-        below = self.gaps[self.gaps > 0.0]
-        near = (below < _UNDERFLOW / _GRID[_HEAD - 1]).any()
-        n = len(_GRID) - 2 if near else _HEAD - 1
-        rows = [self._moments(_GRID[1 : n + 1][block]) for block in self._blocks(n)]
-        return [np.concatenate((*moment, np.repeat(moment[-1][-1:], len(_GRID) - 2 - n)))
-                for moment in zip(*rows)]
+        """The moments at _GRID's finite tilts, evaluated in _blocks."""
+        tilts = _GRID[1:-1]
+        rows = [self._moments(tilts[block]) for block in self._blocks(len(tilts))]
+        return [np.concatenate(moment) for moment in zip(*rows)]
 
     def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.
@@ -372,42 +366,42 @@ def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
     is for binary_closed_forms, whose middle curve branches on the sign of
     eta(1/2) - (h + eps), which is rounding noise near uniform. Empty when p
     is uniform on its support, where every word is typical for any eps and
-    conditioning is vacuous. The one admissibility rule of the package.
+    conditioning is vacuous. The one admissibility rule of the package, a
+    function of p's floats alone: it builds no TiltedFamily.
     """
-    return _admissible_interval(p, TiltedFamily(p))
-
-
-def _admissible_interval(p: FreqsLike, family: TiltedFamily) -> tuple[float, float]:
-    # with gaps g_a = log max p - log p_a: c_max - h = sum (1/m' - p_a) g_a and
-    # h - c_min = sum p_a g_a, neither a difference of O(1) entropies, so the
-    # interval keeps its digits as p nears uniform
-    pf = as_freqs(p)
-    terms = [(pf[a], g) for a, g in zip(family.support, family.gaps.tolist())]
-    share = 1.0 / len(terms)
-    top = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
-    h = shannon_entropy(p)
-    low = max(0.0, h - (family.c_max - _EDGE_TOL), (family.c_min + _EDGE_TOL) - h)
+    low, top, _ = _admissible(as_freqs(p))
     return (low, top)
 
 
-def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> TiltedFamily:
-    """p's TiltedFamily, once eps is checked to sit strictly inside the interval.
+def _admissible(pf: tuple[float, ...]) -> tuple[float, float, float]:
+    # (low, top, c_max - c_min). With gaps g_a = log max p - log p_a:
+    # c_max - h = sum (1/m' - p_a) g_a and h - c_min = sum p_a g_a, neither a
+    # difference of O(1) entropies, so the interval keeps its digits as p
+    # nears uniform
+    support, logs, top, c_min, c_max = _log_law(pf)
+    terms = [(pf[a], top - lg) for a, lg in zip(support, logs)]
+    share = 1.0 / len(terms)
+    high = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
+    h = -math.fsum(pf[a] * lg for a, lg in zip(support, logs))  # shannon_entropy's sum
+    low = max(0.0, h - (c_max - _EDGE_TOL), (c_min + _EDGE_TOL) - h)
+    return low, high, c_max - c_min
+
+
+def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
+    """Check that eps sits strictly inside admissible_epsilon_interval(p).
 
     Raises EpsilonInadmissibleError otherwise. Degenerate sources (p uniform
-    on its support) are exempt: their interval is empty but conditioning
-    changes nothing, so every eps is workable. Callers build the law's
-    models on the returned family (asymptotics._scgf_models).
+    on its support: c_max - c_min <= _EDGE_TOL) are exempt: their interval
+    is empty but conditioning changes nothing, so every eps is workable.
     """
-    family = TiltedFamily(p)
-    lo, hi = _admissible_interval(p, family)
-    if family.c_max - family.c_min > _EDGE_TOL and not lo < epsilon < hi:
+    lo, hi, span = _admissible(as_freqs(p))
+    if span > _EDGE_TOL and not lo < epsilon < hi:
         raise EpsilonInadmissibleError(
             f"epsilon inadmissible: {epsilon!r} outside the open interval "
             f"({lo!r}, {hi!r}) for this source (epsilon too large for l_plus "
             "or the typical set already grows at full rate)",
             (lo, hi),
         )
-    return family
 
 
 class Regime(Enum):

@@ -485,9 +485,10 @@ def test_window_solve_takes_at_most_six_passes(raw, zero, frac):
 
 @pytest.mark.parametrize("p, epsilon", [("0.8,0.2", "0.1"), ("0.5,0.3,0.2", "0.07")])
 def test_analyze_builds_one_family_per_law(capsys, monkeypatch, p, epsilon):
-    # guessctl analyze: one family, built by the admissibility check and
-    # shared by the law's three models; the uniform model and the boundary
-    # types read the conditioned model's window, so only its two edges are solved
+    # guessctl analyze: one family, built by _scgf_models and shared by the
+    # law's three models (the admissibility check builds none); the uniform
+    # model and the boundary types read the conditioned model's window, so
+    # only its two edges are solved
     from guesswork.cli import main
 
     counts = _count_tilting_work(monkeypatch)

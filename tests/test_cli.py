@@ -512,6 +512,34 @@ def test_cli_matches_golden_output(capsys, case):
     assert out == (DATA / case["stdout"]).read_text()
 
 
+def _fig1_cases():
+    # the fig1 goldens, and a grid of the eps = 0.05 golden's p0 that mixes
+    # inadmissible ones (0.55, 0.6) in, whose bytes are that golden's lines
+    cases = [(c["argv"], (DATA / c["stdout"]).read_text())
+             for c in GOLDENS if c["argv"][0] == "fig1"]
+    lines = (DATA / "fig1_eps005.csv").read_text().splitlines(keepends=True)
+    rows = {line.split(",")[0]: line for line in lines[2:]}
+    grid = ["0.55", "0.825", "0.6", "0.95"]
+    out = "".join(lines[:2] + [rows[f"{float(p0):.9f}"] for p0 in grid])
+    return cases + [(["fig1", "--epsilon", "0.05", "--p0-grid", ",".join(grid)], out)]
+
+
+FIG1_CASES = _fig1_cases()
+
+
+@pytest.mark.parametrize("argv, want", FIG1_CASES, ids=[" ".join(a[1:]) for a, _ in FIG1_CASES])
+def test_fig1_builds_no_tilted_family(capsys, monkeypatch, argv, want):
+    # fig1 reads the admissibility rule on (p0, 1 - p0)'s floats and its
+    # closed forms: its golden bytes with TiltedFamily unconstructible
+    from guesswork.tilting import TiltedFamily
+
+    def refuse(self, p):
+        raise AssertionError("fig1 built a TiltedFamily")
+
+    monkeypatch.setattr(TiltedFamily, "__init__", refuse)
+    assert run(capsys, argv) == (0, want, "")
+
+
 def test_near_uniform_epsilon_below_the_admissible_lower_end_is_refused(capsys):
     # c_max - h = 4e-16 < 1e-12, so the interval's lower end is positive, above
     # its top 4e-16: the interval is empty and eps = 1e-16 lies below it; the

@@ -727,25 +727,80 @@ def _model_bits(model):
 @settings(max_examples=100, deadline=None)
 @given(laws_with_a_zero(2, 6), laws_with_a_zero(2, 6), st.floats(0.02, 0.98))
 def test_one_law_models_share_one_family(p, other, frac):
-    # _scgf_models builds a law's three models on the TiltedFamily it is given,
-    # and each equals, field by field and bit for bit, the model scgf_model builds for
-    # its source alone; sources of two laws are refused
+    # _scgf_models builds a law's three models on the one TiltedFamily it
+    # builds for them, and each equals, field by field and bit for bit, the
+    # model scgf_model builds for its source alone; sources of two laws are
+    # refused
     from guesswork.asymptotics import _scgf_models
 
     low, top = gw.admissible_epsilon_interval(p)
     assume(top > 1e-9 and low < frac * top)
     sources = [gw.unconditioned(p), gw.conditioned(p, frac * top),
                gw.uniform_typical(p, frac * top)]
-    family = TiltedFamily(p)
-    models = _scgf_models(sources, family)
-    assert models[0].family is models[1].family is models[2].family is family
+    models = _scgf_models(sources)
+    assert isinstance(models[0].family, TiltedFamily)
+    assert models[0].family is models[1].family is models[2].family
     for source, model in zip(sources, models):
         alone = gw.scgf_model(source)
         assert model.source == alone.source
         assert _model_bits(model) == _model_bits(alone)
     if other != p:
         with pytest.raises(gw.DistributionError):
-            _scgf_models([sources[1], gw.unconditioned(other)], family)
+            _scgf_models([sources[1], gw.unconditioned(other)])
+
+
+def admissibility_laws():
+    """laws_with_a_zero, and laws on 2-5 letters 1e-3 to 1e-15 from uniform
+    (1 + d w_a, w in [-1, 1]) or from a point mass (1 and d w_a, w in (0, 1])."""
+    def near(drawn):
+        raw, log_d, point_mass = drawn
+        d = 10.0**log_d
+        if point_mass:
+            raw = [1.0] + [d * (0.5 + 0.5 * v) for v in raw[1:]]
+        else:
+            raw = [1.0 + d * v for v in raw]
+        return gw.LetterDistribution(tuple(v / math.fsum(raw) for v in raw))
+
+    return st.one_of(
+        laws_with_a_zero(2, 6),
+        st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5), st.floats(-15.0, -3.0),
+                  st.booleans()).map(near),
+    )
+
+
+def _reference_admissibility(p):
+    # the interval and the exemption as the tilted family states them: gaps
+    # g_a below the top, c_max - h = sum (1/m' - p_a) g_a, h - c_min = sum p_a g_a
+    from guesswork.tilting import _EDGE_TOL
+
+    family = TiltedFamily(p)
+    terms = [(p.probs[a], g) for a, g in zip(family.support, family.gaps.tolist())]
+    share = 1.0 / len(terms)
+    top = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
+    h = gw.shannon_entropy(p)
+    low = max(0.0, h - (family.c_max - _EDGE_TOL), (family.c_min + _EDGE_TOL) - h)
+    return (low, top), family.c_max - family.c_min > _EDGE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissibility_laws(), st.floats(-1e-9, 1e-9), st.floats(0.0, 1.0))
+@example(gw.LetterDistribution((0.5, 0.5)), 0.0, 0.5)
+@example(gw.LetterDistribution((0.25, 0.0, 0.25, 0.5)), 1e-12, 0.5)
+def test_admissibility_is_a_rule_of_p_alone(p, rel, frac):
+    # admissible_epsilon_interval, computed from p's floats, is the interval
+    # the tilted family's gaps, c_min and c_max give, bit for bit, and
+    # require_admissible_epsilon refuses an eps at, near or inside its ends
+    # exactly when that interval and the family's exemption (c_max - c_min
+    # <= _EDGE_TOL) refuse it
+    (low, top), gated = _reference_admissibility(p)
+    assert np.array(gw.admissible_epsilon_interval(p)).tobytes() == np.array([low, top]).tobytes()
+    for eps in (low, top, low * (1.0 + rel), top * (1.0 + rel), low + frac * (top - low)):
+        try:
+            gw.require_admissible_epsilon(p, eps)
+            refused = None
+        except gw.EpsilonInadmissibleError as err:
+            refused = err.interval
+        assert refused == ((low, top) if gated and not low < eps < top else None), (p, eps)
 
 
 def tilting_laws():
@@ -805,33 +860,12 @@ def test_newton_tilt_is_one_float_alone_or_in_any_batch(p, entropy, data):
         assert batch[i:i + 1].tobytes() == alone.tobytes(), (i, xs[i])
 
 
-# log-gaps just inside and outside 746 / 2^16, where the grid's tail starts
-# to matter: a letter this near the likeliest still weighs > 0 at 2^16
+# log-gaps just inside and outside 746 / 2^16: at the grid's tilts past 2^16
+# a letter this near the likeliest weighs > 0 or rounds to 0
 AT_THE_TAIL_EDGE = [
     gw.LetterDistribution((1.0 / (1.0 + math.exp(-g)), 1.0 - 1.0 / (1.0 + math.exp(-g))))
     for g in (0.99 * 746.0 / 2**16, 1.01 * 746.0 / 2**16)
 ]
-
-
-@pytest.mark.parametrize("p, rows", [((0.8, 0.2), 257), (NEAR_TIES[0], 385)],
-                         ids=["apart", "near_tie"])
-def test_grid_pass_evaluates_the_tail_only_near_a_tie(p, rows):
-    # the 128 tilts past 2^16 are evaluated for a law with a letter within
-    # about 1.1% of its likeliest; for any other law every weight below the
-    # top is 0 from 2^16 on, and the head's last row stands for the tail
-    from guesswork.tilting import _GRID
-
-    family, sizes, moments = TiltedFamily(p), [], TiltedFamily._moments
-
-    def counted_moments(self, beta):
-        sizes.append(len(beta))
-        return moments(self, beta)
-
-    with mock.patch.object(TiltedFamily, "_moments", counted_moments):
-        family.solve_entropy(np.array([0.3]))
-    assert sizes[0] == rows
-    full = TiltedFamily(p)._moments(_GRID[1:-1])
-    assert [g.tobytes() for g in family._grid] == [f.tobytes() for f in full]
 
 
 @settings(max_examples=60, deadline=None)
@@ -839,14 +873,15 @@ def test_grid_pass_evaluates_the_tail_only_near_a_tie(p, rows):
 @example(AT_THE_TAIL_EDGE[0])
 @example(AT_THE_TAIL_EDGE[1])
 def test_grid_moments_are_the_whole_grids_bit_for_bit(p):
-    # with or without the tail evaluated, the family's grid moments are those
-    # of every _GRID tilt, so every bracket, start and tilt is too
+    # the grid moments a family caches on its first solve, evaluated in
+    # _blocks, are those of one _moments call over every finite _GRID tilt,
+    # so every bracket, start and tilt is too
     from guesswork.tilting import _GRID
 
     family = TiltedFamily(p)
-    blocks = [family._moments(_GRID[1:-1][b]) for b in family._blocks(len(_GRID) - 2)]
-    full = [np.concatenate(moment) for moment in zip(*blocks)]
-    assert [g.tobytes() for g in family._grid_moments()] == [f.tobytes() for f in full]
+    family.solve_entropy(np.array([0.5 * math.log(len(family.support))]))
+    full = TiltedFamily(p)._moments(_GRID[1:-1])
+    assert [g.tobytes() for g in family._grid] == [f.tobytes() for f in full]
 
 
 # alphas of both route thresholds, alpha < -1, alpha = -1 (the log-ratio
