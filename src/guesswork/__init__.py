@@ -6,78 +6,67 @@ source conditioned on its typical set, and the uniform law on the typical
 set; the associated rate functions, growth exponents, and large-deviation
 pmf approximations; and exact finite-k oracles (method of types and naive
 enumeration) that every asymptotic formula is validated against.
-"""
 
-from .asymptotics import (
-    BinaryReport,
-    GrowthExponents,
-    ScgfModel,
-    Source,
-    SourceKind,
-    binary_closed_forms,
-    conditioned,
-    growth_exponents,
-    guesswork_pmf_approx,
-    legendre_transform,
-    scgf_model,
-    unconditioned,
-    uniform_typical,
-)
-from .entropy import (
-    LetterDistribution,
-    TypeVector,
-    cross_entropy,
-    enumerate_types,
-    is_typical_type,
-    num_types,
-    shannon_entropy,
-    type_count,
-    type_count_matrix,
-    typical_window,
-)
-from .errors import (
-    AlphaDomainError,
-    DistributionError,
-    EmptyTypicalSetError,
-    EpsilonInadmissibleError,
-    GrainError,
-    GridTooLargeError,
-    GuessworkError,
-    TypeSpaceTooLargeError,
-    WordSpaceTooLargeError,
-)
-from .oracle import (
-    CensusResult,
-    ConvergencePoint,
-    ExactGuessTable,
-    FiniteKExponents,
-    GuessBlock,
-    SandwichBounds,
-    build_guess_table,
-    convergence_series,
-    exact_mean_log_guesswork,
-    exact_moment_log,
-    finite_k_exponents,
-    log_rank_power_sum,
-    modal_word_count,
-    moment_sandwich,
-    naive_enumeration_crosscheck,
-    smallest_nonempty_k,
-    trend_holds,
-    typical_set_census,
-)
-from .tilting import (
-    BoundaryTypes,
-    ClampedOptimum,
-    Regime,
-    admissible_epsilon_interval,
-    boundary_types,
-    clamped_optimum,
-    require_admissible_epsilon,
-    solve_cross_entropy,
-    tilted_type,
-)
+Importing the package imports none of its submodules. Each public name is
+resolved on first use (PEP 562) from the submodule that defines it, so a
+caller pays for numpy and the numeric modules only when it uses them.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each public name and the submodule that defines it; the submodules' own
+# names map to themselves.
+_MODULE_OF = {
+    **dict.fromkeys((
+        "BinaryReport", "GrowthExponents", "ScgfModel", "Source", "binary_closed_forms",
+        "conditioned", "growth_exponents", "guesswork_pmf_approx", "legendre_transform",
+        "scgf_model", "unconditioned", "uniform_typical",
+    ), "asymptotics"),
+    "SourceKind": "base",
+    **dict.fromkeys((
+        "LetterDistribution", "TypeVector", "cross_entropy", "enumerate_types",
+        "is_typical_type", "num_types", "shannon_entropy", "type_count", "type_count_matrix",
+        "typical_window",
+    ), "entropy"),
+    **dict.fromkeys((
+        "AlphaDomainError", "DistributionError", "EmptyTypicalSetError",
+        "EpsilonInadmissibleError", "GrainError", "GridTooLargeError", "GuessworkError",
+        "TypeSpaceTooLargeError", "WordSpaceTooLargeError",
+    ), "errors"),
+    **dict.fromkeys((
+        "CensusResult", "ConvergencePoint", "ExactGuessTable", "FiniteKExponents", "GuessBlock",
+        "SandwichBounds", "build_guess_table", "convergence_series", "exact_mean_log_guesswork",
+        "exact_moment_log", "finite_k_exponents", "modal_word_count", "moment_sandwich",
+        "naive_enumeration_crosscheck", "smallest_nonempty_k", "trend_holds",
+        "typical_set_census",
+    ), "oracle"),
+    "log_rank_power_sum": "ranksums",
+    **dict.fromkeys((
+        "BoundaryTypes", "ClampedOptimum", "Regime", "admissible_epsilon_interval",
+        "boundary_types", "clamped_optimum", "require_admissible_epsilon",
+        "solve_cross_entropy", "tilted_type",
+    ), "tilting"),
+    **{m: m for m in ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")},
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its submodule once; later lookups find it bound here."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # the import statement's own path, which `python -X importtime` reports
+    # (importlib.import_module's is not); it binds the submodule here
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

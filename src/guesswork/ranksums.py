@@ -213,12 +213,19 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
 
 
 def _lse(terms) -> float:
-    """log sum_i exp(terms_i), correctly rounded: _lse_segments on one segment at scale 1;
+    """log sum_i exp(terms_i), correctly rounded: what _lse_segments gives for one segment
+    at scale 1, bit for bit, from one row's _segment_sum without the 2-D set-up;
     -inf terms drop out, +inf wins, and no terms sum to -inf."""
-    terms = np.asarray(terms, dtype=np.float64).reshape(1, -1)
+    terms = np.asarray(terms, dtype=np.float64)
     if not terms.size:
         return -math.inf
-    return _lse_segments(terms, [[1.0]], np.array([terms.size]))[0][0]
+    top = float(terms.max())
+    if not math.isfinite(top):  # every term -inf, or a +inf or nan among them
+        return top
+    x = np.exp(terms - top)
+    keep = ~(x < _PRUNE)  # a nan is kept
+    head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
+    return _segment_sum(top, 1.0, head, x)
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:

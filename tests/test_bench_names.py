@@ -46,6 +46,11 @@ def test_every_traced_name_resolves():
 
 def test_tracer_install_then_uninstall_restores_every_original():
     tracing = _tracing()
+    # the package binds a public name on first use, and install looks every
+    # traced name up on it: bind them all before the snapshot
+    package = importlib.import_module("guesswork")
+    for name in package.__all__:
+        getattr(package, name)
     before = _bindings(tracing)
     tracer = tracing.Tracer()
     try:

@@ -73,12 +73,14 @@ def test_exact_tie_falls_back_to_fsum(monkeypatch, head, want):
     assert calls == [x.size]
 
 
-def _scaled_lse(terms, scale):
-    # _lse at scale 1; a scaled sum is one segment of _lse_segments
-    if scale == 1.0:
-        return _lse(terms)
+def _one_segment(terms, scale=1.0):
     terms = np.asarray(terms, dtype=np.float64).reshape(1, -1)
     return ranksums._lse_segments(terms, [[scale]], np.array([terms.shape[1]]))[0][0]
+
+
+def _scaled_lse(terms, scale):
+    # _lse at scale 1; a scaled sum is one segment of _lse_segments
+    return _lse(terms) if scale == 1.0 else _one_segment(terms, scale)
 
 
 @pytest.mark.parametrize("n", [10, 2 * _CASCADE_MIN])
@@ -95,3 +97,25 @@ def test_lse_non_finite_terms(n, scale):
     assert math.isnan(_scaled_lse(np.append(terms, math.nan), scale))
     assert math.isnan(_scaled_lse(np.append(terms, [math.nan, math.inf]), scale))
     assert _scaled_lse(np.full(n, -math.inf), scale) == -math.inf
+
+
+def _log_terms(shape, n, seed, scale):
+    with np.errstate(divide="ignore"):  # the "ties" rows hold zeros: -inf terms
+        return np.log(_terms(shape, n, seed, scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.one_of(st.floats(-800.0, 800.0),
+                       st.sampled_from((-math.inf, math.inf, math.nan))), min_size=1, max_size=40),
+    st.builds(_log_terms, st.sampled_from(("exp", "grid", "equal", "ties", "wide", "tail_tie")),
+              st.integers(1, 3 * _CASCADE_MIN), st.integers(0, 2**32 - 1), st.floats(1.0, 700.0)),
+))
+def test_lse_is_the_one_segment_lse_segments_bit_for_bit(terms):
+    # _lse sums its one row without the 2-D set-up: the same float, inf and nan
+    # included, on pruned heads, the cascade and the fsum fallback alike
+    assert repr(_lse(terms)) == repr(_one_segment(terms))
+
+
+def test_lse_of_the_empty_row_is_minus_inf():
+    assert _lse([]) == _lse(np.empty(0)) == -math.inf
