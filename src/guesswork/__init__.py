@@ -18,11 +18,10 @@ __version__ = "0.1.0"
 # names map to themselves.
 _MODULE_OF = {
     **dict.fromkeys((
-        "BinaryReport", "GrowthExponents", "ScgfModel", "Source", "binary_closed_forms",
-        "conditioned", "growth_exponents", "guesswork_pmf_approx", "legendre_transform",
-        "scgf_model", "unconditioned", "uniform_typical",
+        "BinaryReport", "GrowthExponents", "ScgfModel", "Source", "SourceKind",
+        "binary_closed_forms", "conditioned", "growth_exponents", "guesswork_pmf_approx",
+        "legendre_transform", "scgf_model", "unconditioned", "uniform_typical",
     ), "asymptotics"),
-    "SourceKind": "base",
     **dict.fromkeys((
         "LetterDistribution", "TypeVector", "cross_entropy", "enumerate_types",
         "is_typical_type", "num_types", "shannon_entropy", "type_count", "type_count_matrix",

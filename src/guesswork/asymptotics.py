@@ -26,12 +26,12 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .base import SourceKind  # re-exported as guesswork.asymptotics.SourceKind
 from .entropy import (
     FreqsLike,
     LetterDistribution,
@@ -44,6 +44,14 @@ from .errors import DistributionError, EpsilonInadmissibleError
 from .tilting import TiltedFamily, admissible_epsilon_interval, clamp_tilt
 
 _SLOPE_EDGE_TOL = 1e-12
+
+
+class SourceKind(Enum):
+    """Which word source a computation refers to."""
+
+    UNCONDITIONED = "unconditioned"
+    CONDITIONED = "conditioned"
+    UNIFORM_TYPICAL = "uniform"
 
 
 @dataclass(frozen=True)

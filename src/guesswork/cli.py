@@ -17,13 +17,13 @@ refusal, 3 exact-compare trend failure or naive cross-check mismatch.
 The argparse tree is built once per process, by the first `main()` call,
 and reused; `build_parser()` still builds a new one on each call.
 
-Import rule: this module's top imports only the standard library and the
-numpy-free `base` and `errors`, so building the parser loads no numpy.
-Each handler imports the package modules it runs and calls through them,
-so a subcommand loads only what it uses: fig1, fig2 and analyze never load
-`oracle` or `ranksums`. The handlers write `import guesswork.x as x`, which
-after the first call is a `sys.modules` lookup in C; `from . import x`
-also runs importlib's Python-level fromlist handling on every call.
+Import rule: the exact finite-k oracle is imported by the handlers that
+run it, `cmd_exact_compare` and `cmd_census`, and by nothing at this
+module's top, so fig1, fig2 and analyze never load `oracle` or
+`ranksums`. The handlers write `import guesswork.oracle as oracle`, which
+after the first call is a `sys.modules` lookup in C; `from .oracle import
+...` would also run importlib's Python-level fromlist handling on every
+call.
 """
 
 from __future__ import annotations
@@ -34,9 +34,23 @@ import json
 import math
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING
 
-from .base import MAX_TYPES_DEFAULT, SourceKind
+import numpy as np
+
+from .asymptotics import (
+    ScgfModel,
+    Source,
+    SourceKind,
+    _scgf_models,
+    alphas_or_default,
+    binary_closed_forms,
+    conditioned,
+    legendre_transforms,
+    scgf_model,
+    unconditioned,
+    uniform_typical,
+)
+from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
 from .errors import (
     DistributionError,
     EpsilonInadmissibleError,
@@ -45,10 +59,7 @@ from .errors import (
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,
 )
-
-if TYPE_CHECKING:
-    from .asymptotics import ScgfModel
-    from .entropy import LetterDistribution
+from .tilting import BoundaryTypes, require_admissible_epsilon
 
 _KIND_NAMES = tuple(kind.value for kind in SourceKind)
 
@@ -90,8 +101,6 @@ def _parse_list(text: str, convert, what: str) -> tuple:
 
 
 def _parse_probs(text: str) -> LetterDistribution:
-    import guesswork.entropy as entropy
-
     values = _parse_list(text, float, "probabilities")
     if not all(map(math.isfinite, values)):
         raise DistributionError(f"probabilities must be finite, got {text!r}")
@@ -102,7 +111,7 @@ def _parse_probs(text: str) -> LetterDistribution:
         raise DistributionError(
             f"probabilities sum to {total!r}; renormalization only within 1e-6 of 1"
         )
-    return entropy.LetterDistribution(tuple(v / total for v in values))
+    return LetterDistribution(tuple(v / total for v in values))
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
@@ -176,23 +185,17 @@ def _kind_report(model: ScgfModel) -> dict:
 def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
     """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family, once
     require_admissible_epsilon(p, epsilon) has passed."""
-    import guesswork.asymptotics as asymptotics
-    import guesswork.tilting as tilting
-
-    tilting.require_admissible_epsilon(p, epsilon)
-    sources = (asymptotics.unconditioned(p), asymptotics.conditioned(p, epsilon),
-               asymptotics.uniform_typical(p, epsilon))
-    return dict(zip(_KIND_NAMES, asymptotics._scgf_models(sources)))
+    require_admissible_epsilon(p, epsilon)
+    sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
+    return dict(zip(_KIND_NAMES, _scgf_models(sources)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:
-    import guesswork.tilting as tilting
-
     p = _parse_probs(args.p)
     models = _models(p, args.epsilon)
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
-    bnd = tilting.BoundaryTypes.of(cond.family, cond.window)
+    bnd = BoundaryTypes.of(cond.family, cond.window)
     report = {
         "p": list(map(_jnum, p.probs)),
         "epsilon": _jnum(args.epsilon),
@@ -230,15 +233,12 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 
 
 def cmd_fig1(args) -> tuple[str, int]:
-    import guesswork.asymptotics as asymptotics
-    import guesswork.entropy as entropy
-
-    epsilon = entropy._checked_epsilon(args.epsilon)
+    epsilon = _checked_epsilon(args.epsilon)
     grid = _parse_list(args.p0_grid, float, "numbers") if args.p0_grid else _FIG1_DEFAULT_GRID
     rows = []
     for p0 in grid:
         try:
-            rep = asymptotics.binary_closed_forms(p0, epsilon)
+            rep = binary_closed_forms(p0, epsilon)
         except (EpsilonInadmissibleError, DistributionError):
             rows.append((p0, None, None, None, "epsilon_inadmissible"))
             continue
@@ -252,10 +252,6 @@ def cmd_fig1(args) -> tuple[str, int]:
 
 
 def cmd_fig2(args) -> tuple[str, int]:
-    import numpy as np
-
-    import guesswork.asymptotics as asymptotics
-
     if args.x_points < 0:
         raise DistributionError(f"--x-points must be non-negative, got {args.x_points}")
     if args.x_points > MAX_X_POINTS:
@@ -267,7 +263,7 @@ def cmd_fig2(args) -> tuple[str, int]:
     xs = np.linspace(0.0, math.log(p.m), args.x_points)
     # outside a source's domain the curve is reported as "inf"
     curves = [np.where(np.isinf(rate), math.inf, -xs - rate).tolist()
-              for rate in asymptotics.legendre_transforms(models, xs)]
+              for rate in legendre_transforms(models, xs)]
     rows = zip(xs.tolist(), *curves)
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(args.epsilon)}",
@@ -287,17 +283,15 @@ def cmd_fig2(args) -> tuple[str, int]:
 
 
 def cmd_exact_compare(args) -> tuple[str, int]:
-    import guesswork.asymptotics as asymptotics
     import guesswork.oracle as oracle
 
     p = _parse_probs(args.p)
     typical = args.kind != SourceKind.UNCONDITIONED.value
     if typical and args.epsilon is None:
         raise DistributionError(f"--epsilon is required for kind={args.kind}")
-    source = asymptotics.Source(SourceKind(args.kind), p, args.epsilon)
+    source = Source(SourceKind(args.kind), p, args.epsilon)
     ks = _parse_ks(args.k)
-    alphas = (_parse_list(args.alpha, float, "numbers") if args.alpha
-              else asymptotics.alphas_or_default(None))
+    alphas = _parse_list(args.alpha, float, "numbers") if args.alpha else alphas_or_default(None)
 
     # one exact table per distinct k serves every series and cross-check, all
     # in one kernel pass; None marks an empty typical set
@@ -305,7 +299,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
                                           max_words=args.max_words)
     # trends are judged over the distinct ks in first-seen order; rows list every k
     valid_ks = [k for k in exps if exps[k] is not None]
-    model = asymptotics.scgf_model(source)
+    model = scgf_model(source)
 
     series = [("scgf", a) for a in alphas]
     series += [(q, None) for q in oracle.SERIES_QUANTITIES[1:] if typical or q != "typical_size"]
@@ -342,11 +336,10 @@ def cmd_exact_compare(args) -> tuple[str, int]:
 
 
 def cmd_census(args) -> tuple[str, int]:
-    import guesswork.entropy as entropy
     import guesswork.oracle as oracle
 
     p = _parse_probs(args.p)
-    epsilon = entropy._checked_epsilon(args.epsilon)
+    epsilon = _checked_epsilon(args.epsilon)
     ks = _parse_ks(args.k)
     rows = []
     any_empty = False

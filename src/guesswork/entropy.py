@@ -14,11 +14,11 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .base import MAX_TYPES_DEFAULT  # re-exported as guesswork.entropy.MAX_TYPES_DEFAULT
 from .errors import DistributionError, GrainError, TypeSpaceTooLargeError
 
 SIMPLEX_TOL = 1e-12
 GRAIN_TOL = 1e-9
+MAX_TYPES_DEFAULT = 10**7
 
 
 def _validated_simplex(values: Sequence[float], what: str) -> tuple[float, ...]:

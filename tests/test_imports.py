@@ -1,8 +1,8 @@
 """The package's import contract: lazy public names, and guessctl imports what it runs.
 
-`import guesswork` binds each public name on first use, and guessctl's
-handlers import their numeric modules themselves, so building the parser
-loads no numpy and fig1, fig2 and analyze never load the oracle.
+`import guesswork` binds each public name on first use, and only guessctl's
+exact-compare and census handlers import the oracle, so building the parser
+and running fig1, fig2 or analyze never load `oracle` or `ranksums`.
 """
 
 import importlib
@@ -92,18 +92,26 @@ def test_dir_lists_every_public_name_and_unknown_names_raise():
         guesswork.no_such_name
 
 
-def test_building_the_parser_loads_no_numeric_module():
-    # what bench's setup_s times: numpy and the numeric modules stay unloaded
-    proc = _python("-c", (
-        "import sys\n"
-        "import guesswork\n"
-        "from guesswork.cli import build_parser\n"
-        "build_parser()\n"
+def _loaded_after(code: str) -> list[str]:
+    """The numpy and guesswork modules a fresh interpreter holds after running `code`."""
+    proc = _python("-c", code + (
+        "\nimport sys\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'guesswork')))\n"
     ))
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.decode().split()
-    assert loaded == ["guesswork", "guesswork.base", "guesswork.cli", "guesswork.errors"]
+    return proc.stdout.decode().split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import guesswork") == ["guesswork"]
+
+
+def test_building_the_parser_loads_no_oracle():
+    # what bench's setup_s times
+    loaded = _loaded_after("import guesswork\nfrom guesswork.cli import build_parser\n"
+                           "build_parser()")
+    assert "guesswork.asymptotics" in loaded
+    assert not set(loaded) & {"guesswork.oracle", "guesswork.ranksums"}
 
 
 @pytest.mark.parametrize("argv, golden", [
