@@ -9,7 +9,9 @@ enumeration) that every asymptotic formula is validated against.
 
 Importing the package imports none of its submodules. Each public name is
 resolved on first use (PEP 562) from the submodule that defines it, so a
-caller pays for numpy and the numeric modules only when it uses them.
+caller pays for numpy and the numeric modules only when it uses them: the
+scalar names (`SourceKind`, `BinaryReport`, `binary_closed_forms` and the
+admissibility rule) come from `closed_forms`, which loads no numpy.
 """
 
 __version__ = "0.1.0"
@@ -18,10 +20,14 @@ __version__ = "0.1.0"
 # names map to themselves.
 _MODULE_OF = {
     **dict.fromkeys((
-        "BinaryReport", "GrowthExponents", "ScgfModel", "Source", "SourceKind",
-        "binary_closed_forms", "conditioned", "growth_exponents", "guesswork_pmf_approx",
-        "legendre_transform", "scgf_model", "unconditioned", "uniform_typical",
+        "GrowthExponents", "ScgfModel", "Source", "conditioned", "growth_exponents",
+        "guesswork_pmf_approx", "legendre_transform", "scgf_model", "unconditioned",
+        "uniform_typical",
     ), "asymptotics"),
+    **dict.fromkeys((
+        "BinaryReport", "SourceKind", "admissible_epsilon_interval", "binary_closed_forms",
+        "require_admissible_epsilon",
+    ), "closed_forms"),
     **dict.fromkeys((
         "LetterDistribution", "TypeVector", "cross_entropy", "enumerate_types",
         "is_typical_type", "num_types", "shannon_entropy", "type_count", "type_count_matrix",
@@ -41,8 +47,7 @@ _MODULE_OF = {
     ), "oracle"),
     "log_rank_power_sum": "ranksums",
     **dict.fromkeys((
-        "BoundaryTypes", "ClampedOptimum", "Regime", "admissible_epsilon_interval",
-        "boundary_types", "clamped_optimum", "require_admissible_epsilon",
+        "BoundaryTypes", "ClampedOptimum", "Regime", "boundary_types", "clamped_optimum",
         "solve_cross_entropy", "tilted_type",
     ), "tilting"),
     **{m: m for m in ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")},

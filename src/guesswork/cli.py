@@ -17,9 +17,14 @@ refusal, 3 exact-compare trend failure or naive cross-check mismatch.
 The argparse tree is built once per process, by the first `main()` call,
 and reused; `build_parser()` still builds a new one on each call.
 
-Import rule: the exact finite-k oracle is imported by the handlers that
-run it, `cmd_exact_compare` and `cmd_census`, and by nothing at this
-module's top, so fig1, fig2 and analyze never load `oracle` or
+Import rule: this module's top imports the standard library and the
+package's numpy-free modules only (`errors`, `entropy`, `closed_forms`),
+so building the parser, `--help` and fig1, whose engine is
+`closed_forms.binary_closed_forms`, load no numpy. Each numeric module is
+imported where it runs: `asymptotics` by `_models` (fig2, analyze) and by
+`cmd_fig2` and `cmd_exact_compare`, `tilting` by `cmd_analyze`, numpy by
+`cmd_fig2`, and the exact finite-k oracle by `cmd_exact_compare` and
+`cmd_census` alone, so fig1, fig2 and analyze never load `oracle` or
 `ranksums`. The handlers write `import guesswork.oracle as oracle`, which
 after the first call is a `sys.modules` lookup in C; `from .oracle import
 ...` would also run importlib's Python-level fromlist handling on every
@@ -35,21 +40,7 @@ import math
 import sys
 from itertools import chain
 
-import numpy as np
-
-from .asymptotics import (
-    ScgfModel,
-    Source,
-    SourceKind,
-    _scgf_models,
-    alphas_or_default,
-    binary_closed_forms,
-    conditioned,
-    legendre_transforms,
-    scgf_model,
-    unconditioned,
-    uniform_typical,
-)
+from .closed_forms import SourceKind, binary_closed_forms, require_admissible_epsilon
 from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
 from .errors import (
     DistributionError,
@@ -59,7 +50,6 @@ from .errors import (
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,
 )
-from .tilting import BoundaryTypes, require_admissible_epsilon
 
 _KIND_NAMES = tuple(kind.value for kind in SourceKind)
 
@@ -162,7 +152,7 @@ def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
     return text + "".join(line + "\n" for line in footer)
 
 
-def _kind_report(model: ScgfModel) -> dict:
+def _kind_report(model) -> dict:
     exps = model.exponents()
     report = {
         "moment_rate": _jnum(exps.moment_rate),
@@ -182,20 +172,25 @@ def _kind_report(model: ScgfModel) -> dict:
     return report
 
 
-def _models(p: LetterDistribution, epsilon: float) -> dict[str, ScgfModel]:
+def _models(p: LetterDistribution, epsilon: float) -> dict:
     """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family, once
     require_admissible_epsilon(p, epsilon) has passed."""
+    import guesswork.asymptotics as asymptotics
+
     require_admissible_epsilon(p, epsilon)
-    sources = (unconditioned(p), conditioned(p, epsilon), uniform_typical(p, epsilon))
-    return dict(zip(_KIND_NAMES, _scgf_models(sources)))
+    sources = (asymptotics.unconditioned(p), asymptotics.conditioned(p, epsilon),
+               asymptotics.uniform_typical(p, epsilon))
+    return dict(zip(_KIND_NAMES, asymptotics._scgf_models(sources)))
 
 
 def cmd_analyze(args) -> tuple[str, int]:
+    import guesswork.tilting as tilting
+
     p = _parse_probs(args.p)
     models = _models(p, args.epsilon)
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
-    bnd = BoundaryTypes.of(cond.family, cond.window)
+    bnd = tilting.BoundaryTypes.of(cond.family, cond.window)
     report = {
         "p": list(map(_jnum, p.probs)),
         "epsilon": _jnum(args.epsilon),
@@ -252,6 +247,10 @@ def cmd_fig1(args) -> tuple[str, int]:
 
 
 def cmd_fig2(args) -> tuple[str, int]:
+    import numpy as np
+
+    import guesswork.asymptotics as asymptotics
+
     if args.x_points < 0:
         raise DistributionError(f"--x-points must be non-negative, got {args.x_points}")
     if args.x_points > MAX_X_POINTS:
@@ -263,7 +262,7 @@ def cmd_fig2(args) -> tuple[str, int]:
     xs = np.linspace(0.0, math.log(p.m), args.x_points)
     # outside a source's domain the curve is reported as "inf"
     curves = [np.where(np.isinf(rate), math.inf, -xs - rate).tolist()
-              for rate in legendre_transforms(models, xs)]
+              for rate in asymptotics.legendre_transforms(models, xs)]
     rows = zip(xs.tolist(), *curves)
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(args.epsilon)}",
@@ -283,15 +282,17 @@ def cmd_fig2(args) -> tuple[str, int]:
 
 
 def cmd_exact_compare(args) -> tuple[str, int]:
+    import guesswork.asymptotics as asymptotics
     import guesswork.oracle as oracle
 
     p = _parse_probs(args.p)
     typical = args.kind != SourceKind.UNCONDITIONED.value
     if typical and args.epsilon is None:
         raise DistributionError(f"--epsilon is required for kind={args.kind}")
-    source = Source(SourceKind(args.kind), p, args.epsilon)
+    source = asymptotics.Source(SourceKind(args.kind), p, args.epsilon)
     ks = _parse_ks(args.k)
-    alphas = _parse_list(args.alpha, float, "numbers") if args.alpha else alphas_or_default(None)
+    alphas = (_parse_list(args.alpha, float, "numbers") if args.alpha
+              else asymptotics.alphas_or_default(None))
 
     # one exact table per distinct k serves every series and cross-check, all
     # in one kernel pass; None marks an empty typical set
@@ -299,7 +300,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
                                           max_words=args.max_words)
     # trends are judged over the distinct ks in first-seen order; rows list every k
     valid_ks = [k for k in exps if exps[k] is not None]
-    model = scgf_model(source)
+    model = asymptotics.scgf_model(source)
 
     series = [("scgf", a) for a in alphas]
     series += [(q, None) for q in oracle.SERIES_QUANTITIES[1:] if typical or q != "typical_size"]

@@ -4,6 +4,10 @@ Shared vocabulary for the rest of the package: probability vectors on
 {0, ..., m-1}, k-types (empirical letter frequencies), Shannon entropy and
 cross entropy, exact counting of type classes, and typical-set membership.
 All logarithms are natural; every rate in the package is in nats.
+
+Importing this module imports no numpy: the three functions on arrays
+(`cross_entropy`, `_cross_entropies`, `type_count_matrix`) import it in
+their bodies, so the scalar layer and guessctl's parser run without it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
-
-import numpy as np
 
 from .errors import DistributionError, GrainError, TypeSpaceTooLargeError
 
@@ -136,6 +138,8 @@ def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
     D(l || p), which the package leans on: a word of type l has per-letter
     log-probability -cross_entropy(l, p). The one-row case of _cross_entropies.
     """
+    import numpy as np
+
     lf, pf = as_freqs(l), as_freqs(p)
     if len(lf) != len(pf):
         raise DistributionError(f"alphabet mismatch: {len(lf)} vs {len(pf)} letters")
@@ -145,6 +149,8 @@ def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
 def _cross_entropies(counts: np.ndarray, k: int, p: FreqsLike) -> np.ndarray:
     """cross_entropy(l, p) of each row's type l = row / k, added letter by
     letter from 0.0: the package's one type-cost rule."""
+    import numpy as np
+
     cost = np.zeros(len(counts))
     for a, q in enumerate(as_freqs(p)):
         if q > 0.0:
@@ -195,6 +201,8 @@ def type_count_matrix(
     TypeSpaceTooLargeError
         If C(k + m - 1, m - 1) exceeds max_types; nothing is allocated.
     """
+    import numpy as np
+
     if k < 1 or m < 2:
         raise DistributionError(f"need k >= 1 and m >= 2, got k={k}, m={m}")
     total = num_types(k, m)

@@ -25,6 +25,14 @@ from enum import Enum
 
 import numpy as np
 
+# the admissibility rule lives in the scalar layer; its two public names are
+# imported back, so tilting.require_admissible_epsilon stays the same object
+from .closed_forms import (
+    _EDGE_TOL,
+    _log_law,
+    admissible_epsilon_interval,
+    require_admissible_epsilon,
+)
 from .entropy import (
     FreqsLike,
     TypeVector,
@@ -32,14 +40,10 @@ from .entropy import (
     shannon_entropy,
     typical_window,
 )
-from .errors import AlphaDomainError, DistributionError, EpsilonInadmissibleError
+from .errors import AlphaDomainError, DistributionError
 
 NEWTON_STEP_TOL = 1e-13  # relative step in beta below which the solver stops
 NEWTON_MAX_ITER = 100
-
-# C-scale margin inside which a boundary target is treated as sitting on a
-# limit of the tilted family rather than solvable at finite beta.
-_EDGE_TOL = 1e-12
 
 # Weights per block of the Newton loop, targets times support size, so its
 # temporaries stay bounded whatever the number of targets.
@@ -50,19 +54,6 @@ _BLOCK_CELLS = 1 << 15
 # bracket and start each target, between the family's ends 0 and inf
 _GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0),
                         2.0 ** (np.arange(65, 193) / 4.0), [math.inf]))
-
-
-def _log_law(pf: tuple[float, ...]) -> tuple:
-    """(support, logs, top, c_min, c_max) of the frequencies pf.
-
-    The support's letters, their log-probabilities, the largest of those,
-    and the tilted family's attainable cross entropies c_min = -log max_a p_a
-    (beta -> inf) and c_max = -(1/m') sum log p_a over the support of size m'
-    (beta -> 0): shared by TiltedFamily and the admissibility rule.
-    """
-    support = tuple(a for a, q in enumerate(pf) if q > 0.0)
-    logs = tuple(math.log(pf[a]) for a in support)
-    return support, logs, max(logs), -math.log(max(pf)), -math.fsum(logs) / len(logs)
 
 
 class TiltedFamily:
@@ -351,57 +342,6 @@ def boundary_types(p: FreqsLike, epsilon: float) -> BoundaryTypes:
     """
     family = TiltedFamily(p)
     return BoundaryTypes.of(family, family.window(*typical_window(p, epsilon)))
-
-
-def admissible_epsilon_interval(p: FreqsLike) -> tuple[float, float]:
-    """Open interval of eps for which both boundary types exist at finite tilt.
-
-    (low, min(c_max - h(p), h(p) + log max_a p_a)): past the top an edge
-    of the window reaches its own end of (c_min, c_max), where
-    TiltedFamily.window takes the family's limit. low = max(0, h - (c_max -
-    _EDGE_TOL), (c_min + _EDGE_TOL) - h) keeps each edge h -/+ eps more than
-    _EDGE_TOL inside the far end; it is 0 unless p is within about 1e-12 of
-    uniform or of a point mass (binary laws within about 5e-7 of uniform or
-    1e-14 of a point mass). The window solves those edges too; the lower end
-    is for binary_closed_forms, whose middle curve branches on the sign of
-    eta(1/2) - (h + eps), which is rounding noise near uniform. Empty when p
-    is uniform on its support, where every word is typical for any eps and
-    conditioning is vacuous. The one admissibility rule of the package, a
-    function of p's floats alone: it builds no TiltedFamily.
-    """
-    low, top, _ = _admissible(as_freqs(p))
-    return (low, top)
-
-
-def _admissible(pf: tuple[float, ...]) -> tuple[float, float, float]:
-    # (low, top, c_max - c_min). With gaps g_a = log max p - log p_a:
-    # c_max - h = sum (1/m' - p_a) g_a and h - c_min = sum p_a g_a, neither a
-    # difference of O(1) entropies, so the interval keeps its digits as p
-    # nears uniform
-    support, logs, top, c_min, c_max = _log_law(pf)
-    terms = [(pf[a], top - lg) for a, lg in zip(support, logs)]
-    share = 1.0 / len(terms)
-    high = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
-    h = -math.fsum(pf[a] * lg for a, lg in zip(support, logs))  # shannon_entropy's sum
-    low = max(0.0, h - (c_max - _EDGE_TOL), (c_min + _EDGE_TOL) - h)
-    return low, high, c_max - c_min
-
-
-def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
-    """Check that eps sits strictly inside admissible_epsilon_interval(p).
-
-    Raises EpsilonInadmissibleError otherwise. Degenerate sources (p uniform
-    on its support: c_max - c_min <= _EDGE_TOL) are exempt: their interval
-    is empty but conditioning changes nothing, so every eps is workable.
-    """
-    lo, hi, span = _admissible(as_freqs(p))
-    if span > _EDGE_TOL and not lo < epsilon < hi:
-        raise EpsilonInadmissibleError(
-            f"epsilon inadmissible: {epsilon!r} outside the open interval "
-            f"({lo!r}, {hi!r}) for this source (epsilon too large for l_plus "
-            "or the typical set already grows at full rate)",
-            (lo, hi),
-        )
 
 
 class Regime(Enum):

@@ -503,17 +503,18 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
     # whole grid, one array entropy solve in all and no scalar solve per grid
     # point, only the conditioned window's two edges, and one grid pass on the
     # one family that the admissibility check builds and the three models share
-    from guesswork import cli
+    from guesswork import asymptotics, cli
 
     counts = _count_tilting_work(monkeypatch)
     calls = []
-    transforms = cli.legendre_transforms
+    transforms = asymptotics.legendre_transforms
 
     def counted_transforms(models, x):
         calls.append((len(models), np.size(x)))
         return transforms(models, x)
 
-    monkeypatch.setattr(cli, "legendre_transforms", counted_transforms)
+    # cmd_fig2 resolves it on the module it imports in the handler
+    monkeypatch.setattr(asymptotics, "legendre_transforms", counted_transforms)
     argv = ["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--x-points", "400"]
     assert cli.main(argv) == 0
     capsys.readouterr()

@@ -1,8 +1,10 @@
 """The package's import contract: lazy public names, and guessctl imports what it runs.
 
-`import guesswork` binds each public name on first use, and only guessctl's
-exact-compare and census handlers import the oracle, so building the parser
-and running fig1, fig2 or analyze never load `oracle` or `ranksums`.
+`import guesswork` binds each public name on first use, and guessctl's
+handlers import the numeric modules they run: building the parser and
+running fig1 load no numpy, no `asymptotics` and no `tilting`, and only the
+exact-compare and census handlers import the oracle, so fig2 and analyze
+never load `oracle` or `ranksums`.
 """
 
 import importlib
@@ -21,9 +23,13 @@ DATA = ROOT / "tests" / "data"
 # The 65 public names, each with a module it is importable from as the same object.
 PUBLIC = {
     "asymptotics": (
-        "BinaryReport", "GrowthExponents", "ScgfModel", "Source", "SourceKind",
-        "binary_closed_forms", "conditioned", "growth_exponents", "guesswork_pmf_approx",
-        "legendre_transform", "scgf_model", "unconditioned", "uniform_typical",
+        "GrowthExponents", "ScgfModel", "Source", "conditioned", "growth_exponents",
+        "guesswork_pmf_approx", "legendre_transform", "scgf_model", "unconditioned",
+        "uniform_typical",
+    ),
+    "closed_forms": (
+        "BinaryReport", "SourceKind", "admissible_epsilon_interval", "binary_closed_forms",
+        "require_admissible_epsilon",
     ),
     "entropy": (
         "LetterDistribution", "TypeVector", "cross_entropy", "enumerate_types",
@@ -43,12 +49,19 @@ PUBLIC = {
         "trend_holds", "typical_set_census",
     ),
     "tilting": (
-        "BoundaryTypes", "ClampedOptimum", "Regime", "admissible_epsilon_interval",
-        "boundary_types", "clamped_optimum", "require_admissible_epsilon",
+        "BoundaryTypes", "ClampedOptimum", "Regime", "boundary_types", "clamped_optimum",
         "solve_cross_entropy", "tilted_type",
     ),
 }
 MODULES = ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")
+# The scalar names that moved into closed_forms, by the module that defined them
+# before: each is importable from there too, as the same object.
+MOVED = {
+    "asymptotics": ("BinaryReport", "SourceKind", "binary_closed_forms"),
+    "tilting": ("admissible_epsilon_interval", "require_admissible_epsilon"),
+}
+# Loaded only by the subcommands that compute on arrays.
+NUMERIC = {"guesswork.asymptotics", "guesswork.tilting", "guesswork.oracle", "guesswork.ranksums"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -76,6 +89,10 @@ def test_each_public_name_is_its_modules_object():
             assert getattr(guesswork, name) is getattr(mod, name), name
     for module in MODULES:
         assert getattr(guesswork, module) is importlib.import_module(f"guesswork.{module}")
+    for module, names in MOVED.items():
+        mod = importlib.import_module(f"guesswork.{module}")
+        for name in names:
+            assert getattr(mod, name) is getattr(guesswork, name), f"{module}.{name}"
 
 
 def test_star_import_binds_exactly_all():
@@ -92,6 +109,11 @@ def test_dir_lists_every_public_name_and_unknown_names_raise():
         guesswork.no_such_name
 
 
+def _numeric(modules) -> set[str]:
+    """The numpy and numeric guesswork modules among `modules`."""
+    return {m for m in modules if m.split(".")[0] == "numpy" or m in NUMERIC}
+
+
 def _loaded_after(code: str) -> list[str]:
     """The numpy and guesswork modules a fresh interpreter holds after running `code`."""
     proc = _python("-c", code + (
@@ -106,12 +128,18 @@ def test_importing_the_package_loads_no_submodule():
     assert _loaded_after("import guesswork") == ["guesswork"]
 
 
+def test_scalar_public_names_load_no_numpy():
+    loaded = _loaded_after("from guesswork import binary_closed_forms, SourceKind")
+    assert loaded == ["guesswork", "guesswork.closed_forms", "guesswork.entropy",
+                      "guesswork.errors"]
+
+
 def test_building_the_parser_loads_no_oracle():
-    # what bench's setup_s times
+    # what bench's setup_s times: no numpy, no asymptotics or tilting, no oracle
     loaded = _loaded_after("import guesswork\nfrom guesswork.cli import build_parser\n"
                            "build_parser()")
-    assert "guesswork.asymptotics" in loaded
-    assert not set(loaded) & {"guesswork.oracle", "guesswork.ranksums"}
+    assert "guesswork.cli" in loaded
+    assert not _numeric(loaded)
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -120,10 +148,15 @@ def test_building_the_parser_loads_no_oracle():
     (["analyze", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--format", "json"], "analyze_m3.json"),
 ])
 def test_asymptotic_subcommands_never_load_the_oracle(argv, golden):
-    # guessctl as a fresh process: golden bytes, and no oracle or rank sums imported
+    # guessctl as a fresh process: golden bytes, and no oracle or rank sums
+    # imported; fig1 runs on the scalar layer and imports no numpy at all
     proc = _python("-X", "importtime", "-m", "guesswork.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / golden).read_bytes()
     imported = _imported(proc.stderr)
-    assert "guesswork.asymptotics" in imported
-    assert not imported & {"guesswork.oracle", "guesswork.ranksums"}
+    if argv[0] == "fig1":
+        assert "guesswork.closed_forms" in imported
+        assert not _numeric(imported)
+    else:
+        assert "guesswork.asymptotics" in imported
+        assert not imported & {"guesswork.oracle", "guesswork.ranksums"}
