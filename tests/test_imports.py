@@ -146,15 +146,20 @@ def test_building_the_parser_loads_no_oracle():
     (["fig1", "--epsilon", "0.05"], "fig1_eps005.csv"),
     (["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--x-points", "400"], "fig2_m3.csv"),
     (["analyze", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--format", "json"], "analyze_m3.json"),
+    pytest.param(["--help"], None, id="help"),
 ])
 def test_asymptotic_subcommands_never_load_the_oracle(argv, golden):
-    # guessctl as a fresh process: golden bytes, and no oracle or rank sums
-    # imported; fig1 runs on the scalar layer and imports no numpy at all
+    # guessctl as a fresh process: golden bytes (the usage text for --help),
+    # and no oracle or rank sums imported; fig1 and --help run on the scalar
+    # layer and import no numpy at all
     proc = _python("-X", "importtime", "-m", "guesswork.cli", *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA / golden).read_bytes()
+    if golden is None:
+        assert proc.stdout.startswith(b"usage: guessctl ")
+    else:
+        assert proc.stdout == (DATA / golden).read_bytes()
     imported = _imported(proc.stderr)
-    if argv[0] == "fig1":
+    if argv[0] in ("fig1", "--help"):
         assert "guesswork.closed_forms" in imported
         assert not _numeric(imported)
     else:
