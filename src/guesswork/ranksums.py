@@ -18,7 +18,14 @@ there and alpha is not near 0 (about 1e-2 <= |alpha|, -0.98 <= alpha <=
 alpha; the sum of logs takes _EM_LOW. The kernel takes every alpha alike:
 its callers know E[G^0] = 1, and log_rank_power_sum's alpha = 0 is log n.
 Adjacent blocks of one table with exactly the same weight are one rank
-range, so a uniform-on-typical table is one range. Every log-sum-exp
+range, so a uniform-on-typical table is one range. A range that starts at
+rank 1 and reaches the threshold (a table's modal typical class, a whole
+uniform range, log_rank_power_sum from rank 1) has ranks 1 .. threshold - 1
+as its direct block, and `_head_sums` sums that block once per process per
+(threshold, alphas), keeping at most _HEAD_KEYS of them. The results stay
+bit for bit those of the pass, as a block's direct sums do not depend on
+the other blocks or rows beside it: log and exp are elementwise and
+reduceat sums each block alone. Every log-sum-exp
 returns its sum correctly rounded, as math.fsum does: by math.fsum over
 the terms that can move the rounding (`_pruned_sum`), else by
 `_exact_sum`, a guarded numpy cascade on long inputs.
@@ -26,6 +33,7 @@ the terms that can move the rounding (`_pruned_sum`), else by
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from itertools import accumulate, groupby
@@ -76,6 +84,10 @@ _ROW_CELLS = 1 << 12
 # A log-sum-exp row's terms below this (its largest is 1) are summed one by
 # one only when they can move the rounding of the rest (_pruned_sum).
 _PRUNE = 2.0**-80
+
+# At most this many (threshold, alphas) keys keep their direct sums of ranks
+# 1 .. threshold - 1 (_head_sums); a key holds two floats per alpha and one more.
+_HEAD_KEYS = 256
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -291,6 +303,20 @@ def _direct_route(a, cnt, powers):
     return (lam, rho), np.log(np.add.reduceat(log_i, off))
 
 
+@functools.lru_cache(maxsize=_HEAD_KEYS)
+def _head_sums(em_min: int, powers: tuple[float, ...]):
+    """_direct_route's sums of ranks 1 .. em_min - 1 as one block, read-only, once per process.
+
+    The direct block of every range that starts at rank 1 and reaches
+    em_min; _log_sums states why it is bit for bit the pass's own.
+    """
+    (lam, rho), logs = _direct_route(np.ones(1, dtype=np.int64),
+                                     np.full(1, em_min - 1, dtype=np.int64), powers)
+    for x in (lam, rho, logs):
+        x.flags.writeable = False
+    return (lam, rho), logs
+
+
 def _em_route(a_parts, n_parts, powers):
     """Corrected midpoint Euler-Maclaurin sums over blocks of n ranks from a >= the threshold.
 
@@ -384,19 +410,27 @@ def _tier(tables, em_min, powers, logs):
     Each table's ranks below em_min are summed directly and those from it
     on by Euler-Maclaurin; the one block that straddles em_min ends its
     direct head there, its tail from em_min on one more Euler-Maclaurin
-    block at that block's weight. Both routes run once, over the blocks of
-    all the tables, the Euler-Maclaurin starts converted in one _int_parts
-    pass. Returns the terms, one row per power (alpha lam + w + rho, times
-    the table's scale) and, if logs, a last row of w + log sum log i; their
-    columns grouped by table, and each table's number of columns.
+    block at that block's weight. A table whose first block starts at rank
+    1 and reaches em_min takes that block's direct sums, of ranks
+    1 .. em_min - 1, from _head_sums, once per process for these powers.
+    Each route runs once, over the blocks of all the tables, the
+    Euler-Maclaurin starts converted in one _int_parts pass. Returns the
+    terms, one row per power (alpha lam + w + rho, times the table's scale)
+    and, if logs, a last row of w + log sum log i; their columns grouped by
+    table, and each table's number of columns.
     """
+    shared_w, shared = [], []
     direct_a, direct_n, direct_w, heads = [], [], [], []
     em_starts, em_m, em_e, em_w, tails = [], [], [], [], []
     for bounds, n_m, n_e, log_w, _ in tables:
         n = log_w.size
         # blocks ascend, so the direct ones, starting below em_min, are the first d
         d = bisect_left(bounds, em_min, hi=n)
-        if d:
+        h = int(bounds[0] == 1 and bounds[1] >= em_min)  # then d == 1: block 0 is the head
+        shared.append(h)
+        if h:
+            shared_w.append(log_w[0])
+        elif d:
             edges = np.array((*bounds[:d], min(bounds[d], em_min)), dtype=np.int64)
             direct_a.append(edges[:-1])
             direct_n.append(edges[1:] - edges[:-1])
@@ -411,18 +445,20 @@ def _tier(tables, em_min, powers, logs):
         em_m.append(n_m[d:])
         em_e.append(n_e[d:])
         em_w.append(log_w[j:])
-        heads.append(d)
+        heads.append(d - h)
         tails.append(n - j)
     scales = np.array([s for *_, s in tables])
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     groups = []
+    if shared_w:  # one column of sums, broadcast over the tables that share it
+        groups.append((_head_sums(em_min, tuple(powers)), np.array(shared_w), shared))
     if direct_a:
         groups.append((_direct_route(_join(direct_a), _join(direct_n), powers), _join(direct_w),
                        heads))
     if em_starts:
         sizes = (_join(em_m), _join(em_e))
         groups.append((_em_route(_int_parts(em_starts), sizes, powers), _join(em_w), tails))
-    cols = np.add(heads, tails)
+    cols = np.add(shared, heads) + tails
     terms = np.empty((len(powers) + logs, int(cols.sum())))
     c = 0
     for ((lam, rho), rho_logs), w, per_table in groups:
@@ -468,7 +504,12 @@ def _log_sums(tables, alphas):
     at _EM_LOW, where the sum of logs is taken as well, and at _EM_MIN.
     Each threshold runs each route once over the blocks of all the tables,
     the alphas as the rows of 2-D arrays, and makes one _lse_segments call,
-    so a table's results are, bit for bit, those it gets alone. alpha = 0
+    so a table's results are, bit for bit, those it gets alone. A table's
+    range that starts at rank 1 and reaches the threshold sums ranks
+    1 .. threshold - 1 once per process per (threshold, alphas): _head_sums
+    keeps that block's direct sums, at most _HEAD_KEYS keys, and they are
+    bit for bit the pass's own, since log and exp are elementwise and
+    reduceat sums each block alone. alpha = 0
     takes no rule of its own: callers know E[G^0]. The terms stay scaled,
     so a huge alpha overflows only where scale * log of the sum would. A
     non-finite alpha raises DistributionError. The log of the sum of rounded

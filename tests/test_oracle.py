@@ -638,7 +638,8 @@ def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
 @contextlib.contextmanager
 def direct_route_calls():
     # each ranksums._direct_route call made inside the block, as (alphas, ranks
-    # summed one by one)
+    # summed one by one), from a cold cache of the sums of ranks 1 .. threshold - 1
+    ranksums._head_sums.cache_clear()
     calls, direct = [], ranksums._direct_route
 
     def counted(a, cnt, powers):
@@ -664,6 +665,43 @@ def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
     with direct_route_calls() as calls:
         finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
     assert calls == [((-0.5, 0.5, 1.0, 2.0), _EM_LOW - 1)]
+
+
+def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
+    # ranks 1 .. 4095 of every table whose first range starts at rank 1 and
+    # reaches the threshold (a modal typical class, a whole uniform range) are
+    # summed once per process and alphas: a second typical table, and a second
+    # exact-compare request, sum none of them one by one
+    from guesswork import cli
+
+    argv = ["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "40,200,900"]
+    with direct_route_calls() as calls:
+        finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
+        assert calls == [((-0.5, 0.5, 1.0, 2.0), _EM_LOW - 1)]
+        finite_k_exponents(conditioned(LetterDistribution((0.6, 0.4)), 0.1), 900)
+        finite_k_exponents(uniform_typical(LetterDistribution((0.5, 0.3, 0.2)), 0.05), 300)
+        assert len(calls) == 1
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        del calls[:]
+        assert cli.main(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out == first
+
+
+def test_shared_head_cache_stays_within_its_bound():
+    # more distinct alpha tuples than the cache holds evict the oldest, which
+    # then sum the same floats again
+    ranksums._head_sums.cache_clear()
+    alphas = [0.5 + i / 1024 for i in range(ranksums._HEAD_KEYS + 8)]
+    first = log_rank_power_sum(1, _EM_LOW, alphas[0])
+    for alpha in alphas:
+        log_rank_power_sum(1, _EM_LOW, alpha)
+    info = ranksums._head_sums.cache_info()
+    assert info.currsize == info.maxsize == ranksums._HEAD_KEYS
+    assert info.misses == len(alphas)
+    assert log_rank_power_sum(1, _EM_LOW, alphas[0]) == first
+    assert ranksums._head_sums.cache_info().misses == len(alphas) + 1
 
 
 # log_rank_power_sum over these ranges, as the kernel with the one threshold
