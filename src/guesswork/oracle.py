@@ -6,11 +6,11 @@ sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
 held as columns, and one kernel (ranksums._log_sums) takes the rank sums
-of every table of a request in one kernel pass per request: one pass over
-their blocks per route threshold, which is a function of alpha (4,096 or
-30,000, ranksums._em_min): direct numpy sums for the ranks below it, and a
-corrected Euler-Maclaurin closed form for the ranks from it on, however
-many, which keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare`
+of every table of a request in one pass over their blocks: the ranks below
+16 one by one, and each block from there by a midpoint Euler-Maclaurin
+expansion of the least order whose stated remainder bound meets 1e-16 of
+the sum, however many ranks it holds (directly below the first rank where
+none does, ranksums._em_min), which keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare`
 builds each distinct k's table once (_finite_k_batch), and its naive
 cross-check reads that table. A typical-set table, census or scan
 enumerates only the typical slab: one interval of the next-to-last count

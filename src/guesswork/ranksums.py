@@ -4,60 +4,76 @@ A guess table puts each type class on a range of consecutive ranks, so
 every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
 (or sum log i for E[log G]), with a and b exact integers that pass float
 range for binary words at k ~ 10^3. `_log_sums` takes these sums for a list
-of tables, every table of a request, in one kernel pass per request: per
-threshold, each route runs once over the blocks of all the tables, the
-alphas as the rows of 2-D arrays, and one 2-D log-sum-exp
-(`_lse_segments`) sums every table; `log_rank_power_sum` runs it on one
-range (`_one_block`). Each alpha is routed by its own
-threshold, `_em_min(alpha)`: ranks below it are summed directly, ranks from
-it on by the corrected midpoint Euler-Maclaurin closed form, and the one
-range that straddles it is split there. The threshold is _EM_LOW = 4,096
-where the first term the closed form neglects is at most 1e-16 of the sum
-there and alpha is not near 0 (about 1e-2 <= |alpha|, -0.98 <= alpha <=
-3.98, the default alphas among them), and _EM_MIN = 30,000 for every other
-alpha; the sum of logs takes _EM_LOW. The kernel takes every alpha alike:
-its callers know E[G^0] = 1, and log_rank_power_sum's alpha = 0 is log n.
-Adjacent blocks of one table with exactly the same weight are one rank
-range, so a uniform-on-typical table is one range. A range that starts at
-rank 1 and reaches the threshold (a table's modal typical class, a whole
-uniform range, log_rank_power_sum from rank 1) has ranks 1 .. threshold - 1
-as its direct block, and `_head_sums` sums that block once per process per
-(threshold, alphas), keeping at most _HEAD_KEYS of them. The results stay
-bit for bit those of the pass, as a block's direct sums do not depend on
-the other blocks or rows beside it: log and exp are elementwise and
-reduceat sums each block alone. Every log-sum-exp
-returns its sum correctly rounded, as math.fsum does: by math.fsum over
-the terms that can move the rounding (`_pruned_sum`), else by
-`_exact_sum`, a guarded numpy cascade on long inputs.
+of tables, every table of a request, in one pass: each route runs once over
+the blocks of all the tables, the alphas and the sum of logs as the rows of
+2-D arrays, and one 2-D log-sum-exp (`_lse_segments`) sums every table;
+`log_rank_power_sum` runs it on one range (`_one_block`).
+
+One rule routes every (block, alpha). A block from rank a takes the
+midpoint Euler-Maclaurin expansion (the integral over [a - 1/2, b + 1/2]
+and the terms c_k (f^(2k-1)(X) - f^(2k-1)(Y)), c_k = B_2k(1/2) / (2k)!)
+of the least order M <= _M_MAX = 8 whose remainder bound at a is at most
+_EM_TOL = 1e-16 of the sum. For f(x) = x^alpha, Y = a - 1/2, that bound is
+
+    2 |B_{2M+2}| / (2M+2)! * |alpha (alpha-1) .. (alpha-2M-1)| / Y^(2M+2)
+        * exp(|alpha| / (2a - 1)),
+
+and for log x, 2 |B_{2M+2}| / ((2M+2) Y^(2M+2) log Y): the remainder is
+an integral of f^(2M+2) against a periodic Bernoulli function of at most
+2 |B_{2M+2}| / (2M+2)!, the bound Johansson states for the Hurwitz zeta
+function (Numer. Algorithms 69, 2015, arXiv:1309.2877), taken relative to
+the sum. It is zero for integer 0 <= alpha <= 2M + 1, so alpha = 1 and 2
+are exact from rank 1. Order 1 is the one-term corrected midpoint form;
+blocks from about rank 2,200-3,700 on take it at the default alphas, bit
+for bit as before. The ranks below _em_min(alpha), the first rank where
+order 8 meets the tolerance, are summed directly: every table's ranks
+below _ONE_RANK_MAX = 16 are one-rank blocks, exact on every route, which
+covers the default alphas (_em_min 1, 8 or 10) and the sum of logs (9).
+An alpha with a higher first rank takes `_direct_route` on the blocks
+below it: from each block's top terms where alpha is large against the
+ranks (at most about 50 a block; _em_min is about 1.36 |alpha| there),
+and on every rank for |alpha| < 1e-2, whose first rank stays 30,000:
+nearer 0 the expansion takes the sum's O(alpha) part as a difference of
+O(1) logs. A row's sums depend on its own alpha alone, and a table's on
+that table alone. The kernel takes every alpha alike: its callers know
+E[G^0] = 1, and log_rank_power_sum's alpha = 0 is log n. Adjacent blocks
+of one table with exactly the same weight are one rank range, so a
+uniform-on-typical table is one range. Every log-sum-exp returns its sum
+correctly rounded, as math.fsum does: by math.fsum over the terms that can
+move the rounding (`_pruned_sum`), else by `_exact_sum`, a guarded numpy
+cascade on long inputs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import accumulate, groupby
 
 import numpy as np
 
 from .errors import DistributionError
 
-# The route thresholds: for each alpha, ranks below _em_min(alpha) are summed
-# directly and ranks from it on by the corrected midpoint Euler-Maclaurin
-# closed form. A range that straddles the threshold is split there; blocks of
-# one table hold disjoint ranks, so at most one does per threshold.
-# _EM_MIN is the high tier, taken by every alpha the low tier does not admit.
-_EM_MIN = 30000
-_EM_LOW = 4096
-# The low tier admits alpha where the first term the closed form neglects is
-# at most _EM_TOL of the sum at _EM_LOW, and |alpha| is at least _SMALL_ALPHA:
-# nearer 0 the form takes the sum's O(alpha) part as a difference of O(1)
-# logs, so on short ranges its relative error on the log grows like 1/alpha,
-# and that defect stays where it was, from 30,000 on. A one-rank block, whose
-# log is that O(alpha) part alone (1.6e-6 relative off at alpha = 4.3e-71 and
-# a = 30,000, a negative log at a = 10^6), is alpha log a on this route.
+# The Euler-Maclaurin route. A block from rank a sums by the midpoint
+# expansion of the least order M <= _M_MAX whose remainder bound at a is at
+# most _EM_TOL of the sum; ranks below the first rank where _M_MAX meets it,
+# _em_min(alpha), are summed directly. Nearer 0 than _SMALL_ALPHA the form
+# takes the sum's O(alpha) part as a difference of O(1) logs, so on short
+# ranges its relative error on the log grows like 1/alpha: those alphas sum
+# ranks below _SMALL_ALPHA_MIN = 30,000 directly, as before. A one-rank
+# block, whose log is that O(alpha) part alone (1.6e-6 relative off at
+# alpha = 4.3e-71 and a = 30,000, a negative log at a = 10^6), is alpha log a
+# on this route.
+_M_MAX = 8
 _EM_TOL = 1e-16
 _SMALL_ALPHA = 1e-2
+_SMALL_ALPHA_MIN = 30000
+# The ranks below this are one-rank blocks of every table, for every row: rows
+# whose first Euler-Maclaurin rank is at most this sum them so, exactly, and
+# rows with a higher one take the direct route up to it.
+_ONE_RANK_MAX = 16
 
 _LOG2 = math.log(2.0)
 _LOG24 = math.log(24.0)
@@ -85,9 +101,26 @@ _ROW_CELLS = 1 << 12
 # one only when they can move the rounding of the rest (_pruned_sum).
 _PRUNE = 2.0**-80
 
-# At most this many (threshold, alphas) keys keep their direct sums of ranks
-# 1 .. threshold - 1 (_head_sums); a key holds two floats per alpha and one more.
-_HEAD_KEYS = 256
+_LOG_TOL = math.log(_EM_TOL)
+# B_2, B_4, .., B_18
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+              Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+# the midpoint form's coefficients c_k = B_2k(1/2) / (2k)! = -(1 - 2^(1-2k)) B_2k / (2k)!
+_MID = [-(1 - Fraction(2, 4**k)) * _BERNOULLI[k - 1] / math.factorial(2 * k)
+        for k in range(1, _M_MAX + 1)]
+# per order M = 1 .. _M_MAX: the log of the remainder bound's constant 2|B_{2M+2}| / (2M+2)!,
+# times (2M+1)! for the sum of logs; and the bound's power of 1/Y, as a leading axis
+_LOG_REM = np.array([math.log(2 * abs(_BERNOULLI[m]) / math.factorial(2 * m + 2))
+                     for m in range(1, _M_MAX + 1)])
+_P = (2.0 * np.arange(1, _M_MAX + 1) + 2.0).reshape(-1, 1, 1)
+# per term k = 2 .. _M_MAX as a leading axis: -2 (k - 1), log |c_k| and its sign
+_J2 = -2.0 * np.arange(1.0, _M_MAX).reshape(-1, 1, 1)
+_LOG_MID_HIGH = np.array([math.log(abs(c)) for c in _MID[1:]]).reshape(-1, 1)
+_MID_SIGN_HIGH = np.array([math.copysign(1.0, c) for c in _MID[1:]]).reshape(-1, 1)
+# i = 1 .. 2 _M_MAX + 1: the factors alpha - i of the derivatives' constants
+_I = np.arange(1.0, 2 * _M_MAX + 2)
+# the sum of logs' bound constants: _LOG_REM times (2M + 1)!
+_LOG_REM_LOGS = [c + math.log(math.factorial(2 * m + 1)) for m, c in enumerate(_LOG_REM.tolist(), 1)]
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -265,67 +298,173 @@ def _log_parts(mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.log(mant) + exp * _LOG2
 
 
-def _em_min(alpha: float) -> int:
-    """The first rank from which sums of i^alpha take the Euler-Maclaurin form.
+def _start(log_y: float) -> int:
+    """The least rank a with a - 1/2 >= exp(log_y), near enough, as an int however large."""
+    if log_y < 700.0:
+        return math.ceil(math.exp(log_y) + 0.5)
+    k = int(log_y / _LOG2) - 64
+    return math.ceil(math.exp(log_y - k * _LOG2)) << k
 
-    The first term the corrected midpoint form neglects is
-    (7/5760)(f'''(X) - f'''(Y)) for f(x) = x^alpha, Y = a - 1/2. f'''' keeps
-    one sign on [Y, X], so that term is at most
-    (7/5760)|alpha (alpha-1)(alpha-2)(alpha-3)| / Y^4 of the sum. _EM_LOW
-    where that is at most _EM_TOL there and |alpha| >= _SMALL_ALPHA (about
-    -0.98 <= alpha <= 3.98; the term is zero at alpha = 1, 2), else _EM_MIN.
-    A function of alpha alone, so a table and each of its blocks alone take
-    the same routes.
+
+def _first_rank(log_bound, start: int) -> int:
+    """The least rank a >= start with log_bound(a) <= _LOG_TOL, log_bound nonincreasing in a.
+
+    start is at or below it: the search steps up from it by doubling
+    steps, then bisects, a few evaluations when start is near it.
     """
-    bound = 7.0 / 5760.0 * abs(alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0))
-    if abs(alpha) >= _SMALL_ALPHA and bound <= _EM_TOL * (_EM_LOW - 0.5) ** 4:
-        return _EM_LOW
-    return _EM_MIN
+    if log_bound(start) <= _LOG_TOL:
+        return start
+    lo, step = start, 1
+    while log_bound(lo + step) > _LOG_TOL:
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_bound(mid) <= _LOG_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def _direct_route(a, cnt, powers):
-    """Direct sums over blocks of cnt[j] ranks from a[j] (int64), all below their threshold.
+@functools.lru_cache(maxsize=64)
+def _first_ranks(powers: tuple[float, ...]):
+    """The routing constants of a call's rows: the powers, then the sum of logs.
 
-    The ranks are exact floats, summed in one pass over their logs, the
-    alphas as rows. Returns (lam, rho), one row per alpha and one column per
-    block, with log sum_i i^alpha = alpha lam + rho, lam the log of the
-    block's largest term's rank; and log sum_i log i per block.
+    Returns (mins, ones, abs_alpha, bound, fall, sign). mins[r] is power r's
+    first Euler-Maclaurin rank, the least where the order-_M_MAX bound meets
+    the tolerance (_SMALL_ALPHA_MIN for |alpha| < _SMALL_ALPHA); ones is a
+    rank from which every row takes order 1. The arrays have one column
+    per row: |alpha| (0 for the sum of logs); bound[M - 1], the log of the
+    order-M bound's constant over the tolerance; and fall[k - 2] and
+    sign[k - 2], the log and sign of c_k times the running product of
+    alpha - i over i = 1 .. 2k - 2 (of i for the sum of logs), k = 2 ..
+    _M_MAX. They depend on the alphas alone, so a process computes them
+    once per tuple of alphas (about 20 us), read-only.
+
+    For f(x) = x^alpha the order-M bound at rank a is exp(c_M + |alpha| /
+    (2a - 1)) / (a - 1/2)^(2M+2) of the sum, c_M = log(2 |B_{2M+2}| /
+    (2M+2)!) + log |alpha (alpha-1) .. (alpha-2M-1)|: -inf where the
+    product is 0 (integer 0 <= alpha <= 2M + 1, where the expansion of
+    order M is exact). It falls with a. Without the factor exp(|alpha| /
+    (2a - 1)) it would meet the tolerance at a lower bound of the rank,
+    where the search for the first rank of order _M_MAX starts; the factor
+    taken at the lower bound of order 1 gives a rank where order 1 meets
+    it, in closed form. The sum of logs' bound is _log_bound's.
     """
-    off = np.cumsum(cnt) - cnt
-    log_i = np.arange(int(off[-1] + cnt[-1]), dtype=np.float64)
-    log_i += np.repeat(a - off, cnt)
-    np.log(log_i, out=log_i)
-    alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
-    lam = np.where(alpha > 0.0, log_i[off + cnt - 1], log_i[off])
-    d = log_i - np.repeat(lam, cnt, axis=1)
-    d *= alpha
-    rho = np.log(np.add.reduceat(np.exp(d, out=d), off, axis=1))
-    return (lam, rho), np.log(np.add.reduceat(log_i, off))
-
-
-@functools.lru_cache(maxsize=_HEAD_KEYS)
-def _head_sums(em_min: int, powers: tuple[float, ...]):
-    """_direct_route's sums of ranks 1 .. em_min - 1 as one block, read-only, once per process.
-
-    The direct block of every range that starts at rank 1 and reaches
-    em_min; _log_sums states why it is bit for bit the pass's own.
-    """
-    (lam, rho), logs = _direct_route(np.ones(1, dtype=np.int64),
-                                     np.full(1, em_min - 1, dtype=np.int64), powers)
-    for x in (lam, rho, logs):
+    alpha = np.array([*powers, 1.0]).reshape(-1, 1)  # the sum of logs: no factor alpha
+    diff = alpha - _I
+    diff[-1] = _I  # the sum of logs: its running products are the factorials
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(diff)).cumsum(axis=1)
+        bound = logs[:, 2::2] + np.log(np.abs(alpha)) + _LOG_REM
+    fall = logs[:, 1 : 2 * _M_MAX - 2 : 2].T + _LOG_MID_HIGH
+    sign = np.sign(diff).cumprod(axis=1)[:, 1 : 2 * _M_MAX - 2 : 2].T * _MID_SIGN_HIGH
+    mins, ones, p = [], _LOG_ONE_RANK, 2 * _M_MAX + 2
+    for a, (c1, *_, cm) in zip(powers, bound.tolist()):
+        rank = 1  # an exact expansion
+        if cm > -math.inf:
+            log_alpha = math.log(abs(a))
+            lower = _start((c1 - _LOG_TOL) / 4)
+            ones = max(ones, _start((c1 + math.exp(log_alpha - math.log(2 * lower - 1)) - _LOG_TOL) / 4))
+            rank = _first_rank(lambda r: cm + math.exp(log_alpha - math.log(2 * r - 1))
+                               - p * (math.log(2 * r - 1) - _LOG2), _start((cm - _LOG_TOL) / p))
+        mins.append(_SMALL_ALPHA_MIN if abs(a) < _SMALL_ALPHA else rank)
+    arrays = np.abs(alpha), (bound - _LOG_TOL).T[..., None], fall[..., None], sign[..., None]
+    arrays[0][-1] = 0.0
+    for x in arrays:
         x.flags.writeable = False
-    return (lam, rho), logs
+    return tuple(mins), ones, *arrays
 
 
-def _em_route(a_parts, n_parts, powers):
-    """Corrected midpoint Euler-Maclaurin sums over blocks of n ranks from a >= the threshold.
+def _log_bound(c: float, p: int):
+    """The log of the sum of logs' bound as a function of the rank: log constant c, power p of 1/Y.
+
+    The order-M bound at rank a is 2 |B_{2M+2}| (2M+1)! / (2M+2)! /
+    ((a - 1/2)^(2M+2) log(a - 1/2)) of the sum: the remainder's f^(2M+2) =
+    -(2M+1)! / x^(2M+2) integrates to at most (2M+1)! n / Y^(2M+2) over n
+    ranks, and the sum is at least n log a.
+    """
+    return lambda a: math.inf if a < 2 else c - math.log(math.log(a - 0.5)) - p * math.log(a - 0.5)
+
+
+# the sum of logs' first ranks of orders 1 and _M_MAX: 2,160 and 9
+_LOG_ONE_RANK, _LOG_EM_MIN = (_first_rank(_log_bound(_LOG_REM_LOGS[m - 1], 2 * m + 2), 1)
+                              for m in (1, _M_MAX))
+
+
+def _em_min(alpha: float) -> int:
+    """The first rank from which sums of i^alpha take the Euler-Maclaurin route (_first_ranks).
+
+    1 where the expansion is exact (integer 0 <= alpha <= 2 _M_MAX + 1),
+    about 10 at the default alphas -0.5 and 0.5, about 1.36 |alpha| for
+    large |alpha|, and _SMALL_ALPHA_MIN = 30,000 for |alpha| < _SMALL_ALPHA.
+    A function of alpha alone.
+    """
+    return _first_ranks((float(alpha),))[0][0]
+
+
+def _em_orders(ranks, powers, log_yx):
+    """The expansion's terms of order 2 .. M over columns of Y and X (log_yx their logs), per row.
+
+    Rows are the powers, then the sum of logs; ranks are _first_ranks'. A
+    (row, column) takes the least order M whose bound meets the tolerance
+    at the column's first rank a = Y + 1/2. The bound falls with M wherever
+    a row takes this route (there 2 pi Y exceeds |alpha| + 2M + 3), so term
+    k is taken exactly where order k - 1 misses the tolerance. Term k is
+    c_k f^(2k-1) at either end: for f(x) = x^alpha, alpha x^(alpha-1) times
+    c_k prod_{i=1}^{2k-2} (alpha - i) / x; for log x, x^(-1) times c_k
+    (2k-2)! / x^(2k-2). Returns, per end Y and X, the sum over k = 2 .. M of
+    c_k times that product, 0 where M = 1.
+    """
+    *_, abs_alpha, bound, fall, sign = ranks
+    log_y = log_yx[0]
+    h = abs_alpha * np.exp(-_LOG2 - log_y)  # |alpha| / (2a - 1) = |alpha| / 2Y
+    h[-1] = -np.log(log_y)  # the sum of logs' bound divides by log Y
+    missed = bound + h > _P * log_y  # bound holds log(bound constant / tolerance)
+    terms = sign * np.exp(fall + _J2 * log_yx[:, None, None])
+    return np.einsum("krs,ekrs->ers", missed[:-1], terms)
+
+
+def _direct_route(a, n, alpha):
+    """Direct sums of i^alpha[j] over the n[j] ranks from a[j] (ints), from their largest terms.
+
+    The terms fall from the last rank b (alpha > 0) or the first (else),
+    each at most exp(-|alpha| j / b) of the largest, j ranks from it, so the
+    terms past the J largest add at most exp(-|alpha| J / b) (1 + b /
+    |alpha|) of the sum: each sum takes the J largest that make that at
+    most _EM_TOL, its top terms where alpha is large against the ranks,
+    else every rank. A term is exp(alpha log1p(-+j / r)) of the largest, r
+    its rank. Returns (lam, rho), log sum = alpha lam + rho, lam = log r.
+    """
+    (a_m, a_e), (b_m, b_e), (n_m, n_e) = (
+        _int_parts(v) for v in (a, [x + k - 1 for x, k in zip(a, n)], n))
+    top = alpha > 0.0
+    r_m, r_e = np.where(top, b_m, a_m), np.where(top, b_e, a_e)
+    q = np.ldexp(b_m / np.abs(alpha), b_e)  # b / |alpha|
+    cnt = np.minimum(np.ldexp(n_m, n_e), np.ceil(q * (np.log1p(q) - _LOG_TOL))).astype(np.int64)
+    off = np.cumsum(cnt) - cnt
+    u = np.arange(int(off[-1] + cnt[-1]), dtype=np.float64) - np.repeat(off, cnt)  # j
+    u = np.ldexp(u / np.repeat(r_m, cnt), -np.repeat(r_e, cnt))
+    np.negative(u, out=u, where=np.repeat(top, cnt))
+    d = np.log1p(u)
+    d *= np.repeat(alpha, cnt)
+    return _log_parts(r_m, r_e), np.log(np.add.reduceat(np.exp(d, out=d), off))
+
+
+def _em_route(a_parts, n_parts, powers, ranks, sub):
+    """Midpoint Euler-Maclaurin sums over blocks of n ranks from a, of the order each block takes.
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
     integral_Y^X x^alpha dx times 1 - (alpha/24)(X^(alpha-1) - Y^(alpha-1)) / integral
-    (a^alpha itself when n = 1), and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X), all in the log domain. Returns
+    (a^alpha itself when n = 1), and sum log i is integral_Y^X log x dx + (1/24)(1/Y - 1/X)
+    (log a itself when n = 1), all in the log domain. Returns
     (lam, rho) with log sum = alpha lam + rho, rho one row per alpha and
     one column per block, lam the same or, when every alpha + 1 has one
-    sign, one row for all of them; and the log sum of logs per block.
+    sign, one row for all of them; and the log sum of logs per block. That
+    is the form of order 1; the blocks `sub`, those that start below a
+    rank from which every row takes order 1, add the terms k = 2 .. M of
+    their order M where it is above 1 (_em_orders, ranks _first_ranks').
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
     # a one-rank block is a^alpha, taken as alpha log a: the form's O(alpha)
@@ -341,16 +480,21 @@ def _em_route(a_parts, n_parts, powers):
     tiny = ratio < 1.0 / _FAR_RATIO
     log_ratio = log_n - log_y
     t = np.where(ratio < _FAR_RATIO, np.log1p(ratio), log_ratio)  # log(X/Y)
-    log_x = log_y + t
+    log_yx = np.empty((2, t.size))  # log Y and log X
+    log_yx[0] = log_y
+    log_x = np.add(log_y, t, out=log_yx[1])
     # with s = alpha + 1, the integral is X^s (1 - (Y/X)^s) / s from the top end X
     # when s > 0 (up), Y^s (1 - (X/Y)^s) / -s from Y when s < 0: lam + rest with
     # lam = log X or log Y and rest = log((1 - exp(-|s| t)) / |s|), log |s| by
     # math.log; at s = 0 it is Y^0 log(X/Y). Whatever alpha, a tiny range's
     # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
+    fixed = tiny | one
+    sub = sub[~fixed[sub]]
+    if sub.size:
+        high = _em_orders(ranks, powers, log_yx[:, sub])
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     neg_s = -np.abs(alpha + 1.0)
     log_s = np.reshape([math.log(abs(a + 1.0)) if a != -1.0 else 0.0 for a in powers], (-1, 1))
-    fixed = tiny | one
     fixed_rho = np.where(one, 0.0, log_y + log_ratio)
     lams = {}  # the lam row of each sign of s
     rho_out = np.empty((len(powers), t.size))
@@ -385,6 +529,11 @@ def _em_route(a_parts, n_parts, powers):
         lam_out = np.where(alpha + 1.0 > 0.0, lams[True], lams[False])
     else:
         lam_out = next(iter(lams.values()), log_x)
+    if sub.size and powers:  # the terms k = 2 .. M: alpha (X^(alpha-1) high(X) - Y^(alpha-1) high(Y))
+        rho = rho_out[:, sub]
+        ends = (alpha - 1.0) * log_yx[:, None, sub] - (alpha * lam_out[..., sub] + rho)
+        rho += np.log1p(alpha * (np.exp(ends[1]) * high[1, :-1] - np.exp(ends[0]) * high[0, :-1]))
+        rho_out[:, sub] = rho
     sums = (lam_out, rho_out)
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
     # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
@@ -397,83 +546,101 @@ def _em_route(a_parts, n_parts, powers):
     phi = np.where(tiny | (ratio >= _FAR_RATIO), far, near)
     # plus the first midpoint correction (1/24)(1/Y - 1/X) = n / (24 X Y)
     integral = np.logaddexp(log_n + np.log(log_y), log_y + phi)
-    return sums, np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
+    logs = np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
+    if sub.size:  # the terms k = 2 .. M: X^-1 high(X) - Y^-1 high(Y), over the sum
+        ends = np.exp(-log_yx[:, sub] - logs[sub]) * high[:, -1]
+        logs[sub] += np.log1p(ends[1] - ends[0])
+    np.log(log_a, out=logs, where=one)  # one rank a: log log a
+    return sums, logs
 
 
-def _join(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _terms(tables, powers):
+    """Every table's terms as one 2-D array: one row per power, a last row for the sum of logs.
 
-
-def _tier(tables, em_min, powers, logs):
-    """One threshold's terms over the live blocks of every table, as one 2-D array.
-
-    Each table's ranks below em_min are summed directly and those from it
-    on by Euler-Maclaurin; the one block that straddles em_min ends its
-    direct head there, its tail from em_min on one more Euler-Maclaurin
-    block at that block's weight. A table whose first block starts at rank
-    1 and reaches em_min takes that block's direct sums, of ranks
-    1 .. em_min - 1, from _head_sums, once per process for these powers.
-    Each route runs once, over the blocks of all the tables, the
-    Euler-Maclaurin starts converted in one _int_parts pass. Returns the
-    terms, one row per power (alpha lam + w + rho, times the table's scale)
-    and, if logs, a last row of w + log sum log i; their columns grouped by
-    table, and each table's number of columns.
+    Every table's ranks below _ONE_RANK_MAX are cut into one-rank blocks,
+    which every route sums exactly; a block that straddles it keeps its
+    rest as one more block of its weight. From there each row takes the
+    Euler-Maclaurin route at each block's least order that meets the
+    tolerance, from its first rank (_first_ranks) on. A row whose first
+    rank is higher (|alpha| < _SMALL_ALPHA, or |alpha| large against the
+    ranks) sums the blocks below it by _direct_route instead, and the one
+    that straddles it by _direct_route up to it and a route of its own from
+    it on. So every row's sums depend on its alpha alone. The
+    Euler-Maclaurin route runs once over the blocks of all the tables, its
+    starts converted in one _int_parts pass. Returns the terms (alpha lam +
+    w + rho, times the table's scale, and w + log sum log i), their columns
+    grouped by table, and each table's number of columns.
     """
-    shared_w, shared = [], []
-    direct_a, direct_n, direct_w, heads = [], [], [], []
-    em_starts, em_m, em_e, em_w, tails = [], [], [], [], []
-    for bounds, n_m, n_e, log_w, _ in tables:
-        n = log_w.size
-        # blocks ascend, so the direct ones, starting below em_min, are the first d
-        d = bisect_left(bounds, em_min, hi=n)
-        h = int(bounds[0] == 1 and bounds[1] >= em_min)  # then d == 1: block 0 is the head
-        shared.append(h)
-        if h:
-            shared_w.append(log_w[0])
-        elif d:
-            edges = np.array((*bounds[:d], min(bounds[d], em_min)), dtype=np.int64)
-            direct_a.append(edges[:-1])
-            direct_n.append(edges[1:] - edges[:-1])
-            direct_w.append(log_w[:d])
-        j = d - 1 if d and bounds[d] > em_min else d  # block j straddles em_min
-        if j < d:  # its tail is one more Euler-Maclaurin block
-            t_m, t_e = _int_parts((bounds[d] - em_min,))
-            em_starts.append(em_min)
-            em_m.append(t_m)
-            em_e.append(t_e)
-        em_starts += bounds[d:n]
-        em_m.append(n_m[d:])
-        em_e.append(n_e[d:])
-        em_w.append(log_w[j:])
-        heads.append(d - h)
-        tails.append(n - j)
-    scales = np.array([s for *_, s in tables])
+    ranks = _first_ranks(tuple(powers))
+    low, ones = _ONE_RANK_MAX, ranks[1]
+    starts, small, per_table, sub = [], [], [], []
+    for bounds, _, _, log_w, _ in tables:
+        n, c0 = log_w.size, len(starts)
+        d = bisect_left(bounds, low, hi=n)  # blocks 0 .. d - 1 start below low
+        sizes, weights = [], log_w
+        if d:
+            end = min(bounds[d], low)
+            edges = sorted({*bounds[:d], *range(bounds[0], end + 1)})
+            sizes = list(map(int.__sub__, edges[1:], edges))
+            blocks = [bisect_right(bounds, e, hi=n) - 1 for e in edges[:-1]]
+            if bounds[d] > low:  # block d - 1 straddles low: its rest is one more block
+                edges.append(bounds[d])
+                sizes.append(bounds[d] - low)
+                blocks.append(d - 1)
+            weights = np.concatenate((log_w[blocks], log_w[d:]))
+            starts += edges[:-1]
+        starts += bounds[d:n]
+        sub += range(bisect_left(starts, low, c0), bisect_left(starts, ones, c0))  # orders above 1
+        small += sizes
+        per_table.append((len(sizes), d, weights, bounds[n]))
+    # every block's size parts, the cut ones' from one _int_parts pass
+    s_m, s_e = _int_parts(small) if small else (np.empty(0), np.empty(0, dtype=np.int64))
+    m_parts, e_parts, cols, i = [], [], [], 0
+    for (_, n_m, n_e, _, _), (c, d, _, _) in zip(tables, per_table):
+        m_parts += [s_m[i : i + c], n_m[d:]]
+        e_parts += [s_e[i : i + c], n_e[d:]]
+        cols.append(c + n_m.size - d)
+        i += c
+    (lam, rho), logs = _em_route(_int_parts(starts), (np.concatenate(m_parts), np.concatenate(e_parts)),
+                                 powers, ranks, np.array(sub, dtype=np.intp))
+    far = [(r, alpha, m) for r, (alpha, m) in enumerate(zip(powers, ranks[0])) if m > low]
+    if far:
+        lam = np.array(np.broadcast_to(lam, rho.shape))
+        first = list(accumulate(cols, initial=0))
+        stops = [*starts[1:], 0]  # each block's end, past its last rank
+        for c1, (*_, end) in zip(first[1:], per_table):
+            stops[c1 - 1] = end
+    for r, alpha, m in far:  # the blocks from low to the row's first rank
+        at, a, k, tails = [], [], [], []
+        for c0, c1 in zip(first, first[1:]):
+            for c in range(bisect_left(starts, low, c0, c1), bisect_left(starts, m, c0, c1)):
+                at.append(c)
+                a.append(starts[c])
+                k.append(min(stops[c], m) - starts[c])
+                if stops[c] > m:
+                    tails.append((len(at) - 1, stops[c] - m))
+        if not at:
+            continue
+        d_lam, d_rho = _direct_route(a, k, np.full(len(a), alpha))
+        if tails:  # the straddling blocks' rest, from m on, by Euler-Maclaurin
+            j, n = zip(*tails)
+            (t_lam, t_rho), _ = _em_route(_int_parts([m] * len(n)), _int_parts(n), [alpha],
+                                          _first_ranks((alpha,)), np.arange(len(n)))
+            j = list(j)
+            head = alpha * d_lam[j] + d_rho[j]
+            d_lam[j] = np.broadcast_to(t_lam, t_rho.shape)[0]
+            d_rho[j] = np.logaddexp(head, alpha * d_lam[j] + t_rho[0]) - alpha * d_lam[j]
+        lam[r, at], rho[r, at] = d_lam, d_rho
+    w = np.concatenate([weights for _, _, weights, _ in per_table])
+    scale = np.repeat([s for *_, s in tables], cols)
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
-    groups = []
-    if shared_w:  # one column of sums, broadcast over the tables that share it
-        groups.append((_head_sums(em_min, tuple(powers)), np.array(shared_w), shared))
-    if direct_a:
-        groups.append((_direct_route(_join(direct_a), _join(direct_n), powers), _join(direct_w),
-                       heads))
-    if em_starts:
-        sizes = (_join(em_m), _join(em_e))
-        groups.append((_em_route(_int_parts(em_starts), sizes, powers), _join(em_w), tails))
-    cols = np.add(shared, heads) + tails
-    terms = np.empty((len(powers) + logs, int(cols.sum())))
-    c = 0
-    for ((lam, rho), rho_logs), w, per_table in groups:
-        scale = np.repeat(scales, per_table)
-        rows = terms[: len(powers), c : c + w.size]
-        np.add(w, rho, out=rows)
-        rows *= scale
-        rows += (alpha * scale) * lam  # (alpha scale) lam + scale (w + rho)
-        if logs:
-            np.add(w, rho_logs, out=terms[-1, c : c + w.size])
-        c += w.size
-    if len(tables) > 1:  # each table's columns together, in route order
-        owner = np.concatenate([np.repeat(np.arange(len(tables)), n) for *_, n in groups])
-        terms = terms[:, np.argsort(owner, kind="stable")]
-    return terms, cols
+    terms = np.empty((len(powers) + 1, w.size))
+    rows = terms[:-1]
+    np.add(w, rho, out=rows)
+    rows *= scale
+    rows += (alpha * scale) * lam  # (alpha scale) lam + scale (w + rho)
+    np.add(w, logs, out=terms[-1])
+    return terms, np.array(cols)
 
 
 def _check_alphas(alphas) -> None:
@@ -483,7 +650,7 @@ def _check_alphas(alphas) -> None:
 
 
 def _log_sums(tables, alphas):
-    """The rank-sum kernel: one pass per threshold over the blocks of a list of tables.
+    """The rank-sum kernel: one pass over the blocks of a list of tables.
 
     _log_sums(tables, alphas) takes each table as (bounds, size_parts,
     log_weights, scale). Its block j holds ranks bounds[j] .. bounds[j + 1] - 1
@@ -495,26 +662,23 @@ def _log_sums(tables, alphas):
     ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
     log sum_j w_j sum_{i in j} log i).
 
-    Every alpha is routed at its own threshold, _em_min(alpha): the
-    ranks below it summed directly, the ranks from it on by the corrected
-    midpoint Euler-Maclaurin form, whose first neglected term is then at
-    most 1e-16 (_EM_TOL) of the sum from _EM_LOW on, and from _EM_MIN on
-    for -14.6 <= alpha <= 17.6 (log_rank_power_sum states the bound). The
-    alphas are grouped by threshold, so the ranks are split at most twice:
-    at _EM_LOW, where the sum of logs is taken as well, and at _EM_MIN.
-    Each threshold runs each route once over the blocks of all the tables,
-    the alphas as the rows of 2-D arrays, and makes one _lse_segments call,
-    so a table's results are, bit for bit, those it gets alone. A table's
-    range that starts at rank 1 and reaches the threshold sums ranks
-    1 .. threshold - 1 once per process per (threshold, alphas): _head_sums
-    keeps that block's direct sums, at most _HEAD_KEYS keys, and they are
-    bit for bit the pass's own, since log and exp are elementwise and
-    reduceat sums each block alone. alpha = 0
-    takes no rule of its own: callers know E[G^0]. The terms stay scaled,
-    so a huge alpha overflows only where scale * log of the sum would. A
-    non-finite alpha raises DistributionError. The log of the sum of rounded
-    logs times float weights is off by up to 32 ulp on a uniform table of N
-    words: about 2 ulp of log N.
+    One rule routes every (block, alpha) (_terms): the ranks below
+    _ONE_RANK_MAX = 16 as one-rank blocks, and each block from there by the
+    midpoint Euler-Maclaurin expansion of the least order M <= 8 whose
+    remainder bound at its first rank is at most _EM_TOL = 1e-16 of the sum
+    (the module docstring states the bound), or directly where no order
+    meets it (_direct_route: the top terms for large alpha, every rank for
+    |alpha| < 1e-2 below rank 30,000). So each block's sum is within 1e-16
+    of the exact one before rounding, and so is each table's. Each route
+    runs once over the blocks of all the tables, the alphas and the sum of
+    logs as the rows of 2-D arrays, and one _lse_segments call sums every
+    table, so a table's results are, bit for bit, those it gets alone, and
+    an alpha's those it gets alone. alpha = 0 takes no rule of its own:
+    callers know E[G^0]. The terms stay scaled, so a huge alpha overflows
+    only where scale * log of the sum would. A non-finite alpha raises
+    DistributionError. The log of the sum of rounded logs times float
+    weights is off by up to 32 ulp on a uniform table of N words: about 2
+    ulp of log N.
     """
     _check_alphas(alphas)
     out = [([-math.inf for _ in alphas], -math.inf) for _ in tables]
@@ -534,23 +698,13 @@ def _log_sums(tables, alphas):
     if not live:
         return out
     powers = list(dict.fromkeys(alphas))
-    tiers: dict[int, list[float]] = {_EM_LOW: []}  # the sum of logs takes the low tier
-    for alpha in powers:
-        tiers.setdefault(_em_min(alpha), []).append(alpha)
-
     scales = [s for *_, s in live]
     with np.errstate(all="ignore"):
-        sums = {}
-        for em_min, group in tiers.items():
-            logs = em_min == _EM_LOW
-            terms, cols = _tier(live, em_min, group, logs)
-            row_scales = [scales] * len(group) + ([[1.0] * len(live)] if logs else [])
-            rows = _lse_segments(terms, row_scales, cols)
-            sums.update(zip(group, rows))
-            if logs:
-                log_logs = rows[-1]
+        terms, cols = _terms(live, powers)
+        rows = _lse_segments(terms, [scales] * len(powers) + [[1.0] * len(live)], cols)
+    sums = dict(zip(powers, rows))
     for j, i in enumerate(at):
-        out[i] = ([sums[a][j] for a in alphas], log_logs[j])
+        out[i] = ([sums[a][j] for a in alphas], rows[-1][j])
     return out
 
 
@@ -566,22 +720,23 @@ def _one_block(a: int, b: int):
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
-    The ranks below _em_min(alpha) by one numpy sum in the log domain, the
-    ranks from it on by the corrected midpoint Euler-Maclaurin closed form;
-    alpha = 0 is log n. The form's first neglected term is at most
-    (7/5760)|alpha (alpha-1)(alpha-2)(alpha-3)| / (a - 1/2)^4 of the sum
-    from rank a on: at most 1e-16 from _EM_LOW = 4,096 on for
-    -0.98 <= alpha <= 3.98, and from _EM_MIN = 30,000 on for
-    -14.6 <= alpha <= 17.6; it grows as (alpha/a)^4 past that (at
-    alpha = 1e5 the log is off by 0.19 on ranks from 30,000 on), and is zero
-    at alpha = 1, 2. Rounding adds a few 1e-15 of the sum (3.3e-15 at most
-    against mpmath over 3,000 random ranges from 4,096 on); near alpha = 0
-    the closed form cancels on short ranges, so there its relative error on
-    the log grows like 1/alpha, and |alpha| < 1e-2 keeps the 30,000
-    threshold; one rank a is alpha log a on every route. When alpha log i
-    leaves float range the result is its limit, +inf or -inf; a non-finite
-    alpha raises DistributionError. The table kernel (_log_sums) run on one
-    block; at alpha = 0, log n from the block's own size parts.
+    The table kernel (_log_sums) run on one block; alpha = 0 is log n from
+    the block's own size parts. The ranks below 16 one by one, the ranks
+    from there by the midpoint Euler-Maclaurin expansion of the least order
+    M <= 8 whose remainder bound (the module docstring's) is at most 1e-16
+    of the sum at the range's first rank, and directly below the first
+    rank where order 8 meets it (_em_min(alpha): 10 or less at the default
+    alphas, about 1.36 |alpha| for large alpha, whose ranges then take their
+    top terms only). The result is off by at most 1e-16 of the sum before
+    rounding; rounding adds a few 1e-15 of the sum and a few ulp of
+    |alpha| log b, the log of the largest term, which the result carries
+    as a sum of two logs (tests/test_ranksums.py checks that bound against
+    mpmath over alpha in (-1, 1e5] and ranges past 2^1020). Near alpha = 0
+    the expansion cancels on short ranges, so there its relative error on
+    the log grows like 1/alpha, and |alpha| < 1e-2 keeps the direct route
+    below 30,000 and that error from there on; one rank a is alpha log a on
+    every route. When alpha log i leaves float range the result is its
+    limit, +inf or -inf; a non-finite alpha raises DistributionError.
     """
     (bounds, parts, log_w), alpha = _one_block(a, b), float(alpha)
     if alpha == 0.0:

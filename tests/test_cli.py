@@ -200,6 +200,34 @@ def test_fig1_small_epsilon_golden_matches_mpmath():
         assert row[1:] == [_fmt(want["top"]), _fmt(want["middle"]), _fmt(want["bottom"]), ""]
 
 
+def test_alpha_1e5_golden_matches_mpmath():
+    # the scgf cells of the alpha = 1e5 golden, written by the kernel that sums
+    # each block from its top terms there, are (1/k) log E[G^alpha] by mpmath
+    # at 50 digits over the words' ranks, printed by _fmt: the one-order
+    # Euler-Maclaurin form before it printed 69313.1551 at k = 16
+    from mpmath import binomial, mp, mpf
+
+    lines = (DATA / "exact_unconditioned_alpha_1e5.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if line.startswith("scgf")]
+    assert [row[1] for row in rows] == ["16", "17"]
+    for row in rows:
+        k, alpha = int(row[1]), 100000
+        with mp.workdps(50):
+            total, start = mpf(0), 1
+            for j in range(k + 1):  # C(k, j) words of probability 0.8^(k-j) 0.2^j, ranked next
+                n = int(binomial(k, j))
+                top = mpf(start + n - 1) ** alpha
+                block = mpf(0)
+                for i in range(start + n - 1, start - 1, -1):  # until the terms are negligible
+                    block += mpf(i) ** alpha
+                    if mpf(i) ** alpha < top * mpf(10) ** -60:
+                        break
+                total += mpf("0.8") ** (k - j) * mpf("0.2") ** j * block
+                start += n
+            want = float(mp.log(total) / k)
+        assert row[3] == _fmt(want)
+
+
 def test_fig1_custom_grid(capsys):
     code, out, _ = run(
         capsys, ["fig1", "--epsilon", "0.1", "--p0-grid", "0.7,0.8", "--format", "json"]
@@ -384,13 +412,28 @@ def test_exact_compare_crosscheck_in_log_domain(capsys):
     assert checks == ["# crosscheck:k=16:ok", "# crosscheck:k=17:ok"]
 
 
-def test_exact_compare_crosscheck_mismatch_exits_3(capsys):
-    # a true MISMATCH: at alpha = 1e5 the table's Euler-Maclaurin route is off
-    # by 6.85e-3 (k = 16) and 4.2e-4 (k = 17) on log E[G^alpha] against an exact
-    # top-down sum, the log-domain naive value by at most 2.3e-10 (one ulp of
-    # the 1.2e6 log at k = 17); ROADMAP item 3 (a top-terms route for large
-    # alpha) is what mends the table
+def test_exact_compare_crosscheck_at_alpha_1e5_is_ok(capsys):
+    # alpha = 1e5 against ranks up to 2^17: the kernel sums each block from its top
+    # terms below rank 135,833, where the Euler-Maclaurin bound first meets its
+    # tolerance at this alpha; the one-order form it took from rank 30,000 was
+    # off by 6.85e-3 (k = 16) and 4.2e-4 (k = 17) on log E[G^alpha], a false MISMATCH
     code, checks, err = _crosscheck_lines(capsys, "100000")
+    assert (code, err) == (0, "")
+    assert checks == ["# crosscheck:k=16:ok", "# crosscheck:k=17:ok"]
+
+
+def test_exact_compare_crosscheck_mismatch_exits_3(capsys, monkeypatch):
+    # a true MISMATCH: kernel results moved by 1e-6 on the log, past the cross-check's
+    # 1e-9, print MISMATCH for both word lengths and exit 3
+    from guesswork import oracle
+
+    log_sums = oracle._log_sums
+
+    def moved(tables, alphas):
+        return [([x + 1e-6 for x in logs], log_logs) for logs, log_logs in log_sums(tables, alphas)]
+
+    monkeypatch.setattr(oracle, "_log_sums", moved)
+    code, checks, err = _crosscheck_lines(capsys, "1000")
     assert (code, err) == (3, "")
     assert checks == ["# crosscheck:k=16:MISMATCH", "# crosscheck:k=17:MISMATCH"]
 
@@ -501,7 +544,9 @@ def test_exact_compare_far_rank_ranges(capsys, argv):
 # near-uniform conditioned one, whose l+ edge lies within 1e-12 of c_max, has
 # every cell within 1e-8 of bench/reference.py; the unconditioned-with-epsilon
 # refusal (empty stdout) by the exact-compare that hands epsilon to Source for
-# every kind, checked by hand
+# every kind, checked by hand; the unconditioned alpha = 1e5 one by the kernel
+# that routes each block by its Euler-Maclaurin remainder bound, its scgf cells
+# checked against mpmath (test_alpha_1e5_golden_matches_mpmath)
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

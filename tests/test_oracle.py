@@ -44,7 +44,7 @@ from guesswork import (
 )
 from guesswork import ranksums
 from guesswork.entropy import num_types
-from guesswork.ranksums import _EM_LOW, _EM_MIN, _em_min, _log_sums, _one_block
+from guesswork.ranksums import _ONE_RANK_MAX, _SMALL_ALPHA_MIN, _em_min, _log_sums, _one_block
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -455,7 +455,7 @@ def test_uniform_table_is_one_rank_range(source, k):
     with direct_route_calls() as calls:
         (log_mean, log_square), log_mean_log = oracle._tables_log_sums([(table, 1.0)],
                                                                        (1.0, 2.0))[0]
-    assert [cnt for _, cnt in calls] == [min(n, _EM_LOW - 1)]  # one range, not one per type
+    assert calls == [("single", min(n, _ONE_RANK_MAX - 1))]  # one range, not one per type
     with mp.workdps(50):
         want_mean = mp.log(mpf(n + 1) / 2)
         want_square = mp.log(mpf((n + 1) * (2 * n + 1)) / 6)
@@ -602,15 +602,15 @@ def _hurwitz_zeta(s, a):
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
 def test_rank_power_sums_match_hurwitz_zeta(alpha):
     # sum_{i=a}^{b} i^alpha = zeta(-alpha, a) - zeta(-alpha, b + 1), at 60 digits; these
-    # alphas take the low threshold, so the ranges cover the direct (ranks below 4096),
-    # split (a < 4096 <= b) and Euler-Maclaurin (a >= 4096) routes, the ends either side
-    # of 4096 and of 30000, and b = 2^1100 their bigint path
+    # alphas take the Euler-Maclaurin route from rank 10 or below, so the ranges cover the
+    # one-rank blocks below it, the higher orders (from it to a few thousand), order 1
+    # beyond, the ends either side of 4096 and of 30000, and b = 2^1100 their bigint path
     from mpmath import mp
 
-    assert _em_min(alpha) == _EM_LOW
-    for a in (1, 4095, 4096, 29999, 30000, 10**6):
-        ends = (4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15, 2**200,
-                2**1100)
+    assert _em_min(alpha) <= 10
+    for a in (1, 9, 10, 11, 4095, 4096, 29999, 30000, 10**6):
+        ends = (9, 10, 11, 50, 4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15,
+                2**200, 2**1100)
         for b in (b for b in ends if b >= a):
             with mp.workdps(60):
                 want = float(mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1)))
@@ -619,14 +619,14 @@ def test_rank_power_sums_match_hurwitz_zeta(alpha):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(_EM_LOW, _EM_MIN - 1),
+    st.integers(4096, 29999),
     st.one_of(st.integers(0, 2**16), st.sampled_from((10**6, 10**15, 2**200, 2**1100))),
-    st.floats(-1.0, 4.0).filter(lambda alpha: _em_min(alpha) == _EM_LOW),
+    st.floats(-0.98, 3.98).filter(lambda alpha: abs(alpha) >= 1e-2),
 )
 def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
-    # ranges from the low threshold on, in the ranks that the one-threshold kernel
-    # summed directly, take the Euler-Maclaurin form at every alpha it admits:
-    # within 1e-14 of the sum (of its log, where that passes 1)
+    # ranges from rank 4,096 to below 30,000, which the one-threshold kernel summed
+    # directly, take the Euler-Maclaurin form at every alpha the old low threshold
+    # (4,096) admitted: within 1e-14 of the sum (of its log, where that passes 1)
     from mpmath import mp
 
     b = a + span
@@ -637,95 +637,100 @@ def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
 
 @contextlib.contextmanager
 def direct_route_calls():
-    # each ranksums._direct_route call made inside the block, as (alphas, ranks
-    # summed one by one), from a cold cache of the sums of ranks 1 .. threshold - 1
-    ranksums._head_sums.cache_clear()
-    calls, direct = [], ranksums._direct_route
+    # the ranks summed one by one inside the block: ("single", n) per kernel pass
+    # for its n one-rank blocks, ("direct", alphas, ranks) per ranksums._direct_route
+    # call for the ranks it is given (it sums at most that many)
+    calls = []
+    direct, em = ranksums._direct_route, ranksums._em_route
 
-    def counted(a, cnt, powers):
-        calls.append((tuple(powers), int(np.sum(cnt))))
-        return direct(a, cnt, powers)
+    def counted_direct(a, n, alpha):
+        calls.append(("direct", tuple(alpha.tolist()), sum(n)))
+        return direct(a, n, alpha)
 
-    with mock.patch.object(ranksums, "_direct_route", counted):
+    def counted_em(a_parts, n_parts, *rest):
+        n_m, n_e = n_parts
+        calls.append(("single", int(np.count_nonzero((n_m == 1.0) & (n_e == 0)))))
+        return em(a_parts, n_parts, *rest)
+
+    with mock.patch.object(ranksums, "_direct_route", counted_direct), \
+            mock.patch.object(ranksums, "_em_route", counted_em):
         yield calls
 
 
 def test_direct_route_sums_only_ranks_below_the_threshold():
-    # ranks from the threshold on take the Euler-Maclaurin form however short
-    # their block, so at the default alphas one table pass sums fewer than
-    # _EM_LOW terms one by one
+    # at the default alphas every row's first Euler-Maclaurin rank is at most 10,
+    # below the 16 ranks every table sums one by one, so one table pass sums a
+    # few tens of ranks one by one at most: those and the table's own one-rank
+    # blocks, with no direct route
+    assert max(map(_em_min, (-0.5, 0.5, 1.0, 2.0))) == 10 < _ONE_RANK_MAX == 16
     with direct_route_calls() as calls:
         finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
-    assert calls and sum(n for _, n in calls) < _EM_LOW, calls
+    assert len(calls) == 1 and calls[0][0] == "single" and 15 <= calls[0][1] <= 30, calls
 
 
 def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
-    # one direct pass over ranks 1 .. 4095 serves every default alpha and the sum
-    # of logs of a table whose ranks run far past 30000
+    # one pass serves every default alpha and the sum of logs of a table whose
+    # ranks run far past 30000: ranks 1 .. 15 one by one, the rest of its first
+    # range and every other block by Euler-Maclaurin
     with direct_route_calls() as calls:
         finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
-    assert calls == [((-0.5, 0.5, 1.0, 2.0), _EM_LOW - 1)]
+    assert calls == [("single", 15)]
 
 
 def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
-    # ranks 1 .. 4095 of every table whose first range starts at rank 1 and
-    # reaches the threshold (a modal typical class, a whole uniform range) are
-    # summed once per process and alphas: a second typical table, and a second
-    # exact-compare request, sum none of them one by one
+    # every table whose first range starts at rank 1 (a modal typical class, a
+    # whole uniform range) sums ranks 1 .. 15 once per pass, in the pass, with no
+    # state kept across passes: a second exact-compare request sums the same
+    # ranks again and prints the same bytes
     from guesswork import cli
 
     argv = ["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "40,200,900"]
     with direct_route_calls() as calls:
-        finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
-        assert calls == [((-0.5, 0.5, 1.0, 2.0), _EM_LOW - 1)]
         finite_k_exponents(conditioned(LetterDistribution((0.6, 0.4)), 0.1), 900)
         finite_k_exponents(uniform_typical(LetterDistribution((0.5, 0.3, 0.2)), 0.05), 300)
-        assert len(calls) == 1
-        assert cli.main(argv) == 0
-        first = capsys.readouterr().out
+        assert calls == [("single", 15), ("single", 15)]
         del calls[:]
         assert cli.main(argv) == 0
-    assert calls == []
+        first, first_calls = capsys.readouterr().out, list(calls)
+        del calls[:]
+        assert cli.main(argv) == 0
+    assert calls == first_calls == [("single", 45)]
     assert capsys.readouterr().out == first
 
 
-def test_shared_head_cache_stays_within_its_bound():
-    # more distinct alpha tuples than the cache holds evict the oldest, which
-    # then sum the same floats again
-    ranksums._head_sums.cache_clear()
-    alphas = [0.5 + i / 1024 for i in range(ranksums._HEAD_KEYS + 8)]
-    first = log_rank_power_sum(1, _EM_LOW, alphas[0])
-    for alpha in alphas:
-        log_rank_power_sum(1, _EM_LOW, alpha)
-    info = ranksums._head_sums.cache_info()
-    assert info.currsize == info.maxsize == ranksums._HEAD_KEYS
-    assert info.misses == len(alphas)
-    assert log_rank_power_sum(1, _EM_LOW, alphas[0]) == first
-    assert ranksums._head_sums.cache_info().misses == len(alphas) + 1
+def _top_down_log_sum(a, b, alpha):
+    """log sum_{i=a}^{b} i^alpha by mpmath at 50 digits, from the largest term until the
+    rest is below 1e-40 of the sum; every term where alpha is near 0."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(50):
+        if abs(alpha) < 1:
+            return mp.log(_hurwitz_zeta(-alpha, a) - _hurwitz_zeta(-alpha, b + 1))
+        ranks = range(b, a - 1, -1) if alpha > 0 else range(a, b + 1)
+        top, total = mpf(ranks[0]) ** alpha, mpf(0)
+        for i in ranks:
+            term = mpf(i) ** alpha
+            total += term
+            if term < top * mpf(10) ** -40 / (b - a + 1):
+                break
+        return mp.log(total)
 
 
-# log_rank_power_sum over these ranges, as the kernel with the one threshold
-# 30000 for every alpha returned it (e878a40)
-HIGH_THRESHOLD_SUMS = {
-    1e5: ("0x1.514b1686fc15cp+20", "0x1.9fe0ea36687eap+19", "0x1.02b4f815ea700p+20",
-          "0x1.f8f7c3e4ad01ap+19"),
-    1e-8: ("0x1.ba18a9ddcd7dcp+3", "0x1.6dcf878d4bf7ep-24", "0x1.4ed1fa38d0b97p+3",
-           "0x1.e67d60a66222cp+2"),
-}
-
-
-@pytest.mark.parametrize("alpha", sorted(HIGH_THRESHOLD_SUMS))
-def test_alphas_off_the_low_threshold_keep_the_high_one(alpha):
-    # a huge alpha and one near 0 are not admitted at 4096: they sum ranks
-    # 1 .. 29999 directly, as before, and return the same floats bit for bit;
-    # only the sum of logs takes the low threshold
-    assert _em_min(alpha) == _EM_MIN
+@pytest.mark.parametrize("alpha, em_min", [(1e5, 135833), (1e-8, _SMALL_ALPHA_MIN)])
+def test_far_alphas_match_exact_sums(alpha, em_min):
+    # a huge alpha and one near 0 take the direct route below their first
+    # Euler-Maclaurin rank: from its top terms at 1e5 (at most ~50 a block), on
+    # every rank at 1e-8 (below 30,000, as before); both within the stated bound
+    # of an exact sum, the ranges either side of their first ranks
+    assert _em_min(alpha) == em_min
     with direct_route_calls() as calls:
         log_rank_power_sum(1, 10**6, alpha)
-    assert calls == [((), _EM_LOW - 1), ((alpha,), _EM_MIN - 1)]
-    ranges = ((1, 10**6), (5000, 5000), (5000, 40000), (29000, 31000))
-    for (a, b), want in zip(ranges, HIGH_THRESHOLD_SUMS[alpha], strict=True):
-        assert log_rank_power_sum(a, b, alpha) == float.fromhex(want), (a, b)
+    assert calls[0] == ("single", _ONE_RANK_MAX - 1) and calls[1][:2] == ("direct", (alpha,))
+    assert calls[1][2] == em_min - _ONE_RANK_MAX
+    ranges = ((1, 10**6), (5000, 5000), (5000, 40000), (29000, 31000), (130000, 140000))
+    for a, b in ranges:
+        want = float(_top_down_log_sum(a, b, alpha))
+        assert abs(log_rank_power_sum(a, b, alpha) - want) <= 1e-15 + 2.0**-50 * abs(want), (a, b)
 
 
 def test_hurwitz_reference_agrees_with_mpmath_zeta():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import guesswork as gw
-from guesswork.ranksums import _EM_LOW
 from guesswork.tilting import _BLOCK_CELLS, NEWTON_MAX_ITER, TiltedFamily
 
 from laws import kl_divergence, renyi_rate, tilted_law, type_cost
@@ -242,7 +241,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from((1, _EM_LOW - 1, _EM_LOW, 29999, 30000, 10**6, 2**53 - 40000, 2**53,
+    st.sampled_from((1, 9, 10, 11, 4095, 4096, 29999, 30000, 10**6, 2**53 - 40000, 2**53,
                      2**1100)),
     st.integers(0, 2**16 - 1),
     st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
@@ -411,17 +410,20 @@ def test_table_kernel_on_ranks_past_float_range(kind, k):
     ((0.7, 0.3), 13, "straddles_em_low"),
 ])
 def test_table_size_parts_on_each_kernel_path(p, k, case):
-    from guesswork.ranksums import _EM_MIN, _FLOAT_BITS
+    # straddles_em_min: a block straddles the first Euler-Maclaurin rank of the
+    # alphas near 0 (30,000), where the kernel cuts it; straddles_em_low: one
+    # straddles the rank from which the default alphas take order 1
+    from guesswork.ranksums import _FLOAT_BITS, _SMALL_ALPHA_MIN, _first_ranks
 
     table = gw.build_guess_table(gw.unconditioned(gw.LetterDistribution(p)), k)
     if case == "past_float_bits":
         assert table.total_words.bit_length() > _FLOAT_BITS
     elif case.startswith("straddles"):
-        edge = _EM_MIN if case == "straddles_em_min" else _EM_LOW
+        edge = _SMALL_ALPHA_MIN if case == "straddles_em_min" else _first_ranks((-0.5, 0.5, 1.0, 2.0))[1]
         assert any(a < edge < c for a, c in zip(table.bounds, table.bounds[1:]))
-    else:  # the live-block filter drops the rows of probability 0, after live ranks past _EM_MIN
+    else:  # the live-block filter drops the rows of probability 0, after live ranks past 30,000
         live = int(np.count_nonzero(table.log_word_prob > -math.inf))
-        assert live < len(table.counts) and table.bounds[live] > _EM_MIN
+        assert live < len(table.counts) and table.bounds[live] > _SMALL_ALPHA_MIN
     _check_size_parts(table)
 
 
@@ -930,60 +932,3 @@ def test_kernel_batch_matches_each_table_alone(drawn, rescale, alphas):
     assert len(batch) == len(entries)
     for entry, got in zip(entries, batch):
         assert bits(got) == bits(_log_sums([entry], alphas)[0])
-
-
-# the default alphas (rank 4,096), |alpha| < 1e-2 and alpha > 3.98 (rank
-# 30,000), both tiers at once, and none: the sum of logs alone at 4,096
-HEAD_ALPHAS = ((-0.5, 0.5, 1.0, 2.0), (5e-3, -4e-3), (4.5, 20.0, 1e5), (-0.5, 1.0, 1e-3, 5.0), ())
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(laws_with_a_zero(2, 4), st.floats(0.02, 0.6), st.integers(1, 1200),
-                       st.sampled_from(("conditioned", "uniform", "unconditioned"))),
-             max_size=3),
-    st.lists(st.tuples(st.sampled_from((1, 2, 4000, 30001)),
-                       st.sampled_from((0, 4094, 4095, 29998, 10**6, 2**80))), max_size=2),
-    st.sampled_from(HEAD_ALPHAS),
-    st.lists(st.tuples(st.integers(1, 40000), st.integers(1, 3000)), max_size=3),
-    st.integers(0, 3),
-)
-def test_shared_head_is_the_direct_block_bit_for_bit(drawn, ranges, alphas, side, at):
-    # ranks 1 .. em_min - 1 taken from the head cache, cold or warm, give
-    # every table of a batch (typical tables, uniform merged ranges, tables
-    # without that head, one-block ranges from rank 1 or not; each at scale
-    # 1/k and 1, as the cross-check sends them) the floats it gets when
-    # _direct_route sums that block among other blocks of one pass
-    from guesswork import ranksums
-
-    entries = []
-    for p, eps, k, kind in drawn:
-        k = min(k, {2: 1200, 3: 40, 4: 12}[p.m])
-        source = {
-            "unconditioned": lambda: gw.unconditioned(p),
-            "conditioned": lambda: gw.conditioned(p, eps),
-            "uniform": lambda: gw.uniform_typical(p, eps),
-        }[kind]()
-        try:
-            table = gw.build_guess_table(source, k)
-        except gw.EmptyTypicalSetError:
-            continue
-        entries += [(table.bounds, table.size_parts, table.log_word_prob, s) for s in (1.0 / k, 1.0)]
-    entries += [(*ranksums._one_block(a, a + span), 1.0) for a, span in ranges]
-    assume(entries)
-
-    def bits(results):
-        return [np.array([*logs, log_logs]).tobytes() for logs, log_logs in results]
-
-    def as_block(em_min, powers):
-        blocks = [*side[:at], (1, em_min - 1), *side[at:]]
-        j = min(at, len(side))
-        a, cnt = (np.array(c, dtype=np.int64) for c in zip(*blocks))
-        (lam, rho), logs = ranksums._direct_route(a, cnt, powers)
-        return (lam[:, j : j + 1], rho[:, j : j + 1]), logs[j : j + 1]
-
-    ranksums._head_sums.cache_clear()
-    cold = bits(ranksums._log_sums(entries, alphas))
-    assert bits(ranksums._log_sums(entries, alphas)) == cold
-    with mock.patch.object(ranksums, "_head_sums", as_block):
-        assert bits(ranksums._log_sums(entries, alphas)) == cold
