@@ -24,15 +24,19 @@ an integral of f^(2M+2) against a periodic Bernoulli function of at most
 function (Numer. Algorithms 69, 2015, arXiv:1309.2877), taken relative to
 the sum. It is zero for integer 0 <= alpha <= 2M + 1, so alpha = 1 and 2
 are exact from rank 1. Order 1 is the one-term corrected midpoint form;
-blocks from about rank 2,200-3,700 on take it at the default alphas, bit
-for bit as before. The ranks below _em_min(alpha), the first rank where
-order 8 meets the tolerance, are summed directly: every table's ranks
-below _ONE_RANK_MAX = 16 are one-rank blocks, exact on every route, which
-covers the default alphas (_em_min 1, 8 or 10) and the sum of logs (9).
-An alpha with a higher first rank takes `_direct_route` on the blocks
-below it: from each block's top terms where alpha is large against the
+blocks from about rank 2,200-3,700 on take it at the default alphas. The
+ranks below _em_min(alpha), the first rank where order 8 meets the
+tolerance, are summed directly: every table's ranks below _ONE_RANK_MAX =
+16 are one column of direct sums (`_low_sums`), which covers the default
+alphas (_em_min 1, 8 or 10) and the sum of logs (9). A table whose first
+block runs past rank 17, as every typical-set table's modal class does,
+takes them from one sum per tuple of alphas (`_first_ranks`), which also
+carries that block's expansion terms k >= 2 at rank 16; those at its
+other end are left out from about rank 2 * 10^5 on, where they are below
+1e-17 of its sum. An alpha with a higher first rank takes `_direct_route`
+on the blocks below it: from each block's top terms where alpha is large against the
 ranks (at most about 50 a block; _em_min is about 1.36 |alpha| there),
-and on every rank for |alpha| < 1e-2, whose first rank stays 30,000:
+and on every rank for |alpha| < 1e-2, whose first rank is 30,000:
 nearer 0 the expansion takes the sum's O(alpha) part as a difference of
 O(1) logs. A row's sums depend on its own alpha alone, and a table's on
 that table alone. The kernel takes every alpha alike: its callers know
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, groupby
 
@@ -62,7 +66,7 @@ from .errors import DistributionError
 # _em_min(alpha), are summed directly. Nearer 0 than _SMALL_ALPHA the form
 # takes the sum's O(alpha) part as a difference of O(1) logs, so on short
 # ranges its relative error on the log grows like 1/alpha: those alphas sum
-# ranks below _SMALL_ALPHA_MIN = 30,000 directly, as before. A one-rank
+# ranks below _SMALL_ALPHA_MIN = 30,000 directly. A one-rank
 # block, whose log is that O(alpha) part alone (1.6e-6 relative off at
 # alpha = 4.3e-71 and a = 30,000, a negative log at a = 10^6), is alpha log a
 # on this route.
@@ -70,9 +74,9 @@ _M_MAX = 8
 _EM_TOL = 1e-16
 _SMALL_ALPHA = 1e-2
 _SMALL_ALPHA_MIN = 30000
-# The ranks below this are one-rank blocks of every table, for every row: rows
-# whose first Euler-Maclaurin rank is at most this sum them so, exactly, and
-# rows with a higher one take the direct route up to it.
+# The ranks below this are summed directly in every table, for every row
+# (_low_sums): rows whose first Euler-Maclaurin rank is at most this take the
+# expansion from it on, and rows with a higher one the direct route up to it.
 _ONE_RANK_MAX = 16
 
 _LOG2 = math.log(2.0)
@@ -99,7 +103,7 @@ _ROW_CELLS = 1 << 12
 
 # A log-sum-exp row's terms below this (its largest is 1) are summed one by
 # one only when they can move the rounding of the rest (_pruned_sum).
-_PRUNE = 2.0**-80
+_PRUNE = 2.0**-30
 
 _LOG_TOL = math.log(_EM_TOL)
 # B_2, B_4, .., B_18
@@ -120,7 +124,12 @@ _MID_SIGN_HIGH = np.array([math.copysign(1.0, c) for c in _MID[1:]]).reshape(-1,
 # i = 1 .. 2 _M_MAX + 1: the factors alpha - i of the derivatives' constants
 _I = np.arange(1.0, 2 * _M_MAX + 2)
 # the sum of logs' bound constants: _LOG_REM times (2M + 1)!
-_LOG_REM_LOGS = [c + math.log(math.factorial(2 * m + 1)) for m, c in enumerate(_LOG_REM.tolist(), 1)]
+_LOG_REM_LOGS = [c + math.log(math.factorial(2 * m + 1))
+                 for m, c in enumerate(_LOG_REM.tolist(), 1)]
+# log i (by math.log, so that one rank a is alpha * math.log(a)) and log log i
+# for the ranks i below _ONE_RANK_MAX
+_LOG_RANK = np.array([-math.inf, *(math.log(i) for i in range(1, _ONE_RANK_MAX))])
+_LOG_LOG_RANK = np.log(_LOG_RANK, where=_LOG_RANK > 0.0, out=np.full(_ONE_RANK_MAX, -math.inf))
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -175,22 +184,24 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _pruned_sum(head: list[float], rest: int) -> float | None:
-    """math.fsum of a log-sum-exp row from its terms >= _PRUNE alone, or None.
+def _pruned_sum(head: list[float], rest: float, n: int) -> float | None:
+    """math.fsum of a log-sum-exp row from its terms >= _PRUNE and a float sum of the rest, or None.
 
-    The row's largest term is exp(0) = 1, and its other `rest` terms are
-    each below _PRUNE, so they add less than c = rest * _PRUNE, exactly. By
-    monotone rounding, fl(head) == fl(head + c) (both math.fsum) brackets the
-    whole row's correctly rounded sum, which is then that float. Otherwise
-    the tail may decide the rounding (a tie such as 1 + 2^-53), and None
-    sends the row to _exact_sum; a nan stays in the head, so it does too.
+    The row's largest term is exp(0) = 1, and its other n terms, each in
+    [0, _PRUNE), sum to rest in any order of float additions, within e = n
+    (2^-52 rest + 2^-1074) of their exact sum. By monotone rounding, equal
+    math.fsums of the head with rest - e and with rest + e bracket the whole
+    row's correctly rounded sum, which is then that float. Otherwise the
+    tail may decide the rounding (a tie such as 1 + 2^-53), and None sends
+    the row to _exact_sum; a nan stays in the head, so it does too.
     """
+    if not n:
+        return math.fsum(head)
+    e = n * (rest * 2.0**-52 + 2.0**-1074)
+    head.append(rest - e)
     s = math.fsum(head)
-    if rest:
-        head.append(rest * _PRUNE)
-        if math.fsum(head) != s:
-            return None
-    return s
+    head[-1] = rest + e
+    return s if math.fsum(head) == s else None
 
 
 def _prunes(kept: int, size: int) -> bool:
@@ -202,17 +213,18 @@ def _prunes(kept: int, size: int) -> bool:
     return kept < _CASCADE_MIN and 2 * kept <= size
 
 
-def _segment_sum(top: float, scale: float, head: list[float] | None, x: np.ndarray) -> float:
+def _segment_sum(top: float, scale: float, head: list[float] | None, rest: float,
+                 x: np.ndarray) -> float:
     """top + scale * log of the sum of one segment's exponentials x.
 
-    head holds x's terms >= _PRUNE where _prunes, else it is None. The sum
-    is _pruned_sum's, or _exact_sum's where that cannot decide it or there
-    is no head. A non-finite top (every term -inf, or a +inf or nan among
-    them) is the result.
+    head holds x's terms >= _PRUNE where _prunes, else it is None, and rest
+    a float sum of the others. The sum is _pruned_sum's, or _exact_sum's
+    where that cannot decide it or there is no head. A non-finite top
+    (every term -inf, or a +inf or nan among them) is the result.
     """
     if not math.isfinite(top):
         return top
-    s = None if head is None else _pruned_sum(head, x.size - len(head))
+    s = None if head is None else _pruned_sum(head, rest, x.size - len(head))
     if s is None:
         s = _exact_sum(x)
     return top + scale * math.log(s)
@@ -236,6 +248,7 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
         x /= np.repeat(np.asarray(scales, dtype=np.float64), sizes, axis=1)
         np.exp(x, out=x)
     keep = x < _PRUNE
+    rests = np.add.reduceat(np.where(keep, x, 0.0), starts, axis=1).tolist()
     np.logical_not(keep, out=keep)  # a nan is kept
     kept = np.add.reduceat(keep, starts, axis=1, dtype=np.intp).tolist()
     pruned = [[_prunes(n, size) for n, (_, size) in zip(row, segments)] for row in kept]
@@ -245,14 +258,15 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
             keep &= np.repeat(pruned, sizes, axis=1)
         heads = x[keep].tolist()
     out, i = [], 0
-    for r, (tops_r, scales_r, kept_r, pruned_r) in enumerate(
-            zip(tops.tolist(), scales, kept, pruned)):
+    for r, (tops_r, scales_r, kept_r, pruned_r, rests_r) in enumerate(
+            zip(tops.tolist(), scales, kept, pruned, rests)):
         row = []
-        for top, scale, n, prune, (a, size) in zip(tops_r, scales_r, kept_r, pruned_r, segments):
+        for top, scale, n, prune, rest, (a, size) in zip(
+                tops_r, scales_r, kept_r, pruned_r, rests_r, segments):
             head = None
             if prune:
                 head, i = heads[i : i + n], i + n
-            row.append(_segment_sum(top, scale, head, x[r, a : a + size]))
+            row.append(_segment_sum(top, scale, head, rest, x[r, a : a + size]))
         out.append(row)
     return out
 
@@ -270,7 +284,7 @@ def _lse(terms) -> float:
     x = np.exp(terms - top)
     keep = ~(x < _PRUNE)  # a nan is kept
     head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
-    return _segment_sum(top, 1.0, head, x)
+    return _segment_sum(top, 1.0, head, float(x.sum(where=~keep)), x)
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -331,16 +345,31 @@ def _first_rank(log_bound, start: int) -> int:
 def _first_ranks(powers: tuple[float, ...]):
     """The routing constants of a call's rows: the powers, then the sum of logs.
 
-    Returns (mins, ones, abs_alpha, bound, fall, sign). mins[r] is power r's
-    first Euler-Maclaurin rank, the least where the order-_M_MAX bound meets
-    the tolerance (_SMALL_ALPHA_MIN for |alpha| < _SMALL_ALPHA); ones is a
-    rank from which every row takes order 1. The arrays have one column
-    per row: |alpha| (0 for the sum of logs); bound[M - 1], the log of the
-    order-M bound's constant over the tolerance; and fall[k - 2] and
-    sign[k - 2], the log and sign of c_k times the running product of
-    alpha - i over i = 1 .. 2k - 2 (of i for the sum of logs), k = 2 ..
-    _M_MAX. They depend on the alphas alone, so a process computes them
-    once per tuple of alphas (about 20 us), read-only.
+    Returns (mins, ones, abs_alpha, bound, fall, sign, low_y, low_x, head,
+    far_x). mins[r] is power r's first Euler-Maclaurin rank, the least
+    where the order-_M_MAX bound meets the tolerance (_SMALL_ALPHA_MIN for
+    |alpha| < _SMALL_ALPHA); ones is a rank from which every row takes
+    order 1. The arrays have one column per row: |alpha| (0 for the sum of
+    logs); bound[M - 1], the log of the order-M bound's constant over the
+    tolerance; and fall[k - 2] and sign[k - 2], the log and sign of c_k
+    times the running product of alpha - i over i = 1 .. 2k - 2 (of i for
+    the sum of logs), k = 2 .. _M_MAX.
+
+    The rest serve the block from rank _ONE_RANK_MAX, which every table
+    that reaches it has; its order is one per row. low_y is the sum over k
+    = 2 .. M of that product times Y^-(2k-2) at its Y = _ONE_RANK_MAX - 1/2
+    (what _em_orders gives there), and low_x[r, k - 2] the product where k
+    <= M, else 0, for its other end (0 on the rows that sum that block
+    directly). From X >= far_x on those at X add up to less than _EM_TOL /
+    16 of the block's sum, which is at least X^alpha / 1.5 (its last term
+    for alpha >= 0, its first for alpha < 0) or log 16 for the sum of logs.
+    head is the log of the direct sum of ranks 1 .. _ONE_RANK_MAX - 1
+    (_low_sums) less the terms k = 2 .. M at that Y, one per row, or None
+    if one leaves float range (|alpha| above about 6e307): a table whose
+    first block runs past _ONE_RANK_MAX takes it as that block's bottom,
+    and the block's rest from _ONE_RANK_MAX carries the first term at Y
+    alone. All depend on the alphas alone, so a process computes them once
+    per tuple of alphas (about 60 us), read-only.
 
     For f(x) = x^alpha the order-M bound at rank a is exp(c_M + |alpha| /
     (2a - 1)) / (a - 1/2)^(2M+2) of the sum, c_M = log(2 |B_{2M+2}| /
@@ -363,18 +392,43 @@ def _first_ranks(powers: tuple[float, ...]):
     mins, ones, p = [], _LOG_ONE_RANK, 2 * _M_MAX + 2
     for a, (c1, *_, cm) in zip(powers, bound.tolist()):
         rank = 1  # an exact expansion
-        if cm > -math.inf:
+        if c1 > -math.inf:  # order 1 is not exact (order _M_MAX may be)
             log_alpha = math.log(abs(a))
             lower = _start((c1 - _LOG_TOL) / 4)
-            ones = max(ones, _start((c1 + math.exp(log_alpha - math.log(2 * lower - 1)) - _LOG_TOL) / 4))
+            spread = math.exp(log_alpha - math.log(2 * lower - 1))
+            ones = max(ones, _start((c1 + spread - _LOG_TOL) / 4))
+        if cm > -math.inf:
             rank = _first_rank(lambda r: cm + math.exp(log_alpha - math.log(2 * r - 1))
                                - p * (math.log(2 * r - 1) - _LOG2), _start((cm - _LOG_TOL) / p))
         mins.append(_SMALL_ALPHA_MIN if abs(a) < _SMALL_ALPHA else rank)
     arrays = np.abs(alpha), (bound - _LOG_TOL).T[..., None], fall[..., None], sign[..., None]
     arrays[0][-1] = 0.0
-    for x in arrays:
+    # the block from _ONE_RANK_MAX: the terms of its order, masked as _em_orders does
+    log_y = math.log(_ONE_RANK_MAX - 0.5)
+    h = arrays[0] * math.exp(-_LOG2 - log_y)
+    h[-1] = -math.log(log_y)
+    missed = (arrays[1] + h > _P * log_y)[:-1, :, 0]
+    missed[:, [m > _ONE_RANK_MAX for m in mins] + [False]] = False
+    low_x = (sign * np.exp(np.where(missed, fall, -math.inf))).T
+    # np.einsum, not BLAS, whose buffers would cost the process memory
+    low_y = np.einsum("rk,ks->rs", low_x, np.exp(_J2[:, :, 0] * log_y))
+    # from far_x on each term of X's, f'(X) c X^-(2k-2), is at most
+    # 1.5 max(|alpha|, 1) |c| X^-(2k-1) of the sum, below _EM_TOL / (16 (_M_MAX - 1))
+    top = (np.abs(low_x) * np.maximum(arrays[0], 1.0)).max(axis=0).tolist()
+    far_x = max((math.exp((math.log(24 * (_M_MAX - 1) * c) - _LOG_TOL) / (2 * k + 1))
+                 for k, c in enumerate(top, 1) if c), default=0.0)
+    # the direct sums less f'(Y) low_y, f'(Y) = alpha Y^(alpha - 1) or 1/Y
+    y = _ONE_RANK_MAX - 0.5
+    slope = [a * y ** (a - 1) if h else 0.0 for a, h in zip(powers, low_y[:-1, 0].tolist())]
+    with np.errstate(all="ignore"):
+        lam, rho = _low_sums(range(1, _ONE_RANK_MAX), 0.0, [_ONE_RANK_MAX - 1], powers)
+        head = np.reshape([*powers, 0.0], (-1, 1)) * lam + rho
+        head += np.log1p(-np.reshape([*slope, 1 / y], (-1, 1)) * low_y * np.exp(-head))
+    for x in (*arrays, low_y, low_x, head):
         x.flags.writeable = False
-    return tuple(mins), ones, *arrays
+    if not np.isfinite(head).all():
+        head = None
+    return tuple(mins), ones, *arrays, low_y, low_x, head, math.ceil(far_x + 0.5)
 
 
 def _log_bound(c: float, p: int):
@@ -417,7 +471,7 @@ def _em_orders(ranks, powers, log_yx):
     (2k-2)! / x^(2k-2). Returns, per end Y and X, the sum over k = 2 .. M of
     c_k times that product, 0 where M = 1.
     """
-    *_, abs_alpha, bound, fall, sign = ranks
+    abs_alpha, bound, fall, sign = ranks[2:6]
     log_y = log_yx[0]
     h = abs_alpha * np.exp(-_LOG2 - log_y)  # |alpha| / (2a - 1) = |alpha| / 2Y
     h[-1] = -np.log(log_y)  # the sum of logs' bound divides by log Y
@@ -452,7 +506,7 @@ def _direct_route(a, n, alpha):
     return _log_parts(r_m, r_e), np.log(np.add.reduceat(np.exp(d, out=d), off))
 
 
-def _em_route(a_parts, n_parts, powers, ranks, sub):
+def _em_route(a_parts, n_parts, powers, ranks, low, top, sub):
     """Midpoint Euler-Maclaurin sums over blocks of n ranks from a, of the order each block takes.
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
@@ -462,15 +516,18 @@ def _em_route(a_parts, n_parts, powers, ranks, sub):
     (lam, rho) with log sum = alpha lam + rho, rho one row per alpha and
     one column per block, lam the same or, when every alpha + 1 has one
     sign, one row for all of them; and the log sum of logs per block. That
-    is the form of order 1; the blocks `sub`, those that start below a
-    rank from which every row takes order 1, add the terms k = 2 .. M of
-    their order M where it is above 1 (_em_orders, ranks _first_ranks').
+    is the form of order 1. The blocks `low` and `top`, which start at rank
+    _ONE_RANK_MAX, and `sub`, those that start between it and a rank from
+    which every row takes order 1, add the terms k = 2 .. M of their order M
+    where it is above 1: `low` at both ends and `top` at X alone (their
+    table's bottom carries those at Y), by _first_ranks' constants (ranks);
+    `sub` by _em_orders.
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
     # a one-rank block is a^alpha, taken as alpha log a: the form's O(alpha)
     # part is a difference of O(1) logs, all lost once alpha + 1 rounds to 1
     one = (n_m == 1.0) & (n_e == 0)
-    log_a = np.where(one, _log_parts(a_m, a_e), 0.0)
+    log_a = _log_parts(a_m, a_e)
     y_m = a_m - np.ldexp(0.5, -a_e)
     log_y = _log_parts(y_m, a_e)
     log_n = _log_parts(n_m, n_e)
@@ -480,18 +537,26 @@ def _em_route(a_parts, n_parts, powers, ranks, sub):
     tiny = ratio < 1.0 / _FAR_RATIO
     log_ratio = log_n - log_y
     t = np.where(ratio < _FAR_RATIO, np.log1p(ratio), log_ratio)  # log(X/Y)
-    log_yx = np.empty((2, t.size))  # log Y and log X
-    log_yx[0] = log_y
-    log_x = np.add(log_y, t, out=log_yx[1])
+    log_x = log_y + t
     # with s = alpha + 1, the integral is X^s (1 - (Y/X)^s) / s from the top end X
     # when s > 0 (up), Y^s (1 - (X/Y)^s) / -s from Y when s < 0: lam + rest with
     # lam = log X or log Y and rest = log((1 - exp(-|s| t)) / |s|), log |s| by
     # math.log; at s = 0 it is Y^0 log(X/Y). Whatever alpha, a tiny range's
     # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
-    fixed = tiny | one
-    sub = sub[~fixed[sub]]
-    if sub.size:
-        high = _em_orders(ranks, powers, log_yx[:, sub])
+    fixed = tiny | one  # their rows are overwritten, whatever their order
+    gain = None
+    low = np.concatenate((low, top))
+    if low.size or sub.size:  # the terms k = 2 .. M: a gain 1 - 24 high(x) on f'(x) / 24
+        high = np.zeros((2, len(powers) + 1, low.size + sub.size))
+        if low.size:  # one order per row: Y's terms are constants, X's a product
+            low_y, low_x = ranks[6:8]
+            high[0, :, : low.size - top.size] = low_y
+            x_terms = np.exp(_J2[:, :, 0] * log_x[low])
+            high[1, :, : low.size] = np.einsum("rk,ks->rs", low_x, x_terms)
+        if sub.size:
+            high[:, :, low.size :] = _em_orders(ranks, powers, np.stack((log_y[sub], log_x[sub])))
+        sub = np.concatenate((low, sub))
+        gain = 1.0 - 24.0 * high[:, :-1]
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     neg_s = -np.abs(alpha + 1.0)
     log_s = np.reshape([math.log(abs(a + 1.0)) if a != -1.0 else 0.0 for a in powers], (-1, 1))
@@ -519,7 +584,11 @@ def _em_route(a_parts, n_parts, powers, ranks, sub):
             # the first midpoint correction, -(1/24)(f'(X) - f'(Y)), as a ratio to the
             # integral: O(alpha^2/a^2); where it is not small, alpha is out of the
             # closed form's reach and the integral alone stands
-            corr = (alpha[rows] / 24.0) * (np.exp(e_y) - np.exp(e_x))
+            e_y, e_x = np.exp(e_y), np.exp(e_x)
+            if gain is not None:
+                e_y[:, sub] *= gain[0, rows]
+                e_x[:, sub] *= gain[1, rows]
+            corr = (alpha[rows] / 24.0) * (e_y - e_x)
             rho = np.add(lam, rest, out=rho_out[rows])
             rho += np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
             np.copyto(rho, fixed_rho, where=fixed)
@@ -529,68 +598,112 @@ def _em_route(a_parts, n_parts, powers, ranks, sub):
         lam_out = np.where(alpha + 1.0 > 0.0, lams[True], lams[False])
     else:
         lam_out = next(iter(lams.values()), log_x)
-    if sub.size and powers:  # the terms k = 2 .. M: alpha (X^(alpha-1) high(X) - Y^(alpha-1) high(Y))
-        rho = rho_out[:, sub]
-        ends = (alpha - 1.0) * log_yx[:, None, sub] - (alpha * lam_out[..., sub] + rho)
-        rho += np.log1p(alpha * (np.exp(ends[1]) * high[1, :-1] - np.exp(ends[0]) * high[0, :-1]))
-        rho_out[:, sub] = rho
     sums = (lam_out, rho_out)
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
-    # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision
-    near = np.where(
-        ratio < 1e-6,
-        2.0 * np.log(ratio) - _LOG2 + np.log1p(ratio * (ratio / 6.0 - 1.0 / 3.0)),
-        np.log((1.0 + ratio) * np.log1p(ratio) - ratio),
-    )
-    far = np.where(tiny, 2.0 * log_ratio - _LOG2, log_ratio + np.log(log_ratio - 1.0))
-    phi = np.where(tiny | (ratio >= _FAR_RATIO), far, near)
+    # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision;
+    # those two forms only where they are needed
+    phi = np.log((1.0 + ratio) * np.log1p(ratio) - ratio)
+    near = ratio < 1e-6
+    if near.any():
+        r = ratio[near]
+        phi[near] = np.where(tiny[near], 2.0 * log_ratio[near] - _LOG2,
+                             2.0 * np.log(r) - _LOG2 + np.log1p(r * (r / 6.0 - 1.0 / 3.0)))
+    far = ratio >= _FAR_RATIO
+    if far.any():
+        phi[far] = log_ratio[far] + np.log(log_ratio[far] - 1.0)
     # plus the first midpoint correction (1/24)(1/Y - 1/X) = n / (24 X Y)
     integral = np.logaddexp(log_n + np.log(log_y), log_y + phi)
     logs = np.logaddexp(integral, log_n - _LOG24 - log_x - log_y)
-    if sub.size:  # the terms k = 2 .. M: X^-1 high(X) - Y^-1 high(Y), over the sum
-        ends = np.exp(-log_yx[:, sub] - logs[sub]) * high[:, -1]
+    if gain is not None:  # the terms k = 2 .. M: X^-1 high(X) - Y^-1 high(Y), over the sum
+        ends = np.exp(-np.stack((log_y[sub], log_x[sub])) - logs[sub]) * high[:, -1]
         logs[sub] += np.log1p(ends[1] - ends[0])
     np.log(log_a, out=logs, where=one)  # one rank a: log log a
     return sums, logs
 
 
+def _low_sums(ranks, weights, counts, powers):
+    """Direct sums over each table's ranks below _ONE_RANK_MAX, in one numpy pass.
+
+    ranks lists every table's ranks below _ONE_RANK_MAX in turn, weights
+    their blocks' log weights, and counts how many each table has. Returns
+    (lam, rho), one row per power and a last row for the sum of logs, one
+    column per table: log sum_i w_i i^alpha = alpha lam + rho, lam the log
+    of the table's last rank (alpha > 0) or first, so that rho stays in
+    float range for a huge alpha; and log sum_i w_i log i = rho in the last
+    row. rho is a log-sum-exp of at most 15 terms, a few ulp off (one term
+    is its own log, exactly).
+    """
+    r = np.array(ranks)
+    at = list(accumulate(counts[:-1], initial=0))
+    alpha = np.reshape([*powers, 0.0], (-1, 1))
+    lam = np.where(alpha > 0.0, _LOG_RANK[r[np.add(at, counts) - 1]], _LOG_RANK[r[at]])
+    x = alpha * (_LOG_RANK[r] - np.repeat(lam, counts, axis=1))
+    x[-1] = _LOG_LOG_RANK[r]
+    x += weights
+    top = np.maximum.reduceat(x, at, axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    x -= np.repeat(top, counts, axis=1)
+    return lam, np.log(np.add.reduceat(np.exp(x, out=x), at, axis=1)) + top
+
+
 def _terms(tables, powers):
     """Every table's terms as one 2-D array: one row per power, a last row for the sum of logs.
 
-    Every table's ranks below _ONE_RANK_MAX are cut into one-rank blocks,
-    which every route sums exactly; a block that straddles it keeps its
-    rest as one more block of its weight. From there each row takes the
-    Euler-Maclaurin route at each block's least order that meets the
-    tolerance, from its first rank (_first_ranks) on. A row whose first
-    rank is higher (|alpha| < _SMALL_ALPHA, or |alpha| large against the
-    ranks) sums the blocks below it by _direct_route instead, and the one
-    that straddles it by _direct_route up to it and a route of its own from
-    it on. So every row's sums depend on its alpha alone. The
-    Euler-Maclaurin route runs once over the blocks of all the tables, its
-    starts converted in one _int_parts pass. Returns the terms (alpha lam +
-    w + rho, times the table's scale, and w + log sum log i), their columns
-    grouped by table, and each table's number of columns.
+    Every table's ranks below _ONE_RANK_MAX are one column, their direct
+    sums (_low_sums); a block that straddles it keeps its rest as one more
+    block of its weight. From there each row takes the Euler-Maclaurin
+    route at each block's least order that meets the tolerance, from its
+    first rank (_first_ranks) on. A row whose first rank is higher (|alpha|
+    < _SMALL_ALPHA, or |alpha| large against the ranks) sums the blocks
+    below it by _direct_route instead, and the one that straddles it by
+    _direct_route up to it and a route of its own from it on. So every
+    row's sums depend on its alpha alone. The Euler-Maclaurin route runs
+    once over the blocks of all the tables, its starts converted in one
+    _int_parts pass. Returns the terms (alpha lam + w + rho, times the
+    table's scale, and w + log sum log i), their columns grouped by table,
+    and each table's number of columns.
     """
     ranks = _first_ranks(tuple(powers))
     low, ones = _ONE_RANK_MAX, ranks[1]
-    starts, small, per_table, sub = [], [], [], []
+    starts, small, per_table, cells, tops, sub = [], [], [], [], [], []
+    head_ranks, head_w, head_n, heads, full = [], [], [], [], []
     for bounds, _, _, log_w, _ in tables:
         n, c0 = log_w.size, len(starts)
         d = bisect_left(bounds, low, hi=n)  # blocks 0 .. d - 1 start below low
         sizes, weights = [], log_w
-        if d:
-            end = min(bounds[d], low)
-            edges = sorted({*bounds[:d], *range(bounds[0], end + 1)})
-            sizes = list(map(int.__sub__, edges[1:], edges))
-            blocks = [bisect_right(bounds, e, hi=n) - 1 for e in edges[:-1]]
+        if d:  # its ranks below low: a one-rank block [1, 1] in the route, its
+            # terms replaced by their direct sums
+            folded = bounds[0] == 1 and bounds[1] > low + 1 and ranks[8] is not None
+            if folded:  # all in block 0, whose rest, of two ranks or more, is next: the shared sums
+                full.append(c0)
+                weights = [log_w[0]]
+            else:
+                stop = min(bounds[d], low)
+                for j, w in enumerate(log_w[:d].tolist()):
+                    block = range(bounds[j], min(bounds[j + 1], stop))
+                    head_ranks += block
+                    head_w += [w] * len(block)
+                head_n.append(stop - bounds[0])
+                heads.append(c0)
+                weights = [0.0]
+            starts.append(1)
+            sizes.append(1)
             if bounds[d] > low:  # block d - 1 straddles low: its rest is one more block
-                edges.append(bounds[d])
+                starts.append(low)
                 sizes.append(bounds[d] - low)
-                blocks.append(d - 1)
-            weights = np.concatenate((log_w[blocks], log_w[d:]))
-            starts += edges[:-1]
+                weights.append(log_w[d - 1])
+            weights = np.concatenate((weights, log_w[d:]))
+        else:
+            folded = False
         starts += bounds[d:n]
-        sub += range(bisect_left(starts, low, c0), bisect_left(starts, ones, c0))  # orders above 1
+        c = bisect_left(starts, low, c0)
+        if c < len(starts) and starts[c] == low:  # the block from low
+            if not folded:
+                cells.append(c)
+            elif bounds[1] < ranks[9]:
+                tops.append(c)
+            c += 1
+        sub += range(c, bisect_left(starts, ones, c))  # orders above 1
         small += sizes
         per_table.append((len(sizes), d, weights, bounds[n]))
     # every block's size parts, the cut ones' from one _int_parts pass
@@ -601,8 +714,13 @@ def _terms(tables, powers):
         e_parts += [s_e[i : i + c], n_e[d:]]
         cols.append(c + n_m.size - d)
         i += c
-    (lam, rho), logs = _em_route(_int_parts(starts), (np.concatenate(m_parts), np.concatenate(e_parts)),
-                                 powers, ranks, np.array(sub, dtype=np.intp))
+    sizes = np.concatenate(m_parts), np.concatenate(e_parts)
+    (lam, rho), logs = _em_route(_int_parts(starts), sizes, powers, ranks,
+                                 *(np.array(c, dtype=np.intp) for c in (cells, tops, sub)))
+    if full:  # lam is log 1 = 0 there
+        rho[:, full] = ranks[8][:-1]
+        logs[full] = ranks[8][-1]
+    bottom = _low_sums(head_ranks, head_w, head_n, powers) if heads else None
     far = [(r, alpha, m) for r, (alpha, m) in enumerate(zip(powers, ranks[0])) if m > low]
     if far:
         lam = np.array(np.broadcast_to(lam, rho.shape))
@@ -625,7 +743,8 @@ def _terms(tables, powers):
         if tails:  # the straddling blocks' rest, from m on, by Euler-Maclaurin
             j, n = zip(*tails)
             (t_lam, t_rho), _ = _em_route(_int_parts([m] * len(n)), _int_parts(n), [alpha],
-                                          _first_ranks((alpha,)), np.arange(len(n)))
+                                          _first_ranks((alpha,)), *[np.empty(0, dtype=np.intp)] * 2,
+                                          np.arange(len(n)))
             j = list(j)
             head = alpha * d_lam[j] + d_rho[j]
             d_lam[j] = np.broadcast_to(t_lam, t_rho.shape)[0]
@@ -640,6 +759,10 @@ def _terms(tables, powers):
     rows *= scale
     rows += (alpha * scale) * lam  # (alpha scale) lam + scale (w + rho)
     np.add(w, logs, out=terms[-1])
+    if heads:  # the direct sums below low, lam by row
+        (lam, rho), s = bottom, scale[heads]
+        terms[:-1, heads] = (alpha * s) * lam[:-1] + s * rho[:-1]
+        terms[-1, heads] = rho[-1]
     return terms, np.array(cols)
 
 
@@ -663,13 +786,14 @@ def _log_sums(tables, alphas):
     log sum_j w_j sum_{i in j} log i).
 
     One rule routes every (block, alpha) (_terms): the ranks below
-    _ONE_RANK_MAX = 16 as one-rank blocks, and each block from there by the
+    _ONE_RANK_MAX = 16 by direct sums, and each block from there by the
     midpoint Euler-Maclaurin expansion of the least order M <= 8 whose
     remainder bound at its first rank is at most _EM_TOL = 1e-16 of the sum
     (the module docstring states the bound), or directly where no order
     meets it (_direct_route: the top terms for large alpha, every rank for
     |alpha| < 1e-2 below rank 30,000). So each block's sum is within 1e-16
-    of the exact one before rounding, and so is each table's. Each route
+    of the exact one before rounding, and so is each table's; rounding adds
+    a few 1e-15 of the sum, and a few ulp of each log a term is made of. Each route
     runs once over the blocks of all the tables, the alphas and the sum of
     logs as the rows of 2-D arrays, and one _lse_segments call sums every
     table, so a table's results are, bit for bit, those it gets alone, and
@@ -721,17 +845,18 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
     The table kernel (_log_sums) run on one block; alpha = 0 is log n from
-    the block's own size parts. The ranks below 16 one by one, the ranks
-    from there by the midpoint Euler-Maclaurin expansion of the least order
+    the block's own size parts. The ranks below 16 by a direct sum, the
+    ranks from there by the midpoint Euler-Maclaurin expansion of the least order
     M <= 8 whose remainder bound (the module docstring's) is at most 1e-16
     of the sum at the range's first rank, and directly below the first
     rank where order 8 meets it (_em_min(alpha): 10 or less at the default
     alphas, about 1.36 |alpha| for large alpha, whose ranges then take their
     top terms only). The result is off by at most 1e-16 of the sum before
-    rounding; rounding adds a few 1e-15 of the sum and a few ulp of
-    |alpha| log b, the log of the largest term, which the result carries
-    as a sum of two logs (tests/test_ranksums.py checks that bound against
-    mpmath over alpha in (-1, 1e5] and ranges past 2^1020). Near alpha = 0
+    rounding; rounding adds a few 1e-15 of the sum and a few ulp of each
+    of the two logs the result is made of, alpha lam (at most |alpha| log
+    b, the log of the largest term) and rho (tests/test_ranksums.py checks
+    that bound against mpmath over alpha in (-1, 1e5] and ranges past
+    2^1020). Near alpha = 0
     the expansion cancels on short ranges, so there its relative error on
     the log grows like 1/alpha, and |alpha| < 1e-2 keeps the direct route
     below 30,000 and that error from there on; one rank a is alpha log a on

@@ -325,10 +325,9 @@ def test_rank_sums_whose_range_ratio_leaves_float_range():
 
 @pytest.mark.parametrize("a", [1, 2, 4095, 4096, 29999, 30000, 10**6])
 def test_log_sum_of_logs_matches_loggamma_on_every_route(a):
-    # sum_{i=a}^{b} log i = lgamma(b+1) - lgamma(a), at 50 digits; the b values
-    # cover the direct (ranks below 4096), split (a < 4096 <= b) and
-    # Euler-Maclaurin (a >= 4096) routes, the ends either side of 4096, and
-    # those either side of 30000, where the sum of logs no longer splits
+    # sum_{i=a}^{b} log i = lgamma(b+1) - lgamma(a), at 50 digits; the a and b
+    # values cover the direct sums below rank 16, the orders above 1 below rank
+    # 2,160, order 1 from there on, and ends either side of 4096 and 30000
     from mpmath import mp
 
     ends = (4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15 - 1, 10**15 + 1,
@@ -455,7 +454,8 @@ def test_uniform_table_is_one_rank_range(source, k):
     with direct_route_calls() as calls:
         (log_mean, log_square), log_mean_log = oracle._tables_log_sums([(table, 1.0)],
                                                                        (1.0, 2.0))[0]
-    assert calls == [("single", min(n, _ONE_RANK_MAX - 1))]  # one range, not one per type
+    # one range, not one per type: past rank 16 its ranks 1 .. 15 are the shared sums
+    assert calls == ([] if n > _ONE_RANK_MAX else [("single", min(n, _ONE_RANK_MAX - 1))])
     with mp.workdps(50):
         want_mean = mp.log(mpf(n + 1) / 2)
         want_square = mp.log(mpf((n + 1) * (2 * n + 1)) / 6)
@@ -637,64 +637,86 @@ def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
 
 @contextlib.contextmanager
 def direct_route_calls():
-    # the ranks summed one by one inside the block: ("single", n) per kernel pass
-    # for its n one-rank blocks, ("direct", alphas, ranks) per ranksums._direct_route
-    # call for the ranks it is given (it sums at most that many)
+    # the ranks summed one by one: ("single", n) per kernel pass for the n ranks
+    # below 16 of its tables that do not take the shared sums of ranks 1 .. 15
+    # (computed once per tuple of alphas, with weight 0, and not counted), and
+    # ("direct", alphas, ranks) per ranksums._direct_route call for the ranks it
+    # is given (it sums at most that many)
     calls = []
-    direct, em = ranksums._direct_route, ranksums._em_route
+    direct, low = ranksums._direct_route, ranksums._low_sums
 
     def counted_direct(a, n, alpha):
         calls.append(("direct", tuple(alpha.tolist()), sum(n)))
         return direct(a, n, alpha)
 
-    def counted_em(a_parts, n_parts, *rest):
-        n_m, n_e = n_parts
-        calls.append(("single", int(np.count_nonzero((n_m == 1.0) & (n_e == 0)))))
-        return em(a_parts, n_parts, *rest)
+    def counted_low(ranks, weights, counts, powers):
+        if not np.isscalar(weights):
+            calls.append(("single", sum(counts)))
+        return low(ranks, weights, counts, powers)
 
     with mock.patch.object(ranksums, "_direct_route", counted_direct), \
-            mock.patch.object(ranksums, "_em_route", counted_em):
+            mock.patch.object(ranksums, "_low_sums", counted_low):
         yield calls
 
 
 def test_direct_route_sums_only_ranks_below_the_threshold():
     # at the default alphas every row's first Euler-Maclaurin rank is at most 10,
-    # below the 16 ranks every table sums one by one, so one table pass sums a
-    # few tens of ranks one by one at most: those and the table's own one-rank
-    # blocks, with no direct route
+    # below the 16 ranks every table sums one by one, so one table pass sums 15
+    # ranks one by one, with no direct route: the 4,095 of a fixed threshold are gone
     assert max(map(_em_min, (-0.5, 0.5, 1.0, 2.0))) == 10 < _ONE_RANK_MAX == 16
     with direct_route_calls() as calls:
         finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
-    assert len(calls) == 1 and calls[0][0] == "single" and 15 <= calls[0][1] <= 30, calls
+    assert calls == [("single", 15)]
 
 
 def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
     # one pass serves every default alpha and the sum of logs of a table whose
-    # ranks run far past 30000: ranks 1 .. 15 one by one, the rest of its first
-    # range and every other block by Euler-Maclaurin
+    # ranks run far past 30000: ranks 1 .. 15 from the shared sums, the rest of
+    # its first range and every other block by Euler-Maclaurin
     with direct_route_calls() as calls:
         finite_k_exponents(conditioned(LetterDistribution((0.7, 0.3)), 0.05), 600)
-    assert calls == [("single", 15)]
+    assert calls == []
 
 
 def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
-    # every table whose first range starts at rank 1 (a modal typical class, a
-    # whole uniform range) sums ranks 1 .. 15 once per pass, in the pass, with no
-    # state kept across passes: a second exact-compare request sums the same
-    # ranks again and prints the same bytes
+    # every table whose first range starts at rank 1 and runs past rank 17 (a
+    # modal typical class, a whole uniform range) takes ranks 1 .. 15 from one
+    # sum per tuple of alphas, each within the stated bound of mpmath's, and sums
+    # no rank one by one in the pass; a second exact-compare request prints the
+    # same bytes
+    from mpmath import mp, mpf
+
     from guesswork import cli
 
+    alphas = (-0.5, 0.5, 1.0, 2.0)
+    ranks = ranksums._first_ranks(alphas)
+    shared = ranks[8][:, 0]
+    orders = 1 + np.count_nonzero(ranks[7], axis=1)
+    y = mpf(31) / 2
+    with mp.workdps(40):
+        for row, alpha in enumerate((*alphas, None)):
+            # the direct sum less the expansion's terms k = 2 .. M at Y = 15.5, the
+            # order M of the range from 16, which carries its first term alone there
+            if alpha is None:  # the sum of logs: f^(2k-1)(Y) = (2k-2)! / Y^(2k-1)
+                total = mp.log(mp.factorial(15))
+                slope = [mp.factorial(2 * k - 2) / y ** (2 * k - 1)
+                         for k in range(2, orders[row] + 1)]
+            else:
+                total = mp.fsum(mpf(i) ** alpha for i in range(1, 16))
+                slope = [mp.rf(alpha - 2 * k + 2, 2 * k - 1) * y ** (alpha - 2 * k + 1)
+                         for k in range(2, orders[row] + 1)]
+            terms = [mp.bernpoly(2 * k, mpf(1) / 2) / mp.factorial(2 * k) * f
+                     for k, f in enumerate(slope, 2)]
+            assert abs(shared[row] - mp.log(total - mp.fsum(terms))) <= 1e-15
     argv = ["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "40,200,900"]
     with direct_route_calls() as calls:
         finite_k_exponents(conditioned(LetterDistribution((0.6, 0.4)), 0.1), 900)
         finite_k_exponents(uniform_typical(LetterDistribution((0.5, 0.3, 0.2)), 0.05), 300)
-        assert calls == [("single", 15), ("single", 15)]
-        del calls[:]
+        assert calls == []
         assert cli.main(argv) == 0
-        first, first_calls = capsys.readouterr().out, list(calls)
-        del calls[:]
+        first = capsys.readouterr().out
         assert cli.main(argv) == 0
-    assert calls == first_calls == [("single", 45)]
+    assert calls == []
     assert capsys.readouterr().out == first
 
 
@@ -720,13 +742,12 @@ def _top_down_log_sum(a, b, alpha):
 def test_far_alphas_match_exact_sums(alpha, em_min):
     # a huge alpha and one near 0 take the direct route below their first
     # Euler-Maclaurin rank: from its top terms at 1e5 (at most ~50 a block), on
-    # every rank at 1e-8 (below 30,000, as before); both within the stated bound
+    # every rank at 1e-8 (below 30,000); both within the stated bound
     # of an exact sum, the ranges either side of their first ranks
     assert _em_min(alpha) == em_min
     with direct_route_calls() as calls:
         log_rank_power_sum(1, 10**6, alpha)
-    assert calls[0] == ("single", _ONE_RANK_MAX - 1) and calls[1][:2] == ("direct", (alpha,))
-    assert calls[1][2] == em_min - _ONE_RANK_MAX
+    assert calls == [("direct", (alpha,), em_min - _ONE_RANK_MAX)]
     ranges = ((1, 10**6), (5000, 5000), (5000, 40000), (29000, 31000), (130000, 140000))
     for a, b in ranges:
         want = float(_top_down_log_sum(a, b, alpha))
