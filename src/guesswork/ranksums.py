@@ -248,12 +248,12 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
         x /= np.repeat(np.asarray(scales, dtype=np.float64), sizes, axis=1)
         np.exp(x, out=x)
     keep = x < _PRUNE
-    rests = np.add.reduceat(np.where(keep, x, 0.0), starts, axis=1).tolist()
     np.logical_not(keep, out=keep)  # a nan is kept
     kept = np.add.reduceat(keep, starts, axis=1, dtype=np.intp).tolist()
     pruned = [[_prunes(n, size) for n, (_, size) in zip(row, segments)] for row in kept]
-    heads = []
+    heads, rests = [], [[0.0] * len(segments)] * len(kept)
     if any(map(any, pruned)):
+        rests = np.add.reduceat(np.where(keep, 0.0, x), starts, axis=1).tolist()
         if not all(map(all, pruned)):  # only the heads that _pruned_sum takes
             keep &= np.repeat(pruned, sizes, axis=1)
         heads = x[keep].tolist()
@@ -283,8 +283,9 @@ def _lse(terms) -> float:
         return top
     x = np.exp(terms - top)
     keep = ~(x < _PRUNE)  # a nan is kept
-    head = x[keep].tolist() if _prunes(np.count_nonzero(keep), x.size) else None
-    return _segment_sum(top, 1.0, head, float(x.sum(where=~keep)), x)
+    if not _prunes(np.count_nonzero(keep), x.size):
+        return _segment_sum(top, 1.0, None, 0.0, x)
+    return _segment_sum(top, 1.0, x[keep].tolist(), float(x.sum(where=~keep)), x)
 
 
 def _int_parts(values) -> tuple[np.ndarray, np.ndarray]:
