@@ -5,16 +5,17 @@ probability, so the optimal (probability-descending) guessing order is a
 sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
-held as columns, and one kernel (ranksums._log_sums) takes the rank sums
-of every table of a request in one pass over their blocks: the ranks below
-16 one by one, and each block from there by a midpoint Euler-Maclaurin
-expansion of the least order whose stated remainder bound meets 1e-16 of
-the sum, however many ranks it holds (directly below the first rank where
-none does, ranksums._em_min), which keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare`
-builds each distinct k's table once (_finite_k_batch), and its naive
-cross-check reads that table. A typical-set table, census or scan
-enumerates only the typical slab: one interval of the next-to-last count
-per row of the other counts (_window_entries).
+held as columns, and one kernel (ranksums._log_sums) takes the rank sums of
+every table of a request in one pass over their blocks: each block's ranks
+below 16 as one range sum, held per tuple of alphas, and each block from
+there by a midpoint Euler-Maclaurin expansion of the least order whose
+stated remainder bound meets 1e-16 of the sum, however many ranks it holds
+(directly below the first rank where none does, ranksums._em_min), which
+keeps k ~ 10^3 affordable for m = 2. `guessctl exact-compare` builds each
+distinct k's table once (_finite_k_batch), and its naive cross-check reads
+that table. A typical-set table, census or scan enumerates only the typical
+slab: one interval of the next-to-last count per row of the other counts
+(_window_entries).
 
 A separate naive oracle holds one float64 log-probability per word (numpy,
 guarded to m^k <= 2^22), so the two routes can be cross-checked against

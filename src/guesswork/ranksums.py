@@ -26,26 +26,27 @@ the sum. It is zero for integer 0 <= alpha <= 2M + 1, so alpha = 1 and 2
 are exact from rank 1. Order 1 is the one-term corrected midpoint form;
 blocks from about rank 2,200-3,700 on take it at the default alphas. The
 ranks below _em_min(alpha), the first rank where order 8 meets the
-tolerance, are summed directly: every table's ranks below _ONE_RANK_MAX =
-16 are one column of direct sums (`_low_sums`), which covers the default
-alphas (_em_min 1, 8 or 10) and the sum of logs (9). A table whose first
-block runs past rank 17, as every typical-set table's modal class does,
-takes them from one sum per tuple of alphas (`_first_ranks`), which also
-carries that block's expansion terms k >= 2 at rank 16; those at its
-other end are left out from about rank 2 * 10^5 on, where they are below
-1e-17 of its sum. An alpha with a higher first rank takes `_direct_route`
-on the blocks below it: from each block's top terms where alpha is large against the
-ranks (at most about 50 a block; _em_min is about 1.36 |alpha| there),
-and on every rank for |alpha| < 1e-2, whose first rank is 30,000:
-nearer 0 the expansion takes the sum's O(alpha) part as a difference of
-O(1) logs. A row's sums depend on its own alpha alone, and a table's on
-that table alone. The kernel takes every alpha alike: its callers know
-E[G^0] = 1, and log_rank_power_sum's alpha = 0 is log n. Adjacent blocks
-of one table with exactly the same weight are one rank range, so a
-uniform-on-typical table is one range. Every log-sum-exp returns its sum
-correctly rounded, as math.fsum does: by math.fsum over the terms that can
-move the rounding (`_pruned_sum`), else by `_exact_sum`, a guarded numpy
-cascade on long inputs.
+tolerance, are summed directly. Below _ONE_RANK_MAX = 16, which covers the
+default alphas (_em_min 1, 8 or 10) and the sum of logs (9), that is one
+rule: every block that starts there takes its ranks below 16 as one range
+sum S(a, n) from a table built once per tuple of alphas (`_first_ranks`).
+A block that reaches rank 17 takes S'(a, 15), that sum less the
+expansion's terms k >= 2 at rank 16, where its rest takes one order per
+alpha: the rest carries the terms at its other end alone, left out from
+about rank 2 * 10^5 on, where they are below 1e-17 of its sum. An alpha
+with a higher first rank takes `_direct_route` on the blocks below it: from
+each block's top terms where alpha is large against the ranks (at most
+about 50 a block; _em_min is about 1.36 |alpha| there), and on every rank
+for |alpha| < 1e-2, whose first rank is 30,000: nearer 0 the expansion
+takes the sum's O(alpha) part as a difference of O(1) logs. A row's sums
+depend on its own alpha alone, and a table's on that table alone. The
+kernel takes every alpha alike: its callers know E[G^0] = 1, and
+log_rank_power_sum's alpha = 0 is log n. Adjacent blocks of one table with
+exactly the same weight are one rank range, so a uniform-on-typical table
+is one range. Every log-sum-exp returns its sum correctly rounded, as
+math.fsum does: by math.fsum over the terms that can move the rounding
+(`_pruned_sum`), else by `_exact_sum`, a guarded numpy cascade on long
+inputs.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ _M_MAX = 8
 _EM_TOL = 1e-16
 _SMALL_ALPHA = 1e-2
 _SMALL_ALPHA_MIN = 30000
-# The ranks below this are summed directly in every table, for every row
-# (_low_sums): rows whose first Euler-Maclaurin rank is at most this take the
-# expansion from it on, and rows with a higher one the direct route up to it.
+# Every block takes its ranks below this as one range sum from a table built
+# per tuple of alphas (_low_sums): rows whose first Euler-Maclaurin rank is at
+# most this take the expansion from it on, and rows with a higher one the
+# direct route up to it.
 _ONE_RANK_MAX = 16
 
 _LOG2 = math.log(2.0)
@@ -126,10 +128,10 @@ _I = np.arange(1.0, 2 * _M_MAX + 2)
 # the sum of logs' bound constants: _LOG_REM times (2M + 1)!
 _LOG_REM_LOGS = [c + math.log(math.factorial(2 * m + 1))
                  for m, c in enumerate(_LOG_REM.tolist(), 1)]
-# log i (by math.log, so that one rank a is alpha * math.log(a)) and log log i
-# for the ranks i below _ONE_RANK_MAX
-_LOG_RANK = np.array([-math.inf, *(math.log(i) for i in range(1, _ONE_RANK_MAX))])
-_LOG_LOG_RANK = np.log(_LOG_RANK, where=_LOG_RANK > 0.0, out=np.full(_ONE_RANK_MAX, -math.inf))
+# log i for the ranks i = 1 .. _ONE_RANK_MAX - 1, and the cells [k, j] with j < k
+# of a square of them
+_LOG_RANK = np.array([math.log(i) for i in range(1, _ONE_RANK_MAX)])
+_BELOW = np.tri(_ONE_RANK_MAX - 1, k=-1, dtype=bool)
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -342,11 +344,41 @@ def _first_rank(log_bound, start: int) -> int:
     return hi
 
 
+def _low_sums(powers):
+    """The range sums S(a, n) = sum_{i=a}^{n} i^alpha, 1 <= a <= n < _ONE_RANK_MAX, in one numpy pass.
+
+    Returns lam and rho as one array [2, row, a - 1, n - 1], one row per
+    power and a last row for the sum of logs, and n - 1 = _ONE_RANK_MAX - 1
+    a copy of n = 15: log S(a, n) = alpha lam + rho, lam the log of n where
+    alpha + 1 > 0, else of a, as _em_route takes its lam, so that rho stays
+    in float range for a huge alpha (the terms (i / n)^alpha are at most
+    15 for alpha in (-1, 0]); and log sum_{i=a}^{n} log i = rho in the last
+    row. rho is the log of a float sum of at most 15 terms, a few ulp off
+    (one term is its own log, exactly).
+    """
+    alpha = np.reshape([*powers, 0.0], (-1, 1, 1))
+    up = np.reshape([a + 1.0 > 0.0 for a in powers] + [False], (-1, 1, 1))
+    logs = _LOG_RANK
+    # [row, k, j]: (i_j / i_k)^alpha for j >= k, the ranks i in the order that
+    # runs away from the one of lam (down from n, or up from a), and log i in
+    # the last row; cumulative sums from k then give S(a, n) over i_k^alpha
+    ranks = np.where(up, logs[::-1], logs)
+    x = np.exp(alpha * (ranks - ranks.swapaxes(1, 2)))
+    x[-1] = logs
+    x[:, _BELOW] = 0.0
+    sums = np.cumsum(x, axis=-1)
+    out = np.empty((2, len(x), _ONE_RANK_MAX - 1, _ONE_RANK_MAX))
+    out[0, ..., :-1] = np.where(up, logs, logs[:, None])
+    np.log(np.where(up, sums[:, ::-1, ::-1].swapaxes(1, 2), sums), out=out[1, ..., :-1])
+    out[..., -1] = out[..., -2]
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _first_ranks(powers: tuple[float, ...]):
     """The routing constants of a call's rows: the powers, then the sum of logs.
 
-    Returns (mins, ones, abs_alpha, bound, fall, sign, low_y, low_x, head,
+    Returns (mins, ones, abs_alpha, bound, fall, sign, low_x, sums,
     far_x). mins[r] is power r's first Euler-Maclaurin rank, the least
     where the order-_M_MAX bound meets the tolerance (_SMALL_ALPHA_MIN for
     |alpha| < _SMALL_ALPHA); ones is a rank from which every row takes
@@ -356,21 +388,20 @@ def _first_ranks(powers: tuple[float, ...]):
     times the running product of alpha - i over i = 1 .. 2k - 2 (of i for
     the sum of logs), k = 2 .. _M_MAX.
 
-    The rest serve the block from rank _ONE_RANK_MAX, which every table
-    that reaches it has; its order is one per row. low_y is the sum over k
-    = 2 .. M of that product times Y^-(2k-2) at its Y = _ONE_RANK_MAX - 1/2
-    (what _em_orders gives there), and low_x[r, k - 2] the product where k
-    <= M, else 0, for its other end (0 on the rows that sum that block
-    directly). From X >= far_x on those at X add up to less than _EM_TOL /
-    16 of the block's sum, which is at least X^alpha / 1.5 (its last term
-    for alpha >= 0, its first for alpha < 0) or log 16 for the sum of logs.
-    head is the log of the direct sum of ranks 1 .. _ONE_RANK_MAX - 1
-    (_low_sums) less the terms k = 2 .. M at that Y, one per row, or None
-    if one leaves float range (|alpha| above about 6e307): a table whose
-    first block runs past _ONE_RANK_MAX takes it as that block's bottom,
-    and the block's rest from _ONE_RANK_MAX carries the first term at Y
-    alone. All depend on the alphas alone, so a process computes them once
-    per tuple of alphas (about 60 us), read-only.
+    The rest serve the ranks below _ONE_RANK_MAX, which every block that
+    starts there takes from this table. sums holds their range sums S(a, n)
+    as _low_sums' lam and rho, sums[0] and sums[1], at [row, 16 (a - 1) + n
+    - 1], and at n = _ONE_RANK_MAX the sums S'(a, 15): S(a, 15) less the
+    expansion's terms k = 2 .. M of the order M of the rank _ONE_RANK_MAX
+    at Y = _ONE_RANK_MAX - 1/2 (what _em_orders gives there; 0 on the rows
+    that sum the ranks from 16 directly). A block that reaches rank 17
+    takes S' below 16, and its rest from 16 carries the first term at Y
+    alone and the terms k <= M at X: low_x[r, k - 2] is that product where
+    k <= M, else 0. From X >= far_x on those at X add up to less than
+    _EM_TOL / 16 of the rest's sum, which is at least X^alpha / 1.5 (its
+    last term for alpha >= 0, its first for alpha < 0) or log 16 for the
+    sum of logs. All depend on the alphas alone, so a process computes them
+    once per tuple of alphas, read-only.
 
     For f(x) = x^alpha the order-M bound at rank a is exp(c_M + |alpha| /
     (2a - 1)) / (a - 1/2)^(2M+2) of the sum, c_M = log(2 |B_{2M+2}| /
@@ -404,7 +435,7 @@ def _first_ranks(powers: tuple[float, ...]):
         mins.append(_SMALL_ALPHA_MIN if abs(a) < _SMALL_ALPHA else rank)
     arrays = np.abs(alpha), (bound - _LOG_TOL).T[..., None], fall[..., None], sign[..., None]
     arrays[0][-1] = 0.0
-    # the block from _ONE_RANK_MAX: the terms of its order, masked as _em_orders does
+    # the rank _ONE_RANK_MAX: the terms of its order, masked as _em_orders does
     log_y = math.log(_ONE_RANK_MAX - 0.5)
     h = arrays[0] * math.exp(-_LOG2 - log_y)
     h[-1] = -math.log(log_y)
@@ -418,18 +449,19 @@ def _first_ranks(powers: tuple[float, ...]):
     top = (np.abs(low_x) * np.maximum(arrays[0], 1.0)).max(axis=0).tolist()
     far_x = max((math.exp((math.log(24 * (_M_MAX - 1) * c) - _LOG_TOL) / (2 * k + 1))
                  for k, c in enumerate(top, 1) if c), default=0.0)
-    # the direct sums less f'(Y) low_y, f'(Y) = alpha Y^(alpha - 1) or 1/Y
+    # S' = S(a, 15) less f'(Y) low_y, f'(Y) = alpha Y^(alpha - 1) or 1/Y
     y = _ONE_RANK_MAX - 0.5
     slope = [a * y ** (a - 1) if h else 0.0 for a, h in zip(powers, low_y[:-1, 0].tolist())]
+    corr = np.reshape([*slope, 1 / y], (-1, 1)) * low_y
     with np.errstate(all="ignore"):
-        lam, rho = _low_sums(range(1, _ONE_RANK_MAX), 0.0, [_ONE_RANK_MAX - 1], powers)
-        head = np.reshape([*powers, 0.0], (-1, 1)) * lam + rho
-        head += np.log1p(-np.reshape([*slope, 1 / y], (-1, 1)) * low_y * np.exp(-head))
-    for x in (*arrays, low_y, low_x, head):
+        sums = _low_sums(powers)
+        lam, rho = sums[..., -1]  # S(a, 15), to become S'
+        log_s = np.reshape([*powers, 0.0], (-1, 1)) * lam + rho
+        rho += np.log1p(-corr * np.exp(-log_s), where=corr != 0.0, out=np.zeros_like(log_s))
+    sums = sums.reshape(2, len(lam), -1)
+    for x in (*arrays, low_x, sums):
         x.flags.writeable = False
-    if not np.isfinite(head).all():
-        head = None
-    return tuple(mins), ones, *arrays, low_y, low_x, head, math.ceil(far_x + 0.5)
+    return tuple(mins), ones, *arrays, low_x, sums, math.ceil(far_x + 0.5)
 
 
 def _log_bound(c: float, p: int):
@@ -443,9 +475,8 @@ def _log_bound(c: float, p: int):
     return lambda a: math.inf if a < 2 else c - math.log(math.log(a - 0.5)) - p * math.log(a - 0.5)
 
 
-# the sum of logs' first ranks of orders 1 and _M_MAX: 2,160 and 9
-_LOG_ONE_RANK, _LOG_EM_MIN = (_first_rank(_log_bound(_LOG_REM_LOGS[m - 1], 2 * m + 2), 1)
-                              for m in (1, _M_MAX))
+# the sum of logs' first rank of order 1: 2,160
+_LOG_ONE_RANK = _first_rank(_log_bound(_LOG_REM_LOGS[0], 4), 1)
 
 
 def _em_min(alpha: float) -> int:
@@ -507,7 +538,7 @@ def _direct_route(a, n, alpha):
     return _log_parts(r_m, r_e), np.log(np.add.reduceat(np.exp(d, out=d), off))
 
 
-def _em_route(a_parts, n_parts, powers, ranks, low, top, sub):
+def _em_route(a_parts, n_parts, powers, ranks, top, sub):
     """Midpoint Euler-Maclaurin sums over blocks of n ranks from a, of the order each block takes.
 
     With Y = a - 1/2 and X = a + n - 1/2, sum_{i=a}^{a+n-1} i^alpha is
@@ -517,12 +548,12 @@ def _em_route(a_parts, n_parts, powers, ranks, low, top, sub):
     (lam, rho) with log sum = alpha lam + rho, rho one row per alpha and
     one column per block, lam the same or, when every alpha + 1 has one
     sign, one row for all of them; and the log sum of logs per block. That
-    is the form of order 1. The blocks `low` and `top`, which start at rank
-    _ONE_RANK_MAX, and `sub`, those that start between it and a rank from
-    which every row takes order 1, add the terms k = 2 .. M of their order M
-    where it is above 1: `low` at both ends and `top` at X alone (their
-    table's bottom carries those at Y), by _first_ranks' constants (ranks);
-    `sub` by _em_orders.
+    is the form of order 1. The blocks `top`, the rests from rank
+    _ONE_RANK_MAX of blocks whose ranks below it take S' (_first_ranks),
+    and `sub`, blocks that start between it and a rank from which every row
+    takes order 1, add the terms k = 2 .. M of their order M where it is
+    above 1: `top` at X alone by _first_ranks' constants (ranks), S'
+    carries those at Y; `sub` at both ends by _em_orders.
     """
     (a_m, a_e), (n_m, n_e) = a_parts, n_parts
     # a one-rank block is a^alpha, taken as alpha log a: the form's O(alpha)
@@ -546,17 +577,14 @@ def _em_route(a_parts, n_parts, powers, ranks, low, top, sub):
     # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
     fixed = tiny | one  # their rows are overwritten, whatever their order
     gain = None
-    low = np.concatenate((low, top))
-    if low.size or sub.size:  # the terms k = 2 .. M: a gain 1 - 24 high(x) on f'(x) / 24
-        high = np.zeros((2, len(powers) + 1, low.size + sub.size))
-        if low.size:  # one order per row: Y's terms are constants, X's a product
-            low_y, low_x = ranks[6:8]
-            high[0, :, : low.size - top.size] = low_y
-            x_terms = np.exp(_J2[:, :, 0] * log_x[low])
-            high[1, :, : low.size] = np.einsum("rk,ks->rs", low_x, x_terms)
+    if top.size or sub.size:  # the terms k = 2 .. M: a gain 1 - 24 high(x) on f'(x) / 24
+        high = np.zeros((2, len(powers) + 1, top.size + sub.size))
+        if top.size:  # one order per row
+            x_terms = np.exp(_J2[:, :, 0] * log_x[top])
+            high[1, :, : top.size] = np.einsum("rk,ks->rs", ranks[6], x_terms)
         if sub.size:
-            high[:, :, low.size :] = _em_orders(ranks, powers, np.stack((log_y[sub], log_x[sub])))
-        sub = np.concatenate((low, sub))
+            high[:, :, top.size :] = _em_orders(ranks, powers, np.stack((log_y[sub], log_x[sub])))
+        sub = np.concatenate((top, sub))
         gain = 1.0 - 24.0 * high[:, :-1]
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     neg_s = -np.abs(alpha + 1.0)
@@ -622,88 +650,47 @@ def _em_route(a_parts, n_parts, powers, ranks, low, top, sub):
     return sums, logs
 
 
-def _low_sums(ranks, weights, counts, powers):
-    """Direct sums over each table's ranks below _ONE_RANK_MAX, in one numpy pass.
-
-    ranks lists every table's ranks below _ONE_RANK_MAX in turn, weights
-    their blocks' log weights, and counts how many each table has. Returns
-    (lam, rho), one row per power and a last row for the sum of logs, one
-    column per table: log sum_i w_i i^alpha = alpha lam + rho, lam the log
-    of the table's last rank (alpha > 0) or first, so that rho stays in
-    float range for a huge alpha; and log sum_i w_i log i = rho in the last
-    row. rho is a log-sum-exp of at most 15 terms, a few ulp off (one term
-    is its own log, exactly).
-    """
-    r = np.array(ranks)
-    at = list(accumulate(counts[:-1], initial=0))
-    alpha = np.reshape([*powers, 0.0], (-1, 1))
-    lam = np.where(alpha > 0.0, _LOG_RANK[r[np.add(at, counts) - 1]], _LOG_RANK[r[at]])
-    x = alpha * (_LOG_RANK[r] - np.repeat(lam, counts, axis=1))
-    x[-1] = _LOG_LOG_RANK[r]
-    x += weights
-    top = np.maximum.reduceat(x, at, axis=1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    x -= np.repeat(top, counts, axis=1)
-    return lam, np.log(np.add.reduceat(np.exp(x, out=x), at, axis=1)) + top
-
-
 def _terms(tables, powers):
     """Every table's terms as one 2-D array: one row per power, a last row for the sum of logs.
 
-    Every table's ranks below _ONE_RANK_MAX are one column, their direct
-    sums (_low_sums); a block that straddles it keeps its rest as one more
-    block of its weight. From there each row takes the Euler-Maclaurin
-    route at each block's least order that meets the tolerance, from its
-    first rank (_first_ranks) on. A row whose first rank is higher (|alpha|
-    < _SMALL_ALPHA, or |alpha| large against the ranks) sums the blocks
-    below it by _direct_route instead, and the one that straddles it by
-    _direct_route up to it and a route of its own from it on. So every
-    row's sums depend on its alpha alone. The Euler-Maclaurin route runs
-    once over the blocks of all the tables, its starts converted in one
-    _int_parts pass. Returns the terms (alpha lam + w + rho, times the
-    table's scale, and w + log sum log i), their columns grouped by table,
-    and each table's number of columns.
+    Every block that starts below _ONE_RANK_MAX takes its ranks below it as
+    one column from _first_ranks' range sums: S(a, min(b, 15)), or S' when
+    it reaches rank 17. A block that straddles 16 keeps its rest from there
+    as one more block of its weight, which carries its expansion's terms at
+    X alone after S', and is summed exactly after S when it is rank 16
+    alone (S' there would count the terms at Y twice). From there each
+    row takes the Euler-Maclaurin route at each block's least order that
+    meets the tolerance, from its first rank (_first_ranks) on. A row whose
+    first rank is higher (|alpha| < _SMALL_ALPHA, or |alpha| large against
+    the ranks) sums the blocks below it by _direct_route instead, and the
+    one that straddles it by _direct_route up to it and a route of its own
+    from it on. So every row's sums depend on its alpha alone. The
+    Euler-Maclaurin route runs once over the blocks of all the tables, its
+    starts converted in one _int_parts pass. Returns the terms (alpha lam +
+    w + rho, times the table's scale, and w + log sum log i), their columns
+    grouped by table, and each table's number of columns.
     """
     ranks = _first_ranks(tuple(powers))
-    low, ones = _ONE_RANK_MAX, ranks[1]
-    starts, small, per_table, cells, tops, sub = [], [], [], [], [], []
-    head_ranks, head_w, head_n, heads, full = [], [], [], [], []
+    low, ones, far_x = _ONE_RANK_MAX, ranks[1], ranks[8]
+    starts, small, per_table, tops, sub = [], [], [], [], []
+    bottom, spans = [], []  # the columns below low and their cells in the range sums
     for bounds, _, _, log_w, _ in tables:
         n, c0 = log_w.size, len(starts)
         d = bisect_left(bounds, low, hi=n)  # blocks 0 .. d - 1 start below low
-        sizes, weights = [], log_w
-        if d:  # its ranks below low: a one-rank block [1, 1] in the route, its
-            # terms replaced by their direct sums
-            folded = bounds[0] == 1 and bounds[1] > low + 1 and ranks[8] is not None
-            if folded:  # all in block 0, whose rest, of two ranks or more, is next: the shared sums
-                full.append(c0)
-                weights = [log_w[0]]
-            else:
-                stop = min(bounds[d], low)
-                for j, w in enumerate(log_w[:d].tolist()):
-                    block = range(bounds[j], min(bounds[j + 1], stop))
-                    head_ranks += block
-                    head_w += [w] * len(block)
-                head_n.append(stop - bounds[0])
-                heads.append(c0)
-                weights = [0.0]
-            starts.append(1)
-            sizes.append(1)
-            if bounds[d] > low:  # block d - 1 straddles low: its rest is one more block
-                starts.append(low)
-                sizes.append(bounds[d] - low)
-                weights.append(log_w[d - 1])
-            weights = np.concatenate((weights, log_w[d:]))
-        else:
-            folded = False
+        bottom += range(c0, c0 + d)
+        spans += [low * (a - 1) + min(b, low) - 2 for a, b in zip(bounds, bounds[1 : d + 1])]
+        starts += bounds[:d]  # one-rank blocks in the route, their sums replaced
+        sizes, weights, c = [1] * d, log_w, c0 + d
+        if d and bounds[d] > low:  # block d - 1 straddles low: its rest is one more block
+            starts.append(low)
+            sizes.append(bounds[d] - low)
+            weights = np.concatenate((log_w[:d], log_w[d - 1 :]))
+            if bounds[d] > low + 1:  # a rest of two ranks or more: S' below low
+                spans[-1] += 1
+                if bounds[d] < far_x:
+                    tops.append(c)
+                c += 1
         starts += bounds[d:n]
-        c = bisect_left(starts, low, c0)
-        if c < len(starts) and starts[c] == low:  # the block from low
-            if not folded:
-                cells.append(c)
-            elif bounds[1] < ranks[9]:
-                tops.append(c)
-            c += 1
         sub += range(c, bisect_left(starts, ones, c))  # orders above 1
         small += sizes
         per_table.append((len(sizes), d, weights, bounds[n]))
@@ -717,11 +704,14 @@ def _terms(tables, powers):
         i += c
     sizes = np.concatenate(m_parts), np.concatenate(e_parts)
     (lam, rho), logs = _em_route(_int_parts(starts), sizes, powers, ranks,
-                                 *(np.array(c, dtype=np.intp) for c in (cells, tops, sub)))
-    if full:  # lam is log 1 = 0 there
-        rho[:, full] = ranks[8][:-1]
-        logs[full] = ranks[8][-1]
-    bottom = _low_sums(head_ranks, head_w, head_n, powers) if heads else None
+                                 *(np.array(c, dtype=np.intp) for c in (tops, sub)))
+    if bottom:  # the range sums below low: their lam, like the route's, goes by the
+        # sign of alpha + 1, so it is one row where the route's is
+        lam = np.atleast_2d(lam)
+        sums = ranks[7].take(spans, axis=2)
+        lam[:, bottom] = sums[0, : len(lam)]
+        rho[:, bottom] = sums[1, :-1]
+        logs[bottom] = sums[1, -1]
     far = [(r, alpha, m) for r, (alpha, m) in enumerate(zip(powers, ranks[0])) if m > low]
     if far:
         lam = np.array(np.broadcast_to(lam, rho.shape))
@@ -744,7 +734,7 @@ def _terms(tables, powers):
         if tails:  # the straddling blocks' rest, from m on, by Euler-Maclaurin
             j, n = zip(*tails)
             (t_lam, t_rho), _ = _em_route(_int_parts([m] * len(n)), _int_parts(n), [alpha],
-                                          _first_ranks((alpha,)), *[np.empty(0, dtype=np.intp)] * 2,
+                                          _first_ranks((alpha,)), np.empty(0, dtype=np.intp),
                                           np.arange(len(n)))
             j = list(j)
             head = alpha * d_lam[j] + d_rho[j]
@@ -760,10 +750,6 @@ def _terms(tables, powers):
     rows *= scale
     rows += (alpha * scale) * lam  # (alpha scale) lam + scale (w + rho)
     np.add(w, logs, out=terms[-1])
-    if heads:  # the direct sums below low, lam by row
-        (lam, rho), s = bottom, scale[heads]
-        terms[:-1, heads] = (alpha * s) * lam[:-1] + s * rho[:-1]
-        terms[-1, heads] = rho[-1]
     return terms, np.array(cols)
 
 
@@ -786,24 +772,24 @@ def _log_sums(tables, alphas):
     ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
     log sum_j w_j sum_{i in j} log i).
 
-    One rule routes every (block, alpha) (_terms): the ranks below
-    _ONE_RANK_MAX = 16 by direct sums, and each block from there by the
-    midpoint Euler-Maclaurin expansion of the least order M <= 8 whose
-    remainder bound at its first rank is at most _EM_TOL = 1e-16 of the sum
-    (the module docstring states the bound), or directly where no order
-    meets it (_direct_route: the top terms for large alpha, every rank for
-    |alpha| < 1e-2 below rank 30,000). So each block's sum is within 1e-16
-    of the exact one before rounding, and so is each table's; rounding adds
-    a few 1e-15 of the sum, and a few ulp of each log a term is made of. Each route
-    runs once over the blocks of all the tables, the alphas and the sum of
-    logs as the rows of 2-D arrays, and one _lse_segments call sums every
-    table, so a table's results are, bit for bit, those it gets alone, and
-    an alpha's those it gets alone. alpha = 0 takes no rule of its own:
-    callers know E[G^0]. The terms stay scaled, so a huge alpha overflows
-    only where scale * log of the sum would. A non-finite alpha raises
-    DistributionError. The log of the sum of rounded logs times float
-    weights is off by up to 32 ulp on a uniform table of N words: about 2
-    ulp of log N.
+    One rule routes every (block, alpha) (_terms): each block's ranks below
+    _ONE_RANK_MAX = 16 by one range sum held per tuple of alphas, and each
+    block from there by the midpoint Euler-Maclaurin expansion of the least
+    order M <= 8 whose remainder bound at its first rank is at most _EM_TOL
+    = 1e-16 of the sum (the module docstring states the bound), or directly
+    where no order meets it (_direct_route: the top terms for large alpha,
+    every rank for |alpha| < 1e-2 below rank 30,000). So each block's sum
+    is within 1e-16 of the exact one before rounding, and so is each
+    table's; rounding adds a few 1e-15 of the sum, and a few ulp of each
+    log a term is made of. Each route runs once over the blocks of all the
+    tables, the alphas and the sum of logs as the rows of 2-D arrays, and
+    one _lse_segments call sums every table, so a table's results are, bit
+    for bit, those it gets alone, and an alpha's those it gets alone. alpha
+    = 0 takes no rule of its own: callers know E[G^0]. The terms stay
+    scaled, so a huge alpha overflows only where scale * log of the sum
+    would. A non-finite alpha raises DistributionError. The log of the sum
+    of rounded logs times float weights is off by up to 32 ulp on a uniform
+    table of N words: about 2 ulp of log N.
     """
     _check_alphas(alphas)
     out = [([-math.inf for _ in alphas], -math.inf) for _ in tables]
@@ -846,23 +832,23 @@ def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
     The table kernel (_log_sums) run on one block; alpha = 0 is log n from
-    the block's own size parts. The ranks below 16 by a direct sum, the
-    ranks from there by the midpoint Euler-Maclaurin expansion of the least order
-    M <= 8 whose remainder bound (the module docstring's) is at most 1e-16
-    of the sum at the range's first rank, and directly below the first
-    rank where order 8 meets it (_em_min(alpha): 10 or less at the default
-    alphas, about 1.36 |alpha| for large alpha, whose ranges then take their
-    top terms only). The result is off by at most 1e-16 of the sum before
-    rounding; rounding adds a few 1e-15 of the sum and a few ulp of each
-    of the two logs the result is made of, alpha lam (at most |alpha| log
-    b, the log of the largest term) and rho (tests/test_ranksums.py checks
-    that bound against mpmath over alpha in (-1, 1e5] and ranges past
-    2^1020). Near alpha = 0
-    the expansion cancels on short ranges, so there its relative error on
-    the log grows like 1/alpha, and |alpha| < 1e-2 keeps the direct route
-    below 30,000 and that error from there on; one rank a is alpha log a on
-    every route. When alpha log i leaves float range the result is its
-    limit, +inf or -inf; a non-finite alpha raises DistributionError.
+    the block's own size parts. The ranks below 16 by one range sum held per
+    alpha, the ranks from there by the midpoint Euler-Maclaurin expansion
+    of the least order M <= 8 whose remainder bound (the module
+    docstring's) is at most 1e-16 of the sum at the range's first rank, and
+    directly below the first rank where order 8 meets it (_em_min(alpha):
+    10 or less at the default alphas, about 1.36 |alpha| for large alpha,
+    whose ranges then take their top terms only). The result is off by at
+    most 1e-16 of the sum before rounding; rounding adds a few 1e-15 of the
+    sum and a few ulp of each of the two logs the result is made of, alpha
+    lam (at most |alpha| log b, the log of the largest term) and rho
+    (tests/test_ranksums.py checks that bound against mpmath over alpha in
+    (-1, 1e5] and ranges past 2^1020). Near alpha = 0 the expansion cancels
+    on short ranges, so there its relative error on the log grows like
+    1/alpha, and |alpha| < 1e-2 keeps the direct route below 30,000 and
+    that error from there on; one rank a is alpha log a on every route.
+    When alpha log i leaves float range the result is its limit, +inf or
+    -inf; a non-finite alpha raises DistributionError.
     """
     (bounds, parts, log_w), alpha = _one_block(a, b), float(alpha)
     if alpha == 0.0:

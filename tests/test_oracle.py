@@ -454,8 +454,9 @@ def test_uniform_table_is_one_rank_range(source, k):
     with direct_route_calls() as calls:
         (log_mean, log_square), log_mean_log = oracle._tables_log_sums([(table, 1.0)],
                                                                        (1.0, 2.0))[0]
-    # one range, not one per type: past rank 16 its ranks 1 .. 15 are the shared sums
-    assert calls == ([] if n > _ONE_RANK_MAX else [("single", min(n, _ONE_RANK_MAX - 1))])
+    # one range, not one per type, and no rank summed one by one in the pass:
+    # its ranks below 16 are one of the range sums held per tuple of alphas
+    assert calls == []
     with mp.workdps(50):
         want_mean = mp.log(mpf(n + 1) / 2)
         want_square = mp.log(mpf((n + 1) * (2 * n + 1)) / 6)
@@ -637,36 +638,29 @@ def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
 
 @contextlib.contextmanager
 def direct_route_calls():
-    # the ranks summed one by one: ("single", n) per kernel pass for the n ranks
-    # below 16 of its tables that do not take the shared sums of ranks 1 .. 15
-    # (computed once per tuple of alphas, with weight 0, and not counted), and
-    # ("direct", alphas, ranks) per ranksums._direct_route call for the ranks it
-    # is given (it sums at most that many)
+    # the ranks summed one by one in a kernel pass: ("direct", alphas, ranks) per
+    # ranksums._direct_route call for the ranks it is given (it sums at most that
+    # many); the range sums below rank 16 are computed once per tuple of alphas
     calls = []
-    direct, low = ranksums._direct_route, ranksums._low_sums
+    direct = ranksums._direct_route
 
     def counted_direct(a, n, alpha):
         calls.append(("direct", tuple(alpha.tolist()), sum(n)))
         return direct(a, n, alpha)
 
-    def counted_low(ranks, weights, counts, powers):
-        if not np.isscalar(weights):
-            calls.append(("single", sum(counts)))
-        return low(ranks, weights, counts, powers)
-
-    with mock.patch.object(ranksums, "_direct_route", counted_direct), \
-            mock.patch.object(ranksums, "_low_sums", counted_low):
+    with mock.patch.object(ranksums, "_direct_route", counted_direct):
         yield calls
 
 
 def test_direct_route_sums_only_ranks_below_the_threshold():
     # at the default alphas every row's first Euler-Maclaurin rank is at most 10,
-    # below the 16 ranks every table sums one by one, so one table pass sums 15
-    # ranks one by one, with no direct route: the 4,095 of a fixed threshold are gone
+    # below rank 16, under which every block takes one of the range sums held per
+    # tuple of alphas: a table pass sums no rank one by one, and the 4,095 of a
+    # fixed threshold are gone
     assert max(map(_em_min, (-0.5, 0.5, 1.0, 2.0))) == 10 < _ONE_RANK_MAX == 16
     with direct_route_calls() as calls:
         finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
-    assert calls == [("single", 15)]
+    assert calls == []
 
 
 def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
@@ -679,35 +673,43 @@ def test_default_alphas_sum_a_binary_table_below_the_low_threshold():
 
 
 def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
-    # every table whose first range starts at rank 1 and runs past rank 17 (a
-    # modal typical class, a whole uniform range) takes ranks 1 .. 15 from one
-    # sum per tuple of alphas, each within the stated bound of mpmath's, and sums
-    # no rank one by one in the pass; a second exact-compare request prints the
-    # same bytes
+    # every block below rank 16 takes one of the range sums S(a, n), 1 <= a <= n
+    # <= 15, held per tuple of alphas, each within 1e-15 of mpmath's, or S'(a, 15),
+    # S(a, 15) less the expansion's terms k = 2 .. M at Y = 15.5, where its rest
+    # from 16, of order M there, carries the first term alone; a pass sums no rank
+    # one by one, and a second exact-compare request prints the same bytes
     from mpmath import mp, mpf
 
     from guesswork import cli
 
     alphas = (-0.5, 0.5, 1.0, 2.0)
     ranks = ranksums._first_ranks(alphas)
-    shared = ranks[8][:, 0]
-    orders = 1 + np.count_nonzero(ranks[7], axis=1)
+    assert ranks[7].shape == (2, 5, 15 * 16)
+    lam, rho = ranks[7].reshape(2, 5, 15, 16)
+    orders = 1 + np.count_nonzero(ranks[6], axis=1)
     y = mpf(31) / 2
     with mp.workdps(40):
         for row, alpha in enumerate((*alphas, None)):
-            # the direct sum less the expansion's terms k = 2 .. M at Y = 15.5, the
-            # order M of the range from 16, which carries its first term alone there
             if alpha is None:  # the sum of logs: f^(2k-1)(Y) = (2k-2)! / Y^(2k-1)
-                total = mp.log(mp.factorial(15))
+                terms = [mp.log(i) for i in range(1, 16)]
                 slope = [mp.factorial(2 * k - 2) / y ** (2 * k - 1)
                          for k in range(2, orders[row] + 1)]
             else:
-                total = mp.fsum(mpf(i) ** alpha for i in range(1, 16))
+                terms = [mpf(i) ** alpha for i in range(1, 16)]
                 slope = [mp.rf(alpha - 2 * k + 2, 2 * k - 1) * y ** (alpha - 2 * k + 1)
                          for k in range(2, orders[row] + 1)]
-            terms = [mp.bernpoly(2 * k, mpf(1) / 2) / mp.factorial(2 * k) * f
-                     for k, f in enumerate(slope, 2)]
-            assert abs(shared[row] - mp.log(total - mp.fsum(terms))) <= 1e-15
+            cut = mp.fsum(mp.bernpoly(2 * k, mpf(1) / 2) / mp.factorial(2 * k) * f
+                          for k, f in enumerate(slope, 2))
+            for a in range(1, 16):
+                for n in (*range(a, 16), 16):
+                    total = mp.fsum(terms[a - 1 : min(n, 15)]) - (cut if n == 16 else 0)
+                    got = rho[row, a - 1, n - 1]
+                    if alpha is not None:
+                        got += alpha * lam[row, a - 1, n - 1]
+                    if total == 0:  # log 1 alone: the sum of logs' S(1, 1)
+                        assert got == -math.inf
+                    else:
+                        assert abs(got - mp.log(total)) <= 1e-15, (row, a, n)
     argv = ["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "40,200,900"]
     with direct_route_calls() as calls:
         finite_k_exponents(conditioned(LetterDistribution((0.6, 0.4)), 0.1), 900)

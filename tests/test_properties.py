@@ -932,3 +932,51 @@ def test_kernel_batch_matches_each_table_alone(drawn, rescale, alphas):
     assert len(batch) == len(entries)
     for entry, got in zip(entries, batch):
         assert bits(got) == bits(_log_sums([entry], alphas)[0])
+
+
+# the powers of the edge-layout check: the default alphas, two larger ones and
+# one near -1
+EDGE_ALPHAS = (-0.5, 0.5, 1.0, 2.0, 3.7, -0.93, 7.25)
+
+
+@st.composite
+def edge_layouts(draw):
+    """A table whose block edges fall at and around rank 16: bounds, log weights, scale."""
+    first = draw(st.sampled_from((1, 2, 14, 15, 16, 17)))
+    edges = set(draw(st.lists(st.integers(2, 80), min_size=1, max_size=6)))
+    edges |= {e for e in (15, 16, 17, 18) if draw(st.integers(0, 9)) < 3}
+    bounds = sorted({first} | {e for e in edges if e > first})
+    assume(len(bounds) > 1)
+    log_w = draw(st.lists(st.floats(-30.0, 0.0), min_size=len(bounds) - 1,
+                          max_size=len(bounds) - 1, unique=True))
+    return bounds, sorted(log_w, reverse=True), draw(st.sampled_from((1.0, 1 / 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_layouts())
+def test_blocks_at_rank_16_match_exact_sums(layout):
+    # every way a table's blocks can start, end or straddle rank 16, from which
+    # the Euler-Maclaurin route starts, against a 50-digit mpmath sum: within
+    # the stated bound, a few 1e-15 plus a few ulp of each log a term is made of
+    from mpmath import mp, mpf
+
+    from guesswork.ranksums import _int_parts, _log_sums
+
+    bounds, log_w, scale = layout
+    sizes = [y - x for x, y in zip(bounds, bounds[1:])]
+    got, got_logs = _log_sums([(bounds, _int_parts(sizes), log_w, scale)], EDGE_ALPHAS)[0]
+    b, top = bounds[-1] - 1, max(map(abs, log_w))
+    with mp.workdps(50):
+        blocks = [(mp.exp(w), range(x, y)) for w, x, y in zip(log_w, bounds, bounds[1:])]
+        for alpha, value, s in zip((*EDGE_ALPHAS, None), (*got, got_logs),
+                                    [scale] * len(EDGE_ALPHAS) + [1.0]):
+            if alpha is None:
+                total = mp.fsum(w * mp.fsum(mp.log(i) for i in r) for w, r in blocks)
+                if not total:  # rank 1 alone: log 1 = 0
+                    assert value == -math.inf
+                    continue
+            else:
+                total = mp.fsum(w * mp.fsum(mpf(i) ** alpha for i in r) for w, r in blocks)
+            want = mp.log(total)
+            bound = 4e-15 + 2.0**-50 * (2 * abs(alpha or 0.0) * math.log(b) + abs(want) + top)
+            assert abs(value - s * want) <= s * bound, (alpha, bounds)

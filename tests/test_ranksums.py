@@ -199,6 +199,12 @@ def _ranges_with_references(draw):
 @example((2200, 2201, 17.0, 131.5326322684125))
 @example((2200, 2300, 10.0, 81.809513202723))
 @example((1, 17, -0.5, 1.9324673746584353))
+@example((1, 16, -0.5, 1.8967190957761955))
+@example((1, 16, 0.5, 3.794796738250632))
+@example((1, 16, 3.3, 10.593661389290629))
+@example((15, 16, -0.5, -0.6768823927754352))
+@example((15, 16, 0.5, 2.0634370688955603))
+@example((15, 16, 3.3, 9.741860627112617))
 def test_rank_power_sums_stay_within_the_stated_bound(case):
     # log_rank_power_sum is off by at most _EM_TOL of the sum (each block's
     # truncation) plus rounding: a few 1e-15 of the sum, and a few ulp of the
@@ -207,8 +213,10 @@ def test_rank_power_sums_stay_within_the_stated_bound(case):
     # examples are the large-alpha ranges the one-order form missed by 1.5e-9,
     # 2.4e-4 and 0.194 on the log; then two integer alphas whose expansion is
     # exact only at a high order, so that order 1 alone would miss by 3e-12;
-    # and a range whose rest from rank 16 is two ranks. Their references are
-    # 50-digit mpmath sums.
+    # a range whose rest from rank 16 is two ranks; and ranges whose rest is
+    # rank 16 alone, summed exactly, so that their ranks below it must take
+    # the range sum without the expansion's terms at 15.5. Their references
+    # are 50-digit mpmath sums.
     a, b, alpha, want = case
     bound = 4e-15 + 2.0**-50 * (2 * abs(alpha) * math.log(b) + abs(want))
     assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= bound
