@@ -17,8 +17,9 @@ solves h(l_beta) = x by safeguarded Newton on beta for every interior x at
 once, with a flat plateau of width `plateau_width` at the left end of its
 domain and a finite endpoint value at the maximal slope. The sources of one
 law share its tilted family, so `legendre_transforms` evaluates Lambda* for
-several of them (fig2's three curves) from one such solve over the union of
-their interiors.
+several of them from one such solve over the union of their interiors, and
+`_scgf_models` builds fig2's three models and their curves from one Newton
+loop call that solves the window edges and the Lambda* targets together.
 """
 
 from __future__ import annotations
@@ -210,25 +211,37 @@ def scgf_model(source: Source) -> ScgfModel:
     return _scgf_models([source])[0]
 
 
-def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
+def _scgf_models(sources: Sequence[Source], xs=None):
     """The models of several sources of one letter law, all on the one TiltedFamily built here.
 
     The one window rule: (0, inf) for the unconditioned source (limits of the
     family, reached only as alpha -> inf, -1), else the tilts (beta-, beta+)
-    of the typicality window's edges, solved once per distinct epsilon
-    (TiltedFamily.window), so a law's conditioned and uniform models share
-    one solve and one grid pass. DistributionError for mixed laws.
+    of the typicality window's edges, once per distinct epsilon, so a law's
+    conditioned and uniform models share one solve. With `xs`, the same
+    Newton loop call (TiltedFamily.solve) also solves h(l_beta) = x for
+    every x inside the family's interior (log |argmax p|, log |support|),
+    read off its limit lines before any solve: that holds every source's
+    interior, and for fig2's three sources is their union. Returns the
+    models, and with `xs` (models, each model's Lambda*(xs) as
+    legendre_transforms gives it). One family, one grid pass and one loop
+    call in all; DistributionError for mixed laws.
     """
     p = sources[0].p
     if any(source.p != p for source in sources):
         raise DistributionError("_scgf_models needs sources of one letter law")
     family = TiltedFamily(p)
     h = shannon_entropy(p)
-    windows, models = {None: (0.0, math.inf)}, []
+    epsilons = list(dict.fromkeys(s.epsilon for s in sources if s.epsilon is not None))
+    hs = ()
+    if xs is not None:
+        xs, xc, inside = _domain(xs, math.log(p.m))
+        (width, _), (slope, _) = family.line(math.inf), family.line(0.0)
+        interior = _pieces(xc, inside, width, slope)[2]
+        hs = xc[interior]
+    clamps, roots = family.solve([typical_window(p, eps) for eps in epsilons], hs)
+    windows, models = {None: (0.0, math.inf), **dict(zip(epsilons, clamps))}, []
     for source in sources:
         eps = source.epsilon
-        if eps not in windows:
-            windows[eps] = family.window(*typical_window(p, eps))
         window = windows[eps]
         if source.kind is SourceKind.UNIFORM_TYPICAL:
             # every typical word is equally likely: pinned at l_minus, where D = 0
@@ -240,7 +253,9 @@ def _scgf_models(sources: Sequence[Source]) -> list[ScgfModel]:
             lines = tuple(map(family.line, window))
             model = ScgfModel(source, h, modal_decay, family, window, lines)
         models.append(model)
-    return models
+    if xs is None:
+        return models
+    return models, _transforms(models, xs, xc, inside, (interior, *roots))
 
 
 @dataclass(frozen=True)
@@ -302,32 +317,58 @@ def legendre_transforms(models: Sequence[ScgfModel], x: float | np.ndarray) -> l
     p = models[0].source.p
     if any(model.source.p != p for model in models):
         raise DistributionError("legendre_transforms needs models of one letter law")
+    return _transforms(models, *_domain(x, math.log(p.m)))
+
+
+def _domain(x, log_m: float):
+    # x as a float array, its values flat and clipped to [0, log m], and which
+    # of them lie in that range to within _SLOPE_EDGE_TOL
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    log_m = math.log(p.m)
-    outside = np.where(np.isnan(flat), math.nan, math.inf)
     inside = (flat >= -_SLOPE_EDGE_TOL) & (flat <= log_m + _SLOPE_EDGE_TOL)
-    xc = np.clip(flat, 0.0, log_m)
+    return xs, np.clip(flat, 0.0, log_m), inside
+
+
+def _pieces(xc, inside, width: float, slope: float):
+    # Lambda*'s pieces on [0, log m] for a plateau of this width and this
+    # maximal slope: the plateau, the endpoint and the interior between them
+    plateau = inside & (xc <= width)
+    rest = inside & ~plateau
+    endpoint = rest & (xc >= slope - _SLOPE_EDGE_TOL) & (xc <= slope + _SLOPE_EDGE_TOL)
+    return plateau, endpoint, rest & (xc < slope - _SLOPE_EDGE_TOL)
+
+
+def _transforms(models, xs, xc, inside, roots=None) -> list:
+    """Each model's Lambda* at xs, by the piecewise rule of legendre_transform.
+
+    xc and inside are _domain's. `roots` is (mask, beta, h, eta): the tilts
+    with h(l_beta) = xc[mask], for a mask that holds every model's interior;
+    without it, the union of the interiors is solved here, in one
+    solve_entropy call. An interior value is the stationary form x alpha -
+    Lambda(alpha) at alpha = 1/beta - 1, from the target's own tilt, so it
+    is one float whichever mask held it.
+    """
+    outside = np.where(np.isnan(xc), math.nan, math.inf)
     outs, interiors = [], []
     for model in models:
+        plateau, endpoint, interior = _pieces(xc, inside, model.plateau_width, model.max_slope)
         out = outside.copy()
-        plateau = inside & (xc <= model.plateau_width)
         out[plateau] = -xc[plateau] - model.modal_decay
-        s = model.max_slope
-        rest = inside & ~plateau
-        endpoint = rest & (xc >= s - _SLOPE_EDGE_TOL) & (xc <= s + _SLOPE_EDGE_TOL)
         out[endpoint] = -model.tail_intercept
         outs.append(out)
-        interiors.append(rest & (xc < s - _SLOPE_EDGE_TOL))
-    union = reduce(np.logical_or, interiors)
-    if union.any():
-        xi = xc[union]
-        beta, h, eta = models[0].family.solve_entropy(xi)
+        interiors.append(interior)
+    if roots is None:
+        union = reduce(np.logical_or, interiors)
+        if union.any():
+            roots = (union, *models[0].family.solve_entropy(xc[union]))
+    if roots is not None and len(roots[1]):
+        mask, beta, h, eta = roots
+        xi = xc[mask]
         alpha = 1.0 / beta - 1.0
         # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
         rate = xi * alpha - (h * alpha + (h - eta))
         for out, interior in zip(outs, interiors):
-            out[interior] = rate[interior[union]]
+            out[interior] = rate[interior[mask]]
     if xs.ndim == 0:
         return [float(out[0]) for out in outs]
     return [out.reshape(xs.shape) for out in outs]

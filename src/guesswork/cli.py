@@ -21,14 +21,14 @@ Import rule: this module's top imports the standard library and the
 package's numpy-free modules only (`errors`, `entropy`, `closed_forms`),
 so building the parser, `--help` and fig1, whose engine is
 `closed_forms.binary_closed_forms`, load no numpy. Each numeric module is
-imported where it runs: `asymptotics` by `_models` (fig2, analyze) and by
-`cmd_fig2` and `cmd_exact_compare`, `tilting` by `cmd_analyze`, numpy by
-`cmd_fig2`, and the exact finite-k oracle by `cmd_exact_compare` and
-`cmd_census` alone, so fig1, fig2 and analyze never load `oracle` or
-`ranksums`. The handlers write `import guesswork.oracle as oracle`, which
-after the first call is a `sys.modules` lookup in C; `from .oracle import
-...` would also run importlib's Python-level fromlist handling on every
-call.
+imported where it runs: `asymptotics` by `_sources` and `_models` (fig2,
+analyze) and by `cmd_fig2` and `cmd_exact_compare`, `tilting` by
+`cmd_analyze`, numpy by `cmd_fig2`, and the exact finite-k oracle by
+`cmd_exact_compare` and `cmd_census` alone, so fig1, fig2 and analyze
+never load `oracle` or `ranksums`. The handlers write `import
+guesswork.oracle as oracle`, which after the first call is a `sys.modules`
+lookup in C; `from .oracle import ...` would also run importlib's
+Python-level fromlist handling on every call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 
 from .closed_forms import SourceKind, binary_closed_forms, require_admissible_epsilon
 from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
@@ -116,39 +115,47 @@ def _fmt_column(values) -> list[str]:
     return ["" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in values]
 
 
-def _table(args, meta, header: str, rows, *, payload=None, footer=()) -> str:
-    """Render rows in the requested format.
+def _table(args, meta, header: str, columns, *, payload=None, footer=()) -> str:
+    """Render columns, one per name of the header, in the requested format.
 
-    CSV is the '#' meta lines, the header, one line per row and the footer
-    lines, every cell as `_fmt_column` prints it. The body is one '%' over
-    a row template repeated once per row: a column of floats only is a
-    '%#.9g' slot fed v + 0.0 (which prints -0.0 as 0, as `_fmt` does), any
-    other column a '%s' slot fed its `_fmt_column` cells. JSON is `payload`
-    (default {"rows": None}) with "rows" set to one object per row keyed by
-    the header's names, in payload's key order.
+    A column is a sequence of cells or a float64 numpy array, all of one
+    length. CSV is the '#' meta lines, the header, one line per row and the
+    footer lines, every cell as `_fmt_column` prints it. The body is one '%'
+    over a row template repeated once per row: a numpy column is a '%#.9g'
+    slot fed (col + 0.0).tolist(), a column of floats only one fed v + 0.0
+    (either prints -0.0 as 0, as `_fmt` does), any other column a '%s' slot
+    fed its `_fmt_column` cells. JSON is `payload` (default {"rows": None})
+    with "rows" set to one object per row keyed by the header's names, in
+    payload's key order.
     """
-    columns = list(zip(*rows))
     if args.format == "json":
         names = header.split(",")
-        values = [
-            [_json_value(c) if isinstance(v, float) else v for v, c in zip(col, _fmt_column(col))]
-            for col in columns
-        ]
+        values = []
+        for col in columns:
+            col = col.tolist() if hasattr(col, "dtype") else col
+            values.append([_json_value(c) if isinstance(v, float) else v
+                           for v, c in zip(col, _fmt_column(col))])
         payload = dict(payload or {"rows": None})
         payload["rows"] = [dict(zip(names, row)) for row in zip(*values)]
         return json.dumps(payload, indent=2) + "\n"
     slots, feeds = [], []
     for col in columns:
-        if all(issubclass(t, float) for t in set(map(type, col))):
+        if hasattr(col, "dtype"):  # a float64 numpy array
+            slots.append("%#.9g")
+            feeds.append((col + 0.0).tolist())
+        elif all(issubclass(t, float) for t in set(map(type, col))):
             slots.append("%#.9g")
             feeds.append([v + 0.0 for v in col])
         else:
             slots.append("%s")
             feeds.append(_fmt_column(col))
     text = "".join(line + "\n" for line in [*meta, header])
-    if columns:
-        row = ",".join(slots) + "\n"
-        text += row * len(columns[0]) % tuple(chain.from_iterable(zip(*feeds)))
+    if feeds:
+        # the cells row by row: column j at every len(feeds)-th place from j
+        cells = [None] * (len(feeds) * len(feeds[0]))
+        for j, feed in enumerate(feeds):
+            cells[j :: len(feeds)] = feed
+        text += (",".join(slots) + "\n") * len(feeds[0]) % tuple(cells)
     return text + "".join(line + "\n" for line in footer)
 
 
@@ -172,15 +179,21 @@ def _kind_report(model) -> dict:
     return report
 
 
-def _models(p: LetterDistribution, epsilon: float) -> dict:
-    """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family, once
-    require_admissible_epsilon(p, epsilon) has passed."""
+def _sources(p: LetterDistribution, epsilon: float) -> tuple:
+    """The three sources in _KIND_NAMES' order, once require_admissible_epsilon(p, epsilon)
+    has passed."""
     import guesswork.asymptotics as asymptotics
 
     require_admissible_epsilon(p, epsilon)
-    sources = (asymptotics.unconditioned(p), asymptotics.conditioned(p, epsilon),
-               asymptotics.uniform_typical(p, epsilon))
-    return dict(zip(_KIND_NAMES, asymptotics._scgf_models(sources)))
+    return (asymptotics.unconditioned(p), asymptotics.conditioned(p, epsilon),
+            asymptotics.uniform_typical(p, epsilon))
+
+
+def _models(p: LetterDistribution, epsilon: float) -> dict:
+    """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family."""
+    import guesswork.asymptotics as asymptotics
+
+    return dict(zip(_KIND_NAMES, asymptotics._scgf_models(_sources(p, epsilon))))
 
 
 def cmd_analyze(args) -> tuple[str, int]:
@@ -208,7 +221,8 @@ def cmd_analyze(args) -> tuple[str, int]:
     for name, model in models.items():
         report[name] = _kind_report(model)
     if args.format == "csv":
-        return _table(args, ["# analyze report"], "key,value", list(_flatten(report))), 0
+        keys, values = zip(*_flatten(report))
+        return _table(args, ["# analyze report"], "key,value", [keys, values]), 0
     return json.dumps(report, indent=2) + "\n", 0
 
 
@@ -230,20 +244,21 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 def cmd_fig1(args) -> tuple[str, int]:
     epsilon = _checked_epsilon(args.epsilon)
     grid = _parse_list(args.p0_grid, float, "numbers") if args.p0_grid else _FIG1_DEFAULT_GRID
-    rows = []
+    reps = []
     for p0 in grid:
         try:
-            rep = binary_closed_forms(p0, epsilon)
+            reps.append(binary_closed_forms(p0, epsilon))
         except (EpsilonInadmissibleError, DistributionError):
-            rows.append((p0, None, None, None, "epsilon_inadmissible"))
-            continue
-        rows.append((p0, rep.top, rep.middle, rep.bottom, ""))
+            reps.append(None)
+    columns = [grid, *([None if rep is None else getattr(rep, gap) for rep in reps]
+                       for gap in ("top", "middle", "bottom")),
+               ["epsilon_inadmissible" if rep is None else "" for rep in reps]]
     meta = [
         f"# fig1: growth-rate gaps (uniform-vs-mean-log, uniform-vs-conditioned-moment,"
         f" uniform-vs-unconditioned-moment) at epsilon={_fmt(epsilon)}",
     ]
     payload = {"epsilon": _jnum(epsilon), "rows": None}
-    return _table(args, meta, "p0,top,middle,bottom,flag", rows, payload=payload), 0
+    return _table(args, meta, "p0,top,middle,bottom,flag", columns, payload=payload), 0
 
 
 def cmd_fig2(args) -> tuple[str, int]:
@@ -258,12 +273,12 @@ def cmd_fig2(args) -> tuple[str, int]:
             f"fig2 grid too large: {args.x_points} x-points exceeds the cap {MAX_X_POINTS}"
         )
     p = _parse_probs(args.p)
-    models = list(_models(p, args.epsilon).values())
+    sources = _sources(p, args.epsilon)
     xs = np.linspace(0.0, math.log(p.m), args.x_points)
+    # the three models and their Lambda* on the grid, from one Newton loop call
+    models, rates = asymptotics._scgf_models(sources, xs)
     # outside a source's domain the curve is reported as "inf"
-    curves = [np.where(np.isinf(rate), math.inf, -xs - rate).tolist()
-              for rate in asymptotics.legendre_transforms(models, xs)]
-    rows = zip(xs.tolist(), *curves)
+    columns = [xs, *(np.where(np.isinf(rate), math.inf, -xs - rate) for rate in rates)]
     meta = [
         f"# fig2: -x - rate(x) per source at p={args.p} epsilon={_fmt(args.epsilon)}",
         "# modal_decay: " + " ".join(
@@ -278,7 +293,7 @@ def cmd_fig2(args) -> tuple[str, int]:
         "plateau_width": {n: _jnum(m.plateau_width) for n, m in zip(_KIND_NAMES, models)},
         "rows": None,
     }
-    return _table(args, meta, "x," + ",".join(_KIND_NAMES), rows, payload=payload), 0
+    return _table(args, meta, "x," + ",".join(_KIND_NAMES), columns, payload=payload), 0
 
 
 def cmd_exact_compare(args) -> tuple[str, int]:
@@ -330,7 +345,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     }
     footer = [f"# crosscheck:k={k}:{'ok' if ok else 'MISMATCH'}" for k, ok in checks]
     footer += [f"# trend:{label}:{'pass' if ok else 'FAIL'}" for label, ok in trends.items()]
-    text = _table(args, meta, "series,k,alpha,exact,target,gap,flag", rows,
+    text = _table(args, meta, "series,k,alpha,exact,target,gap,flag", list(zip(*rows)),
                   payload=payload, footer=footer)
     verdicts = [*trends.values(), *(ok for _, ok in checks)]
     return text, 0 if all(verdicts) else 3
@@ -365,7 +380,7 @@ def cmd_census(args) -> tuple[str, int]:
         meta.append(f"# smallest nonempty k: {first_text}")
         payload = {"rows": None, "smallest_nonempty_k": first}
     header = "k,num_types,cardinality,size_rate,prob_mass,flag"
-    return _table(args, meta, header, rows, payload=payload), 0
+    return _table(args, meta, header, list(zip(*rows)), payload=payload), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,12 @@ from the uniform distribution on the support (beta -> 0) through p itself
 (beta -> inf). Along it both the entropy h(l_beta) and the cross entropy
 eta(beta) against p strictly decrease, so one safeguarded Newton loop in
 beta, on numpy arrays of targets bracketed from a fixed grid of tilts,
-inverts either: `TiltedFamily.window` finds the tilts of a typicality
-window's two edges (the boundary types) in one call, and
-`TiltedFamily.solve_entropy` the tilts behind a whole array of interior
-rate-function values at once. The constrained maximiser behind the
+inverts both in one call: `TiltedFamily.solve` finds the tilts of
+typicality windows' edges (the boundary types) and those behind a whole
+array of interior rate-function values together, one moments pass per
+Newton step over the targets of both kinds, so a fig2 request is one loop
+call; `TiltedFamily.window` (edges alone) and `TiltedFamily.solve_entropy`
+(entropy targets alone) are its one-kind calls. The constrained maximiser behind the
 conditioned source's scaled cumulant generating function is the tilted
 type clamped to those boundaries; `clamp_tilt` is the one alpha -> beta
 rule, shared by ScgfModel, `clamped_optimum` and `tilted_type`.
@@ -139,38 +141,65 @@ class TiltedFamily:
         # h(l_beta) and its slope -beta Var
         return log_z + beta * mean, -beta * var
 
-    def _newton(self, residual, x):
-        """Tilts beta in [0, inf) with residual(beta) = x, one per target.
+    def _residual(self, e, beta, log_z, mean, var):
+        # eta at the first e tilts and h at the rest, with their slopes
+        if e == len(beta):
+            return self._eta(beta, log_z, mean, var)
+        if not e:
+            return self._entropy(beta, log_z, mean, var)
+        eta, h = (self._eta(beta[:e], log_z[:e], mean[:e], var[:e]),
+                  self._entropy(beta[e:], log_z[e:], mean[e:], var[e:]))
+        return np.concatenate((eta[0], h[0])), np.concatenate((eta[1], h[1]))
 
-        `residual` (_eta or _entropy) maps beta and the moments of the gap
-        there to a value decreasing in beta and its slope. Its values at
+    def _newton(self, etas, hs):
+        """Tilts beta in [0, inf) with eta(beta) = etas[i], then with h(l_beta) = hs[j].
+
+        Both residuals, eta and h, decrease in beta. Each kind's values at
         _GRID, from moments made once per family on its first call, bracket
-        each target by the two tilts around its root and start it at the
-        inverse cubic Hermite interpolant there (where a step leaving the
+        each of its targets by the two tilts around its root and start it at
+        the inverse cubic Hermite interpolant there (where a step leaving the
         bracket would go, if outside it), from the family and the target
         alone: a target's tilt is one float whichever caller or batch solves
-        it. Each target then runs Newton, kept inside its own shrinking
-        bracket by bisection (doubling while unbounded above) whenever a step
-        leaves it, and ends at a beta whose residual is within an ulp of the
-        target (at small beta a step's rounding noise dwarfs NEWTON_STEP_TOL),
-        on a step that moves beta by under NEWTON_STEP_TOL relative, or after
-        NEWTON_MAX_ITER steps. A pass makes beta a bracket end, so a step
-        that rounds back onto it has converged; any other step must land
-        strictly inside, lest a target bounce between two ends. Grid and
-        targets are walked in `_blocks`. Returns each target's final beta;
-        `lower` and `upper` end as its bracket.
+        it, and whatever targets of the other kind share the call. Each
+        target then runs Newton, kept inside its own shrinking bracket by
+        bisection (doubling while unbounded above) whenever a step leaves it,
+        and ends at a beta whose residual is within an ulp of the target (at
+        small beta a step's rounding noise dwarfs NEWTON_STEP_TOL), on a step
+        that moves beta by under NEWTON_STEP_TOL relative, or after
+        NEWTON_MAX_ITER steps. A pass evaluates `_moments` once over every
+        live target of both kinds and takes each target's own residual. A
+        pass makes beta a bracket end, so a step that rounds back onto it has
+        converged; any other step must land strictly inside, lest a target
+        bounce between two ends. Grid and targets are walked in `_blocks`.
+        Returns the final betas, the eta targets' first.
         """
-        x = np.asarray(x, dtype=float)
+        ne = len(etas)
+        x = np.concatenate((etas, hs)) if ne and len(hs) else np.asarray(hs if not ne else etas,
+                                                                          dtype=float)
         n = len(x)
         if not n:
             return x
         if self._grid is None:
             self._grid = self._grid_moments()
-        v, s = np.full(len(_GRID), math.nan), np.full(len(_GRID), math.nan)  # nan at 0 and inf
-        v[1:-1], s[1:-1] = residual(self, _GRID[1:-1], *self._grid)
-        # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
-        k = np.searchsorted(-np.minimum.accumulate(v[1:-1]), -x)
-        lower, upper = _GRID[k], _GRID[k + 1]
+        # each kind's residual at _GRID (nan at 0 and inf), one run of _GRID's length
+        # per kind present; a target's k indexes its own kind's run
+        kinds = [(residual, part) for residual, part in ((TiltedFamily._eta, slice(0, ne)),
+                                                          (TiltedFamily._entropy, slice(ne, n)))
+                 if part.start < part.stop]
+        size = len(_GRID) * len(kinds)
+        v, s = np.full(size, math.nan), np.full(size, math.nan)
+        ks = []
+        for offset, (residual, part) in zip(range(0, size, len(_GRID)), kinds):
+            run = slice(offset + 1, offset + len(_GRID) - 1)
+            v[run], s[run] = residual(self, _GRID[1:-1], *self._grid)
+            # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
+            k = np.searchsorted(-np.minimum.accumulate(v[run]), -x[part])
+            ks.append(k + offset if offset else k)
+        if len(kinds) == 1:
+            k, grid = ks[0], _GRID
+        else:
+            k, grid = np.concatenate(ks), np.concatenate((_GRID, _GRID))
+        lower, upper = grid[k], grid[k + 1]
         beta = np.empty(n)
         # a zero, nan or subnormal slope steps to nan or out of (lo, hi): it falls back
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -183,10 +212,12 @@ class TiltedFamily:
             for block in self._blocks(n):
                 live = np.arange(n)[block]  # targets still iterating, and their state
                 b, t, lo, hi = start[block], x[block], lower[block], upper[block]
+                ulp = np.spacing(np.abs(t))  # a residual this near its target is a root
+                e = min(max(ne - block.start, 0), len(live))  # live eta targets, first
                 for _ in range(NEWTON_MAX_ITER):
                     if not len(live):
                         break
-                    value, slope = residual(self, b, *self._moments(b))
+                    value, slope = self._residual(e, b, *self._moments(b))
                     resid = value - t
                     lo = np.where(resid > 0.0, b, lo)
                     hi = np.where(resid < 0.0, b, hi)
@@ -197,16 +228,19 @@ class TiltedFamily:
                     if not inside.all():
                         fallback = np.where(hi == math.inf, 2.0 * lo, 0.5 * (lo + hi))
                         step = np.where(inside, step, fallback)
-                    root = np.abs(resid) <= np.spacing(np.abs(t))
+                    root = np.abs(resid) <= ulp
                     done = root | (np.abs(step - b) <= NEWTON_STEP_TOL * b)
                     if done.any():
-                        ended, go = live[done], ~done
-                        beta[ended] = np.where(root, b, step)[done]
-                        lower[ended], upper[ended] = lo[done], hi[done]
-                        live, b, t, lo, hi = live[go], step[go], t[go], lo[go], hi[go]
+                        go = ~done
+                        beta[live[done]] = np.where(root, b, step)[done]
+                        live, b, t, lo, hi, ulp = live[go], step[go], t[go], lo[go], hi[go], ulp[go]
+                        if e == len(go):
+                            e = len(live)
+                        elif e:
+                            e -= int(np.count_nonzero(done[:e]))
                     else:
                         b = step
-                beta[live], lower[live], upper[live] = b, lo, hi
+                beta[live] = b
         return beta
 
     def _grid_moments(self) -> list[np.ndarray]:
@@ -215,22 +249,43 @@ class TiltedFamily:
         rows = [self._moments(tilts[block]) for block in self._blocks(len(tilts))]
         return [np.concatenate(moment) for moment in zip(*rows)]
 
-    def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.
+    def solve(self, windows, hs=()) -> tuple[list[tuple[float, float]], tuple[np.ndarray, ...]]:
+        """Clamp windows of cross-entropy windows [lo, hi], and tilts with h(l_beta) = hs: one loop.
 
-        Returns (beta, h(l_beta), eta(beta)) at each target's final beta,
-        from one call of the Newton loop on dh/dbeta = -beta Var and one
-        more moments pass over those tilts. Brackets and starts come from the
-        family alone, whatever clamp window the caller reads the tilts
-        against, so equal targets get equal tilts from every caller.
+        Every finite window edge (see `window`) and every entropy target is a
+        target of one Newton loop call. Returns the clamp windows in order,
+        and (beta, h(l_beta), eta(beta)) at each entropy target's final beta,
+        from one more moments pass over those tilts. Brackets and starts come
+        from the family alone, so equal targets get equal tilts from every
+        caller, alone or beside any others.
         """
-        beta = self._newton(TiltedFamily._entropy, x)
+        limits = [(hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
+                  for lo, hi in windows]
+        etas = [eta for (lo, hi), lims in zip(windows, limits)
+                for eta, lim in zip((hi, lo), lims) if not lim]
+        beta = self._newton(etas, hs) if etas or len(hs) else np.empty(0)
+        solved = iter(beta[: len(etas)].tolist())
+        clamps = [tuple(end if lim else next(solved) for end, lim in zip((0.0, math.inf), lims))
+                  for lims in limits]
+        beta = beta[len(etas) :]
         h, eta = np.empty(len(beta)), np.empty(len(beta))
         for block in self._blocks(len(beta)):
             b = beta[block]
             log_z, mean, _ = self._moments(b)
             h[block], eta[block] = log_z + b * mean, mean - self.top
-        return beta, h, eta
+        return clamps, (beta, h, eta)
+
+    def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.
+
+        Returns (beta, h(l_beta), eta(beta)) at each target's final beta:
+        `solve` with entropy targets alone, one call of the Newton loop on
+        dh/dbeta = -beta Var and one more moments pass over those tilts.
+        Brackets and starts come from the family alone, whatever clamp
+        window the caller reads the tilts against, so equal targets get
+        equal tilts from every caller.
+        """
+        return self.solve((), x)[1]
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].
@@ -241,13 +296,10 @@ class TiltedFamily:
         p) once lo <= c_min + _EDGE_TOL. Every other edge is the finite root
         of eta(beta) = hi or lo, however near the far end it lies (one that
         rounding puts an ulp past it ends where eta is within an ulp of it);
-        both are solved in one Newton loop call, whose grid pass the family
-        keeps for its later solves.
+        both are solved in one Newton loop call (`solve` of this window
+        alone), whose grid pass the family keeps for its later solves.
         """
-        at_limit = (hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
-        targets = [eta for eta, lim in zip((hi, lo), at_limit) if not lim]
-        solved = iter(self._newton(TiltedFamily._eta, targets).tolist())
-        return tuple(beta if lim else next(solved) for beta, lim in zip((0.0, math.inf), at_limit))
+        return self.solve([(lo, hi)])[0][0]
 
 
 def clamp_tilt(alpha: float, window: tuple[float, float]) -> float:
@@ -281,7 +333,7 @@ def solve_cross_entropy(p: FreqsLike, target: float) -> float:
             f"cross-entropy target {target!r} outside the attainable open range "
             f"({family.c_min!r}, {family.c_max!r})"
         )
-    return family._newton(TiltedFamily._eta, [target]).tolist()[0]
+    return family._newton([target], ()).tolist()[0]
 
 
 @dataclass(frozen=True)

@@ -372,13 +372,14 @@ def test_optimum_regimes_follow_the_clamp_window():
 
 def _count_tilting_work(monkeypatch):
     # counts TiltedFamily constructions, calls of its one Newton loop, the
-    # cross-entropy targets it solves (edge solves), its entropy solves, its
-    # array moment evaluations, the grid passes among them (by their first
-    # block, the _GRID tilts from the first on) and TypeVector constructions
+    # cross-entropy targets it solves (edge solves), the loop calls that carry
+    # entropy targets (entropy solves) and those targets, its array moment
+    # evaluations, the grid passes among them (by their first block, the _GRID
+    # tilts from the first on) and TypeVector constructions
     from guesswork import entropy, tilting
 
     counts = {"families": 0, "loop_calls": 0, "edge_solves": 0, "entropy_solves": 0,
-              "moments": 0, "grid_passes": 0, "type_vectors": 0}
+              "entropy_targets": 0, "moments": 0, "grid_passes": 0, "type_vectors": 0}
     family = tilting.TiltedFamily
     family_init, newton, moments = family.__init__, family._newton, family._moments
     post_init = entropy.TypeVector.__post_init__
@@ -387,13 +388,12 @@ def _count_tilting_work(monkeypatch):
         counts["families"] += 1
         family_init(self, p)
 
-    def counted_newton(self, residual, x):
+    def counted_newton(self, etas, hs):
         counts["loop_calls"] += 1
-        if residual is family._eta:
-            counts["edge_solves"] += len(x)
-        else:
-            counts["entropy_solves"] += 1
-        return newton(self, residual, x)
+        counts["edge_solves"] += len(etas)
+        counts["entropy_solves"] += bool(len(hs))
+        counts["entropy_targets"] += len(hs)
+        return newton(self, etas, hs)
 
     def counted_moments(self, beta):
         counts["moments"] += 1
@@ -420,7 +420,8 @@ def test_scgf_model_is_one_family_and_no_type_vector(monkeypatch, source):
     # the window solve's Newton steps evaluate moment rows; the limits of the family do not
     assert (counts.pop("moments") > 0) == bool(windows)
     assert counts == {"families": 1, "loop_calls": windows, "edge_solves": 2 * windows,
-                      "entropy_solves": 0, "grid_passes": windows, "type_vectors": 0}
+                      "entropy_solves": 0, "entropy_targets": 0, "grid_passes": windows,
+                      "type_vectors": 0}
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])
@@ -434,7 +435,7 @@ def test_model_point_evaluations_solve_nothing(monkeypatch, source):
     model.exponents()
     guesswork_pmf_approx(model, 20, 1)
     assert counts == {"families": 0, "loop_calls": 0, "edge_solves": 0, "entropy_solves": 0,
-                      "moments": 0, "grid_passes": 0, "type_vectors": 0}
+                      "entropy_targets": 0, "moments": 0, "grid_passes": 0, "type_vectors": 0}
 
 
 @pytest.mark.parametrize("probs, eps", [
@@ -498,29 +499,65 @@ def test_analyze_builds_one_family_per_law(capsys, monkeypatch, p, epsilon):
     assert counts["loop_calls"] <= 1 and counts["grid_passes"] <= 1, counts
 
 
-def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
-    # guessctl fig2: one legendre_transforms call for the three sources on the
-    # whole grid, one array entropy solve in all and no scalar solve per grid
-    # point, only the conditioned window's two edges, and one grid pass on the
-    # one family that the admissibility check builds and the three models share
+@pytest.mark.parametrize("p, epsilon", [("0.5,0.3,0.2", "0.07"), ("0.8,0.2", "0.1"),
+                                        ("0.6,0,0.4", "0.03")])
+def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch, p, epsilon):
+    # guessctl fig2, per request: one family (the admissibility check builds
+    # none), one _scgf_models call that builds the three models and their
+    # curves, and one Newton loop call with one grid pass, which solves the
+    # conditioned window's two edges (an admissible eps puts both at finite
+    # tilts) and every grid point inside the family's interior
+    # (log |argmax p|, log |support|); no other solve and no
+    # legendre_transforms call
     from guesswork import asymptotics, cli
+    from guesswork.entropy import as_distribution
 
-    counts = _count_tilting_work(monkeypatch)
-    calls = []
-    transforms = asymptotics.legendre_transforms
+    law = as_distribution(tuple(map(float, p.split(","))))
+    family = asymptotics.TiltedFamily(law)
+    (width, _), (slope, _) = family.line(math.inf), family.line(0.0)
+    xs = np.linspace(0.0, math.log(law.m), 400)
+    interior = int(np.count_nonzero((xs > width) & (xs < slope - 1e-12)))
+    calls, models, transforms = [], asymptotics._scgf_models, asymptotics.legendre_transforms
+
+    def counted_models(sources, xs=None):
+        calls.append(("_scgf_models", len(sources), None if xs is None else len(xs)))
+        return models(sources, xs)
 
     def counted_transforms(models, x):
-        calls.append((len(models), np.size(x)))
+        calls.append(("legendre_transforms", len(models), np.size(x)))
         return transforms(models, x)
 
-    # cmd_fig2 resolves it on the module it imports in the handler
+    # cmd_fig2 resolves both on the module it imports in the handler
+    monkeypatch.setattr(asymptotics, "_scgf_models", counted_models)
     monkeypatch.setattr(asymptotics, "legendre_transforms", counted_transforms)
-    argv = ["fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--x-points", "400"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert calls == [(3, 400)]
-    assert counts["edge_solves"] <= 2 and counts["entropy_solves"] == 1, counts
-    assert counts["families"] == 1 and counts["grid_passes"] == 1, counts
+    argv = ["fig2", "--p", p, "--epsilon", epsilon, "--x-points", "400"]
+    counts = _count_tilting_work(monkeypatch)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        assert cli.main([*argv, "--format", fmt]) == 0
+        capsys.readouterr()
+        assert calls == [("_scgf_models", 3, 400)]
+        assert {**counts, "moments": counts["moments"] > 0} == {
+            "families": 1, "loop_calls": 1, "edge_solves": 2, "entropy_solves": 1,
+            "entropy_targets": interior, "moments": True, "grid_passes": 1, "type_vectors": 0}
+
+
+def test_fig2_rates_match_legendre_transforms():
+    # _scgf_models with a grid gives, field by field and bit for bit, the
+    # models it builds without one, and each curve as legendre_transforms
+    # gives it over those models
+    from guesswork.asymptotics import _scgf_models, legendre_transforms
+
+    p = (0.5, 0.3, 0.2)
+    sources = [unconditioned(p), conditioned(p, 0.07), uniform_typical(p, 0.07)]
+    xs = np.linspace(0.0, math.log(3.0), 400)
+    models, rates = _scgf_models(sources, xs)
+    for model, alone in zip(models, _scgf_models(sources)):
+        assert (model.source, model.window, model.edge_lines, model.modal_decay) == (
+            alone.source, alone.window, alone.edge_lines, alone.modal_decay)
+    for rate, want in zip(rates, legendre_transforms(models, xs)):
+        assert rate.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])

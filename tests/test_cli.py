@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guesswork import DistributionError, typical_set_census
-from guesswork.cli import _fmt, _fmt_column, _jnum, _table, build_parser, main
+from guesswork.cli import _fmt, _fmt_column, _jnum, _json_value, _table, build_parser, main
 
 from laws import binary_gaps
 
@@ -705,7 +705,7 @@ def _significant_digits(cell: str) -> int:
 def _json_cells(values) -> list:
     """The JSON values `_table` prints for one column of floats."""
     args = argparse.Namespace(format="json")
-    return [row["x"] for row in json.loads(_table(args, [], "x", [(v,) for v in values]))["rows"]]
+    return [row["x"] for row in json.loads(_table(args, [], "x", [values]))["rows"]]
 
 
 def check_format(x: float) -> None:
@@ -797,24 +797,51 @@ _CELLS = st.one_of(
 
 @st.composite
 def _tables(draw):
-    # rows of a table whose columns are floats only or any mix of cells
+    # columns of a table: floats only (a list, or a float64 numpy array) or any mix of cells
     n_rows = draw(st.integers(0, 8))
-    floats_only = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    columns = [draw(st.lists(_FLOAT_CELLS if f else _CELLS, min_size=n_rows, max_size=n_rows))
-               for f in floats_only]
-    return len(columns), list(zip(*columns))
+    kinds = draw(st.lists(st.sampled_from(["floats", "array", "cells"]), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        col = draw(st.lists(_CELLS if kind == "cells" else _FLOAT_CELLS,
+                            min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(col, dtype=np.float64) if kind == "array" else col)
+    return columns
+
+
+def _cells(col) -> list[str]:
+    # a column's cells as _fmt_column prints them, a numpy column as its list
+    return _fmt_column(col.tolist() if isinstance(col, np.ndarray) else col)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tables())
-def test_csv_table_is_the_per_cell_rendering(table):
+def test_csv_table_is_the_per_cell_rendering(columns):
     # the one '%' pass over a row template prints each cell as _fmt_column does
-    width, rows = table
     args = argparse.Namespace(format="csv")
-    meta, header, footer = ["# meta"], ",".join(f"c{j}" for j in range(width)), ["# end"]
-    body = [",".join(row) for row in zip(*(_fmt_column(col) for col in zip(*rows)))]
+    meta, header, footer = ["# meta"], ",".join(f"c{j}" for j in range(len(columns))), ["# end"]
+    body = [",".join(row) for row in zip(*map(_cells, columns))]
     want = "".join(line + "\n" for line in [*meta, header, *body, *footer])
-    assert _table(args, meta, header, rows, footer=footer) == want
+    assert _table(args, meta, header, columns, footer=footer) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("array", [False, True], ids=["list", "numpy"])
+def test_float_columns_print_as_fmt(fmt, array):
+    # a float column, a list or a float64 numpy array, prints -0.0, inf, nan,
+    # 1e-5 and 123456789.0 as _fmt does in CSV, and as the JSON value of
+    # that cell
+    values = [-0.0, math.inf, -math.inf, math.nan, 1e-5, 123456789.0, 0.825]
+    col = np.array(values) if array else values
+    args = argparse.Namespace(format=fmt)
+    text = _table(args, [], "x,flag", [col, ["a"] * len(values)])
+    cells = [_fmt(v) for v in values]
+    assert cells[:6] == ["0.00000000", "inf", "-inf", "nan", "1.00000000e-05", "123456789."]
+    if fmt == "csv":
+        assert text.splitlines() == ["x,flag", *(f"{c},a" for c in cells)]
+    else:
+        rows = json.loads(text)["rows"]
+        assert [row["x"] for row in rows] == [_json_value(c) for c in cells]
+        assert json.dumps(rows[0]["x"]) == "0.0"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -828,25 +828,30 @@ def tilting_laws():
 
 
 @settings(max_examples=60, deadline=None)
-@given(tilting_laws(), st.booleans(), st.data())
-def test_newton_tilt_is_one_float_alone_or_in_any_batch(p, entropy, data):
-    # every target's tilt from a batch that may span several _blocks equals,
-    # bit for bit, its tilt solved alone, for interior targets and targets
-    # within 1e-9 of an end of the residual's range (roots past either end of
-    # the tilt grid among them); no _moments call, the grid pass's included,
-    # holds more than _BLOCK_CELLS cells
+@given(tilting_laws(), st.sampled_from(["eta", "entropy", "mixed"]), st.data())
+def test_newton_tilt_is_one_float_alone_or_in_any_batch(p, kinds, data):
+    # every target's tilt from a batch that may span several _blocks, of
+    # cross-entropy targets, entropy targets or both kinds in one call,
+    # equals, bit for bit, its tilt solved alone, for interior targets and
+    # targets within 1e-9 of an end of their residual's range (roots past
+    # either end of the tilt grid among them); no _moments call, the grid
+    # pass's included, holds more than _BLOCK_CELLS cells
     family = TiltedFamily(p)
-    residual = TiltedFamily._entropy if entropy else TiltedFamily._eta
-    ends = ((math.log(len(family.argmax)), math.log(len(family.support))) if entropy
-            else (family.c_min, family.c_max))
+    ranges = {"eta": (family.c_min, family.c_max),
+              "entropy": (math.log(len(family.argmax)), math.log(len(family.support)))}
     rows = max(1, _BLOCK_CELLS // len(family.gaps))
     n = data.draw(st.integers(1, 3 * rows), label="n")
+    if kinds == "mixed":
+        ne = data.draw(st.integers(0, n), label="eta targets")
+    else:
+        ne = n if kinds == "eta" else 0
+    ends = np.array([ranges["eta"]] * ne + [ranges["entropy"]] * (n - ne)).T
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     xs = ends[0] + (ends[1] - ends[0]) * rng.uniform(0.001, 0.999, n)
     deltas = data.draw(st.lists(st.floats(1e-12, 1e-9), max_size=4), label="deltas")
     picked = rng.choice(n, size=min(n, len(deltas)), replace=False)
     for i, delta in zip(picked, deltas):
-        xs[i] = ends[0] + delta if rng.random() < 0.5 else ends[1] - delta
+        xs[i] = ends[0, i] + delta if rng.random() < 0.5 else ends[1, i] - delta
     cells, moments = [], TiltedFamily._moments
 
     def counted_moments(self, beta):
@@ -854,12 +859,14 @@ def test_newton_tilt_is_one_float_alone_or_in_any_batch(p, entropy, data):
         return moments(self, beta)
 
     with mock.patch.object(TiltedFamily, "_moments", counted_moments):
-        batch = family._newton(residual, xs)
+        batch = family._newton(xs[:ne], xs[ne:])
     assert max(cells) <= _BLOCK_CELLS
-    seams = [i for j in range(rows, n, rows) for i in (j - 1, j)]
-    for i in {*picked.tolist(), *seams[:4], *rng.choice(n, size=min(n, 3)).tolist()}:
-        alone = family._newton(residual, xs[i:i + 1])
-        assert batch[i:i + 1].tobytes() == alone.tobytes(), (i, xs[i])
+    # the _blocks seams and the seam between the two kinds
+    seams = [i for j in [*range(rows, n, rows), *([ne] if 0 < ne < n else [])] for i in (j - 1, j)]
+    for i in {*picked.tolist(), *seams[:6], *rng.choice(n, size=min(n, 3)).tolist()}:
+        one = xs[i:i + 1]
+        alone = family._newton(one, ()) if i < ne else family._newton((), one)
+        assert batch[i:i + 1].tobytes() == alone.tobytes(), (i, ne, xs[i])
 
 
 # log-gaps just inside and outside 746 / 2^16: at the grid's tilts past 2^16
