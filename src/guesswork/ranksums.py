@@ -576,6 +576,14 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
     # math.log; at s = 0 it is Y^0 log(X/Y). Whatever alpha, a tiny range's
     # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
     fixed = tiny | one  # their rows are overwritten, whatever their order
+    # a range short against its start (r = n/Y < 1) takes lam + rest from log n,
+    # where log X + log t would cancel: log Y + log t = log n + log(t/r), and
+    # rest - log t = log q, q = (1 - exp(-|s| t)) / (|s| t) (1 at s = 0), so
+    # rho = log n + log(t/r) + log q, plus t when lam = log X
+    short = np.flatnonzero((ratio < 1.0) & ~fixed)
+    if short.size:
+        t_short = t[short]
+        short_rho = log_n[short] + np.log(t_short / ratio[short])
     gain = None
     if top.size or sub.size:  # the terms k = 2 .. M: a gain 1 - 24 high(x) on f'(x) / 24
         high = np.zeros((2, len(powers) + 1, top.size + sub.size))
@@ -589,7 +597,7 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     neg_s = -np.abs(alpha + 1.0)
     log_s = np.reshape([math.log(abs(a + 1.0)) if a != -1.0 else 0.0 for a in powers], (-1, 1))
-    fixed_rho = np.where(one, 0.0, log_y + log_ratio)
+    fixed_rho = np.where(one, 0.0, log_n)
     lams = {}  # the lam row of each sign of s
     rho_out = np.empty((len(powers), t.size))
     # the alphas in runs of one sign of s, each in chunks of rows that keep
@@ -604,7 +612,9 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
         lams.setdefault(up, np.where(one, log_a, np.where(tiny, log_y, lam)))
         for c in range(i, end, chunk):
             rows = slice(c, min(c + chunk, end))
-            rest = np.log(-np.expm1(neg_s[rows] * t)) - log_s[rows]
+            st = neg_s[rows] * t
+            em = np.expm1(st)
+            rest = np.log(-em) - log_s[rows]
             if -1.0 in powers[rows]:
                 rest[powers[rows].index(-1.0)] = np.log(t)
             far = two_lam - rest  # log of lam's end to the power alpha - 1, over the integral
@@ -619,6 +629,10 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
                 e_x[:, sub] *= gain[1, rows]
             corr = (alpha[rows] / 24.0) * (e_y - e_x)
             rho = np.add(lam, rest, out=rho_out[rows])
+            if short.size:
+                st, em = st[:, short], em[:, short]
+                q = np.divide(em, st, out=np.ones_like(st), where=st != 0.0)
+                rho[:, short] = (short_rho + t_short if up else short_rho) + np.log(q)
             rho += np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
             np.copyto(rho, fixed_rho, where=fixed)
         i = end

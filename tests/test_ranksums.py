@@ -191,6 +191,18 @@ def _ranges_with_references(draw):
     return a, b, alpha, float(want)
 
 
+# two ranks far past their start, where log X + log((X - Y)/X) cancelled:
+# 1.6e-14 and 9.1e-15 off against bounds of 8.3e-15 and 7.3e-15; and two
+# ranks past float range at an alpha near 0, whose tiny-range form took log n
+# as log Y + log(n/Y) and missed log 2 by 5.5e-14. References: 50-digit mpmath.
+SHORT_FAR_RANGES = [
+    (1678897120305327710932721205241, 1678897120305327710932721205242, 0.02, 2.085060978393007),
+    (10799588894808623833124175873, 10799588894808623833124175874, 0.015625,
+     1.7017300802310298),
+    (377 * 10**331, 377 * 10**331 + 1, -3.0984368181268835e-45, math.log(2.0)),
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ranges_with_references())
 @example((30000, 30040, 1e3, 10313.409095632167))
@@ -205,6 +217,9 @@ def _ranges_with_references(draw):
 @example((15, 16, -0.5, -0.6768823927754352))
 @example((15, 16, 0.5, 2.0634370688955603))
 @example((15, 16, 3.3, 9.741860627112617))
+@example(SHORT_FAR_RANGES[0])
+@example(SHORT_FAR_RANGES[1])
+@example(SHORT_FAR_RANGES[2])
 def test_rank_power_sums_stay_within_the_stated_bound(case):
     # log_rank_power_sum is off by at most _EM_TOL of the sum (each block's
     # truncation) plus rounding: a few 1e-15 of the sum, and a few ulp of the
@@ -215,8 +230,17 @@ def test_rank_power_sums_stay_within_the_stated_bound(case):
     # exact only at a high order, so that order 1 alone would miss by 3e-12;
     # a range whose rest from rank 16 is two ranks; and ranges whose rest is
     # rank 16 alone, summed exactly, so that their ranks below it must take
-    # the range sum without the expansion's terms at 15.5. Their references
-    # are 50-digit mpmath sums.
+    # the range sum without the expansion's terms at 15.5. The last three are
+    # SHORT_FAR_RANGES. Their references are 50-digit mpmath sums.
     a, b, alpha, want = case
     bound = 4e-15 + 2.0**-50 * (2 * abs(alpha) * math.log(b) + abs(want))
     assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= bound
+
+
+@pytest.mark.parametrize("case", SHORT_FAR_RANGES, ids=["a1.7e30_alpha0.02",
+                                                        "a1.1e28_alpha0.015625",
+                                                        "a3.8e333_alpha-3.1e-45"])
+def test_short_far_ranges_take_rho_from_log_n(case):
+    # each within an ulp of its reference, far inside the stated bound
+    a, b, alpha, want = case
+    assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= math.ulp(want)
