@@ -174,8 +174,7 @@ class TiltedFamily:
         Returns the final betas, the eta targets' first.
         """
         ne = len(etas)
-        x = np.concatenate((etas, hs)) if ne and len(hs) else np.asarray(hs if not ne else etas,
-                                                                          dtype=float)
+        x = np.concatenate((etas, hs), dtype=float)
         n = len(x)
         if not n:
             return x
