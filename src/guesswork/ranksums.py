@@ -572,18 +572,16 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
     log_x = log_y + t
     # with s = alpha + 1, the integral is X^s (1 - (Y/X)^s) / s from the top end X
     # when s > 0 (up), Y^s (1 - (X/Y)^s) / -s from Y when s < 0: lam + rest with
-    # lam = log X or log Y and rest = log((1 - exp(-|s| t)) / |s|), log |s| by
-    # math.log; at s = 0 it is Y^0 log(X/Y). Whatever alpha, a tiny range's
-    # (lam, rho) is (log Y, log n) and a one-rank block's (log a, 0).
+    # lam = log X or log Y and rest = log t + log q, q = (1 - exp(-|s| t)) / (|s| t),
+    # which is 1 at s = 0, where the integral is Y^0 log(X/Y). So rho is log Y +
+    # log t (plus t when lam = log X) plus log q. For a range short against its
+    # start (r = n/Y < 1) log Y and log t cancel, so there log Y + log t is taken
+    # as log n + log(t/r). Whatever alpha, a tiny range's (lam, rho) is (log Y,
+    # log n) and a one-rank block's (log a, 0).
     fixed = tiny | one  # their rows are overwritten, whatever their order
-    # a range short against its start (r = n/Y < 1) takes lam + rest from log n,
-    # where log X + log t would cancel: log Y + log t = log n + log(t/r), and
-    # rest - log t = log q, q = (1 - exp(-|s| t)) / (|s| t) (1 at s = 0), so
-    # rho = log n + log(t/r) + log q, plus t when lam = log X
-    short = np.flatnonzero((ratio < 1.0) & ~fixed)
-    if short.size:
-        t_short = t[short]
-        short_rho = log_n[short] + np.log(t_short / ratio[short])
+    short = ratio < 1.0
+    log_t = np.log(np.where(short, t / ratio, t))  # log(t/r) where short, else log t
+    log_yt = np.where(short, log_n, log_y) + log_t
     gain = None
     if top.size or sub.size:  # the terms k = 2 .. M: a gain 1 - 24 high(x) on f'(x) / 24
         high = np.zeros((2, len(powers) + 1, top.size + sub.size))
@@ -596,7 +594,6 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
         gain = 1.0 - 24.0 * high[:, :-1]
     alpha = np.array(powers, dtype=np.float64).reshape(-1, 1)
     neg_s = -np.abs(alpha + 1.0)
-    log_s = np.reshape([math.log(abs(a + 1.0)) if a != -1.0 else 0.0 for a in powers], (-1, 1))
     fixed_rho = np.where(one, 0.0, log_n)
     lams = {}  # the lam row of each sign of s
     rho_out = np.empty((len(powers), t.size))
@@ -608,16 +605,16 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
         run = list(run)
         end = i + len(run)
         lam = log_x if up else log_y
-        two_lam = -2.0 * lam
+        base = log_yt + t if up else log_yt  # lam + log t
+        lam_base = -(lam + base)
         lams.setdefault(up, np.where(one, log_a, np.where(tiny, log_y, lam)))
         for c in range(i, end, chunk):
             rows = slice(c, min(c + chunk, end))
             st = neg_s[rows] * t
-            em = np.expm1(st)
-            rest = np.log(-em) - log_s[rows]
+            log_q = np.log(np.expm1(st) / st)
             if -1.0 in powers[rows]:
-                rest[powers[rows].index(-1.0)] = np.log(t)
-            far = two_lam - rest  # log of lam's end to the power alpha - 1, over the integral
+                log_q[powers[rows].index(-1.0)] = 0.0
+            far = lam_base - log_q  # log of lam's end to the power alpha - 1, over the integral
             step = (alpha[rows] - 1.0) * t
             e_y, e_x = (far - step, far) if up else (far, far + step)
             # the first midpoint correction, -(1/24)(f'(X) - f'(Y)), as a ratio to the
@@ -628,11 +625,7 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
                 e_y[:, sub] *= gain[0, rows]
                 e_x[:, sub] *= gain[1, rows]
             corr = (alpha[rows] / 24.0) * (e_y - e_x)
-            rho = np.add(lam, rest, out=rho_out[rows])
-            if short.size:
-                st, em = st[:, short], em[:, short]
-                q = np.divide(em, st, out=np.ones_like(st), where=st != 0.0)
-                rho[:, short] = (short_rho + t_short if up else short_rho) + np.log(q)
+            rho = np.add(base, log_q, out=rho_out[rows])
             rho += np.log1p(np.where(np.abs(corr) < 0.5, corr, 0.0))
             np.copyto(rho, fixed_rho, where=fixed)
         i = end
@@ -645,7 +638,7 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
     # integral_Y^X log x dx = n log Y + Y phi(n/Y), phi(r) = (1+r) log1p(r) - r;
     # phi(r) = r^2/2 for tiny r and r (log r - 1) for huge r, to float precision;
     # those two forms only where they are needed
-    phi = np.log((1.0 + ratio) * np.log1p(ratio) - ratio)
+    phi = np.log((1.0 + ratio) * t - ratio)  # t is log1p(ratio) below _FAR_RATIO
     near = ratio < 1e-6
     if near.any():
         r = ratio[near]
