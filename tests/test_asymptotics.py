@@ -499,9 +499,7 @@ def test_analyze_builds_one_family_per_law(capsys, monkeypatch, p, epsilon):
     assert counts["loop_calls"] <= 1 and counts["grid_passes"] <= 1, counts
 
 
-@pytest.mark.parametrize("p, epsilon", [("0.5,0.3,0.2", "0.07"), ("0.8,0.2", "0.1"),
-                                        ("0.6,0,0.4", "0.03")])
-def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch, p, epsilon):
+def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
     # guessctl fig2, per request: one family (the admissibility check builds
     # none), one _scgf_models call that builds the three models and their
     # curves, and one Newton loop call with one grid pass, which solves the
@@ -512,11 +510,6 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch, p, epsilon):
     from guesswork import asymptotics, cli
     from guesswork.entropy import as_distribution
 
-    law = as_distribution(tuple(map(float, p.split(","))))
-    family = asymptotics.TiltedFamily(law)
-    (width, _), (slope, _) = family.line(math.inf), family.line(0.0)
-    xs = np.linspace(0.0, math.log(law.m), 400)
-    interior = int(np.count_nonzero((xs > width) & (xs < slope - 1e-12)))
     calls, models, transforms = [], asymptotics._scgf_models, asymptotics.legendre_transforms
 
     def counted_models(sources, xs=None):
@@ -530,17 +523,24 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch, p, epsilon):
     # cmd_fig2 resolves both on the module it imports in the handler
     monkeypatch.setattr(asymptotics, "_scgf_models", counted_models)
     monkeypatch.setattr(asymptotics, "legendre_transforms", counted_transforms)
-    argv = ["fig2", "--p", p, "--epsilon", epsilon, "--x-points", "400"]
     counts = _count_tilting_work(monkeypatch)
-    for fmt in ("csv", "json"):
-        calls.clear()
-        counts.update(dict.fromkeys(counts, 0))
-        assert cli.main([*argv, "--format", fmt]) == 0
-        capsys.readouterr()
-        assert calls == [("_scgf_models", 3, 400)]
-        assert {**counts, "moments": counts["moments"] > 0} == {
-            "families": 1, "loop_calls": 1, "edge_solves": 2, "entropy_solves": 1,
-            "entropy_targets": interior, "moments": True, "grid_passes": 1, "type_vectors": 0}
+    for p, epsilon in [("0.5,0.3,0.2", "0.07"), ("0.8,0.2", "0.1"), ("0.6,0,0.4", "0.03")]:
+        law = as_distribution(tuple(map(float, p.split(","))))
+        family = asymptotics.TiltedFamily(law)
+        (width, _), (slope, _) = family.line(math.inf), family.line(0.0)
+        xs = np.linspace(0.0, math.log(law.m), 400)
+        interior = int(np.count_nonzero((xs > width) & (xs < slope - 1e-12)))
+        argv = ["fig2", "--p", p, "--epsilon", epsilon, "--x-points", "400"]
+        for fmt in ("csv", "json"):
+            calls.clear()
+            counts.update(dict.fromkeys(counts, 0))
+            assert cli.main([*argv, "--format", fmt]) == 0
+            capsys.readouterr()
+            assert calls == [("_scgf_models", 3, 400)], (p, fmt)
+            assert {**counts, "moments": counts["moments"] > 0} == {
+                "families": 1, "loop_calls": 1, "edge_solves": 2, "entropy_solves": 1,
+                "entropy_targets": interior, "moments": True, "grid_passes": 1,
+                "type_vectors": 0}, (p, fmt)
 
 
 def test_fig2_rates_match_legendre_transforms():
