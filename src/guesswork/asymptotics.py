@@ -15,25 +15,26 @@ slope Lambda' = h(l) is exact, so Lambda'(0) = h(p) (h(l-) uniform). The
 Legendre-Fenchel transform Lambda* takes a float or a numpy array of x and
 solves h(l_beta) = x by safeguarded Newton on beta for every interior x at
 once, with a flat plateau of width `plateau_width` at the left end of its
-domain and a finite endpoint value at the maximal slope. The sources of one
-law share its tilted family, so `legendre_transforms` evaluates Lambda* for
-several of them from one such solve over the union of their interiors, and
-`_scgf_models` builds fig2's three models and their curves from one Newton
-loop call that solves the window edges and the Lambda* targets together.
+domain and a finite endpoint value at the maximal slope. Each caller
+makes one solve: `legendre_transform` solves its own model's interior,
+and `_scgf_models` builds fig2's three models and their curves from one
+Newton loop call that solves the window edges and the Lambda* targets of
+the law's tilted family together. Both hand their roots to one piecewise
+evaluation, `_transforms`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-# BinaryReport and binary_closed_forms are imported back from the scalar layer,
-# so asymptotics.binary_closed_forms stays the same object
-from .closed_forms import BinaryReport, SourceKind, binary_closed_forms
+# binary_closed_forms lives in the scalar layer; it is imported back because
+# bench/tracing.py spans asymptotics.binary_closed_forms, and
+# tests/test_bench_names.py checks that the name resolves
+from .closed_forms import SourceKind, binary_closed_forms
 from .entropy import (
     FreqsLike,
     LetterDistribution,
@@ -222,9 +223,10 @@ def _scgf_models(sources: Sequence[Source], xs=None):
     every x inside the family's interior (log |argmax p|, log |support|),
     read off its limit lines before any solve: that holds every source's
     interior, and for fig2's three sources is their union. Returns the
-    models, and with `xs` (models, each model's Lambda*(xs) as
-    legendre_transforms gives it). One family, one grid pass and one loop
-    call in all; DistributionError for mixed laws.
+    models, and with `xs` (models, each model's Lambda*(xs) as its own
+    legendre_transform gives it, bit for bit: a target's tilt is one float
+    whichever solve holds it). One family, one grid pass and one loop call
+    in all; DistributionError for mixed laws.
     """
     p = sources[0].p
     if any(source.p != p for source in sources):
@@ -288,36 +290,21 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
 
     x is a float (the result is a float) or a numpy array (the result is an
     array of its shape); a float runs as a one-point array, so both take
-    the same piecewise evaluation: +inf outside [0, log m] (nan for a nan
-    x); the exact plateau value -x - modal_decay on [0, plateau_width]; the
-    endpoint value -tail_intercept at x = max_slope; +inf beyond max_slope;
-    otherwise the tilts beta with h(l_beta) = x are found in [0, inf) by
-    one call of the family's Newton loop over every interior x
-    (TiltedFamily.solve_entropy, the loop that also solves the window
-    edges), and each supremum is evaluated in its stationary form
+    the same piecewise evaluation (_transforms): +inf outside [0, log m]
+    (nan for a nan x); the exact plateau value -x - modal_decay on
+    [0, plateau_width]; the endpoint value -tail_intercept at x =
+    max_slope; +inf beyond max_slope; otherwise the tilts beta with
+    h(l_beta) = x are found in [0, inf) by one TiltedFamily.solve call over
+    this model's interior x (no Newton loop call when that is empty, as for
+    the uniform source), and each supremum is evaluated in its stationary form
     x alpha - Lambda(alpha) at alpha = 1/beta - 1, which is second-order
-    accurate in the solver error. This is legendre_transforms on one model,
-    and its floats are this model's in legendre_transforms among any others.
+    accurate in the solver error.
     """
-    [rate] = legendre_transforms([model], x)
+    xs, xc, inside = _domain(x, math.log(model.source.p.m))
+    interior = _pieces(xc, inside, model.plateau_width, model.max_slope)[2]
+    roots = model.family.solve((), xc[interior])[1]
+    [rate] = _transforms([model], xs, xc, inside, (interior, *roots))
     return rate
-
-
-def legendre_transforms(models: Sequence[ScgfModel], x: float | np.ndarray) -> list:
-    """Lambda*(x) of several sources of one letter law, from one entropy solve.
-
-    Each model's values are legendre_transform's piecewise evaluation, one
-    result per model. The models share the law's tilted family and h(l_beta)
-    is strictly decreasing in beta, so an interior x has the same root beta
-    for every model whose interior holds it: one solve_entropy call covers
-    the union of the interiors. The Newton loop brackets every target by
-    [0, inf) and solves each target on its own, so a model's values equal
-    its own legendre_transform bit for bit.
-    """
-    p = models[0].source.p
-    if any(model.source.p != p for model in models):
-        raise DistributionError("legendre_transforms needs models of one letter law")
-    return _transforms(models, *_domain(x, math.log(p.m)))
 
 
 def _domain(x, log_m: float):
@@ -338,37 +325,28 @@ def _pieces(xc, inside, width: float, slope: float):
     return plateau, endpoint, rest & (xc < slope - _SLOPE_EDGE_TOL)
 
 
-def _transforms(models, xs, xc, inside, roots=None) -> list:
+def _transforms(models, xs, xc, inside, roots) -> list:
     """Each model's Lambda* at xs, by the piecewise rule of legendre_transform.
 
     xc and inside are _domain's. `roots` is (mask, beta, h, eta): the tilts
-    with h(l_beta) = xc[mask], for a mask that holds every model's interior;
-    without it, the union of the interiors is solved here, in one
-    solve_entropy call. An interior value is the stationary form x alpha -
-    Lambda(alpha) at alpha = 1/beta - 1, from the target's own tilt, so it
-    is one float whichever mask held it.
+    with h(l_beta) = xc[mask], from the caller's one TiltedFamily.solve, for
+    a mask that holds every model's interior. An interior value is the
+    stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, from the
+    target's own tilt, so it is one float whichever mask held it.
     """
+    mask, beta, h, eta = roots
+    alpha = 1.0 / beta - 1.0
+    # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
+    rate = xc[mask] * alpha - (h * alpha + (h - eta))
     outside = np.where(np.isnan(xc), math.nan, math.inf)
-    outs, interiors = [], []
+    outs = []
     for model in models:
         plateau, endpoint, interior = _pieces(xc, inside, model.plateau_width, model.max_slope)
         out = outside.copy()
         out[plateau] = -xc[plateau] - model.modal_decay
         out[endpoint] = -model.tail_intercept
+        out[interior] = rate[interior[mask]]
         outs.append(out)
-        interiors.append(interior)
-    if roots is None:
-        union = reduce(np.logical_or, interiors)
-        if union.any():
-            roots = (union, *models[0].family.solve_entropy(xc[union]))
-    if roots is not None and len(roots[1]):
-        mask, beta, h, eta = roots
-        xi = xc[mask]
-        alpha = 1.0 / beta - 1.0
-        # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
-        rate = xi * alpha - (h * alpha + (h - eta))
-        for out, interior in zip(outs, interiors):
-            out[interior] = rate[interior[mask]]
     if xs.ndim == 0:
         return [float(out[0]) for out in outs]
     return [out.reshape(xs.shape) for out in outs]

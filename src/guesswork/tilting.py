@@ -10,11 +10,11 @@ inverts both in one call: `TiltedFamily.solve` finds the tilts of
 typicality windows' edges (the boundary types) and those behind a whole
 array of interior rate-function values together, one moments pass per
 Newton step over the targets of both kinds, so a fig2 request is one loop
-call; `TiltedFamily.window` (edges alone) and `TiltedFamily.solve_entropy`
-(entropy targets alone) are its one-kind calls. The constrained maximiser behind the
-conditioned source's scaled cumulant generating function is the tilted
-type clamped to those boundaries; `clamp_tilt` is the one alpha -> beta
-rule, shared by ScgfModel, `clamped_optimum` and `tilted_type`.
+call; `TiltedFamily.window` is its call for one window's edges alone.
+The constrained maximiser behind the conditioned source's scaled
+cumulant generating function is the tilted type clamped to those
+boundaries; `clamp_tilt` is the one alpha -> beta rule, shared by
+ScgfModel, `clamped_optimum` and `tilted_type`.
 `TiltedFamily` is the one implementation of the family; the functions
 below that return TypeVectors are views over it.
 """
@@ -27,14 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-# the admissibility rule lives in the scalar layer; its two public names are
-# imported back, so tilting.require_admissible_epsilon stays the same object
-from .closed_forms import (
-    _EDGE_TOL,
-    _log_law,
-    admissible_epsilon_interval,
-    require_admissible_epsilon,
-)
+from .closed_forms import _EDGE_TOL, _log_law
 from .entropy import (
     FreqsLike,
     TypeVector,
@@ -56,6 +49,8 @@ _BLOCK_CELLS = 1 << 15
 # bracket and start each target, between the family's ends 0 and inf
 _GRID = np.concatenate(([0.0], 2.0 ** (np.arange(-128, 129) / 8.0),
                         2.0 ** (np.arange(65, 193) / 4.0), [math.inf]))
+# _GRID twice: the bracket table of a Newton call, a run per target kind, eta's first
+_GRID2 = np.concatenate((_GRID, _GRID))
 
 
 class TiltedFamily:
@@ -154,51 +149,44 @@ class TiltedFamily:
     def _newton(self, etas, hs):
         """Tilts beta in [0, inf) with eta(beta) = etas[i], then with h(l_beta) = hs[j].
 
-        Both residuals, eta and h, decrease in beta. Each kind's values at
-        _GRID, from moments made once per family on its first call, bracket
-        each of its targets by the two tilts around its root and start it at
-        the inverse cubic Hermite interpolant there (where a step leaving the
-        bracket would go, if outside it), from the family and the target
-        alone: a target's tilt is one float whichever caller or batch solves
-        it, and whatever targets of the other kind share the call. Each
-        target then runs Newton, kept inside its own shrinking bracket by
-        bisection (doubling while unbounded above) whenever a step leaves it,
-        and ends at a beta whose residual is within an ulp of the target (at
-        small beta a step's rounding noise dwarfs NEWTON_STEP_TOL), on a step
-        that moves beta by under NEWTON_STEP_TOL relative, or after
-        NEWTON_MAX_ITER steps. A pass evaluates `_moments` once over every
-        live target of both kinds and takes each target's own residual. A
-        pass makes beta a bracket end, so a step that rounds back onto it has
-        converged; any other step must land strictly inside, lest a target
-        bounce between two ends. Grid and targets are walked in `_blocks`.
+        Both residuals, eta and h, decrease in beta. Each kind present in the
+        call fills its own run of one bracket table over _GRID2 (eta's run
+        first) with its values at _GRID, from moments made once per family
+        on its first call; these bracket each of its targets by the two
+        tilts around its root and start it at the inverse cubic Hermite
+        interpolant there (where a step leaving the bracket would go, if
+        outside it), from the family and the target alone: a target's tilt
+        is one float whichever caller or batch solves it, and whatever
+        targets of the other kind share the call. Each target then runs
+        Newton, kept inside its own shrinking bracket by bisection (doubling
+        while unbounded above) whenever a step leaves it, and ends at a beta
+        whose residual is within an ulp of the target (at small beta a
+        step's rounding noise dwarfs NEWTON_STEP_TOL), on a step that moves
+        beta by under NEWTON_STEP_TOL relative, or after NEWTON_MAX_ITER
+        steps. A pass evaluates `_moments` once over every live target of
+        both kinds and takes each target's own residual. A pass makes beta a
+        bracket end, so a step that rounds back onto it has converged; any
+        other step must land strictly inside, lest a target bounce between
+        two ends. Grid and targets are walked in `_blocks`.
         Returns the final betas, the eta targets' first.
         """
         ne = len(etas)
         x = np.concatenate((etas, hs), dtype=float)
         n = len(x)
-        if not n:
-            return x
         if self._grid is None:
             self._grid = self._grid_moments()
-        # each kind's residual at _GRID (nan at 0 and inf), one run of _GRID's length
-        # per kind present; a target's k indexes its own kind's run
-        kinds = [(residual, part) for residual, part in ((TiltedFamily._eta, slice(0, ne)),
-                                                          (TiltedFamily._entropy, slice(ne, n)))
-                 if part.start < part.stop]
-        size = len(_GRID) * len(kinds)
-        v, s = np.full(size, math.nan), np.full(size, math.nan)
-        ks = []
-        for offset, (residual, part) in zip(range(0, size, len(_GRID)), kinds):
-            run = slice(offset + 1, offset + len(_GRID) - 1)
-            v[run], s[run] = residual(self, _GRID[1:-1], *self._grid)
-            # k: the first tilt where v's running minimum is <= x; v > x before it, <= x at it
-            k = np.searchsorted(-np.minimum.accumulate(v[run]), -x[part])
-            ks.append(k + offset if offset else k)
-        if len(kinds) == 1:
-            k, grid = ks[0], _GRID
-        else:
-            k, grid = np.concatenate(ks), np.concatenate((_GRID, _GRID))
-        lower, upper = grid[k], grid[k + 1]
+        # each kind's residual at _GRID (nan at 0 and inf) in its own run of
+        # _GRID2, filled for the kinds present; a target's k indexes its kind's run
+        v, s = np.full(len(_GRID2), math.nan), np.full(len(_GRID2), math.nan)
+        k = np.empty(n, dtype=np.intp)
+        for offset, residual, part in ((0, TiltedFamily._eta, slice(0, ne)),
+                                       (len(_GRID), TiltedFamily._entropy, slice(ne, n))):
+            if part.start < part.stop:
+                run = slice(offset + 1, offset + len(_GRID) - 1)
+                v[run], s[run] = residual(self, _GRID[1:-1], *self._grid)
+                # the first tilt where v's running minimum is <= x; v > x before it, <= x at it
+                k[part] = offset + np.searchsorted(-np.minimum.accumulate(v[run]), -x[part])
+        lower, upper = _GRID2[k], _GRID2[k + 1]
         beta = np.empty(n)
         # a zero, nan or subnormal slope steps to nan or out of (lo, hi): it falls back
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -233,10 +221,7 @@ class TiltedFamily:
                         go = ~done
                         beta[live[done]] = np.where(root, b, step)[done]
                         live, b, t, lo, hi, ulp = live[go], step[go], t[go], lo[go], hi[go], ulp[go]
-                        if e == len(go):
-                            e = len(live)
-                        elif e:
-                            e -= int(np.count_nonzero(done[:e]))
+                        e -= int(np.count_nonzero(done[:e]))
                     else:
                         b = step
                 beta[live] = b
@@ -252,11 +237,13 @@ class TiltedFamily:
         """Clamp windows of cross-entropy windows [lo, hi], and tilts with h(l_beta) = hs: one loop.
 
         Every finite window edge (see `window`) and every entropy target is a
-        target of one Newton loop call. Returns the clamp windows in order,
-        and (beta, h(l_beta), eta(beta)) at each entropy target's final beta,
-        from one more moments pass over those tilts. Brackets and starts come
-        from the family alone, so equal targets get equal tilts from every
-        caller, alone or beside any others.
+        target of one Newton loop call, made only when there is a target
+        (`solve((), hs)` solves entropy targets alone). Returns the clamp
+        windows in order, and (beta, h(l_beta), eta(beta)) at each entropy
+        target's final beta, from one more moments pass over those tilts,
+        whatever clamp window the caller reads them against. Brackets and
+        starts come from the family alone, so equal targets get equal tilts
+        from every caller, alone or beside any others.
         """
         limits = [(hi >= self.c_max - _EDGE_TOL, lo <= self.c_min + _EDGE_TOL)
                   for lo, hi in windows]
@@ -273,18 +260,6 @@ class TiltedFamily:
             log_z, mean, _ = self._moments(b)
             h[block], eta[block] = log_z + b * mean, mean - self.top
         return clamps, (beta, h, eta)
-
-    def solve_entropy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tilts beta in [0, inf) with h(l_beta) = x, for a whole array of targets.
-
-        Returns (beta, h(l_beta), eta(beta)) at each target's final beta:
-        `solve` with entropy targets alone, one call of the Newton loop on
-        dh/dbeta = -beta Var and one more moments pass over those tilts.
-        Brackets and starts come from the family alone, whatever clamp
-        window the caller reads the tilts against, so equal targets get
-        equal tilts from every caller.
-        """
-        return self.solve((), x)[1]
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:
         """Clamp window (beta-, beta+) of the cross-entropy window [lo, hi].

@@ -10,6 +10,7 @@ from guesswork import (
     DistributionError,
     EpsilonInadmissibleError,
     LetterDistribution,
+    Source,
     SourceKind,
     admissible_epsilon_interval,
     binary_closed_forms,
@@ -58,13 +59,22 @@ def test_source_constructors():
 def test_source_validates_its_own_law():
     # a law enters at Source: a tuple is kept as a LetterDistribution, which
     # the oracle reads, and one that does not sum to 1 is refused
-    from guesswork import Source, build_guess_table
+    from guesswork import build_guess_table
 
     with pytest.raises(DistributionError):
         Source(SourceKind.CONDITIONED, (0.7, 0.2), 0.1)
     source = Source(SourceKind.CONDITIONED, (0.7, 0.3), 0.1)
     assert source.p == LetterDistribution((0.7, 0.3))
     assert build_guess_table(source, 10).total_words == 375
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Source(SourceKind.CONDITIONED, P),  # a typical-set kind with no epsilon
+    lambda: MW(math.inf),  # Lambda at a non-finite alpha
+], ids=["conditioned_without_epsilon", "lambda_at_inf"])
+def test_asymptotic_refusals(call):
+    with pytest.raises(DistributionError):
+        call()
 
 
 def _count_validations(monkeypatch):
@@ -505,24 +515,18 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
     # curves, and one Newton loop call with one grid pass, which solves the
     # conditioned window's two edges (an admissible eps puts both at finite
     # tilts) and every grid point inside the family's interior
-    # (log |argmax p|, log |support|); no other solve and no
-    # legendre_transforms call
+    # (log |argmax p|, log |support|); no other solve
     from guesswork import asymptotics, cli
     from guesswork.entropy import as_distribution
 
-    calls, models, transforms = [], asymptotics._scgf_models, asymptotics.legendre_transforms
+    calls, models = [], asymptotics._scgf_models
 
     def counted_models(sources, xs=None):
         calls.append(("_scgf_models", len(sources), None if xs is None else len(xs)))
         return models(sources, xs)
 
-    def counted_transforms(models, x):
-        calls.append(("legendre_transforms", len(models), np.size(x)))
-        return transforms(models, x)
-
-    # cmd_fig2 resolves both on the module it imports in the handler
+    # cmd_fig2 resolves it on the module it imports in the handler
     monkeypatch.setattr(asymptotics, "_scgf_models", counted_models)
-    monkeypatch.setattr(asymptotics, "legendre_transforms", counted_transforms)
     counts = _count_tilting_work(monkeypatch)
     for p, epsilon in [("0.5,0.3,0.2", "0.07"), ("0.8,0.2", "0.1"), ("0.6,0,0.4", "0.03")]:
         law = as_distribution(tuple(map(float, p.split(","))))
@@ -543,11 +547,11 @@ def test_fig2_solves_each_curve_in_one_call(capsys, monkeypatch):
                 "type_vectors": 0}, (p, fmt)
 
 
-def test_fig2_rates_match_legendre_transforms():
+def test_fig2_rates_match_each_legendre_transform():
     # _scgf_models with a grid gives, field by field and bit for bit, the
-    # models it builds without one, and each curve as legendre_transforms
-    # gives it over those models
-    from guesswork.asymptotics import _scgf_models, legendre_transforms
+    # models it builds without one, and each curve as that model's own
+    # legendre_transform gives it
+    from guesswork.asymptotics import _scgf_models
 
     p = (0.5, 0.3, 0.2)
     sources = [unconditioned(p), conditioned(p, 0.07), uniform_typical(p, 0.07)]
@@ -556,8 +560,39 @@ def test_fig2_rates_match_legendre_transforms():
     for model, alone in zip(models, _scgf_models(sources)):
         assert (model.source, model.window, model.edge_lines, model.modal_decay) == (
             alone.source, alone.window, alone.edge_lines, alone.modal_decay)
-    for rate, want in zip(rates, legendre_transforms(models, xs)):
-        assert rate.tobytes() == want.tobytes()
+    for model, rate in zip(models, rates):
+        assert rate.tobytes() == legendre_transform(model, xs).tobytes()
+
+
+@pytest.mark.parametrize("kind", range(3), ids=["unconditioned", "conditioned", "uniform"])
+def test_legendre_transform_solves_its_own_interior(monkeypatch, kind):
+    # on a 400-point grid, legendre_transform makes one Newton loop call
+    # whose entropy targets are exactly its model's interior, and none for
+    # the uniform model, whose interior is empty; its values are the rates
+    # fig2's shared solve (_scgf_models with the grid) gives, bit for bit
+    from guesswork import asymptotics, tilting
+
+    p = (0.5, 0.3, 0.2)
+    sources = [unconditioned(p), conditioned(p, 0.07), uniform_typical(p, 0.07)]
+    xs = np.linspace(0.0, math.log(3.0), 400)
+    models, rates = asymptotics._scgf_models(sources, xs)
+    model = models[kind]
+    interior = (xs > model.plateau_width) & (xs < model.max_slope - 1e-12)
+    assert interior.any() == (kind != 2)
+    targets, newton = [], tilting.TiltedFamily._newton
+
+    def recorded_newton(self, etas, hs):
+        targets.append((len(etas), np.array(hs)))
+        return newton(self, etas, hs)
+
+    monkeypatch.setattr(tilting.TiltedFamily, "_newton", recorded_newton)
+    out = legendre_transform(model, xs)
+    if kind == 2:
+        assert targets == []
+    else:
+        [(edges, hs)] = targets
+        assert edges == 0 and hs.tobytes() == xs[interior].tobytes()
+    assert out.tobytes() == rates[kind].tobytes()
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])

@@ -119,3 +119,14 @@ def test_is_typical_type():
 def test_window_edges_count_as_inside():
     # for uniform p every type costs exactly log 2, the window midpoint
     assert is_typical_type((0.5, 0.5), 1e-9, TypeVector.from_counts((7, 3)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: shannon_entropy(()), DistributionError),  # no letters
+    (lambda: TypeVector((1.0,), grain=0), GrainError),  # grain below 1
+    (lambda: TypeVector.from_counts((-1, 2)), GrainError),  # a negative count
+    (lambda: cross_entropy((0.5, 0.5), (0.2, 0.3, 0.5)), DistributionError),  # two alphabets
+], ids=["empty_law", "zero_grain", "negative_count", "alphabet_mismatch"])
+def test_entropy_refusals(call, error):
+    with pytest.raises(error):
+        call()

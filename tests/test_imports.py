@@ -54,12 +54,9 @@ PUBLIC = {
     ),
 }
 MODULES = ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")
-# The scalar names that moved into closed_forms, by the module that defined them
-# before: each is importable from there too, as the same object.
-MOVED = {
-    "asymptotics": ("BinaryReport", "SourceKind", "binary_closed_forms"),
-    "tilting": ("admissible_epsilon_interval", "require_admissible_epsilon"),
-}
+# Scalar names of closed_forms that asymptotics imports back, as the same object:
+# SourceKind, which it uses, and binary_closed_forms, which bench/tracing.py spans there.
+MOVED = {"asymptotics": ("SourceKind", "binary_closed_forms")}
 # Loaded only by the subcommands that compute on arrays.
 NUMERIC = {"guesswork.asymptotics", "guesswork.tilting", "guesswork.oracle", "guesswork.ranksums"}
 

@@ -842,3 +842,14 @@ def test_euler_maclaurin_route_stays_finite_for_huge_alpha():
         for a, b in ((30000, 95536), (10**6, 10**9), (1, 10**6)):
             got = log_rank_power_sum(a, b, alpha)
             assert math.isfinite(got) and (got > 0.0) == (alpha > 0.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    # eps = 0.001 leaves (0.8, 0.2) no typical word at k = 2: the naive side,
+    # which enumerates first, refuses it
+    (lambda: naive_enumeration_crosscheck(conditioned((0.8, 0.2), 0.001), 2),
+     EmptyTypicalSetError),
+], ids=["naive_empty_typical_set"])
+def test_oracle_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -592,7 +592,7 @@ def test_clamped_optimum_matches_the_scgf_model(p, frac, clamped, alpha):
 def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
     # window's one loop call gives the one-edge tilts bit for bit, every solved
     # edge sits on its cross-entropy target, and every interior entropy
-    # target passed to solve_entropy is met
+    # target passed to solve is met
     from guesswork.tilting import TiltedFamily
 
     top = gw.admissible_epsilon_interval(p)[1]
@@ -607,29 +607,29 @@ def test_one_newton_loop_solves_edges_and_entropy_targets(p, frac, us):
         assert abs(h - intercept - eta) <= 1e-12  # eta = h + D
     (h_minus, _), (h_plus, _) = lines
     xs = np.array([h_plus + u * (h_minus - h_plus) for u in us])
-    _, h, _ = family.solve_entropy(xs)
+    _, h, _ = family.solve((), xs)[1]
     assert np.all(np.abs(h - xs) <= 1e-12)
 
 
 @contextlib.contextmanager
 def entropy_solves():
-    # each TiltedFamily.solve_entropy call made inside the block, as (targets,
-    # h(l_beta) reached, moment passes including the final one): the passes
-    # are counted by wrapping _moments, as _count_tilting_work does
+    # each TiltedFamily.solve call made inside the block, as (its entropy
+    # targets, h(l_beta) reached, moment passes including the final one):
+    # the passes are counted by wrapping _moments, as _count_tilting_work does
     solves, passes = [], [0]
-    solve, moments = TiltedFamily.solve_entropy, TiltedFamily._moments
+    solve, moments = TiltedFamily.solve, TiltedFamily._moments
 
-    def counted_solve(self, x):
+    def counted_solve(self, windows, hs=()):
         passes[0] = 0
-        beta, h, eta = solve(self, x)
-        solves.append((np.asarray(x), h, passes[0]))
-        return beta, h, eta
+        clamps, (beta, h, eta) = solve(self, windows, hs)
+        solves.append((np.asarray(hs), h, passes[0]))
+        return clamps, (beta, h, eta)
 
     def counted_moments(self, beta):
         passes[0] += 1
         return moments(self, beta)
 
-    with mock.patch.object(TiltedFamily, "solve_entropy", counted_solve), \
+    with mock.patch.object(TiltedFamily, "solve", counted_solve), \
             mock.patch.object(TiltedFamily, "_moments", counted_moments):
         yield solves
 
@@ -661,7 +661,7 @@ def test_newton_target_between_ulp_residuals_ends():
     model = gw.scgf_model(gw.unconditioned(TAIL_M4))
     x = np.array([1.0979173386312917])
     with entropy_solves() as solves:
-        model.family.solve_entropy(x)
+        model.family.solve((), x)
     [(_, h, passes)] = solves
     assert passes <= 8
     assert abs(h[0] - x[0]) <= 1e-12
@@ -703,19 +703,18 @@ def test_fig2_entropy_solves_stay_short(p, frac):
 @settings(max_examples=100, deadline=None)
 @given(laws_with_a_zero(2, 6), st.floats(0.02, 0.98), st.sampled_from([0, 1, 2, 400]))
 def test_fig2_shared_solve_matches_each_source(p, frac, n):
-    # fig2's one entropy solve for the three sources against each source's own
-    # legendre_transform, every cell bit for bit: a target's bracket and start
-    # come from the family alone, so a model's Lambda* is one float whichever
-    # function computes it
-    from guesswork.asymptotics import legendre_transforms
-    from guesswork.cli import _models
+    # fig2's one solve for the three sources (_scgf_models with the grid)
+    # against each source's own legendre_transform, every cell bit for bit:
+    # a target's bracket and start come from the family alone, so a model's
+    # Lambda* is one float whichever call solves it
+    from guesswork.asymptotics import _scgf_models
+    from guesswork.cli import _sources
 
     low, top = gw.admissible_epsilon_interval(p)
     assume(top > 1e-9 and low < frac * top)
-    models = list(_models(p, frac * top).values())
     xs = np.linspace(0.0, math.log(p.m), n)
     xs = np.append(xs, [math.nan, -0.5, math.log(p.m) + 0.5])  # nan and the two outsides
-    shared = legendre_transforms(models, xs)
+    models, shared = _scgf_models(_sources(p, frac * top), xs)
     for model, rates in zip(models, shared):
         assert rates.tobytes() == gw.legendre_transform(model, xs).tobytes()
 
@@ -888,7 +887,7 @@ def test_grid_moments_are_the_whole_grids_bit_for_bit(p):
     from guesswork.tilting import _GRID
 
     family = TiltedFamily(p)
-    family.solve_entropy(np.array([0.5 * math.log(len(family.support))]))
+    family.solve((), np.array([0.5 * math.log(len(family.support))]))
     full = TiltedFamily(p)._moments(_GRID[1:-1])
     assert [g.tobytes() for g in family._grid] == [f.tobytes() for f in full]
 

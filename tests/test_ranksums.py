@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from guesswork import ranksums
+from guesswork import DistributionError, conditioned, oracle, ranksums
 from guesswork.ranksums import _CASCADE_MIN, _PRUNE, _exact_sum, _lse, _pruned_sum
 
 
@@ -244,3 +244,18 @@ def test_short_far_ranges_take_rho_from_log_n(case):
     # each within an ulp of its reference, far inside the stated bound
     a, b, alpha, want = case
     assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: ranksums.log_rank_power_sum(5, 3, 1.0), DistributionError),  # b < a
+    (lambda: ranksums.log_rank_power_sum(0, 3, 1.0), DistributionError),  # a rank 0
+    # every k's typical set is empty, so the kernel gets no table and returns at once
+    (lambda: oracle._finite_k_batch(conditioned((0.8, 0.2), 0.001), (1, 2), None,
+                                    max_words=100), ({1: None, 2: None}, [])),
+], ids=["b_below_a", "rank_zero", "no_table"])
+def test_rank_sum_refusals_and_empty_batches(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
