@@ -26,7 +26,6 @@ evaluation, `_transforms`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .entropy import (
     LetterDistribution,
     _checked_epsilon,
     as_distribution,
+    record,
     shannon_entropy,
     typical_window,
 )
@@ -49,7 +49,7 @@ from .tilting import TiltedFamily, clamp_tilt
 _SLOPE_EDGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class Source:
     """A word source: letter law p plus, for the typical-set kinds, epsilon. Validated once, here:
     p is kept as as_distribution(p), epsilon as a float that passes _checked_epsilon."""
@@ -84,7 +84,7 @@ def uniform_typical(p: FreqsLike, epsilon: float) -> Source:
     return Source(SourceKind.UNIFORM_TYPICAL, p, epsilon)
 
 
-@dataclass(frozen=True)
+@record
 class ScgfModel:
     """Evaluated structure of one source's scaled CGF: the one way to read its laws.
 
@@ -238,7 +238,10 @@ def _scgf_models(sources: Sequence[Source], xs=None):
     if xs is not None:
         xs, xc, inside = _domain(xs, math.log(p.m))
         (width, _), (slope, _) = family.line(math.inf), family.line(0.0)
-        interior = _pieces(xc, inside, width, slope)[2]
+        # Lambda*'s pieces per (plateau width, max slope), each made once: the
+        # family's limit lines' are the unconditioned model's
+        pieces = {(width, slope): _pieces(xc, inside, width, slope)}
+        interior = pieces[width, slope][2]
         hs = xc[interior]
     clamps, roots = family.solve([typical_window(p, eps) for eps in epsilons], hs)
     windows, models = {None: (0.0, math.inf), **dict(zip(epsilons, clamps))}, []
@@ -257,10 +260,14 @@ def _scgf_models(sources: Sequence[Source], xs=None):
         models.append(model)
     if xs is None:
         return models
-    return models, _transforms(models, xs, xc, inside, (interior, *roots))
+    ends = [(model.plateau_width, model.max_slope) for model in models]
+    for end in ends:
+        if end not in pieces:
+            pieces[end] = _pieces(xc, inside, *end)
+    return models, _transforms(models, [pieces[end] for end in ends], xs, xc, (interior, *roots))
 
 
-@dataclass(frozen=True)
+@record
 class GrowthExponents:
     """Headline growth exponents of one source's guesswork.
 
@@ -301,9 +308,10 @@ def legendre_transform(model: ScgfModel, x: float | np.ndarray) -> float | np.nd
     accurate in the solver error.
     """
     xs, xc, inside = _domain(x, math.log(model.source.p.m))
-    interior = _pieces(xc, inside, model.plateau_width, model.max_slope)[2]
+    pieces = _pieces(xc, inside, model.plateau_width, model.max_slope)
+    interior = pieces[2]
     roots = model.family.solve((), xc[interior])[1]
-    [rate] = _transforms([model], xs, xc, inside, (interior, *roots))
+    [rate] = _transforms([model], [pieces], xs, xc, (interior, *roots))
     return rate
 
 
@@ -325,27 +333,30 @@ def _pieces(xc, inside, width: float, slope: float):
     return plateau, endpoint, rest & (xc < slope - _SLOPE_EDGE_TOL)
 
 
-def _transforms(models, xs, xc, inside, roots) -> list:
+def _transforms(models, pieces, xs, xc, roots) -> list:
     """Each model's Lambda* at xs, by the piecewise rule of legendre_transform.
 
-    xc and inside are _domain's. `roots` is (mask, beta, h, eta): the tilts
-    with h(l_beta) = xc[mask], from the caller's one TiltedFamily.solve, for
-    a mask that holds every model's interior. An interior value is the
-    stationary form x alpha - Lambda(alpha) at alpha = 1/beta - 1, from the
-    target's own tilt, so it is one float whichever mask held it.
+    xs and xc are _domain's, and `pieces` holds each model's _pieces, made
+    once by the caller. `roots` is (mask, beta, h, eta): the tilts with
+    h(l_beta) = xc[mask], from the caller's one TiltedFamily.solve, for a
+    mask that holds every model's interior; with no interior point there is
+    no tilt and no interior evaluation. An interior value is the stationary
+    form x alpha - Lambda(alpha) at alpha = 1/beta - 1, from the target's
+    own tilt, so it is one float whichever mask held it.
     """
     mask, beta, h, eta = roots
-    alpha = 1.0 / beta - 1.0
-    # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
-    rate = xc[mask] * alpha - (h * alpha + (h - eta))
+    if len(beta):
+        alpha = 1.0 / beta - 1.0
+        # Lambda(alpha) on its tangent line (slope h, intercept h - eta)
+        rate = xc[mask] * alpha - (h * alpha + (h - eta))
     outside = np.where(np.isnan(xc), math.nan, math.inf)
     outs = []
-    for model in models:
-        plateau, endpoint, interior = _pieces(xc, inside, model.plateau_width, model.max_slope)
+    for model, (plateau, endpoint, interior) in zip(models, pieces):
         out = outside.copy()
         out[plateau] = -xc[plateau] - model.modal_decay
         out[endpoint] = -model.tail_intercept
-        out[interior] = rate[interior[mask]]
+        if len(beta):
+            out[interior] = rate[interior[mask]]
         outs.append(out)
     if xs.ndim == 0:
         return [float(out[0]) for out in outs]

@@ -20,12 +20,14 @@ and reused; `build_parser()` still builds a new one on each call.
 Import rule: this module's top imports the standard library and the
 package's numpy-free modules only (`errors`, `entropy`, `closed_forms`),
 so building the parser, `--help` and fig1, whose engine is
-`closed_forms.binary_closed_forms`, load no numpy. Each numeric module is
-imported where it runs: `asymptotics` by `_sources` and `_models` (fig2,
-analyze) and by `cmd_fig2` and `cmd_exact_compare`, `tilting` by
-`cmd_analyze`, numpy by `cmd_fig2`, and the exact finite-k oracle by
-`cmd_exact_compare` and `cmd_census` alone, so fig1, fig2 and analyze
-never load `oracle` or `ranksums`. The handlers write `import
+`closed_forms.binary_closed_forms`, load no numpy. `json` is imported
+only by the two branches that write JSON output (`_table`'s and
+`cmd_analyze`'s), so the parser and CSV output never load it. Each
+numeric module is imported where it runs: `asymptotics` by `_sources`
+and `_models` (fig2, analyze) and by `cmd_fig2` and `cmd_exact_compare`,
+`tilting` by `cmd_analyze`, numpy by `cmd_fig2`, and the exact finite-k
+oracle by `cmd_exact_compare` and `cmd_census` alone, so fig1, fig2 and
+analyze never load `oracle` or `ranksums`. The handlers write `import
 guesswork.oracle as oracle`, which after the first call is a `sys.modules`
 lookup in C; `from .oracle import ...` would also run importlib's
 Python-level fromlist handling on every call.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -129,6 +130,8 @@ def _table(args, meta, header: str, columns, *, payload=None, footer=()) -> str:
     payload's key order.
     """
     if args.format == "json":
+        import json
+
         names = header.split(",")
         values = []
         for col in columns:
@@ -223,6 +226,8 @@ def cmd_analyze(args) -> tuple[str, int]:
     if args.format == "csv":
         keys, values = zip(*_flatten(report))
         return _table(args, ["# analyze report"], "key,value", [keys, values]), 0
+    import json
+
     return json.dumps(report, indent=2) + "\n", 0
 
 

@@ -1,20 +1,21 @@
 """The package's scalar layer: source kinds, the admissibility rule, and fig1's closed forms.
 
-Everything here is plain `math` and `decimal` on floats, with no numpy and
-no numeric module behind it, so `guessctl`'s parser and `guessctl fig1`
-run on the standard library alone. `tilting` and `asymptotics` import
+Everything here is plain `math` on floats, with no numpy and no numeric
+module behind it, so `guessctl`'s parser and `guessctl fig1` run on the
+standard library alone. `decimal` is imported by fig1's engine only, in
+`_binary_bottom_exact`, the one step of `binary_closed_forms` that runs
+at more than float precision, so a process loads it only when a bottom
+curve value lies near its zero. `tilting` and `asymptotics` import
 these names back, so each is also importable from there as the same
 object.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .entropy import FreqsLike, as_freqs
+from .entropy import FreqsLike, as_freqs, record
 from .errors import DistributionError, EpsilonInadmissibleError
 
 # C-scale margin inside which a boundary target is treated as sitting on a
@@ -94,7 +95,7 @@ def require_admissible_epsilon(p: FreqsLike, epsilon: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class BinaryReport:
     """Closed-form quantities for a binary source p = (p0, 1 - p0), p0 > 1/2.
 
@@ -151,6 +152,8 @@ _BOTTOM_DIGITS = 34
 
 def _binary_bottom_exact(p0: float, epsilon: float) -> float:
     """h(l-) - 2 log(sqrt p0 + sqrt p1) at _BOTTOM_DIGITS digits, from the exact input floats."""
+    import decimal
+
     with decimal.localcontext() as ctx:
         ctx.prec = _BOTTOM_DIGITS
         q0 = decimal.Decimal(p0)

@@ -8,12 +8,18 @@ All logarithms are natural; every rate in the package is in nats.
 Importing this module imports no numpy: the three functions on arrays
 (`cross_entropy`, `_cross_entropies`, `type_count_matrix`) import it in
 their bodies, so the scalar layer and guessctl's parser run without it.
+
+`record` is the package's one way to declare a frozen value class: every
+public class with fields (here, in `closed_forms`, `tilting`,
+`asymptotics` and `oracle`) is one. It installs what
+`@dataclass(frozen=True)` would, from closures rather than generated
+and exec'd source, so importing the package loads no dataclass module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 from .errors import DistributionError, GrainError, TypeSpaceTooLargeError
@@ -21,6 +27,87 @@ from .errors import DistributionError, GrainError, TypeSpaceTooLargeError
 SIMPLEX_TOL = 1e-12
 GRAIN_TOL = 1e-9
 MAX_TYPES_DEFAULT = 10**7
+
+
+def record(cls=None, /, *, eq: bool = True):
+    """Class decorator: a frozen record of the class's own annotated fields.
+
+    The fields are the names annotated in the class body, in order; a
+    class attribute of that name is the field's default. Installs
+    `__init__`, which takes the fields by position or by name, fills the
+    defaults and then calls `self.__post_init__()` if the class has one
+    (looked up on each call, so a wrapper set on the class later runs);
+    a `__setattr__` and `__delattr__` that raise AttributeError, so
+    `__post_init__` writes through `object.__setattr__`; and the dataclass
+    repr `Name(field=value, ...)`. With eq (the default), two records of
+    one class are equal when their fields are, and hash as the tuple of
+    their fields; the fields are compared as the instance dicts, which hold
+    them alone, so an eq record takes no cached_property. With eq=False
+    records keep identity equality.
+    """
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n, known = len(names), frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = hasattr(cls, "__post_init__")
+    # the fields as a tuple, in order (attrgetter of one name returns it bare)
+    fields = attrgetter(*names) if n > 1 else lambda self, get=attrgetter(*names): (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        # the fields go straight into the instance dict, one update for those
+        # given by position and one for those given by name
+        values = self.__dict__
+        values.update(zip(names, args))
+        if kwargs:
+            if not kwargs.keys() <= known:
+                raise TypeError(f"{cls.__qualname__}() has no field {sorted(kwargs.keys() - known)}")
+            values.update(kwargs)
+        if len(values) != n or len(args) + len(kwargs) != n:
+            complete(values, len(args) + len(kwargs))
+        if post_init:
+            self.__post_init__()
+
+    def complete(values, given):
+        # refuse surplus or repeated arguments, then fill the defaults
+        if given > len(values):
+            raise TypeError(f"{cls.__qualname__}() takes {n} fields, got {given} arguments "
+                            "(too many by position, or one by position and by name)")
+        for name in names:
+            if name not in values:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+                values[name] = defaults[name]
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({pairs})"
+
+    cls.__init__, cls.__repr__ = __init__, __repr__
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if eq:
+
+        def __hash__(self):
+            return hash(fields(self))
+
+        cls.__eq__, cls.__hash__ = _fields_eq, __hash__
+    return cls
+
+
+def _fields_eq(self, other):
+    # equal instance dicts are equal fields, each pair tried for identity
+    # first, as a compare of the fields' tuples would
+    if other.__class__ is self.__class__:
+        return self.__dict__ == other.__dict__
+    return NotImplemented
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
 
 def _validated_simplex(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -37,7 +124,7 @@ def _validated_simplex(values: Sequence[float], what: str) -> tuple[float, ...]:
     return probs
 
 
-@dataclass(frozen=True)
+@record
 class LetterDistribution:
     """Probability mass function on the alphabet {0, ..., m-1}, m >= 2."""
 
@@ -54,7 +141,7 @@ class LetterDistribution:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
+@record
 class TypeVector:
     """A point of the simplex; with `grain` k set, an empirical k-type.
 

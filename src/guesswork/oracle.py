@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -49,6 +48,7 @@ from .entropy import (
     as_distribution,
     multinomial,
     num_types,
+    record,
     type_count_matrix,
     typical_window,
 )
@@ -73,7 +73,7 @@ CROSSCHECK_REL_TOL = 1e-9
 TREND_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class GuessBlock:
     """One type class's slot in the guessing order.
 
@@ -92,7 +92,7 @@ class GuessBlock:
         return self.start + self.count - 1
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ExactGuessTable:
     """Probability-descending guess order of one source at word length k, by columns.
 
@@ -307,7 +307,7 @@ def modal_word_count(table: ExactGuessTable) -> int:
     return table.bounds[int(np.count_nonzero(lw >= lw[0] - RANK_TIE_TOL))] - 1
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CensusResult:
     """Exact inventory of the typical set at one word length.
 
@@ -389,7 +389,7 @@ def smallest_nonempty_k(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class FiniteKExponents:
     """All (1/k)-scaled finite-k quantities of one source at one k.
 
@@ -482,7 +482,7 @@ def _finite_k_batch(
     return exps, checks
 
 
-@dataclass(frozen=True)
+@record
 class SandwichBounds:
     """Method-of-types bracket around a conditioned guesswork moment.
 
@@ -539,7 +539,7 @@ def moment_sandwich(
 SERIES_QUANTITIES = ("scgf", "mean_log", "top_prob", "modal_count", "typical_size")
 
 
-@dataclass(frozen=True)
+@record
 class ConvergencePoint:
     k: int
     value: float

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -108,16 +107,17 @@ _ROW_CELLS = 1 << 12
 _PRUNE = 2.0**-30
 
 _LOG_TOL = math.log(_EM_TOL)
-# B_2, B_4, .., B_18
-_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
-              Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+# B_2, B_4, .., B_18, each as (numerator, denominator): every constant below
+# is exact in integers and rounded once, by int / int, to its float
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+              (43867, 798))
 # the midpoint form's coefficients c_k = B_2k(1/2) / (2k)! = -(1 - 2^(1-2k)) B_2k / (2k)!
-_MID = [-(1 - Fraction(2, 4**k)) * _BERNOULLI[k - 1] / math.factorial(2 * k)
-        for k in range(1, _M_MAX + 1)]
+_MID = [-(4**k - 2) * b / (4**k * d * math.factorial(2 * k))
+        for k, (b, d) in enumerate(_BERNOULLI[:_M_MAX], 1)]
 # per order M = 1 .. _M_MAX: the log of the remainder bound's constant 2|B_{2M+2}| / (2M+2)!,
 # times (2M+1)! for the sum of logs; and the bound's power of 1/Y, as a leading axis
-_LOG_REM = np.array([math.log(2 * abs(_BERNOULLI[m]) / math.factorial(2 * m + 2))
-                     for m in range(1, _M_MAX + 1)])
+_LOG_REM = np.array([math.log(2 * abs(b) / (d * math.factorial(2 * m + 2)))
+                     for m, (b, d) in enumerate(_BERNOULLI[1 : _M_MAX + 1], 1)])
 _P = (2.0 * np.arange(1, _M_MAX + 1) + 2.0).reshape(-1, 1, 1)
 # per term k = 2 .. _M_MAX as a leading axis: -2 (k - 1), log |c_k| and its sign
 _J2 = -2.0 * np.arange(1.0, _M_MAX).reshape(-1, 1, 1)

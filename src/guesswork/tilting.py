@@ -22,7 +22,6 @@ below that return TypeVectors are views over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,6 +31,7 @@ from .entropy import (
     FreqsLike,
     TypeVector,
     as_freqs,
+    record,
     shannon_entropy,
     typical_window,
 )
@@ -310,7 +310,7 @@ def solve_cross_entropy(p: FreqsLike, target: float) -> float:
     return family._newton([target], ()).tolist()[0]
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryTypes:
     """The two tilted types pinned to the edges of a typicality window.
 
@@ -378,7 +378,7 @@ class Regime(Enum):
     UPPER_CLAMP = "upper_clamp"  # tilted type pinned to l_minus
 
 
-@dataclass(frozen=True)
+@record
 class ClampedOptimum:
     """Optimising type for the conditioned source at moment order alpha."""
 

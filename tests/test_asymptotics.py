@@ -593,6 +593,15 @@ def test_legendre_transform_solves_its_own_interior(monkeypatch, kind):
         [(edges, hs)] = targets
         assert edges == 0 and hs.tobytes() == xs[interior].tobytes()
     assert out.tobytes() == rates[kind].tobytes()
+    # each caller cuts each model's pieces once: legendre_transform its
+    # model's, fig2's shared solve one set per distinct (plateau width, max
+    # slope), the unconditioned model's being the family's own
+    pieces, cut = asymptotics._pieces, []
+    monkeypatch.setattr(asymptotics, "_pieces", lambda *args: cut.append(args[2:]) or pieces(*args))
+    legendre_transform(model, xs)
+    assert cut == [(model.plateau_width, model.max_slope)]
+    asymptotics._scgf_models(sources, xs)
+    assert cut[1:] == [(m.plateau_width, m.max_slope) for m in models]
 
 
 @pytest.mark.parametrize("source", [W, C, U], ids=["unconditioned", "conditioned", "uniform"])

@@ -4,7 +4,9 @@
 handlers import the numeric modules they run: building the parser and
 running fig1 load no numpy, no `asymptotics` and no `tilting`, and only the
 exact-compare and census handlers import the oracle, so fig2 and analyze
-never load `oracle` or `ranksums`.
+never load `oracle` or `ranksums`. No guessctl process loads `dataclasses`;
+`json` loads only for JSON output and `decimal` only for fig1's bottom
+curve near its zero.
 """
 
 import importlib
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import guesswork
+from guesswork.closed_forms import admissible_epsilon_interval
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -162,3 +165,34 @@ def test_asymptotic_subcommands_never_load_the_oracle(argv, golden):
     else:
         assert "guesswork.asymptotics" in imported
         assert not imported & {"guesswork.oracle", "guesswork.ranksums"}
+
+
+# fig1 at a p0 whose bottom curve value, 6.3e-9, lies near its zero: the one
+# case that takes it at more than float precision
+P0_NEAR_ZERO = 0.51171875
+EPS_NEAR_ZERO = (admissible_epsilon_interval((P0_NEAR_ZERO, 1.0 - P0_NEAR_ZERO))[1]
+                 * 10.0**-0.5333507422061503)
+PARSER = "import guesswork\nfrom guesswork.cli import build_parser\nbuild_parser()"
+GUESSCTL = ("-m", "guesswork.cli")
+
+
+@pytest.mark.parametrize("args, loads", [
+    (("-c", PARSER), set()),
+    ((*GUESSCTL, "--help"), set()),
+    ((*GUESSCTL, "fig1", "--epsilon", "0.05"), set()),
+    ((*GUESSCTL, "fig1", "--epsilon", repr(EPS_NEAR_ZERO), "--p0-grid", repr(P0_NEAR_ZERO)),
+     {"decimal"}),
+    ((*GUESSCTL, "fig1", "--epsilon", "0.05", "--format", "json"), {"json"}),
+    ((*GUESSCTL, "fig2", "--p", "0.5,0.3,0.2", "--epsilon", "0.07"), set()),
+    ((*GUESSCTL, "analyze", "--p", "0.5,0.3,0.2", "--epsilon", "0.07"), {"json"}),
+    ((*GUESSCTL, "analyze", "--p", "0.5,0.3,0.2", "--epsilon", "0.07", "--format", "csv"), set()),
+    ((*GUESSCTL, "exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "40,200"), set()),
+    ((*GUESSCTL, "census", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "20"), set()),
+], ids=["parser", "help", "fig1", "fig1-bottom-near-zero", "fig1-json", "fig2", "analyze-json",
+        "analyze-csv", "exact-compare", "census"])
+def test_guessctl_loads_json_and_decimal_only_where_they_run(args, loads):
+    # no process loads dataclasses; json only for JSON output, decimal only
+    # for fig1's bottom curve near its zero (not numpy, not the oracle)
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert _imported(proc.stderr) & {"dataclasses", "json", "decimal"} == loads
