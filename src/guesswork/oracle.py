@@ -57,7 +57,7 @@ from .errors import (
     EmptyTypicalSetError,
     WordSpaceTooLargeError,
 )
-from .ranksums import _check_alphas, _int_parts, _log_parts, _log_sums, _lse
+from .ranksums import _check_alphas, _int_parts, _log_parts, _log_sums, _lse, _lse_segments
 from .ranksums import log_rank_power_sum  # re-exported as guesswork.oracle.log_rank_power_sum
 
 MAX_WORDS_DEFAULT = 2**22
@@ -261,11 +261,13 @@ def build_guess_table(
             f"empty typical set: no {k}-type has per-letter log-probability in "
             f"the window for epsilon={source.epsilon}"
         )
-    # stable, so equal probabilities keep the lexicographic enumeration order
-    order = np.argsort(-raw, kind="stable")
-    raw = raw[order]
-    counts = counts[order]
-    sizes = tuple(map(sizes.__getitem__, order.tolist()))
+    # stable, so equal probabilities keep the lexicographic enumeration order; every
+    # class of a uniform table has one per-word probability, so it keeps that order whole
+    if source.kind is not SourceKind.UNIFORM_TYPICAL:
+        order = np.argsort(-raw, kind="stable")
+        raw = raw[order]
+        counts = counts[order]
+        sizes = tuple(map(sizes.__getitem__, order.tolist()))
     parts = _int_parts(sizes)
     log_sizes = _log_parts(*parts)
     bounds = tuple(accumulate(sizes, initial=1))
@@ -626,15 +628,6 @@ def trend_holds(points: tuple[ConvergencePoint, ...]) -> bool:
     return last < first
 
 
-def _log_sum_exp(v: np.ndarray) -> float:
-    """log sum exp(v), max-shifted in place in v, with numpy's pairwise sum; -inf for all -inf."""
-    top = float(v.max())
-    if not math.isfinite(top):
-        return top
-    v -= top
-    return top + math.log(float(np.exp(v, out=v).sum()))
-
-
 def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
     """The normalised log-probability of every word of the source at length k,
     descending: the naive oracle's side of the cross-check.
@@ -668,7 +661,7 @@ def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
         np.negative(logw, out=logw)  # descending, sorted in place
         logw.sort()
         np.negative(logw, out=logw)
-    logw -= _log_sum_exp(logw.copy())  # normalised in place
+    logw -= _lse(logw)  # normalised in place
     return logw
 
 
@@ -679,9 +672,11 @@ def _crosscheck(table: ExactGuessTable, alphas, sums, log_prob: np.ndarray) -> b
     n = log_prob.size
     log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
     scratch = np.empty(n)  # every log-sum-exp below works in place in this one array
+    row, size = scratch.reshape(1, n), np.array([n])
 
     def log_mean(terms):  # log E[exp terms] under the word law, terms held in scratch
-        return _log_sum_exp(np.add(log_prob, terms, out=scratch))
+        np.add(log_prob, terms, out=scratch)
+        return _lse_segments(row, [[1.0]], size)[0][0]
 
     logs, log_mean_log = sums
     # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's

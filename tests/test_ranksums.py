@@ -1,13 +1,17 @@
-"""The exact sum behind every log-sum-exp of the rank-sum kernel."""
+"""The rank-sum kernel's one log-sum-exp against its stated summation bound, and the kernel's
+stated bound on rank-power sums, against math.fsum and 50-digit mpmath references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from guesswork import DistributionError, conditioned, oracle, ranksums
-from guesswork.ranksums import _CASCADE_MIN, _PRUNE, _exact_sum, _lse, _pruned_sum
+from guesswork.ranksums import _lse
+
+U = 2.0**-53
 
 
 def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
@@ -29,51 +33,18 @@ def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
     return x
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(("exp", "grid", "equal", "ties", "wide", "tail_tie")),
-    st.integers(1, 3 * _CASCADE_MIN),
-    st.integers(0, 2**32 - 1),
-    st.floats(1.0, 700.0),
-)
-def test_exact_sum_is_fsum_bit_for_bit(shape, n, seed, scale):
-    x = _terms(shape, n, seed, scale)
-    want = math.fsum(x.tolist())
-    assert _exact_sum(x) == want
-    # the sum from the terms >= _PRUNE and a float sum of the rest is fsum's,
-    # or None where the rest's rounding error may decide the rounding (as at a
-    # tie the tail breaks)
-    head, rest = x[x >= _PRUNE].tolist(), x[x < _PRUNE]
-    got = _pruned_sum(head, float(rest.sum()), rest.size)
-    assert got is None or got == want
-
-
-def test_exact_sum_takes_the_cascade_on_a_table_like_sum(monkeypatch):
-    # the fast path does run: no fsum call on 20,000 terms of a table
-    calls = []
-    monkeypatch.setattr(ranksums.math, "fsum", lambda v: calls.append(v) or 0.0)
-    x = _terms("exp", 20000, 1, 30.0)
-    got = _exact_sum(x)
-    monkeypatch.undo()
-    assert calls == [] and got == math.fsum(x.tolist())
-
-
-@pytest.mark.parametrize("head, want", [
-    ([1.0, 2.0**-53], 1.0),  # 1 + 2^-53 ties between 1 and 1 + 2^-52: to even
-    ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # a tie inside a binade: to even
-])
-def test_exact_tie_falls_back_to_fsum(monkeypatch, head, want):
-    x = np.zeros(2 * _CASCADE_MIN)
-    x[: len(head)] = head
-    calls = []
-    fsum = math.fsum
-    monkeypatch.setattr(ranksums.math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
-    assert _exact_sum(x) == want
-    assert calls == [x.size]
+def _lse_bound(n: int, scale: float, want: float) -> float:
+    """The stated bound on a log-sum-exp of n terms at `scale`, from the exact sum S of its
+    exponentials: the float sum is within gamma_d S, d = ceil(log2 n) + 17 (ranksums' module
+    docstring), so its log within -log(1 - gamma_d); plus u of S, math.fsum's one rounding
+    where it gives the reference, and the roundings of the log, the product and the sum."""
+    d = (n - 1).bit_length() + 17
+    gamma = d * U / (1.0 - d * U)
+    return scale * (-math.log1p(-gamma) + U) + 3.0 * math.ulp(want)
 
 
 def _one_segment(terms, scale=1.0):
-    terms = np.asarray(terms, dtype=np.float64).reshape(1, -1)
+    terms = np.array(terms, dtype=np.float64).reshape(1, -1)  # a copy: the kernel sums in place
     return ranksums._lse_segments(terms, [[scale]], np.array([terms.shape[1]]))[0][0]
 
 
@@ -82,16 +53,91 @@ def _scaled_lse(terms, scale):
     return _lse(terms) if scale == 1.0 else _one_segment(terms, scale)
 
 
-@pytest.mark.parametrize("n", [10, 2 * _CASCADE_MIN])
+def _references(terms: np.ndarray, scale: float) -> tuple[float, float]:
+    """top + scale log S for the exact sum S of the row's exponentials, as the kernel forms
+    them: by math.fsum (S correctly rounded) and by 50-digit mpmath."""
+    from mpmath import mp, mpf
+
+    top = float(terms.max())
+    x = np.exp((terms - top) / scale).tolist()
+    with mp.workdps(50):
+        exact = float(top + scale * mp.log(mp.fsum(map(mpf, x))))
+    return top + scale * math.log(math.fsum(x)), exact
+
+
+def _check_sum(terms: np.ndarray, scale: float) -> None:
+    got = _scaled_lse(terms, scale)
+    for want in _references(terms, scale):
+        assert abs(got - want) <= _lse_bound(terms.size, scale, want), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("exp", "grid", "equal", "ties", "wide", "tail_tie")),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+    st.floats(1.0, 700.0),
+    st.sampled_from((1.0, 0.01, 1.0 / 186)),
+)
+def test_lse_stays_within_the_stated_bound(shape, n, seed, scale, kernel_scale):
+    # rows of a table's shape, wide-range rows down to subnormals and rows on and
+    # beside ties, at scale 1 (_lse) and at the kernel's 1/k scales (_lse_segments)
+    with np.errstate(divide="ignore"):  # the "ties" rows hold zeros: -inf terms
+        terms = kernel_scale * np.log(_terms(shape, n, seed, scale))
+    _check_sum(terms, kernel_scale)
+
+
+@pytest.mark.parametrize("shape", ["exp", "wide", "tail_tie"])
+def test_long_rows_stay_within_the_stated_bound(shape):
+    # 300,007 terms: eleven halvings past numpy's blocks of 128, and a
+    # remainder off its multiples of 8
+    with np.errstate(divide="ignore"):
+        terms = np.log(_terms(shape, 300007, 1, 30.0))
+    _check_sum(terms, 1.0)
+
+
+@pytest.mark.parametrize("head, want", [
+    ([1.0, 2.0**-53], 1.0),  # 1 + 2^-53 ties between 1 and 1 + 2^-52: to even
+    ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # a tie inside a binade: to even
+])
+def test_near_ties_stay_within_the_stated_bound(head, want):
+    # the row's exact sum is a tie, which math.fsum rounds to even; the kernel's
+    # pairwise sum may round it either way, within the bound of both references
+    x = np.zeros(2000)
+    x[: len(head)] = head
+    assert math.fsum(x.tolist()) == want
+    with np.errstate(divide="ignore"):
+        terms = np.log(x)
+    _check_sum(terms, 1.0)
+
+
+def test_lse_segments_makes_no_second_terms_array():
+    # the shift, the scale and exp run in place, and each sum reads its slice:
+    # one call on a table's five rows peaks far below a copy of its terms
+    rng = np.random.default_rng(3)
+    terms = -rng.exponential(30.0, (5, 20000))
+    sizes = np.array([7000, 13000])
+    scales = [[1.0 / 186, 1.0]] * 5
+    tracemalloc.start()
+    try:
+        ranksums._lse_segments(terms, scales, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < terms.nbytes / 2
+
+
+@pytest.mark.parametrize("n", [10, 2000])
 @pytest.mark.parametrize("scale", [1.0, 0.01])
 def test_lse_non_finite_terms(n, scale):
-    # -inf terms drop out, a +inf term makes the result +inf, a nan makes it nan,
-    # on both sides of the cascade cutover
+    # -inf terms drop out, a +inf term makes the result +inf, a nan makes it nan;
+    # finite rows within the stated bound of the fsum reference
     terms = scale * np.log(_terms("exp", n, 2, 30.0))
     want = float(terms.max()) + scale * math.log(
         math.fsum(np.exp((terms - terms.max()) / scale).tolist()))
-    assert _scaled_lse(terms, scale) == want
-    assert _scaled_lse(np.concatenate((terms, [-math.inf] * n)), scale) == want
+    assert abs(_scaled_lse(terms, scale) - want) <= _lse_bound(n, scale, want)
+    assert (abs(_scaled_lse(np.concatenate((terms, [-math.inf] * n)), scale) - want)
+            <= _lse_bound(2 * n, scale, want))
     assert _scaled_lse(np.append(terms, math.inf), scale) == math.inf
     assert math.isnan(_scaled_lse(np.append(terms, math.nan), scale))
     assert math.isnan(_scaled_lse(np.append(terms, [math.nan, math.inf]), scale))
@@ -108,11 +154,11 @@ def _log_terms(shape, n, seed, scale):
     st.lists(st.one_of(st.floats(-800.0, 800.0),
                        st.sampled_from((-math.inf, math.inf, math.nan))), min_size=1, max_size=40),
     st.builds(_log_terms, st.sampled_from(("exp", "grid", "equal", "ties", "wide", "tail_tie")),
-              st.integers(1, 3 * _CASCADE_MIN), st.integers(0, 2**32 - 1), st.floats(1.0, 700.0)),
+              st.integers(1, 3000), st.integers(0, 2**32 - 1), st.floats(1.0, 700.0)),
 ))
 def test_lse_is_the_one_segment_lse_segments_bit_for_bit(terms):
-    # _lse sums its one row without the 2-D set-up: the same float, inf and nan
-    # included, on pruned heads, the cascade and the fsum fallback alike
+    # _lse is the kernel's log-sum-exp on one row and one segment: the same
+    # float, inf and nan included
     assert repr(_lse(terms)) == repr(_one_segment(terms))
 
 
