@@ -11,7 +11,7 @@ Importing the package imports none of its submodules. Each public name is
 resolved on first use (PEP 562) from the submodule that defines it, so a
 caller pays for numpy and the numeric modules only when it uses them: the
 scalar names (`SourceKind`, `BinaryReport`, `binary_closed_forms` and the
-admissibility rule) come from `closed_forms`, which loads no numpy.
+admissibility rule) come from `entropy`, which loads no numpy.
 """
 
 __version__ = "0.1.0"
@@ -25,13 +25,10 @@ _MODULE_OF = {
         "uniform_typical",
     ), "asymptotics"),
     **dict.fromkeys((
-        "BinaryReport", "SourceKind", "admissible_epsilon_interval", "binary_closed_forms",
-        "require_admissible_epsilon",
-    ), "closed_forms"),
-    **dict.fromkeys((
-        "LetterDistribution", "TypeVector", "cross_entropy", "enumerate_types",
-        "is_typical_type", "num_types", "shannon_entropy", "type_count", "type_count_matrix",
-        "typical_window",
+        "BinaryReport", "LetterDistribution", "SourceKind", "TypeVector",
+        "admissible_epsilon_interval", "binary_closed_forms", "cross_entropy", "enumerate_types",
+        "is_typical_type", "num_types", "require_admissible_epsilon", "shannon_entropy",
+        "type_count", "type_count_matrix", "typical_window",
     ), "entropy"),
     **dict.fromkeys((
         "AlphaDomainError", "DistributionError", "EmptyTypicalSetError",

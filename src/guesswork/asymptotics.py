@@ -33,12 +33,13 @@ import numpy as np
 # binary_closed_forms lives in the scalar layer; it is imported back because
 # bench/tracing.py spans asymptotics.binary_closed_forms, and
 # tests/test_bench_names.py checks that the name resolves
-from .closed_forms import SourceKind, binary_closed_forms
 from .entropy import (
     FreqsLike,
     LetterDistribution,
+    SourceKind,
     _checked_epsilon,
     as_distribution,
+    binary_closed_forms,
     record,
     shannon_entropy,
     typical_window,

@@ -18,9 +18,9 @@ The argparse tree is built once per process, by the first `main()` call,
 and reused; `build_parser()` still builds a new one on each call.
 
 Import rule: this module's top imports the standard library and the
-package's numpy-free modules only (`errors`, `entropy`, `closed_forms`),
-so building the parser, `--help` and fig1, whose engine is
-`closed_forms.binary_closed_forms`, load no numpy. `json` is imported
+package's numpy-free modules only (`errors` and `entropy`), so building
+the parser, `--help` and fig1, whose engine is
+`entropy.binary_closed_forms`, load no numpy. `json` is imported
 only by the two branches that write JSON output (`_table`'s and
 `cmd_analyze`'s), so the parser and CSV output never load it. Each
 numeric module is imported where it runs: `asymptotics` by `_sources`
@@ -40,8 +40,8 @@ import functools
 import math
 import sys
 
-from .closed_forms import SourceKind, binary_closed_forms, require_admissible_epsilon
-from .entropy import MAX_TYPES_DEFAULT, LetterDistribution, _checked_epsilon
+from .entropy import (MAX_TYPES_DEFAULT, LetterDistribution, SourceKind, _checked_epsilon,
+                      binary_closed_forms, require_admissible_epsilon)
 from .errors import (
     DistributionError,
     EpsilonInadmissibleError,
@@ -249,15 +249,17 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 def cmd_fig1(args) -> tuple[str, int]:
     epsilon = _checked_epsilon(args.epsilon)
     grid = _parse_list(args.p0_grid, float, "numbers") if args.p0_grid else _FIG1_DEFAULT_GRID
-    reps = []
+    reps = []  # each p0's report, or the flag that says why its row is empty
     for p0 in grid:
         try:
             reps.append(binary_closed_forms(p0, epsilon))
-        except (EpsilonInadmissibleError, DistributionError):
-            reps.append(None)
-    columns = [grid, *([None if rep is None else getattr(rep, gap) for rep in reps]
+        except EpsilonInadmissibleError:
+            reps.append("epsilon_inadmissible")
+        except DistributionError:  # p0 outside (1/2, 1)
+            reps.append("p0_out_of_range")
+    columns = [grid, *([None if isinstance(rep, str) else getattr(rep, gap) for rep in reps]
                        for gap in ("top", "middle", "bottom")),
-               ["epsilon_inadmissible" if rep is None else "" for rep in reps]]
+               [rep if isinstance(rep, str) else "" for rep in reps]]
     meta = [
         f"# fig1: growth-rate gaps (uniform-vs-mean-log, uniform-vs-conditioned-moment,"
         f" uniform-vs-unconditioned-moment) at epsilon={_fmt(epsilon)}",
@@ -301,10 +303,19 @@ def cmd_fig2(args) -> tuple[str, int]:
     return _table(args, meta, "x," + ",".join(_KIND_NAMES), columns, payload=payload), 0
 
 
+def _check_caps(args) -> None:
+    """Refuse a negative --max-types or --max-words (exit 1); a cap of 0 keeps its meaning."""
+    for dest in ("max_types", "max_words"):
+        cap = getattr(args, dest, 0)
+        if cap < 0:
+            raise DistributionError(f"--{dest.replace('_', '-')} must be non-negative, got {cap}")
+
+
 def cmd_exact_compare(args) -> tuple[str, int]:
     import guesswork.asymptotics as asymptotics
     import guesswork.oracle as oracle
 
+    _check_caps(args)
     p = _parse_probs(args.p)
     typical = args.kind != SourceKind.UNCONDITIONED.value
     if typical and args.epsilon is None:
@@ -359,6 +370,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
 def cmd_census(args) -> tuple[str, int]:
     import guesswork.oracle as oracle
 
+    _check_caps(args)
     p = _parse_probs(args.p)
     epsilon = _checked_epsilon(args.epsilon)
     ks = _parse_ks(args.k)

@@ -127,6 +127,13 @@ def test_bad_probabilities(capsys):
     (["exact-compare", "--p", "0.8,0.2", "--kind", "unconditioned", "--epsilon", "0.1",
       "--k", "10,20"],
      "unconditioned sources take no epsilon"),
+    # a negative cap is invalid input, not a resource-guard refusal or a skipped cross-check
+    (["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "10", "--max-types", "-1"],
+     "--max-types must be non-negative, got -1"),
+    (["exact-compare", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "10", "--max-words", "-5"],
+     "--max-words must be non-negative, got -5"),
+    (["census", "--p", "0.7,0.3", "--epsilon", "0.05", "--k", "10", "--max-types", "-1"],
+     "--max-types must be non-negative, got -1"),
 ])
 def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     # exit 1 with the one error line on stderr: no traceback, nothing on stdout
@@ -238,6 +245,16 @@ def test_fig1_custom_grid(capsys):
     # low-excess point: middle and bottom coincide
     assert rows[0]["middle"] == rows[0]["bottom"]
     assert rows[1]["middle"] != rows[1]["bottom"]
+
+
+def test_fig1_flags_name_why_a_row_is_empty(capsys):
+    # p0 outside (1/2, 1) is its own flag; epsilon_inadmissible is kept for an
+    # admissible p0 whose interval eps leaves
+    grid = "0.3,0.7,0.5,1,nan,inf,-1,0.999"
+    code, out, _ = run(capsys, ["fig1", "--epsilon", "0.05", "--p0-grid", grid])
+    assert code == 0
+    flags = [line.split(",")[4] for line in out.splitlines()[2:]]
+    assert flags == ["p0_out_of_range", "", *["p0_out_of_range"] * 5, "epsilon_inadmissible"]
 
 
 def test_fig2_curves(capsys):
