@@ -326,8 +326,11 @@ def type_count_matrix(
         c = np.arange(parent.size) - first_child[parent]
         cols = [col[parent] for col in cols] + [c]
         rest = rest[parent] - c
-    cols.append(rest)
-    return np.column_stack(cols).astype(np.min_scalar_type(k))
+    # each letter's column straight into the small dtype, with no int64 matrix between
+    counts = np.empty((rest.size, m), np.min_scalar_type(k))
+    for a, col in enumerate(cols + [rest]):
+        counts[:, a] = col
+    return counts
 
 
 def enumerate_types(

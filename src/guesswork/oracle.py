@@ -146,15 +146,18 @@ def _class_sizes(counts: np.ndarray) -> list[int]:
     is the previous row's size times that row's last count over its own
     next-to-last count, exactly. Each run of rows is seeded by one
     multinomial, so a typical window, which keeps an interval of each run,
-    costs one multinomial per run it meets.
+    costs one multinomial per run it meets. The first m - 2 counts are
+    compared one letter column at a time, each a pass along all rows, not
+    across the short rows.
     """
     if not len(counts):
         return []
     pair = counts[:, -2:].astype(np.int64)
     steps = np.zeros(len(counts), dtype=bool)
     steps[1:] = (pair[1:, 0] == pair[:-1, 0] + 1) & (pair[1:, 1] == pair[:-1, 1] - 1)
-    if counts.shape[1] > 2:
-        steps[1:] &= (counts[1:, :-2] == counts[:-1, :-2]).all(axis=1)
+    for a in range(counts.shape[1] - 2):
+        col = counts[:, a]
+        steps[1:] &= col[1:] == col[:-1]
     seeds = np.flatnonzero(~steps).tolist()
     nxt, last = pair[:, 0].tolist(), pair[:, 1].tolist()
     sizes = []

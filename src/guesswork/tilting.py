@@ -115,14 +115,32 @@ class TiltedFamily:
         return h, -max(d, 0.0)
 
     def _moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # log of the gap-centred normaliser, and mean and variance of the gap:
-        # one row of weights exp(-beta * gap) in (0, 1] per beta
-        ws = np.exp(-np.multiply.outer(beta, self.gaps))
-        z = ws.sum(axis=1)
-        mean = (ws * self.gaps).sum(axis=1) / z
-        dev = self.gaps - mean[:, None]
-        var = (ws * dev * dev).sum(axis=1) / z
-        return np.log(z), mean, var
+        """log z, the gap-centred normaliser, and the mean and variance of the gap, per beta.
+
+        The weights exp(-beta * gap), in (0, 1], are one contiguous row per
+        letter of the support and one column per beta. Each of the three sums
+        adds the rows one at a time in letter order, so a beta's column is
+        the same float whatever batch it is in, for any number of letters:
+        `sum(axis=0)` would not be, since numpy sums a one-column array of 8 or
+        more rows pairwise but a wider one row by row. For 7 letters or fewer
+        letter order is also the order of numpy's `sum(axis=1)` along each
+        row of the transposed (n, m) array.
+        """
+        gaps = self.gaps[:, None]
+        ws = np.exp(-(gaps * beta))
+        terms = ws * gaps
+        z, s = ws[0].copy(), terms[0].copy()
+        for a in range(1, len(ws)):
+            z += ws[a]
+            s += terms[a]
+        mean = s / z
+        dev = gaps - mean
+        np.multiply(ws, dev, out=terms)
+        terms *= dev
+        var = terms[0].copy()
+        for a in range(1, len(ws)):
+            var += terms[a]
+        return np.log(z), mean, var / z
 
     def _blocks(self, n: int) -> list[slice]:
         # slices of n targets whose weight rows hold at most _BLOCK_CELLS cells each

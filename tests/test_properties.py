@@ -458,18 +458,35 @@ def test_int_parts_match_the_per_int_rule(values):
     assert all(abs(x - math.log(v)) <= 4e-16 * math.log(v) for x, v in zip(logs.tolist(), values))
 
 
+# adjacent rows that step in the last two counts, one more of the next-to-last
+# letter and one fewer of the last, yet differ in two of the first three letters
+# (each pair of them once), so each starts a new run; the third row continues the
+# second's run
+RUNS_SPLIT_BY_AN_EARLIER_LETTER = np.array(
+    [[3, 1, 0, 1, 2], [2, 2, 0, 2, 1], [2, 2, 0, 3, 0], [2, 1, 1, 0, 3], [2, 0, 2, 1, 2],
+     [1, 0, 3, 2, 1]], dtype=np.uint8)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 40), st.data())
+@given(st.integers(2, 6), st.integers(1, 40), st.data())
+@example(5, 7, None)
 def test_class_sizes_are_multinomials(m, k, data):
     # the run recurrence against the multinomial, row by row, on every row and
-    # on a random subset of rows (a typical window keeps intervals of runs)
+    # on a random subset of rows (a typical window keeps intervals of runs),
+    # and on a hand-built matrix whose steps in the last two counts cross a
+    # change in an earlier letter
     from guesswork import entropy, oracle
 
-    k = min(k, {2: 40, 3: 40, 4: 20, 5: 12}[m])
-    counts = entropy.type_count_matrix(k, m)
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(counts),
-                                       max_size=len(counts))), dtype=bool)
-    for rows in (counts, counts[keep]):
+    if data is None:
+        counts = RUNS_SPLIT_BY_AN_EARLIER_LETTER
+        subsets = [counts, counts[1:], counts[::2]]
+    else:
+        k = min(k, {2: 40, 3: 40, 4: 20, 5: 12, 6: 8}[m])
+        counts = entropy.type_count_matrix(k, m)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(counts),
+                                           max_size=len(counts))), dtype=bool)
+        subsets = [counts, counts[keep]]
+    for rows in subsets:
         assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
 
 
@@ -892,6 +909,63 @@ def test_grid_moments_are_the_whole_grids_bit_for_bit(p):
     family.solve((), np.array([0.5 * math.log(len(family.support))]))
     full = TiltedFamily(p)._moments(_GRID[1:-1])
     assert [g.tobytes() for g in family._grid] == [f.tobytes() for f in full]
+
+
+def wide_range_laws(m_min=2, m_max=20):
+    """Laws on m letters whose probabilities span up to 40 nats, so one tilt's
+    weights span many magnitudes, subnormal ones among them."""
+    return st.lists(st.floats(0.0, 40.0), min_size=m_min, max_size=m_max).map(
+        lambda us: gw.LetterDistribution(tuple(
+            w / math.fsum(math.exp(-u) for u in us) for w in (math.exp(-u) for u in us))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(laws_with_a_zero(2, 20), wide_range_laws()),
+       st.one_of(st.none(), st.tuples(st.integers(1, 500), st.integers(0, 2**32 - 1))))
+def test_moments_sum_letters_in_order(p, drawn):
+    # _moments on 1-500 tilts, log-uniform over 2^-16 .. 2^48 with 0, or the tilt
+    # grid: each column is its tilt's moments alone, byte for byte; for m <= 7
+    # letters it is byte for byte the sum along each row of an (n, m) weight
+    # array; and for every m, log z, mean and var are within a stated bound of a
+    # math.fsum reference
+    from guesswork.tilting import _GRID
+
+    family = TiltedFamily(p)
+    if drawn is None:
+        tilts = _GRID[1:-1]
+    else:
+        n, seed = drawn
+        tilts = 2.0 ** np.random.default_rng(seed).uniform(-16.0, 48.0, n)
+        tilts[0] = 0.0
+    log_z, mean, var = family._moments(tilts)
+    for j in range(len(tilts)):
+        alone = family._moments(tilts[j:j + 1])
+        assert [a.tobytes() for a in alone] == [log_z[j:j + 1].tobytes(), mean[j:j + 1].tobytes(),
+                                                 var[j:j + 1].tobytes()], tilts[j]
+    gaps, m = family.gaps, len(family.gaps)
+    if m <= 7:
+        ws = np.exp(-np.multiply.outer(tilts, gaps))
+        z = ws.sum(axis=1)
+        row_mean = (ws * gaps).sum(axis=1) / z
+        dev = gaps - row_mean[:, None]
+        row_var = (ws * dev * dev).sum(axis=1) / z
+        assert [a.tobytes() for a in (log_z, mean, var)] == [
+            a.tobytes() for a in (np.log(z), row_mean, row_var)]
+    # Each weight is within 2 ulps of math.exp's (both within an ulp of exp),
+    # z >= 1 (the top letter weighs 1) sums m of them in order, and the mean and
+    # var sums add a product, a division and (var) a squared deviation; a
+    # weight below 2^-1022 is off by up to 2^-1073 absolute, times a gap
+    # (squared for var)
+    u, gs = 2.0**-52, gaps.tolist()
+    big = max(gs)
+    for j, b in enumerate(tilts.tolist()):
+        ws = [math.exp(-(g * b)) for g in gs]
+        z = math.fsum(ws)
+        mu = math.fsum(w * g for w, g in zip(ws, gs)) / z
+        v = math.fsum(w * (g - mu) ** 2 for w, g in zip(ws, gs)) / z
+        assert abs(log_z[j] - math.log(z)) <= (m + 4) * u, b
+        assert abs(mean[j] - mu) <= (2 * m + 8) * u * mu + m * big * 2.0**-1070, b
+        assert abs(var[j] - v) <= (2 * m + 12) * u * v + m * big * big * 2.0**-1070, b
 
 
 # alphas of both route thresholds, alpha < -1, alpha = -1 (the log-ratio
