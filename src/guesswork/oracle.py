@@ -25,6 +25,7 @@ each other in the log domain the tables hold their values in.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate
@@ -139,35 +140,44 @@ def _tables_log_sums(pairs, alphas):
 
 
 def _class_sizes(counts: np.ndarray) -> list[int]:
-    """Exact multinomial of each row of a count matrix in enumeration order.
+    """Exact multinomial of each row of a count matrix of k-types, in enumeration order.
 
-    A row that has the counts of the row before it but one more of the
-    next-to-last letter and one fewer of the last continues a run: its size
-    is the previous row's size times that row's last count over its own
-    next-to-last count, exactly. Each run of rows is seeded by one
-    multinomial, so a typical window, which keeps an interval of each run,
-    costs one multinomial per run it meets. The first m - 2 counts are
+    A row that has the first m - 2 counts of the row before it and one more
+    of the next-to-last letter (so, its rows holding k counts each, one
+    fewer of the last) continues a run: its size is the previous row's size
+    times that row's last count over its own next-to-last count, exactly.
+    Every other row starts a run, seeded by the product over letters of
+    C(counts left, its count): each letter is one map of math.comb over all
+    the run starts, and a matrix of one run (the binary fan, a binary
+    window's interval) takes its one multinomial instead. Then one pass over
+    the rows makes every size, so a typical window, which keeps an interval
+    of each run, costs no Python step per run. The first m - 2 counts are
     compared one letter column at a time, each a pass along all rows, not
     across the short rows.
     """
     if not len(counts):
         return []
     pair = counts[:, -2:].astype(np.int64)
+    nxt, last = pair[:, 0], pair[:, 1]
     steps = np.zeros(len(counts), dtype=bool)
-    steps[1:] = (pair[1:, 0] == pair[:-1, 0] + 1) & (pair[1:, 1] == pair[:-1, 1] - 1)
+    steps[1:] = nxt[1:] == nxt[:-1] + 1
     for a in range(counts.shape[1] - 2):
         col = counts[:, a]
         steps[1:] &= col[1:] == col[:-1]
-    seeds = np.flatnonzero(~steps).tolist()
-    nxt, last = pair[:, 0].tolist(), pair[:, 1].tolist()
-    sizes = []
-    for i, j in zip(seeds, seeds[1:] + [len(counts)]):
-        size = multinomial(counts[i].tolist())
-        sizes.append(size)
-        for c, d in zip(nxt[i + 1 : j], last[i : j - 1]):
-            size = size * d // c
-            sizes.append(size)
-    return sizes
+    starts = ~steps
+    runs = np.flatnonzero(starts)
+    if len(runs) == 1:
+        seeds = iter([multinomial(counts[0].tolist())])
+    else:
+        heads = counts[runs].T.astype(np.int64)
+        left = np.cumsum(heads[::-1], axis=0)[::-1]  # counts left before each letter
+        seeds = iter([1] * heads.shape[1])
+        for n, c in zip(left[:-1].tolist(), heads[:-1].tolist()):
+            seeds = map(operator.mul, seeds, map(math.comb, n, c))
+    # a run start steps by 0 (over its count + 1, never 0), which takes the next seed
+    size = 0
+    return [(size := size * d // c or next(seeds))
+            for c, d in zip((nxt + starts).tolist(), [0, *(last[:-1] * steps[1:]).tolist()])]
 
 
 def _slab(p: LetterDistribution, window: tuple[float, float], k: int):

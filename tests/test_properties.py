@@ -490,6 +490,41 @@ def test_class_sizes_are_multinomials(m, k, data):
         assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
 
 
+def _interval(r, shape, a, b):
+    """One run's [lo, hi] of the next-to-last count out of 0..r, by its shape."""
+    a, b = a % (r + 1), b % (r + 1)
+    return {"empty": (a + 1, a), "one": (a, a), "from 0": (0, a), "to r": (a, r),
+            "whole": (0, r), "any": (min(a, b), max(a, b))}[shape]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 30), st.data())
+@example(4, 9, None)
+def test_class_sizes_on_typical_slab_shapes(m, k, data):
+    # the typical slab's shape: one contiguous interval of the next-to-last count
+    # per run of the first m - 2 counts (empty, one row, from 0, to r, the whole
+    # run, or anywhere), made by type_count_matrix's last fan as _slab makes it,
+    # against the multinomial row by row
+    from guesswork import entropy, oracle
+
+    k = min(k, {2: 30, 3: 30, 4: 14, 5: 9, 6: 6}[m])
+    runs = math.comb(k + m - 2, m - 2)  # rows of the first m - 2 counts
+    kinds = ("empty", "one", "from 0", "to r", "whole", "any")
+    if data is None:  # every shape in turn
+        shapes = [(kinds[i % 6], i, 2 * i) for i in range(runs)]
+    else:
+        shapes = data.draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 30),
+                                              st.integers(0, 30)),
+                                    min_size=runs, max_size=runs))
+
+    def last(cols, rest):
+        lo, hi = zip(*map(_interval, rest.tolist(), *zip(*shapes)))
+        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+    counts = entropy.type_count_matrix(k, m, last=last)
+    assert oracle._class_sizes(counts) == [entropy.multinomial(r) for r in counts.tolist()]
+
+
 @st.composite
 def slab_cases(draw):
     """(p, epsilon, k): m = 2-5 letters, maybe a zero letter anywhere, the last two
