@@ -47,7 +47,6 @@ from .entropy import (
     _cross_entropies,
     _in_window,
     as_distribution,
-    multinomial,
     num_types,
     record,
     type_count_matrix,
@@ -146,14 +145,13 @@ def _class_sizes(counts: np.ndarray) -> list[int]:
     of the next-to-last letter (so, its rows holding k counts each, one
     fewer of the last) continues a run: its size is the previous row's size
     times that row's last count over its own next-to-last count, exactly.
-    Every other row starts a run, seeded by the product over letters of
-    C(counts left, its count): each letter is one map of math.comb over all
-    the run starts, and a matrix of one run (the binary fan, a binary
-    window's interval) takes its one multinomial instead. Then one pass over
-    the rows makes every size, so a typical window, which keeps an interval
-    of each run, costs no Python step per run. The first m - 2 counts are
-    compared one letter column at a time, each a pass along all rows, not
-    across the short rows.
+    Every other row starts a run, seeded by the product over the letters
+    after the first of C(counts up to and including it, its count): each
+    letter is one map of math.comb over all the run starts. Then one pass
+    over the rows makes every size, so a typical window, which keeps an
+    interval of each run, costs no Python step per run. The first m - 2
+    counts are compared one letter column at a time, each a pass along all
+    rows, not across the short rows.
     """
     if not len(counts):
         return []
@@ -165,15 +163,11 @@ def _class_sizes(counts: np.ndarray) -> list[int]:
         col = counts[:, a]
         steps[1:] &= col[1:] == col[:-1]
     starts = ~steps
-    runs = np.flatnonzero(starts)
-    if len(runs) == 1:
-        seeds = iter([multinomial(counts[0].tolist())])
-    else:
-        heads = counts[runs].T.astype(np.int64)
-        left = np.cumsum(heads[::-1], axis=0)[::-1]  # counts left before each letter
-        seeds = iter([1] * heads.shape[1])
-        for n, c in zip(left[:-1].tolist(), heads[:-1].tolist()):
-            seeds = map(operator.mul, seeds, map(math.comb, n, c))
+    total, *cols = counts[starts].T.tolist()
+    seeds = iter([1] * len(total))
+    for c in cols:
+        total = list(map(operator.add, total, c))  # counts up to and including this letter
+        seeds = map(operator.mul, seeds, map(math.comb, total, c))
     # a run start steps by 0 (over its count + 1, never 0), which takes the next seed
     size = 0
     return [(size := size * d // c or next(seeds))

@@ -471,10 +471,11 @@ RUNS_SPLIT_BY_AN_EARLIER_LETTER = np.array(
 @given(st.integers(2, 6), st.integers(1, 40), st.data())
 @example(5, 7, None)
 def test_class_sizes_are_multinomials(m, k, data):
-    # the run recurrence against the multinomial, row by row, on every row and
-    # on a random subset of rows (a typical window keeps intervals of runs),
-    # and on a hand-built matrix whose steps in the last two counts cross a
-    # change in an earlier letter
+    # the run recurrence against the multinomial, row by row, on every row, on
+    # a random subset of rows, on the typical slab's shape (one interval of the
+    # next-to-last count per run: empty, one row, from 0, to r, whole), and on a
+    # hand-built matrix whose steps in the last two counts cross a change in an
+    # earlier letter
     from guesswork import entropy, oracle
 
     if data is None:
@@ -485,44 +486,17 @@ def test_class_sizes_are_multinomials(m, k, data):
         counts = entropy.type_count_matrix(k, m)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(counts),
                                            max_size=len(counts))), dtype=bool)
-        subsets = [counts, counts[keep]]
+        # a short list of interval ends, cycled over the runs and cut to 0..r
+        ends = np.array(data.draw(st.lists(st.tuples(st.integers(0, k), st.integers(-1, k)),
+                                           min_size=1, max_size=8)), dtype=np.int64)
+
+        def last(cols, rest):
+            lo, hi = np.resize(ends, (len(rest), 2)).T
+            return np.minimum(lo, rest), np.minimum(hi, rest)
+
+        subsets = [counts, counts[keep], entropy.type_count_matrix(k, m, last=last)]
     for rows in subsets:
         assert oracle._class_sizes(rows) == [entropy.multinomial(r) for r in rows.tolist()]
-
-
-def _interval(r, shape, a, b):
-    """One run's [lo, hi] of the next-to-last count out of 0..r, by its shape."""
-    a, b = a % (r + 1), b % (r + 1)
-    return {"empty": (a + 1, a), "one": (a, a), "from 0": (0, a), "to r": (a, r),
-            "whole": (0, r), "any": (min(a, b), max(a, b))}[shape]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 6), st.integers(1, 30), st.data())
-@example(4, 9, None)
-def test_class_sizes_on_typical_slab_shapes(m, k, data):
-    # the typical slab's shape: one contiguous interval of the next-to-last count
-    # per run of the first m - 2 counts (empty, one row, from 0, to r, the whole
-    # run, or anywhere), made by type_count_matrix's last fan as _slab makes it,
-    # against the multinomial row by row
-    from guesswork import entropy, oracle
-
-    k = min(k, {2: 30, 3: 30, 4: 14, 5: 9, 6: 6}[m])
-    runs = math.comb(k + m - 2, m - 2)  # rows of the first m - 2 counts
-    kinds = ("empty", "one", "from 0", "to r", "whole", "any")
-    if data is None:  # every shape in turn
-        shapes = [(kinds[i % 6], i, 2 * i) for i in range(runs)]
-    else:
-        shapes = data.draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 30),
-                                              st.integers(0, 30)),
-                                    min_size=runs, max_size=runs))
-
-    def last(cols, rest):
-        lo, hi = zip(*map(_interval, rest.tolist(), *zip(*shapes)))
-        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-
-    counts = entropy.type_count_matrix(k, m, last=last)
-    assert oracle._class_sizes(counts) == [entropy.multinomial(r) for r in counts.tolist()]
 
 
 @st.composite
