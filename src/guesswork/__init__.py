@@ -10,8 +10,10 @@ enumeration) that every asymptotic formula is validated against.
 Importing the package imports none of its submodules. Each public name is
 resolved on first use (PEP 562) from the submodule that defines it, so a
 caller pays for numpy and the numeric modules only when it uses them: the
-scalar names (`SourceKind`, `BinaryReport`, `binary_closed_forms` and the
-admissibility rule) come from `entropy`, which loads no numpy.
+scalar names (`SourceKind`, `BinaryReport`, `binary_closed_forms`, the
+admissibility rule and the exception types) come from `entropy`, which
+loads no numpy, and `log_rank_power_sum` from `oracle`, beside the tables
+its kernel sums.
 """
 
 __version__ = "0.1.0"
@@ -25,29 +27,26 @@ _MODULE_OF = {
         "uniform_typical",
     ), "asymptotics"),
     **dict.fromkeys((
-        "BinaryReport", "LetterDistribution", "SourceKind", "TypeVector",
-        "admissible_epsilon_interval", "binary_closed_forms", "cross_entropy", "enumerate_types",
-        "is_typical_type", "num_types", "require_admissible_epsilon", "shannon_entropy",
-        "type_count", "type_count_matrix", "typical_window",
-    ), "entropy"),
-    **dict.fromkeys((
-        "AlphaDomainError", "DistributionError", "EmptyTypicalSetError",
+        "AlphaDomainError", "BinaryReport", "DistributionError", "EmptyTypicalSetError",
         "EpsilonInadmissibleError", "GrainError", "GridTooLargeError", "GuessworkError",
-        "TypeSpaceTooLargeError", "WordSpaceTooLargeError",
-    ), "errors"),
+        "LetterDistribution", "SourceKind", "TypeSpaceTooLargeError", "TypeVector",
+        "WordSpaceTooLargeError", "admissible_epsilon_interval", "binary_closed_forms",
+        "cross_entropy", "enumerate_types", "is_typical_type", "num_types",
+        "require_admissible_epsilon", "shannon_entropy", "type_count", "type_count_matrix",
+        "typical_window",
+    ), "entropy"),
     **dict.fromkeys((
         "CensusResult", "ConvergencePoint", "ExactGuessTable", "FiniteKExponents", "GuessBlock",
         "SandwichBounds", "build_guess_table", "convergence_series", "exact_mean_log_guesswork",
-        "exact_moment_log", "finite_k_exponents", "modal_word_count", "moment_sandwich",
-        "naive_enumeration_crosscheck", "smallest_nonempty_k", "trend_holds",
+        "exact_moment_log", "finite_k_exponents", "log_rank_power_sum", "modal_word_count",
+        "moment_sandwich", "naive_enumeration_crosscheck", "smallest_nonempty_k", "trend_holds",
         "typical_set_census",
     ), "oracle"),
-    "log_rank_power_sum": "ranksums",
     **dict.fromkeys((
         "BoundaryTypes", "ClampedOptimum", "Regime", "boundary_types", "clamped_optimum",
         "solve_cross_entropy", "tilted_type",
     ), "tilting"),
-    **{m: m for m in ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")},
+    **{m: m for m in ("asymptotics", "entropy", "oracle", "tilting")},
 }
 
 __all__ = sorted(_MODULE_OF)

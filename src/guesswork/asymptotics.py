@@ -34,6 +34,7 @@ import numpy as np
 # bench/tracing.py spans asymptotics.binary_closed_forms, and
 # tests/test_bench_names.py checks that the name resolves
 from .entropy import (
+    DistributionError,
     FreqsLike,
     LetterDistribution,
     SourceKind,
@@ -44,7 +45,6 @@ from .entropy import (
     shannon_entropy,
     typical_window,
 )
-from .errors import DistributionError
 from .tilting import TiltedFamily, clamp_tilt
 
 _SLOPE_EDGE_TOL = 1e-12

@@ -18,16 +18,16 @@ The argparse tree is built once per process, by the first `main()` call,
 and reused; `build_parser()` still builds a new one on each call.
 
 Import rule: this module's top imports the standard library and the
-package's numpy-free modules only (`errors` and `entropy`), so building
-the parser, `--help` and fig1, whose engine is
-`entropy.binary_closed_forms`, load no numpy. `json` is imported
+package's one numpy-free module, `entropy` (which also holds the
+exception types), so building the parser, `--help` and fig1, whose
+engine is `entropy.binary_closed_forms`, load no numpy. `json` is imported
 only by the two branches that write JSON output (`_table`'s and
 `cmd_analyze`'s), so the parser and CSV output never load it. Each
 numeric module is imported where it runs: `asymptotics` by `_sources`
 and `_models` (fig2, analyze) and by `cmd_fig2` and `cmd_exact_compare`,
 `tilting` by `cmd_analyze`, numpy by `cmd_fig2`, and the exact finite-k
 oracle by `cmd_exact_compare` and `cmd_census` alone, so fig1, fig2 and
-analyze never load `oracle` or `ranksums`. The handlers write `import
+analyze never load `oracle`. The handlers write `import
 guesswork.oracle as oracle`, which after the first call is a `sys.modules`
 lookup in C; `from .oracle import ...` would also run importlib's
 Python-level fromlist handling on every call.
@@ -40,15 +40,19 @@ import functools
 import math
 import sys
 
-from .entropy import (MAX_TYPES_DEFAULT, LetterDistribution, SourceKind, _checked_epsilon,
-                      binary_closed_forms, require_admissible_epsilon)
-from .errors import (
+from .entropy import (
+    MAX_TYPES_DEFAULT,
     DistributionError,
     EpsilonInadmissibleError,
     GridTooLargeError,
     GuessworkError,
+    LetterDistribution,
+    SourceKind,
     TypeSpaceTooLargeError,
     WordSpaceTooLargeError,
+    _checked_epsilon,
+    binary_closed_forms,
+    require_admissible_epsilon,
 )
 
 _KIND_NAMES = tuple(kind.value for kind in SourceKind)
@@ -83,11 +87,17 @@ def _jnum(x: float | None):
 
 
 def _parse_list(text: str, convert, what: str) -> tuple:
-    """guessctl's one list rule: the nonempty comma-separated items of text, each converted."""
+    """guessctl's one list rule: the nonempty comma-separated items of text, each converted.
+
+    A list with no items (say "", "," or " , ") is refused.
+    """
     try:
-        return tuple(convert(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(convert(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise DistributionError(f"could not parse {what} from {text!r}")
+    if not values:
+        raise DistributionError(f"need one or more comma-separated {what}, got {text!r}")
+    return values
 
 
 def _parse_probs(text: str) -> LetterDistribution:
@@ -102,13 +112,6 @@ def _parse_probs(text: str) -> LetterDistribution:
             f"probabilities sum to {total!r}; renormalization only within 1e-6 of 1"
         )
     return LetterDistribution(tuple(v / total for v in values))
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    ks = _parse_list(text, int, "integers")
-    if not ks:
-        raise DistributionError("--k must list at least one word length")
-    return ks
 
 
 def _fmt_column(values) -> list[str]:
@@ -248,7 +251,8 @@ _FIG1_DEFAULT_GRID = tuple((525 + 25 * i) / 1000 for i in range(19))
 
 def cmd_fig1(args) -> tuple[str, int]:
     epsilon = _checked_epsilon(args.epsilon)
-    grid = _parse_list(args.p0_grid, float, "numbers") if args.p0_grid else _FIG1_DEFAULT_GRID
+    grid = (_parse_list(args.p0_grid, float, "numbers") if args.p0_grid is not None
+            else _FIG1_DEFAULT_GRID)
     reps = []  # each p0's report, or the flag that says why its row is empty
     for p0 in grid:
         try:
@@ -321,8 +325,8 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     if typical and args.epsilon is None:
         raise DistributionError(f"--epsilon is required for kind={args.kind}")
     source = asymptotics.Source(SourceKind(args.kind), p, args.epsilon)
-    ks = _parse_ks(args.k)
-    alphas = (_parse_list(args.alpha, float, "numbers") if args.alpha
+    ks = _parse_list(args.k, int, "integers")
+    alphas = (_parse_list(args.alpha, float, "numbers") if args.alpha is not None
               else asymptotics.alphas_or_default(None))
 
     # one exact table per distinct k serves every series and cross-check, all
@@ -373,7 +377,7 @@ def cmd_census(args) -> tuple[str, int]:
     _check_caps(args)
     p = _parse_probs(args.p)
     epsilon = _checked_epsilon(args.epsilon)
-    ks = _parse_ks(args.k)
+    ks = _parse_list(args.k, int, "integers")
     rows = []
     any_empty = False
     for k in ks:

@@ -1,9 +1,11 @@
 """Distributions, empirical types, entropy functionals, and the package's scalar layer.
 
-Shared vocabulary for the rest of the package: probability vectors on
-{0, ..., m-1}, k-types (empirical letter frequencies), Shannon entropy and
-cross entropy, exact counting of type classes, and typical-set membership.
-All logarithms are natural; every rate in the package is in nats.
+Shared vocabulary for the rest of the package: its exception types
+(`GuessworkError` and the eight classes under it, near the top),
+probability vectors on {0, ..., m-1}, k-types (empirical letter
+frequencies), Shannon entropy and cross entropy, exact counting of type
+classes, and typical-set membership. All logarithms are natural; every
+rate in the package is in nats.
 
 The scalar layer follows: the source kinds (`SourceKind`), the one
 admissibility rule for eps (`admissible_epsilon_interval`,
@@ -36,11 +38,53 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
-from .errors import DistributionError, EpsilonInadmissibleError, GrainError, TypeSpaceTooLargeError
-
 SIMPLEX_TOL = 1e-12
 GRAIN_TOL = 1e-9
 MAX_TYPES_DEFAULT = 10**7
+
+
+# The package's exception types.
+class GuessworkError(Exception):
+    """Base class for every error raised by this package."""
+
+
+class DistributionError(GuessworkError, ValueError):
+    """Malformed probability or frequency vector."""
+
+
+class GrainError(GuessworkError, ValueError):
+    """Frequencies are not integer multiples of 1/k for the claimed k."""
+
+
+class AlphaDomainError(DistributionError):
+    """Moment order outside the tilted optimiser's domain (requires finite alpha > -1)."""
+
+
+class EpsilonInadmissibleError(GuessworkError, ValueError):
+    """Window half-width outside the open admissible interval for this source.
+
+    The offending interval is attached so callers can report it.
+    """
+
+    def __init__(self, message: str, interval: tuple[float, float]):
+        super().__init__(message)
+        self.interval = interval
+
+
+class EmptyTypicalSetError(GuessworkError, ValueError):
+    """No word of the requested length lands in the typical set."""
+
+
+class TypeSpaceTooLargeError(GuessworkError):
+    """A type enumeration would exceed the configured cap."""
+
+
+class WordSpaceTooLargeError(GuessworkError):
+    """A naive word enumeration would exceed the configured cap."""
+
+
+class GridTooLargeError(GuessworkError):
+    """A figure grid would exceed its fixed point cap."""
 
 
 def record(cls=None, /, *, eq: bool = True):

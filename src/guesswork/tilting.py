@@ -28,6 +28,8 @@ import numpy as np
 
 from .entropy import (
     _EDGE_TOL,
+    AlphaDomainError,
+    DistributionError,
     FreqsLike,
     TypeVector,
     _log_law,
@@ -36,7 +38,6 @@ from .entropy import (
     shannon_entropy,
     typical_window,
 )
-from .errors import AlphaDomainError, DistributionError
 
 NEWTON_STEP_TOL = 1e-13  # relative step in beta below which the solver stops
 NEWTON_MAX_ITER = 100

@@ -105,9 +105,9 @@ def test_bad_probabilities(capsys):
     (["exact-compare", "--p", "0.8,0.2", "--kind", "conditioned", "--k", "10"],
      "--epsilon is required for kind=conditioned"),
     (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", ","],
-     "--k must list at least one word length"),
+     "need one or more comma-separated integers, got ','"),
     (["census", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", ","],
-     "--k must list at least one word length"),
+     "need one or more comma-separated integers, got ','"),
     # numpy's linspace would refuse it in its own words
     (["fig2", "--p", "0.8,0.2", "--epsilon", "0.1", "--x-points", "-3"],
      "--x-points must be non-negative, got -3"),
@@ -139,6 +139,19 @@ def test_validation_errors_are_one_stderr_line(capsys, argv, message):
     # exit 1 with the one error line on stderr: no traceback, nothing on stdout
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", f"guessctl: error: {message}\n")
+
+
+# guessctl's one list rule: a comma list with no items is refused, never read as its default
+@pytest.mark.parametrize("text", [",", " , ", ""])
+@pytest.mark.parametrize("argv, flag, what", [
+    (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1"], "--k", "integers"),
+    (["exact-compare", "--p", "0.8,0.2", "--epsilon", "0.1", "--k", "10"], "--alpha", "numbers"),
+    (["fig1", "--epsilon", "0.1"], "--p0-grid", "numbers"),
+], ids=["k", "alpha", "p0_grid"])
+def test_empty_lists_are_refused(capsys, argv, flag, what, text):
+    code, out, err = run(capsys, [*argv, flag, text])
+    assert (code, out, err) == (
+        1, "", f"guessctl: error: need one or more comma-separated {what}, got {text!r}\n")
 
 
 @pytest.mark.parametrize("argv, default", [

@@ -4,7 +4,7 @@
 handlers import the numeric modules they run: building the parser and
 running fig1 load no numpy, no `asymptotics` and no `tilting`, and only the
 exact-compare and census handlers import the oracle, so fig2 and analyze
-never load `oracle` or `ranksums`. No guessctl process loads `dataclasses`;
+never load `oracle`. No guessctl process loads `dataclasses`;
 `json` loads only for JSON output and `decimal` only for fig1's bottom
 curve near its zero.
 """
@@ -23,7 +23,7 @@ from guesswork.entropy import admissible_epsilon_interval
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
-# The 65 public names, each with a module it is importable from as the same object.
+# The 63 public names, each with a module it is importable from as the same object.
 PUBLIC = {
     "asymptotics": (
         "GrowthExponents", "ScgfModel", "Source", "conditioned", "growth_exponents",
@@ -31,15 +31,13 @@ PUBLIC = {
         "uniform_typical",
     ),
     "entropy": (
-        "BinaryReport", "LetterDistribution", "SourceKind", "TypeVector",
-        "admissible_epsilon_interval", "binary_closed_forms", "cross_entropy", "enumerate_types",
-        "is_typical_type", "num_types", "require_admissible_epsilon", "shannon_entropy",
-        "type_count", "type_count_matrix", "typical_window",
-    ),
-    "errors": (
-        "AlphaDomainError", "DistributionError", "EmptyTypicalSetError",
+        "AlphaDomainError", "BinaryReport", "DistributionError", "EmptyTypicalSetError",
         "EpsilonInadmissibleError", "GrainError", "GridTooLargeError", "GuessworkError",
-        "TypeSpaceTooLargeError", "WordSpaceTooLargeError",
+        "LetterDistribution", "SourceKind", "TypeSpaceTooLargeError", "TypeVector",
+        "WordSpaceTooLargeError", "admissible_epsilon_interval", "binary_closed_forms",
+        "cross_entropy", "enumerate_types", "is_typical_type", "num_types",
+        "require_admissible_epsilon", "shannon_entropy", "type_count", "type_count_matrix",
+        "typical_window",
     ),
     "oracle": (
         "CensusResult", "ConvergencePoint", "ExactGuessTable", "FiniteKExponents", "GuessBlock",
@@ -53,12 +51,22 @@ PUBLIC = {
         "solve_cross_entropy", "tilted_type",
     ),
 }
-MODULES = ("asymptotics", "entropy", "errors", "oracle", "ranksums", "tilting")
+MODULES = ("asymptotics", "entropy", "oracle", "tilting")
+# The exception types and the rank-sum kernel's one public call: each is defined in the
+# module that holds it, not re-exported from another.
+FOLDED = {
+    "entropy": (
+        "AlphaDomainError", "DistributionError", "EmptyTypicalSetError",
+        "EpsilonInadmissibleError", "GrainError", "GridTooLargeError", "GuessworkError",
+        "TypeSpaceTooLargeError", "WordSpaceTooLargeError",
+    ),
+    "oracle": ("log_rank_power_sum",),
+}
 # Scalar names of entropy that asymptotics imports back, as the same object:
 # SourceKind, which it uses, and binary_closed_forms, which bench/tracing.py spans there.
 MOVED = {"asymptotics": ("SourceKind", "binary_closed_forms")}
 # Loaded only by the subcommands that compute on arrays.
-NUMERIC = {"guesswork.asymptotics", "guesswork.tilting", "guesswork.oracle", "guesswork.ranksums"}
+NUMERIC = {"guesswork.asymptotics", "guesswork.tilting", "guesswork.oracle"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -73,9 +81,9 @@ def _imported(stderr: bytes) -> set[str]:
     return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
 
 
-def test_all_pins_the_65_public_names():
+def test_all_pins_the_63_public_names():
     want = {name for names in PUBLIC.values() for name in names} | set(MODULES)
-    assert len(want) == 65
+    assert len(want) == 63
     assert guesswork.__all__ == sorted(want)
 
 
@@ -90,6 +98,15 @@ def test_each_public_name_is_its_modules_object():
         mod = importlib.import_module(f"guesswork.{module}")
         for name in names:
             assert getattr(mod, name) is getattr(guesswork, name), f"{module}.{name}"
+    for module, names in FOLDED.items():
+        for name in names:
+            assert getattr(guesswork, name).__module__ == f"guesswork.{module}", name
+
+
+@pytest.mark.parametrize("module", ["errors", "ranksums"])
+def test_folded_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"guesswork.{module}")
 
 
 def test_star_import_binds_exactly_all():
@@ -127,14 +144,15 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_scalar_public_names_load_no_numpy():
     loaded = _loaded_after("from guesswork import binary_closed_forms, SourceKind")
-    assert loaded == ["guesswork", "guesswork.entropy", "guesswork.errors"]
+    assert loaded == ["guesswork", "guesswork.entropy"]
 
 
 def test_building_the_parser_loads_no_oracle():
     # what bench's setup_s times: no numpy, no asymptotics or tilting, no oracle
     loaded = _loaded_after("import guesswork\nfrom guesswork.cli import build_parser\n"
                            "build_parser()")
-    assert "guesswork.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "guesswork"] == [
+        "guesswork", "guesswork.cli", "guesswork.entropy"]
     assert not _numeric(loaded)
 
 
@@ -156,13 +174,13 @@ def test_asymptotic_subcommands_never_load_the_oracle(argv, golden):
         assert proc.stdout == (DATA / golden).read_bytes()
     imported = _imported(proc.stderr)
     if argv[0] in ("fig1", "--help"):
-        # guesswork.cli runs as __main__, so the scalar layer is the one module besides errors
+        # guesswork.cli runs as __main__, so the scalar layer is the one module it loads
         assert {m for m in imported if m.split(".")[0] == "guesswork"} == {
-            "guesswork", "guesswork.entropy", "guesswork.errors"}
+            "guesswork", "guesswork.entropy"}
         assert not _numeric(imported)
     else:
         assert "guesswork.asymptotics" in imported
-        assert not imported & {"guesswork.oracle", "guesswork.ranksums"}
+        assert "guesswork.oracle" not in imported
 
 
 # fig1 at a p0 whose bottom curve value, 6.3e-9, lies near its zero: the one

@@ -41,9 +41,8 @@ from guesswork import (
     unconditioned,
     uniform_typical,
 )
-from guesswork import ranksums
 from guesswork.entropy import num_types
-from guesswork.ranksums import _ONE_RANK_MAX, _SMALL_ALPHA_MIN, _em_min, _log_sums, _one_block
+from guesswork.oracle import _ONE_RANK_MAX, _SMALL_ALPHA_MIN, _first_ranks, _log_sums, _one_block
 
 P = LetterDistribution((0.8, 0.2))
 EPS = 0.1
@@ -482,7 +481,7 @@ def test_equal_weight_blocks_sum_as_their_blocks(kind, k):
     alphas = (-0.5, 0.5, 1.0, 2.0)
     logs, log_mean_log = oracle._tables_log_sums([(table, 1.0)], alphas)[0]
     # each block alone, as a one-block table, then one log-sum-exp over the blocks
-    alone = _log_sums([((b[j], b[j + 1]), ranksums._int_parts((b[j + 1] - b[j],)),
+    alone = _log_sums([((b[j], b[j + 1]), oracle._int_parts((b[j + 1] - b[j],)),
                         w[j : j + 1], 1.0) for j in range(w.size)], alphas)
     for i, got in enumerate(logs):
         want = oracle._lse([one[0][i] for one in alone])
@@ -609,7 +608,7 @@ def test_rank_power_sums_match_hurwitz_zeta(alpha):
     # beyond, the ends either side of 4096 and of 30000, and b = 2^1100 their bigint path
     from mpmath import mp
 
-    assert _em_min(alpha) <= 10
+    assert _first_ranks((alpha,))[0][0] <= 10
     for a in (1, 9, 10, 11, 4095, 4096, 29999, 30000, 10**6):
         ends = (9, 10, 11, 50, 4095, 4096, 4097, 29999, 30000, 30001, a + 65535, a + 65536, 10**15,
                 2**200, 2**1100)
@@ -640,16 +639,16 @@ def test_low_threshold_rank_sums_match_hurwitz_zeta(a, span, alpha):
 @contextlib.contextmanager
 def direct_route_calls():
     # the ranks summed one by one in a kernel pass: ("direct", alphas, ranks) per
-    # ranksums._direct_route call for the ranks it is given (it sums at most that
+    # oracle._direct_route call for the ranks it is given (it sums at most that
     # many); the range sums below rank 16 are computed once per tuple of alphas
     calls = []
-    direct = ranksums._direct_route
+    direct = oracle._direct_route
 
     def counted_direct(a, n, alpha):
         calls.append(("direct", tuple(alpha.tolist()), sum(n)))
         return direct(a, n, alpha)
 
-    with mock.patch.object(ranksums, "_direct_route", counted_direct):
+    with mock.patch.object(oracle, "_direct_route", counted_direct):
         yield calls
 
 
@@ -658,7 +657,7 @@ def test_direct_route_sums_only_ranks_below_the_threshold():
     # below rank 16, under which every block takes one of the range sums held per
     # tuple of alphas: a table pass sums no rank one by one, and the 4,095 of a
     # fixed threshold are gone
-    assert max(map(_em_min, (-0.5, 0.5, 1.0, 2.0))) == 10 < _ONE_RANK_MAX == 16
+    assert max(_first_ranks((a,))[0][0] for a in (-0.5, 0.5, 1.0, 2.0)) == 10 < _ONE_RANK_MAX == 16
     with direct_route_calls() as calls:
         finite_k_exponents(unconditioned((0.4, 0.3, 0.2, 0.1)), 60)
     assert calls == []
@@ -684,7 +683,7 @@ def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
     from guesswork import cli
 
     alphas = (-0.5, 0.5, 1.0, 2.0)
-    ranks = ranksums._first_ranks(alphas)
+    ranks = _first_ranks(alphas)
     assert ranks[7].shape == (2, 5, 15 * 16)
     lam, rho = ranks[7].reshape(2, 5, 15, 16)
     orders = 1 + np.count_nonzero(ranks[6], axis=1)
@@ -741,16 +740,16 @@ def _top_down_log_sum(a, b, alpha):
         return mp.log(total)
 
 
-@pytest.mark.parametrize("alpha, em_min", [(1e5, 135833), (1e-8, _SMALL_ALPHA_MIN)])
-def test_far_alphas_match_exact_sums(alpha, em_min):
+@pytest.mark.parametrize("alpha, first_rank", [(1e5, 135833), (1e-8, _SMALL_ALPHA_MIN)])
+def test_far_alphas_match_exact_sums(alpha, first_rank):
     # a huge alpha and one near 0 take the direct route below their first
     # Euler-Maclaurin rank: from its top terms at 1e5 (at most ~50 a block), on
     # every rank at 1e-8 (below 30,000); both within the stated bound
     # of an exact sum, the ranges either side of their first ranks
-    assert _em_min(alpha) == em_min
+    assert _first_ranks((alpha,))[0][0] == first_rank
     with direct_route_calls() as calls:
         log_rank_power_sum(1, 10**6, alpha)
-    assert calls == [("direct", (alpha,), em_min - _ONE_RANK_MAX)]
+    assert calls == [("direct", (alpha,), first_rank - _ONE_RANK_MAX)]
     ranges = ((1, 10**6), (5000, 5000), (5000, 40000), (29000, 31000), (130000, 140000))
     for a, b in ranges:
         want = float(_top_down_log_sum(a, b, alpha))

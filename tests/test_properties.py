@@ -254,7 +254,7 @@ def test_array_pass_matches_per_type_definition(p, eps, k, kind):
 @example(30000, 0, 4.870092411728828e-25)
 @example(10**6, 0, 1e-300)
 def test_direct_rank_sums_match_fsum(a, span, alpha):
-    from guesswork.ranksums import _log_sums, _one_block
+    from guesswork.oracle import _log_sums, _one_block
 
     b = a + span
     logs = [math.log(i) for i in range(a, b + 1)]
@@ -293,7 +293,7 @@ def test_scgf_vanishes_at_zero(p, frac, kind):
 def _per_block_log_sums(table, alpha):
     """log E[G^alpha] (log E[log G] for alpha None) by one per-range call per block."""
     from guesswork.oracle import _lse
-    from guesswork.ranksums import _log_sums, _one_block
+    from guesswork.oracle import _log_sums, _one_block
 
     terms = [
         b.log_word_prob
@@ -337,7 +337,7 @@ def _check_kernel_against_blocks(table, alphas):
 
 def _check_size_parts(table):
     """The table's stored size parts against a fresh conversion, and the kernel over them."""
-    from guesswork.ranksums import _int_parts, _log_sums, _one_block
+    from guesswork.oracle import _int_parts, _log_sums, _one_block
 
     bounds = table.bounds
     sizes = [y - x for x, y in zip(bounds, bounds[1:])]
@@ -415,7 +415,7 @@ def test_table_size_parts_on_each_kernel_path(p, k, case):
     # straddles_em_min: a block straddles the first Euler-Maclaurin rank of the
     # alphas near 0 (30,000), where the kernel cuts it; straddles_em_low: one
     # straddles the rank from which the default alphas take order 1
-    from guesswork.ranksums import _FLOAT_BITS, _SMALL_ALPHA_MIN, _first_ranks
+    from guesswork.oracle import _FLOAT_BITS, _SMALL_ALPHA_MIN, _first_ranks
 
     table = gw.build_guess_table(gw.unconditioned(gw.LetterDistribution(p)), k)
     if case == "past_float_bits":
@@ -445,7 +445,7 @@ def _near_bits(c):
 def test_int_parts_match_the_per_int_rule(values):
     # one numpy pass or one rule per int, every value gets the per-int parts:
     # float(v) up to _FLOAT_BITS bits, else its top 64 bits over 2^64 and its bit length
-    from guesswork.ranksums import _FLOAT_BITS, _int_parts
+    from guesswork.oracle import _FLOAT_BITS, _int_parts
 
     def one(v):
         n = v.bit_length()
@@ -996,7 +996,7 @@ def test_kernel_batch_matches_each_table_alone(drawn, rescale, alphas):
     # one kernel pass over a list of tables, each at its own scale (1/k for
     # None) and the first twice at two scales, gives every table its
     # one-table results bit for bit
-    from guesswork.ranksums import _log_sums
+    from guesswork.oracle import _log_sums
 
     entries = []
     for p, eps, k, kind, scale in drawn:
@@ -1051,7 +1051,7 @@ def test_blocks_at_rank_16_match_exact_sums(layout):
     # the stated bound, a few 1e-15 plus a few ulp of each log a term is made of
     from mpmath import mp, mpf
 
-    from guesswork.ranksums import _int_parts, _log_sums
+    from guesswork.oracle import _int_parts, _log_sums
 
     bounds, log_w, scale = layout
     sizes = [y - x for x, y in zip(bounds, bounds[1:])]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from guesswork import DistributionError, conditioned, oracle, ranksums
-from guesswork.ranksums import _lse
+from guesswork import DistributionError, conditioned, oracle
+from guesswork.oracle import _lse
 
 U = 2.0**-53
 
@@ -35,7 +35,7 @@ def _terms(shape: str, n: int, seed: int, scale: float) -> np.ndarray:
 
 def _lse_bound(n: int, scale: float, want: float) -> float:
     """The stated bound on a log-sum-exp of n terms at `scale`, from the exact sum S of its
-    exponentials: the float sum is within gamma_d S, d = ceil(log2 n) + 17 (ranksums' module
+    exponentials: the float sum is within gamma_d S, d = ceil(log2 n) + 17 (oracle's module
     docstring), so its log within -log(1 - gamma_d); plus u of S, math.fsum's one rounding
     where it gives the reference, and the roundings of the log, the product and the sum."""
     d = (n - 1).bit_length() + 17
@@ -45,7 +45,7 @@ def _lse_bound(n: int, scale: float, want: float) -> float:
 
 def _one_segment(terms, scale=1.0):
     terms = np.array(terms, dtype=np.float64).reshape(1, -1)  # a copy: the kernel sums in place
-    return ranksums._lse_segments(terms, [[scale]], np.array([terms.shape[1]]))[0][0]
+    return oracle._lse_segments(terms, [[scale]], np.array([terms.shape[1]]))[0][0]
 
 
 def _scaled_lse(terms, scale):
@@ -120,7 +120,7 @@ def test_lse_segments_makes_no_second_terms_array():
     scales = [[1.0 / 186, 1.0]] * 5
     tracemalloc.start()
     try:
-        ranksums._lse_segments(terms, scales, sizes)
+        oracle._lse_segments(terms, scales, sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,7 +280,7 @@ def test_rank_power_sums_stay_within_the_stated_bound(case):
     # SHORT_FAR_RANGES. Their references are 50-digit mpmath sums.
     a, b, alpha, want = case
     bound = 4e-15 + 2.0**-50 * (2 * abs(alpha) * math.log(b) + abs(want))
-    assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= bound
+    assert abs(oracle.log_rank_power_sum(a, b, alpha) - want) <= bound
 
 
 @pytest.mark.parametrize("case", SHORT_FAR_RANGES, ids=["a1.7e30_alpha0.02",
@@ -289,12 +289,12 @@ def test_rank_power_sums_stay_within_the_stated_bound(case):
 def test_short_far_ranges_take_rho_from_log_n(case):
     # each within an ulp of its reference, far inside the stated bound
     a, b, alpha, want = case
-    assert abs(ranksums.log_rank_power_sum(a, b, alpha) - want) <= math.ulp(want)
+    assert abs(oracle.log_rank_power_sum(a, b, alpha) - want) <= math.ulp(want)
 
 
 @pytest.mark.parametrize("call, outcome", [
-    (lambda: ranksums.log_rank_power_sum(5, 3, 1.0), DistributionError),  # b < a
-    (lambda: ranksums.log_rank_power_sum(0, 3, 1.0), DistributionError),  # a rank 0
+    (lambda: oracle.log_rank_power_sum(5, 3, 1.0), DistributionError),  # b < a
+    (lambda: oracle.log_rank_power_sum(0, 3, 1.0), DistributionError),  # a rank 0
     # every k's typical set is empty, so the kernel gets no table and returns at once
     (lambda: oracle._finite_k_batch(conditioned((0.8, 0.2), 0.001), (1, 2), None,
                                     max_words=100), ({1: None, 2: None}, [])),
