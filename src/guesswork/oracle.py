@@ -20,7 +20,12 @@ slab: one interval of the next-to-last count per row of the other counts
 
 A separate naive oracle holds one float64 log-probability per word (numpy,
 guarded to m^k <= 2^22), so the two routes can be cross-checked against
-each other in the log domain the tables hold their values in.
+each other in the log domain the tables hold their values in. It builds
+the words in place in one array of m^k floats and takes its window rule
+and every log-sum-exp a chunk of max(4,096, m^k / 64) words at a time
+(_chunks), each sum a log-sum-exp of the chunks' log-sum-exps, so its
+working memory is the words and a few chunks: at the 2^22-word cap 32 MiB
+and about 3 MiB besides (1.1 x 8 m^k bytes, tracemalloc).
 
 The rank-sum kernel: exact rank sums over the blocks of guess tables.
 
@@ -71,8 +76,8 @@ is one range.
 
 One log-sum-exp (`_lse_segments`; `_lse` is its one-row form) sums every
 table: the exponentials of a segment's terms less their largest, all in
-[0, 1], by a plain .sum() over each contiguous (row, segment) slice.
-numpy documents pairwise summation for that form, not for add.reduceat.
+[0, 1], by one .sum(axis=1) per segment, over each row's contiguous slice.
+numpy documents pairwise summation along the fast axis, not for add.reduceat.
 Its tree takes blocks of up to 128 terms over eight accumulators, each
 term through at most 24 additions there, then one more per halving: at
 most d = ceil(log2 n) + 17 additions for n terms. Since the terms are
@@ -91,7 +96,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from itertools import accumulate, groupby
 
@@ -696,12 +701,28 @@ def trend_holds(points: tuple[ConvergencePoint, ...]) -> bool:
     return last < first
 
 
+def _chunk_words(n: int) -> int:
+    """Words per chunk of the naive oracle's passes over n words: 4,096 up to
+    2^18 words and n / 64 above, so a pass holds a few chunks beside the words
+    and takes at most 64 chunks' numpy calls."""
+    return max(4096, n >> 6)
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) word ranges of _chunk_words(n) words that cover n words."""
+    step = _chunk_words(n)
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
     """The normalised log-probability of every word of the source at length k,
     descending: the naive oracle's side of the cross-check.
 
-    One float64 per word (numpy), built one digit at a time; the typical
-    ones are kept by the table's own window mask.
+    One float64 per word (numpy) in one array of m^k floats, built in place one
+    digit at a time; the typical ones are kept by the table's own window rule
+    and moved to the front, a chunk of words at a time, and are returned as a
+    view of that array. The normalisation is a log-sum-exp of the chunks'
+    log-sum-exps, so the working memory is the words and a chunk (_chunks).
     """
     p = source.p
     m = p.m
@@ -712,51 +733,83 @@ def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
         )
 
     # log-probability of word code c = sum_j d_j m^j, built one digit at a
-    # time from the top: the words of j + 1 digits are d * m^j + (a word of j)
+    # time from the top: the words of j + 1 digits are d * m^j + (a word of j),
+    # each digit's block written from the first n words, highest digit first,
+    # so digit 0's block, those words themselves, is overwritten last
     with np.errstate(divide="ignore"):
         logp = np.log(np.asarray(p.probs, dtype=np.float64))  # a zero letter is -inf
-    logw = np.zeros(1)
+    logw = np.empty(total)
+    logw[0] = 0.0
+    n = 1
     for _ in range(k):
-        logw = (logp[:, None] + logw).ravel()
+        for d in range(m - 1, -1, -1):
+            np.add(logw[:n], logp[d], out=logw[d * n:(d + 1) * n])
+        n *= m
 
     if source.kind is not SourceKind.UNCONDITIONED:
-        logw = logw[_in_window(-logw / k, typical_window(p, source.epsilon))]
-        if logw.size == 0:
+        window = typical_window(p, source.epsilon)
+        n = 0
+        for a, b in _chunks(total):
+            kept = logw[a:b][_in_window(-logw[a:b] / k, window)]
+            logw[n:n + kept.size] = kept
+            n += kept.size
+        if n == 0:
             raise EmptyTypicalSetError(f"empty typical set at k={k}")
+        logw = logw[:n]
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         logw.fill(0.0)  # every typical word equally likely
     else:
         np.negative(logw, out=logw)  # descending, sorted in place
         logw.sort()
         np.negative(logw, out=logw)
-    logw -= _lse(logw)  # normalised in place
+    logw -= _lse([_lse(logw[a:b]) for a, b in _chunks(n)])  # normalised in place
     return logw
+
+
+def _naive_log_means(log_prob: np.ndarray, alphas) -> list[float]:
+    """log E[G^alpha] per alpha, then log E[log G], over the naive oracle's
+    descending word logs (_naive_word_logs), each word's rank its index + 1.
+
+    Each is log E[exp t] over the words, t = log p_i + alpha log i or
+    log p_i + log log i, taken as a log-sum-exp of one log-sum-exp per chunk
+    of words (_chunks): a chunk's terms, its log ranks included, fill one
+    buffer of a chunk per log, and nothing of the words' size is made.
+    """
+    n = log_prob.size
+    rows = len(alphas) + 1  # the alphas, then E log G
+    scratch = np.empty(rows * _chunk_words(n))
+    powers = np.array(alphas, dtype=np.float64).reshape(-1, 1)
+    scales = np.ones((rows, 1))
+    per_chunk = []
+    # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
+    with np.errstate(divide="ignore", over="ignore"):
+        for a, b in _chunks(n):
+            terms = scratch[:rows * (b - a)].reshape(rows, b - a)
+            log_ranks = np.log(np.arange(a + 1, b + 1, dtype=np.float64), out=terms[-1])
+            np.multiply(powers, log_ranks, out=terms[:-1])
+            np.log(log_ranks, out=log_ranks)
+            terms += log_prob[a:b]
+            per_chunk.append([row[0] for row in _lse_segments(terms, scales, np.array([b - a]))])
+    return list(map(_lse, zip(*per_chunk)))
+
+
+def _leading_count(desc: np.ndarray, floor: float) -> int:
+    """How many of the descending floats desc are >= floor, by binary search."""
+    return bisect_right(desc, -floor, key=operator.neg)
 
 
 def _crosscheck(table: ExactGuessTable, alphas, sums, log_prob: np.ndarray) -> bool:
     """The naive oracle's word logs (_naive_word_logs) against a table and its
-    unscaled kernel results `sums` at `alphas`: every log within
-    CROSSCHECK_REL_TOL, and the modal and total word counts equal."""
-    n = log_prob.size
-    log_ranks = np.log(np.arange(1, n + 1, dtype=np.float64))
-    scratch = np.empty(n)  # every log-sum-exp below works in place in this one array
-    row, size = scratch.reshape(1, n), np.array([n])
-
-    def log_mean(terms):  # log E[exp terms] under the word law, terms held in scratch
-        np.add(log_prob, terms, out=scratch)
-        return _lse_segments(row, [[1.0]], size)[0][0]
-
+    unscaled kernel results `sums` at `alphas`: every log (_naive_log_means,
+    and the top word's) within CROSSCHECK_REL_TOL, and the modal and total
+    word counts equal. Its working memory is a few chunks of words."""
     logs, log_mean_log = sums
-    # log log 1 = -inf drops rank 1 from E log G; a huge alpha overflows to inf, as the table's
-    with np.errstate(divide="ignore", over="ignore"):
-        pairs = [(log_mean(np.multiply(log_ranks, a, out=scratch)), lv)
-                 for a, lv in zip(alphas, logs)]
-        pairs.append((log_mean(np.log(log_ranks, out=scratch)), log_mean_log))
-    pairs.append((float(log_prob[0]), float(table.log_word_prob[0])))
+    pairs = [*zip(_naive_log_means(log_prob, alphas), [*logs, log_mean_log]),
+             (float(log_prob[0]), float(table.log_word_prob[0]))]
     if not all(x == y or abs(x - y) <= CROSSCHECK_REL_TOL for x, y in pairs):
         return False
-    modal = int(np.count_nonzero(log_prob >= log_prob[0] - RANK_TIE_TOL))
-    return modal == modal_word_count(table) and n == table.total_words
+    modal = _leading_count(log_prob, log_prob[0] - RANK_TIE_TOL)
+    return modal == modal_word_count(table) and log_prob.size == table.total_words
 
 
 def naive_enumeration_crosscheck(
@@ -770,7 +823,7 @@ def naive_enumeration_crosscheck(
     """Word-by-word enumeration oracle vs the type-based table.
 
     Enumerates all m^k words individually, one float64 log-probability per
-    word (numpy), keeps the typical ones by the table's own window mask,
+    word (numpy), keeps the typical ones by the table's own window rule,
     sorts by probability, and recomputes every log moment, log E log G,
     log P(G=1) and the modal count in the log domain, as the table holds
     them, then compares against the block route. True iff every log agrees
@@ -860,23 +913,27 @@ def _lse_segments(terms: np.ndarray, scales, sizes: np.ndarray) -> list[list[flo
     whose unscaled values would overflow. Returns, per row, one float per
     segment: top + s log sum exp((t - top) / s), top the segment's largest
     term, or top itself where it is not finite (every term -inf, or a +inf
-    or nan among them). Each sum is a plain .sum() over its contiguous
-    (row, segment) slice, numpy's pairwise summation (the module docstring
-    states its bound), and no second array of the terms' size is made.
+    or nan among them). Each segment's row sums are one .sum(axis=1) over its
+    columns, numpy's pairwise summation along each row's contiguous slice
+    (the module docstring states its bound), and no second array of the
+    terms' size is made.
     """
     starts = list(accumulate(sizes[:-1].tolist(), initial=0))
     segments = list(zip(starts, accumulate(sizes.tolist())))
     scales = np.asarray(scales, dtype=np.float64)
     with np.errstate(all="ignore"):
         tops = np.maximum.reduceat(terms, starts, axis=1)
+        sums = np.empty(tops.shape)
         for j, (a, b) in enumerate(segments):
             x = terms[:, a:b]
             x -= tops[:, j, None]
             x /= scales[:, j, None]
         np.exp(terms, out=terms)
-    return [[top + s * math.log(row[a:b].sum()) if math.isfinite(top) else top
-             for top, s, (a, b) in zip(tops_r, scales_r, segments)]
-            for row, tops_r, scales_r in zip(terms, tops.tolist(), scales.tolist())]
+        for j, (a, b) in enumerate(segments):
+            terms[:, a:b].sum(axis=1, out=sums[:, j])
+    return [[top + s * math.log(total) if math.isfinite(top) else top
+             for top, s, total in zip(tops_r, scales_r, sums_r)]
+            for tops_r, scales_r, sums_r in zip(tops.tolist(), scales.tolist(), sums.tolist())]
 
 
 def _lse(terms) -> float:

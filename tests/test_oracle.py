@@ -506,12 +506,13 @@ def test_naive_crosscheck_agrees():
 
 
 @pytest.mark.parametrize("probs, eps, k", [((0.7, 0.3), 0.05, 20), ((0.6, 0.3, 0.1), 0.2, 12),
-                                           ((0.4, 0.3, 0.2, 0.1), None, 9)])
+                                           ((0.4, 0.3, 0.2, 0.1), None, 9), ((0.7, 0.3), None, 20)])
 def test_naive_crosscheck_holds_one_float_per_word(probs, eps, k):
-    # one float64 per word and the window mask's temporaries peak at 2.25 x 8 m^k
-    # bytes; an m^k x m letter-count matrix and its products read over 5x.
-    # Unconditioned (eps None), the words, their log ranks and the one
-    # log-sum-exp scratch array peak at 3.13x; a temporary per log-sum-exp read 6x
+    # the words are one array of 8 m^k bytes; beside them the naive side holds
+    # chunks of max(4,096, m^k / 64) words, one buffer row per log and the
+    # window's temporaries: 1.10x at binary k = 20 unconditioned (16 chunks),
+    # 1.04-1.06x conditioned and 1.13x for m = 4 at k = 9. A word-sized scratch,
+    # log-rank or window-mask array would read 2.1x and more
     p = LetterDistribution(probs)
     source = unconditioned(p) if eps is None else conditioned(p, eps)
     naive_enumeration_crosscheck(source, k)  # warm the imports and caches first
@@ -521,7 +522,56 @@ def test_naive_crosscheck_holds_one_float_per_word(probs, eps, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (3.5 if eps is None else 3.0) * 8 * len(probs) ** k
+    assert peak <= 1.5 * 8 * len(probs) ** k
+
+
+CHUNKED = [(unconditioned((0.7, 0.3)), 10), (conditioned((0.7, 0.3), 0.1), 12),
+           (uniform_typical((0.7, 0.3), 0.1), 12), (conditioned((0.6, 0.3, 0.1), 0.2), 6),
+           (unconditioned((0.4, 0.3, 0.2, 0.1)), 5), (unconditioned((0.0, 0.7, 0.3)), 6),
+           (conditioned((0.6, 0.0, 0.4), 0.1), 7), (uniform_typical((0.6, 0.0, 0.4), 0.1), 7)]
+
+
+def _same_logs(got, want):
+    return all(g == w or math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
+               or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("chunk", [3, 64])
+@pytest.mark.parametrize("source, k", CHUNKED)
+def test_naive_oracle_is_the_same_over_any_chunks(monkeypatch, chunk, source, k):
+    # chunk boundaries move the naive side's floats in their last bits alone
+    alphas = (-0.999, 0.5, 300.0, 1e308)
+    table = build_guess_table(source, k)
+    sums = logs, log_log = oracle._tables_log_sums([(table, 1.0)], alphas)[0]
+    shifted = [([*logs[:i], x + 1e-6, *logs[i + 1:]], log_log)
+               for i, x in enumerate(logs) if math.isfinite(x)]
+    shifted.append((logs, log_log + 1e-6))
+    runs = []
+    for words in (lambda n: n, lambda n: chunk):
+        monkeypatch.setattr(oracle, "_chunk_words", words)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # -inf + inf at alpha = 1e308
+            log_prob = oracle._naive_word_logs(source, k, 1 << 20)
+            runs.append((log_prob, oracle._naive_log_means(log_prob, alphas),
+                         oracle._crosscheck(table, alphas, sums, log_prob),
+                         [oracle._crosscheck(table, alphas, s, log_prob) for s in shifted]))
+    (whole, whole_means, whole_ok, whole_shifted), (got, means, ok, got_shifted) = runs
+    assert got.size == whole.size == table.total_words
+    assert _same_logs(got.tolist(), whole.tolist())
+    assert _same_logs(means, whole_means)
+    assert ok == whole_ok
+    # a zero-probability word's term at alpha = 1e308 is -inf + inf = nan, one chunk or many
+    assert ok or any(map(math.isnan, means))
+    assert not any(got_shifted) and not any(whole_shifted)
+
+
+@pytest.mark.parametrize("words", [[0.0] * 7, [-1.0, -1.0, -1.0 - 1e-11, -2.0, -2.0, -math.inf],
+                                   [-0.5, -1.5, -2.5, -3.5], [-3.0]])
+def test_modal_count_by_binary_search(words):
+    desc = np.array(words)
+    floors = sorted({f for w in words for f in (w, w - 1e-10, w + 1e-10, w - 1.0, w + 1.0)})
+    for floor in floors + [-math.inf, math.inf]:
+        assert oracle._leading_count(desc, floor) == np.count_nonzero(desc >= floor), floor
 
 
 def test_naive_crosscheck_word_space_guard():
