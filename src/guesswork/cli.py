@@ -24,7 +24,7 @@ engine is `entropy.binary_closed_forms`, load no numpy. `json` is imported
 only by the two branches that write JSON output (`_table`'s and
 `cmd_analyze`'s), so the parser and CSV output never load it. Each
 numeric module is imported where it runs: `asymptotics` by `_sources`
-and `_models` (fig2, analyze) and by `cmd_fig2` and `cmd_exact_compare`,
+(fig2, analyze) and by `cmd_analyze`, `cmd_fig2` and `cmd_exact_compare`,
 `tilting` by `cmd_analyze`, numpy by `cmd_fig2`, and the exact finite-k
 oracle by `cmd_exact_compare` and `cmd_census` alone, so fig1, fig2 and
 analyze never load `oracle`. The handlers write `import
@@ -195,18 +195,13 @@ def _sources(p: LetterDistribution, epsilon: float) -> tuple:
             asymptotics.uniform_typical(p, epsilon))
 
 
-def _models(p: LetterDistribution, epsilon: float) -> dict:
-    """The three sources' SCGF models, keyed by _KIND_NAMES, on one tilted family."""
-    import guesswork.asymptotics as asymptotics
-
-    return dict(zip(_KIND_NAMES, asymptotics._scgf_models(_sources(p, epsilon))))
-
-
 def cmd_analyze(args) -> tuple[str, int]:
+    import guesswork.asymptotics as asymptotics
     import guesswork.tilting as tilting
 
     p = _parse_probs(args.p)
-    models = _models(p, args.epsilon)
+    # the three sources' SCGF models, on one tilted family
+    models = dict(zip(_KIND_NAMES, asymptotics._scgf_models(_sources(p, args.epsilon))))
     # the boundary types are the conditioned model's clamp window, read as types
     cond = models["conditioned"]
     bnd = tilting.BoundaryTypes.of(cond.family, cond.window)

@@ -273,7 +273,12 @@ def shannon_entropy(l: FreqsLike) -> float:
 
     Always in [0, log m]; 0 exactly for a point mass.
     """
-    return -math.fsum(f * math.log(f) for f in as_freqs(l) if f > 0.0)
+    return _plain_entropy(as_freqs(l))
+
+
+def _plain_entropy(freqs) -> float:
+    """shannon_entropy of plain floats, unvalidated: the package's one entropy sum."""
+    return -math.fsum(f * math.log(f) for f in freqs if f > 0.0)
 
 
 def cross_entropy(l: FreqsLike, p: FreqsLike) -> float:
@@ -406,8 +411,9 @@ def typical_window(p: FreqsLike, epsilon: float) -> tuple[float, float]:
 
 
 # Slack on the closed window so types sitting exactly on an edge in exact
-# arithmetic are not lost to float dust. _in_window is the one membership
-# test that adds it, so the naive and type-based oracles agree word for word.
+# arithmetic are not lost to float dust. _window_edges is the one place that
+# adds it, for _in_window, the one membership test, so the naive and
+# type-based oracles agree word for word.
 WINDOW_SLACK = 1e-12
 
 
@@ -422,11 +428,17 @@ def is_typical_type(p: FreqsLike, epsilon: float, l: FreqsLike) -> bool:
     return _in_window(cross_entropy(l, p), typical_window(p, epsilon))
 
 
-def _in_window(cost, window: tuple[float, float]):
-    """Mask of the costs (a float or an array) in the closed window (lo, hi) of
-    typical_window, widened by WINDOW_SLACK: the package's one membership rule."""
+def _window_edges(window: tuple[float, float]) -> tuple[float, float]:
+    """The closed window (lo, hi) of typical_window, widened by WINDOW_SLACK."""
     lo, hi = window
-    return (cost >= lo - WINDOW_SLACK) & (cost <= hi + WINDOW_SLACK)
+    return lo - WINDOW_SLACK, hi + WINDOW_SLACK
+
+
+def _in_window(cost, window: tuple[float, float]):
+    """Mask of the costs (a float or an array) in the widened window
+    (_window_edges): the package's one membership rule."""
+    lo, hi = _window_edges(window)
+    return (cost >= lo) & (cost <= hi)
 
 
 # C-scale margin inside which a boundary target is treated as sitting on a
@@ -484,7 +496,7 @@ def _admissible(pf: tuple[float, ...]) -> tuple[float, float, float]:
     terms = [(pf[a], top - lg) for a, lg in zip(support, logs)]
     share = 1.0 / len(terms)
     high = min(math.fsum((share - q) * g for q, g in terms), math.fsum(q * g for q, g in terms))
-    h = -math.fsum(pf[a] * lg for a, lg in zip(support, logs))  # shannon_entropy's sum
+    h = _plain_entropy(pf)
     low = max(0.0, h - (c_max - _EDGE_TOL), (c_min + _EDGE_TOL) - h)
     return low, high, c_max - c_min
 
@@ -601,15 +613,12 @@ def binary_closed_forms(p0: float, epsilon: float) -> BinaryReport:
     lm0 = p0 - epsilon / spread
     lp0 = p0 + epsilon / spread
 
-    def h2(x: float) -> float:
-        return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x))
-
-    h = h2(p0)
-    h_minus = h2(lm0)
+    h = _plain_entropy((p0, p1))
+    h_minus = _plain_entropy((lm0, 1.0 - lm0))
     # D(l-||p) = (h + eps) - h(l-) and D(l+||p) = (h - eps) - h(l+), summed with no cancellation
     div_minus = _binary_divergence(p0, p1, epsilon / spread)
     if lp0 < 1.0:
-        h_plus = h2(lp0)
+        h_plus = _plain_entropy((lp0, 1.0 - lp0))
         div_plus = _binary_divergence(p0, p1, -epsilon / spread)
     else:
         # eps within rounding of h + log p0: l+ is the point mass (1, 0), the

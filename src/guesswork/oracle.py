@@ -5,17 +5,13 @@ probability, so the optimal (probability-descending) guessing order is a
 sequence of type-class blocks occupying consecutive rank ranges. Moments
 E[G^alpha] then cost O(#types) instead of O(m^k): each block contributes
 its per-word probability times a rank-power sum over its range. A table is
-held as columns, and one kernel (_log_sums, the last section of this
-module) takes the rank sums of every table of a request in one pass over
-their blocks: each block's ranks below 16 as one range sum, held per tuple
-of alphas, and each block from there by a midpoint Euler-Maclaurin
-expansion of the least order whose stated remainder bound meets 1e-16 of
-the sum, however many ranks it holds (directly below the first rank where
-none does, the first Euler-Maclaurin rank of _first_ranks), which keeps
-k ~ 10^3 affordable for m = 2. `guessctl exact-compare` builds each
-distinct k's table once (_finite_k_batch), and its naive cross-check reads
-that table. A typical-set table, census or scan enumerates only the typical
-slab: one interval of the next-to-last count per row of the other counts
+held as columns, and one kernel (_log_sums, the last section below) takes
+the rank sums of every table of a request in one pass over their blocks,
+however many ranks a block holds, which keeps k ~ 10^3 affordable for
+m = 2. `guessctl exact-compare` builds each distinct k's table once
+(_finite_k_batch), and its naive cross-check reads that table. A
+typical-set table, census or scan enumerates only the typical slab: one
+interval of the next-to-last count per row of the other counts
 (_window_entries).
 
 A separate naive oracle holds one float64 log-probability per word (numpy,
@@ -27,7 +23,9 @@ and every log-sum-exp a chunk of max(4,096, m^k / 64) words at a time
 working memory is the words and a few chunks: at the 2^22-word cap 32 MiB
 and about 3 MiB besides (1.1 x 8 m^k bytes, tracemalloc).
 
-The rank-sum kernel: exact rank sums over the blocks of guess tables.
+The rank-sum kernel: exact rank sums over the blocks of guess tables. This
+section is the one statement of its routes and bounds; the functions that
+implement it state their contracts and point here.
 
 A guess table puts each type class on a range of consecutive ranks, so
 every finite-k moment is a weighted sum over blocks of sum_{i=a}^{b} i^alpha
@@ -51,28 +49,51 @@ and for log x, 2 |B_{2M+2}| / ((2M+2) Y^(2M+2) log Y): the remainder is
 an integral of f^(2M+2) against a periodic Bernoulli function of at most
 2 |B_{2M+2}| / (2M+2)!, the bound Johansson states for the Hurwitz zeta
 function (Numer. Algorithms 69, 2015, arXiv:1309.2877), taken relative to
-the sum. It is zero for integer 0 <= alpha <= 2M + 1, so alpha = 1 and 2
-are exact from rank 1. Order 1 is the one-term corrected midpoint form;
-blocks from about rank 2,200-3,700 on take it at the default alphas. The
-ranks below the first Euler-Maclaurin rank (_first_ranks), where order 8
-first meets the tolerance, are summed directly. Below _ONE_RANK_MAX = 16,
-which covers the default alphas (first ranks 1, 8 or 10) and the sum of
-logs (9), that is one rule: every block that starts there takes its ranks below 16 as one range
-sum S(a, n) from a table built once per tuple of alphas (`_first_ranks`).
-A block that reaches rank 17 takes S'(a, 15), that sum less the
-expansion's terms k >= 2 at rank 16, where its rest takes one order per
-alpha: the rest carries the terms at its other end alone, left out from
-about rank 2 * 10^5 on, where they are below 1e-17 of its sum. An alpha
-with a higher first rank takes `_direct_route` on the blocks below it: from
-each block's top terms where alpha is large against the ranks (at most
-about 50 a block; the first rank is about 1.36 |alpha| there), and on
-every rank for |alpha| < 1e-2, whose first rank is 30,000: nearer 0 the expansion
-takes the sum's O(alpha) part as a difference of O(1) logs. A row's sums
-depend on its own alpha alone, and a table's on that table alone. The
-kernel takes every alpha alike: its callers know E[G^0] = 1, and
-log_rank_power_sum's alpha = 0 is log n. Adjacent blocks of one table with
-exactly the same weight are one rank range, so a uniform-on-typical table
-is one range.
+the sum (for log x, f^(2M+2) = -(2M+1)! / x^(2M+2) integrates to at most
+(2M+1)! n / Y^(2M+2) over n ranks, and the sum is at least n log a). It is
+zero for integer 0 <= alpha <= 2M + 1, so alpha = 1 and 2 are exact from
+rank 1. Order 1 is the one-term corrected midpoint form; blocks from about
+rank 2,200-3,700 on take it at the default alphas. The ranks below the
+first Euler-Maclaurin rank (_first_ranks), where order 8 first meets the
+tolerance, are summed directly. Below _ONE_RANK_MAX = 16, which covers the
+default alphas (first ranks 1, 8 or 10) and the sum of logs (9), that is
+one rule: every block that starts there takes its ranks below 16 as one
+range sum S(a, n) from a table built once per tuple of alphas
+(`_first_ranks`). A block that reaches rank 17 takes S'(a, 15), that sum
+less the expansion's terms k >= 2 at rank 16, where its rest takes one
+order per alpha: the rest carries the terms at its other end X alone, and
+leaves them out from X >= far_x on. There each term of X's,
+f'(X) c X^-(2k-2), is at most 1.5 max(|alpha|, 1) |c| X^-(2k-1) of the
+rest's sum, which is at least X^alpha / 1.5 (its last term for
+alpha >= 0, its first for alpha < 0) or log 16 for the sum of logs, so
+the _M_MAX - 1 of them add up to less than _EM_TOL / 16 of it: from about
+rank 2 * 10^5 on at the default alphas, below 1e-17.
+
+An alpha with a higher first rank takes `_direct_route` on the blocks
+below it, and on the block that straddles it up to it, the rest by the
+expansion. Its terms fall from the block's last rank b (alpha > 0) or its
+first (else), each at most exp(-|alpha| j / b) of the largest, j ranks
+from it, so the terms past the J largest add at most
+exp(-|alpha| J / b) (1 + b / |alpha|) of the sum: each block takes the J
+largest that make that at most _EM_TOL, its top terms where alpha is
+large against the ranks (at most about 50 a block; the first rank is
+about 1.36 |alpha| there), else every rank. Nearer 0 than
+_SMALL_ALPHA = 1e-2 the expansion takes the sum's O(alpha) part as a
+difference of O(1) logs, so on short ranges its relative error on the
+log grows like 1/alpha: those alphas take every rank below
+_SMALL_ALPHA_MIN = 30,000 directly, and that error from there on. A
+one-rank block, whose log is that O(alpha) part alone (1.6e-6 relative
+off at alpha = 4.3e-71 and a = 30,000, a negative log at a = 10^6), is
+alpha log a on every route.
+
+A row's sums depend on its own alpha alone, and a table's on that table
+alone, so each is bit for bit what it gets alone. The kernel takes every
+alpha alike: its callers know E[G^0] = 1, and log_rank_power_sum's
+alpha = 0 is log n. Adjacent blocks of one table with exactly the same
+weight are one rank range, so a uniform-on-typical table is one range.
+The terms stay scaled (by 1/k in finite_k_exponents), so a huge alpha
+overflows only where scale * log of the sum would, and a sum whose
+alpha log i leaves float range is its limit, +inf or -inf, never nan.
 
 One log-sum-exp (`_lse_segments`; `_lse` is its one-row form) sums every
 table: the exponentials of a segment's terms less their largest, all in
@@ -84,11 +105,20 @@ most d = ceil(log2 n) + 17 additions for n terms. Since the terms are
 nonnegative, the float sum is within gamma_d = d u / (1 - d u), u = 2^-53,
 of the exact sum of the rounded exponentials (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, section 4.2): 2.7e-15
-of it at 128 terms, 3.6e-15 at 2 * 10^4 and 4.0e-15 at 3 * 10^5. Each
-exponential carries its own roundings besides, those of exp and of the
-shift t - top: a few u of the term, and u |t - top| / s at scale s. One
-term sums exactly, so a one-block table, as log_rank_power_sum takes, is
-its one term, top.
+of it at 128 terms, 3.6e-15 at 2 * 10^4 (the 17,578 blocks of an m = 3,
+k = 186 table) and 4.0e-15 at 3 * 10^5. Each exponential carries its own
+roundings besides, those of exp and of the shift t - top: a few u of the
+term, and u |t - top| / s at scale s. One term sums exactly, so a
+one-block table, as log_rank_power_sum takes, is its one term, top.
+
+So each block's sum is within _EM_TOL of the exact one before rounding,
+and so is each table's; rounding adds a few ulp of each log a term is
+made of (alpha lam, at most |alpha| log b, and rho), a few u of each term
+from its exponential, and gamma_d of the sum. tests/test_ranksums.py
+checks that bound against mpmath over alpha in (-1, 1e5] and ranges past
+2^1020. The log of E[log G], a sum of rounded logs times float weights,
+is off by up to 32 ulp on a uniform table of N words: about 2 ulp of
+log N.
 """
 
 from __future__ import annotations
@@ -111,7 +141,6 @@ from .asymptotics import (
 )
 from .entropy import (
     MAX_TYPES_DEFAULT,
-    WINDOW_SLACK,
     DistributionError,
     EmptyTypicalSetError,
     LetterDistribution,
@@ -119,6 +148,7 @@ from .entropy import (
     WordSpaceTooLargeError,
     _cross_entropies,
     _in_window,
+    _window_edges,
     as_distribution,
     num_types,
     record,
@@ -246,7 +276,7 @@ def _slab(p: LetterDistribution, window: tuple[float, float], k: int):
     (_window_entries states the bound)."""
     logs = [-math.log(q) if q > 0.0 else math.inf for q in p.probs]
     *head, y, z = logs
-    t_lo, t_hi = window[0] - WINDOW_SLACK, window[1] + WINDOW_SLACK  # _in_window's edges
+    t_lo, t_hi = _window_edges(window)
     pad = p.m * 2.0**-50 * (max(abs(v) for v in logs if v < math.inf) + abs(t_lo) + abs(t_hi))
     e_lo, e_hi = t_lo - pad, t_hi + pad
     zero = [a for a, v in enumerate(head) if v == math.inf]
@@ -371,8 +401,7 @@ def exact_moment_log(table: ExactGuessTable, alpha: float) -> float:
 
 
 def exact_mean_log_guesswork(table: ExactGuessTable) -> float:
-    """E[log G] from per-block sums of log i; on a uniform table of N words its log
-    is off by up to 32 ulp, about 2 ulp of log N (_log_sums)."""
+    """E[log G] from per-block sums of log i, within the kernel's bound (module docstring)."""
     return math.exp(_tables_log_sums([(table, 1.0)], ())[0][1])
 
 
@@ -594,8 +623,7 @@ def moment_sandwich(
     """
     if source.kind is not SourceKind.CONDITIONED:
         raise DistributionError("moment sandwiches apply to the conditioned source")
-    if not math.isfinite(alpha):
-        raise DistributionError(f"alpha must be finite, got {alpha}")
+    _check_alphas((alpha,))
     if alpha <= -1.0:
         raise DistributionError(f"the moment sandwich needs alpha > -1, got {alpha}")
     table = build_guess_table(source, k, max_types=max_types)
@@ -611,7 +639,16 @@ def moment_sandwich(
     return SandwichBounds(k, alpha, log_lower, exact_moment_log(table, alpha), log_upper)
 
 
-SERIES_QUANTITIES = ("scgf", "mean_log", "top_prob", "modal_count", "typical_size")
+# each quantity's asymptotic target, from the model and alpha, and the
+# FiniteKExponents field of its finite-k value (None: the moment exponent at alpha)
+_SERIES = {
+    "scgf": (lambda model, alpha: model(alpha), None),
+    "mean_log": (lambda model, _: model.slope(0.0), "mean_log_exponent"),
+    "top_prob": (lambda model, _: model.modal_decay, "top_prob_exponent"),
+    "modal_count": (lambda model, _: model.plateau_width, "modal_count_exponent"),
+    "typical_size": (lambda model, _: model.max_slope, "typical_size_exponent"),
+}
+SERIES_QUANTITIES = tuple(_SERIES)
 
 
 @record
@@ -641,20 +678,12 @@ def convergence_points(
     target is taken before `exponents` is iterated, so an invalid alpha is
     reported before a lazily built table.
     """
-    if quantity == "scgf":
-        target, field = model(alpha), None
-    elif quantity == "mean_log":
-        target, field = model.slope(0.0), "mean_log_exponent"
-    elif quantity == "top_prob":
-        target, field = model.modal_decay, "top_prob_exponent"
-    elif quantity == "modal_count":
-        target, field = model.plateau_width, "modal_count_exponent"
-    elif quantity == "typical_size":
-        target, field = model.max_slope, "typical_size_exponent"
-    else:
+    if quantity not in SERIES_QUANTITIES:
         raise DistributionError(
             f"unknown quantity {quantity!r}; expected one of {SERIES_QUANTITIES}"
         )
+    rule, field = _SERIES[quantity]
+    target = rule(model, alpha)
     return tuple(
         ConvergencePoint(
             e.k, e.moment_exponent(alpha) if field is None else getattr(e, field), target
@@ -804,7 +833,9 @@ def _crosscheck(table: ExactGuessTable, alphas, sums, log_prob: np.ndarray) -> b
     and the top word's) within CROSSCHECK_REL_TOL, and the modal and total
     word counts equal. Its working memory is a few chunks of words."""
     logs, log_mean_log = sums
-    pairs = [*zip(_naive_log_means(log_prob, alphas), [*logs, log_mean_log]),
+    # zero-probability words sort last and weigh nothing: the sums take the finite ones
+    finite = log_prob[:_leading_count(log_prob, -np.finfo(float).max)]
+    pairs = [*zip(_naive_log_means(finite, alphas), [*logs, log_mean_log]),
              (float(log_prob[0]), float(table.log_word_prob[0]))]
     if not all(x == y or abs(x - y) <= CROSSCHECK_REL_TOL for x, y in pairs):
         return False
@@ -835,26 +866,12 @@ def naive_enumeration_crosscheck(
     return _crosscheck(table, alphas, _tables_log_sums([(table, 1.0)], alphas)[0], log_prob)
 
 
-# The rank-sum kernel: the module docstring's last section states its routes and bounds.
-
-# The Euler-Maclaurin route. A block from rank a sums by the midpoint
-# expansion of the least order M <= _M_MAX whose remainder bound at a is at
-# most _EM_TOL of the sum; ranks below the first rank where _M_MAX meets it,
-# the first Euler-Maclaurin rank (_first_ranks), are summed directly. Nearer
-# 0 than _SMALL_ALPHA the form takes the sum's O(alpha) part as a difference
-# of O(1) logs, so on short ranges its relative error on the log grows like
-# 1/alpha: those alphas sum ranks below _SMALL_ALPHA_MIN = 30,000 directly.
-# A one-rank block, whose log is that O(alpha) part alone (1.6e-6 relative
-# off at alpha = 4.3e-71 and a = 30,000, a negative log at a = 10^6), is
-# alpha log a on this route.
+# The rank-sum kernel: the module docstring's last section states its routes and
+# bounds, and these are its constants.
 _M_MAX = 8
 _EM_TOL = 1e-16
 _SMALL_ALPHA = 1e-2
 _SMALL_ALPHA_MIN = 30000
-# Every block takes its ranks below this as one range sum from a table built
-# per tuple of alphas (_low_sums): rows whose first Euler-Maclaurin rank is at
-# most this take the expansion from it on, and rows with a higher one the
-# direct route up to it.
 _ONE_RANK_MAX = 16
 
 _LOG2 = math.log(2.0)
@@ -1057,21 +1074,16 @@ def _first_ranks(powers: tuple[float, ...]):
     that sum the ranks from 16 directly). A block that reaches rank 17
     takes S' below 16, and its rest from 16 carries the first term at Y
     alone and the terms k <= M at X: low_x[r, k - 2] is that product where
-    k <= M, else 0. From X >= far_x on those at X add up to less than
-    _EM_TOL / 16 of the rest's sum, which is at least X^alpha / 1.5 (its
-    last term for alpha >= 0, its first for alpha < 0) or log 16 for the
-    sum of logs. All depend on the alphas alone, so a process computes them
-    once per tuple of alphas, read-only.
+    k <= M, else 0, left out from X >= far_x on (the module docstring's
+    far-end cut). All depend on the alphas alone, so a process computes
+    them once per tuple of alphas, read-only.
 
-    For f(x) = x^alpha the order-M bound at rank a is exp(c_M + |alpha| /
-    (2a - 1)) / (a - 1/2)^(2M+2) of the sum, c_M = log(2 |B_{2M+2}| /
-    (2M+2)!) + log |alpha (alpha-1) .. (alpha-2M-1)|: -inf where the
-    product is 0 (integer 0 <= alpha <= 2M + 1, where the expansion of
-    order M is exact). It falls with a. Without the factor exp(|alpha| /
-    (2a - 1)) it would meet the tolerance at a lower bound of the rank,
-    where the search for the first rank of order _M_MAX starts; the factor
-    taken at the lower bound of order 1 gives a rank where order 1 meets
-    it, in closed form. The sum of logs' bound is _log_bound's.
+    The order-M bound (module docstring) falls with the rank. Without its
+    factor exp(|alpha| / (2a - 1)) it would meet the tolerance at a lower
+    bound of the rank, where the search for the first rank of order _M_MAX
+    starts; the factor taken at the lower bound of order 1 gives a rank
+    where order 1 meets it, in closed form. The sum of logs' bound is
+    _log_bound's.
     """
     alpha = np.array([*powers, 1.0]).reshape(-1, 1)  # the sum of logs: no factor alpha
     diff = alpha - _I
@@ -1095,17 +1107,14 @@ def _first_ranks(powers: tuple[float, ...]):
         mins.append(_SMALL_ALPHA_MIN if abs(a) < _SMALL_ALPHA else rank)
     arrays = np.abs(alpha), (bound - _LOG_TOL).T[..., None], fall[..., None], sign[..., None]
     arrays[0][-1] = 0.0
-    # the rank _ONE_RANK_MAX: the terms of its order, masked as _em_orders does
+    # the rank _ONE_RANK_MAX: the terms of its order
     log_y = math.log(_ONE_RANK_MAX - 0.5)
-    h = arrays[0] * math.exp(-_LOG2 - log_y)
-    h[-1] = -math.log(log_y)
-    missed = (arrays[1] + h > _P * log_y)[:-1, :, 0]
+    missed = _missed(*arrays[:2], np.array([log_y]))[:-1, :, 0]
     missed[:, [m > _ONE_RANK_MAX for m in mins] + [False]] = False
     low_x = (sign * np.exp(np.where(missed, fall, -math.inf))).T
     # np.einsum, not BLAS, whose buffers would cost the process memory
     low_y = np.einsum("rk,ks->rs", low_x, np.exp(_J2[:, :, 0] * log_y))
-    # from far_x on each term of X's, f'(X) c X^-(2k-2), is at most
-    # 1.5 max(|alpha|, 1) |c| X^-(2k-1) of the sum, below _EM_TOL / (16 (_M_MAX - 1))
+    # far_x, the module docstring's far-end cut: 24 = 1.5 * 16
     top = (np.abs(low_x) * np.maximum(arrays[0], 1.0)).max(axis=0).tolist()
     far_x = max((math.exp((math.log(24 * (_M_MAX - 1) * c) - _LOG_TOL) / (2 * k + 1))
                  for k, c in enumerate(top, 1) if c), default=0.0)
@@ -1126,13 +1135,8 @@ def _first_ranks(powers: tuple[float, ...]):
 
 
 def _log_bound(c: float, p: int):
-    """The log of the sum of logs' bound as a function of the rank: log constant c, power p of 1/Y.
-
-    The order-M bound at rank a is 2 |B_{2M+2}| (2M+1)! / (2M+2)! /
-    ((a - 1/2)^(2M+2) log(a - 1/2)) of the sum: the remainder's f^(2M+2) =
-    -(2M+1)! / x^(2M+2) integrates to at most (2M+1)! n / Y^(2M+2) over n
-    ranks, and the sum is at least n log a.
-    """
+    """The log of the sum of logs' bound (module docstring) as a function of the rank a:
+    log constant c, power p of 1/Y, Y = a - 1/2."""
     return lambda a: math.inf if a < 2 else c - math.log(math.log(a - 0.5)) - p * math.log(a - 0.5)
 
 
@@ -1153,25 +1157,28 @@ def _em_orders(ranks, powers, log_yx):
     (2k-2)! / x^(2k-2). Returns, per end Y and X, the sum over k = 2 .. M of
     c_k times that product, 0 where M = 1.
     """
-    abs_alpha, bound, fall, sign = ranks[2:6]
-    log_y = log_yx[0]
+    fall, sign = ranks[4:6]
+    terms = sign * np.exp(fall + _J2 * log_yx[:, None, None])
+    return np.einsum("krs,ekrs->ers", _missed(*ranks[2:4], log_yx[0])[:-1], terms)
+
+
+def _missed(abs_alpha, bound, log_y):
+    """Where order M misses the tolerance at first rank a = Y + 1/2, log_y the logs of Y:
+    [M - 1, row, Y], rows as _first_ranks' abs_alpha and bound (the log of the bound's
+    constant over the tolerance)."""
     h = abs_alpha * np.exp(-_LOG2 - log_y)  # |alpha| / (2a - 1) = |alpha| / 2Y
     h[-1] = -np.log(log_y)  # the sum of logs' bound divides by log Y
-    missed = bound + h > _P * log_y  # bound holds log(bound constant / tolerance)
-    terms = sign * np.exp(fall + _J2 * log_yx[:, None, None])
-    return np.einsum("krs,ekrs->ers", missed[:-1], terms)
+    return bound + h > _P * log_y
 
 
 def _direct_route(a, n, alpha):
     """Direct sums of i^alpha[j] over the n[j] ranks from a[j] (ints), from their largest terms.
 
-    The terms fall from the last rank b (alpha > 0) or the first (else),
-    each at most exp(-|alpha| j / b) of the largest, j ranks from it, so the
-    terms past the J largest add at most exp(-|alpha| J / b) (1 + b /
-    |alpha|) of the sum: each sum takes the J largest that make that at
-    most _EM_TOL, its top terms where alpha is large against the ranks,
-    else every rank. A term is exp(alpha log1p(-+j / r)) of the largest, r
-    its rank. Returns (lam, rho), log sum = alpha lam + rho, lam = log r.
+    Each sum takes as many of its largest terms as the module docstring's
+    truncation bound asks for _EM_TOL: its top terms where alpha is large
+    against the ranks, else every rank. A term is exp(alpha log1p(-+j / r))
+    of the largest, r its rank. Returns (lam, rho), log sum = alpha lam +
+    rho, lam = log r.
     """
     (a_m, a_e), (b_m, b_e), (n_m, n_e) = (
         _int_parts(v) for v in (a, [x + k - 1 for x, k in zip(a, n)], n))
@@ -1261,9 +1268,7 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
         for c in range(i, end, chunk):
             rows = slice(c, min(c + chunk, end))
             st = neg_s[rows] * t
-            log_q = np.log(np.expm1(st) / st)
-            if -1.0 in powers[rows]:
-                log_q[powers[rows].index(-1.0)] = 0.0
+            log_q = np.log(np.expm1(st) / st, where=st != 0.0, out=np.zeros_like(st))
             far = lam_base - log_q  # log of lam's end to the power alpha - 1, over the integral
             step = (alpha[rows] - 1.0) * t
             e_y, e_x = (far - step, far) if up else (far, far + step)
@@ -1310,18 +1315,15 @@ def _em_route(a_parts, n_parts, powers, ranks, top, sub):
 def _terms(tables, powers):
     """Every table's terms as one 2-D array: one row per power, a last row for the sum of logs.
 
-    Every block that starts below _ONE_RANK_MAX takes its ranks below it as
-    one column from _first_ranks' range sums: S(a, min(b, 15)), or S' when
-    it reaches rank 17. A block that straddles 16 keeps its rest from there
-    as one more block of its weight, which carries its expansion's terms at
-    X alone after S', and is summed exactly after S when it is rank 16
-    alone (S' there would count the terms at Y twice). From there each
-    row takes the Euler-Maclaurin route at each block's least order that
-    meets the tolerance, from its first rank (_first_ranks) on. A row whose
-    first rank is higher (|alpha| < _SMALL_ALPHA, or |alpha| large against
-    the ranks) sums the blocks below it by _direct_route instead, and the
-    one that straddles it by _direct_route up to it and a route of its own
-    from it on. So every row's sums depend on its alpha alone. The
+    The module docstring's routing, per (block, row): every block that
+    starts below _ONE_RANK_MAX takes its ranks below it as one column from
+    _first_ranks' range sums, S(a, min(b, 15)) or S' when it reaches rank
+    17. A block that straddles 16 keeps its rest from there as one more
+    block of its weight, which carries its expansion's terms at X alone
+    after S', and is summed exactly after S when it is rank 16 alone (S'
+    there would count the terms at Y twice). A row whose first rank is
+    above 16 takes _direct_route on the blocks below it and on the one that
+    straddles it up to it, which takes _em_route from there. The
     Euler-Maclaurin route runs once over the blocks of all the tables, its
     starts converted in one _int_parts pass. Returns the terms (alpha lam +
     w + rho, times the table's scale, and w + log sum log i), their columns
@@ -1430,27 +1432,14 @@ def _log_sums(tables, alphas):
     ([scale * log sum_j w_j sum_{i in j} i^alpha for each alpha],
     log sum_j w_j sum_{i in j} log i).
 
-    One rule routes every (block, alpha) (_terms): each block's ranks below
-    _ONE_RANK_MAX = 16 by one range sum held per tuple of alphas, and each
-    block from there by the midpoint Euler-Maclaurin expansion of the least
-    order M <= 8 whose remainder bound at its first rank is at most _EM_TOL
-    = 1e-16 of the sum (the module docstring states the bound), or directly
-    where no order meets it (_direct_route: the top terms for large alpha,
-    every rank for |alpha| < 1e-2 below rank 30,000). So each block's sum
-    is within 1e-16 of the exact one before rounding, and so is each
-    table's. Rounding adds a few ulp of each log a term is made of, a few u
-    of each term from its exponential, and the summation's gamma_d of the
-    sum, d = ceil(log2 n) + 17 for a table of n terms (the module
-    docstring): 3.6e-15 at the 17,578 blocks of an m = 3, k = 186 table.
-    Each route runs once over the blocks of all the
-    tables, the alphas and the sum of logs as the rows of 2-D arrays, and
-    one _lse_segments call sums every table, so a table's results are, bit
-    for bit, those it gets alone, and an alpha's those it gets alone. alpha
-    = 0 takes no rule of its own: callers know E[G^0]. The terms stay
-    scaled, so a huge alpha overflows only where scale * log of the sum
-    would. A non-finite alpha raises DistributionError. The log of the sum
-    of rounded logs times float weights is off by up to 32 ulp on a uniform
-    table of N words: about 2 ulp of log N.
+    Routes and error bounds are the module docstring's last section. Each
+    route runs once over the blocks of all the tables (_terms), the alphas
+    and the sum of logs as the rows of 2-D arrays, and one _lse_segments
+    call sums every table, so a table's results are, bit for bit, those it
+    gets alone, and an alpha's those it gets alone. alpha = 0 takes no rule
+    of its own: callers know E[G^0]. The terms stay scaled, so a huge alpha
+    overflows only where scale * log of the sum would. A non-finite alpha
+    raises DistributionError.
     """
     _check_alphas(alphas)
     out = [([-math.inf for _ in alphas], -math.inf) for _ in tables]
@@ -1492,25 +1481,12 @@ def _one_block(a: int, b: int):
 def log_rank_power_sum(a: int, b: int, alpha: float) -> float:
     """log of sum_{i=a}^{b} i^alpha for exact (arbitrarily large) integers a <= b.
 
-    The table kernel (_log_sums) run on one block; alpha = 0 is log n from
-    the block's own size parts. The ranks below 16 by one range sum held per
-    alpha, the ranks from there by the midpoint Euler-Maclaurin expansion
-    of the least order M <= 8 whose remainder bound (the module
-    docstring's) is at most 1e-16 of the sum at the range's first rank, and
-    directly below the first rank where order 8 meets it (the first
-    Euler-Maclaurin rank, _first_ranks: 10 or less at the default alphas, about 1.36 |alpha| for large alpha,
-    whose ranges then take their top terms only). The result is off by at
-    most 1e-16 of the sum before rounding. The log-sum-exp of one term adds
-    no rounding, so rounding adds a few 1e-15 of the sum from the route
-    alone, and a few ulp of each of the two logs the result is made of, alpha
-    lam (at most |alpha| log b, the log of the largest term) and rho
-    (tests/test_ranksums.py checks that bound against mpmath over alpha in
-    (-1, 1e5] and ranges past 2^1020). Near alpha = 0 the expansion cancels
-    on short ranges, so there its relative error on the log grows like
-    1/alpha, and |alpha| < 1e-2 keeps the direct route below 30,000 and
-    that error from there on; one rank a is alpha log a on every route.
-    When alpha log i leaves float range the result is its limit, +inf or
-    -inf; a non-finite alpha raises DistributionError.
+    The table kernel (_log_sums) run on one block, within its error bound
+    (the module docstring's last section, whose routes it takes); a block's
+    one term adds no rounding in the log-sum-exp. alpha = 0 is log n from
+    the block's own size parts, and one rank a is alpha log a. When
+    alpha log i leaves float range the result is its limit, +inf or -inf;
+    a non-finite alpha raises DistributionError.
     """
     (bounds, parts, log_w), alpha = _one_block(a, b), float(alpha)
     if alpha == 0.0:

@@ -33,6 +33,7 @@ from .entropy import (
     FreqsLike,
     TypeVector,
     _log_law,
+    _plain_entropy,
     as_freqs,
     record,
     shannon_entropy,
@@ -109,7 +110,7 @@ class TiltedFamily:
             n, c = (self.support, self.c_max) if beta == 0.0 else (self.argmax, self.c_min)
             return math.log(len(n)), math.log(len(n)) - c
         fs = self._freqs(beta)
-        h = -math.fsum(f * math.log(f) for f in fs if f > 0.0)
+        h = _plain_entropy(fs)
         if beta == 1.0:
             return h, 0.0
         d = math.fsum(f * (math.log(f) - lg) for f, lg in zip(fs, self.logs) if f > 0.0)
@@ -278,8 +279,8 @@ class TiltedFamily:
         h, eta = np.empty(len(beta)), np.empty(len(beta))
         for block in self._blocks(len(beta)):
             b = beta[block]
-            log_z, mean, _ = self._moments(b)
-            h[block], eta[block] = log_z + b * mean, mean - self.top
+            moments = self._moments(b)
+            h[block], eta[block] = self._entropy(b, *moments)[0], self._eta(b, *moments)[0]
         return clamps, (beta, h, eta)
 
     def window(self, lo: float, hi: float) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guesswork import oracle
+from guesswork import cli, oracle
 from guesswork import (
     ConvergencePoint,
     DistributionError,
@@ -559,10 +559,32 @@ def test_naive_oracle_is_the_same_over_any_chunks(monkeypatch, chunk, source, k)
     assert got.size == whole.size == table.total_words
     assert _same_logs(got.tolist(), whole.tolist())
     assert _same_logs(means, whole_means)
-    assert ok == whole_ok
-    # a zero-probability word's term at alpha = 1e308 is -inf + inf = nan, one chunk or many
-    assert ok or any(map(math.isnan, means))
+    # the verdict sums the finite words alone, so a zero-probability word's
+    # -inf + inf = nan at alpha = 1e308 is no false mismatch, one chunk or many
+    assert ok and whole_ok
     assert not any(got_shifted) and not any(whole_shifted)
+
+
+def test_zero_letter_at_huge_alpha_crosschecks_ok(capsys):
+    # zero-probability words sort last and weigh nothing: the naive sums skip them, so
+    # alpha log i overflowing to +inf meets no -inf log-probability (no nan, no warning)
+    argv = ["exact-compare", "--kind", "unconditioned", "--p", "0,0.7,0.3", "--k", "6",
+            "--alpha", "1e308", "--max-words", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "# crosscheck:k=6:ok" in out.splitlines() and err == ""
+    source, alphas = unconditioned((0.0, 0.7, 0.3)), (300.0, 1e308)
+    table = build_guess_table(source, 6)
+    logs, log_log = oracle._tables_log_sums([(table, 1.0)], alphas)[0]
+    log_prob = oracle._naive_word_logs(source, 6, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert naive_enumeration_crosscheck(source, 6, alphas=alphas, max_words=1000)
+        assert not oracle._crosscheck(table, alphas, ([logs[0] + 1e-6, logs[1]], log_log),
+                                      log_prob)
+        assert not oracle._crosscheck(table, alphas, (logs, log_log + 1e-6), log_prob)
 
 
 @pytest.mark.parametrize("words", [[0.0] * 7, [-1.0, -1.0, -1.0 - 1e-11, -2.0, -2.0, -math.inf],
@@ -729,8 +751,6 @@ def test_tables_from_rank_one_sum_ranks_below_the_threshold_once(capsys):
     # from 16, of order M there, carries the first term alone; a pass sums no rank
     # one by one, and a second exact-compare request prints the same bytes
     from mpmath import mp, mpf
-
-    from guesswork import cli
 
     alphas = (-0.5, 0.5, 1.0, 2.0)
     ranks = _first_ranks(alphas)
