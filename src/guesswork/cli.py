@@ -329,11 +329,11 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     exps, checks = oracle._finite_k_batch(source, ks, alphas, max_types=args.max_types,
                                           max_words=args.max_words)
     # trends are judged over the distinct ks in first-seen order; rows list every k
-    valid_ks = [k for k in exps if exps[k] is not None]
+    valid = [e for e in exps.values() if e is not None]
     model = asymptotics.scgf_model(source)
 
     series = [("scgf", a) for a in alphas]
-    series += [(q, None) for q in oracle.SERIES_QUANTITIES[1:] if typical or q != "typical_size"]
+    series += [(q, None) for q in oracle._series_quantities(source.kind)[1:]]
 
     meta = [f"# exact-compare kind={args.kind} p={args.p}"
             + (f" epsilon={_fmt(source.epsilon)}" if typical else "")]
@@ -341,9 +341,7 @@ def cmd_exact_compare(args) -> tuple[str, int]:
     trends: dict[str, bool] = {}
     for qty, a in series:
         label = f"scgf[alpha={_fmt(a)}]" if qty == "scgf" else qty
-        points = oracle.convergence_points(
-            [exps[k] for k in valid_ks], model, qty, 1.0 if a is None else a
-        )
+        points = oracle.convergence_points(valid, model, qty, 1.0 if a is None else a)
         by_k = {pt.k: pt for pt in points}
         for k in ks:
             if k in by_k:

@@ -8,8 +8,12 @@ its per-word probability times a rank-power sum over its range. A table is
 held as columns, and one kernel (_log_sums, the last section below) takes
 the rank sums of every table of a request in one pass over their blocks,
 however many ranks a block holds, which keeps k ~ 10^3 affordable for
-m = 2. `guessctl exact-compare` builds each distinct k's table once
-(_finite_k_batch), and its naive cross-check reads that table. A
+m = 2. One pass turns guess tables into FiniteKExponents
+(_finite_k_batch): it builds each distinct k's table once and takes every
+table in one kernel pass. finite_k_exponents is its one-k view,
+convergence_series reads all its ks from one batch, so one kernel pass,
+and `guessctl exact-compare` reads its series and its naive cross-check
+from one batch. A
 typical-set table, census or scan enumerates only the typical slab: one
 interval of the next-to-last count per row of the other counts
 (_window_entries).
@@ -339,6 +343,13 @@ def _window_entries(
     return counts, _class_sizes(counts), -k * cost
 
 
+def _empty_typical_set(source: Source, k: int) -> EmptyTypicalSetError:
+    """The one error of a typical-set source with no word at length k, from
+    the table, the naive oracle and every view over them."""
+    return EmptyTypicalSetError(f"empty typical set: no {k}-type has per-letter log-probability "
+                                f"in the window for epsilon={source.epsilon}")
+
+
 def build_guess_table(
     source: Source, k: int, *, max_types: int = MAX_TYPES_DEFAULT
 ) -> ExactGuessTable:
@@ -360,10 +371,7 @@ def build_guess_table(
     window = typical_window(p, source.epsilon) if typical_kind else None
     counts, sizes, raw = _window_entries(p, window, k, max_types)
     if typical_kind and not sizes:
-        raise EmptyTypicalSetError(
-            f"empty typical set: no {k}-type has per-letter log-probability in "
-            f"the window for epsilon={source.epsilon}"
-        )
+        raise _empty_typical_set(source, k)
     # stable, so equal probabilities keep the lexicographic enumeration order; every
     # class of a uniform table has one per-word probability, so it keeps that order whole
     if source.kind is not SourceKind.UNIFORM_TYPICAL:
@@ -524,30 +532,22 @@ def finite_k_exponents(
 ) -> FiniteKExponents:
     """Compute every scaled exponent of `source` at word length k exactly.
 
-    One table and one kernel pass, its terms scaled by 1/k, so a huge alpha
-    stays finite wherever (1/k) log E[G^alpha] does; `guessctl exact-compare`
-    takes every k of a request in one pass (_finite_k_batch).
+    The one-k view of _finite_k_batch: one table and one kernel pass, its
+    terms scaled by 1/k, so a huge alpha stays finite wherever
+    (1/k) log E[G^alpha] does.
     """
-    table = build_guess_table(source, k, max_types=max_types)
-    alphas = alphas_or_default(alphas)
-    return _exponents(table, alphas, _tables_log_sums([(table, 1.0 / k)], alphas)[0])
+    return next(_exponents_at(source, (k,), alphas, max_types))
 
 
-def _exponents(table: ExactGuessTable, alphas, sums) -> FiniteKExponents:
-    """FiniteKExponents of a table from its kernel results at scale 1/k."""
-    k = table.k
-    logs, log_mean_log = sums
-    size_exp = None
-    if table.source.kind is not SourceKind.UNCONDITIONED:
-        size_exp = math.log(table.total_words) / k
-    return FiniteKExponents(
-        k=k,
-        moment_exponents=tuple(zip(alphas, logs)),
-        mean_log_exponent=math.exp(log_mean_log) / k,
-        top_prob_exponent=float(table.log_word_prob[0]) / k,
-        modal_count_exponent=math.log(modal_word_count(table)) / k,
-        typical_size_exponent=size_exp,
-    )
+def _exponents_at(source: Source, ks, alphas, max_types: int):
+    """FiniteKExponents at each k of ks in turn, all from one _finite_k_batch
+    run at the first step; an empty typical set raises its one error."""
+    ks = tuple(ks)  # read twice, so a one-shot iterable of ks is taken whole first
+    exps = _finite_k_batch(source, ks, alphas, max_types=max_types)[0]
+    for k in ks:
+        if exps[k] is None:
+            raise _empty_typical_set(source, k)
+        yield exps[k]
 
 
 def _finite_k_batch(
@@ -558,9 +558,9 @@ def _finite_k_batch(
     max_types: int = MAX_TYPES_DEFAULT,
     max_words: int = 0,
 ) -> tuple[dict[int, FiniteKExponents | None], list[tuple[int, bool]]]:
-    """finite_k_exponents at every distinct k of ks, and the naive cross-check
+    """FiniteKExponents at every distinct k of ks, and the naive cross-check
     at each of them with m^k <= max_words (none when max_words is 0), from one
-    kernel pass.
+    kernel pass: the package's one pass from guess tables to FiniteKExponents.
 
     The alphas are checked first; then each distinct k's table is built once
     (None for an empty typical set), and one kernel pass takes every table at
@@ -579,8 +579,17 @@ def _finite_k_batch(
     checked = [t for t in built if max_words and source.p.m**t.k <= max_words]
     sums = _tables_log_sums([(t, 1.0 / t.k) for t in built] + [(t, 1.0) for t in checked],
                             alphas)
-    scaled = dict(zip((t.k for t in built), sums))
-    exps = {k: None if t is None else _exponents(t, alphas, scaled[k]) for k, t in tables.items()}
+    exps = dict.fromkeys(tables)  # None: an empty typical set
+    for t, (logs, log_mean_log) in zip(built, sums):
+        exps[t.k] = FiniteKExponents(
+            k=t.k,
+            moment_exponents=tuple(zip(alphas, logs)),
+            mean_log_exponent=math.exp(log_mean_log) / t.k,
+            top_prob_exponent=float(t.log_word_prob[0]) / t.k,
+            modal_count_exponent=math.log(modal_word_count(t)) / t.k,
+            typical_size_exponent=(None if source.kind is SourceKind.UNCONDITIONED
+                                   else math.log(t.total_words) / t.k),
+        )
     checks = [(t.k, _crosscheck(t, alphas, s, _naive_word_logs(source, t.k, max_words)))
               for t, s in zip(checked, sums[len(built):])]
     return exps, checks
@@ -651,6 +660,12 @@ _SERIES = {
 SERIES_QUANTITIES = tuple(_SERIES)
 
 
+def _series_quantities(kind: SourceKind) -> tuple[str, ...]:
+    """The quantities with a convergence series for a source kind: only the
+    typical-set kinds have typical_size, (1/k) log |T|."""
+    return tuple(q for q in _SERIES if q != "typical_size" or kind is not SourceKind.UNCONDITIONED)
+
+
 @record
 class ConvergencePoint:
     k: int
@@ -678,8 +693,9 @@ def convergence_points(
     target is taken before `exponents` is iterated, so an invalid alpha is
     reported before a lazily built table.
     """
-    if quantity not in SERIES_QUANTITIES:
+    if quantity not in _series_quantities(model.source.kind):
         raise DistributionError(
+            "typical_size needs a typical-set source kind" if quantity == "typical_size" else
             f"unknown quantity {quantity!r}; expected one of {SERIES_QUANTITIES}"
         )
     rule, field = _SERIES[quantity]
@@ -702,15 +718,12 @@ def convergence_series(
 ) -> tuple[ConvergencePoint, ...]:
     """Finite-k values of one quantity against its asymptotic target.
 
-    A view over finite_k_exponents at each k; see convergence_points for
-    the quantities and their targets.
+    Every k's exponents come from one _finite_k_batch, so one kernel pass,
+    the same values bit for bit as finite_k_exponents at each k; see
+    convergence_points for the quantities and their targets.
     """
-    if quantity == "typical_size" and source.kind is SourceKind.UNCONDITIONED:
-        raise DistributionError("typical_size needs a typical-set source kind")
     alphas = (alpha,) if quantity == "scgf" else ()
-    exponents = (
-        finite_k_exponents(source, k, alphas=alphas, max_types=max_types) for k in ks
-    )
+    exponents = _exponents_at(source, ks, alphas, max_types)
     return convergence_points(exponents, scgf_model(source), quantity, alpha)
 
 
@@ -783,7 +796,7 @@ def _naive_word_logs(source: Source, k: int, max_words: int) -> np.ndarray:
             logw[n:n + kept.size] = kept
             n += kept.size
         if n == 0:
-            raise EmptyTypicalSetError(f"empty typical set at k={k}")
+            raise _empty_typical_set(source, k)
         logw = logw[:n]
     if source.kind is SourceKind.UNIFORM_TYPICAL:
         logw.fill(0.0)  # every typical word equally likely

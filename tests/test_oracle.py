@@ -254,6 +254,18 @@ def test_convergence_series_targets():
         convergence_series(C, "scgf", (2,))
 
 
+def test_convergence_points_refuse_typical_size_of_the_unconditioned_source():
+    # the unconditioned source's exponents have no |T|: its typical_size points
+    # held value None, and trend_holds on them raised TypeError
+    exponents = [finite_k_exponents(W, k) for k in (5, 10)]
+    with pytest.raises(DistributionError, match="^typical_size needs a typical-set source kind$"):
+        oracle.convergence_points(exponents, scgf_model(W), "typical_size")
+    points = oracle.convergence_points([finite_k_exponents(C, k) for k in (6, 10)],
+                                       scgf_model(C), "typical_size")
+    assert [pt.value for pt in points] == [math.log(build_guess_table(C, k).total_words) / k
+                                           for k in (6, 10)]
+
+
 def test_trend_holds_predicate():
     def pt(k, gap):
         return ConvergencePoint(k=k, value=gap, target=0.0)

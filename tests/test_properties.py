@@ -1025,6 +1025,62 @@ def test_kernel_batch_matches_each_table_alone(drawn, rescale, alphas):
         assert bits(got) == bits(_log_sums([entry], alphas)[0])
 
 
+# each series quantity's FiniteKExponents field (None: the moment exponent at alpha)
+SERIES_FIELDS = {"scgf": None, "mean_log": "mean_log_exponent", "top_prob": "top_prob_exponent",
+                 "modal_count": "modal_count_exponent", "typical_size": "typical_size_exponent"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((gw.unconditioned, gw.conditioned, gw.uniform_typical)),
+    simplexes(2, 3),
+    st.floats(0.05, 0.95),
+    st.lists(st.integers(1, 12), min_size=2, max_size=4),
+    st.sampled_from(tuple(SERIES_FIELDS)),
+    st.floats(-0.95, 6.0),
+)
+def test_convergence_series_is_one_batch_of_finite_k_exponents(kind, p, frac, ks, quantity,
+                                                                 alpha):
+    # a series over a chain of ks is one kernel pass whose values are finite_k_exponents'
+    # at each k bit for bit; an empty typical set is one error text, whichever oracle
+    # meets it first; typical_size of the unconditioned source is refused before any pass
+    from guesswork import oracle
+
+    top = gw.admissible_epsilon_interval(p)[1]
+    source = kind(p) if kind is gw.unconditioned else kind(p, frac * top if top > 0.0 else frac)
+    empty = {}
+    for k in ks:
+        try:
+            gw.build_guess_table(source, k)
+        except gw.EmptyTypicalSetError as error:
+            empty.setdefault(k, str(error))
+    with mock.patch.object(oracle, "_log_sums", wraps=oracle._log_sums) as kernel:
+        try:
+            got = gw.convergence_series(source, quantity, tuple(ks), alpha=alpha)
+        except (gw.EmptyTypicalSetError, gw.DistributionError) as error:
+            got = error
+    if quantity == "typical_size" and kind is gw.unconditioned:
+        assert type(got) is gw.DistributionError and kernel.call_count == 0
+        return
+    assert kernel.call_count == 1
+    first_empty = next((k for k in ks if k in empty), None)
+    if first_empty is not None:
+        text = empty[first_empty]
+        assert type(got) is gw.EmptyTypicalSetError and str(got) == text
+        for call in (gw.finite_k_exponents, gw.naive_enumeration_crosscheck):
+            with pytest.raises(gw.EmptyTypicalSetError) as caught:
+                call(source, first_empty)
+            assert str(caught.value) == text
+        return
+    field = SERIES_FIELDS[quantity]
+    want = []
+    for k in ks:
+        e = gw.finite_k_exponents(source, k, alphas=(alpha,) if field is None else ())
+        want.append(e.moment_exponent(alpha) if field is None else getattr(e, field))
+    assert [pt.k for pt in got] == ks
+    assert np.array([pt.value for pt in got]).tobytes() == np.array(want).tobytes()
+
+
 # the powers of the edge-layout check: the default alphas, two larger ones and
 # one near -1
 EDGE_ALPHAS = (-0.5, 0.5, 1.0, 2.0, 3.7, -0.93, 7.25)

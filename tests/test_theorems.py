@@ -10,7 +10,11 @@ uniform one: the gap U - C between their growth rates, the paper's
 headline, is nonnegative at finite k too. For every source the power means
 (E[G^alpha])^(1/alpha) do not fall as alpha rises (Lyapunov), with the
 geometric mean exp E[log G] at alpha = 0 between the negative and the
-positive orders (Jensen).
+positive orders (Jensen). Arikan's bracket (IEEE Trans. Inf. Theory 42(1),
+1996) holds for any law on M words guessed in that order:
+(1 + ln M)^(-rho) R <= E[G^rho] <= R for rho > 0, with
+R = (sum_w P(w)^(1/(1+rho)))^(1+rho). Massey's bound (ISIT 1994) gives
+E[G] >= 2^(H(W) - 2) + 1 whenever the entropy H(W) is at least 2 bits.
 
 Each comparison allows the error the kernel states (oracle's module
 docstring): a few ulp of the largest log a term is made of, for
@@ -23,6 +27,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import guesswork as gw
 
+from laws import renyi_rate
+
 KINDS = (gw.unconditioned, gw.conditioned, gw.uniform_typical)
 
 laws = (
@@ -34,12 +40,17 @@ orders = st.lists(st.floats(-0.95, 8.0).filter(lambda a: abs(a) >= 1e-3),
                   min_size=1, max_size=4, unique=True)
 
 
-def _exponents(kind, p, frac, k, alphas):
-    """finite_k_exponents of the source at the first word length from k on, up to k + 30,
-    whose typical set is nonempty (None if there is none), epsilon frac of the admissible top
-    (frac itself for a law uniform on its support, whose interval is empty)."""
+def _source(kind, p, frac):
+    """The source of that kind, epsilon frac of the admissible top (frac itself for a law
+    uniform on its support, whose interval is empty)."""
     top = gw.admissible_epsilon_interval(p)[1]
-    source = kind(p) if kind is gw.unconditioned else kind(p, frac * top if top > 0.0 else frac)
+    return kind(p) if kind is gw.unconditioned else kind(p, frac * top if top > 0.0 else frac)
+
+
+def _exponents(kind, p, frac, k, alphas):
+    """finite_k_exponents of _source at the first word length from k on, up to k + 30,
+    whose typical set is nonempty (None if there is none)."""
+    source = _source(kind, p, frac)
     for j in range(k, k + 31):
         try:
             return gw.finite_k_exponents(source, j, alphas=tuple(alphas))
@@ -92,3 +103,55 @@ def test_power_means_of_guesswork_rise_with_the_order(kind, p, frac, k, alphas):
                    + [(0.0, e.mean_log_exponent, _mean_log_slack(e))])
     for (a, low, s), (b, high, t) in zip(means, means[1:]):
         assert low <= high + s + t, (a, b, low, high)
+
+
+def _table_logs(e, kind, p, frac):
+    """The log size N_j and log word probability of each row of the table behind e, and
+    log M, M its number of words (all of positive probability)."""
+    table = gw.build_guess_table(_source(kind, p, frac), e.k)
+    b = table.bounds
+    log_sizes = [math.log(hi - lo) for lo, hi in zip(b, b[1:])]
+    return log_sizes, table.log_word_prob.tolist(), math.log(table.total_words)
+
+
+def _lse(terms) -> float:
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KINDS), laws, st.floats(0.1, 0.95), st.integers(1, 40), orders)
+def test_guesswork_moments_lie_in_arikans_bracket(kind, p, frac, k, alphas):
+    e = _exponents(kind, p, frac, k, alphas)
+    if e is None:
+        return
+    log_sizes, lws, log_m = _table_logs(e, kind, p, frac)
+    for rho, v in e.moment_exponents:
+        if rho <= 0.0:
+            continue
+        # log R: k Lambda(rho) unconditioned (rho times the Renyi entropy of order
+        # 1/(1+rho)), rho log |T| uniform, from the rows of the conditioned table
+        if kind is gw.unconditioned:
+            log_r = e.k * rho * renyi_rate(p, 1.0 / (1.0 + rho))
+        elif kind is gw.uniform_typical:
+            log_r = rho * log_m
+        else:
+            log_r = (1.0 + rho) * _lse([n + lw / (1.0 + rho) for n, lw in zip(log_sizes, lws)])
+        slack = 2.0 * _moment_slack(e, p, rho)
+        assert log_r / e.k - rho * math.log1p(log_m) / e.k <= v + slack, (rho, v, log_r)
+        assert v <= log_r / e.k + slack, (rho, v, log_r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KINDS), laws, st.floats(0.1, 0.95), st.integers(1, 40))
+def test_mean_guesswork_meets_masseys_bound(kind, p, frac, k):
+    e = _exponents(kind, p, frac, k, (1.0,))
+    if e is None:
+        return
+    log_sizes, lws, _ = _table_logs(e, kind, p, frac)
+    h_bits = math.fsum(-math.exp(n + lw) * lw for n, lw in zip(log_sizes, lws)) / math.log(2.0)
+    if h_bits < 2.0:
+        return
+    log_bound = math.log1p(2.0 ** (h_bits - 2.0))
+    slack = 2.0 * _moment_slack(e, p, 1.0)
+    assert log_bound / e.k <= e.moment_exponent(1.0) + slack, (h_bits, e.moment_exponent(1.0))
